@@ -18,7 +18,15 @@ import numpy as np
 
 from . import functionals as fn
 from .emden import EmdenFowlerProfile, _leggauss, q_star, sobolev_constant
-from .errors import IllConditionedFit, NotInAsymptoticRegime
+from .errors import (
+    BracketNotFound,
+    DivergentNormError,
+    IllConditionedFit,
+    InconsistentSolution,
+    InternalConsistencyError,
+    NotInAsymptoticRegime,
+)
+from .ode import IntegrationFailure
 from .params import Family, ProblemParams, sphere_area
 from .shooting import RadialProfile, ShootControls
 
@@ -183,6 +191,7 @@ def rescale_to_v(w: RadialProfile, lam: float) -> RadialProfile:
         tail=new_tail,
         bisection_iterations=w.bisection_iterations,
         bracket=w.bracket,
+        integrations=w.integrations,
         r_max_used=w.r_max_used / lam,
     )
 
@@ -402,6 +411,21 @@ class ScalingReport:
         return [pt for pt in self.points if pt.converged]
 
 
+# Failures a sweep point records instead of raising: the solver's own error
+# types and rejected parameters.  Anything else (a TypeError, say) is a bug
+# and propagates out of the sweep.
+_POINT_FAILURES = (
+    BracketNotFound,
+    DivergentNormError,
+    IllConditionedFit,
+    InconsistentSolution,
+    InternalConsistencyError,
+    NotInAsymptoticRegime,
+    IntegrationFailure,
+    ValueError,  # InvalidParams and the solver's argument checks
+)
+
+
 def _solve_point(spec: SweepSpec, x: float, hint: tuple[float, float] | None,
                  refs: dict) -> SweepPoint:
     N, q = spec.N, spec.q
@@ -443,7 +467,7 @@ def _solve_point(spec: SweepSpec, x: float, hint: tuple[float, float] | None,
         elif spec.regime == "delta_supercritical":
             pt.sigma = sol.level_S - sobolev_constant(N)
         pt.converged = True
-    except Exception as exc:  # per-point failures are recorded, not fatal
+    except _POINT_FAILURES as exc:  # per-point failures are recorded, not fatal
         pt.failure = f"{type(exc).__name__}: {exc}"
     return pt
 
@@ -555,5 +579,5 @@ def _amp_cap(spec: SweepSpec, x: float) -> float:
 
         _, hi = _f_positive_roots(params)
         return hi * (1.0 - 1e-9) if hi is not None else math.inf
-    except Exception:
+    except _POINT_FAILURES:
         return math.inf

@@ -227,7 +227,7 @@ def _solution_record(params, ctrl, cache_hit: bool) -> ResultRecord:
         "r_max": prof.r_max_used,
         "grid_points": len(prof.grid),
         "rhs_evals": prof.grid.rhs_evals,
-        "integrations_run": prof.bisection_iterations + 1,
+        "integrations_run": prof.integrations,
         "cache_hit": cache_hit,
     }
     cfg = _solve_config(params, ctrl)

@@ -245,6 +245,7 @@ def to_minimizer_frame(u: RadialProfile, S: float) -> RadialProfile:
         tail=new_tail,
         bisection_iterations=u.bisection_iterations,
         bracket=u.bracket,
+        integrations=u.integrations,
         r_max_used=u.r_max_used / rt,
     )
 

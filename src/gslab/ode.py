@@ -5,7 +5,9 @@ r0 > 0, with event detection (zero crossing, slope sign flip, underflow,
 r_max) refined on the dense-output interpolant.  Norm integrands
 (u^2, |u|^p, |u|^q, u'^2 against r^(N-1) dr) can be accumulated alongside
 the trajectory using per-step Gauss panels on the same interpolant, so the
-quadrature grid is exactly the integrator's accepted-step grid.
+quadrature grid is exactly the integrator's accepted-step grid.  The
+interpolant is built only for those two readers: on the step where an event
+is refined, and on every step when quadrature is on.
 """
 
 from __future__ import annotations
@@ -373,35 +375,36 @@ def integrate(
             h *= max(0.2, 0.9 * err**-0.2)
             continue
 
-        dense = _DenseStep(
-            r,
-            h,
-            u,
-            v,
-            (ku1, ku2, ku3, ku4, ku5, ku6, ku7),
-            (kv1, kv2, kv3, kv4, kv5, kv6, kv7),
-        )
-        etol = tol.event_tol * max(1.0, r_new)
-
-        # terminal event checks, in priority order within the step
+        # terminal event checks, in priority order within the step; fn is the
+        # event function whose sign change is refined on the dense output
+        fn = None
         if u_new <= 0.0:
-            event = TerminalEvent.ZERO_CROSSING
-            r_event = _bisect_event(dense, lambda uu, vv: uu, r, r_new, etol)
+            event, fn = TerminalEvent.ZERO_CROSSING, lambda uu, vv: uu
         elif v_new >= 0.0 and u_new > 0.0:
-            event = TerminalEvent.SLOPE_SIGN_FLIP
-            r_event = _bisect_event(dense, lambda uu, vv: vv, r, r_new, etol)
+            event, fn = TerminalEvent.SLOPE_SIGN_FLIP, lambda uu, vv: vv
         elif u_new < floor and v_new < 0.0:
-            event = TerminalEvent.UNDERFLOW
-            r_event = _bisect_event(dense, lambda uu, vv: uu - floor, r, r_new, etol)
+            event, fn = TerminalEvent.UNDERFLOW, lambda uu, vv: uu - floor
         elif clipped:
             event = TerminalEvent.REACHED_RMAX
             r_event = r_max
 
-        if event is not None and event is not TerminalEvent.REACHED_RMAX:
-            u_new, v_new = dense.eval(r_event)
-            r_stop = r_event
-        else:
-            r_stop = r_new
+        r_stop = r_new
+        # the interpolant is built only on steps that read it: event
+        # refinement and quadrature panels
+        if quad or fn is not None:
+            dense = _DenseStep(
+                r,
+                h,
+                u,
+                v,
+                (ku1, ku2, ku3, ku4, ku5, ku6, ku7),
+                (kv1, kv2, kv3, kv4, kv5, kv6, kv7),
+            )
+            if fn is not None:
+                etol = tol.event_tol * max(1.0, r_new)
+                r_event = _bisect_event(dense, fn, r, r_new, etol)
+                u_new, v_new = dense.eval(r_event)
+                r_stop = r_event
 
         if quad:
             hh = r_stop - r

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -230,8 +231,14 @@ def cache_load(key: str) -> ResultRecord | None:
 
 
 def cache_store(key: str, record: ResultRecord) -> None:
+    """Write the record atomically; each writer has its own temp file."""
     d = cache_dir()
     d.mkdir(parents=True, exist_ok=True)
-    tmp = d / f".{key}.tmp"
-    tmp.write_bytes(serialize(record))
-    tmp.replace(d / f"{key}.json")
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=f".{key}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(serialize(record))
+        os.replace(tmp, d / f"{key}.json")
+    except BaseException:
+        os.unlink(tmp)
+        raise

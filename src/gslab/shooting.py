@@ -164,6 +164,7 @@ class RadialProfile:
     bisection_iterations: int = 0
     bracket: tuple[float, float] = (0.0, 0.0)
     r_max_used: float = 0.0
+    integrations: int = 0     # every integrate() call of the solve, final pass included
 
     def value(self, r):
         return _eval_profile(self, r, deriv=False)
@@ -307,16 +308,17 @@ def _f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
 
 
 def _default_r_max(params: ProblemParams, ctrl: ShootControls,
-                   a_probe: float) -> float:
+                   a_probe: float) -> tuple[float, int]:
+    """(r_max, number of probe integrations it took)."""
     if ctrl.r_max is not None:
-        return ctrl.r_max
+        return ctrl.r_max, 0
     if not params.is_algebraic():
-        return 50.0 / params.decay_rate
+        return 50.0 / params.decay_rate, 0
     # algebraic family: scale radius from a probe trajectory's half-height
     t = integrate(params, a_probe, 1e6, replace(ctrl.step, rtol=1e-6, atol=1e-9))
     below = np.nonzero(t.values < 0.5 * a_probe)[0]
     r_half = t.radii[below[0]] if len(below) else 1.0
-    return min(1e6, max(1e3, 1e4 * r_half))
+    return min(1e6, max(1e3, 1e4 * r_half)), 1
 
 
 def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls()) -> RadialProfile:
@@ -342,10 +344,12 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
         lo_seed = u_f0 * (1.0 + 1e-9) if u_f0 > 0.0 else (u_hi or 1.0) * 1e-3
         hi_seed = u_hi * (1.0 - 1e-9) if u_hi is not None else None
 
-    r_max = _default_r_max(params, ctrl, lo_seed if hi_seed is None else
-                           math.sqrt(lo_seed * (hi_seed or lo_seed)))
+    r_max, integrations = _default_r_max(params, ctrl, lo_seed if hi_seed is None else
+                                         math.sqrt(lo_seed * (hi_seed or lo_seed)))
 
     def run(a: float, quad: bool = False) -> Trajectory:
+        nonlocal integrations
+        integrations += 1
         tol = replace(ctrl.step, with_quadrature=True) if quad else ctrl.step
         return integrate(params, a, r_max, tol)
 
@@ -423,6 +427,7 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
     profile.bisection_iterations = iters
     profile.bracket = (lo, hi)
     profile.r_max_used = r_max
+    profile.integrations = integrations
 
     if params.family is Family.P_EPS and profile.amplitude > 1.0 + 1e-12:
         raise InternalConsistencyError(

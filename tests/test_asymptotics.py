@@ -142,6 +142,23 @@ def test_sweep_tolerates_per_point_failures():
     assert len(report.converged_points()) >= 6
 
 
+def test_sweep_propagates_programming_errors(monkeypatch):
+    # only the solver's own failure types are recorded per point; a
+    # TypeError is a bug and must not turn into a silent "failed" point
+    from gslab import asymptotics, functionals, shooting
+
+    def broken(*args, **kwargs):
+        raise TypeError("broken solver")
+
+    monkeypatch.setattr(functionals, "solve_ground_state", broken)
+    spec = SweepSpec(regime="critical", N=5, q=6.0, grid_min=1e-5, grid_max=1e-2)
+    with pytest.raises(TypeError, match="broken solver"):
+        sweep(spec)
+    monkeypatch.setattr(shooting, "_f_positive_roots", broken)
+    with pytest.raises(TypeError, match="broken solver"):
+        asymptotics._amp_cap(spec, 1e-3)
+
+
 def test_sweep_requires_enough_points():
     spec = SweepSpec(regime="subcritical", N=3, q=6.0, p=4.0,
                      grid_min=1e-3, grid_max=2e-3, ratio=2.0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -173,10 +175,26 @@ def test_quadrature_accumulators_monotone():
         assert np.all(np.diff(arr) >= -1e-300)
 
 
-def test_quadrature_mode_does_not_change_trajectory():
-    # the stepping sequence is identical with and without norm accumulation
-    lean = integrate(R_ZERO_34, 4.0, 30.0, StepControls())
-    quad = integrate(R_ZERO_34, 4.0, 30.0, StepControls(with_quadrature=True))
+# one small case per terminal event: (amplitude, r_max, step controls)
+EVENT_CASES = {
+    TerminalEvent.ZERO_CROSSING: (6.0, 50.0, StepControls()),
+    TerminalEvent.SLOPE_SIGN_FLIP: (4.0, 30.0, StepControls()),
+    TerminalEvent.UNDERFLOW: (4.337387679977, 60.0, StepControls(underflow_factor=1e-4)),
+    TerminalEvent.REACHED_RMAX: (4.0, 1.9, StepControls()),
+}
+
+
+@pytest.mark.parametrize("event", list(EVENT_CASES), ids=lambda e: e.value)
+def test_quadrature_mode_does_not_change_trajectory(event):
+    # the stepping sequence is identical with and without norm accumulation;
+    # the quadrature run builds the dense output on every step, the lean run
+    # only on the step that refines the event
+    a, r_max, tol = EVENT_CASES[event]
+    lean = integrate(R_ZERO_34, a, r_max, tol)
+    quad = integrate(R_ZERO_34, a, r_max, replace(tol, with_quadrature=True))
+    assert lean.terminal_event is quad.terminal_event is event
+    assert lean.terminal_radius == quad.terminal_radius
+    assert lean.rhs_evals == quad.rhs_evals
     assert np.array_equal(lean.radii, quad.radii)
     assert np.array_equal(lean.values, quad.values)
     assert np.array_equal(lean.slopes, quad.slopes)

@@ -82,6 +82,30 @@ def test_cli_solve_and_cache(tmp_path, capsys):
     assert rec.payload["amplitude"] == pytest.approx(0.865394999155, rel=1e-9)
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["--family", "P_eps", "--N", "3", "--p", "6", "--q", "10", "--eps", "1e-3"], 44),
+    (["--family", "P_zero", "--N", "3", "--p", "8", "--q", "12"], 47),
+], ids=["P_eps", "P_zero"])
+def test_cli_integrations_run_counts_every_integration(tmp_path, monkeypatch, argv, expected):
+    # independent count: wrap the integrate() that find_ground_state calls,
+    # so bracket scans, the P_zero r_max probe and the final pass all count
+    from gslab import shooting
+
+    calls = []
+    real = shooting.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", counted)
+    out = tmp_path / "r.json"
+    assert main(["solve", *argv, "--no-cache", "--out", str(out)]) == 0
+    diag = parse(out.read_bytes()).diagnostics
+    assert diag["integrations_run"] == len(calls) == expected
+    assert diag["bisection_iterations"] + 1 < expected
+
+
 def test_cli_solve_determinism(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     base = ["solve", "--family", "P_eps", "--N", "3", "--p", "4", "--q", "6",
@@ -165,6 +189,36 @@ def test_cache_key_sensitivity():
     assert cache_key(dict(base, eps=2e-2)) != k1
     assert cache_key(dict(base, rtol=1e-8)) != k1
     assert cache_key(dict(base)) == k1
+
+
+def test_cache_store_concurrent_writers(monkeypatch):
+    # a second writer of the same key runs to completion while the first is
+    # between writing its temp file and renaming it; each has its own temp
+    # file, so both renames succeed, the last one wins and none is left over
+    import os
+
+    from gslab.records import cache_dir, cache_load, cache_store
+
+    key = cache_key({"N": 3})
+    first = ResultRecord("solution", {"N": 3}, {"writer": 1})
+    second = ResultRecord("solution", {"N": 3}, {"writer": 2})
+    real_replace = os.replace
+
+    def interleaved(src, dst):
+        monkeypatch.setattr(os, "replace", real_replace)
+        cache_store(key, second)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", interleaved)
+    cache_store(key, first)
+    d = cache_dir()
+    assert [p.name for p in d.iterdir()] == [f"{key}.json"]
+    assert cache_load(key).payload == {"writer": 1}
+    # a write that raises removes its temp file and keeps the old record
+    with pytest.raises(TypeError):
+        cache_store(key, ResultRecord("solution", {"N": object()}, {}))
+    assert [p.name for p in d.iterdir()] == [f"{key}.json"]
+    assert cache_load(key).payload == {"writer": 1}
 
 
 def test_cli_rejects_nonpositive_tolerances():
