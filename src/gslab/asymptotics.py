@@ -192,6 +192,7 @@ def rescale_to_v(w: RadialProfile, lam: float) -> RadialProfile:
         bisection_iterations=w.bisection_iterations,
         bracket=w.bracket,
         integrations=w.integrations,
+        rhs_evals=w.rhs_evals,
         r_max_used=w.r_max_used / lam,
     )
 

@@ -226,7 +226,8 @@ def _solution_record(params, ctrl, cache_hit: bool) -> ResultRecord:
         "bracket": list(prof.bracket),
         "r_max": prof.r_max_used,
         "grid_points": len(prof.grid),
-        "rhs_evals": prof.grid.rhs_evals,
+        "rhs_evals": prof.rhs_evals,
+        "final_rhs_evals": prof.grid.rhs_evals,
         "integrations_run": prof.integrations,
         "cache_hit": cache_hit,
     }
@@ -249,6 +250,7 @@ def _cmd_solve(args, parser) -> int:
         if record is not None:
             record.diagnostics["cache_hit"] = True
             record.diagnostics["integrations_run"] = 0
+            record.diagnostics["rhs_evals"] = 0
     if record is None:
         try:
             record = _solution_record(params, ctrl, cache_hit=False)

@@ -246,6 +246,7 @@ def to_minimizer_frame(u: RadialProfile, S: float) -> RadialProfile:
         bisection_iterations=u.bisection_iterations,
         bracket=u.bracket,
         integrations=u.integrations,
+        rhs_evals=u.rhs_evals,
         r_max_used=u.r_max_used / rt,
     )
 

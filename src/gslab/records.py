@@ -8,6 +8,7 @@ nehari_res, pokh_res, converged_flag.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -211,9 +212,24 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "gslab"
 
 
+@functools.cache
+def solver_revision() -> str:
+    """SHA-256 of the package's own sources, read once per process.
+
+    Part of the cache key, so a changed solver misses the entries an older
+    one wrote even when ``__version__`` is unchanged.
+    """
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def cache_key(config: dict) -> str:
     blob = json.dumps(
-        {"config": _sanitize(config), "version": __version__},
+        {"config": _sanitize(config), "version": __version__,
+         "revision": solver_revision()},
         sort_keys=True,
         allow_nan=False,
     )

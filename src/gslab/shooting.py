@@ -7,6 +7,17 @@ trajectories decay at the slow Emden rate r^(-2/(p-2)) instead of the
 Green-function rate r^(-(N-2)) -- so classification there uses the sign of
 the far-field constant mode B in u ~ B + A r^(-(N-2)).
 
+The bisection result is fixed by its starting bracket: geometric mids down
+to a relative width of amp_tol.  A model phase first narrows the window
+between the largest integrated undershoot and the smallest integrated
+overshoot.  Brent steps on a signed proxy of a - a* read off each shot
+(the terminal state, see _shooting_proxy) pick the probes.  The bisection
+then replays exactly and integrates only the mids inside that window:
+since the classification is monotone in the amplitude, a mid at or below
+the window is an undershoot and one at or above it an overshoot.  Results
+are those of the plain bisection bit for bit, at about a third of the
+integrations.
+
 The admissible amplitude window is (u_F0, u_hi): u_F0 is the first
 positive zero of the potential F (below it the trajectory lacks the energy
 to reach zero), u_hi the largest positive root of f (at or above it the
@@ -165,6 +176,7 @@ class RadialProfile:
     bracket: tuple[float, float] = (0.0, 0.0)
     r_max_used: float = 0.0
     integrations: int = 0     # every integrate() call of the solve, final pass included
+    rhs_evals: int = 0        # RHS evaluations summed over those calls
 
     def value(self, r):
         return _eval_profile(self, r, deriv=False)
@@ -266,6 +278,35 @@ def classify(
     return Classification.CONVERGED
 
 
+def _shooting_proxy(params: ProblemParams, t: Trajectory, c: str) -> float:
+    """Signed stand-in for a - a*, read off one classified trajectory.
+
+    Negative for an undershoot, positive for an overshoot, and close to
+    linear in the amplitude a on both sides of the ground-state amplitude a*.
+
+    Algebraic family: minus the far-field constant mode B.  Exponential
+    families: past the core a trajectory is the ground state, a multiple of
+    the decaying mode r^(-nu) K_nu(k r) (nu = N/2 - 1), plus delta times the
+    growing mode r^(-nu) I_nu(k r), with delta proportional to a - a*.  At
+    the terminal radius R (x = k R) the Wronskian of the two modes turns
+    the terminal state into delta without the unknown ground-state
+    prefactor: delta = -u'(R) R^nu x K_nu(x) / k at a zero crossing, and
+    delta = -u(R) R^nu x K_{nu+1}(x) at a slope flip.  So
+    R(a) ~ R0 - ln|a - a*| / (2k), and the terminal value or slope keeps the
+    estimate honest for shots far from a*.
+    """
+    if params.is_algebraic():
+        return -_far_field_B(params, t)
+    k = params.decay_rate
+    R = t.terminal_radius
+    x = k * R
+    nu = 0.5 * params.N - 1.0
+    scale = R ** nu * x * math.exp(-x)
+    if c == Classification.OVERSHOOT:
+        return -t.slopes[-1] * scale * kve(nu, x) / k
+    return -t.values[-1] * scale * kve(nu + 1.0, x)
+
+
 def _f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
     """(u_F0, u_hi): first positive zero of F and largest root of f (None = scan up)."""
     lin, qc = params.linear_coeff, params.q_coeff
@@ -308,21 +349,191 @@ def _f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
 
 
 def _default_r_max(params: ProblemParams, ctrl: ShootControls,
-                   a_probe: float) -> tuple[float, int]:
-    """(r_max, number of probe integrations it took)."""
+                   a_probe: float) -> tuple[float, Trajectory | None]:
+    """(r_max, the probe trajectory it took, if any)."""
     if ctrl.r_max is not None:
-        return ctrl.r_max, 0
+        return ctrl.r_max, None
     if not params.is_algebraic():
-        return 50.0 / params.decay_rate, 0
+        return 50.0 / params.decay_rate, None
     # algebraic family: scale radius from a probe trajectory's half-height
     t = integrate(params, a_probe, 1e6, replace(ctrl.step, rtol=1e-6, atol=1e-9))
     below = np.nonzero(t.values < 0.5 * a_probe)[0]
     r_half = t.radii[below[0]] if len(below) else 1.0
-    return min(1e6, max(1e3, 1e4 * r_half)), 1
+    return min(1e6, max(1e3, 1e4 * r_half)), t
+
+
+def _bisect(lo: float, hi: float, ctrl: ShootControls, side) -> tuple[float, float, int]:
+    """The amplitude bisection: geometric mids of (lo, hi) down to amp_tol.
+
+    ``side(mid)`` classifies each mid.  Returns (lo, hi, iterations).
+    """
+    iters = 0
+    while hi / lo - 1.0 > ctrl.amp_tol and iters < ctrl.max_iter:
+        iters += 1
+        mid = math.sqrt(lo * hi)
+        c = side(mid)
+        if c == Classification.OVERSHOOT:
+            hi = mid
+        elif c == Classification.UNDERSHOOT:
+            lo = mid
+        else:
+            return mid, mid, iters
+    return lo, hi, iters
+
+
+def _zeroin(a: float, fa: float, b: float, fb: float, rtol: float):
+    """Brent's zeroin root finder as a generator.
+
+    Starts from f(a), f(b) of opposite signs, 0 < a, b.  It yields the next
+    abscissa (inverse quadratic interpolation or secant; the geometric mid
+    of the bracket when those are not shrinking fast enough; steps of at
+    least rtol * |x|) and is sent back (x, f(x)) of the point actually
+    evaluated.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = rtol * abs(b)
+        xm = 0.5 * (c - b)
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                qa, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * qa * (qa - r) - (b - a) * (r - 1.0))
+                q = (qa - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = math.sqrt(b * c) - b
+        else:
+            d = e = math.sqrt(b * c) - b
+        a, fa = b, fb
+        b, fb = yield b + (d if abs(d) > tol else math.copysign(tol, xm))
+
+
+# probes the model phase may run ahead of the bisection steps it has decided
+_MODEL_SLACK = 8
+
+
+def _decided(mid: float, known_u: float, known_o: float) -> str | None:
+    """Class of a mid outside the window (known_u, known_o), None inside it.
+
+    Relies on the classification being monotone in the amplitude.
+    """
+    if mid <= known_u:
+        return Classification.UNDERSHOOT
+    if mid >= known_o:
+        return Classification.OVERSHOOT
+    return None
+
+
+def _narrow_window(lo: float, hi: float, seen, shoot,
+                   ctrl: ShootControls) -> tuple[float, float]:
+    """Model phase: narrow the window (known_u, known_o) inside the bracket.
+
+    ``known_u`` is the largest shot amplitude classified Undershoot,
+    ``known_o`` the smallest classified Overshoot; ``seen`` holds every
+    (amplitude, class, proxy) shot so far and ``shoot(a)`` adds one.
+
+    Brent steps on the proxy predict a* (bisecting at geometric mids, as
+    the replay does, so a bracket spanning decades closes as fast as the
+    replay's), and each probe is snapped to the nearest bisection mid the
+    replay would integrate if a* sat at the prediction.  Once the
+    predictions settle below amp_tol, the open mids on both sides of the
+    prediction are probed together.  The phase ends when the window
+    decides every mid of the replay, when a shot is Converged, fails or
+    reads a zero proxy (Brent's own stop), or when its probes run _MODEL_SLACK
+    ahead of the bisection steps the window has decided; the replay then
+    integrates what is left, so a solve never runs more than _MODEL_SLACK + 2
+    integrations beyond the plain bisection.
+    """
+    inside = [(a, c, g) for a, c, g in seen if lo <= a <= hi]
+    known_u, g_u = max((a, g) for a, c, g in inside if c == Classification.UNDERSHOOT)
+    known_o, g_o = min((a, g) for a, c, g in inside if c == Classification.OVERSHOOT)
+    if known_u >= known_o:
+        return lo, hi   # not monotone in the bracket: replay the plain bisection
+
+    def walk(x: float) -> tuple[int, list[float]]:
+        """(steps decided before the first open mid, open mids if a* sat at x)."""
+        decided, open_mids = 0, []
+
+        def side(mid):
+            nonlocal decided
+            c = _decided(mid, known_u, known_o)
+            if c is None:
+                open_mids.append(mid)
+                return Classification.UNDERSHOOT if mid < x else Classification.OVERSHOOT
+            decided += not open_mids
+            return c
+
+        _bisect(lo, hi, ctrl, side)
+        return decided, open_mids
+
+    def restart():
+        z = _zeroin(known_u, g_u, known_o, g_o, ctrl.amp_tol)
+        return z, next(z)
+
+    zeroin, x = restart()
+    probes = 0
+    x_prev = shift_prev = None
+    try:
+        while True:
+            if not known_u < x < known_o:   # no prediction inside: bisect
+                x = math.sqrt(known_u * known_o)
+            decided, open_mids = walk(x)
+            if not open_mids or probes > decided + _MODEL_SLACK:
+                break
+            # settled: the next shift, extrapolated at the ratio of the last
+            # two, is below amp_tol
+            shift = None if x_prev is None else abs(x - x_prev)
+            settled = (shift is not None and shift_prev is not None
+                       and shift * shift < ctrl.amp_tol * x * shift_prev)
+            x_prev, shift_prev = x, shift
+            below = max((m for m in open_mids if m < x), default=None)
+            above = min((m for m in open_mids if m >= x), default=None)
+            targets = [m for m in (below, above) if m is not None]
+            if not settled:
+                targets = [min(targets, key=lambda m: abs(m - x))]
+            for a in targets:
+                if not known_u < a < known_o:
+                    continue   # decided by the probe before it
+                probes += 1
+                c, g = shoot(a)
+                if c == Classification.UNDERSHOOT:
+                    known_u, g_u = a, g
+                elif c == Classification.OVERSHOOT:
+                    known_o, g_o = a, g
+                if c == Classification.CONVERGED or g == 0.0:
+                    return known_u, known_o
+            if len(targets) == 2:
+                zeroin, x = restart()
+            else:
+                x = zeroin.send((a, g))
+    except IntegrationFailure:
+        pass   # the replay integrates whatever the probes left open
+    return known_u, known_o
 
 
 def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls()) -> RadialProfile:
     """Bisect the shooting map to the unique ground-state amplitude.
+
+    Three phases: the bracket (a caller's hint, or scans from the admissible
+    window's ends), the model phase (_narrow_window), and the replay of the
+    bisection from the bracket, which integrates only the mids the model
+    phase left undecided.  ``bisection_iterations`` of the profile counts
+    the integrations of the last two phases, ``integrations`` and
+    ``rhs_evals`` every integrate() call of the solve.
 
     Raises BracketNotFound if no (undershoot, overshoot) pair exists in the
     admissible window, which for family P_eps signals eps >= eps*.
@@ -344,17 +555,33 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
         lo_seed = u_f0 * (1.0 + 1e-9) if u_f0 > 0.0 else (u_hi or 1.0) * 1e-3
         hi_seed = u_hi * (1.0 - 1e-9) if u_hi is not None else None
 
-    r_max, integrations = _default_r_max(params, ctrl, lo_seed if hi_seed is None else
-                                         math.sqrt(lo_seed * (hi_seed or lo_seed)))
+    r_max, probe = _default_r_max(params, ctrl, lo_seed if hi_seed is None else
+                                  math.sqrt(lo_seed * (hi_seed or lo_seed)))
+    integrations = 0 if probe is None else 1
+    rhs_evals = 0 if probe is None else probe.rhs_evals
+    seen: list[tuple[float, str, float]] = []   # (amplitude, class, proxy) per shot
 
     def run(a: float, quad: bool = False) -> Trajectory:
-        nonlocal integrations
+        nonlocal integrations, rhs_evals
         integrations += 1
         tol = replace(ctrl.step, with_quadrature=True) if quad else ctrl.step
-        return integrate(params, a, r_max, tol)
+        try:
+            t = integrate(params, a, r_max, tol)
+        except IntegrationFailure as exc:
+            rhs_evals += exc.partial.rhs_evals
+            raise
+        rhs_evals += t.rhs_evals
+        return t
+
+    def shoot(a: float) -> tuple[str, float]:
+        t = run(a)
+        c = classify(t, params, a, ctrl.convergence_factor)
+        g = _shooting_proxy(params, t, c)
+        seen.append((a, c, g))
+        return c, g
 
     def cls(a: float) -> str:
-        return classify(run(a), params, a, ctrl.convergence_factor)
+        return shoot(a)[0]
 
     # establish the bracket, preferring a caller-supplied hint
     lo = hi = None
@@ -399,19 +626,15 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
                     "amplitude is degenerate with the largest root of f at "
                     "machine precision"
                 )
+    bracket_runs = integrations
 
-    iters = 0
-    while hi / lo - 1.0 > ctrl.amp_tol and iters < ctrl.max_iter:
-        iters += 1
-        mid = math.sqrt(lo * hi)
-        c = cls(mid)
-        if c == Classification.OVERSHOOT:
-            hi = mid
-        elif c == Classification.UNDERSHOOT:
-            lo = mid
-        else:
-            lo = hi = mid
-            break
+    known_u, known_o = _narrow_window(lo, hi, seen, shoot, ctrl)
+
+    def replay(mid: float) -> str:
+        c = _decided(mid, known_u, known_o)
+        return cls(mid) if c is None else c
+
+    lo, hi, iters = _bisect(lo, hi, ctrl, replay)
     if iters >= ctrl.max_iter:
         warnings.warn(
             f"amplitude bisection hit the {ctrl.max_iter}-iteration cap at "
@@ -424,10 +647,11 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
     width = max(hi / lo - 1.0, 4e-16)
 
     profile = _package_profile(params, a_star, final, width, r_max)
-    profile.bisection_iterations = iters
+    profile.bisection_iterations = integrations - bracket_runs - 1
     profile.bracket = (lo, hi)
     profile.r_max_used = r_max
     profile.integrations = integrations
+    profile.rhs_evals = rhs_evals
 
     if params.family is Family.P_EPS and profile.amplitude > 1.0 + 1e-12:
         raise InternalConsistencyError(

@@ -83,8 +83,8 @@ def test_cli_solve_and_cache(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["--family", "P_eps", "--N", "3", "--p", "6", "--q", "10", "--eps", "1e-3"], 44),
-    (["--family", "P_zero", "--N", "3", "--p", "8", "--q", "12"], 47),
+    (["--family", "P_eps", "--N", "3", "--p", "6", "--q", "10", "--eps", "1e-3"], 14),
+    (["--family", "P_zero", "--N", "3", "--p", "8", "--q", "12"], 22),
 ], ids=["P_eps", "P_zero"])
 def test_cli_integrations_run_counts_every_integration(tmp_path, monkeypatch, argv, expected):
     # independent count: wrap the integrate() that find_ground_state calls,
@@ -104,6 +104,38 @@ def test_cli_integrations_run_counts_every_integration(tmp_path, monkeypatch, ar
     diag = parse(out.read_bytes()).diagnostics
     assert diag["integrations_run"] == len(calls) == expected
     assert diag["bisection_iterations"] + 1 < expected
+
+
+def test_cli_rhs_evals_sum_over_every_integration(tmp_path, monkeypatch):
+    # independent sum: wrap the integrate() that find_ground_state calls; the
+    # P_zero solve includes the r_max probe, which runs at its own tolerances
+    from gslab import shooting
+
+    evals = []
+    real = shooting.integrate
+
+    def counted(*args, **kwargs):
+        t = real(*args, **kwargs)
+        evals.append(t.rhs_evals)
+        return t
+
+    monkeypatch.setattr(shooting, "integrate", counted)
+    out = tmp_path / "r.json"
+    assert main(["solve", "--family", "P_zero", "--N", "3", "--p", "8", "--q", "12",
+                 "--no-cache", "--out", str(out)]) == 0
+    diag = parse(out.read_bytes()).diagnostics
+    assert diag["rhs_evals"] == sum(evals)
+    assert diag["final_rhs_evals"] == evals[-1] < sum(evals)
+
+
+def test_rescalings_carry_solve_counters():
+    from gslab import Family, ProblemParams, rescale_to_v, solve_ground_state
+
+    sol = solve_ground_state(ProblemParams(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS))
+    prof = sol.profile
+    assert prof.rhs_evals > prof.grid.rhs_evals > 0
+    for scaled in (sol.rescaled_to_frame().profile, rescale_to_v(prof, 0.7)):
+        assert (scaled.integrations, scaled.rhs_evals) == (prof.integrations, prof.rhs_evals)
 
 
 def test_cli_solve_determinism(tmp_path):
@@ -189,6 +221,22 @@ def test_cache_key_sensitivity():
     assert cache_key(dict(base, eps=2e-2)) != k1
     assert cache_key(dict(base, rtol=1e-8)) != k1
     assert cache_key(dict(base)) == k1
+
+
+def test_cache_key_carries_solver_revision(monkeypatch, capsys):
+    from gslab import records
+
+    args = ["solve", "--family", "P_eps", "--N", "3", "--p", "4", "--q", "6",
+            "--eps", "1e-2"]
+    assert main(args) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    # an unchanged revision hits the entry ...
+    assert main(args) == 0
+    assert "cache hit" in capsys.readouterr().out
+    # ... and a changed solver source misses it
+    monkeypatch.setattr(records, "solver_revision", lambda: "0" * 64)
+    assert main(args) == 0
+    assert "cache hit" not in capsys.readouterr().out
 
 
 def test_cache_store_concurrent_writers(monkeypatch):

@@ -16,6 +16,7 @@ from gslab import (
     find_ground_state,
     integrate,
 )
+from gslab import shooting
 
 R_ZERO_34 = ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO)
 
@@ -169,3 +170,97 @@ def test_exponential_tail_kind(identity_solutions):
     sol = identity_solutions[(3, 4.0, 6.0, 1e-2, Family.P_EPS)]
     assert sol.profile.tail.kind == "Exponential"
     assert sol.profile.tail.rate_or_power == pytest.approx(math.sqrt(1e-2))
+
+
+def _plain_bisection(params, lo, hi, r_max, ctrl):
+    """The amplitude bisection without a model phase: integrate every mid."""
+    runs = 0
+    while hi / lo - 1.0 > ctrl.amp_tol and runs < ctrl.max_iter:
+        runs += 1
+        mid = math.sqrt(lo * hi)
+        t = shooting.integrate(params, mid, r_max, ctrl.step)
+        c = classify(t, params, mid, ctrl.convergence_factor)
+        if c == Classification.OVERSHOOT:
+            hi = mid
+        elif c == Classification.UNDERSHOOT:
+            lo = mid
+        else:
+            lo = hi = mid
+            break
+    return lo, hi, runs
+
+
+def _solve_with_plain_reference(params, monkeypatch):
+    """(profile, (lo, hi, runs) of the plain bisection from its starting bracket).
+
+    The bracket shots are the solve's first integrations at its own r_max and
+    step controls (the P_zero r_max probe runs at looser ones); none of the
+    cases below retries its undershoot seed, so the bracket is (first, last).
+    """
+    ctrl = ShootControls()
+    shots = []
+    real = shooting.integrate
+
+    def recorded(p, a, r_max, tol=None):
+        t = real(p, a, r_max, tol)
+        if tol == ctrl.step:
+            shots.append((a, classify(t, p, a, ctrl.convergence_factor)))
+        return t
+
+    monkeypatch.setattr(shooting, "integrate", recorded)
+    prof = find_ground_state(params, ctrl)
+    monkeypatch.setattr(shooting, "integrate", real)
+    bracket = shots[:len(shots) - prof.bisection_iterations]
+    (lo, c_lo), (hi, c_hi) = bracket[0], bracket[-1]
+    assert (c_lo, c_hi) == (Classification.UNDERSHOOT, Classification.OVERSHOOT)
+    return prof, _plain_bisection(params, lo, hi, prof.r_max_used, ctrl)
+
+
+@pytest.mark.parametrize("params", [
+    ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
+    ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
+    R_ZERO_34,
+    ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
+], ids=["P_eps", "P_zero", "R_zero", "R_eps"])
+def test_replay_matches_plain_bisection_bitwise(params, monkeypatch):
+    prof, (lo, hi, runs) = _solve_with_plain_reference(params, monkeypatch)
+    assert [x.hex() for x in prof.bracket] == [lo.hex(), hi.hex()]
+    assert prof.amplitude.hex() == math.sqrt(lo * hi).hex()
+    # same bracket shots and final pass: fewer integrations in between
+    assert prof.bisection_iterations < runs
+
+
+def test_replay_is_exact_and_bounded_under_a_misleading_proxy(monkeypatch):
+    # a proxy that always puts a* at the undershoot end of the window: the
+    # model phase wastes its probes, gives up, and the replay still lands on
+    # the plain bisection's bracket within a bounded number of extra runs
+    params = ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS)
+    monkeypatch.setattr(shooting, "_shooting_proxy",
+                        lambda p, t, c: -1e-300 if c == Classification.UNDERSHOOT else 1.0)
+    prof, (lo, hi, runs) = _solve_with_plain_reference(params, monkeypatch)
+    assert [x.hex() for x in prof.bracket] == [lo.hex(), hi.hex()]
+    assert runs < prof.bisection_iterations <= runs + shooting._MODEL_SLACK + 2
+
+
+@pytest.mark.parametrize("params", [
+    ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
+    ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
+], ids=["P_eps", "P_zero"])
+def test_classification_switches_once_across_amplitude(params):
+    """The classification is monotone in the amplitude at the 1e-13 scale.
+
+    This is the property the bisection replay in find_ground_state relies
+    on: a mid at or below an integrated undershoot is taken as an
+    undershoot, and one at or above an integrated overshoot as an
+    overshoot, without integrating it.
+    """
+    ctrl = ShootControls()
+    prof = find_ground_state(params, ctrl)
+    classes = []
+    for j in range(-5, 6):
+        a = prof.amplitude * (1.0 + j * 1e-13)
+        t = integrate(params, a, prof.r_max_used, ctrl.step)
+        classes.append(classify(t, params, a, ctrl.convergence_factor))
+    n_u = classes.count(Classification.UNDERSHOOT)
+    assert 0 < n_u < len(classes)
+    assert classes == [Classification.UNDERSHOOT] * n_u + [Classification.OVERSHOOT] * (11 - n_u)
