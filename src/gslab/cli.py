@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .asymptotics import SweepSpec, sweep
 from .emden import EmdenFowlerProfile, q_star, sobolev_constant
-from .errors import BracketNotFound, InternalConsistencyError
+from .errors import BracketNotFound, InconsistentSolution, InternalConsistencyError
 from .ode import IntegrationFailure
 from .functionals import constraint_value, kappa_identities, solve_ground_state
 from .params import Family, InvalidParams, ProblemParams
@@ -33,6 +33,17 @@ from .records import (
     sweep_csv,
 )
 from .shooting import ShootControls
+
+# What one solve can raise besides argument errors; `solve` and `check` report
+# these as "solve failed" with exit code 1.
+_SOLVE_FAILURES = (BracketNotFound, IntegrationFailure, InternalConsistencyError,
+                   InconsistentSolution)
+# `sweep` raises RuntimeError when fewer than 6 points converge (the gslab
+# solver errors are RuntimeErrors too) and ValueError on a bad grid, regime or
+# fit; `fit` reads a file (OSError), then parses and re-fits the record
+# (ParseError is a ValueError; a missing column is a KeyError).
+_SWEEP_FAILURES = (RuntimeError, ValueError)
+_FIT_FAILURES = (OSError, ValueError, KeyError)
 
 _REGIME_GRIDS = {
     # regime -> (grid_min, grid_max, ratio) chosen so the default fit window
@@ -238,15 +249,11 @@ def _solution_record(params, ctrl, cache_hit: bool) -> ResultRecord:
 def _cmd_solve(args, parser) -> int:
     params = _resolve_params(args, parser)
     ctrl = _shoot_controls(args, parser)
-    if args.cache_dir:
-        import os
-
-        os.environ["GSLAB_CACHE_DIR"] = str(args.cache_dir)
     cfg = _solve_config(params, ctrl)
     key = cache_key(cfg)
     record = None
     if not args.no_cache:
-        record = cache_load(key)
+        record = cache_load(key, args.cache_dir)
         if record is not None:
             record.diagnostics["cache_hit"] = True
             record.diagnostics["integrations_run"] = 0
@@ -254,11 +261,11 @@ def _cmd_solve(args, parser) -> int:
     if record is None:
         try:
             record = _solution_record(params, ctrl, cache_hit=False)
-        except (BracketNotFound, IntegrationFailure, InternalConsistencyError) as exc:
+        except _SOLVE_FAILURES as exc:
             print(f"solve failed: {exc}", file=sys.stderr)
             return 1
         if not args.no_cache:
-            cache_store(key, record)
+            cache_store(key, record, args.cache_dir)
     blob = serialize(record)
     if args.out:
         args.out.write_bytes(blob)
@@ -296,7 +303,7 @@ def _cmd_sweep(args, parser) -> int:
     )
     try:
         report = sweep(spec)
-    except Exception as exc:
+    except _SWEEP_FAILURES as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
     cfg = {
@@ -339,7 +346,7 @@ def _cmd_fit(args, parser) -> int:
     try:
         record = parse(args.infile.read_bytes())
         out = refit_record(record, args.observable, args.with_log)
-    except Exception as exc:
+    except _FIT_FAILURES as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 1
     print(f"{out['observable']}: exponent {out['exponent']:+.6g} "
@@ -366,7 +373,7 @@ def _cmd_check(args, parser) -> int:
     ctrl = _shoot_controls(args, parser)
     try:
         sol = solve_ground_state(params, ctrl)
-    except (BracketNotFound, IntegrationFailure) as exc:
+    except _SOLVE_FAILURES as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
     neh, pok = sol.nehari_residual, sol.pokhozhaev_residual

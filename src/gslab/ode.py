@@ -8,6 +8,18 @@ the trajectory using per-step Gauss panels on the same interpolant, so the
 quadrature grid is exactly the integrator's accepted-step grid.  The
 interpolant is built only for those two readers: on the step where an event
 is refined, and on every step when quadrature is on.
+
+``integrate`` is the hot loop of every solve, so it is written for CPython's
+interpreter: the controls and tableau constants are locals, the right-hand
+side is written out at each of the seven stage evaluations (calling it as a
+closure made a step without quadrature about 20% slower), and the quadrature
+panels evaluate the quartic inline.  The arithmetic is the textbook one,
+operation for operation: each expression keeps its order, ``max``/``min``
+become comparisons that pick the same operand, the dense-output
+coefficients are summed left to right from 0 as ``sum`` does, and powers
+stay ``**`` (``pow(x, 2.0)`` need not round like ``x * x``).  Results are
+therefore bitwise those of the plain formulation; ``tests/test_golden.py``
+pins them.
 """
 
 from __future__ import annotations
@@ -194,17 +206,20 @@ _GW = (
     0.23931433524968324,
     0.11846344252809454,
 )
+_GAUSS = tuple(zip(_GX, _GW))
 
 
 class _DenseStep:
-    """Quartic dense-output polynomial over one accepted step."""
+    """Quartic dense-output polynomial over one accepted step.
+
+    ``qu``/``qv`` are the four coefficients of u and u' (``integrate`` builds
+    them from the stages and the matrix ``_P``).
+    """
 
     __slots__ = ("r0", "h", "u0", "v0", "qu", "qv")
 
-    def __init__(self, r0, h, u0, v0, ks_u, ks_v):
-        self.r0, self.h, self.u0, self.v0 = r0, h, u0, v0
-        self.qu = [sum(ks_u[j] * _P[j][m] for j in range(7)) for m in range(4)]
-        self.qv = [sum(ks_v[j] * _P[j][m] for j in range(7)) for m in range(4)]
+    def __init__(self, r0, h, u0, v0, qu, qv):
+        self.r0, self.h, self.u0, self.v0, self.qu, self.qv = r0, h, u0, v0, qu, qv
 
     def eval(self, r: float) -> tuple[float, float]:
         th = (r - self.r0) / self.h
@@ -233,6 +248,21 @@ def _bisect_event(dense: _DenseStep, fn, lo: float, hi: float, tol: float) -> fl
     return hi
 
 
+def _trajectory(rs, us, vs, norms, nfev: int) -> Trajectory:
+    """The grid so far, as a ReachedRmax trajectory (norms: None or 4 lists)."""
+    t = Trajectory(
+        radii=np.array(rs),
+        values=np.array(us),
+        slopes=np.array(vs),
+        terminal_event=TerminalEvent.REACHED_RMAX,
+        terminal_radius=rs[-1],
+        rhs_evals=nfev,
+    )
+    if norms is not None:
+        t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir = (np.array(n) for n in norms)
+    return t
+
+
 def integrate(
     params: ProblemParams,
     a: float,
@@ -253,24 +283,33 @@ def integrate(
     if r_max <= r0:
         raise ValueError(f"r_max={r_max} must exceed the hand-off radius {r0}")
 
+    # Everything the step loop reads is a local.  The RHS
+    #   u'' = -N1 / r * u' + lin * u - (u |u|^(p-2) - qc u |u|^(q-2))
+    # is written out at each of the seven stages below, in this order.
     N1 = params.N - 1.0
     lin = params.linear_coeff
     qc = params.q_coeff
-    pm2 = params.p - 2.0
-    qm2 = params.q - 2.0
-
-    def rhs(r: float, u: float, v: float) -> float:
-        au = abs(u)
-        if au > 0.0:
-            nl = u * au**pm2 - qc * u * au**qm2
-        else:
-            nl = 0.0
-        return -N1 / r * v + lin * u - nl
-
+    p_exp, q_exp = params.p, params.q
+    pm2, qm2 = p_exp - 2.0, q_exp - 2.0
     floor = tol.underflow_factor * a
     quad = tol.with_quadrature
-    Nm1 = float(params.N - 1)
-    p_exp, q_exp = params.p, params.q
+    atol, rtol, min_step, max_steps = tol.atol, tol.rtol, tol.min_step, tol.max_steps
+    C2, C3, C4, C5 = _C2, _C3, _C4, _C5
+    A21 = _A21
+    A31, A32 = _A31, _A32
+    A41, A42, A43 = _A41, _A42, _A43
+    A51, A52, A53, A54 = _A51, _A52, _A53, _A54
+    A61, A62, A63, A64, A65 = _A61, _A62, _A63, _A64, _A65
+    B1, B3, B4, B5, B6 = _B1, _B3, _B4, _B5, _B6
+    E1, E3, E4, E5, E6, E7 = _E1, _E3, _E4, _E5, _E6, _E7
+    # Column 0 of _P is (1, 0, ..., 0) and row 1 is zero.  Every stage of an
+    # accepted step is finite (each one feeds the finite error estimate), so
+    # those products add an exact +-0.0 to a sum that is never -0.0, and
+    # leaving them out changes no bit.
+    (_, P01, P02, P03), _, (_, P21, P22, P23), (_, P31, P32, P33), \
+        (_, P41, P42, P43), (_, P51, P52, P53), (_, P61, P62, P63) = _P
+    gauss = _GAUSS
+    sqrt, isfinite = math.sqrt, math.isfinite
 
     u, v = series_start(params, a, r0)
     r = r0
@@ -278,15 +317,17 @@ def integrate(
     rs = [r]
     us = [u]
     vs = [v]
+    rs_append, us_append, vs_append = rs.append, us.append, vs.append
+    norms = None
     if quad:
         # in-ball contribution [0, r0] from the series polynomial
         fa = params.f(a)
         i2 = ip = iq = idir = 0.0
-        for x, w in zip(_GX, _GW):
+        for x, w in gauss:
             rr = r0 * x
             uu = a - fa * rr * rr / (2.0 * params.N)
             vv = -fa * rr / params.N
-            wt = w * r0 * rr**Nm1
+            wt = w * r0 * rr**N1
             i2 += wt * uu * uu
             ip += wt * abs(uu) ** p_exp
             iq += wt * abs(uu) ** q_exp
@@ -295,10 +336,11 @@ def integrate(
         Ip = [ip]
         Iq = [iq]
         Idir = [idir]
+        norms = (I2, Ip, Iq, Idir)
 
     nfev = 1
-    k1 = rhs(r, u, v)
-    ku1, kv1 = v, k1
+    au = abs(u)
+    k1 = -N1 / r * v + lin * u - (u * au**pm2 - qc * u * au**qm2 if au > 0.0 else 0.0)
 
     # conservative first step; the controller grows it by up to 10x per step
     h = min(max(1e-6, 0.05 * r0), 0.5 * (r_max - r0))
@@ -307,66 +349,62 @@ def integrate(
     r_event = r_max
     steps = 0
 
-    def partial() -> Trajectory:
-        t = Trajectory(
-            radii=np.array(rs),
-            values=np.array(us),
-            slopes=np.array(vs),
-            terminal_event=TerminalEvent.REACHED_RMAX,
-            terminal_radius=rs[-1],
-            rhs_evals=nfev,
-        )
-        if quad:
-            t.norm_l2 = np.array(I2)
-            t.norm_lp = np.array(Ip)
-            t.norm_lq = np.array(Iq)
-            t.norm_dir = np.array(Idir)
-        return t
-
     while event is None:
         steps += 1
-        if steps > tol.max_steps:
-            raise IntegrationFailure(f"step budget {tol.max_steps} exhausted", partial())
-        if h < tol.min_step * max(1.0, r):
-            raise IntegrationFailure(f"step size collapsed at r={r:.6g}", partial())
+        if steps > max_steps:
+            raise IntegrationFailure(f"step budget {max_steps} exhausted",
+                                     _trajectory(rs, us, vs, norms, nfev))
+        if h < min_step * (r if r > 1.0 else 1.0):
+            raise IntegrationFailure(f"step size collapsed at r={r:.6g}",
+                                     _trajectory(rs, us, vs, norms, nfev))
         clipped = r + h >= r_max
         if clipped:
             h = r_max - r
 
-        # six fresh stages (k1 via FSAL)
-        ru2, rv2 = u + h * _A21 * ku1, v + h * _A21 * kv1
-        k = rhs(r + _C2 * h, ru2, rv2)
-        ku2, kv2 = rv2, k
-        ru3 = u + h * (_A31 * ku1 + _A32 * ku2)
-        rv3 = v + h * (_A31 * kv1 + _A32 * kv2)
-        k = rhs(r + _C3 * h, ru3, rv3)
-        ku3, kv3 = rv3, k
-        ru4 = u + h * (_A41 * ku1 + _A42 * ku2 + _A43 * ku3)
-        rv4 = v + h * (_A41 * kv1 + _A42 * kv2 + _A43 * kv3)
-        k = rhs(r + _C4 * h, ru4, rv4)
-        ku4, kv4 = rv4, k
-        ru5 = u + h * (_A51 * ku1 + _A52 * ku2 + _A53 * ku3 + _A54 * ku4)
-        rv5 = v + h * (_A51 * kv1 + _A52 * kv2 + _A53 * kv3 + _A54 * kv4)
-        k = rhs(r + _C5 * h, ru5, rv5)
-        ku5, kv5 = rv5, k
-        ru6 = u + h * (_A61 * ku1 + _A62 * ku2 + _A63 * ku3 + _A64 * ku4 + _A65 * ku5)
-        rv6 = v + h * (_A61 * kv1 + _A62 * kv2 + _A63 * kv3 + _A64 * kv4 + _A65 * kv5)
-        k = rhs(r + h, ru6, rv6)
-        ku6, kv6 = rv6, k
-        u_new = u + h * (_B1 * ku1 + _B3 * ku3 + _B4 * ku4 + _B5 * ku5 + _B6 * ku6)
-        v_new = v + h * (_B1 * kv1 + _B3 * kv3 + _B4 * kv4 + _B5 * kv5 + _B6 * kv6)
+        # six fresh stages (k1 via FSAL); stage j has state (uj, vj), u' = vj
+        # and u'' = kj
+        hA = h * A21
+        u2, v2 = u + hA * v, v + hA * k1
+        au = abs(u2)
+        k2 = (-N1 / (r + C2 * h) * v2 + lin * u2
+              - (u2 * au**pm2 - qc * u2 * au**qm2 if au > 0.0 else 0.0))
+        u3 = u + h * (A31 * v + A32 * v2)
+        v3 = v + h * (A31 * k1 + A32 * k2)
+        au = abs(u3)
+        k3 = (-N1 / (r + C3 * h) * v3 + lin * u3
+              - (u3 * au**pm2 - qc * u3 * au**qm2 if au > 0.0 else 0.0))
+        u4 = u + h * (A41 * v + A42 * v2 + A43 * v3)
+        v4 = v + h * (A41 * k1 + A42 * k2 + A43 * k3)
+        au = abs(u4)
+        k4 = (-N1 / (r + C4 * h) * v4 + lin * u4
+              - (u4 * au**pm2 - qc * u4 * au**qm2 if au > 0.0 else 0.0))
+        u5 = u + h * (A51 * v + A52 * v2 + A53 * v3 + A54 * v4)
+        v5 = v + h * (A51 * k1 + A52 * k2 + A53 * k3 + A54 * k4)
+        au = abs(u5)
+        k5 = (-N1 / (r + C5 * h) * v5 + lin * u5
+              - (u5 * au**pm2 - qc * u5 * au**qm2 if au > 0.0 else 0.0))
+        u6 = u + h * (A61 * v + A62 * v2 + A63 * v3 + A64 * v4 + A65 * v5)
+        v6 = v + h * (A61 * k1 + A62 * k2 + A63 * k3 + A64 * k4 + A65 * k5)
+        au = abs(u6)
+        k6 = (-N1 / (r + h) * v6 + lin * u6
+              - (u6 * au**pm2 - qc * u6 * au**qm2 if au > 0.0 else 0.0))
+        u_new = u + h * (B1 * v + B3 * v3 + B4 * v4 + B5 * v5 + B6 * v6)
+        v_new = v + h * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
         r_new = r_max if clipped else r + h
-        k = rhs(r_new, u_new, v_new)
-        ku7, kv7 = v_new, k
+        au = abs(u_new)
+        k7 = (-N1 / r_new * v_new + lin * u_new
+              - (u_new * au**pm2 - qc * u_new * au**qm2 if au > 0.0 else 0.0))
         nfev += 6
 
-        eu = h * (_E1 * ku1 + _E3 * ku3 + _E4 * ku4 + _E5 * ku5 + _E6 * ku6 + _E7 * ku7)
-        ev = h * (_E1 * kv1 + _E3 * kv3 + _E4 * kv4 + _E5 * kv5 + _E6 * kv6 + _E7 * kv7)
-        su = tol.atol + tol.rtol * max(abs(u), abs(u_new))
-        sv = tol.atol + tol.rtol * max(abs(v), abs(v_new))
-        err = math.sqrt(0.5 * ((eu / su) ** 2 + (ev / sv) ** 2))
+        eu = h * (E1 * v + E3 * v3 + E4 * v4 + E5 * v5 + E6 * v6 + E7 * v_new)
+        ev = h * (E1 * k1 + E3 * k3 + E4 * k4 + E5 * k5 + E6 * k6 + E7 * k7)
+        au, au_new = abs(u), abs(u_new)
+        av, av_new = abs(v), abs(v_new)
+        su = atol + rtol * (au_new if au_new > au else au)
+        sv = atol + rtol * (av_new if av_new > av else av)
+        err = sqrt(0.5 * ((eu / su) ** 2 + (ev / sv) ** 2))
 
-        if not math.isfinite(err):
+        if not isfinite(err):
             # overflowing state (e.g. runaway amplitude); shrink hard so the
             # min_step failure path reports cleanly
             h *= 0.2
@@ -390,29 +428,34 @@ def integrate(
 
         r_stop = r_new
         # the interpolant is built only on steps that read it: event
-        # refinement and quadrature panels
+        # refinement and quadrature panels.  Each coefficient is the stage
+        # sum of _P's column, added left to right from 0.
         if quad or fn is not None:
-            dense = _DenseStep(
-                r,
-                h,
-                u,
-                v,
-                (ku1, ku2, ku3, ku4, ku5, ku6, ku7),
-                (kv1, kv2, kv3, kv4, kv5, kv6, kv7),
-            )
+            qu1 = 0.0 + v * P01 + v3 * P21 + v4 * P31 + v5 * P41 + v6 * P51 + v_new * P61
+            qu2 = 0.0 + v * P02 + v3 * P22 + v4 * P32 + v5 * P42 + v6 * P52 + v_new * P62
+            qu3 = 0.0 + v * P03 + v3 * P23 + v4 * P33 + v5 * P43 + v6 * P53 + v_new * P63
+            qv1 = 0.0 + k1 * P01 + k3 * P21 + k4 * P31 + k5 * P41 + k6 * P51 + k7 * P61
+            qv2 = 0.0 + k1 * P02 + k3 * P22 + k4 * P32 + k5 * P42 + k6 * P52 + k7 * P62
+            qv3 = 0.0 + k1 * P03 + k3 * P23 + k4 * P33 + k5 * P43 + k6 * P53 + k7 * P63
+            qu0, qv0 = 0.0 + v, 0.0 + k1
             if fn is not None:
+                dense = _DenseStep(r, h, u, v, (qu0, qu1, qu2, qu3), (qv0, qv1, qv2, qv3))
                 etol = tol.event_tol * max(1.0, r_new)
                 r_event = _bisect_event(dense, fn, r, r_new, etol)
                 u_new, v_new = dense.eval(r_event)
                 r_stop = r_event
 
         if quad:
+            # 5-node Gauss panel over [r, r_stop] on the quartic (as
+            # _DenseStep.eval, written out)
             hh = r_stop - r
             i2 = ip = iq = idir = 0.0
-            for x, w in zip(_GX, _GW):
+            for x, w in gauss:
                 rr = r + hh * x
-                uu, vv = dense.eval(rr)
-                wt = w * hh * rr**Nm1
+                th = (rr - r) / h
+                uu = u + h * (th * (qu0 + th * (qu1 + th * (qu2 + th * qu3))))
+                vv = v + h * (th * (qv0 + th * (qv1 + th * (qv2 + th * qv3))))
+                wt = w * hh * rr**N1
                 au = abs(uu)
                 i2 += wt * uu * uu
                 ip += wt * au**p_exp
@@ -424,15 +467,16 @@ def integrate(
             Idir.append(Idir[-1] + idir)
 
         r, u, v = r_stop, u_new, v_new
-        ku1, kv1 = ku7, kv7
-        rs.append(r)
-        us.append(u)
-        vs.append(v)
+        k1 = k7
+        rs_append(r)
+        us_append(u)
+        vs_append(v)
 
         if event is None:
-            h *= min(10.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
+            fac = 0.9 * (err + 1e-300) ** -0.2
+            h *= 10.0 if fac > 10.0 else (fac if fac > 0.2 else 0.2)
 
-    t = partial()
+    t = _trajectory(rs, us, vs, norms, nfev)
     t.terminal_event = event
     t.terminal_radius = r_event
     return t

@@ -236,8 +236,9 @@ def cache_key(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def cache_load(key: str) -> ResultRecord | None:
-    path = cache_dir() / f"{key}.json"
+def cache_load(key: str, directory: Path | None = None) -> ResultRecord | None:
+    """The record stored under key in directory (default cache_dir()), or None."""
+    path = (directory or cache_dir()) / f"{key}.json"
     if not path.is_file():
         return None
     try:
@@ -246,9 +247,12 @@ def cache_load(key: str) -> ResultRecord | None:
         return None
 
 
-def cache_store(key: str, record: ResultRecord) -> None:
-    """Write the record atomically; each writer has its own temp file."""
-    d = cache_dir()
+def cache_store(key: str, record: ResultRecord, directory: Path | None = None) -> None:
+    """Write the record atomically into directory (default cache_dir()).
+
+    Each writer has its own temp file.
+    """
+    d = directory or cache_dir()
     d.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=f".{key}.", suffix=".tmp")
     try:

@@ -283,3 +283,57 @@ def test_cli_sweep_jobs_flag(tmp_path):
     assert rc == 0
     rows = (tmp_path / "j.csv").read_text().splitlines()
     assert len(rows) >= 8
+
+
+
+_SOLVE_ARGV = ["--family", "P_eps", "--N", "3", "--p", "4", "--q", "6", "--eps", "1e-2"]
+
+
+def _raising(exc):
+    def fn(*args, **kwargs):
+        raise exc
+    return fn
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("error", ["InconsistentSolution", "InternalConsistencyError"])
+def test_cli_solve_and_check_report_solver_failures(monkeypatch, capsys, command, error):
+    from gslab import cli, errors
+
+    monkeypatch.setattr(cli, "solve_ground_state", _raising(getattr(errors, error)("injected")))
+    argv = [command] + _SOLVE_ARGV + (["--no-cache"] if command == "solve" else [])
+    assert main(argv) == 1
+    assert "solve failed: injected" in capsys.readouterr().err
+
+
+def test_cli_sweep_and_fit_catch_only_their_failures(monkeypatch, tmp_path, capsys):
+    from gslab import cli
+
+    sweep_argv = ["sweep", "--regime", "subcritical", "--N", "3", "--p", "4", "--q", "6"]
+    fit_argv = ["fit", "--in", str(tmp_path / "sweep.json")]
+    # the failures these commands can raise exit 1 ...
+    assert main(fit_argv) == 1   # no such file: OSError
+    monkeypatch.setattr(cli, "sweep", _raising(RuntimeError("only 3 of 10 points converged")))
+    assert main(sweep_argv) == 1
+    assert "sweep failed: only 3" in capsys.readouterr().err
+    # ... while a programming error propagates
+    monkeypatch.setattr(cli, "sweep", _raising(TypeError("bug")))
+    with pytest.raises(TypeError):
+        main(sweep_argv)
+    (tmp_path / "sweep.json").write_bytes(serialize(ResultRecord("sweep", {}, {"grid": []})))
+    monkeypatch.setattr(cli, "refit_record", _raising(TypeError("bug")))
+    with pytest.raises(TypeError):
+        main(fit_argv)
+
+
+def test_cli_cache_dir_leaves_environment_unchanged(tmp_path, capsys):
+    import os
+
+    before = dict(os.environ)
+    argv = ["solve"] + _SOLVE_ARGV + ["--cache-dir", str(tmp_path / "explicit")]
+    assert main(argv) == 0
+    assert dict(os.environ) == before
+    assert len(list((tmp_path / "explicit").glob("*.json"))) == 1
+    assert not (tmp_path / "cache").exists()   # GSLAB_CACHE_DIR is not used
+    assert main(argv) == 0
+    assert "cache hit" in capsys.readouterr().out
