@@ -193,6 +193,7 @@ def rescale_to_v(w: RadialProfile, lam: float) -> RadialProfile:
         bracket=w.bracket,
         integrations=w.integrations,
         rhs_evals=w.rhs_evals,
+        loose_integrations=w.loose_integrations,
         r_max_used=w.r_max_used / lam,
     )
 
@@ -399,6 +400,7 @@ class ScalingReport:
     fits: dict[str, FitResult]
     reference: dict[str, float]
     predicted: dict[str, tuple[float, float]]
+    fit_window: tuple[float, float] | None = None   # the spec's, as fit_points takes it
 
     @property
     def fitted_exponent(self) -> float:
@@ -410,6 +412,30 @@ class ScalingReport:
 
     def converged_points(self) -> list[SweepPoint]:
         return [pt for pt in self.points if pt.converged]
+
+
+def _trusted(pt: SweepPoint) -> bool:
+    return pt.converged and pt.nehari_res < 1e-5 and pt.pokh_res < 1e-5
+
+
+def fit_points(points: list[SweepPoint],
+               window: tuple[float, float] | None = None) -> list[SweepPoint]:
+    """The points an exponent fit reads, in the order given.
+
+    Converged points whose identity residuals are both below 1e-5; of those,
+    the ones with window[0] <= x <= window[1] if a window is given, else all
+    but the first two (the largest x of a sweep, pre-asymptotic).  The
+    sweep and the refit of a saved sweep record both use this rule.
+    """
+    ok = [pt for pt in points if _trusted(pt)]
+    if window is not None:
+        return [pt for pt in ok if window[0] <= pt.x <= window[1]]
+    return ok[2:]
+
+
+def fit_data(window: list[SweepPoint], attr: str) -> list[tuple[float, float]]:
+    """(x, y) of the window's points whose ``attr`` value y is finite and positive."""
+    return [(pt.x, y) for pt in window if math.isfinite(y := getattr(pt, attr)) and y > 0]
 
 
 # Failures a sweep point records instead of raising: the solver's own error
@@ -516,33 +542,29 @@ def sweep(spec: SweepSpec) -> ScalingReport:
                 hint = None
     points.sort(key=lambda pt: -pt.x)
 
-    ok = [pt for pt in points if pt.converged and pt.nehari_res < 1e-5 and pt.pokh_res < 1e-5]
-    if len(ok) < 6:
+    n_ok = sum(map(_trusted, points))
+    if n_ok < 6:
         raise RuntimeError(
-            f"only {len(ok)} of {len(points)} sweep points converged; need >= 6"
+            f"only {n_ok} of {len(points)} sweep points converged; need >= 6"
         )
-    if spec.fit_window is not None:
-        window = [pt for pt in ok if spec.fit_window[0] <= pt.x <= spec.fit_window[1]]
-    else:
-        window = ok[2:]  # discard the two largest-x points as pre-asymptotic
+    window = fit_points(points, spec.fit_window)
 
     with_log = spec.N == 4 and spec.regime in ("critical", "p_up_subcritical")
     fits: dict[str, FitResult] = {}
 
-    def add_fit(name: str, ys, force_log: bool | None = None):
-        data = [(pt.x, y) for pt, y in zip(window, ys) if math.isfinite(y) and y > 0]
+    def add_fit(name: str, attr: str, force_log: bool | None = None):
+        data = fit_data(window, attr)
         if len(data) < 4:
             return
-        use_log = with_log if force_log is None else force_log
-        res = fit_exponent(data, with_log=use_log)
+        res = fit_exponent(data, with_log=with_log if force_log is None else force_log)
         if name in predicted:
             res.predicted_exponent, res.predicted_log_power = predicted[name]
         fits[name] = res
 
-    add_fit("amplitude", [pt.amplitude for pt in window])
+    add_fit("amplitude", "amplitude")
     if spec.regime == "critical":
-        add_fit("lambda", [pt.lam for pt in window])
-        add_fit("sigma", [pt.sigma for pt in window])
+        add_fit("lambda", "lam")
+        add_fit("sigma", "sigma")
         if spec.N == 4:
             # record the pure power-law fit alongside for the log comparison
             pure = fit_exponent([(pt.x, pt.lam) for pt in window], with_log=False)
@@ -551,8 +573,8 @@ def sweep(spec: SweepSpec) -> ScalingReport:
             amp_pure = fit_exponent([(pt.x, pt.amplitude) for pt in window], with_log=False)
             fits["amplitude_pure_power"] = amp_pure
     elif spec.regime == "supercritical":
-        add_fit("eps_l2", [pt.eps_l2 for pt in window], force_log=False)
-        add_fit("amp_gap", [pt.amp_gap for pt in window], force_log=False)
+        add_fit("eps_l2", "eps_l2", force_log=False)
+        add_fit("amp_gap", "amp_gap", force_log=False)
 
     return ScalingReport(
         regime=spec.regime,
@@ -563,6 +585,7 @@ def sweep(spec: SweepSpec) -> ScalingReport:
         fits=fits,
         reference=refs,
         predicted=predicted,
+        fit_window=spec.fit_window,
     )
 
 

@@ -240,6 +240,7 @@ def _solution_record(params, ctrl, cache_hit: bool) -> ResultRecord:
         "rhs_evals": prof.rhs_evals,
         "final_rhs_evals": prof.grid.rhs_evals,
         "integrations_run": prof.integrations,
+        "loose_integrations": prof.loose_integrations,
         "cache_hit": cache_hit,
     }
     cfg = _solve_config(params, ctrl)
@@ -258,6 +259,7 @@ def _cmd_solve(args, parser) -> int:
             record.diagnostics["cache_hit"] = True
             record.diagnostics["integrations_run"] = 0
             record.diagnostics["rhs_evals"] = 0
+            record.diagnostics["loose_integrations"] = 0
     if record is None:
         try:
             record = _solution_record(params, ctrl, cache_hit=False)

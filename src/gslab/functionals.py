@@ -247,6 +247,7 @@ def to_minimizer_frame(u: RadialProfile, S: float) -> RadialProfile:
         bracket=u.bracket,
         integrations=u.integrations,
         rhs_evals=u.rhs_evals,
+        loose_integrations=u.loose_integrations,
         r_max_used=u.r_max_used / rt,
     )
 

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .asymptotics import ScalingReport
+from .asymptotics import ScalingReport, SweepPoint, fit_data, fit_exponent, fit_points
 
 SCHEMA_VERSION = "1"
 
@@ -171,6 +171,7 @@ def report_record(report: ScalingReport, config: dict,
         "predicted": {k: list(v) for k, v in report.predicted.items()},
         "fits": fits,
         "grid": sweep_rows(report),
+        "fit_window": report.fit_window,
         "failures": {repr(pt.x): pt.failure for pt in report.points if not pt.converged},
     }
     return ResultRecord("sweep", config, payload, diagnostics or {})
@@ -178,19 +179,29 @@ def report_record(report: ScalingReport, config: dict,
 
 def refit_record(record: ResultRecord, observable: str = "amplitude",
                  with_log: bool = False) -> dict:
-    """Re-fit a saved sweep record's grid column; returns the fit summary."""
-    from .asymptotics import fit_exponent
+    """Re-fit a saved sweep record's grid column; returns the fit summary.
 
-    col = {"amplitude": "amplitude", "lambda": "lambda", "S": "S",
-           "sigma": "sigma"}.get(observable)
-    if col is None:
+    The fit reads the points the sweep's own fit read (asymptotics.fit_points,
+    with the record's fit window), so with the sweep's with_log it gives the
+    sweep's exponent exactly.
+    """
+    attr = {"amplitude": "amplitude", "lambda": "lam", "S": "S",
+            "sigma": "sigma"}.get(observable)
+    if attr is None:
         raise ParseError(f"unknown observable {observable!r}")
-    pts = [
-        (row["eps"], row[col])
+
+    def num(v) -> float:
+        return math.nan if v is None else float(v)
+
+    points = [
+        SweepPoint(x=row["eps"], converged=bool(row["converged_flag"]),
+                   amplitude=num(row["amplitude"]), S=num(row["S"]),
+                   sigma=num(row["sigma"]), lam=num(row["lambda"]),
+                   nehari_res=num(row["nehari_res"]), pokh_res=num(row["pokh_res"]))
         for row in record.payload["grid"]
-        if row.get("converged_flag") and row.get(col) is not None and row[col] > 0
     ]
-    fit = fit_exponent(pts[2:] if len(pts) > 7 else pts, with_log=with_log)
+    window = fit_points(points, record.payload.get("fit_window"))
+    fit = fit_exponent(fit_data(window, attr), with_log=with_log)
     return {
         "observable": observable,
         "with_log": with_log,

@@ -14,9 +14,17 @@ overshoot.  Brent steps on a signed proxy of a - a* read off each shot
 (the terminal state, see _shooting_proxy) pick the probes.  The bisection
 then replays exactly and integrates only the mids inside that window:
 since the classification is monotone in the amplitude, a mid at or below
-the window is an undershoot and one at or above it an overshoot.  Results
-are those of the plain bisection bit for bit, at about a third of the
-integrations.
+the window is an undershoot and one at or above it an overshoot.
+
+Shots run at one of two fidelities.  Model probes taken while Brent's
+prediction still moves only steer it, so they run loose, at 1000x the
+solve's step tolerances (_loose_step); every other shot runs at the solve's
+own tolerances.  Far from a* the two classify alike, and near a* a loose
+class may be wrong.  After the replay, any loose window edge inside the
+final bracket is integrated again tight.  If its class changes, the
+window is rebuilt from tight shots alone and the replay runs again.
+Results are those of the plain bisection bit for bit, at about a third of
+its integrations and a fifth of its RHS evaluations.
 
 The admissible amplitude window is (u_F0, u_hi): u_F0 is the first
 positive zero of the potential F (below it the trajectory lacks the energy
@@ -177,6 +185,7 @@ class RadialProfile:
     r_max_used: float = 0.0
     integrations: int = 0     # every integrate() call of the solve, final pass included
     rhs_evals: int = 0        # RHS evaluations summed over those calls
+    loose_integrations: int = 0   # those of them at the loose step controls
 
     def value(self, r):
         return _eval_profile(self, r, deriv=False)
@@ -425,6 +434,24 @@ def _zeroin(a: float, fa: float, b: float, fb: float, rtol: float):
 # probes the model phase may run ahead of the bisection steps it has decided
 _MODEL_SLACK = 8
 
+# a one-sided model probe runs at the loose step controls while Brent's
+# prediction still moves by more than this, relative, per step
+_LOOSE_SHIFT = 1e-3
+
+
+def _loose_step(step: StepControls) -> StepControls:
+    """Step controls of the far model probes: 1000x the solve's own tolerances."""
+    return replace(step, atol=1e3 * step.atol, rtol=1e3 * step.rtol)
+
+
+def _runs_loose(x: float, shift: float | None) -> bool:
+    """Whether a one-sided model probe at the prediction x runs loose.
+
+    It does for the first probe (no previous prediction, shift None) and
+    while the last prediction moved by more than _LOOSE_SHIFT relative.
+    """
+    return shift is None or shift > _LOOSE_SHIFT * x
+
 
 def _decided(mid: float, known_u: float, known_o: float) -> str | None:
     """Class of a mid outside the window (known_u, known_o), None inside it.
@@ -438,29 +465,39 @@ def _decided(mid: float, known_u: float, known_o: float) -> str | None:
     return None
 
 
+def _edges(lo: float, hi: float, shots) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((amplitude, proxy) of the largest Undershoot, and of the smallest
+    Overshoot) among the (amplitude, class, proxy, loose) shots in [lo, hi]."""
+    inside = [(a, c, g) for a, c, g, _ in shots if lo <= a <= hi]
+    return (max((a, g) for a, c, g in inside if c == Classification.UNDERSHOOT),
+            min((a, g) for a, c, g in inside if c == Classification.OVERSHOOT))
+
+
 def _narrow_window(lo: float, hi: float, seen, shoot,
                    ctrl: ShootControls) -> tuple[float, float]:
     """Model phase: narrow the window (known_u, known_o) inside the bracket.
 
     ``known_u`` is the largest shot amplitude classified Undershoot,
     ``known_o`` the smallest classified Overshoot; ``seen`` holds every
-    (amplitude, class, proxy) shot so far and ``shoot(a)`` adds one.
+    (amplitude, class, proxy, loose) shot so far and ``shoot(a, loose)``
+    adds one, integrated at the loose step controls if ``loose``.
 
     Brent steps on the proxy predict a* (bisecting at geometric mids, as
     the replay does, so a bracket spanning decades closes as fast as the
     replay's), and each probe is snapped to the nearest bisection mid the
-    replay would integrate if a* sat at the prediction.  Once the
-    predictions settle below amp_tol, the open mids on both sides of the
-    prediction are probed together.  The phase ends when the window
-    decides every mid of the replay, when a shot is Converged, fails or
-    reads a zero proxy (Brent's own stop), or when its probes run _MODEL_SLACK
-    ahead of the bisection steps the window has decided; the replay then
-    integrates what is left, so a solve never runs more than _MODEL_SLACK + 2
-    integrations beyond the plain bisection.
+    replay would integrate if a* sat at the prediction.  While the
+    predictions still move (_runs_loose) a probe only steers Brent, so it
+    runs loose.  Once the predictions settle below amp_tol, the open mids
+    on both sides of the prediction are probed together, tight.  The phase
+    ends when the window decides every mid of the replay, when a shot is
+    Converged, fails or reads a zero proxy (Brent's own stop), or when its
+    probes run _MODEL_SLACK ahead of the bisection steps the window has
+    decided; the replay then integrates what is left, so a solve never
+    runs more than _MODEL_SLACK + 2 integrations beyond the plain bisection,
+    plus the edge check of find_ground_state (and its fallback replay, if a
+    loose class was wrong).
     """
-    inside = [(a, c, g) for a, c, g in seen if lo <= a <= hi]
-    known_u, g_u = max((a, g) for a, c, g in inside if c == Classification.UNDERSHOOT)
-    known_o, g_o = min((a, g) for a, c, g in inside if c == Classification.OVERSHOOT)
+    (known_u, g_u), (known_o, g_o) = _edges(lo, hi, seen)
     if known_u >= known_o:
         return lo, hi   # not monotone in the bracket: replay the plain bisection
 
@@ -499,6 +536,7 @@ def _narrow_window(lo: float, hi: float, seen, shoot,
             shift = None if x_prev is None else abs(x - x_prev)
             settled = (shift is not None and shift_prev is not None
                        and shift * shift < ctrl.amp_tol * x * shift_prev)
+            loose = not settled and _runs_loose(x, shift)
             x_prev, shift_prev = x, shift
             below = max((m for m in open_mids if m < x), default=None)
             above = min((m for m in open_mids if m >= x), default=None)
@@ -509,7 +547,7 @@ def _narrow_window(lo: float, hi: float, seen, shoot,
                 if not known_u < a < known_o:
                     continue   # decided by the probe before it
                 probes += 1
-                c, g = shoot(a)
+                c, g = shoot(a, loose)
                 if c == Classification.UNDERSHOOT:
                     known_u, g_u = a, g
                 elif c == Classification.OVERSHOOT:
@@ -533,7 +571,23 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
     bisection from the bracket, which integrates only the mids the model
     phase left undecided.  ``bisection_iterations`` of the profile counts
     the integrations of the last two phases, ``integrations`` and
-    ``rhs_evals`` every integrate() call of the solve.
+    ``rhs_evals`` every integrate() call of the solve, and
+    ``loose_integrations`` those at the loose step controls.
+
+    Why the loose model probes cannot change the result: the replay reads
+    only the window edges known_u and known_o, and all its own shots are
+    tight.  Say a loose edge has the wrong class, for instance known_u is
+    in truth not an undershoot, so the tight a* lies below it.  Then every
+    mid at or below known_u reads Undershoot, and every mid above it reads
+    Overshoot (decided by known_o, or integrated tight) unless a tight
+    Converged mid stops the replay.  The replay keeps lo <= known_u < hi
+    at every step, so known_u ends inside the final bracket; the same holds
+    for a wrong known_o.  So every loose edge inside the final bracket is
+    integrated tight (every loose edge, if a Converged mid stopped the
+    replay).  If none changes its class, each mid the replay decided has
+    its tight class.  Otherwise the window is rebuilt from the tight shots
+    alone and the replay runs again.  Either way the result is the plain
+    bisection's bit for bit, with no margin to tune.
 
     Raises BracketNotFound if no (undershoot, overshoot) pair exists in the
     admissible window, which for family P_eps signals eps >= eps*.
@@ -559,12 +613,18 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
                                   math.sqrt(lo_seed * (hi_seed or lo_seed)))
     integrations = 0 if probe is None else 1
     rhs_evals = 0 if probe is None else probe.rhs_evals
-    seen: list[tuple[float, str, float]] = []   # (amplitude, class, proxy) per shot
+    loose_runs = 0
+    loose_step = _loose_step(ctrl.step)
+    seen: list[tuple[float, str, float, bool]] = []   # (amplitude, class, proxy, loose) per shot
 
-    def run(a: float, quad: bool = False) -> Trajectory:
-        nonlocal integrations, rhs_evals
+    def run(a: float, quad: bool = False, loose: bool = False) -> Trajectory:
+        nonlocal integrations, rhs_evals, loose_runs
         integrations += 1
-        tol = replace(ctrl.step, with_quadrature=True) if quad else ctrl.step
+        if loose:
+            loose_runs += 1
+            tol = loose_step
+        else:
+            tol = replace(ctrl.step, with_quadrature=True) if quad else ctrl.step
         try:
             t = integrate(params, a, r_max, tol)
         except IntegrationFailure as exc:
@@ -573,11 +633,11 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
         rhs_evals += t.rhs_evals
         return t
 
-    def shoot(a: float) -> tuple[str, float]:
-        t = run(a)
+    def shoot(a: float, loose: bool = False) -> tuple[str, float]:
+        t = run(a, loose=loose)
         c = classify(t, params, a, ctrl.convergence_factor)
         g = _shooting_proxy(params, t, c)
-        seen.append((a, c, g))
+        seen.append((a, c, g, loose))
         return c, g
 
     def cls(a: float) -> str:
@@ -628,13 +688,27 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
                 )
     bracket_runs = integrations
 
+    start = (lo, hi)   # the replay's starting bracket
+
+    def replay(known_u: float, known_o: float) -> tuple[float, float, int]:
+        def side(mid: float) -> str:
+            c = _decided(mid, known_u, known_o)
+            return cls(mid) if c is None else c
+
+        return _bisect(*start, ctrl, side)
+
     known_u, known_o = _narrow_window(lo, hi, seen, shoot, ctrl)
-
-    def replay(mid: float) -> str:
-        c = _decided(mid, known_u, known_o)
-        return cls(mid) if c is None else c
-
-    lo, hi, iters = _bisect(lo, hi, ctrl, replay)
+    lo, hi, iters = replay(known_u, known_o)
+    # edge check: a loose edge of the wrong class pins the replay's bracket
+    # on itself (or a Converged mid stopped the replay)
+    suspects = [(a, c) for a, c, _, loose in seen
+                if loose and a in (known_u, known_o) and (lo <= a <= hi or lo == hi)]
+    if any(cls(a) != c for a, c in suspects):
+        tight = [s for s in seen if not s[3]]
+        (known_u, _), (known_o, _) = _edges(*start, tight)
+        if known_u >= known_o:
+            known_u, known_o = start
+        lo, hi, iters = replay(known_u, known_o)
     if iters >= ctrl.max_iter:
         warnings.warn(
             f"amplitude bisection hit the {ctrl.max_iter}-iteration cap at "
@@ -652,6 +726,7 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
     profile.r_max_used = r_max
     profile.integrations = integrations
     profile.rhs_evals = rhs_evals
+    profile.loose_integrations = loose_runs
 
     if params.family is Family.P_EPS and profile.amplitude > 1.0 + 1e-12:
         raise InternalConsistencyError(

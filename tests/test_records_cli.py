@@ -68,6 +68,18 @@ def test_refit_recovers_sweep_fit(sub_sweep):
     assert out["exponent"] == pytest.approx(sub_sweep.fits["amplitude"].exponent, rel=1e-9)
 
 
+@pytest.mark.parametrize("fixture, observable", [
+    ("sub_sweep", "amplitude"),       # default rule: all but the two largest x
+    ("delta_sweep", "amplitude"),     # fit_window=(0.01, 0.3)
+    ("crit3_sweep", "lambda"),
+])
+def test_refit_reproduces_the_sweep_fit_exactly(request, fixture, observable):
+    report = request.getfixturevalue(fixture)
+    out = refit_record(parse(serialize(report_record(report, {}))), observable)
+    fit = report.fits[observable]
+    assert (out["exponent"], out["n_points"]) == (fit.exponent, fit.n_points)
+
+
 def test_cli_solve_and_cache(tmp_path, capsys):
     args = ["solve", "--family", "P_eps", "--N", "3", "--p", "6", "--q", "10",
             "--eps", "1e-3", "--out", str(tmp_path / "a.json")]
@@ -84,7 +96,7 @@ def test_cli_solve_and_cache(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, expected", [
     (["--family", "P_eps", "--N", "3", "--p", "6", "--q", "10", "--eps", "1e-3"], 14),
-    (["--family", "P_zero", "--N", "3", "--p", "8", "--q", "12"], 22),
+    (["--family", "P_zero", "--N", "3", "--p", "8", "--q", "12"], 21),
 ], ids=["P_eps", "P_zero"])
 def test_cli_integrations_run_counts_every_integration(tmp_path, monkeypatch, argv, expected):
     # independent count: wrap the integrate() that find_ground_state calls,
@@ -337,3 +349,35 @@ def test_cli_cache_dir_leaves_environment_unchanged(tmp_path, capsys):
     assert not (tmp_path / "cache").exists()   # GSLAB_CACHE_DIR is not used
     assert main(argv) == 0
     assert "cache hit" in capsys.readouterr().out
+
+
+def test_cli_loose_integrations_count_the_loose_model_probes(tmp_path, monkeypatch):
+    # independent count: wrap the integrate() that find_ground_state calls
+    # and count the calls at the loose step controls
+    from gslab import Family, ProblemParams, rescale_to_v, shooting, solve_ground_state
+
+    loose_step = shooting._loose_step(shooting.ShootControls().step)
+    steps = []
+    real = shooting.integrate
+
+    def counted(p, a, r_max, tol=None):
+        steps.append(tol)
+        return real(p, a, r_max, tol)
+
+    monkeypatch.setattr(shooting, "integrate", counted)
+    out = tmp_path / "r.json"
+    assert main(["solve", "--family", "P_zero", "--N", "3", "--p", "8", "--q", "12",
+                 "--no-cache", "--out", str(out)]) == 0
+    diag = parse(out.read_bytes()).diagnostics
+    assert 0 < diag["loose_integrations"] == steps.count(loose_step) < diag["integrations_run"]
+    # a cache hit runs nothing
+    cached = ["solve", "--family", "P_eps", "--N", "3", "--p", "6", "--q", "10", "--eps", "1e-3",
+              "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]
+    assert main(cached) == 0 and main(cached) == 0
+    assert parse(out.read_bytes()).diagnostics["loose_integrations"] == 0
+
+    sol = solve_ground_state(ProblemParams(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS))
+    prof = sol.profile
+    assert prof.loose_integrations > 0
+    for scaled in (sol.rescaled_to_frame().profile, rescale_to_v(prof, 0.7)):
+        assert scaled.loose_integrations == prof.loose_integrations

@@ -194,8 +194,10 @@ def _solve_with_plain_reference(params, monkeypatch):
     """(profile, (lo, hi, runs) of the plain bisection from its starting bracket).
 
     The bracket shots are the solve's first integrations at its own r_max and
-    step controls (the P_zero r_max probe runs at looser ones); none of the
+    step controls (the P_zero r_max probe runs at other ones); none of the
     cases below retries its undershoot seed, so the bracket is (first, last).
+    Model probes at the loose controls are recorded too, so that the shots
+    after the bracket number the profile's ``bisection_iterations``.
     """
     ctrl = ShootControls()
     shots = []
@@ -203,7 +205,7 @@ def _solve_with_plain_reference(params, monkeypatch):
 
     def recorded(p, a, r_max, tol=None):
         t = real(p, a, r_max, tol)
-        if tol == ctrl.step:
+        if tol in (ctrl.step, shooting._loose_step(ctrl.step)):
             shots.append((a, classify(t, p, a, ctrl.convergence_factor)))
         return t
 
@@ -264,3 +266,30 @@ def test_classification_switches_once_across_amplitude(params):
     n_u = classes.count(Classification.UNDERSHOOT)
     assert 0 < n_u < len(classes)
     assert classes == [Classification.UNDERSHOOT] * n_u + [Classification.OVERSHOOT] * (11 - n_u)
+
+
+@pytest.mark.parametrize("params", [
+    ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
+    ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
+    R_ZERO_34,
+    ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
+], ids=["P_eps", "P_zero", "R_zero", "R_eps"])
+def test_loose_class_matches_tight_class_away_from_amplitude(params):
+    """At a*(1 +- 10^-k), k = 1..6, the loose step controls classify as the tight ones.
+
+    This is what makes the loose model probes pay: a loose probe that
+    misclassifies is caught by the edge check of find_ground_state and costs
+    a fallback replay, so results stay exact either way, but the speed-up
+    relies on far probes agreeing.
+    """
+    ctrl = ShootControls()
+    prof = find_ground_state(params, ctrl)
+    loose = shooting._loose_step(ctrl.step)
+    for k in range(1, 7):
+        for sign in (-1.0, 1.0):
+            a = prof.amplitude * (1.0 + sign * 10.0 ** -k)
+            tight_cls, loose_cls = (
+                classify(integrate(params, a, prof.r_max_used, step), params, a,
+                         ctrl.convergence_factor)
+                for step in (ctrl.step, loose))
+            assert loose_cls == tight_cls, (k, sign)
