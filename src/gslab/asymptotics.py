@@ -28,7 +28,7 @@ from .errors import (
 )
 from .ode import IntegrationFailure
 from .params import Family, ProblemParams, sphere_area
-from .shooting import RadialProfile, ShootControls
+from .shooting import RadialProfile, ShootControls, _hermite_eval
 
 __all__ = [
     "concentration_lambda",
@@ -46,24 +46,10 @@ __all__ = [
 
 def _cumulative_mass(w: RadialProfile, s: float):
     """Prefix sums of int |w|^s r^(N-1) dr over the stored grid panels."""
-    rg, ug, vg = w.grid.radii, w.grid.values, w.grid.slopes
     N = w.params.N
-    x, gw = _leggauss(6)
-    x01, w01 = 0.5 * (x + 1.0), 0.5 * gw
-    h = np.diff(rg)
-    rr = rg[:-1, None] + h[:, None] * x01[None, :]
-    t = x01[None, :]
-    hh = h[:, None]
-    h00 = (1 + 2 * t) * (1 - t) ** 2
-    h10 = t * (1 - t) ** 2
-    h01 = t * t * (3 - 2 * t)
-    h11 = t * t * (t - 1)
-    uu = h00 * ug[:-1, None] + h10 * hh * vg[:-1, None] + h01 * ug[1:, None] + h11 * hh * vg[1:, None]
-    panel = np.sum(np.abs(uu) ** s * rr ** (N - 1) * w01[None, :], axis=1) * h
-    a, fa, r0 = w.amplitude, w.params.f(w.amplitude), rg[0]
-    rr0 = r0 * x01
-    uu0 = a - fa * rr0**2 / (2.0 * w.params.N)
-    first = r0 * float(np.sum(w01 * np.abs(uu0) ** s * rr0 ** (N - 1)))
+    pan = fn._hermite_panels(w)
+    panel = np.sum(np.abs(pan.u) ** s * pan.r ** (N - 1) * pan.w[None, :], axis=1) * pan.h
+    first = pan.r0 * float(np.sum(pan.w * np.abs(pan.u_series) ** s * pan.r_series ** (N - 1)))
     cum = np.concatenate([[first], first + np.cumsum(panel)])
     return cum  # cum[i] = integral over [0, rg[i]]
 
@@ -101,7 +87,8 @@ def concentration_lambda(w, Qstar: float | None = None) -> float:
             return base + _ball_mass_series(w, r) * omega
         mid, half = 0.5 * (lo + r), 0.5 * (r - lo)
         rr = mid + half * x
-        uu = w.value(rr)
+        # every node lies inside (rg[idx-1], rg[idx]): w.value's Hermite branch
+        uu = _hermite_eval(rg, w.grid.values, w.grid.slopes, rr, False)
         return base + omega * half * float(np.sum(gw * np.abs(uu) ** p * rr ** (N - 1)))
 
     f_lo = base - Qstar

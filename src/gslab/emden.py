@@ -11,6 +11,11 @@ with ||W_lam||_{p*} = 1 and ||grad W_lam||_2^2 = S* for every lam.  These
 profiles are the analytic oracle for the critical regime: everything here
 is evaluated in closed form, with norms computed by a tan-substitution
 Gauss quadrature that resolves the algebraic tail exactly.
+
+The Gauss panel kernel behind it (``_panel_quad``) is the one tail
+quadrature of the package: ``shooting`` integrates the exponential far
+fields with it too, on its own node map.  Each caller maps the panel nodes
+to radii; the kernel evaluates every panel in one numpy pass.
 """
 
 from __future__ import annotations
@@ -64,27 +69,40 @@ def _leggauss(n: int):
     return x, w
 
 
+def _panel_quad(g, N: int, edges, nodes: int, node_map):
+    """sum_i half_i * sum_j w_j g(r_ij) r_ij^(N-1) jac_ij over Gauss panels.
+
+    The panels are [edges[i], edges[i+1]] in the node variable t, and
+    ``node_map(t) -> (r, jac)`` takes the (panels x nodes) array of t to
+    radii and dr/dt.  Every panel runs in one numpy pass; the panel totals
+    are added in panel order, so the sum is the same, bit for bit, as one
+    Gauss sum per panel accumulated in a loop.
+    """
+    x, w = _leggauss(nodes)
+    a, b = edges[:-1], edges[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    r, jac = node_map(mid[:, None] + half[:, None] * x)
+    sums = np.sum(w * g(r) * r ** (N - 1) * jac, axis=1)
+    total = 0.0
+    for h, s in zip(half, sums):
+        total += h * s
+    return total
+
+
 def radial_quad(g, N: int, r_lo: float = 0.0, r_hi: float = math.inf,
                 scale: float = 1.0, panels: int = 12, nodes: int = 48) -> float:
     """int_{r_lo}^{r_hi} g(r) r^(N-1) dr via r = scale*tan(theta) panels.
 
     The substitution maps [0, inf) to [0, pi/2) and turns algebraic tails
-    into smooth integrands; `g` must accept numpy arrays.
+    into smooth integrands; `g` must accept numpy arrays of any shape.
     """
     th_lo = math.atan2(r_lo, scale)
     th_hi = math.pi / 2.0 if math.isinf(r_hi) else math.atan2(r_hi, scale)
     if th_hi <= th_lo:
         return 0.0
-    x, w = _leggauss(nodes)
     edges = np.linspace(th_lo, th_hi, panels + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        th = mid + half * x
-        r = scale * np.tan(th)
-        jac = scale / np.cos(th) ** 2
-        total += half * float(np.sum(w * g(r) * r ** (N - 1) * jac))
-    return total
+    return _panel_quad(g, N, edges, nodes,
+                       lambda th: (scale * np.tan(th), scale / np.cos(th) ** 2))
 
 
 @lru_cache(maxsize=32)

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .emden import EmdenFowlerProfile, _leggauss
 from .errors import DivergentNormError, InconsistentSolution
 from .params import ProblemParams, sphere_area
-from .shooting import RadialProfile, ShootControls, find_ground_state
+from .shooting import RadialProfile, ShootControls, _hermite, find_ground_state
 
 __all__ = [
     "GroundStateSolution",
@@ -80,40 +81,52 @@ class GroundStateSolution:
         )
 
 
-def _grid_quad(prof: RadialProfile, integrand) -> float:
-    """Gauss panels on the stored grid using cubic Hermite reconstruction."""
+class _HermitePanels(NamedTuple):
+    """Gauss nodes of every stored grid panel and of the series piece [0, r0]."""
+
+    r: np.ndarray           # (panels, 6) nodes
+    u: np.ndarray           # cubic Hermite values at r
+    du: np.ndarray          # cubic Hermite slopes at r
+    h: np.ndarray           # (panels,) widths
+    w: np.ndarray           # (6,) Gauss weights on [0, 1]
+    r0: float               # first grid radius
+    r_series: np.ndarray    # (6,) nodes on [0, r0]
+    u_series: np.ndarray    # u(0) - f(u(0)) r^2 / (2N) there
+    du_series: np.ndarray   # -f(u(0)) r / N there
+
+
+def _hermite_panels(prof: RadialProfile) -> _HermitePanels:
+    """6-point Gauss-Legendre nodes on each grid panel, with the cubic Hermite
+    reconstruction of u and u' there, plus the Taylor series piece [0, r0]."""
     rg, ug, vg = prof.grid.radii, prof.grid.values, prof.grid.slopes
-    N = prof.params.N
     x, w = _leggauss(6)
     x01 = 0.5 * (x + 1.0)
     w01 = 0.5 * w
     h = np.diff(rg)
-    # nodes: shape (len(h), 6)
-    rr = rg[:-1, None] + h[:, None] * x01[None, :]
+    hh = h[:, None]
+    rr = rg[:-1, None] + hh * x01[None, :]
     t = x01[None, :]
     u0, u1 = ug[:-1, None], ug[1:, None]
     v0, v1 = vg[:-1, None], vg[1:, None]
-    hh = h[:, None]
-    h00 = (1 + 2 * t) * (1 - t) ** 2
-    h10 = t * (1 - t) ** 2
-    h01 = t * t * (3 - 2 * t)
-    h11 = t * t * (t - 1)
-    uu = h00 * u0 + h10 * hh * v0 + h01 * u1 + h11 * hh * v1
-    d00 = 6 * t * (t - 1) / hh
-    d10 = (1 - t) * (1 - 3 * t)
-    d01 = -6 * t * (t - 1) / hh
-    d11 = t * (3 * t - 2)
-    dd = d00 * u0 + d10 * v0 + d01 * u1 + d11 * v1
-    vals = integrand(rr, uu, dd) * rr ** (N - 1)
-    inner = float(np.sum(vals * w01[None, :] * hh))
-    # series piece [0, r0]
+    uu = _hermite(t, hh, u0, u1, v0, v1, deriv=False)
+    dd = _hermite(t, hh, u0, u1, v0, v1, deriv=True)
     a = prof.amplitude
     fa = prof.params.f(a)
     r0 = rg[0]
     rr0 = r0 * x01
     uu0 = a - fa * rr0**2 / (2.0 * prof.params.N)
     dd0 = -fa * rr0 / prof.params.N
-    inner += r0 * float(np.sum(w01 * integrand(rr0, uu0, dd0) * rr0 ** (N - 1)))
+    return _HermitePanels(rr, uu, dd, h, w01, r0, rr0, uu0, dd0)
+
+
+def _grid_quad(prof: RadialProfile, integrand) -> float:
+    """Gauss panels on the stored grid using cubic Hermite reconstruction."""
+    N = prof.params.N
+    pan = _hermite_panels(prof)
+    vals = integrand(pan.r, pan.u, pan.du) * pan.r ** (N - 1)
+    inner = float(np.sum(vals * pan.w[None, :] * pan.h[:, None]))
+    series = integrand(pan.r_series, pan.u_series, pan.du_series)
+    inner += pan.r0 * float(np.sum(pan.w * series * pan.r_series ** (N - 1)))
     return inner
 
 

@@ -30,6 +30,10 @@ The admissible amplitude window is (u_F0, u_hi): u_F0 is the first
 positive zero of the potential F (below it the trajectory lacks the energy
 to reach zero), u_hi the largest positive root of f (at or above it the
 start is not monotone decreasing, since u''(0) = -f(a)/N).
+
+Beyond the grid a profile is its TailModel.  Norms of an exponential tail
+are Gauss panels over [R, R + 60/decay], with edges spaced as a squared
+linspace, run through the panel kernel of ``emden`` in one numpy pass.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import kve
 
+from .emden import _panel_quad
 from .errors import BracketNotFound, InternalConsistencyError
 from .ode import IntegrationFailure, StepControls, TerminalEvent, Trajectory, integrate
 from .params import Family, ProblemParams
@@ -158,18 +163,13 @@ class TailModel:
 
 
 def _exp_tail_quad(g, N: int, R: float, decay: float) -> float:
-    """Gauss panels over [R, R + 60/decay] for an exponentially decaying tail."""
-    from .emden import _leggauss
+    """Gauss panels over [R, R + 60/decay] for an exponentially decaying tail.
 
-    x, w = _leggauss(32)
+    `g` receives the (panels x nodes) array of radii in one call.
+    """
     width = 60.0 / max(decay, 1e-300)
     edges = R + width * np.linspace(0.0, 1.0, 17) ** 2
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        r = mid + half * x
-        total += half * float(np.sum(w * g(r) * r ** (N - 1)))
-    return total
+    return _panel_quad(g, N, edges, 32, lambda r: (r, 1.0))
 
 
 @dataclass
@@ -194,13 +194,8 @@ class RadialProfile:
         return _eval_profile(self, r, deriv=True)
 
 
-def _hermite_eval(rg, ug, vg, r, deriv: bool):
-    """Piecewise-cubic Hermite evaluation on the stored (r, u, u') grid."""
-    idx = np.clip(np.searchsorted(rg, r) - 1, 0, len(rg) - 2)
-    r0, r1 = rg[idx], rg[idx + 1]
-    h = r1 - r0
-    t = (r - r0) / h
-    u0, u1, v0, v1 = ug[idx], ug[idx + 1], vg[idx], vg[idx + 1]
+def _hermite(t, h, u0, u1, v0, v1, deriv: bool):
+    """Cubic Hermite value (or slope) at t in [0, 1] of a panel of width h."""
     if not deriv:
         h00 = (1 + 2 * t) * (1 - t) ** 2
         h10 = t * (1 - t) ** 2
@@ -212,6 +207,15 @@ def _hermite_eval(rg, ug, vg, r, deriv: bool):
     d01 = -6 * t * (t - 1) / h
     d11 = t * (3 * t - 2)
     return d00 * u0 + d10 * v0 + d01 * u1 + d11 * v1
+
+
+def _hermite_eval(rg, ug, vg, r, deriv: bool):
+    """Piecewise-cubic Hermite evaluation on the stored (r, u, u') grid."""
+    idx = np.clip(np.searchsorted(rg, r) - 1, 0, len(rg) - 2)
+    r0, r1 = rg[idx], rg[idx + 1]
+    h = r1 - r0
+    t = (r - r0) / h
+    return _hermite(t, h, ug[idx], ug[idx + 1], vg[idx], vg[idx + 1], deriv)
 
 
 def _eval_profile(prof: RadialProfile, r, deriv: bool):

@@ -131,3 +131,73 @@ def test_forced_loose_probes_fall_back_to_golden_bitwise(params, amplitude, leve
     assert sol.level_S.hex() == level_S
     assert sol.nehari_residual.hex() == nehari
     assert sol.profile.grid.rhs_evals == rhs_evals
+
+
+# The read side, pinned before the tail quadratures evaluated all their
+# panels in one numpy pass: (params, radial_norm(prof, p), dirichlet_norm,
+# tail.norm_tail(2.0, R), tail.dirichlet_tail(R)) with R the last grid
+# radius; None where the algebraic tail makes the L^2 norm diverge
+READ_SIDE = [
+    pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
+                 "0x1.69cad4a409f08p+4", "0x1.07a0f21ca46f6p+4",
+                 "0x1.4d9aac8b7c168p-9", "0x1.d73b7de2812f6p-19",
+                 id="P_eps-N3-p6-q10-eps1e-3"),
+    pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
+                 "0x1.82fa513c36de5p+5", "0x1.82fa513261effp+4",
+                 None, "0x1.e04e1eab20874p-18",
+                 id="P_zero-N3-p8-q12"),
+    pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
+                 "0x1.2e5b2444afcf0p+6", "0x1.c588b65e47071p+5",
+                 "0x1.894bc0e23b419p-19", "0x1.f951fa02465fap-19",
+                 id="R_zero-N3-p4-q6"),
+    pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
+                 "0x1.69597fa69024dp+6", "0x1.e1bde1ea1e5c7p+5",
+                 "0x1.09cd39e25323ap-18", "0x1.55b2ba5fd41fbp-18",
+                 id="R_eps-N3-p4-q6-eps1e-2"),
+]
+
+
+@pytest.mark.parametrize("params, norm_p, dirichlet, tail_l2, tail_dir", READ_SIDE)
+def test_read_side_norms_match_golden_bitwise(params, norm_p, dirichlet, tail_l2, tail_dir):
+    from gslab import DivergentNormError, dirichlet_norm, radial_norm
+
+    prof = solve_ground_state(params).profile
+    R = float(prof.grid.radii[-1])
+    assert float(radial_norm(prof, params.p)).hex() == norm_p
+    assert float(dirichlet_norm(prof)).hex() == dirichlet
+    if tail_l2 is None:
+        with pytest.raises(DivergentNormError):
+            prof.tail.norm_tail(2.0, R)
+    else:
+        assert float(prof.tail.norm_tail(2.0, R)).hex() == tail_l2
+    assert float(prof.tail.dirichlet_tail(R)).hex() == tail_dir
+
+
+def test_critical_read_side_matches_golden_bitwise():
+    # one critical N=5 solve in the minimizer frame: the concentration
+    # radius, both distances of the rescaled profile to W_1 and the
+    # kappa-identity residual of the frame's norms
+    from gslab import EmdenFowlerProfile, concentration_lambda, kappa_identities, rescale_to_v
+    from gslab.asymptotics import profile_distances
+
+    params = ProblemParams(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)
+    w = solve_ground_state(params).rescaled_to_frame()
+    lam = concentration_lambda(w.profile)
+    d1, dp = profile_distances(rescale_to_v(w.profile, lam), EmdenFowlerProfile(5, 1.0, "W"))
+    assert lam.hex() == "0x1.5ffd4d4d0787cp+0"
+    assert d1.hex() == "0x1.3e79a16892f20p-2"
+    assert dp.hex() == "0x1.c958ee0f40d10p-5"
+    assert kappa_identities(w, params.eps).lq_residual.hex() == "0x1.49cd75aa9edc8p-23"
+
+
+@pytest.mark.parametrize("N, s_star, qs", [
+    (3, "0x1.5e95fb08ca59bp+2", "0x1.5de4b9858e7bbp-1"),
+    (4, "0x1.48552f88091a7p+3", "0x1.2f4a986a17eaep-1"),
+    (5, "0x1.d9fb2e4995447p+3", "0x1.fa84254a892c2p-2"),
+])
+def test_emden_constants_match_golden_bitwise(N, s_star, qs):
+    # __wrapped__ skips the lru_cache, so the quadrature runs here
+    from gslab.emden import q_star, sobolev_constant
+
+    assert float(sobolev_constant.__wrapped__(N)).hex() == s_star
+    assert float(q_star.__wrapped__(N)).hex() == qs
