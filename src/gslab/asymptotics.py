@@ -28,7 +28,7 @@ from .errors import (
 )
 from .ode import IntegrationFailure
 from .params import Family, ProblemParams, sphere_area
-from .shooting import RadialProfile, ShootControls, _hermite_eval
+from .shooting import RadialProfile, ShootControls, _brentq, _hermite_eval
 
 __all__ = [
     "concentration_lambda",
@@ -106,8 +106,6 @@ def concentration_lambda(w, Qstar: float | None = None) -> float:
 
 
 def _emden_concentration(w: EmdenFowlerProfile, Qstar: float | None) -> float:
-    from scipy.optimize import brentq
-
     if Qstar is None:
         Qstar = q_star(w.N)
     ps = w.p_star
@@ -121,7 +119,7 @@ def _emden_concentration(w: EmdenFowlerProfile, Qstar: float | None) -> float:
     hi = 1.0
     while mass_minus(hi) < 0.0:
         hi *= 2.0
-    return brentq(mass_minus, 1e-8 * hi, hi, xtol=1e-14, rtol=1e-13)
+    return _brentq(mass_minus, 1e-8 * hi, hi, xtol=1e-14, rtol=1e-13)
 
 
 def _ball_mass_series(w: RadialProfile, r: float) -> float:
@@ -181,6 +179,7 @@ def rescale_to_v(w: RadialProfile, lam: float) -> RadialProfile:
         integrations=w.integrations,
         rhs_evals=w.rhs_evals,
         loose_integrations=w.loose_integrations,
+        fallbacks=w.fallbacks,
         r_max_used=w.r_max_used / lam,
     )
 

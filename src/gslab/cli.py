@@ -241,6 +241,7 @@ def _solution_record(params, ctrl, cache_hit: bool) -> ResultRecord:
         "final_rhs_evals": prof.grid.rhs_evals,
         "integrations_run": prof.integrations,
         "loose_integrations": prof.loose_integrations,
+        "fallbacks": prof.fallbacks,
         "cache_hit": cache_hit,
     }
     cfg = _solve_config(params, ctrl)
@@ -260,6 +261,7 @@ def _cmd_solve(args, parser) -> int:
             record.diagnostics["integrations_run"] = 0
             record.diagnostics["rhs_evals"] = 0
             record.diagnostics["loose_integrations"] = 0
+            record.diagnostics["fallbacks"] = 0
     if record is None:
         try:
             record = _solution_record(params, ctrl, cache_hit=False)
@@ -357,9 +359,17 @@ def _cmd_fit(args, parser) -> int:
     return 0
 
 
+def _emden_dimension(args, parser) -> int:
+    """--N of the Emden-Fowler commands, 3 if not given; below 3 exits 2."""
+    N = 3 if args.N is None else args.N
+    if N < 3:
+        parser.error(f"need N >= 3, got {N}")
+    return N
+
+
 def _cmd_check(args, parser) -> int:
     if args.suite == "emden":
-        N = args.N or 3
+        N = _emden_dimension(args, parser)
         try:
             s = sobolev_constant(N)
             q = q_star(N)
@@ -400,9 +410,7 @@ def _cmd_check(args, parser) -> int:
 
 
 def _cmd_emden(args, parser) -> int:
-    N = args.N or 3
-    if N < 3:
-        parser.error(f"need N >= 3, got {N}")
+    N = _emden_dimension(args, parser)
     s = sobolev_constant(N)
     q = q_star(N)
     u1 = EmdenFowlerProfile(N, 1.0, "U")

@@ -261,6 +261,7 @@ def to_minimizer_frame(u: RadialProfile, S: float) -> RadialProfile:
         integrations=u.integrations,
         rhs_evals=u.rhs_evals,
         loose_integrations=u.loose_integrations,
+        fallbacks=u.fallbacks,
         r_max_used=u.r_max_used / rt,
     )
 

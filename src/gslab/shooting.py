@@ -16,15 +16,19 @@ then replays exactly and integrates only the mids inside that window:
 since the classification is monotone in the amplitude, a mid at or below
 the window is an undershoot and one at or above it an overshoot.
 
-Shots run at one of two fidelities.  Model probes taken while Brent's
-prediction still moves only steer it, so they run loose, at 1000x the
-solve's step tolerances (_loose_step); every other shot runs at the solve's
-own tolerances.  Far from a* the two classify alike, and near a* a loose
-class may be wrong.  After the replay, any loose window edge inside the
-final bracket is integrated again tight.  If its class changes, the
-window is rebuilt from tight shots alone and the replay runs again.
-Results are those of the plain bisection bit for bit, at about a third of
-its integrations and a fifth of its RHS evaluations.
+Shots run at one of two fidelities.  The bracket scans, the hint checks
+and the model probes taken while Brent's prediction still moves only
+decide where the bisection starts or steer Brent, so they run loose, at
+1000x the solve's step tolerances (_loose_step); a loose scan or hint
+shot that reads Converged or fails is re-run tight at once.  The replay's
+mids, the closing model probes and the final pass run at the solve's own
+tolerances.  Far from a* the two fidelities classify alike, and near a* a
+loose class may be wrong.  After the replay one exactness check covers
+every loose shot: one below the final bracket must read Undershoot, one
+above it Overshoot, and one inside it is integrated again tight.  On any
+disagreement the solve runs again as the plain bisection, every shot
+tight.  Results are those of the plain bisection bit for bit, at about a
+third of its integrations and under a fifth of its RHS evaluations.
 
 The admissible amplitude window is (u_F0, u_hi): u_F0 is the first
 positive zero of the potential F (below it the trajectory lacks the energy
@@ -43,7 +47,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import kve
 
 from .emden import _panel_quad
@@ -186,6 +189,7 @@ class RadialProfile:
     integrations: int = 0     # every integrate() call of the solve, final pass included
     rhs_evals: int = 0        # RHS evaluations summed over those calls
     loose_integrations: int = 0   # those of them at the loose step controls
+    fallbacks: int = 0        # 1 if a loose class disagreed: the solve re-ran as plain bisection
 
     def value(self, r):
         return _eval_profile(self, r, deriv=False)
@@ -345,11 +349,11 @@ def _f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
             f"(N={params.N}, p={params.p}, q={params.q}, eps={params.eps}); "
             "no ground state in this regime"
         )
-    m1 = brentq(g, u_peak * 1e-14, u_peak, xtol=1e-300, rtol=1e-15)
+    m1 = _brentq(g, u_peak * 1e-14, u_peak, xtol=1e-300, rtol=1e-15)
     hi = u_peak
     while g(hi) > 0.0:
         hi *= 2.0
-    m2 = brentq(g, u_peak, hi, xtol=1e-300, rtol=1e-15)
+    m2 = _brentq(g, u_peak, hi, xtol=1e-300, rtol=1e-15)
     if params.F(m2) <= 0.0:
         extra = ""
         if params.family is Family.P_EPS:
@@ -357,7 +361,7 @@ def _f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
         raise BracketNotFound(
             f"potential F has no positive zero below the largest root of f{extra}"
         )
-    u_f0 = brentq(params.F, m1, m2, xtol=1e-300, rtol=1e-15)
+    u_f0 = _brentq(params.F, m1, m2, xtol=1e-300, rtol=1e-15)
     return u_f0, m2
 
 
@@ -435,6 +439,65 @@ def _zeroin(a: float, fa: float, b: float, fb: float, rtol: float):
         b, fb = yield b + (d if abs(d) > tol else math.copysign(tol, xm))
 
 
+def _brentq(f, xa: float, xb: float, xtol: float = 2e-12, rtol: float = 8.881784197001252e-16,
+            maxiter: int = 100) -> float:
+    """Root of f in [xa, xb], where f changes sign: scipy.optimize.brentq.
+
+    The loop of scipy's Zeros/brentq.c, with the same operations in the same
+    order, so every result is the same float; gslab imports it from here to
+    leave scipy.optimize, about half of its import time, unimported.  A NaN
+    function value raises ValueError, as does f(xa), f(xb) of one sign, and
+    no convergence in maxiter steps raises RuntimeError.
+    """
+
+    def fn(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return float(fx)
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fn(xpre), fn(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:   # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:              # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):   # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fn(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
+
+
 # probes the model phase may run ahead of the bisection steps it has decided
 _MODEL_SLACK = 8
 
@@ -444,7 +507,7 @@ _LOOSE_SHIFT = 1e-3
 
 
 def _loose_step(step: StepControls) -> StepControls:
-    """Step controls of the far model probes: 1000x the solve's own tolerances."""
+    """Step controls of the loose shots: 1000x the solve's own tolerances."""
     return replace(step, atol=1e3 * step.atol, rtol=1e3 * step.rtol)
 
 
@@ -498,8 +561,8 @@ def _narrow_window(lo: float, hi: float, seen, shoot,
     probes run _MODEL_SLACK ahead of the bisection steps the window has
     decided; the replay then integrates what is left, so a solve never
     runs more than _MODEL_SLACK + 2 integrations beyond the plain bisection,
-    plus the edge check of find_ground_state (and its fallback replay, if a
-    loose class was wrong).
+    plus the exactness check of find_ground_state (and its all-tight
+    re-solve, if a loose class was wrong).
     """
     (known_u, g_u), (known_o, g_o) = _edges(lo, hi, seen)
     if known_u >= known_o:
@@ -567,6 +630,32 @@ def _narrow_window(lo: float, hi: float, seen, shoot,
     return known_u, known_o
 
 
+class _Runs:
+    """The integrate() calls of one solve, counted over all its attempts."""
+
+    def __init__(self, params: ProblemParams, ctrl: ShootControls, r_max: float):
+        self.params, self.r_max = params, r_max
+        self.tight = ctrl.step
+        self.loose = _loose_step(ctrl.step)
+        self.integrations = self.rhs_evals = self.loose_runs = 0
+        self.bracket_runs = 0   # r_max probe, bracket scans and hint checks
+
+    def __call__(self, a: float, quad: bool = False, loose: bool = False) -> Trajectory:
+        self.integrations += 1
+        if loose:
+            self.loose_runs += 1
+            tol = self.loose
+        else:
+            tol = replace(self.tight, with_quadrature=True) if quad else self.tight
+        try:
+            t = integrate(self.params, a, self.r_max, tol)
+        except IntegrationFailure as exc:
+            self.rhs_evals += exc.partial.rhs_evals
+            raise
+        self.rhs_evals += t.rhs_evals
+        return t
+
+
 def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls()) -> RadialProfile:
     """Bisect the shooting map to the unique ground-state amplitude.
 
@@ -576,22 +665,47 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
     phase left undecided.  ``bisection_iterations`` of the profile counts
     the integrations of the last two phases, ``integrations`` and
     ``rhs_evals`` every integrate() call of the solve, and
-    ``loose_integrations`` those at the loose step controls.
+    ``loose_integrations`` those at the loose step controls.  ``fallbacks``
+    is 1 if the exactness check below failed and the solve ran again as
+    the plain bisection; the counters then sum over both attempts.
 
-    Why the loose model probes cannot change the result: the replay reads
-    only the window edges known_u and known_o, and all its own shots are
-    tight.  Say a loose edge has the wrong class, for instance known_u is
-    in truth not an undershoot, so the tight a* lies below it.  Then every
-    mid at or below known_u reads Undershoot, and every mid above it reads
-    Overshoot (decided by known_o, or integrated tight) unless a tight
-    Converged mid stops the replay.  The replay keeps lo <= known_u < hi
-    at every step, so known_u ends inside the final bracket; the same holds
-    for a wrong known_o.  So every loose edge inside the final bracket is
-    integrated tight (every loose edge, if a Converged mid stopped the
-    replay).  If none changes its class, each mid the replay decided has
-    its tight class.  Otherwise the window is rebuilt from the tight shots
-    alone and the replay runs again.  Either way the result is the plain
-    bisection's bit for bit, with no margin to tune.
+    Why the loose shots cannot change the result.  The hint checks, the
+    bracket scans and the model probes taken while Brent's prediction still
+    moves run loose; a loose scan or hint shot that reads Converged or
+    fails is re-run tight, and only the tight class is used.  The tight
+    class is monotone in the amplitude: Undershoot, then Converged (perhaps
+    nowhere), then Overshoot.  After the replay, with final bracket
+    [lo, hi], the exactness check asks of every loose shot: below lo it
+    reads Undershoot, above hi Overshoot, and inside [lo, hi] it is
+    integrated tight and must read its tight class.  Each window edge
+    known_u, known_o that is loose is integrated tight as well when a
+    Converged mid stopped the replay (lo = hi).
+
+    Say the check passes and the replay did not stop on Converged.  Then lo
+    has tight class Undershoot: it is a tight mid, or the bracket's lower
+    end and so a checked shot inside [lo, hi], or a mid decided by
+    lo <= known_u; the replay keeps known_u < hi at every step, so then
+    known_u lies inside the final bracket and was checked.  Likewise hi has
+    tight class Overshoot.  By monotonicity every loose shot below lo or
+    above hi read its tight class, and those inside were checked.  If a
+    Converged mid m stopped the replay, the checked edges take the place of
+    lo and hi: a loose Undershoot below m lies at or below known_u, the
+    largest Undershoot shot in the starting bracket (the bracket's lower
+    end is one), and a loose Overshoot above m at or above known_o.
+    Either way every loose class is the tight one, so the scans took the
+    steps of tight scans and found the same bracket, the window edges are
+    right, and the replay decides each mid as the tight bisection does.
+    The result is the plain bisection's from the tight bracket, bit for
+    bit, with no margin to tune.  If the check fails the solve is run again
+    with every shot tight and no model phase (_bisection_attempt): the
+    plain bisection itself, which gives that result by definition, even
+    where the tight class is not monotone at the amp_tol scale (critical
+    N = 4 at eps ~ 1e-9, for one).
+
+    The one difference from an all-tight solve: if a tight scan or hint
+    shot raises IntegrationFailure but its loose shot reads Undershoot or
+    Overshoot, the loose class is used and passes the check, so a solve
+    that raised with tight scans may now succeed.
 
     Raises BracketNotFound if no (undershoot, overshoot) pair exists in the
     admissible window, which for family P_eps signals eps >= eps*.
@@ -615,104 +729,16 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
 
     r_max, probe = _default_r_max(params, ctrl, lo_seed if hi_seed is None else
                                   math.sqrt(lo_seed * (hi_seed or lo_seed)))
-    integrations = 0 if probe is None else 1
-    rhs_evals = 0 if probe is None else probe.rhs_evals
-    loose_runs = 0
-    loose_step = _loose_step(ctrl.step)
-    seen: list[tuple[float, str, float, bool]] = []   # (amplitude, class, proxy, loose) per shot
-
-    def run(a: float, quad: bool = False, loose: bool = False) -> Trajectory:
-        nonlocal integrations, rhs_evals, loose_runs
-        integrations += 1
-        if loose:
-            loose_runs += 1
-            tol = loose_step
-        else:
-            tol = replace(ctrl.step, with_quadrature=True) if quad else ctrl.step
-        try:
-            t = integrate(params, a, r_max, tol)
-        except IntegrationFailure as exc:
-            rhs_evals += exc.partial.rhs_evals
-            raise
-        rhs_evals += t.rhs_evals
-        return t
-
-    def shoot(a: float, loose: bool = False) -> tuple[str, float]:
-        t = run(a, loose=loose)
-        c = classify(t, params, a, ctrl.convergence_factor)
-        g = _shooting_proxy(params, t, c)
-        seen.append((a, c, g, loose))
-        return c, g
-
-    def cls(a: float) -> str:
-        return shoot(a)[0]
-
-    # establish the bracket, preferring a caller-supplied hint
-    lo = hi = None
-    if ctrl.bracket_hint is not None:
-        h_lo, h_hi = ctrl.bracket_hint
-        try:
-            if (cls(h_lo) == Classification.UNDERSHOOT
-                    and cls(h_hi) == Classification.OVERSHOOT):
-                lo, hi = h_lo, h_hi
-        except IntegrationFailure:
-            pass  # hint outside the admissible window; rebuild from scratch
-    if lo is None:
-        lo = lo_seed
-        for _ in range(60):
-            c = cls(lo)
-            if c == Classification.UNDERSHOOT:
-                break
-            lo = math.sqrt(lo * u_f0) if u_f0 > 0.0 else 0.5 * lo
-        else:
-            raise BracketNotFound(
-                f"no undershoot amplitude found near {lo_seed:g} for "
-                f"{params.family.value} (N={params.N}, p={params.p}, q={params.q})"
-            )
-        if hi_seed is None:
-            hi = lo
-            for _ in range(60):
-                hi *= 1.5
-                if cls(hi) == Classification.OVERSHOOT:
-                    break
-            else:
-                raise BracketNotFound("upward amplitude scan found no overshoot")
-        else:
-            hi = hi_seed
-            for _ in range(60):
-                if cls(hi) == Classification.OVERSHOOT:
-                    break
-                hi = u_hi - 0.25 * (u_hi - hi)
-            else:
-                raise BracketNotFound(
-                    f"no overshoot amplitude found below {hi_seed:g}; regime "
-                    "violation, or eps so close to eps* that the ground-state "
-                    "amplitude is degenerate with the largest root of f at "
-                    "machine precision"
-                )
-    bracket_runs = integrations
-
-    start = (lo, hi)   # the replay's starting bracket
-
-    def replay(known_u: float, known_o: float) -> tuple[float, float, int]:
-        def side(mid: float) -> str:
-            c = _decided(mid, known_u, known_o)
-            return cls(mid) if c is None else c
-
-        return _bisect(*start, ctrl, side)
-
-    known_u, known_o = _narrow_window(lo, hi, seen, shoot, ctrl)
-    lo, hi, iters = replay(known_u, known_o)
-    # edge check: a loose edge of the wrong class pins the replay's bracket
-    # on itself (or a Converged mid stopped the replay)
-    suspects = [(a, c) for a, c, _, loose in seen
-                if loose and a in (known_u, known_o) and (lo <= a <= hi or lo == hi)]
-    if any(cls(a) != c for a, c in suspects):
-        tight = [s for s in seen if not s[3]]
-        (known_u, _), (known_o, _) = _edges(*start, tight)
-        if known_u >= known_o:
-            known_u, known_o = start
-        lo, hi, iters = replay(known_u, known_o)
+    run = _Runs(params, ctrl, r_max)
+    if probe is not None:
+        run.integrations = run.bracket_runs = 1
+        run.rhs_evals = probe.rhs_evals
+    window = (u_f0, u_hi, lo_seed, hi_seed)
+    attempt = _bisection_attempt(params, ctrl, window, run, loose_first=True)
+    fallbacks = int(attempt is None)
+    if attempt is None:
+        attempt = _bisection_attempt(params, ctrl, window, run, loose_first=False)
+    lo, hi, iters = attempt
     if iters >= ctrl.max_iter:
         warnings.warn(
             f"amplitude bisection hit the {ctrl.max_iter}-iteration cap at "
@@ -725,18 +751,119 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
     width = max(hi / lo - 1.0, 4e-16)
 
     profile = _package_profile(params, a_star, final, width, r_max)
-    profile.bisection_iterations = integrations - bracket_runs - 1
+    profile.bisection_iterations = run.integrations - run.bracket_runs - 1
     profile.bracket = (lo, hi)
     profile.r_max_used = r_max
-    profile.integrations = integrations
-    profile.rhs_evals = rhs_evals
-    profile.loose_integrations = loose_runs
+    profile.integrations = run.integrations
+    profile.rhs_evals = run.rhs_evals
+    profile.loose_integrations = run.loose_runs
+    profile.fallbacks = fallbacks
 
     if params.family is Family.P_EPS and profile.amplitude > 1.0 + 1e-12:
         raise InternalConsistencyError(
             f"P_eps amplitude {profile.amplitude} exceeds the uniform bound 1"
         )
     return profile
+
+
+def _bisection_attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
+                       loose_first: bool) -> tuple[float, float, int] | None:
+    """Bracket, model phase and replay: (lo, hi, iterations) of the final bracket.
+
+    ``window`` is (u_f0, u_hi, lo_seed, hi_seed).  With ``loose_first`` the
+    scans, hint checks and far model probes run loose, and None is returned
+    if a loose class fails the exactness check of find_ground_state.
+    Without it every shot runs tight and the model phase is skipped, so the
+    replay integrates every mid: the plain bisection.
+    """
+    u_f0, u_hi, lo_seed, hi_seed = window
+    seen: list[tuple[float, str, float, bool]] = []   # (amplitude, class, proxy, loose) per shot
+    runs_before = run.integrations
+
+    def shot(a: float, loose: bool) -> tuple[float, str, float, bool]:
+        t = run(a, loose=loose)
+        c = classify(t, params, a, ctrl.convergence_factor)
+        return a, c, _shooting_proxy(params, t, c), loose
+
+    def shoot(a: float, loose: bool = False) -> tuple[str, float]:
+        s = shot(a, loose)
+        seen.append(s)
+        return s[1], s[2]
+
+    def scan(a: float) -> str:
+        """Class of a scan or hint shot: loose, re-run tight if Converged or failed."""
+        s = None
+        if loose_first:
+            try:
+                s = shot(a, True)
+            except IntegrationFailure:
+                pass
+        if s is None or s[1] == Classification.CONVERGED:
+            s = shot(a, False)
+        seen.append(s)
+        return s[1]
+
+    # establish the bracket, preferring a caller-supplied hint
+    lo = hi = None
+    if ctrl.bracket_hint is not None:
+        h_lo, h_hi = ctrl.bracket_hint
+        try:
+            if (scan(h_lo) == Classification.UNDERSHOOT
+                    and scan(h_hi) == Classification.OVERSHOOT):
+                lo, hi = h_lo, h_hi
+        except IntegrationFailure:
+            pass  # hint outside the admissible window; rebuild from scratch
+    if lo is None:
+        lo = lo_seed
+        for _ in range(60):
+            if scan(lo) == Classification.UNDERSHOOT:
+                break
+            lo = math.sqrt(lo * u_f0) if u_f0 > 0.0 else 0.5 * lo
+        else:
+            raise BracketNotFound(
+                f"no undershoot amplitude found near {lo_seed:g} for "
+                f"{params.family.value} (N={params.N}, p={params.p}, q={params.q})"
+            )
+        if hi_seed is None:
+            hi = lo
+            for _ in range(60):
+                hi *= 1.5
+                if scan(hi) == Classification.OVERSHOOT:
+                    break
+            else:
+                raise BracketNotFound("upward amplitude scan found no overshoot")
+        else:
+            hi = hi_seed
+            for _ in range(60):
+                if scan(hi) == Classification.OVERSHOOT:
+                    break
+                hi = u_hi - 0.25 * (u_hi - hi)
+            else:
+                raise BracketNotFound(
+                    f"no overshoot amplitude found below {hi_seed:g}; regime "
+                    "violation, or eps so close to eps* that the ground-state "
+                    "amplitude is degenerate with the largest root of f at "
+                    "machine precision"
+                )
+    run.bracket_runs += run.integrations - runs_before
+
+    # without the model phase the window is the bracket: every mid is integrated
+    known_u, known_o = _narrow_window(lo, hi, seen, shoot, ctrl) if loose_first else (lo, hi)
+
+    def side(mid: float) -> str:
+        c = _decided(mid, known_u, known_o)
+        return shoot(mid)[0] if c is None else c
+
+    lo, hi, iters = _bisect(lo, hi, ctrl, side)
+    # the exactness check of find_ground_state, over every loose shot
+    for a, c in [(a, c) for a, c, _, loose in seen if loose]:
+        if lo <= a <= hi or (lo == hi and a in (known_u, known_o)):
+            agrees = shoot(a)[0] == c
+        else:
+            agrees = c == (Classification.UNDERSHOOT if a < lo else Classification.OVERSHOOT)
+        if not agrees:
+            return None
+    return lo, hi, iters
 
 
 def _package_profile(params: ProblemParams, a: float, traj: Trajectory,

@@ -99,3 +99,46 @@ def delta_sweep_small_q():
 @pytest.fixture(scope="session")
 def tight_ctrl():
     return ShootControls(amp_tol=1e-14)
+
+
+@pytest.fixture
+def misread_loose_shot(monkeypatch):
+    """Make one loose shot of the solver read the wrong class.
+
+    ``arm(pick)`` wraps shooting.integrate and shooting.classify: the first
+    shot at the loose step controls whose (amplitude, class) ``pick``
+    accepts reads Overshoot for Undershoot and the reverse.  It returns the
+    log of integrate calls, [amplitude, "loose" | "tight" | "final",
+    rhs_evals] each, and the list of amplitudes misread (at most one).
+    """
+    from gslab import Classification, shooting
+
+    loose_step = shooting._loose_step(ShootControls().step)
+    other = {Classification.UNDERSHOOT: Classification.OVERSHOOT,
+             Classification.OVERSHOOT: Classification.UNDERSHOOT}
+    real_integrate, real_classify = shooting.integrate, shooting.classify
+
+    def arm(pick):
+        calls, misread = [], []
+
+        def recorded(p, a, r_max, tol=None):
+            kind = ("loose" if tol == loose_step
+                    else "final" if tol is not None and tol.with_quadrature else "tight")
+            calls.append([a, kind, 0])
+            t = real_integrate(p, a, r_max, tol)
+            calls[-1][2] = t.rhs_evals
+            return t
+
+        def classify(t, params=None, amplitude=None, convergence_factor=1e-8):
+            c = real_classify(t, params, amplitude, convergence_factor)
+            if (not misread and c in other and calls[-1][1] == "loose"
+                    and pick(amplitude, c)):
+                misread.append(amplitude)
+                return other[c]
+            return c
+
+        monkeypatch.setattr(shooting, "integrate", recorded)
+        monkeypatch.setattr(shooting, "classify", classify)
+        return calls, misread
+
+    return arm

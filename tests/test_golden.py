@@ -40,16 +40,16 @@ GOLDEN = [
 # co-integrated Gauss panels of the final pass, and the RHS work of the solve
 PANELS = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
-                 "0x1.cca5f50fa83dfp+0", "0x1.4fa95d4109083p+0", 14624,
+                 "0x1.cca5f50fa83dfp+0", "0x1.4fa95d4109083p+0", 13238,
                  id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
-                 "0x1.ecb726ffcbf39p+1", "0x1.ecb6aeec0499ep+0", 26319,
+                 "0x1.ecb726ffcbf39p+1", "0x1.ecb6aeec0499ep+0", 25317,
                  id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "0x1.80f8bd8d302c9p+2", "0x1.20ba7e5f5a43ap+2", 16164,
+                 "0x1.80f8bd8d302c9p+2", "0x1.20ba7e5f5a43ap+2", 13464,
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.cc15a89056f7cp+2", "0x1.32af9c8f3707ep+2", 15678,
+                 "0x1.cc15a89056f7cp+2", "0x1.32af9c8f3707ep+2", 13608,
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
@@ -201,3 +201,142 @@ def test_emden_constants_match_golden_bitwise(N, s_star, qs):
 
     assert float(sobolev_constant.__wrapped__(N)).hex() == s_star
     assert float(q_star.__wrapped__(N)).hex() == qs
+
+
+# The amplitudes of two 8-point hinted N=3 subcritical sweeps, pinned before
+# the bracket scans and hint checks ran at the loose step controls.  At grid
+# ratio 1.5 every hint (0.75 a, 1.3 a) around the previous amplitude is
+# accepted; at ratio 2 the amplitude falls faster than the hint's lower end,
+# so every hint is rejected and the solve falls back to the window scans.
+HINTED_SWEEPS = [
+    pytest.param(1.5, ["0x1.abceb30662825p-2", "0x1.61b612d426cc7p-2", "0x1.23389d16fbe02p-2",
+                       "0x1.de34e92e61575p-3", "0x1.87e5ff495d912p-3", "0x1.40c58b6cb2012p-3",
+                       "0x1.0656a7d2bd2efp-3", "0x1.acdd747593ac7p-4"], 2, id="hints-accepted"),
+    pytest.param(2.0, ["0x1.abceb30662825p-2", "0x1.343e8a905ab86p-2", "0x1.b805a1455fbb8p-3",
+                       "0x1.389957fba7f47p-3", "0x1.bb1d3ef795c48p-4", "0x1.39b1d0f28a40dp-4",
+                       "0x1.bbe3c7e821db1p-5", "0x1.39f80bd718799p-5"], 3, id="hints-rejected"),
+]
+
+
+@pytest.mark.parametrize("ratio, amplitudes, bracket_runs", HINTED_SWEEPS)
+def test_hinted_sweep_matches_golden_bitwise(ratio, amplitudes, bracket_runs, monkeypatch):
+    from gslab import SweepSpec, functionals, sweep
+
+    hinted = []   # integrations before the model phase, per hinted solve
+    real = functionals.find_ground_state
+
+    def recorded(params, ctrl=ShootControls()):
+        prof = real(params, ctrl)
+        if ctrl.bracket_hint is not None:
+            hinted.append(prof.integrations - prof.bisection_iterations - 1)
+        return prof
+
+    monkeypatch.setattr(functionals, "find_ground_state", recorded)
+    rep = sweep(SweepSpec(regime="subcritical", N=3, p=4.0, q=6.0,
+                          grid_min=1e-2 / ratio ** 7, grid_max=1e-2, ratio=ratio))
+    assert [pt.amplitude.hex() for pt in rep.points] == amplitudes
+    # an accepted hint costs its two checks; a rejected one its lower check
+    # (an overshoot), then one shot at each end of the admissible window
+    assert hinted == [bracket_runs] * 7
+
+
+@pytest.mark.parametrize("params, amplitude, level_S, nehari, rhs_evals", GOLDEN)
+@pytest.mark.parametrize("end", ["lower", "upper"])
+def test_misread_scan_end_falls_back_to_golden_bitwise(params, amplitude, level_S, nehari,
+                                                       rhs_evals, end, misread_loose_shot):
+    # the loose shot that ends the lower (or upper) bracket scan reads the
+    # wrong class: the exactness check catches it, the solve runs again as
+    # the plain bisection and lands on the golden values bit for bit
+    from gslab import Classification
+
+    stop = Classification.UNDERSHOOT if end == "lower" else Classification.OVERSHOOT
+    calls, misread = misread_loose_shot(lambda a, c: c == stop)
+    sol = solve_ground_state(params)
+    prof = sol.profile
+    assert misread and prof.fallbacks == 1
+    assert [misread[0], "tight"] in [call[:2] for call in calls]   # the re-run's tight scan
+    # the counters sum over both attempts
+    assert prof.integrations == len(calls)
+    assert prof.loose_integrations == sum(kind == "loose" for _, kind, _ in calls)
+    assert prof.rhs_evals == sum(n for _, _, n in calls)
+    assert sol.amplitude.hex() == amplitude
+    assert sol.level_S.hex() == level_S
+    assert sol.nehari_residual.hex() == nehari
+    assert prof.grid.rhs_evals == rhs_evals
+
+
+def test_misread_hint_check_falls_back_to_golden_bitwise(misread_loose_shot, monkeypatch):
+    # the hinted sweep whose hints are all accepted, with the loose lower
+    # hint check of its first hinted solve misread as an overshoot
+    from gslab import SweepSpec, functionals, sweep
+
+    ratio, amplitudes, _ = HINTED_SWEEPS[0].values
+    hint = [None]   # the bracket hint of the solve running
+    calls, misread = misread_loose_shot(lambda a, c: hint[-1] is not None and a == hint[-1][0])
+    solves = []   # (profile, its integrate calls)
+    real = functionals.find_ground_state
+
+    def recorded(params, ctrl=ShootControls()):
+        hint.append(ctrl.bracket_hint)
+        first = len(calls)
+        prof = real(params, ctrl)
+        solves.append((prof, calls[first:]))
+        return prof
+
+    monkeypatch.setattr(functionals, "find_ground_state", recorded)
+    rep = sweep(SweepSpec(regime="subcritical", N=3, p=4.0, q=6.0,
+                          grid_min=1e-2 / ratio ** 7, grid_max=1e-2, ratio=ratio))
+    assert [pt.amplitude.hex() for pt in rep.points] == amplitudes
+    # the reference solve and the first point run unhinted
+    assert misread == [hint[3][0]]
+    assert [prof.fallbacks for prof, _ in solves] == [0, 0, 1] + [0] * 6
+    for prof, own in solves:
+        assert prof.integrations == len(own)
+        assert prof.loose_integrations == sum(kind == "loose" for _, kind, _ in own)
+        assert prof.rhs_evals == sum(n for _, _, n in own)
+
+
+def test_non_monotone_solve_falls_back_to_plain_bisection_golden():
+    # critical N=4 at eps ~ 3.7e-9, hinted as in the crit4 sweep: here the
+    # tight class is not monotone at the 1e-12 scale, a loose class fails
+    # the exactness check, and the all-tight re-solve is the plain bisection,
+    # whose amplitude (pinned at the parent) a re-solve with a model phase
+    # would miss by ~1e-11 relative
+    from gslab import shooting
+
+    params = ProblemParams(4, 4.0, 8.0, 3.662109375e-09, Family.P_EPS)
+    ctrl = ShootControls(bracket_hint=(0.10300182478482967, 0.17853649629370474))
+    prof = shooting.find_ground_state(params, ctrl)
+    assert prof.fallbacks == 1
+    assert prof.amplitude.hex() == "0x1.f8c1d41b8d90cp-4"
+
+
+def test_misread_edge_above_a_converged_stop_falls_back_to_golden_bitwise(misread_loose_shot,
+                                                                          monkeypatch):
+    # the loose upper scan end misreads as an undershoot, so it becomes the
+    # window edge known_u, and the first mid the replay integrates above it
+    # reads Converged: the replay stops with that edge below its bracket,
+    # where only the tight check of the edges catches it
+    from gslab import Classification, shooting
+
+    params, amplitude, level_S, nehari, rhs_evals = GOLDEN[0].values
+    calls, misread = misread_loose_shot(lambda a, c: c == Classification.OVERSHOOT)
+    # no model probes: the window edges are the bracket shots
+    monkeypatch.setattr(shooting, "_narrow_window", lambda lo, hi, seen, shoot, ctrl: tuple(
+        a for a, _ in shooting._edges(lo, hi, seen)))
+    misreading, stopped = shooting.classify, []
+
+    def converged_once(t, params=None, amplitude=None, convergence_factor=1e-8):
+        c = misreading(t, params, amplitude, convergence_factor)
+        if not stopped and misread and calls[-1][1] == "tight" and amplitude > misread[0]:
+            stopped.append(amplitude)
+            return Classification.CONVERGED
+        return c
+
+    monkeypatch.setattr(shooting, "classify", converged_once)
+    sol = solve_ground_state(params)
+    assert stopped and sol.profile.fallbacks == 1
+    assert sol.amplitude.hex() == amplitude
+    assert sol.level_S.hex() == level_S
+    assert sol.nehari_residual.hex() == nehari
+    assert sol.profile.grid.rhs_evals == rhs_evals

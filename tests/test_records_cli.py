@@ -381,3 +381,48 @@ def test_cli_loose_integrations_count_the_loose_model_probes(tmp_path, monkeypat
     assert prof.loose_integrations > 0
     for scaled in (sol.rescaled_to_frame().profile, rescale_to_v(prof, 0.7)):
         assert scaled.loose_integrations == prof.loose_integrations
+
+
+def test_cli_fallbacks_report_the_all_tight_re_solve(tmp_path, misread_loose_shot):
+    # independent count: the fixture wraps the integrate() that
+    # find_ground_state calls; the first loose undershoot is misread, so the
+    # exactness check fails and the solve runs again all tight
+    from gslab import Classification, Family, ProblemParams, rescale_to_v, solve_ground_state
+
+    argv = ["solve", *_SOLVE_ARGV, "--no-cache"]
+    out = tmp_path / "r.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert parse(out.read_bytes()).diagnostics["fallbacks"] == 0
+
+    calls, misread = misread_loose_shot(lambda a, c: c == Classification.UNDERSHOOT)
+    assert main([*argv, "--out", str(out)]) == 0
+    diag = parse(out.read_bytes()).diagnostics
+    assert misread and diag["fallbacks"] == 1
+    assert diag["integrations_run"] == len(calls)
+    assert diag["loose_integrations"] == sum(kind == "loose" for _, kind, _ in calls)
+    assert diag["rhs_evals"] == sum(n for _, _, n in calls)
+
+    # a cache hit runs nothing
+    calls, misread = misread_loose_shot(lambda a, c: c == Classification.UNDERSHOOT)
+    cached = ["solve", *_SOLVE_ARGV, "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]
+    assert main(cached) == 0 and main(cached) == 0
+    assert parse(out.read_bytes()).diagnostics["fallbacks"] == 0
+
+    calls, misread = misread_loose_shot(lambda a, c: c == Classification.UNDERSHOOT)
+    sol = solve_ground_state(ProblemParams(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS))
+    assert misread and sol.profile.fallbacks == 1
+    for scaled in (sol.rescaled_to_frame().profile, rescale_to_v(sol.profile, 0.7)):
+        assert scaled.fallbacks == 1
+
+
+@pytest.mark.parametrize("argv", [["emden"], ["check", "--suite", "emden"]])
+@pytest.mark.parametrize("N", ["2", "0", "-1"])
+def test_cli_emden_rejects_dimension_below_3(argv, N, capsys):
+    # an argument error exits 2 with a usage message, for N = 0 too (it
+    # used to run N = 3), and never raises out of main
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--N", N])
+    assert exc.value.code == 2
+    assert f"need N >= 3, got {N}" in capsys.readouterr().err
+    assert main([*argv]) == 0   # no --N: N = 3
+    assert "S* = 5.47790408953" in capsys.readouterr().out
