@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -122,6 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("emden", help="print Emden-Fowler reference values")
     sp.add_argument("--N", type=int, required=False)
     return ap
+
+
+# main's parser, built on first use and reused for every later call in the
+# process: parse_args keeps no state on the parser, and building the tree costs
+# more than a warm-cache solve.  build_parser() still returns a fresh parser.
+_parser = functools.cache(build_parser)
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -270,9 +277,8 @@ def _cmd_solve(args, parser) -> int:
             return 1
         if not args.no_cache:
             cache_store(key, record, args.cache_dir)
-    blob = serialize(record)
     if args.out:
-        args.out.write_bytes(blob)
+        args.out.write_bytes(serialize(record))
     pay = record.payload
     print(f"family {params.family.value}  N={params.N} p={params.p:g} q={params.q:g} "
           f"eps={params.eps:g}")
@@ -430,7 +436,7 @@ def _cmd_emden(args, parser) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     _apply_config(args, parser)
     cmd = {

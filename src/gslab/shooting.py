@@ -324,6 +324,21 @@ def _shooting_proxy(params: ProblemParams, t: Trajectory, c: str) -> float:
     return -t.values[-1] * scale * kve(nu + 1.0, x)
 
 
+def _f_root(fun, a: float, b: float) -> float:
+    """Root of fun in [a, b] to about 1e-15 relative; in log u if that does not converge.
+
+    With p close to 2 a bracket can span tens of decades with the root near
+    one end; Brent's method in u then needs more than its 100 steps, in log u
+    about 60.  A root found in u is returned as found, so every input that
+    converges in u keeps its bits.
+    """
+    try:
+        return _brentq(fun, a, b, xtol=1e-300, rtol=1e-15)
+    except RuntimeError:   # no convergence in maxiter steps
+        return math.exp(_brentq(lambda t: fun(math.exp(t)), math.log(a), math.log(b),
+                                xtol=1e-15))
+
+
 def _f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
     """(u_F0, u_hi): first positive zero of F and largest root of f (None = scan up)."""
     lin, qc = params.linear_coeff, params.q_coeff
@@ -349,11 +364,16 @@ def _f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
             f"(N={params.N}, p={params.p}, q={params.q}, eps={params.eps}); "
             "no ground state in this regime"
         )
-    m1 = _brentq(g, u_peak * 1e-14, u_peak, xtol=1e-300, rtol=1e-15)
+    u_lo = u_peak * 1e-14
+    if g(u_lo) > 0.0:
+        # p close to 2: u^(p-2) > lin still holds there, and g < 0 wherever
+        # u^(p-2) < lin, so take the lower end from lin instead
+        u_lo = (0.5 * lin) ** (1.0 / (p - 2.0))
+    m1 = _f_root(g, u_lo, u_peak)
     hi = u_peak
     while g(hi) > 0.0:
         hi *= 2.0
-    m2 = _brentq(g, u_peak, hi, xtol=1e-300, rtol=1e-15)
+    m2 = _f_root(g, u_peak, hi)
     if params.F(m2) <= 0.0:
         extra = ""
         if params.family is Family.P_EPS:
@@ -361,7 +381,7 @@ def _f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
         raise BracketNotFound(
             f"potential F has no positive zero below the largest root of f{extra}"
         )
-    u_f0 = _brentq(params.F, m1, m2, xtol=1e-300, rtol=1e-15)
+    u_f0 = _f_root(params.F, m1, m2)
     return u_f0, m2
 
 

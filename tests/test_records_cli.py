@@ -426,3 +426,53 @@ def test_cli_emden_rejects_dimension_below_3(argv, N, capsys):
     assert f"need N >= 3, got {N}" in capsys.readouterr().err
     assert main([*argv]) == 0   # no --N: N = 3
     assert "S* = 5.47790408953" in capsys.readouterr().out
+
+
+def test_cli_solve_with_p_close_to_2_exits_cleanly(capsys):
+    # p close to 2: f's lower root bracket comes from eps; a solver failure
+    # must be a classified one (exit 1), never a traceback
+    rc = main(["solve", "--family", "P_eps", "--N", "3", "--p", "2.58", "--q", "6.33",
+               "--eps", "1.65e-9", "--no-cache"])
+    assert rc in (0, 1)
+    if rc == 1:
+        assert "solve failed: " in capsys.readouterr().err
+
+
+def test_cli_reused_parser_carries_no_state(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process; every call must behave as with
+    # a fresh parser, whatever ran before it
+    from gslab import cli
+
+    assert cli.build_parser() is not cli.build_parser()
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[solve]\nfamily = P_eps\nN = 3\np = 4\nq = 6\neps = 2e-2\nno-cache = true\n")
+    script = [
+        ["solve", *_SOLVE_ARGV],                      # cache miss
+        ["solve", *_SOLVE_ARGV],                      # cache hit
+        ["emden", "--N", "2"],                        # argument error: exit 2
+        ["check", "--suite", "nehari", *_SOLVE_ARGV],
+        ["--config", str(cfg), "solve"],              # config seeds --no-cache
+        ["solve", *_SOLVE_ARGV, "--no-cache", "--amp-tol", "1e-10"],
+        ["solve", *_SOLVE_ARGV],                      # cache hit again
+    ]
+
+    def run(cache):
+        monkeypatch.setenv("GSLAB_CACHE_DIR", str(tmp_path / cache))
+        seen = []
+        for argv in script:
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = f"SystemExit {exc.code}"
+            seen.append((rc, capsys.readouterr()))
+        return seen
+
+    cli._parser.cache_clear()
+    reused = run("reused")
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = run("fresh")
+    assert reused == fresh
+    assert [rc for rc, _ in fresh] == [0, 0, "SystemExit 2", 0, 0, 0, 0]
+    assert [("cache hit" in out.out) for _, out in fresh] == [
+        False, True, False, False, False, False, True]

@@ -116,3 +116,29 @@ def test_cli_import_leaves_scipy_optimize_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_f_positive_roots_raise_only_bracket_not_found():
+    # admissible draws with p in (2.2, 9): with p close to 2 the lower end of
+    # f's first root bracket comes from eps, and a root Brent's method cannot
+    # reach in u within its step budget is found in log u
+    rng = random.Random(20261019)
+    found = 0
+    for _ in range(2000):
+        params = _draw_params(rng)
+        try:
+            u_f0, u_hi = shooting._f_positive_roots(params)
+        except BracketNotFound:
+            continue
+        assert 0.0 < u_f0 < u_hi, params
+        found += 1
+    assert found > 1800
+
+
+def test_f_positive_roots_with_p_close_to_2():
+    # u_peak * 1e-14 still has g > 0 here, so the lower bracket end comes from eps
+    params = ProblemParams(3, 2.58, 6.33, 1.65e-9, Family.P_EPS)
+    u_f0, u_hi = shooting._f_positive_roots(params)
+    assert 0.0 < u_f0 < u_hi < 1.0
+    assert abs(params.F(u_f0)) <= 1e-12 * u_f0 ** 2
+    assert params.F(u_f0 * (1.0 - 1e-9)) < 0.0 < params.F(u_f0 * (1.0 + 1e-9))
