@@ -3,10 +3,11 @@
 In the critical case the minimizer w_eps concentrates: the radius
 lambda_eps at which the ball-mass of |w_eps|^p reaches Q* defines the
 rescaling v_eps(x) = lambda^((N-2)/2) w_eps(lambda x), which converges to
-the Sobolev minimizer W_1.  Sweeps solve a geometric grid of eps (or
-delta) values, collect the regime's observables, and confront fitted
-log-log slopes (optionally with a log(1/eps) correction factor) with the
-predicted exponents.
+the Sobolev minimizer W_1; it and the minimizer frame are both
+functionals.scale_profile.  Sweeps solve a geometric grid of eps (or delta)
+values, collect the regime's observables, and confront fitted log-log
+slopes (optionally with a log(1/eps) correction factor) with the predicted
+exponents.
 """
 
 from __future__ import annotations
@@ -171,58 +172,19 @@ def _ball_mass_series(w: RadialProfile, r: float) -> float:
 
 
 def rescale_to_v(w: RadialProfile, lam: float) -> RadialProfile:
-    """v(x) = lam^((N-2)/2) w(lam x): exact reparameterization of grid and tail."""
+    """v(x) = lam^((N-2)/2) w(lam x): scale_profile(w, lam^((N-2)/2), lam ** 2).
+
+    lam ** 2 is the square the tail correction always took, and its square
+    root is lam exactly (pow is within 0.52 ulp, and sqrt maps anything
+    within 0.7 ulp of lam^2 back to lam), so every field keeps the bits of
+    the transform written in lam except the norm arrays: their factor
+    (lam ** 2) ** (-N/2) replaces lam ** -N, an ulp or two apart.
+    """
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
     if lam == 1.0:
         return w
-    N = w.params.N
-    amp_fac = lam ** ((N - 2.0) / 2.0)
-    t = w.grid
-    scaled = replace(
-        t,
-        radii=t.radii / lam,
-        values=t.values * amp_fac,
-        slopes=t.slopes * (amp_fac * lam),
-        terminal_radius=t.terminal_radius / lam,
-    )
-    if t.norm_l2 is not None:
-        scaled.norm_l2 = t.norm_l2 * (amp_fac**2 * lam**-N)
-        scaled.norm_lp = t.norm_lp * (amp_fac ** w.params.p * lam**-N)
-        scaled.norm_lq = t.norm_lq * (amp_fac ** w.params.q * lam**-N)
-        scaled.norm_dir = t.norm_dir * (amp_fac**2 * lam ** (2 - N))
-    tail = w.tail
-    # base_v(y) = amp_fac * base_w(lam y); the correction regressor g picks up
-    # amp_fac^(p-2) from |base|^(p-2) and lam^-2 from r^2/(1+(kr)^2)
-    corr_fac = amp_fac ** -tail.corr_pm2 * lam**2
-    if tail.kind == "Exponential":
-        new_tail = replace(
-            tail,
-            rate_or_power=tail.rate_or_power * lam,
-            prefactor=tail.prefactor * amp_fac * lam ** (-(N - 1.0) / 2.0),
-            match_radius=tail.match_radius / lam,
-            corr=tail.corr * corr_fac,
-        )
-    else:
-        new_tail = replace(
-            tail,
-            prefactor=tail.prefactor * amp_fac * lam ** (-(N - 2.0)),
-            match_radius=tail.match_radius / lam,
-            corr=tail.corr * corr_fac,
-        )
-    return RadialProfile(
-        params=w.params,
-        amplitude=w.amplitude * amp_fac,
-        grid=scaled,
-        tail=new_tail,
-        bisection_iterations=w.bisection_iterations,
-        bracket=w.bracket,
-        integrations=w.integrations,
-        rhs_evals=w.rhs_evals,
-        loose_integrations=w.loose_integrations,
-        fallbacks=w.fallbacks,
-        r_max_used=w.r_max_used / lam,
-    )
+    return fn.scale_profile(w, lam ** ((w.params.N - 2.0) / 2.0), lam ** 2)
 
 
 def profile_distances(v: RadialProfile, ref: EmdenFowlerProfile) -> tuple[float, float]:
@@ -322,6 +284,7 @@ class FitResult:
     predicted_log_power: float = 0.0
     window: tuple[float, float] = (math.nan, math.nan)
     n_points: int = 0
+    intercept: float = math.nan   # a of log y = a + b log x (+ c log log(1/x))
 
 
 def fit_exponent(points, with_log: bool = False) -> FitResult:
@@ -359,6 +322,7 @@ def fit_exponent(points, with_log: bool = False) -> FitResult:
         rms_residual=math.sqrt(ss_res / len(xs)),
         window=(float(xs.min()), float(xs.max())),
         n_points=len(xs),
+        intercept=float(coef[0]),
     )
 
 
@@ -383,6 +347,15 @@ class SweepSpec:
     def p_value(self) -> float:
         ps = 2.0 * self.N / (self.N - 2.0)
         return ps if self.p is None else self.p
+
+    def params(self, x: float) -> ProblemParams:
+        """The problem solved at grid value x: eps, or delta = |p - p*|."""
+        if self.regime in ("subcritical", "critical", "supercritical"):
+            return ProblemParams(self.N, self.p_value(), self.q, x, Family.P_EPS)
+        ps = 2.0 * self.N / (self.N - 2.0)
+        if self.regime == "delta_supercritical":
+            return ProblemParams(self.N, ps + x, self.q, 0.0, Family.P_ZERO)
+        return ProblemParams(self.N, ps - x, self.q, 0.0, Family.R_ZERO)  # p_up_subcritical
 
     def grid(self) -> list[float]:
         if not (1.0 < self.ratio <= 4.0):
@@ -486,12 +459,7 @@ def _solve_point(spec: SweepSpec, x: float, hint: tuple[float, float] | None,
     ps = 2.0 * N / (N - 2.0)
     pt = SweepPoint(x=x)
     try:
-        if spec.regime in ("subcritical", "critical", "supercritical"):
-            params = ProblemParams(N, spec.p_value(), q, x, Family.P_EPS)
-        elif spec.regime == "delta_supercritical":
-            params = ProblemParams(N, ps + x, q, 0.0, Family.P_ZERO)
-        else:  # p_up_subcritical
-            params = ProblemParams(N, ps - x, q, 0.0, Family.R_ZERO)
+        params = spec.params(x)
         ctrl = spec.shoot if hint is None else replace(spec.shoot, bracket_hint=hint)
         sol = fn.solve_ground_state(params, ctrl)
         pt.amplitude = sol.amplitude
@@ -618,17 +586,10 @@ def sweep(spec: SweepSpec) -> ScalingReport:
 
 def _amp_cap(spec: SweepSpec, x: float) -> float:
     """Upper admissible amplitude for bracket hints (largest root of f)."""
-    try:
-        if spec.regime in ("subcritical", "critical", "supercritical"):
-            params = ProblemParams(spec.N, spec.p_value(), spec.q, x, Family.P_EPS)
-        elif spec.regime == "delta_supercritical":
-            ps = 2.0 * spec.N / (spec.N - 2.0)
-            params = ProblemParams(spec.N, ps + x, spec.q, 0.0, Family.P_ZERO)
-        else:
-            return math.inf
-        from .shooting import _f_positive_roots
+    from .shooting import _f_positive_roots
 
-        _, hi = _f_positive_roots(params)
+    try:
+        _, hi = _f_positive_roots(spec.params(x))
         return hi * (1.0 - 1e-9) if hi is not None else math.inf
     except _POINT_FAILURES:
         return math.inf

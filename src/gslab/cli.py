@@ -338,16 +338,10 @@ def _cmd_sweep(args, parser) -> int:
         fit = report.fits["amplitude"]
         lines = ["x,y,fit"]
         for pt in report.converged_points():
-            lx = math.log(pt.x)
-            model = fit.exponent * lx
+            model = fit.intercept + fit.exponent * math.log(pt.x)
             if fit.log_power:
                 model += fit.log_power * math.log(math.log(1.0 / pt.x))
-            anchor = math.log(report.converged_points()[-1].amplitude) - (
-                fit.exponent * math.log(report.converged_points()[-1].x)
-                + (fit.log_power * math.log(math.log(1.0 / report.converged_points()[-1].x))
-                   if fit.log_power else 0.0)
-            )
-            lines.append(f"{pt.x!r},{pt.amplitude!r},{math.exp(anchor + model)!r}")
+            lines.append(f"{pt.x!r},{pt.amplitude!r},{math.exp(model)!r}")
         args.emit_plot_data.write_text("\n".join(lines) + "\n")
     return 0
 

@@ -9,7 +9,8 @@ exact integral identities hold and serve as solver correctness oracles:
 Together they give E(u) = (1/2 - 1/p*) ||grad u||_2^2, so the variational
 level is S = (E / (1/2 - 1/p*))^(2/N) and ||grad u||_2^2 = S^(N/2).  The
 minimizer frame w(y) = u(sqrt(S) y) then satisfies ||grad w||_2^2 = S and
-the constraint p* int F(w) = 1.
+the constraint p* int F(w) = 1.  It is scale_profile(u, 1, S), the one
+transform amp*u(lam y) that asymptotics.rescale_to_v uses too.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .emden import EmdenFowlerProfile, _leggauss
-from .errors import DivergentNormError, InconsistentSolution
+from .errors import InconsistentSolution
 from .params import ProblemParams, sphere_area
 from .shooting import RadialProfile, ShootControls, _hermite, find_ground_state
 
@@ -63,21 +64,20 @@ class GroundStateSolution:
         return self.profile.amplitude
 
     def rescaled_to_frame(self, S: float | None = None) -> "GroundStateSolution":
-        """Exact minimizer-frame copy (norms transform by powers of S)."""
+        """Exact minimizer-frame copy; the norms take scale_profile's factors
+        (with amplitude factor 1 each L^s one is S^(-N/2), as the energy's)."""
         S = self.level_S if S is None else S
         w = to_minimizer_frame(self.profile, S)
-        fac = S ** (-self.params.N / 2.0)
-        grad_fac = S ** (-(self.params.N - 2.0) / 2.0)
-        return GroundStateSolution(
+        l2, lp, lq, dir_ = _norm_factors(self.params, 1.0, S)
+        return replace(
+            self,
             profile=w,
-            norm_L2_sq=self.norm_L2_sq * fac,
-            norm_Lp_p=self.norm_Lp_p * fac,
-            norm_Lq_q=self.norm_Lq_q * fac,
-            dirichlet_sq=self.dirichlet_sq * grad_fac,
-            energy=self.energy * fac,
+            norm_L2_sq=self.norm_L2_sq * l2,
+            norm_Lp_p=self.norm_Lp_p * lp,
+            norm_Lq_q=self.norm_Lq_q * lq,
+            dirichlet_sq=self.dirichlet_sq * dir_,
+            energy=self.energy * l2,
             level_S=S,
-            nehari_residual=self.nehari_residual,
-            pokhozhaev_residual=self.pokhozhaev_residual,
         )
 
 
@@ -91,8 +91,8 @@ class _HermitePanels(NamedTuple):
     w: np.ndarray           # (6,) Gauss weights on [0, 1]
     r0: float               # first grid radius
     r_series: np.ndarray    # (6,) nodes on [0, r0]
-    u_series: np.ndarray    # u(0) - f(u(0)) r^2 / (2N) there
-    du_series: np.ndarray   # -f(u(0)) r / N there
+    u_series: np.ndarray    # u(0) - series_f r^2 / (2N) there
+    du_series: np.ndarray   # -series_f r / N there
 
 
 def _hermite_panels(prof: RadialProfile) -> _HermitePanels:
@@ -111,7 +111,7 @@ def _hermite_panels(prof: RadialProfile) -> _HermitePanels:
     uu = _hermite(t, hh, u0, u1, v0, v1, deriv=False)
     dd = _hermite(t, hh, u0, u1, v0, v1, deriv=True)
     a = prof.amplitude
-    fa = prof.params.f(a)
+    fa = prof.series_f
     r0 = rg[0]
     rr0 = r0 * x01
     uu0 = a - fa * rr0**2 / (2.0 * prof.params.N)
@@ -136,14 +136,9 @@ def radial_norm(profile, s: float) -> float:
         raise ValueError(f"need s >= 1, got {s}")
     if isinstance(profile, EmdenFowlerProfile):
         return profile.norm_s(s)
-    t = profile.grid
-    if profile.tail.kind == "Algebraic" and s * (profile.params.N - 2.0) <= profile.params.N:
-        raise DivergentNormError(
-            f"s*(N-2) = {s * (profile.params.N - 2.0):g} <= N = {profile.params.N}: "
-            f"the algebraic tail makes the L^{s:g} norm diverge"
-        )
+    # first: an algebraic tail raises DivergentNormError where s*(N-2) <= N
+    tail = profile.tail.norm_tail(s, float(profile.grid.radii[-1]))
     bulk = _grid_quad(profile, lambda r, u, du: np.abs(u) ** s)
-    tail = profile.tail.norm_tail(s, float(t.radii[-1]))
     return sphere_area(profile.params.N) * (bulk + tail)
 
 
@@ -209,61 +204,55 @@ def extract_level(params: ProblemParams, E: float) -> float:
     return (E / coef) ** (2.0 / params.N)
 
 
+def _norm_factors(params: ProblemParams, amp: float,
+                  lam_sq: float) -> tuple[float, float, float, float]:
+    """(L2^2, Lp^p, Lq^q, dirichlet^2) of amp*u(lam y) over those of u: amp^s
+    lam^-N, and lam^(2-N) for u'^2; lam_sq = lam^2 is passed, not lam."""
+    N = params.N
+    vol = lam_sq ** (-N / 2.0)
+    return (amp**2 * vol, amp**params.p * vol, amp**params.q * vol,
+            amp**2 * lam_sq ** (-(N - 2.0) / 2.0))
+
+
+def scale_profile(prof: RadialProfile, amp: float, lam_sq: float) -> RadialProfile:
+    """amp * u(lam y), lam = sqrt(lam_sq): grid, norm arrays, series piece and
+    tail reparameterized exactly, every other field (the counters) carried.
+
+    The scale enters squared so that both callers keep their bits: the
+    minimizer frame passes S, so each factor is the power of S it always
+    was, and rescale_to_v passes lam ** 2, whose square root is lam again.
+    """
+    lam = math.sqrt(lam_sq)
+    t, tail, N = prof.grid, prof.tail, prof.params.N
+    grid = replace(t, radii=t.radii / lam, values=t.values * amp, slopes=t.slopes * (amp * lam),
+                   terminal_radius=t.terminal_radius / lam)
+    if t.norm_l2 is not None:
+        grid.norm_l2, grid.norm_lp, grid.norm_lq, grid.norm_dir = (
+            arr * fac for arr, fac in zip((t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir),
+                                          _norm_factors(prof.params, amp, lam_sq)))
+    # base(y) = amp * base_u(lam y): an exponential rate gains lam, the
+    # prefactor amp * lam^-power, and the correction regressor |base|^(p-2)
+    # r^2 / (1 + (k r)^2) amp^(p-2) lam^-2, which corr absorbs
+    exponential = tail.kind == "Exponential"
+    power = (N - 1.0) / 2.0 if exponential else N - 2.0
+    new_tail = replace(
+        tail,
+        rate_or_power=tail.rate_or_power * lam if exponential else tail.rate_or_power,
+        prefactor=tail.prefactor * amp * lam ** -power,
+        match_radius=tail.match_radius / lam,
+        corr=tail.corr * (amp ** -tail.corr_pm2 * lam_sq),
+    )
+    return replace(prof, amplitude=prof.amplitude * amp, grid=grid, tail=new_tail,
+                   series_f=prof.series_f * (amp * lam_sq), r_max_used=prof.r_max_used / lam)
+
+
 def to_minimizer_frame(u: RadialProfile, S: float) -> RadialProfile:
-    """w(y) = u(sqrt(S) y) by exact grid/tail reparameterization."""
+    """w(y) = u(sqrt(S) y): scale_profile(u, 1.0, S), S being the squared scale."""
     if S <= 0.0:
         raise ValueError(f"level must be positive, got {S}")
     if S == 1.0:
         return u
-    rt = math.sqrt(S)
-    N = u.params.N
-    t = u.grid
-    scaled = replace(
-        t,
-        radii=t.radii / rt,
-        values=t.values.copy(),
-        slopes=t.slopes * rt,
-        terminal_radius=t.terminal_radius / rt,
-    )
-    # cumulative integrals: int g(u) r^(N-1) dr scales by S^(-N/2); the
-    # dirichlet integrand gains slope^2 -> S, net S^(-(N-2)/2)
-    if t.norm_l2 is not None:
-        fac = S ** (-N / 2.0)
-        scaled.norm_l2 = t.norm_l2 * fac
-        scaled.norm_lp = t.norm_lp * fac
-        scaled.norm_lq = t.norm_lq * fac
-        scaled.norm_dir = t.norm_dir * (S ** (-(N - 2.0) / 2.0))
-    # base_w(y) = base_u(rt*y) exactly, and the correction regressor picks up
-    # rt^2 from its r^2 factor, so corr -> corr * S in both tail kinds
-    tail = u.tail
-    if tail.kind == "Exponential":
-        new_tail = replace(
-            tail,
-            rate_or_power=tail.rate_or_power * rt,
-            prefactor=tail.prefactor * rt ** (-(N - 1.0) / 2.0),
-            match_radius=tail.match_radius / rt,
-            corr=tail.corr * S,
-        )
-    else:
-        new_tail = replace(
-            tail,
-            prefactor=tail.prefactor * rt ** (-(N - 2.0)),
-            match_radius=tail.match_radius / rt,
-            corr=tail.corr * S,
-        )
-    return RadialProfile(
-        params=u.params,
-        amplitude=u.amplitude,
-        grid=scaled,
-        tail=new_tail,
-        bisection_iterations=u.bisection_iterations,
-        bracket=u.bracket,
-        integrations=u.integrations,
-        rhs_evals=u.rhs_evals,
-        loose_integrations=u.loose_integrations,
-        fallbacks=u.fallbacks,
-        r_max_used=u.r_max_used / rt,
-    )
+    return scale_profile(u, 1.0, S)
 
 
 def analyze(profile: RadialProfile) -> GroundStateSolution:

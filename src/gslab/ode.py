@@ -209,38 +209,32 @@ _GW = (
 _GAUSS = tuple(zip(_GX, _GW))
 
 
-class _DenseStep:
-    """Quartic dense-output polynomial over one accepted step.
+def _dense_eval(r0: float, h: float, u0: float, v0: float, qu, qv,
+                r: float) -> tuple[float, float]:
+    """(u, u') at r on the quartic dense output of the step [r0, r0 + h].
 
     ``qu``/``qv`` are the four coefficients of u and u' (``integrate`` builds
     them from the stages and the matrix ``_P``).
     """
-
-    __slots__ = ("r0", "h", "u0", "v0", "qu", "qv")
-
-    def __init__(self, r0, h, u0, v0, qu, qv):
-        self.r0, self.h, self.u0, self.v0, self.qu, self.qv = r0, h, u0, v0, qu, qv
-
-    def eval(self, r: float) -> tuple[float, float]:
-        th = (r - self.r0) / self.h
-        qu, qv = self.qu, self.qv
-        su = th * (qu[0] + th * (qu[1] + th * (qu[2] + th * qu[3])))
-        sv = th * (qv[0] + th * (qv[1] + th * (qv[2] + th * qv[3])))
-        return self.u0 + self.h * su, self.v0 + self.h * sv
+    th = (r - r0) / h
+    su = th * (qu[0] + th * (qu[1] + th * (qu[2] + th * qu[3])))
+    sv = th * (qv[0] + th * (qv[1] + th * (qv[2] + th * qv[3])))
+    return u0 + h * su, v0 + h * sv
 
 
-def _bisect_event(dense: _DenseStep, fn, lo: float, hi: float, tol: float) -> float:
+def _bisect_event(dense: tuple, fn, lo: float, hi: float, tol: float) -> float:
     """Smallest r in (lo, hi] with fn changed from its sign at lo.
 
-    Returns the bracket endpoint on the event side, so the terminal state
-    satisfies the event condition (e.g. u <= 0 for a zero crossing).
+    ``dense`` is ``_dense_eval``'s (r0, h, u0, v0, qu, qv).  Returns the
+    bracket endpoint on the event side, so the terminal state satisfies the
+    event condition (e.g. u <= 0 for a zero crossing).
     """
-    flo = fn(*dense.eval(lo))
+    flo = fn(*_dense_eval(*dense, lo))
     for _ in range(200):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        fmid = fn(*dense.eval(mid))
+        fmid = fn(*_dense_eval(*dense, mid))
         if (flo <= 0.0) == (fmid <= 0.0):
             lo, flo = mid, fmid
         else:
@@ -439,15 +433,15 @@ def integrate(
             qv3 = 0.0 + k1 * P03 + k3 * P23 + k4 * P33 + k5 * P43 + k6 * P53 + k7 * P63
             qu0, qv0 = 0.0 + v, 0.0 + k1
             if fn is not None:
-                dense = _DenseStep(r, h, u, v, (qu0, qu1, qu2, qu3), (qv0, qv1, qv2, qv3))
+                dense = (r, h, u, v, (qu0, qu1, qu2, qu3), (qv0, qv1, qv2, qv3))
                 etol = tol.event_tol * max(1.0, r_new)
                 r_event = _bisect_event(dense, fn, r, r_new, etol)
-                u_new, v_new = dense.eval(r_event)
+                u_new, v_new = _dense_eval(*dense, r_event)
                 r_stop = r_event
 
         if quad:
             # 5-node Gauss panel over [r, r_stop] on the quartic (as
-            # _DenseStep.eval, written out)
+            # _dense_eval, written out)
             hh = r_stop - r
             i2 = ip = iq = idir = 0.0
             for x, w in gauss:

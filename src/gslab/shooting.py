@@ -183,6 +183,7 @@ class RadialProfile:
     amplitude: float
     grid: Trajectory
     tail: TailModel
+    series_f: float           # f(u(0)) of the series piece u(0) - series_f r^2/(2N) on [0, r0)
     bisection_iterations: int = 0
     bracket: tuple[float, float] = (0.0, 0.0)
     r_max_used: float = 0.0
@@ -227,7 +228,7 @@ def _eval_profile(prof: RadialProfile, r, deriv: bool):
     out = np.empty_like(r_arr)
     rg = prof.grid.radii
     a = prof.amplitude
-    fa = prof.params.f(a)
+    fa = prof.series_f
     inner = r_arr < rg[0]
     outer = r_arr > rg[-1]
     mid = ~(inner | outer)
@@ -913,7 +914,7 @@ def _package_profile(params: ProblemParams, a: float, traj: Trajectory,
         )
     t = traj.truncated(keep)
     tail = _fit_tail(params, t, a)
-    return RadialProfile(params=params, amplitude=a, grid=t, tail=tail)
+    return RadialProfile(params=params, amplitude=a, grid=t, tail=tail, series_f=params.f(a))
 
 
 def _fit_tail(params: ProblemParams, t: Trajectory, a: float) -> TailModel:

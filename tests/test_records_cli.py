@@ -201,6 +201,32 @@ def test_cli_sweep_fit_and_plot_data(tmp_path, capsys):
     assert "exponent" in got
 
 
+def test_cli_plot_data_fit_column_is_the_least_squares_fit(tmp_path):
+    # the sweep of test_cli_sweep_fit_and_plot_data; at the points the fit
+    # reads, the fit column is exp(A @ coef) of that fit's own least squares
+    import numpy as np
+
+    from gslab import SweepSpec, sweep
+    from gslab.asymptotics import fit_data, fit_points
+
+    plot = tmp_path / "plot.csv"
+    assert main(["sweep", "--regime", "subcritical", "--N", "3", "--p", "4",
+                 "--q", "6", "--eps-min", "1.4e-3", "--eps-max", "0.18",
+                 "--emit-plot-data", str(plot)]) == 0
+    rows = {float(x): float(fit) for x, _, fit in
+            (line.split(",") for line in plot.read_text().splitlines()[1:])}
+    report = sweep(SweepSpec(regime="subcritical", N=3, p=4.0, q=6.0,
+                             grid_min=1.4e-3, grid_max=0.18))
+    data = fit_data(fit_points(report.points, report.fit_window), "amplitude")
+    xs, ys = np.array(data).T
+    A = np.column_stack([np.ones_like(xs), np.log(xs)])
+    coef, *_ = np.linalg.lstsq(A, np.log(ys), rcond=None)
+    assert len(xs) >= 4
+    assert report.fits["amplitude"].intercept == pytest.approx(coef[0], rel=1e-12, abs=0.0)
+    for x, want in zip(xs, np.exp(A @ coef)):
+        assert rows[x] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_cli_config_file_seeds_flags(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(

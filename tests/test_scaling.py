@@ -1,0 +1,75 @@
+"""The profile-scaling transform amp * u(lam y) behind the minimizer frame and
+the concentration rescaling: its norms move by the closed-form powers, and a
+rescaled profile stays continuous where its series piece meets the grid."""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gslab import Family, ProblemParams, rescale_to_v, solve_ground_state, to_minimizer_frame
+from gslab.functionals import _norms_from_trajectory, radial_norm, scale_profile
+
+# the four golden cases of tests/test_golden.py
+CASES = [
+    ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
+    ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
+    ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
+    ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
+]
+
+
+@functools.cache
+def _profile(params):
+    return solve_ground_state(params).profile
+
+
+_log_factor = st.floats(math.log(0.1), math.log(10.0))
+
+
+@settings(derandomize=True, max_examples=24, deadline=None, database=None)
+@given(params=st.sampled_from(CASES), log_amp=_log_factor, log_lam=_log_factor)
+def test_scaled_norms_follow_the_closed_form_powers(params, log_amp, log_lam):
+    # int |amp u(lam y)|^s dy = amp^s lam^-N int |u|^s, and the Dirichlet
+    # integral gains amp^2 lam^(2-N).  dirichlet_norm is not checked: it
+    # differs from the co-integrated route only by the Hermite bulk, which
+    # radial_norm covers, and the tail term both share differentiates the
+    # tail model by a central difference with the absolute step
+    # 1e-6*max(1, r), which does not scale with the profile (that term alone
+    # moves by up to ~1e-10 relative; in these cases the bulk outweighs it).
+    u = _profile(params)
+    amp, lam = math.exp(log_amp), math.exp(log_lam)
+    N, p, q = params.N, params.p, params.q
+    v = scale_profile(u, amp, lam * lam)
+    vol = lam**-N
+    factors = (amp**2 * vol, amp**p * vol, amp**q * vol, amp**2 * lam ** (2 - N))
+    for got, base, fac in zip(_norms_from_trajectory(v), _norms_from_trajectory(u), factors):
+        if math.isinf(base):   # L2 of an algebraic tail in N = 3
+            assert math.isinf(got)
+        else:
+            assert got == pytest.approx(fac * base, rel=1e-13, abs=0.0)
+    for s in (p, q):
+        assert radial_norm(v, s) == pytest.approx(amp**s * vol * radial_norm(u, s),
+                                                  rel=1e-13, abs=0.0)
+
+
+# Before the series piece was scaled with the profile, evaluating just below
+# the first grid radius r0 jumped, relative to the first node: by ~1e-9 in
+# value and 66% in slope in the minimizer frame at S = 2.9, and by up to
+# 9.4e-6 in value and 1.7e3-5.6e3 times in slope for v at lam = 9.
+@pytest.mark.parametrize("params", [
+    pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO), id="P_zero-algebraic"),
+    pytest.param(ProblemParams(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS), id="P_eps-exponential"),
+])
+@pytest.mark.parametrize("rescale", [
+    pytest.param(lambda u: to_minimizer_frame(u, 2.9), id="frame-S2.9"),
+    pytest.param(lambda u: rescale_to_v(u, 9.0), id="v-lam9"),
+])
+def test_rescaled_profile_is_continuous_at_first_grid_radius(params, rescale):
+    v = rescale(_profile(params))
+    below = np.nextafter(v.grid.radii[0], 0.0)
+    assert v.value(below) == pytest.approx(v.grid.values[0], rel=1e-12, abs=0.0)
+    assert v.slope(below) == pytest.approx(v.grid.slopes[0], rel=1e-12, abs=0.0)
