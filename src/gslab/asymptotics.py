@@ -4,10 +4,12 @@ In the critical case the minimizer w_eps concentrates: the radius
 lambda_eps at which the ball-mass of |w_eps|^p reaches Q* defines the
 rescaling v_eps(x) = lambda^((N-2)/2) w_eps(lambda x), which converges to
 the Sobolev minimizer W_1; it and the minimizer frame are both
-functionals.scale_profile.  Sweeps solve a geometric grid of eps (or delta)
-values, collect the regime's observables, and confront fitted log-log
-slopes (optionally with a log(1/eps) correction factor) with the predicted
-exponents.
+functionals.scale_profile.  The ball mass reads the |w|^p mass the solve
+co-integrated on its grid, and the W_1 distances run on the profile's own
+Gauss panels (functionals._grid_quad).  Sweeps solve a geometric grid of
+eps (or delta) values, collect the regime's observables, and confront
+fitted log-log slopes (optionally with a log(1/eps) correction factor) with
+the predicted exponents.
 """
 
 from __future__ import annotations
@@ -45,16 +47,6 @@ __all__ = [
 ]
 
 
-def _cumulative_mass(w: RadialProfile, s: float):
-    """Prefix sums of int |w|^s r^(N-1) dr over the stored grid panels."""
-    N = w.params.N
-    pan = fn._hermite_panels(w)
-    panel = np.sum(np.abs(pan.u) ** s * pan.r ** (N - 1) * pan.w[None, :], axis=1) * pan.h
-    first = pan.r0 * float(np.sum(pan.w * np.abs(pan.u_series) ** s * pan.r_series ** (N - 1)))
-    cum = np.concatenate([[first], first + np.cumsum(panel)])
-    return cum  # cum[i] = integral over [0, rg[i]]
-
-
 # Bisection levels below the current bracket whose mids concentration_lambda
 # evaluates in one numpy pass: up to 31 rows cost about what one row costs.
 _BATCH_LEVELS = 5
@@ -63,9 +55,13 @@ _BATCH_LEVELS = 5
 def concentration_lambda(w, Qstar: float | None = None) -> float:
     """Unique lambda with int_{B_lambda} |w|^p dx = Q*, by monotone bisection.
 
-    The bisection halves the grid panel that holds the root down to a
-    relative width of 1e-13, about 38 mids.  Its mass values are evaluated in
-    batches: at a mid with no stored value, every mid of the next
+    The grid panel that holds the root, and the mass below it, come from the
+    co-integrated mass omega * grid.norm_lp (the one analyze's L^p norm and
+    the identities read, scaled exactly by scale_profile); inside that panel
+    the mass is a 24-point Gauss sum of the Hermite reconstruction.  The
+    bisection halves the panel down to a relative width of 1e-13, about 38
+    mids.  Its mass values are evaluated in batches: at a mid with no stored
+    value, every mid of the next
     ``_BATCH_LEVELS`` levels of the bisection tree below the current bracket
     (subtrees already below the stop width left out) runs in one numpy pass,
     and the loop reads the values it needs from the store.  The result is
@@ -84,7 +80,7 @@ def concentration_lambda(w, Qstar: float | None = None) -> float:
     if Qstar is None:
         Qstar = q_star(N)
     omega = sphere_area(N)
-    cum = omega * _cumulative_mass(w, p)
+    cum = omega * w.grid.norm_lp   # cum[i]: the co-integrated mass of B_{rg[i]}
     total = float(cum[-1]) + omega * w.tail.norm_tail(p, float(w.grid.radii[-1]))
     if total <= Qstar:
         raise NotInAsymptoticRegime(
@@ -188,29 +184,14 @@ def rescale_to_v(w: RadialProfile, lam: float) -> RadialProfile:
 
 
 def profile_distances(v: RadialProfile, ref: EmdenFowlerProfile) -> tuple[float, float]:
-    """(||grad(v - ref)||_2, ||v - ref||_p) by panel quadrature plus ref tails."""
+    """(||grad(v - ref)||_2, ||v - ref||_p) on v's Gauss panels plus ref tails."""
     N = v.params.N
     p = v.params.p
     omega = sphere_area(N)
-    x, gw = _leggauss(6)
-    x01, w01 = 0.5 * (x + 1.0), 0.5 * gw
-    rg = v.grid.radii
-    h = np.diff(rg)
-    rr = (rg[:-1, None] + h[:, None] * x01[None, :]).ravel()
-    wts = (h[:, None] * w01[None, :]).ravel() * rr ** (N - 1)
-    dv = v.slope(rr) - ref.slope(rr)
-    du = v.value(rr) - ref.value(rr)
-    d1_sq = float(np.sum(wts * dv * dv))
-    lp = float(np.sum(wts * np.abs(du) ** p))
-    # [0, r0): both profiles flat; integrand ~ r^(N+1), negligible but cheap
-    r0 = rg[0]
-    rr0 = r0 * x01
-    dv0 = v.slope(rr0) - ref.slope(rr0)
-    du0 = v.value(rr0) - ref.value(rr0)
-    d1_sq += r0 * float(np.sum(w01 * dv0 * dv0 * rr0 ** (N - 1)))
-    lp += r0 * float(np.sum(w01 * np.abs(du0) ** p * rr0 ** (N - 1)))
+    d1_sq = fn._grid_quad(v, lambda r, u, du: (du - ref.slope(r)) ** 2)
+    lp = fn._grid_quad(v, lambda r, u, du: np.abs(u - ref.value(r)) ** p)
     # beyond the grid: v is exponentially small, ref keeps algebraic mass
-    R = float(rg[-1])
+    R = float(v.grid.radii[-1])
     from .emden import radial_quad
 
     scale = math.sqrt(N * (N - 2.0)) * ref.lam / ref._stretch()
@@ -455,8 +436,7 @@ _POINT_FAILURES = (
 
 def _solve_point(spec: SweepSpec, x: float, hint: tuple[float, float] | None,
                  refs: dict) -> SweepPoint:
-    N, q = spec.N, spec.q
-    ps = 2.0 * N / (N - 2.0)
+    N = spec.N
     pt = SweepPoint(x=x)
     try:
         params = spec.params(x)
@@ -475,8 +455,9 @@ def _solve_point(spec: SweepSpec, x: float, hint: tuple[float, float] | None,
             lam = concentration_lambda(w_sol.profile)
             pt.lam = lam
             v = rescale_to_v(w_sol.profile, lam)
-            pt.v_l2_sq = w_sol.norm_L2_sq * lam**-2
-            pt.v_lq_q = w_sol.norm_Lq_q * lam ** (2.0 * (q - ps) / (ps - 2.0))
+            l2, _, lq, _ = fn._norm_factors(params, lam ** ((N - 2.0) / 2.0), lam ** 2)
+            pt.v_l2_sq = w_sol.norm_L2_sq * l2
+            pt.v_lq_q = w_sol.norm_Lq_q * lq
             pt.dist_D1, pt.dist_Lp = profile_distances(v, EmdenFowlerProfile(N, 1.0, "W"))
             pt.eps_l2 = x * sol.norm_L2_sq
         elif spec.regime == "subcritical":

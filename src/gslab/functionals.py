@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
-from .emden import EmdenFowlerProfile, _leggauss
+from .emden import EmdenFowlerProfile
 from .errors import InconsistentSolution
 from .params import ProblemParams, sphere_area
-from .shooting import RadialProfile, ShootControls, _hermite, find_ground_state
+from .shooting import RadialProfile, ShootControls, find_ground_state
 
 __all__ = [
     "GroundStateSolution",
@@ -64,65 +63,29 @@ class GroundStateSolution:
         return self.profile.amplitude
 
     def rescaled_to_frame(self, S: float | None = None) -> "GroundStateSolution":
-        """Exact minimizer-frame copy; the norms take scale_profile's factors
-        (with amplitude factor 1 each L^s one is S^(-N/2), as the energy's)."""
+        """Exact minimizer-frame copy; the norms take scale_profile's factors,
+        and the energy is E of the frame's own norms (S/2 - 1/p* at the level)."""
         S = self.level_S if S is None else S
         w = to_minimizer_frame(self.profile, S)
         l2, lp, lq, dir_ = _norm_factors(self.params, 1.0, S)
-        return replace(
+        frame = replace(
             self,
             profile=w,
             norm_L2_sq=self.norm_L2_sq * l2,
             norm_Lp_p=self.norm_Lp_p * lp,
             norm_Lq_q=self.norm_Lq_q * lq,
             dirichlet_sq=self.dirichlet_sq * dir_,
-            energy=self.energy * l2,
             level_S=S,
         )
-
-
-class _HermitePanels(NamedTuple):
-    """Gauss nodes of every stored grid panel and of the series piece [0, r0]."""
-
-    r: np.ndarray           # (panels, 6) nodes
-    u: np.ndarray           # cubic Hermite values at r
-    du: np.ndarray          # cubic Hermite slopes at r
-    h: np.ndarray           # (panels,) widths
-    w: np.ndarray           # (6,) Gauss weights on [0, 1]
-    r0: float               # first grid radius
-    r_series: np.ndarray    # (6,) nodes on [0, r0]
-    u_series: np.ndarray    # u(0) - series_f r^2 / (2N) there
-    du_series: np.ndarray   # -series_f r / N there
-
-
-def _hermite_panels(prof: RadialProfile) -> _HermitePanels:
-    """6-point Gauss-Legendre nodes on each grid panel, with the cubic Hermite
-    reconstruction of u and u' there, plus the Taylor series piece [0, r0]."""
-    rg, ug, vg = prof.grid.radii, prof.grid.values, prof.grid.slopes
-    x, w = _leggauss(6)
-    x01 = 0.5 * (x + 1.0)
-    w01 = 0.5 * w
-    h = np.diff(rg)
-    hh = h[:, None]
-    rr = rg[:-1, None] + hh * x01[None, :]
-    t = x01[None, :]
-    u0, u1 = ug[:-1, None], ug[1:, None]
-    v0, v1 = vg[:-1, None], vg[1:, None]
-    uu = _hermite(t, hh, u0, u1, v0, v1, deriv=False)
-    dd = _hermite(t, hh, u0, u1, v0, v1, deriv=True)
-    a = prof.amplitude
-    fa = prof.series_f
-    r0 = rg[0]
-    rr0 = r0 * x01
-    uu0 = a - fa * rr0**2 / (2.0 * prof.params.N)
-    dd0 = -fa * rr0 / prof.params.N
-    return _HermitePanels(rr, uu, dd, h, w01, r0, rr0, uu0, dd0)
+        frame.energy = energy(self.params, frame.norm_L2_sq, frame.norm_Lp_p,
+                              frame.norm_Lq_q, frame.dirichlet_sq)
+        return frame
 
 
 def _grid_quad(prof: RadialProfile, integrand) -> float:
     """Gauss panels on the stored grid using cubic Hermite reconstruction."""
     N = prof.params.N
-    pan = _hermite_panels(prof)
+    pan = prof.panels
     vals = integrand(pan.r, pan.u, pan.du) * pan.r ** (N - 1)
     inner = float(np.sum(vals * pan.w[None, :] * pan.h[:, None]))
     series = integrand(pan.r_series, pan.u_series, pan.du_series)
@@ -156,23 +119,14 @@ def _norms_from_trajectory(prof: RadialProfile) -> tuple[float, float, float, fl
     t = prof.grid
     omega = sphere_area(prof.params.N)
     R = float(t.radii[-1])
-    if t.norm_l2 is None:
-        l2 = radial_norm(prof, 2.0) if _l2_finite(prof) else math.inf
-        lp = radial_norm(prof, prof.params.p)
-        lq = radial_norm(prof, prof.params.q)
-        dir_sq = dirichlet_norm(prof)
-        return l2, lp, lq, dir_sq
     l2 = math.inf
-    if _l2_finite(prof):
+    # an algebraic tail r^-(N-2) carries finite L^2 mass only for N > 4
+    if prof.tail.kind == "Exponential" or 2.0 * (prof.params.N - 2.0) > prof.params.N:
         l2 = omega * (float(t.norm_l2[-1]) + prof.tail.norm_tail(2.0, R))
     lp = omega * (float(t.norm_lp[-1]) + prof.tail.norm_tail(prof.params.p, R))
     lq = omega * (float(t.norm_lq[-1]) + prof.tail.norm_tail(prof.params.q, R))
     dir_sq = omega * (float(t.norm_dir[-1]) + prof.tail.dirichlet_tail(R))
     return l2, lp, lq, dir_sq
-
-
-def _l2_finite(prof: RadialProfile) -> bool:
-    return prof.tail.kind == "Exponential" or 2.0 * (prof.params.N - 2.0) > prof.params.N
 
 
 def energy(params: ProblemParams, l2_sq: float, lp_p: float, lq_q: float,
@@ -226,10 +180,9 @@ def scale_profile(prof: RadialProfile, amp: float, lam_sq: float) -> RadialProfi
     t, tail, N = prof.grid, prof.tail, prof.params.N
     grid = replace(t, radii=t.radii / lam, values=t.values * amp, slopes=t.slopes * (amp * lam),
                    terminal_radius=t.terminal_radius / lam)
-    if t.norm_l2 is not None:
-        grid.norm_l2, grid.norm_lp, grid.norm_lq, grid.norm_dir = (
-            arr * fac for arr, fac in zip((t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir),
-                                          _norm_factors(prof.params, amp, lam_sq)))
+    grid.norm_l2, grid.norm_lp, grid.norm_lq, grid.norm_dir = (
+        arr * fac for arr, fac in zip((t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir),
+                                      _norm_factors(prof.params, amp, lam_sq)))
     # base(y) = amp * base_u(lam y): an exponential rate gains lam, the
     # prefactor amp * lam^-power, and the correction regressor |base|^(p-2)
     # r^2 / (1 + (k r)^2) amp^(p-2) lam^-2, which corr absorbs
@@ -258,7 +211,7 @@ def to_minimizer_frame(u: RadialProfile, S: float) -> RadialProfile:
 def analyze(profile: RadialProfile) -> GroundStateSolution:
     """Assemble the functional report for a converged profile."""
     l2, lp, lq, dir_sq = _norms_from_trajectory(profile)
-    E = energy(profile.params, 0.0 if math.isinf(l2) else l2, lp, lq, dir_sq)
+    E = energy(profile.params, l2, lp, lq, dir_sq)
     S = extract_level(profile.params, E)
     sol = GroundStateSolution(
         profile=profile,

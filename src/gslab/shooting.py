@@ -42,14 +42,16 @@ linspace, run through the panel kernel of ``emden`` in one numpy pass.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import kve
 
-from .emden import _panel_quad
+from .emden import _leggauss, _panel_quad
 from .errors import BracketNotFound, InternalConsistencyError
 from .ode import IntegrationFailure, StepControls, TerminalEvent, Trajectory, integrate
 from .params import Family, ProblemParams
@@ -175,6 +177,20 @@ def _exp_tail_quad(g, N: int, R: float, decay: float) -> float:
     return _panel_quad(g, N, edges, 32, lambda r: (r, 1.0))
 
 
+class _HermitePanels(NamedTuple):
+    """Gauss nodes of every stored grid panel and of the series piece [0, r0]."""
+
+    r: np.ndarray           # (panels, 6) nodes
+    u: np.ndarray           # cubic Hermite values at r
+    du: np.ndarray          # cubic Hermite slopes at r
+    h: np.ndarray           # (panels,) widths
+    w: np.ndarray           # (6,) Gauss weights on [0, 1]
+    r0: float               # first grid radius
+    r_series: np.ndarray    # (6,) nodes on [0, r0]
+    u_series: np.ndarray    # u(0) - series_f r^2 / (2N) there
+    du_series: np.ndarray   # -series_f r / N there
+
+
 @dataclass
 class RadialProfile:
     """A converged radial ground state: grid + analytic tail."""
@@ -191,6 +207,35 @@ class RadialProfile:
     rhs_evals: int = 0        # RHS evaluations summed over those calls
     loose_integrations: int = 0   # those of them at the loose step controls
     fallbacks: int = 0        # 1 if a loose class disagreed: the solve re-ran as plain bisection
+
+    def __post_init__(self):
+        g = self.grid
+        if any(a is None for a in (g.norm_l2, g.norm_lp, g.norm_lq, g.norm_dir)):
+            raise ValueError("profile grid has no co-integrated norm arrays")
+
+    @functools.cached_property
+    def panels(self) -> _HermitePanels:
+        """6-point Gauss nodes on each grid panel and on the series piece [0, r0],
+        with the Hermite u and u' there; built once (replace() does not copy it)."""
+        rg, ug, vg = self.grid.radii, self.grid.values, self.grid.slopes
+        x, w = _leggauss(6)
+        x01 = 0.5 * (x + 1.0)
+        w01 = 0.5 * w
+        h = np.diff(rg)
+        hh = h[:, None]
+        rr = rg[:-1, None] + hh * x01[None, :]
+        t = x01[None, :]
+        u0, u1 = ug[:-1, None], ug[1:, None]
+        v0, v1 = vg[:-1, None], vg[1:, None]
+        uu = _hermite(t, hh, u0, u1, v0, v1, deriv=False)
+        dd = _hermite(t, hh, u0, u1, v0, v1, deriv=True)
+        a = self.amplitude
+        fa = self.series_f
+        r0 = rg[0]
+        rr0 = r0 * x01
+        uu0 = a - fa * rr0**2 / (2.0 * self.params.N)
+        dd0 = -fa * rr0 / self.params.N
+        return _HermitePanels(rr, uu, dd, h, w01, r0, rr0, uu0, dd0)
 
     def value(self, r):
         return _eval_profile(self, r, deriv=False)

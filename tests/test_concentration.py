@@ -2,7 +2,8 @@
 
 ``asymptotics.concentration_lambda`` evaluates the ball mass at the mids of
 several bisection levels in one numpy pass.  The loop below is the
-reference: the same bisection with one Gauss sum per mid.  The radius must
+reference: the same bisection with one Gauss sum per mid, bracketed by the
+co-integrated mass of the grid (``grid.norm_lp``).  The radius must
 be the same bit for bit, wherever the root lies: in the series piece below
 the first grid radius, in the first grid panel, inside the grid and in the
 last panel.  The radius reads only the sign of each mass minus Q*, so the
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from gslab import Family, ProblemParams, concentration_lambda, solve_ground_state
-from gslab.asymptotics import _ball_mass_series, _cumulative_mass
+from gslab.asymptotics import _ball_mass_series
 from gslab.emden import _leggauss, q_star
 from gslab.params import sphere_area
 from gslab.shooting import _hermite_eval
@@ -24,7 +25,7 @@ from gslab.shooting import _hermite_eval
 def _lambda_loop(w, Qstar, visits=None):
     N, p = w.params.N, w.params.p
     omega = sphere_area(N)
-    cum = omega * _cumulative_mass(w, p)
+    cum = omega * w.grid.norm_lp
     idx = int(np.searchsorted(cum, Qstar))
     rg = w.grid.radii
     lo = 0.0 if idx == 0 else float(rg[idx - 1])
@@ -93,7 +94,7 @@ def test_lambda_matches_scalar_bisection_bitwise(params, frames):
 @pytest.mark.parametrize("where", ["series", "first_panel", "inner_panel", "last_panel"])
 def test_lambda_matches_scalar_bisection_in_every_piece(params, where, frames):
     w = frames(params)
-    cum = sphere_area(params.N) * _cumulative_mass(w, params.p)
+    cum = sphere_area(params.N) * w.grid.norm_lp
     # the last panel that adds more than rounding: further out the prefix sums
     # are flat, and a Q* there would not lie below the total mass
     last = int(np.nonzero(np.diff(cum) > 1e-12 * cum[-1])[0][-1]) + 1

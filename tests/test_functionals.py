@@ -14,10 +14,14 @@ from gslab import (
     identity_residuals,
     kappa_identities,
     limit_identities,
+    concentration_lambda,
     radial_norm,
+    rescale_to_v,
     sobolev_constant,
     to_minimizer_frame,
 )
+from gslab import shooting
+from gslab.asymptotics import profile_distances
 from gslab.functionals import GroundStateSolution, analyze, constraint_value, energy
 
 
@@ -166,6 +170,40 @@ def test_rescaled_frame_matches_requadrature(identity_solutions):
     fresh = analyze(w.profile)
     assert fresh.norm_Lp_p == pytest.approx(w.norm_Lp_p, rel=1e-8)
     assert fresh.dirichlet_sq == pytest.approx(w.dirichlet_sq, rel=1e-8)
+
+
+def test_frame_energy_is_the_energy_of_its_own_norms(identity_solutions):
+    # in the minimizer frame ||grad w||^2 = S and p* int F(w) = 1, so
+    # E(w) = S/2 - 1/p*
+    for key, sol in identity_solutions.items():
+        w = sol.rescaled_to_frame()
+        assert w.energy == energy(w.params, w.norm_L2_sq, w.norm_Lp_p, w.norm_Lq_q,
+                                  w.dirichlet_sq), key
+        assert w.energy == pytest.approx(w.level_S / 2.0 - 1.0 / w.params.p_star(),
+                                         rel=1e-7), key
+
+
+def test_read_side_builds_the_panels_once(identity_solutions, monkeypatch):
+    # radial_norm, dirichlet_norm and profile_distances share one panel
+    # build per profile; the concentration radius reads the co-integrated
+    # mass and builds none
+    sol = identity_solutions[(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)]
+    build = shooting._HermitePanels
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(shooting, "_HermitePanels", counted)
+    w = sol.rescaled_to_frame().profile
+    lam = concentration_lambda(w)
+    assert builds == []
+    v = rescale_to_v(w, lam)
+    radial_norm(v, v.params.p)
+    dirichlet_norm(v)
+    profile_distances(v, EmdenFowlerProfile(5, 1.0, "W"))
+    assert len(builds) == 1
 
 
 def _stub_solution(params: ProblemParams) -> GroundStateSolution:

@@ -184,10 +184,19 @@ def test_critical_read_side_matches_golden_bitwise():
     w = solve_ground_state(params).rescaled_to_frame()
     lam = concentration_lambda(w.profile)
     d1, dp = profile_distances(rescale_to_v(w.profile, lam), EmdenFowlerProfile(5, 1.0, "W"))
-    assert lam.hex() == "0x1.5ffd4d4d0787cp+0"
-    assert d1.hex() == "0x1.3e79a16892f20p-2"
-    assert dp.hex() == "0x1.c958ee0f40d10p-5"
+    assert lam.hex() == "0x1.5ffd4d5a19706p+0"
+    assert d1.hex() == "0x1.3e79a141909c5p-2"
+    assert dp.hex() == "0x1.c958ee13412a6p-5"
     assert kappa_identities(w, params.eps).lq_residual.hex() == "0x1.49cd75aa9edc8p-23"
+    # the pins taken while the radius read Hermite prefix sums of the grid
+    # panels, not the co-integrated mass: lambda moved by 2.2e-9 relative,
+    # and at the old lambda the distances move only by rounding
+    old_lam = float.fromhex("0x1.5ffd4d4d0787cp+0")
+    assert lam == pytest.approx(old_lam, rel=1e-8, abs=0.0)
+    d1_old, dp_old = profile_distances(rescale_to_v(w.profile, old_lam),
+                                       EmdenFowlerProfile(5, 1.0, "W"))
+    assert d1_old == pytest.approx(float.fromhex("0x1.3e79a16892f20p-2"), rel=1e-13, abs=0.0)
+    assert dp_old == pytest.approx(float.fromhex("0x1.c958ee0f40d10p-5"), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("N, s_star, qs", [

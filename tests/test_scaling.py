@@ -4,6 +4,7 @@ rescaled profile stays continuous where its series piece meets the grid."""
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,3 +74,23 @@ def test_rescaled_profile_is_continuous_at_first_grid_radius(params, rescale):
     below = np.nextafter(v.grid.radii[0], 0.0)
     assert v.value(below) == pytest.approx(v.grid.values[0], rel=1e-12, abs=0.0)
     assert v.slope(below) == pytest.approx(v.grid.slopes[0], rel=1e-12, abs=0.0)
+
+
+# The panels are cached on the profile they were built from; a rescaled
+# profile builds its own, bit for bit the panels of a fresh profile with its
+# fields (dataclasses.replace starts without the cache).
+@pytest.mark.parametrize("params", CASES)
+@pytest.mark.parametrize("rescale", [
+    pytest.param(lambda u: to_minimizer_frame(u, 2.9), id="frame-S2.9"),
+    pytest.param(lambda u: rescale_to_v(u, 9.0), id="v-lam9"),
+    pytest.param(lambda u: scale_profile(u, 0.3, 4.0), id="amp0.3-lamsq4"),
+])
+def test_rescaled_profile_builds_its_own_panels(params, rescale):
+    u = _profile(params)
+    built = u.panels
+    v = rescale(u)
+    assert v.panels is not built
+    fresh = replace(v).panels
+    assert fresh is not v.panels
+    for got, want in zip(v.panels, fresh):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

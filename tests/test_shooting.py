@@ -42,6 +42,17 @@ def test_classify_event_mapping():
     assert classify(_mk_traj(TerminalEvent.UNDERFLOW)) == Classification.CONVERGED
 
 
+def test_profile_without_norm_arrays_is_refused():
+    # every profile the library builds carries the co-integrated norm arrays
+    # (the final pass integrates with quadrature); a hand-built grid without
+    # them is rejected rather than read through a second norm route
+    params = ProblemParams(3, 4.0, 6.0, 1e-2, Family.P_EPS)
+    tail = shooting.TailModel("Exponential", 0.1, 1.0, 2.0, 3)
+    with pytest.raises(ValueError, match="norm arrays"):
+        shooting.RadialProfile(params, 1.0, _mk_traj(TerminalEvent.REACHED_RMAX), tail,
+                               series_f=params.f(1.0))
+
+
 def test_classify_rmax_threshold():
     t = _mk_traj(TerminalEvent.REACHED_RMAX, values=(1.0, 1e-8, 1e-15 * 1.0))
     assert classify(t, amplitude=1.0) == Classification.CONVERGED
