@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--q", type=float, help="defocusing exponent (> p)")
         if with_eps:
             sp.add_argument("--eps", type=float, help="linear parameter ε >= 0")
-        sp.add_argument("--amp-tol", type=float, help="bisection relative width")
+        sp.add_argument("--amp-tol", type=float, help="relative width of the final amplitude bracket")
         sp.add_argument("--rtol", type=float, help="integrator relative tolerance")
         sp.add_argument("--atol", type=float, help="integrator absolute tolerance")
         sp.add_argument("--r-max", type=float, help="override integration window")

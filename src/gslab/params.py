@@ -53,6 +53,9 @@ class ProblemParams:
     family: Family
 
     def __post_init__(self):
+        # Python floats: numpy scalars give the same bits but slow ode.integrate
+        for name in ("p", "q", "eps"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.N < 3 or int(self.N) != self.N:
             raise InvalidParams(f"dimension must be an integer >= 3, got {self.N}")
         if not (self.q > self.p > 2.0):

@@ -1,4 +1,4 @@
-"""Ground-state solves by bisection on the initial amplitude u(0).
+"""Ground-state solves by shooting on the initial amplitude u(0).
 
 The shooting dichotomy: trajectories that cross zero overshoot the ground
 state, trajectories that rebound (u' turns positive) undershoot it.  For
@@ -7,28 +7,17 @@ trajectories decay at the slow Emden rate r^(-2/(p-2)) instead of the
 Green-function rate r^(-(N-2)) -- so classification there uses the sign of
 the far-field constant mode B in u ~ B + A r^(-(N-2)).
 
-The bisection result is fixed by its starting bracket: geometric mids down
-to a relative width of amp_tol.  A model phase first narrows the window
-between the largest integrated undershoot and the smallest integrated
-overshoot.  Brent steps on a signed proxy of a - a* read off each shot
-(the terminal state, see _shooting_proxy) pick the probes.  The bisection
-then replays exactly and integrates only the mids inside that window:
-since the classification is monotone in the amplitude, a mid at or below
-the window is an undershoot and one at or above it an overshoot.
-
-Shots run at one of two fidelities.  The bracket scans, the hint checks
-and the model probes taken while Brent's prediction still moves only
-decide where the bisection starts or steer Brent, so they run loose, at
-1000x the solve's step tolerances (_loose_step); a loose scan or hint
-shot that reads Converged or fails is re-run tight at once.  The replay's
-mids, the closing model probes and the final pass run at the solve's own
-tolerances.  Far from a* the two fidelities classify alike, and near a* a
-loose class may be wrong.  After the replay one exactness check covers
-every loose shot: one below the final bracket must read Undershoot, one
-above it Overshoot, and one inside it is integrated again tight.  On any
-disagreement the solve runs again as the plain bisection, every shot
-tight.  Results are those of the plain bisection bit for bit, at about a
-third of its integrations and under a fifth of its RHS evaluations.
+The amplitude search first brackets a* between an undershoot and an
+overshoot, then closes the bracket with Brent steps on a signed proxy of
+a - a* read off each shot (the terminal state, see _shooting_proxy) until
+its relative width is at most amp_tol; a* is the bracket's geometric mid.
+Shots taken while the prediction still moves -- the bracket scans, the
+hint checks and the far probes -- run loose, at 1000x the solve's step
+tolerances (_loose_step); a loose shot that reads Converged or fails runs
+again tight.  The final bracket's ends are tight shots: a loose end is
+integrated again tight, and if that reads another class the solve runs
+again with every shot tight.  Where the tight class is monotone in the
+amplitude, the result is within amp_tol of the plain bisection's.
 
 The admissible amplitude window is (u_F0, u_hi): u_F0 is the first
 positive zero of the potential F (below it the trajectory lacks the energy
@@ -75,10 +64,10 @@ class Classification:
 
 @dataclass(frozen=True)
 class ShootControls:
-    """Knobs for the amplitude bisection and its inner integrations."""
+    """Knobs for the amplitude search and its inner integrations."""
 
     amp_tol: float = 1e-12           # relative bracket width at convergence
-    max_iter: int = 200
+    max_iter: int = 200              # Brent probes per attempt
     amp_search_range: tuple[float, float] | None = None
     bracket_hint: tuple[float, float] | None = None
     r_max: float | None = None
@@ -206,7 +195,7 @@ class RadialProfile:
     integrations: int = 0     # every integrate() call of the solve, final pass included
     rhs_evals: int = 0        # RHS evaluations summed over those calls
     loose_integrations: int = 0   # those of them at the loose step controls
-    fallbacks: int = 0        # 1 if a loose class disagreed: the solve re-ran as plain bisection
+    fallbacks: int = 0        # 1 if a loose end read another class tight: the solve re-ran all tight
 
     def __post_init__(self):
         g = self.grid
@@ -445,25 +434,6 @@ def _default_r_max(params: ProblemParams, ctrl: ShootControls,
     return min(1e6, max(1e3, 1e4 * r_half)), t
 
 
-def _bisect(lo: float, hi: float, ctrl: ShootControls, side) -> tuple[float, float, int]:
-    """The amplitude bisection: geometric mids of (lo, hi) down to amp_tol.
-
-    ``side(mid)`` classifies each mid.  Returns (lo, hi, iterations).
-    """
-    iters = 0
-    while hi / lo - 1.0 > ctrl.amp_tol and iters < ctrl.max_iter:
-        iters += 1
-        mid = math.sqrt(lo * hi)
-        c = side(mid)
-        if c == Classification.OVERSHOOT:
-            hi = mid
-        elif c == Classification.UNDERSHOOT:
-            lo = mid
-        else:
-            return mid, mid, iters
-    return lo, hi, iters
-
-
 def _zeroin(a: float, fa: float, b: float, fb: float, rtol: float):
     """Brent's zeroin root finder as a generator.
 
@@ -564,136 +534,14 @@ def _brentq(f, xa: float, xb: float, xtol: float = 2e-12, rtol: float = 8.881784
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
 
 
-# probes the model phase may run ahead of the bisection steps it has decided
-_MODEL_SLACK = 8
-
-# a one-sided model probe runs at the loose step controls while Brent's
-# prediction still moves by more than this, relative, per step
+# a probe runs at the loose step controls while Brent's prediction still
+# moves by more than this, relative, per probe
 _LOOSE_SHIFT = 1e-3
 
 
 def _loose_step(step: StepControls) -> StepControls:
     """Step controls of the loose shots: 1000x the solve's own tolerances."""
     return replace(step, atol=1e3 * step.atol, rtol=1e3 * step.rtol)
-
-
-def _runs_loose(x: float, shift: float | None) -> bool:
-    """Whether a one-sided model probe at the prediction x runs loose.
-
-    It does for the first probe (no previous prediction, shift None) and
-    while the last prediction moved by more than _LOOSE_SHIFT relative.
-    """
-    return shift is None or shift > _LOOSE_SHIFT * x
-
-
-def _decided(mid: float, known_u: float, known_o: float) -> str | None:
-    """Class of a mid outside the window (known_u, known_o), None inside it.
-
-    Relies on the classification being monotone in the amplitude.
-    """
-    if mid <= known_u:
-        return Classification.UNDERSHOOT
-    if mid >= known_o:
-        return Classification.OVERSHOOT
-    return None
-
-
-def _edges(lo: float, hi: float, shots) -> tuple[tuple[float, float], tuple[float, float]]:
-    """((amplitude, proxy) of the largest Undershoot, and of the smallest
-    Overshoot) among the (amplitude, class, proxy, loose) shots in [lo, hi]."""
-    inside = [(a, c, g) for a, c, g, _ in shots if lo <= a <= hi]
-    return (max((a, g) for a, c, g in inside if c == Classification.UNDERSHOOT),
-            min((a, g) for a, c, g in inside if c == Classification.OVERSHOOT))
-
-
-def _narrow_window(lo: float, hi: float, seen, shoot,
-                   ctrl: ShootControls) -> tuple[float, float]:
-    """Model phase: narrow the window (known_u, known_o) inside the bracket.
-
-    ``known_u`` is the largest shot amplitude classified Undershoot,
-    ``known_o`` the smallest classified Overshoot; ``seen`` holds every
-    (amplitude, class, proxy, loose) shot so far and ``shoot(a, loose)``
-    adds one, integrated at the loose step controls if ``loose``.
-
-    Brent steps on the proxy predict a* (bisecting at geometric mids, as
-    the replay does, so a bracket spanning decades closes as fast as the
-    replay's), and each probe is snapped to the nearest bisection mid the
-    replay would integrate if a* sat at the prediction.  While the
-    predictions still move (_runs_loose) a probe only steers Brent, so it
-    runs loose.  Once the predictions settle below amp_tol, the open mids
-    on both sides of the prediction are probed together, tight.  The phase
-    ends when the window decides every mid of the replay, when a shot is
-    Converged, fails or reads a zero proxy (Brent's own stop), or when its
-    probes run _MODEL_SLACK ahead of the bisection steps the window has
-    decided; the replay then integrates what is left, so a solve never
-    runs more than _MODEL_SLACK + 2 integrations beyond the plain bisection,
-    plus the exactness check of find_ground_state (and its all-tight
-    re-solve, if a loose class was wrong).
-    """
-    (known_u, g_u), (known_o, g_o) = _edges(lo, hi, seen)
-    if known_u >= known_o:
-        return lo, hi   # not monotone in the bracket: replay the plain bisection
-
-    def walk(x: float) -> tuple[int, list[float]]:
-        """(steps decided before the first open mid, open mids if a* sat at x)."""
-        decided, open_mids = 0, []
-
-        def side(mid):
-            nonlocal decided
-            c = _decided(mid, known_u, known_o)
-            if c is None:
-                open_mids.append(mid)
-                return Classification.UNDERSHOOT if mid < x else Classification.OVERSHOOT
-            decided += not open_mids
-            return c
-
-        _bisect(lo, hi, ctrl, side)
-        return decided, open_mids
-
-    def restart():
-        z = _zeroin(known_u, g_u, known_o, g_o, ctrl.amp_tol)
-        return z, next(z)
-
-    zeroin, x = restart()
-    probes = 0
-    x_prev = shift_prev = None
-    try:
-        while True:
-            if not known_u < x < known_o:   # no prediction inside: bisect
-                x = math.sqrt(known_u * known_o)
-            decided, open_mids = walk(x)
-            if not open_mids or probes > decided + _MODEL_SLACK:
-                break
-            # settled: the next shift, extrapolated at the ratio of the last
-            # two, is below amp_tol
-            shift = None if x_prev is None else abs(x - x_prev)
-            settled = (shift is not None and shift_prev is not None
-                       and shift * shift < ctrl.amp_tol * x * shift_prev)
-            loose = not settled and _runs_loose(x, shift)
-            x_prev, shift_prev = x, shift
-            below = max((m for m in open_mids if m < x), default=None)
-            above = min((m for m in open_mids if m >= x), default=None)
-            targets = [m for m in (below, above) if m is not None]
-            if not settled:
-                targets = [min(targets, key=lambda m: abs(m - x))]
-            for a in targets:
-                if not known_u < a < known_o:
-                    continue   # decided by the probe before it
-                probes += 1
-                c, g = shoot(a, loose)
-                if c == Classification.UNDERSHOOT:
-                    known_u, g_u = a, g
-                elif c == Classification.OVERSHOOT:
-                    known_o, g_o = a, g
-                if c == Classification.CONVERGED or g == 0.0:
-                    return known_u, known_o
-            if len(targets) == 2:
-                zeroin, x = restart()
-            else:
-                x = zeroin.send((a, g))
-    except IntegrationFailure:
-        pass   # the replay integrates whatever the probes left open
-    return known_u, known_o
 
 
 class _Runs:
@@ -723,55 +571,17 @@ class _Runs:
 
 
 def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls()) -> RadialProfile:
-    """Bisect the shooting map to the unique ground-state amplitude.
+    """Shoot for the unique ground-state amplitude a*.
 
-    Three phases: the bracket (a caller's hint, or scans from the admissible
-    window's ends), the model phase (_narrow_window), and the replay of the
-    bisection from the bracket, which integrates only the mids the model
-    phase left undecided.  ``bisection_iterations`` of the profile counts
-    the integrations of the last two phases, ``integrations`` and
-    ``rhs_evals`` every integrate() call of the solve, and
-    ``loose_integrations`` those at the loose step controls.  ``fallbacks``
-    is 1 if the exactness check below failed and the solve ran again as
-    the plain bisection; the counters then sum over both attempts.
-
-    Why the loose shots cannot change the result.  The hint checks, the
-    bracket scans and the model probes taken while Brent's prediction still
-    moves run loose; a loose scan or hint shot that reads Converged or
-    fails is re-run tight, and only the tight class is used.  The tight
-    class is monotone in the amplitude: Undershoot, then Converged (perhaps
-    nowhere), then Overshoot.  After the replay, with final bracket
-    [lo, hi], the exactness check asks of every loose shot: below lo it
-    reads Undershoot, above hi Overshoot, and inside [lo, hi] it is
-    integrated tight and must read its tight class.  Each window edge
-    known_u, known_o that is loose is integrated tight as well when a
-    Converged mid stopped the replay (lo = hi).
-
-    Say the check passes and the replay did not stop on Converged.  Then lo
-    has tight class Undershoot: it is a tight mid, or the bracket's lower
-    end and so a checked shot inside [lo, hi], or a mid decided by
-    lo <= known_u; the replay keeps known_u < hi at every step, so then
-    known_u lies inside the final bracket and was checked.  Likewise hi has
-    tight class Overshoot.  By monotonicity every loose shot below lo or
-    above hi read its tight class, and those inside were checked.  If a
-    Converged mid m stopped the replay, the checked edges take the place of
-    lo and hi: a loose Undershoot below m lies at or below known_u, the
-    largest Undershoot shot in the starting bracket (the bracket's lower
-    end is one), and a loose Overshoot above m at or above known_o.
-    Either way every loose class is the tight one, so the scans took the
-    steps of tight scans and found the same bracket, the window edges are
-    right, and the replay decides each mid as the tight bisection does.
-    The result is the plain bisection's from the tight bracket, bit for
-    bit, with no margin to tune.  If the check fails the solve is run again
-    with every shot tight and no model phase (_bisection_attempt): the
-    plain bisection itself, which gives that result by definition, even
-    where the tight class is not monotone at the amp_tol scale (critical
-    N = 4 at eps ~ 1e-9, for one).
-
-    The one difference from an all-tight solve: if a tight scan or hint
-    shot raises IntegrationFailure but its loose shot reads Undershoot or
-    Overshoot, the loose class is used and passes the check, so a solve
-    that raised with tight scans may now succeed.
+    The result is the geometric mid of a bracket of relative width at most
+    amp_tol whose ends are a tight Undershoot and a tight Overshoot, or a
+    single tight Converged shot (_attempt).  If a loose end of the final
+    bracket reads another class tight, the solve runs again with every shot
+    tight and ``fallbacks`` is 1; the counters then sum over both attempts.
+    ``bisection_iterations`` counts the integrations after the bracket and
+    before the final pass, ``integrations`` and ``rhs_evals`` every
+    integrate() call of the solve, and ``loose_integrations`` those at the
+    loose step controls.
 
     Raises BracketNotFound if no (undershoot, overshoot) pair exists in the
     admissible window, which for family P_eps signals eps >= eps*.
@@ -800,14 +610,14 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
         run.integrations = run.bracket_runs = 1
         run.rhs_evals = probe.rhs_evals
     window = (u_f0, u_hi, lo_seed, hi_seed)
-    attempt = _bisection_attempt(params, ctrl, window, run, loose_first=True)
+    attempt = _attempt(params, ctrl, window, run, loose_first=True)
     fallbacks = int(attempt is None)
     if attempt is None:
-        attempt = _bisection_attempt(params, ctrl, window, run, loose_first=False)
-    lo, hi, iters = attempt
-    if iters >= ctrl.max_iter:
+        attempt = _attempt(params, ctrl, window, run, loose_first=False)
+    lo, hi, probes = attempt
+    if probes >= ctrl.max_iter:
         warnings.warn(
-            f"amplitude bisection hit the {ctrl.max_iter}-iteration cap at "
+            f"amplitude search hit the {ctrl.max_iter}-probe cap at "
             f"width {hi / lo - 1.0:.3g}",
             RuntimeWarning,
         )
@@ -832,57 +642,52 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
     return profile
 
 
-def _bisection_attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
-                       loose_first: bool) -> tuple[float, float, int] | None:
-    """Bracket, model phase and replay: (lo, hi, iterations) of the final bracket.
+def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
+             loose_first: bool) -> tuple[float, float, int] | None:
+    """Bracket, then Brent search: (lo, hi, probes) of the final bracket.
 
     ``window`` is (u_f0, u_hi, lo_seed, hi_seed).  With ``loose_first`` the
-    scans, hint checks and far model probes run loose, and None is returned
-    if a loose class fails the exactness check of find_ground_state.
-    Without it every shot runs tight and the model phase is skipped, so the
-    replay integrates every mid: the plain bisection.
+    scans, hint checks and the probes taken while Brent's prediction still
+    moves run loose, and None is returned if a loose end of the final
+    bracket reads another class tight.  Without it every shot runs tight.
     """
     u_f0, u_hi, lo_seed, hi_seed = window
-    seen: list[tuple[float, str, float, bool]] = []   # (amplitude, class, proxy, loose) per shot
+    shots: dict[float, tuple[str, float, bool]] = {}   # amplitude -> (class, Brent's value, loose)
     runs_before = run.integrations
 
-    def shot(a: float, loose: bool) -> tuple[float, str, float, bool]:
-        t = run(a, loose=loose)
-        c = classify(t, params, a, ctrl.convergence_factor)
-        return a, c, _shooting_proxy(params, t, c), loose
-
-    def shoot(a: float, loose: bool = False) -> tuple[str, float]:
-        s = shot(a, loose)
-        seen.append(s)
-        return s[1], s[2]
-
-    def scan(a: float) -> str:
-        """Class of a scan or hint shot: loose, re-run tight if Converged or failed."""
-        s = None
-        if loose_first:
+    def shoot(a: float, loose: bool) -> str:
+        """Class of a shot; a loose one that reads Converged or fails runs again tight."""
+        if loose:
             try:
-                s = shot(a, True)
+                t = run(a, loose=True)
+                c = classify(t, params, a, ctrl.convergence_factor)
+                loose = c != Classification.CONVERGED
             except IntegrationFailure:
-                pass
-        if s is None or s[1] == Classification.CONVERGED:
-            s = shot(a, False)
-        seen.append(s)
-        return s[1]
+                loose = False
+        if not loose:
+            t = run(a)
+            c = classify(t, params, a, ctrl.convergence_factor)
+        # Brent reads the proxy's magnitude under the class's sign (near p = 2
+        # an undershoot can end with u(R) < 0, and a zero would stop it), as
+        # a float: numpy-scalar predictions would slow ode.integrate ~3x
+        g = abs(float(_shooting_proxy(params, t, c))) or math.ulp(0.0)
+        shots[a] = c, -g if c == Classification.UNDERSHOOT else g, loose
+        return c
 
     # establish the bracket, preferring a caller-supplied hint
     lo = hi = None
     if ctrl.bracket_hint is not None:
         h_lo, h_hi = ctrl.bracket_hint
         try:
-            if (scan(h_lo) == Classification.UNDERSHOOT
-                    and scan(h_hi) == Classification.OVERSHOOT):
+            if (shoot(h_lo, loose_first) == Classification.UNDERSHOOT
+                    and shoot(h_hi, loose_first) == Classification.OVERSHOOT):
                 lo, hi = h_lo, h_hi
         except IntegrationFailure:
             pass  # hint outside the admissible window; rebuild from scratch
     if lo is None:
         lo = lo_seed
         for _ in range(60):
-            if scan(lo) == Classification.UNDERSHOOT:
+            if shoot(lo, loose_first) == Classification.UNDERSHOOT:
                 break
             lo = math.sqrt(lo * u_f0) if u_f0 > 0.0 else 0.5 * lo
         else:
@@ -894,14 +699,14 @@ def _bisection_attempt(params: ProblemParams, ctrl: ShootControls, window, run: 
             hi = lo
             for _ in range(60):
                 hi *= 1.5
-                if scan(hi) == Classification.OVERSHOOT:
+                if shoot(hi, loose_first) == Classification.OVERSHOOT:
                     break
             else:
                 raise BracketNotFound("upward amplitude scan found no overshoot")
         else:
             hi = hi_seed
             for _ in range(60):
-                if scan(hi) == Classification.OVERSHOOT:
+                if shoot(hi, loose_first) == Classification.OVERSHOOT:
                     break
                 hi = u_hi - 0.25 * (u_hi - hi)
             else:
@@ -913,23 +718,35 @@ def _bisection_attempt(params: ProblemParams, ctrl: ShootControls, window, run: 
                 )
     run.bracket_runs += run.integrations - runs_before
 
-    # without the model phase the window is the bracket: every mid is integrated
-    known_u, known_o = _narrow_window(lo, hi, seen, shoot, ctrl) if loose_first else (lo, hi)
+    # start from the largest Undershoot and the smallest Overshoot shot so
+    # far, unless their classes are out of order (then from the bracket)
+    inside = [(a, c) for a, (c, _, _) in shots.items() if lo <= a <= hi]
+    u = max(a for a, c in inside if c == Classification.UNDERSHOOT)
+    o = min(a for a, c in inside if c == Classification.OVERSHOOT)
+    if u < o:
+        lo, hi = u, o
 
-    def side(mid: float) -> str:
-        c = _decided(mid, known_u, known_o)
-        return shoot(mid)[0] if c is None else c
-
-    lo, hi, iters = _bisect(lo, hi, ctrl, side)
-    # the exactness check of find_ground_state, over every loose shot
-    for a, c in [(a, c) for a, c, _, loose in seen if loose]:
-        if lo <= a <= hi or (lo == hi and a in (known_u, known_o)):
-            agrees = shoot(a)[0] == c
+    zeroin = _zeroin(lo, shots[lo][1], hi, shots[hi][1], 0.5 * ctrl.amp_tol)
+    x, x_prev, probes = next(zeroin), None, 0
+    while hi / lo - 1.0 > ctrl.amp_tol and probes < ctrl.max_iter:
+        if not lo < x < hi:
+            x = math.sqrt(lo * hi)
+        probes += 1
+        c = shoot(x, loose_first and (x_prev is None or abs(x - x_prev) > _LOOSE_SHIFT * x))
+        if c == Classification.CONVERGED:
+            lo = hi = x
+            break
+        if c == Classification.UNDERSHOOT:
+            lo = x
         else:
-            agrees = c == (Classification.UNDERSHOOT if a < lo else Classification.OVERSHOOT)
-        if not agrees:
+            hi = x
+        x_prev, x = x, zeroin.send((x, shots[x][1]))
+
+    for a in (lo, hi):
+        c, _, loose = shots[a]
+        if loose and shoot(a, False) != c:
             return None
-    return lo, hi, iters
+    return lo, hi, probes
 
 
 def _package_profile(params: ProblemParams, a: float, traj: Trajectory,
@@ -939,7 +756,7 @@ def _package_profile(params: ProblemParams, a: float, traj: Trajectory,
     if params.is_algebraic():
         keep = len(u)
     else:
-        # bisection error delta*a grows like e^(+kr); relative contamination at
+        # amplitude error delta*a grows like e^(+kr); relative contamination at
         # depth u is ~ width * (a/u)^2, so keep u/a above ~100*sqrt(width)
         level = a * min(1e-3, max(100.0 * math.sqrt(width), 1e-9))
         above = np.nonzero(u >= level)[0]

@@ -109,7 +109,8 @@ def misread_loose_shot(monkeypatch):
     shot at the loose step controls whose (amplitude, class) ``pick``
     accepts reads Overshoot for Undershoot and the reverse.  It returns the
     log of integrate calls, [amplitude, "loose" | "tight" | "final",
-    rhs_evals] each, and the list of amplitudes misread (at most one).
+    rhs_evals, class read] each (class None where the solver classifies
+    nothing), and the list of amplitudes misread (at most one).
     """
     from gslab import Classification, shooting
 
@@ -124,7 +125,7 @@ def misread_loose_shot(monkeypatch):
         def recorded(p, a, r_max, tol=None):
             kind = ("loose" if tol == loose_step
                     else "final" if tol is not None and tol.with_quadrature else "tight")
-            calls.append([a, kind, 0])
+            calls.append([a, kind, 0, None])
             t = real_integrate(p, a, r_max, tol)
             calls[-1][2] = t.rhs_evals
             return t
@@ -134,7 +135,8 @@ def misread_loose_shot(monkeypatch):
             if (not misread and c in other and calls[-1][1] == "loose"
                     and pick(amplitude, c)):
                 misread.append(amplitude)
-                return other[c]
+                c = other[c]
+            calls[-1][3] = c
             return c
 
         monkeypatch.setattr(shooting, "integrate", recorded)
@@ -142,3 +144,24 @@ def misread_loose_shot(monkeypatch):
         return calls, misread
 
     return arm
+
+
+@pytest.fixture
+def overturned():
+    """Whether a solve's log (see misread_loose_shot) shows a loose Undershoot
+    or Overshoot that read another class when it was shot again tight: the
+    case in which find_ground_state runs its all-tight second attempt."""
+    from gslab import Classification
+
+    sides = (Classification.UNDERSHOOT, Classification.OVERSHOOT)
+
+    def check(calls) -> bool:
+        loose = {}
+        for a, kind, _, c in calls:
+            if kind == "loose" and c in sides:
+                loose[a] = c
+            elif kind == "tight" and a in loose and c != loose[a]:
+                return True
+        return False
+
+    return check

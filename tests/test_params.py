@@ -52,3 +52,16 @@ def test_potential_is_antiderivative():
 def test_sphere_area_values():
     assert sphere_area(3) == pytest.approx(4.0 * math.pi)
     assert sphere_area(4) == pytest.approx(2.0 * math.pi**2)
+
+
+def test_numpy_scalar_inputs_are_stored_as_floats():
+    # numpy scalars give the same bits but run ode.integrate ~3x slower, so
+    # the public parameter tuple stores Python floats
+    import numpy as np
+
+    from gslab import solve_ground_state
+
+    prm = ProblemParams(3, np.float64(6.0), np.float64(10.0), np.float64(1e-3), Family.P_EPS)
+    assert [type(v) for v in (prm.p, prm.q, prm.eps)] == [float] * 3
+    plain = ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS)
+    assert solve_ground_state(prm).amplitude.hex() == solve_ground_state(plain).amplitude.hex()

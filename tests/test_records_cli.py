@@ -409,10 +409,11 @@ def test_cli_loose_integrations_count_the_loose_model_probes(tmp_path, monkeypat
         assert scaled.loose_integrations == prof.loose_integrations
 
 
-def test_cli_fallbacks_report_the_all_tight_re_solve(tmp_path, misread_loose_shot):
+def test_cli_fallbacks_report_the_all_tight_re_solve(tmp_path, misread_loose_shot, overturned):
     # independent count: the fixture wraps the integrate() that
-    # find_ground_state calls; the first loose undershoot is misread, so the
-    # exactness check fails and the solve runs again all tight
+    # find_ground_state calls; the first loose undershoot is misread, the
+    # search closes on it as an end of its bracket, its tight shot there
+    # overturns it and the solve runs again all tight
     from gslab import Classification, Family, ProblemParams, rescale_to_v, solve_ground_state
 
     argv = ["solve", *_SOLVE_ARGV, "--no-cache"]
@@ -423,10 +424,10 @@ def test_cli_fallbacks_report_the_all_tight_re_solve(tmp_path, misread_loose_sho
     calls, misread = misread_loose_shot(lambda a, c: c == Classification.UNDERSHOOT)
     assert main([*argv, "--out", str(out)]) == 0
     diag = parse(out.read_bytes()).diagnostics
-    assert misread and diag["fallbacks"] == 1
+    assert misread and diag["fallbacks"] == 1 and overturned(calls)
     assert diag["integrations_run"] == len(calls)
-    assert diag["loose_integrations"] == sum(kind == "loose" for _, kind, _ in calls)
-    assert diag["rhs_evals"] == sum(n for _, _, n in calls)
+    assert diag["loose_integrations"] == sum(kind == "loose" for _, kind, _, _ in calls)
+    assert diag["rhs_evals"] == sum(n for _, _, n, _ in calls)
 
     # a cache hit runs nothing
     calls, misread = misread_loose_shot(lambda a, c: c == Classification.UNDERSHOOT)
@@ -436,7 +437,7 @@ def test_cli_fallbacks_report_the_all_tight_re_solve(tmp_path, misread_loose_sho
 
     calls, misread = misread_loose_shot(lambda a, c: c == Classification.UNDERSHOOT)
     sol = solve_ground_state(ProblemParams(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS))
-    assert misread and sol.profile.fallbacks == 1
+    assert misread and sol.profile.fallbacks == 1 and overturned(calls)
     for scaled in (sol.rescaled_to_frame().profile, rescale_to_v(sol.profile, 0.7)):
         assert scaled.fallbacks == 1
 
