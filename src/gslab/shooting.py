@@ -624,9 +624,8 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
 
     a_star = math.sqrt(lo * hi)
     final = run(a_star, quad=True)
-    width = max(hi / lo - 1.0, 4e-16)
 
-    profile = _package_profile(params, a_star, final, width, r_max)
+    profile = _package_profile(params, a_star, final, 0.5 * ctrl.amp_tol, r_max)
     profile.bisection_iterations = run.integrations - run.bracket_runs - 1
     profile.bracket = (lo, hi)
     profile.r_max_used = r_max
@@ -751,7 +750,11 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
 
 def _package_profile(params: ProblemParams, a: float, traj: Trajectory,
                      width: float, r_max: float) -> RadialProfile:
-    """Truncate the converged trajectory to its reliable range and fit the tail."""
+    """Truncate the converged trajectory to its reliable range and fit the tail.
+
+    ``width`` bounds the relative error of a: half of amp_tol, the stop width
+    of the search, so the kept range does not depend on where it stopped.
+    """
     u = traj.values
     if params.is_algebraic():
         keep = len(u)
