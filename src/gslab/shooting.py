@@ -95,29 +95,37 @@ class TailModel:
     corr_pm2: float = 0.0     # correction regressor exponent, p - 2
     mismatch: float = 0.0     # max relative residual over the fit window
 
-    def _base(self, r):
-        r = np.asarray(r, dtype=float)
+    def _base(self, r, deriv: bool = False):
+        """The linear mode at r, or its derivative in closed form."""
         if self.kind == "Algebraic":
-            return self.prefactor * r ** -(self.N - 2.0)
+            base = self.prefactor * r ** -(self.N - 2.0)
+            return -(self.N - 2.0) * base / r if deriv else base
         k = self.rate_or_power
         nu = 0.5 * self.N - 1.0
         cb = self.prefactor * math.sqrt(2.0 * k / math.pi)
+        if deriv:   # d/dr [r^-nu K_nu(k r)] = -k r^-nu K_{nu+1}(k r)
+            return -k * cb * r ** -nu * kve(nu + 1.0, k * r) * np.exp(-k * r)
         return cb * r ** (1.0 - 0.5 * self.N) * kve(nu, k * r) * np.exp(-k * r)
 
-    def _corr_factor(self, base, r):
+    def _one_plus_kr2(self, r):
         k = self.rate_or_power if self.kind == "Exponential" else 0.0
-        g = np.abs(base) ** self.corr_pm2 * r * r / (1.0 + (k * r) ** 2)
-        return 1.0 + self.corr * g
+        return 1.0 + (k * r) ** 2
 
     def predict(self, r):
         r = np.asarray(r, dtype=float)
         base = self._base(r)
-        out = base * self._corr_factor(base, r)
+        g = np.abs(base) ** self.corr_pm2 * r * r / self._one_plus_kr2(r)
+        out = base * (1.0 + self.corr * g)
         return float(out) if np.ndim(r) == 0 else out
 
     def slope(self, r):
-        h = 1e-6 * np.maximum(1.0, np.asarray(r, dtype=float))
-        out = (self.predict(r + h) - self.predict(r - h)) / (2.0 * h)
+        """d/dr of predict: the product rule through the correction factor, with
+        g'/g = (p-2) base'/base + 2 / (r (1 + (k r)^2))."""
+        r = np.asarray(r, dtype=float)
+        base, dbase = self._base(r), self._base(r, deriv=True)
+        kr2 = self._one_plus_kr2(r)
+        cg = self.corr * np.abs(base) ** self.corr_pm2 * r * r / kr2
+        out = dbase * (1.0 + cg) + cg * (self.corr_pm2 * dbase + 2.0 * base / (r * kr2))
         return float(out) if np.ndim(r) == 0 else out
 
     def norm_tail(self, s: float, R: float) -> float:

@@ -33,7 +33,7 @@ GOLDEN = [
                  "0x1.1597c27ed3241p+2", "0x1.d83d9226f93b0p+3", "0x1.45aeaa4893196p-38",
                  2281, id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.0b612fe3fc55fp+2", "0x1.eb9fac3e0106ep+3", "0x1.6b4e844aaac17p-38",
+                 "0x1.0b612fe3fc55fp+2", "0x1.eb9fac3e01069p+3", "0x1.6b4a43f95c878p-38",
                  2251, id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
@@ -147,14 +147,15 @@ def test_forced_loose_probes_fall_back_to_golden_bitwise(params, amplitude, leve
     assert _near(prof.amplitude, amplitude, ShootControls().amp_tol)
 
 
-# The read side, pinned before the tail quadratures evaluated all their
-# panels in one numpy pass: (params, radial_norm(prof, p), dirichlet_norm,
+# The read side: (params, radial_norm(prof, p), dirichlet_norm,
 # tail.norm_tail(2.0, R), tail.dirichlet_tail(R)) with R the last grid
-# radius; None where the algebraic tail makes the L^2 norm diverge
+# radius; None where the algebraic tail makes the L^2 norm diverge.  The
+# exponential tails' Dirichlet terms were re-pinned when TailModel.slope
+# became the closed-form derivative.
 READ_SIDE = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
                  "0x1.69cad4a40a765p+4", "0x1.07a0f21ca56b8p+4",
-                 "0x1.d9badf2f6790ep-10", "0x1.4bb00d4bceccbp-19",
+                 "0x1.d9badf2f6790ep-10", "0x1.4bb00d4bc60e1p-19",
                  id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
                  "0x1.82fa513c33774p+5", "0x1.82fa51325fcf6p+4",
@@ -162,13 +163,22 @@ READ_SIDE = [
                  id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
                  "0x1.2e5b2444af682p+6", "0x1.c588b65e43a40p+5",
-                 "0x1.5b966687ece8ep-19", "0x1.bdbaa436b7983p-19",
+                 "0x1.5b966687ece8ep-19", "0x1.bdbaa4368b817p-19",
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.69597fa68fd95p+6", "0x1.e1bde1ea1cbe5p+5",
-                 "0x1.4584e69667a64p-19", "0x1.9f52b05304e2dp-19",
+                 "0x1.69597fa68fd95p+6", "0x1.e1bde1ea1cbe3p+5",
+                 "0x1.4584e69667a64p-19", "0x1.9f52b052dcda4p-19",
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
+
+
+# dirichlet_tail(R) while TailModel.slope was a central difference with the
+# step 1e-6*max(1, r): the closed form moved it by at most 2.3e-11
+DIFFERENCE_TAIL_DIR = {
+    Family.P_EPS: "0x1.4bb00d4bceccbp-19",
+    Family.R_ZERO: "0x1.bdbaa436b7983p-19",
+    Family.R_EPS: "0x1.9f52b05304e2dp-19",
+}
 
 
 @pytest.mark.parametrize("params, norm_p, dirichlet, tail_l2, tail_dir", READ_SIDE)
@@ -185,6 +195,8 @@ def test_read_side_norms_match_golden_bitwise(params, norm_p, dirichlet, tail_l2
     else:
         assert float(prof.tail.norm_tail(2.0, R)).hex() == tail_l2
     assert float(prof.tail.dirichlet_tail(R)).hex() == tail_dir
+    if params.family in DIFFERENCE_TAIL_DIR:
+        assert _near(prof.tail.dirichlet_tail(R), DIFFERENCE_TAIL_DIR[params.family], 1e-10)
     _, _, old_norm_p, old_dirichlet = BISECTION_PINS[params.family]
     assert _near(radial_norm(prof, params.p), old_norm_p, 1e-11)
     assert _near(dirichlet_norm(prof), old_dirichlet, 1e-11)
@@ -202,9 +214,9 @@ def test_critical_read_side_matches_golden_bitwise():
     lam = concentration_lambda(w.profile)
     d1, dp = profile_distances(rescale_to_v(w.profile, lam), EmdenFowlerProfile(5, 1.0, "W"))
     assert lam.hex() == "0x1.5ffd4d5a193a4p+0"
-    assert d1.hex() == "0x1.3e79a141914c3p-2"
-    assert dp.hex() == "0x1.c958ee1345e37p-5"
-    assert kappa_identities(w, params.eps).lq_residual.hex() == "0x1.49ce296d27880p-23"
+    assert d1.hex() == "0x1.3e79a14191e8fp-2"
+    assert dp.hex() == "0x1.c958ee1345e34p-5"
+    assert kappa_identities(w, params.eps).lq_residual.hex() == "0x1.49ce29659c430p-23"
     # the pins taken while the solve replayed the plain bisection: the
     # profile moved by ~1e-13, lambda by 1.4e-13, d1 by 5.0e-13, dp by 2.4e-12
     assert _near(lam, "0x1.5ffd4d5a19706p+0", 1e-11)

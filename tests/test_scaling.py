@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gslab import Family, ProblemParams, rescale_to_v, solve_ground_state, to_minimizer_frame
-from gslab.functionals import _norms_from_trajectory, radial_norm, scale_profile
+from gslab.functionals import _norms_from_trajectory, dirichlet_norm, radial_norm, scale_profile
 
 # the four golden cases of tests/test_golden.py
 CASES = [
@@ -35,12 +35,10 @@ _log_factor = st.floats(math.log(0.1), math.log(10.0))
 @given(params=st.sampled_from(CASES), log_amp=_log_factor, log_lam=_log_factor)
 def test_scaled_norms_follow_the_closed_form_powers(params, log_amp, log_lam):
     # int |amp u(lam y)|^s dy = amp^s lam^-N int |u|^s, and the Dirichlet
-    # integral gains amp^2 lam^(2-N).  dirichlet_norm is not checked: it
-    # differs from the co-integrated route only by the Hermite bulk, which
-    # radial_norm covers, and the tail term both share differentiates the
-    # tail model by a central difference with the absolute step
-    # 1e-6*max(1, r), which does not scale with the profile (that term alone
-    # moves by up to ~1e-10 relative; in these cases the bulk outweighs it).
+    # integral gains amp^2 lam^(2-N).  The tail's Dirichlet term is checked
+    # on its own too: TailModel.slope is the closed-form derivative (as a
+    # central difference with the absolute step 1e-6*max(1, r) it did not
+    # scale with the profile, and that term alone moved by up to 7.9e-11).
     u = _profile(params)
     amp, lam = math.exp(log_amp), math.exp(log_lam)
     N, p, q = params.N, params.p, params.q
@@ -55,6 +53,11 @@ def test_scaled_norms_follow_the_closed_form_powers(params, log_amp, log_lam):
     for s in (p, q):
         assert radial_norm(v, s) == pytest.approx(amp**s * vol * radial_norm(u, s),
                                                   rel=1e-13, abs=0.0)
+    dir_fac = factors[3]
+    assert dirichlet_norm(v) == pytest.approx(dir_fac * dirichlet_norm(u), rel=1e-13, abs=0.0)
+    R = float(u.grid.radii[-1])
+    assert v.tail.dirichlet_tail(R / lam) == pytest.approx(dir_fac * u.tail.dirichlet_tail(R),
+                                                           rel=1e-13, abs=0.0)
 
 
 # Before the series piece was scaled with the profile, evaluating just below
