@@ -5,11 +5,12 @@ lambda_eps at which the ball-mass of |w_eps|^p reaches Q* defines the
 rescaling v_eps(x) = lambda^((N-2)/2) w_eps(lambda x), which converges to
 the Sobolev minimizer W_1; it and the minimizer frame are both
 functionals.scale_profile.  The ball mass reads the |w|^p mass the solve
-co-integrated on its grid, and the W_1 distances run on the profile's own
-Gauss panels (functionals._grid_quad).  Sweeps solve a geometric grid of
-eps (or delta) values, collect the regime's observables, and confront
-fitted log-log slopes (optionally with a log(1/eps) correction factor) with
-the predicted exponents.
+co-integrated on its grid, and Brent's method (shooting._bracket_root)
+finds lambda inside the grid panel that holds it.  The W_1 distances run on
+the profile's own Gauss panels (functionals._grid_quad).  Sweeps solve a
+geometric grid of eps (or delta) values, collect the regime's observables,
+and confront fitted log-log slopes (optionally with a log(1/eps) correction
+factor) with the predicted exponents.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .ode import IntegrationFailure
 from .params import Family, ProblemParams, sphere_area
-from .shooting import RadialProfile, ShootControls, _brentq, _hermite_eval
+from .shooting import RadialProfile, ShootControls, _bracket_root
 
 __all__ = [
     "concentration_lambda",
@@ -47,31 +48,15 @@ __all__ = [
 ]
 
 
-# Bisection levels below the current bracket whose mids concentration_lambda
-# evaluates in one numpy pass: up to 31 rows cost about what one row costs.
-_BATCH_LEVELS = 5
-
-
 def concentration_lambda(w, Qstar: float | None = None) -> float:
-    """Unique lambda with int_{B_lambda} |w|^p dx = Q*, by monotone bisection.
+    """Unique lambda with int_{B_lambda} |w|^p dx = Q*, by Brent's method.
 
     The grid panel that holds the root, and the mass below it, come from the
     co-integrated mass omega * grid.norm_lp (the one analyze's L^p norm and
     the identities read, scaled exactly by scale_profile); inside that panel
-    the mass is a 24-point Gauss sum of the Hermite reconstruction.  The
-    bisection halves the panel down to a relative width of 1e-13, about 38
-    mids.  Its mass values are evaluated in batches: at a mid with no stored
-    value, every mid of the next
-    ``_BATCH_LEVELS`` levels of the bisection tree below the current bracket
-    (subtrees already below the stop width left out) runs in one numpy pass,
-    and the loop reads the values it needs from the store.  The result is
-    the same, bit for bit, as one Gauss sum per mid: each mid comes from the
-    loop's own 0.5 * (a + b), every node value from the same elementwise
-    expressions and the same Hermite evaluation, and each row's Gauss sum
-    from a row reduction of a C-contiguous array, which numpy adds in the
-    same order as the sum of that row alone (``emden._panel_quad`` relies on
-    this too).  The loop and its decisions are unchanged.  A root in the
-    series piece below the first grid radius evaluates its mids one at a time.
+    the mass is a 24-point Gauss sum of the profile (its Hermite
+    reconstruction, or the series piece below the first grid radius), and
+    _bracket_root closes the panel to a relative width of 1e-13.
     """
     if isinstance(w, EmdenFowlerProfile):
         return _emden_concentration(w, Qstar)
@@ -93,54 +78,27 @@ def concentration_lambda(w, Qstar: float | None = None) -> float:
         )
     idx = int(np.searchsorted(cum, Qstar))
     rg = w.grid.radii
-    lo = 0.0 if idx == 0 else float(rg[idx - 1])
-    hi = float(rg[idx])
-    base = 0.0 if idx == 0 else float(cum[idx - 1])
-
+    start = 0.0 if idx == 0 else float(rg[idx - 1])
+    f_start = (0.0 if idx == 0 else float(cum[idx - 1])) - Qstar
     x, gw = _leggauss(24)
-    mass: dict[float, float] = {}   # mass_to(m) by bisection mid m
 
-    def done(a: float, b: float) -> bool:
-        return b - a <= 1e-13 * max(1.0, b)
+    def excess(r: float) -> float:
+        """Mass of B_r minus Q*: the panel's own mass up to r plus f_start,
+        so it keeps its precision where the panel adds little mass."""
+        mid, half = 0.5 * (start + r), 0.5 * (r - start)
+        rr = mid + half * x
+        return f_start + omega * half * float(np.sum(gw * np.abs(w.value(rr)) ** p
+                                                     * rr ** (N - 1)))
 
-    def fill(a: float, b: float) -> None:
-        """Store mass_to at the mids of the next _BATCH_LEVELS levels below (a, b)."""
-        if idx == 0:
-            m = 0.5 * (a + b)
-            mass[m] = base + _ball_mass_series(w, m) * omega
-            return
-        mids, level = [], [(a, b)]
-        for _ in range(_BATCH_LEVELS):
-            below = []
-            for u, v in level:
-                if not done(u, v):
-                    m = 0.5 * (u + v)
-                    mids.append(m)
-                    below += [(u, m), (m, v)]
-            level = below
-        r = np.array(mids)
-        mid, half = 0.5 * (lo + r), 0.5 * (r - lo)
-        rr = mid[:, None] + half[:, None] * x
-        # every node lies inside (rg[idx-1], rg[idx]): w.value's Hermite branch
-        uu = _hermite_eval(rg, w.grid.values, w.grid.slopes, rr, False)
-        sums = np.sum(gw * np.abs(uu) ** p * rr ** (N - 1), axis=1)
-        for m, h, s in zip(mids, half.tolist(), sums.tolist()):
-            mass[m] = base + omega * h * s
-
-    f_lo = base - Qstar
-    a_, b_ = lo, hi
-    for _ in range(200):
-        if done(a_, b_):
-            break
-        m = 0.5 * (a_ + b_)
-        if m not in mass:
-            fill(a_, b_)
-        fm = mass[m] - Qstar
-        if (fm <= 0.0) == (f_lo <= 0.0):
-            a_, f_lo = m, fm
-        else:
-            b_ = m
-    return 0.5 * (a_ + b_)
+    if idx == 0:
+        # |w| <= a, so the mass of B_r is at most omega a^p r^N / N
+        lo = (N * Qstar / (omega * w.amplitude ** p)) ** (1.0 / N)
+        f_lo = excess(lo)
+    else:
+        lo, f_lo = start, f_start
+    lo, hi, _ = _bracket_root(excess, lo, f_lo, float(rg[idx]), float(cum[idx]) - Qstar,
+                              1e-13, 200)
+    return 0.5 * (lo + hi)
 
 
 def _emden_concentration(w: EmdenFowlerProfile, Qstar: float | None) -> float:
@@ -155,16 +113,11 @@ def _emden_concentration(w: EmdenFowlerProfile, Qstar: float | None) -> float:
     if total <= Qstar:
         raise NotInAsymptoticRegime(f"total mass {total:.6g} <= Q* = {Qstar:.6g}")
     hi = 1.0
-    while mass_minus(hi) < 0.0:
+    while (f_hi := mass_minus(hi)) < 0.0:
         hi *= 2.0
-    return _brentq(mass_minus, 1e-8 * hi, hi, xtol=1e-14, rtol=1e-13)
-
-
-def _ball_mass_series(w: RadialProfile, r: float) -> float:
-    x, gw = _leggauss(24)
-    rr = 0.5 * r * (x + 1.0)
-    uu = w.value(rr)
-    return 0.5 * r * float(np.sum(gw * np.abs(uu) ** w.params.p * rr ** (w.params.N - 1)))
+    lo = 1e-8 * hi
+    lo, hi, _ = _bracket_root(mass_minus, lo, mass_minus(lo), hi, f_hi, 1e-13, 100)
+    return 0.5 * (lo + hi)
 
 
 def rescale_to_v(w: RadialProfile, lam: float) -> RadialProfile:

@@ -22,7 +22,10 @@ amplitude, the result is within amp_tol of the plain bisection's.
 The admissible amplitude window is (u_F0, u_hi): u_F0 is the first
 positive zero of the potential F (below it the trajectory lacks the energy
 to reach zero), u_hi the largest positive root of f (at or above it the
-start is not monotone decreasing, since u''(0) = -f(a)/N).
+start is not monotone decreasing, since u''(0) = -f(a)/N).  Both come to
+1e-15 relative from _bracket_root, the Brent loop of the amplitude search:
+it is gslab's one root loop, and finds the concentration radii of
+``asymptotics`` too.
 
 Beyond the grid a profile is its TailModel.  Norms of an exponential tail
 are Gauss panels over [R, R + 60/decay], with edges spaced as a squared
@@ -368,18 +371,22 @@ def _shooting_proxy(params: ProblemParams, t: Trajectory, c: str) -> float:
 
 
 def _f_root(fun, a: float, b: float) -> float:
-    """Root of fun in [a, b] to about 1e-15 relative; in log u if that does not converge.
+    """Root of fun in [a, b], 0 < a < b, to 1e-15 relative (_bracket_root).
 
-    With p close to 2 a bracket can span tens of decades with the root near
-    one end; Brent's method in u then needs more than its 100 steps, in log u
-    about 60.  A root found in u is returned as found, so every input that
-    converges in u keeps its bits.
+    Its bisection steps are geometric, so the tens of decades a bracket can
+    span with p close to 2 take about 60 of them (a hundred decades at
+    p = 2.02 took 113 Brent steps).  A bracket without a sign change, or one
+    not closed in 200 steps, raises InternalConsistencyError.
     """
-    try:
-        return _brentq(fun, a, b, xtol=1e-300, rtol=1e-15)
-    except RuntimeError:   # no convergence in maxiter steps
-        return math.exp(_brentq(lambda t: fun(math.exp(t)), math.log(a), math.log(b),
-                                xtol=1e-15))
+    fa, fb = fun(a), fun(b)
+    if fa != 0.0 and fb != 0.0 and (fa > 0.0) == (fb > 0.0):
+        raise InternalConsistencyError(
+            f"root bracket [{a!r}, {b!r}] has no sign change: f = {fa!r}, {fb!r}")
+    lo, hi, _ = _bracket_root(fun, a, fa, b, fb, 1e-15, 200)
+    if hi / lo - 1.0 > 1e-15:
+        raise InternalConsistencyError(
+            f"root of f in [{a!r}, {b!r}] not found in 200 steps: [{lo!r}, {hi!r}]")
+    return 0.5 * (lo + hi)
 
 
 def _f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
@@ -483,63 +490,35 @@ def _zeroin(a: float, fa: float, b: float, fb: float, rtol: float):
         b, fb = yield b + (d if abs(d) > tol else math.copysign(tol, xm))
 
 
-def _brentq(f, xa: float, xb: float, xtol: float = 2e-12, rtol: float = 8.881784197001252e-16,
-            maxiter: int = 100) -> float:
-    """Root of f in [xa, xb], where f changes sign: scipy.optimize.brentq.
+def _bracket_root(f, lo: float, f_lo: float, hi: float, f_hi: float, rtol: float,
+                  maxiter: int) -> tuple[float, float, int]:
+    """Close a bracket of a root of f with Brent's steps: (lo, hi, evaluations).
 
-    The loop of scipy's Zeros/brentq.c, with the same operations in the same
-    order, so every result is the same float; gslab imports it from here to
-    leave scipy.optimize, about half of its import time, unimported.  A NaN
-    function value raises ValueError, as does f(xa), f(xb) of one sign, and
-    no convergence in maxiter steps raises RuntimeError.
+    0 < lo < hi, and f_lo = f(lo), f_hi = f(hi) have opposite signs.  A step
+    of _zeroin outside (lo, hi) is replaced by the geometric mid, and each
+    probe replaces the end whose value has its sign.  The loop stops when
+    hi / lo - 1 <= rtol (the steps are at least half that, relative), when
+    f reads 0 (then lo = hi = the probe), or after maxiter evaluations.  An
+    end where f is 0 is returned as both ends.
     """
-
-    def fn(x: float) -> float:
+    if f_lo == 0.0 or f_hi == 0.0:
+        x = lo if f_lo == 0.0 else hi
+        return x, x, 0
+    zeroin = _zeroin(lo, f_lo, hi, f_hi, 0.5 * rtol)
+    x, n = next(zeroin), 0
+    while hi / lo - 1.0 > rtol and n < maxiter:
+        if not lo < x < hi:
+            x = math.sqrt(lo * hi)
+        n += 1
         fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return float(fx)
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = fn(xpre), fn(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:   # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:              # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):   # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+        if fx == 0.0:
+            return x, x, n
+        if (fx > 0.0) == (f_lo > 0.0):
+            lo = x
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = fn(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
+            hi = x
+        x = zeroin.send((x, fx))
+    return lo, hi, n
 
 
 # a probe runs at the loose step controls while Brent's prediction still
@@ -733,21 +712,18 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
     if u < o:
         lo, hi = u, o
 
-    zeroin = _zeroin(lo, shots[lo][1], hi, shots[hi][1], 0.5 * ctrl.amp_tol)
-    x, x_prev, probes = next(zeroin), None, 0
-    while hi / lo - 1.0 > ctrl.amp_tol and probes < ctrl.max_iter:
-        if not lo < x < hi:
-            x = math.sqrt(lo * hi)
-        probes += 1
-        c = shoot(x, loose_first and (x_prev is None or abs(x - x_prev) > _LOOSE_SHIFT * x))
-        if c == Classification.CONVERGED:
-            lo = hi = x
-            break
-        if c == Classification.UNDERSHOOT:
-            lo = x
-        else:
-            hi = x
-        x_prev, x = x, zeroin.send((x, shots[x][1]))
+    prev = None   # the last probe
+
+    def probe(x: float) -> float:
+        """Brent's value of a probe, 0 for Converged; loose while the
+        prediction moves by more than _LOOSE_SHIFT (the first probe always)."""
+        nonlocal prev
+        loose = loose_first and (prev is None or abs(x - prev) > _LOOSE_SHIFT * x)
+        prev = x
+        return 0.0 if shoot(x, loose) == Classification.CONVERGED else shots[x][1]
+
+    lo, hi, probes = _bracket_root(probe, lo, shots[lo][1], hi, shots[hi][1],
+                                   ctrl.amp_tol, ctrl.max_iter)
 
     for a in (lo, hi):
         c, _, loose = shots[a]

@@ -1,25 +1,28 @@
-"""The batched concentration-radius bisection against the scalar one it replaced.
+"""The concentration radius against the scalar bisection it replaced.
 
-``asymptotics.concentration_lambda`` evaluates the ball mass at the mids of
-several bisection levels in one numpy pass.  The loop below is the
-reference: the same bisection with one Gauss sum per mid, bracketed by the
-co-integrated mass of the grid (``grid.norm_lp``).  The radius must
-be the same bit for bit, wherever the root lies: in the series piece below
-the first grid radius, in the first grid panel, inside the grid and in the
-last panel.  The radius reads only the sign of each mass minus Q*, so the
-test also sets Q* to the mass at each mid the scalar bisection visits: the
-decision there then compares equal values, and a mass one ulp off moves
-the radius.
+``asymptotics.concentration_lambda`` closes the grid panel that holds the
+root with Brent's method (``shooting._bracket_root``) at a relative width of
+1e-13.  The loop below is the reference: a bisection of the same panel with
+one 24-point Gauss sum of the ball mass per mid, bracketed by the
+co-integrated mass of the grid (``grid.norm_lp``), down to the width
+1e-13 * max(1, b).  The two radii must agree within that stop width plus
+2e-13 relative, wherever the root lies: in the series piece below the first
+grid radius, in the first grid panel, inside the grid and in the last
+panel.  The bisection's width is absolute below 1, so in the series piece
+(r ~ 4e-5) the two differ by up to 6.5e-10 relative.  Each radius takes at
+most 8 evaluations of the ball mass.  The test also sets Q* to the mass at
+each mid the bisection visits, where the bisection decides on equal values.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from gslab import Family, ProblemParams, concentration_lambda, solve_ground_state
-from gslab.asymptotics import _ball_mass_series
 from gslab.emden import _leggauss, q_star
 from gslab.params import sphere_area
-from gslab.shooting import _hermite_eval
+from gslab.shooting import RadialProfile, _hermite_eval
 
 
 def _lambda_loop(w, Qstar, visits=None):
@@ -34,11 +37,12 @@ def _lambda_loop(w, Qstar, visits=None):
     x, gw = _leggauss(24)
 
     def mass_to(r):
-        if idx == 0:
-            return base + _ball_mass_series(w, r) * omega
         mid, half = 0.5 * (lo + r), 0.5 * (r - lo)
         rr = mid + half * x
-        uu = _hermite_eval(rg, w.grid.values, w.grid.slopes, rr, False)
+        if idx == 0:
+            uu = w.value(rr)
+        else:
+            uu = _hermite_eval(rg, w.grid.values, w.grid.slopes, rr, False)
         return base + omega * half * float(np.sum(gw * np.abs(uu) ** p * rr ** (N - 1)))
 
     f_lo = base - Qstar
@@ -77,22 +81,45 @@ def frames():
     return get
 
 
-def _same(got, want):
-    assert type(got) is type(want) is float
-    assert got.hex() == want.hex()
+@pytest.fixture
+def mass_evaluations(monkeypatch):
+    """Count the profile evaluations (one per ball mass) of a call."""
+    calls = []
+    real = RadialProfile.value
+
+    def counted(self, r):
+        calls.append(r)
+        return real(self, r)
+
+    monkeypatch.setattr(RadialProfile, "value", counted)
+    return calls
+
+
+def _check(w, Qstar, calls):
+    """concentration_lambda against the bisection, and its mass evaluations."""
+    want = _lambda_loop(w, Qstar)
+    calls.clear()
+    got = concentration_lambda(w, Qstar)
+    assert 0 < len(calls) <= 8
+    # the bisection reads base + mass - Q*, which rounds to 0 on a plateau of
+    # width ~ulp(Q*) / m' around the root, m' the derivative of the ball mass
+    N = w.params.N
+    plateau = math.ulp(Qstar) / (sphere_area(N) * want ** (N - 1) * abs(w.value(want)) ** w.params.p)
+    assert abs(got - want) <= 1e-13 * max(1.0, want) + 2e-13 * want + plateau, (got, want)
+    return got
 
 
 @pytest.mark.parametrize("params", CRITICAL)
-def test_lambda_matches_scalar_bisection_bitwise(params, frames):
+def test_lambda_matches_scalar_bisection(params, frames, mass_evaluations):
     w = frames(params)
-    Qstar = q_star(params.N)
-    _same(concentration_lambda(w), _lambda_loop(w, Qstar))
-    _same(concentration_lambda(w, Qstar), _lambda_loop(w, Qstar))
+    got = _check(w, q_star(params.N), mass_evaluations)
+    assert concentration_lambda(w) == got
 
 
 @pytest.mark.parametrize("params", CRITICAL)
 @pytest.mark.parametrize("where", ["series", "first_panel", "inner_panel", "last_panel"])
-def test_lambda_matches_scalar_bisection_in_every_piece(params, where, frames):
+def test_lambda_matches_scalar_bisection_in_every_piece(params, where, frames,
+                                                         mass_evaluations):
     w = frames(params)
     cum = sphere_area(params.N) * w.grid.norm_lp
     # the last panel that adds more than rounding: further out the prefix sums
@@ -101,14 +128,16 @@ def test_lambda_matches_scalar_bisection_in_every_piece(params, where, frames):
     k = {"series": 0, "first_panel": 1, "inner_panel": last // 2, "last_panel": last}[where]
     Qstar = 0.5 * ((0.0 if k == 0 else float(cum[k - 1])) + float(cum[k]))
     assert int(np.searchsorted(cum, Qstar)) == k
-    _same(concentration_lambda(w, Qstar), _lambda_loop(w, Qstar))
+    got = _check(w, Qstar, mass_evaluations)
+    assert (0.0 if k == 0 else w.grid.radii[k - 1]) < got <= w.grid.radii[k]
 
 
 @pytest.mark.parametrize("params", CRITICAL)
-def test_lambda_matches_scalar_bisection_with_qstar_at_each_mid(params, frames):
+def test_lambda_matches_scalar_bisection_with_qstar_at_each_mid(params, frames,
+                                                                mass_evaluations):
     w = frames(params)
     visits = []
     _lambda_loop(w, q_star(params.N), visits)
     assert len(visits) > 30
     for Qstar in visits:
-        _same(concentration_lambda(w, Qstar), _lambda_loop(w, Qstar))
+        _check(w, Qstar, mass_evaluations)

@@ -3,12 +3,14 @@
 A speed-up of the solver counts only if its results match the old code
 bitwise, or if a stated tolerance covers the difference.  The values below
 are ``float.hex`` of the solution and SHA-256 digests of its grid and norm
-arrays, taken when the amplitude search became one Brent search on the
-shooting proxy.  The pins taken before, while the solve replayed the plain
-bisection bit for bit, stay asserted at a tolerance (BISECTION_PINS): the
-Brent search lands within amp_tol of that bisection.  Any change to the
-stepping, the error control, the event refinement, the quadrature panels or
-the search shows up here as an exact mismatch.  They were taken on x86-64
+arrays, last taken when every root came from one Brent loop
+(shooting._bracket_root).  Older pins stay asserted.  Those from when the
+solve replayed the plain bisection (BISECTION_PINS) hold at a tolerance:
+the search lands within amp_tol of it.  Those from when f's roots came from
+a port of scipy's brentq hold bit for bit when the solve is fed those roots
+(SCIPY_ROOTS), and at a tolerance otherwise.  Any change to the stepping,
+the error control, the event refinement, the quadrature panels or the
+search shows up here as an exact mismatch.  They were taken on x86-64
 Linux (CPython, glibc libm); a different libm may move the last bits of
 ``**``.  The RHS totals of a whole solve (PANELS) count work, not results:
 they move when the solver integrates less.
@@ -33,8 +35,8 @@ GOLDEN = [
                  "0x1.1597c27ed3241p+2", "0x1.d83d9226f93b0p+3", "0x1.45aeaa4893196p-38",
                  2281, id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.0b612fe3fc55fp+2", "0x1.eb9fac3e01069p+3", "0x1.6b4a43f95c878p-38",
-                 2251, id="R_eps-N3-p4-q6-eps1e-2"),
+                 "0x1.0b612fe3fce89p+2", "0x1.eb9fac3e016bdp+3", "0x1.67721a731bd57p-38",
+                 2245, id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
 # (params, grid.norm_lp[-1], grid.norm_dir[-1], profile.rhs_evals): the
@@ -50,7 +52,7 @@ PANELS = [
                  "0x1.80f8bd8d2fac1p+2", "0x1.20ba803c12c78p+2", 13506,
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.cc15a89056a50p+2", "0x1.32afa4efcc1bfp+2", 13638,
+                 "0x1.cc15a89057a20p+2", "0x1.32afa4efd02fcp+2", 13632,
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
@@ -88,6 +90,7 @@ def test_solve_matches_golden_bitwise(params, amplitude, level_S, nehari, rhs_ev
     assert sol.profile.grid.rhs_evals == rhs_evals
     old_amplitude, old_level_S, _, _ = BISECTION_PINS[params.family]
     assert _near(sol.amplitude, old_amplitude, 1e-12)
+    assert _near(sol.amplitude, SCIPY_ROOT_AMPLITUDES[params.family], 1e-12)
     assert _near(sol.level_S, old_level_S, 1e-11)
 
 
@@ -113,7 +116,7 @@ ARRAYS = [
                  "c0a8a4a6c936cd3233ace2d7f893ae9a07ed56d3945bf3bdca131d2ced73ccf2",
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "512f7a7416e867cf1bb9a724542e1b30dc83a516fd4db5e856b3e455a61150a3",
+                 "d8bdc80ca3d4c01385793c18c3e29c8bcf600f23b4f09829c50108baad0c0af1",
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
@@ -166,14 +169,15 @@ READ_SIDE = [
                  "0x1.5b966687ece8ep-19", "0x1.bdbaa4368b817p-19",
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.69597fa68fd95p+6", "0x1.e1bde1ea1cbe3p+5",
-                 "0x1.4584e69667a64p-19", "0x1.9f52b052dcda4p-19",
+                 "0x1.69597fa6909f9p+6", "0x1.e1bde1ea2114fp+5",
+                 "0x1.4584c5fb0080ap-19", "0x1.9f528626149e5p-19",
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
 
 # dirichlet_tail(R) while TailModel.slope was a central difference with the
-# step 1e-6*max(1, r): the closed form moved it by at most 2.3e-11
+# step 1e-6*max(1, r): the closed form moved it by at most 2.3e-11 (checked
+# on the profile it was pinned on, test_scipy_roots_give_the_old_amplitudes)
 DIFFERENCE_TAIL_DIR = {
     Family.P_EPS: "0x1.4bb00d4bceccbp-19",
     Family.R_ZERO: "0x1.bdbaa436b7983p-19",
@@ -195,14 +199,12 @@ def test_read_side_norms_match_golden_bitwise(params, norm_p, dirichlet, tail_l2
     else:
         assert float(prof.tail.norm_tail(2.0, R)).hex() == tail_l2
     assert float(prof.tail.dirichlet_tail(R)).hex() == tail_dir
-    if params.family in DIFFERENCE_TAIL_DIR:
-        assert _near(prof.tail.dirichlet_tail(R), DIFFERENCE_TAIL_DIR[params.family], 1e-10)
     _, _, old_norm_p, old_dirichlet = BISECTION_PINS[params.family]
     assert _near(radial_norm(prof, params.p), old_norm_p, 1e-11)
     assert _near(dirichlet_norm(prof), old_dirichlet, 1e-11)
 
 
-def test_critical_read_side_matches_golden_bitwise():
+def test_critical_read_side_matches_golden_bitwise(monkeypatch):
     # one critical N=5 solve in the minimizer frame: the concentration
     # radius, both distances of the rescaled profile to W_1 and the
     # kappa-identity residual of the frame's norms
@@ -213,10 +215,16 @@ def test_critical_read_side_matches_golden_bitwise():
     w = solve_ground_state(params).rescaled_to_frame()
     lam = concentration_lambda(w.profile)
     d1, dp = profile_distances(rescale_to_v(w.profile, lam), EmdenFowlerProfile(5, 1.0, "W"))
-    assert lam.hex() == "0x1.5ffd4d5a193a4p+0"
-    assert d1.hex() == "0x1.3e79a14191e8fp-2"
-    assert dp.hex() == "0x1.c958ee1345e34p-5"
-    assert kappa_identities(w, params.eps).lq_residual.hex() == "0x1.49ce29659c430p-23"
+    assert lam.hex() == "0x1.5ffd4d5a19e8fp+0"
+    assert d1.hex() == "0x1.3e79a1418dd28p-2"
+    assert dp.hex() == "0x1.c958ee1332dbep-5"
+    assert kappa_identities(w, params.eps).lq_residual.hex() == "0x1.49cb4fa8feb7cp-23"
+    # the radius pinned while it was a bisection of the panel to 1e-13 (the
+    # frame's amplitude has since moved by 5.0e-13, and lambda with it by
+    # 4.5e-13): on the frame it was pinned on, Brent's lambda is within both
+    # stop widths of it
+    w_old = _solve_on_scipy_roots(params, monkeypatch).rescaled_to_frame()
+    assert _near(concentration_lambda(w_old.profile), "0x1.5ffd4d5a193a4p+0", 2e-13)
     # the pins taken while the solve replayed the plain bisection: the
     # profile moved by ~1e-13, lambda by 1.4e-13, d1 by 5.0e-13, dp by 2.4e-12
     assert _near(lam, "0x1.5ffd4d5a19706p+0", 1e-11)
@@ -232,6 +240,56 @@ def test_critical_read_side_matches_golden_bitwise():
                                        EmdenFowlerProfile(5, 1.0, "W"))
     assert _near(d1_old, "0x1.3e79a16892f20p-2", 1e-11)
     assert _near(dp_old, "0x1.c958ee0f40d10p-5", 1e-11)
+
+
+# f's roots (u_F0, u_hi) as the port of scipy's brentq found them, for the
+# golden cases whose roots are not in closed form; _bracket_root's are 1-3
+# ulp away
+SCIPY_ROOTS = {
+    ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS): ("0x1.df84fabbf2c9fp-3",
+                                                      "0x1.ffdf2fd52b8b9p-1"),
+    ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS): ("0x1.6c82aaabc90d0p+0",
+                                                     "0x1.3e612b6e74d1cp+3"),
+    ProblemParams(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS): ("0x1.0e4b5bd54408dp-7",
+                                                            "0x1.ffceced9b6131p-1"),
+}
+
+# The amplitudes pinned while those roots came from the port: R_eps has
+# since moved by 5.0e-13, the other three kept their bits
+SCIPY_ROOT_AMPLITUDES = {
+    Family.P_EPS: "0x1.bb150da6fc2f8p-1",
+    Family.P_ZERO: "0x1.f0dc83891881bp-1",
+    Family.R_ZERO: "0x1.1597c27ed3241p+2",
+    Family.R_EPS: "0x1.0b612fe3fc55fp+2",
+}
+
+
+def _solve_on_scipy_roots(params, monkeypatch):
+    """solve_ground_state with f's roots from SCIPY_ROOTS where pinned."""
+    from gslab import shooting
+
+    real = shooting._f_positive_roots
+
+    def roots(p):
+        if p in SCIPY_ROOTS:
+            return tuple(float.fromhex(x) for x in SCIPY_ROOTS[p])
+        return real(p)
+
+    monkeypatch.setattr(shooting, "_f_positive_roots", roots)
+    return solve_ground_state(params)
+
+
+@pytest.mark.parametrize("params", [pytest.param(p.values[0], id=p.id) for p in GOLDEN])
+def test_scipy_roots_give_the_old_amplitudes_bitwise(params, monkeypatch):
+    # fed the roots the old root finder found, the solve lands on the old
+    # amplitude bit for bit: the amplitude search is the Brent loop it was,
+    # now run by _bracket_root; the tail's Dirichlet term of that same
+    # profile is within 1e-10 of its difference-quotient pin
+    prof = _solve_on_scipy_roots(params, monkeypatch).profile
+    assert prof.amplitude.hex() == SCIPY_ROOT_AMPLITUDES[params.family]
+    if params.family in DIFFERENCE_TAIL_DIR:
+        R = float(prof.grid.radii[-1])
+        assert _near(prof.tail.dirichlet_tail(R), DIFFERENCE_TAIL_DIR[params.family], 1e-10)
 
 
 @pytest.mark.parametrize("N, s_star, qs", [
@@ -252,13 +310,24 @@ def test_emden_constants_match_golden_bitwise(N, s_star, qs):
 # accepted; at ratio 2 the amplitude falls faster than the hint's lower end,
 # so every hint is rejected and the solve falls back to the window scans.
 HINTED_SWEEPS = [
-    pytest.param(1.5, ["0x1.abceb306622c0p-2", "0x1.61b612d427499p-2", "0x1.23389d16fb882p-2",
-                       "0x1.de34e92e610ddp-3", "0x1.87e5ff495d66ap-3", "0x1.40c58b6cb1a1ep-3",
-                       "0x1.0656a7d2bd1ecp-3", "0x1.acdd747593a32p-4"], 2, id="hints-accepted"),
-    pytest.param(2.0, ["0x1.abceb306622c0p-2", "0x1.343e8a905ad9fp-2", "0x1.b805a14560524p-3",
-                       "0x1.389957fba8983p-3", "0x1.bb1d3ef796874p-4", "0x1.39b1d0f28b1c0p-4",
-                       "0x1.bbe3c7e82153dp-5", "0x1.39f80bd71865bp-5"], 3, id="hints-rejected"),
+    pytest.param(1.5, ["0x1.abceb3066316cp-2", "0x1.61b612d426877p-2", "0x1.23389d16fc288p-2",
+                       "0x1.de34e92e610d1p-3", "0x1.87e5ff495d66ep-3", "0x1.40c58b6cb1a21p-3",
+                       "0x1.0656a7d2bd1e7p-3", "0x1.acdd747593a39p-4"], 2, id="hints-accepted"),
+    pytest.param(2.0, ["0x1.abceb3066316cp-2", "0x1.343e8a905a30cp-2", "0x1.b805a1455f605p-3",
+                       "0x1.389957fba897ep-3", "0x1.bb1d3ef795946p-4", "0x1.39b1d0f28b1b3p-4",
+                       "0x1.bbe3c7e821542p-5", "0x1.39f80bd71865bp-5"], 3, id="hints-rejected"),
 ]
+
+# The same sweeps pinned while f's roots came from the port of scipy's
+# brentq; the roots moved by 1-3 ulp, and the amplitudes by at most 5.0e-13
+SCIPY_ROOT_SWEEPS = {
+    1.5: ["0x1.abceb306622c0p-2", "0x1.61b612d427499p-2", "0x1.23389d16fb882p-2",
+          "0x1.de34e92e610ddp-3", "0x1.87e5ff495d66ap-3", "0x1.40c58b6cb1a1ep-3",
+          "0x1.0656a7d2bd1ecp-3", "0x1.acdd747593a32p-4"],
+    2.0: ["0x1.abceb306622c0p-2", "0x1.343e8a905ad9fp-2", "0x1.b805a14560524p-3",
+          "0x1.389957fba8983p-3", "0x1.bb1d3ef796874p-4", "0x1.39b1d0f28b1c0p-4",
+          "0x1.bbe3c7e82153dp-5", "0x1.39f80bd71865bp-5"],
+}
 
 # The same sweeps pinned while the solve replayed the plain bisection, before
 # the bracket scans and hint checks ran at the loose step controls; they
@@ -290,8 +359,9 @@ def test_hinted_sweep_matches_golden_bitwise(ratio, amplitudes, bracket_runs, mo
     rep = sweep(SweepSpec(regime="subcritical", N=3, p=4.0, q=6.0,
                           grid_min=1e-2 / ratio ** 7, grid_max=1e-2, ratio=ratio))
     assert [pt.amplitude.hex() for pt in rep.points] == amplitudes
-    assert all(_near(pt.amplitude, old, 1e-12)
-               for pt, old in zip(rep.points, BISECTION_SWEEPS[ratio], strict=True))
+    for old in (BISECTION_SWEEPS[ratio], SCIPY_ROOT_SWEEPS[ratio]):
+        assert all(_near(pt.amplitude, pin, 1e-12)
+                   for pt, pin in zip(rep.points, old, strict=True))
     # an accepted hint costs its two checks; a rejected one its lower check
     # (an overshoot), then one shot at each end of the admissible window
     assert hinted == [bracket_runs] * 7

@@ -1,8 +1,11 @@
-"""shooting._brentq against scipy.optimize.brentq, its oracle, bit for bit.
+"""shooting._bracket_root, gslab's one root loop, against scipy.optimize.brentq.
 
-gslab carries its own port of scipy's brentq loop so that importing it
-leaves scipy.optimize unimported; the port must return the same float on
-every call, and raise the same exception types.
+gslab finds every root with Brent's steps through ``_bracket_root`` (f's
+roots by ``_f_root``, at a relative width of 1e-15), so importing it leaves
+scipy.optimize unimported.  scipy's brentq, which f's roots came from before
+(retried in log u where it did not converge in u), is the oracle: the roots
+must agree within 5e-15 relative, and the same inputs must raise, gslab's
+with its own InternalConsistencyError.
 """
 
 import math
@@ -16,12 +19,12 @@ import pytest
 from scipy.optimize import brentq
 
 import gslab
-from gslab import BracketNotFound, Family, ProblemParams, epsilon_star
+from gslab import BracketNotFound, Family, InternalConsistencyError, ProblemParams, epsilon_star
 from gslab import shooting
 
 
 def _draw_params(rng: random.Random) -> ProblemParams:
-    """Random (N, p, q, eps) for the two families whose roots take brentq."""
+    """Random (N, p, q, eps) for the two families whose roots take Brent's method."""
     N = rng.choice((3, 4, 5, 6))
     p = rng.uniform(2.2, 9.0)
     q = p + rng.uniform(0.2, 8.0)
@@ -32,45 +35,61 @@ def _draw_params(rng: random.Random) -> ProblemParams:
                          Family.R_EPS)
 
 
-def _outcome(solver, *args, **kw) -> str:
-    """float.hex of the root, or the name of the exception raised."""
+def _scipy_f_root(fun, a: float, b: float) -> float:
+    """f's root as scipy's brentq found it: in u, in log u if that did not converge."""
     try:
-        return solver(*args, **kw).hex()
+        return brentq(fun, a, b, xtol=1e-300, rtol=1e-15)
+    except RuntimeError:
+        return math.exp(brentq(lambda t: fun(math.exp(t)), math.log(a), math.log(b),
+                               xtol=1e-15))
+
+
+def _outcome(solver, *args):
+    """The root, or the name of the exception raised."""
+    try:
+        return solver(*args)
     except (ValueError, RuntimeError) as exc:
         return type(exc).__name__
 
 
-def test_f_positive_roots_match_scipy_brentq_bitwise(monkeypatch):
-    # every root-finder call _f_positive_roots makes, run through both
+def _same(got, want, rel: float) -> bool:
+    """Roots within rel of each other, or gslab's error where scipy raised."""
+    if isinstance(want, str):
+        return got == "InternalConsistencyError"
+    return isinstance(got, float) and abs(got - want) <= rel * abs(want)
+
+
+def test_f_positive_roots_match_scipy_brentq(monkeypatch):
+    # every root _f_positive_roots finds, found by scipy too
     rng = random.Random(20261018)
-    port = shooting._brentq
+    port = shooting._f_root
     calls = []
 
-    def both(f, xa, xb, **kw):
-        calls.append(_outcome(port, f, xa, xb, **kw))
-        assert calls[-1] == _outcome(brentq, f, xa, xb, **kw), (xa, xb, kw)
-        return port(f, xa, xb, **kw)
+    def both(fun, a, b):
+        calls.append((_outcome(port, fun, a, b), _outcome(_scipy_f_root, fun, a, b)))
+        assert _same(*calls[-1], 5e-15), (a, b, calls[-1])
+        return port(fun, a, b)
 
-    monkeypatch.setattr(shooting, "_brentq", both)
+    monkeypatch.setattr(shooting, "_f_root", both)
     for _ in range(300):
         try:
             shooting._f_positive_roots(_draw_params(rng))
-        except (BracketNotFound, ValueError, RuntimeError):
-            pass   # raised by both: no ground state, or the root finder gave up
+        except (BracketNotFound, InternalConsistencyError):
+            pass   # raised by both: no ground state, or no root found
     assert len(calls) > 600
 
 
 def _smooth(rng: random.Random):
-    """(f, a, b): a random smooth f with one sign change in [a, b]."""
-    root = rng.uniform(-5.0, 5.0)
-    a = root - math.exp(rng.uniform(-8.0, 2.0))
-    b = root + math.exp(rng.uniform(-8.0, 2.0))
+    """(f, a, b): a random smooth f with one sign change in [a, b], 0 < a."""
+    root = math.exp(rng.uniform(-5.0, 5.0))
+    a = root * math.exp(-math.exp(rng.uniform(-8.0, 1.0)))
+    b = root * math.exp(math.exp(rng.uniform(-8.0, 1.0)))
     c1, c2, k = rng.uniform(0.1, 3.0), rng.uniform(-2.0, 2.0), rng.uniform(0.5, 4.0)
     kind = rng.randrange(4)
     sign = rng.choice((-1.0, 1.0))
 
     def f(x):
-        d = x - root
+        d = (x - root) / root
         if kind == 0:
             g = d * (c1 + math.sin(k * x) ** 2)
         elif kind == 1:
@@ -84,30 +103,52 @@ def _smooth(rng: random.Random):
     return f, a, b
 
 
-@pytest.mark.parametrize("tols", [{}, {"xtol": 1e-14, "rtol": 1e-13}],
-                         ids=["default", "xtol1e-14-rtol1e-13"])
-def test_smooth_roots_match_scipy_brentq_bitwise(tols):
+@pytest.mark.parametrize("rtol", [1e-15, 1e-13], ids=["rtol1e-15", "rtol1e-13"])
+def test_smooth_roots_match_scipy_brentq(rtol):
+    # both brackets hold the root: the mid of a bracket of relative width
+    # rtol is within rtol/2 of it, and scipy's end point within rtol, so the
+    # two are within 1.5 * rtol of each other (0.47 * rtol at most here)
     rng = random.Random(7)
     for _ in range(1500):
         f, a, b = _smooth(rng)
-        assert _outcome(shooting._brentq, f, a, b, **tols) == brentq(f, a, b, **tols).hex(), (a, b)
+        lo, hi, n = shooting._bracket_root(f, a, f(a), b, f(b), rtol, 100)
+        assert hi / lo - 1.0 <= rtol and n < 100, (a, b)
+        want = brentq(f, a, b, xtol=1e-300, rtol=rtol)
+        assert abs(0.5 * (lo + hi) - want) <= 1.5 * rtol * want, (a, b)
 
 
-def test_brentq_edge_cases_match_scipy():
+def test_brentq_edge_cases_match_scipy(monkeypatch):
     def cubic(x):
         return x ** 3 - 2.0
 
+    def line(x):
+        return x - 2.0
+
     # a root at an end point is returned as given
-    for a, b in ((0.0, 1.0), (-1.0, 0.0)):
-        assert shooting._brentq(lambda x: x, a, b) == brentq(lambda x: x, a, b)
-    # no sign change, a NaN value, and too few iterations
-    for exc, args, kw in ((ValueError, (cubic, 2.0, 3.0), {}),
-                          (ValueError, (lambda x: math.nan, 0.0, 1.0), {}),
-                          (RuntimeError, (cubic, 0.0, 3.0), {"maxiter": 3})):
-        with pytest.raises(exc):
-            brentq(*args, **kw)
-        with pytest.raises(exc):
-            shooting._brentq(*args, **kw)
+    for a, b in ((2.0, 3.0), (1.0, 2.0)):
+        assert shooting._f_root(line, a, b) == brentq(line, a, b) == 2.0
+    # no sign change and a NaN value: scipy raises ValueError
+    for args in ((cubic, 2.0, 3.0), (lambda x: math.nan, 1.0, 2.0)):
+        with pytest.raises(ValueError):
+            brentq(*args)
+        with pytest.raises(InternalConsistencyError, match="no sign change"):
+            shooting._f_root(*args)
+    # too few steps: scipy raises RuntimeError; _f_root reaches its cap of 200
+    # steps when Brent's steps are replaced by ones that cut 0.1% of the bracket
+    with pytest.raises(RuntimeError):
+        brentq(cubic, 1.0, 3.0, maxiter=3)
+
+    def creeping(lo, f_lo, hi, f_hi, rtol):
+        while True:
+            x, fx = yield lo + 1e-3 * (hi - lo)
+            if (fx > 0.0) == (f_lo > 0.0):
+                lo = x
+            else:
+                hi = x
+
+    monkeypatch.setattr(shooting, "_zeroin", creeping)
+    with pytest.raises(InternalConsistencyError, match="not found in 200 steps"):
+        shooting._f_root(cubic, 1.0, 3.0)
 
 
 def test_cli_import_leaves_scipy_optimize_out():
@@ -120,8 +161,8 @@ def test_cli_import_leaves_scipy_optimize_out():
 
 def test_f_positive_roots_raise_only_bracket_not_found():
     # admissible draws with p in (2.2, 9): with p close to 2 the lower end of
-    # f's first root bracket comes from eps, and a root Brent's method cannot
-    # reach in u within its step budget is found in log u
+    # f's first root bracket comes from eps, and the bracket spans tens of
+    # decades, which the geometric bisection steps of _bracket_root cross
     rng = random.Random(20261019)
     found = 0
     for _ in range(2000):

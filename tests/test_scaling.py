@@ -36,9 +36,8 @@ _log_factor = st.floats(math.log(0.1), math.log(10.0))
 def test_scaled_norms_follow_the_closed_form_powers(params, log_amp, log_lam):
     # int |amp u(lam y)|^s dy = amp^s lam^-N int |u|^s, and the Dirichlet
     # integral gains amp^2 lam^(2-N).  The tail's Dirichlet term is checked
-    # on its own too: TailModel.slope is the closed-form derivative (as a
-    # central difference with the absolute step 1e-6*max(1, r) it did not
-    # scale with the profile, and that term alone moved by up to 7.9e-11).
+    # on its own too, since the bulk outweighs it in dirichlet_norm: it
+    # scales exactly only if TailModel.slope is the model's exact derivative.
     u = _profile(params)
     amp, lam = math.exp(log_amp), math.exp(log_lam)
     N, p, q = params.N, params.p, params.q
