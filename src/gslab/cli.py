@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--q", type=float, help="defocusing exponent (> p)")
         if with_eps:
             sp.add_argument("--eps", type=float, help="linear parameter ε >= 0")
-        sp.add_argument("--amp-tol", type=float, help="relative width of the final amplitude bracket")
+        sp.add_argument("--amp-tol", type=float, help="relative amplitude tolerance: u(0) is verified to half of it")
         sp.add_argument("--rtol", type=float, help="integrator relative tolerance")
         sp.add_argument("--atol", type=float, help="integrator absolute tolerance")
         sp.add_argument("--r-max", type=float, help="override integration window")
@@ -249,6 +249,7 @@ def _solution_record(params, ctrl, cache_hit: bool) -> ResultRecord:
         "integrations_run": prof.integrations,
         "loose_integrations": prof.loose_integrations,
         "fallbacks": prof.fallbacks,
+        "amp_error": prof.amp_error,
         "cache_hit": cache_hit,
     }
     cfg = _solve_config(params, ctrl)
@@ -269,6 +270,7 @@ def _cmd_solve(args, parser) -> int:
             record.diagnostics["rhs_evals"] = 0
             record.diagnostics["loose_integrations"] = 0
             record.diagnostics["fallbacks"] = 0
+            record.diagnostics["amp_error"] = 0.0
     if record is None:
         try:
             record = _solution_record(params, ctrl, cache_hit=False)

@@ -8,16 +8,23 @@ Green-function rate r^(-(N-2)) -- so classification there uses the sign of
 the far-field constant mode B in u ~ B + A r^(-(N-2)).
 
 The amplitude search first brackets a* between an undershoot and an
-overshoot, then closes the bracket with Brent steps on a signed proxy of
-a - a* read off each shot (the terminal state, see _shooting_proxy) until
-its relative width is at most amp_tol; a* is the bracket's geometric mid.
-Shots taken while the prediction still moves -- the bracket scans, the
-hint checks and the far probes -- run loose, at 1000x the solve's step
-tolerances (_loose_step); a loose shot that reads Converged or fails runs
-again tight.  The final bracket's ends are tight shots: a loose end is
-integrated again tight, and if that reads another class the solve runs
-again with every shot tight.  Where the tight class is monotone in the
-amplitude, the result is within amp_tol of the plain bisection's.
+overshoot, then runs Brent steps on a signed proxy of a - a* read off each
+shot (the terminal state, see _shooting_proxy).  It ends at the
+integrator's resolution: once Brent's next abscissa x is within
+_RESOLUTION of a tight last probe, and the last three probes lie on one
+increasing line, a* = x, the root of the secant (or inverse quadratic) of
+the proxy.  The final pass runs at x and verifies it: the secant through
+the final pass and the last probe must put the root within amp_tol/2 of
+x.  If it does not, the final pass is one more Brent probe and the search
+closes a class bracket to a relative width of amp_tol, a* its geometric
+mid.  Shots taken while the prediction still moves -- the bracket scans,
+the hint checks and the far probes -- run loose, at 1000x the solve's
+step tolerances (_loose_step); a loose shot that reads Converged or fails
+runs again tight.  Only tight shots decide the answer: the secant check
+reads the final pass and the last probe, and a loose end of a class
+bracket is integrated again tight (if that reads another class, the solve
+runs again with every shot tight).  Where the tight class is monotone in
+the amplitude, the result is within amp_tol of the plain bisection's.
 
 The admissible amplitude window is (u_F0, u_hi): u_F0 is the first
 positive zero of the potential F (below it the trajectory lacks the energy
@@ -69,7 +76,7 @@ class Classification:
 class ShootControls:
     """Knobs for the amplitude search and its inner integrations."""
 
-    amp_tol: float = 1e-12           # relative bracket width at convergence
+    amp_tol: float = 1e-12           # the final pass verifies u(0) to amp_tol/2, relative
     max_iter: int = 200              # Brent probes per attempt
     amp_search_range: tuple[float, float] | None = None
     bracket_hint: tuple[float, float] | None = None
@@ -206,7 +213,8 @@ class RadialProfile:
     integrations: int = 0     # every integrate() call of the solve, final pass included
     rhs_evals: int = 0        # RHS evaluations summed over those calls
     loose_integrations: int = 0   # those of them at the loose step controls
-    fallbacks: int = 0        # 1 if a loose end read another class tight: the solve re-ran all tight
+    fallbacks: int = 0        # 1 if the loose first attempt failed: the solve re-ran all tight
+    amp_error: float = 0.0    # measured relative error of a resolution stop, else 0.0
 
     def __post_init__(self):
         g = self.grid
@@ -525,10 +533,22 @@ def _bracket_root(f, lo: float, f_lo: float, hi: float, f_hi: float, rtol: float
 # moves by more than this, relative, per probe
 _LOOSE_SHIFT = 1e-3
 
+# the search stops once Brent's next abscissa is this close, relative, to a
+# tight last probe: the integrator resolves the proxy no finer than ~rtol
+_RESOLUTION = 1e-8
+
 
 def _loose_step(step: StepControls) -> StepControls:
     """Step controls of the loose shots: 1000x the solve's own tolerances."""
     return replace(step, atol=1e3 * step.atol, rtol=1e3 * step.rtol)
+
+
+def _on_line(points, rtol: float = 1e-2) -> bool:
+    """Whether three (a, value) points lie on one increasing line to rtol:
+    both secant slopes positive and within rtol of each other."""
+    (a0, g0), (a1, g1), (a2, g2) = points
+    s0, s1 = (g1 - g0) / (a1 - a0), (g2 - g1) / (a2 - a1)
+    return s0 > 0.0 and s1 > 0.0 and abs(s1 - s0) <= rtol * max(s0, s1)
 
 
 class _Runs:
@@ -557,18 +577,40 @@ class _Runs:
         return t
 
 
+class _Search(NamedTuple):
+    """What one attempt of the amplitude search found."""
+
+    amplitude: float
+    final: Trajectory            # the final pass, with quadrature, at amplitude
+    bracket: tuple[float, float]   # the final pass and the nearest tight shot of the other class
+    error: float                 # measured relative error of a secant stop, else 0.0
+
+
 def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls()) -> RadialProfile:
     """Shoot for the unique ground-state amplitude a*.
 
-    The result is the geometric mid of a bracket of relative width at most
-    amp_tol whose ends are a tight Undershoot and a tight Overshoot, or a
-    single tight Converged shot (_attempt).  If a loose end of the final
-    bracket reads another class tight, the solve runs again with every shot
-    tight and ``fallbacks`` is 1; the counters then sum over both attempts.
-    ``bisection_iterations`` counts the integrations after the bracket and
-    before the final pass, ``integrations`` and ``rhs_evals`` every
-    integrate() call of the solve, and ``loose_integrations`` those at the
-    loose step controls.
+    a* is the resolution secant: once Brent's next abscissa x is within
+    _RESOLUTION of a tight last probe, by more than Brent's own tolerance
+    step, and the last three probes' proxies lie on one increasing line,
+    the final pass (tight, with quadrature) runs at x.  a* = x if the secant
+    through the final pass and the last probe puts the root within amp_tol/2
+    of x; ``amp_error`` is that measured relative distance.  ``bracket`` is
+    the final pass and the nearest tight shot of the other class; if there
+    is none yet, one more tight shot amp_tol/2 past x must read it.  A final
+    pass that reads Converged is accepted (``bracket`` is (a*, a*)).
+    Otherwise the final pass is one more Brent probe and the class stop
+    follows: the search closes a bracket of a tight Undershoot and a tight
+    Overshoot to a relative width of amp_tol (a loose end is integrated
+    again tight), the final pass runs at its geometric mid (or at a tight
+    Converged probe), and ``amp_error`` is 0.0 (_attempt).
+
+    If a loose end of the class bracket reads another class tight, or the
+    loose bracket scans find no bracket, the solve runs again with every
+    shot tight and ``fallbacks`` is 1; the counters then sum over both
+    attempts.  ``bisection_iterations`` counts the integrations after the
+    bracket, the final pass excepted, ``integrations`` and ``rhs_evals``
+    every integrate() call of the solve, and ``loose_integrations`` those at
+    the loose step controls.
 
     Raises BracketNotFound if no (undershoot, overshoot) pair exists in the
     admissible window, which for family P_eps signals eps >= eps*.
@@ -597,24 +639,20 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
         run.integrations = run.bracket_runs = 1
         run.rhs_evals = probe.rhs_evals
     window = (u_f0, u_hi, lo_seed, hi_seed)
-    attempt = _attempt(params, ctrl, window, run, loose_first=True)
-    fallbacks = int(attempt is None)
-    if attempt is None:
-        attempt = _attempt(params, ctrl, window, run, loose_first=False)
-    lo, hi, probes = attempt
-    if probes >= ctrl.max_iter:
-        warnings.warn(
-            f"amplitude search hit the {ctrl.max_iter}-probe cap at "
-            f"width {hi / lo - 1.0:.3g}",
-            RuntimeWarning,
-        )
+    try:
+        search = _attempt(params, ctrl, window, run, loose_first=True)
+    except BracketNotFound:   # loose shots misread amplitudes of the order of their atol
+        run.bracket_runs = run.integrations
+        search = None
+    fallbacks = int(search is None)
+    if search is None:
+        search = _attempt(params, ctrl, window, run, loose_first=False)
 
-    a_star = math.sqrt(lo * hi)
-    final = run(a_star, quad=True)
-
-    profile = _package_profile(params, a_star, final, 0.5 * ctrl.amp_tol, r_max)
+    profile = _package_profile(params, search.amplitude, search.final, 0.5 * ctrl.amp_tol,
+                               r_max)
     profile.bisection_iterations = run.integrations - run.bracket_runs - 1
-    profile.bracket = (lo, hi)
+    profile.bracket = search.bracket
+    profile.amp_error = search.error
     profile.r_max_used = r_max
     profile.integrations = run.integrations
     profile.rhs_evals = run.rhs_evals
@@ -629,20 +667,26 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
 
 
 def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
-             loose_first: bool) -> tuple[float, float, int] | None:
-    """Bracket, then Brent search: (lo, hi, probes) of the final bracket.
+             loose_first: bool) -> _Search | None:
+    """Bracket, Brent search and final pass (see find_ground_state).
+
+    The resolution stop is tried once: after a final pass that fails its
+    check, the search goes on to the class stop.
 
     ``window`` is (u_f0, u_hi, lo_seed, hi_seed).  With ``loose_first`` the
     scans, hint checks and the probes taken while Brent's prediction still
-    moves run loose, and None is returned if a loose end of the final
+    moves run loose, and None is returned if a loose end of the class
     bracket reads another class tight.  Without it every shot runs tight.
     """
     u_f0, u_hi, lo_seed, hi_seed = window
     shots: dict[float, tuple[str, float, bool]] = {}   # amplitude -> (class, Brent's value, loose)
     runs_before = run.integrations
+    final = None   # the final pass
 
-    def shoot(a: float, loose: bool) -> str:
-        """Class of a shot; a loose one that reads Converged or fails runs again tight."""
+    def shoot(a: float, loose: bool, quad: bool = False) -> str:
+        """Class of a shot; a loose one that reads Converged or fails runs again
+        tight.  With ``quad`` it is the final pass."""
+        nonlocal final
         if loose:
             try:
                 t = run(a, loose=True)
@@ -651,8 +695,10 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
             except IntegrationFailure:
                 loose = False
         if not loose:
-            t = run(a)
+            t = run(a, quad=quad)
             c = classify(t, params, a, ctrl.convergence_factor)
+        if quad:
+            final = a, t
         # Brent reads the proxy's magnitude under the class's sign (near p = 2
         # an undershoot can end with u(R) < 0, and a zero would stop it), as
         # a float: numpy-scalar predictions would slow ode.integrate ~3x
@@ -712,24 +758,69 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
     if u < o:
         lo, hi = u, o
 
-    prev = None   # the last probe
+    seq = []        # the probes, in order
+    error = None    # set when a final pass ends the search
 
     def probe(x: float) -> float:
-        """Brent's value of a probe, 0 for Converged; loose while the
-        prediction moves by more than _LOOSE_SHIFT (the first probe always)."""
-        nonlocal prev
-        loose = loose_first and (prev is None or abs(x - prev) > _LOOSE_SHIFT * x)
-        prev = x
+        """Brent's value of a probe, 0 to stop (Converged, or a final pass that
+        verifies x); loose while the prediction moves by more than _LOOSE_SHIFT
+        (the first probe always)."""
+        nonlocal error
+        p = seq[-1] if seq else None
+        seq.append(x)
+        if (final is None and len(seq) > 3 and not shots[p][2]
+                and 0.5 * ctrl.amp_tol * x < abs(x - p) <= _RESOLUTION * x
+                and _on_line([(a, shots[a][1]) for a in seq[-4:-1]])):
+            if shoot(x, False, quad=True) == Classification.CONVERGED:
+                error = 0.0
+                return 0.0
+            gp, gx = shots[p][1], shots[x][1]
+            dg = gx - gp
+            # the secant through the final pass and the last probe puts the
+            # root within amp_tol/2 of x
+            if dg * (x - p) > 0.0 and abs(gx * (x - p)) <= 0.5 * ctrl.amp_tol * x * abs(dg):
+                if _tight_bracket(shots, x) is None:
+                    # no tight shot of the other class yet: one amp_tol/2 past x
+                    up = shots[x][0] == Classification.UNDERSHOOT
+                    shoot(x * (1.0 + (0.5 if up else -0.5) * ctrl.amp_tol), False)
+                if _tight_bracket(shots, x) is not None:
+                    error = abs(gx * (x - p) / dg) / x
+                    return 0.0
+            return gx   # the final pass becomes a Brent probe; the class stop follows
+        loose = loose_first and (p is None or abs(x - p) > _LOOSE_SHIFT * x)
         return 0.0 if shoot(x, loose) == Classification.CONVERGED else shots[x][1]
 
     lo, hi, probes = _bracket_root(probe, lo, shots[lo][1], hi, shots[hi][1],
                                    ctrl.amp_tol, ctrl.max_iter)
+    if probes >= ctrl.max_iter:
+        warnings.warn(
+            f"amplitude search hit the {ctrl.max_iter}-probe cap at "
+            f"width {hi / lo - 1.0:.3g}",
+            RuntimeWarning,
+        )
+    if error is None:   # the class stop
+        for a in (lo, hi):
+            c, _, loose = shots[a]
+            if loose and shoot(a, False) != c:
+                return None
+        shoot(math.sqrt(lo * hi), False, quad=True)
+        error = 0.0
+    a, t = final
+    return _Search(a, t, _tight_bracket(shots, a), error)
 
-    for a in (lo, hi):
-        c, _, loose = shots[a]
-        if loose and shoot(a, False) != c:
-            return None
-    return lo, hi, probes
+
+def _tight_bracket(shots, a: float) -> tuple[float, float] | None:
+    """The shot at a and the nearest tight shot of the other class, in order:
+    (a, a) if a reads Converged, None if no such shot exists."""
+    c = shots[a][0]
+    if c == Classification.CONVERGED:
+        return a, a
+    others = [b for b, (cb, _, loose) in shots.items()
+              if not loose and cb not in (c, Classification.CONVERGED)]
+    if not others:
+        return None
+    b = min(others, key=lambda b: abs(b - a))
+    return (a, b) if a < b else (b, a)
 
 
 def _package_profile(params: ProblemParams, a: float, traj: Trajectory,

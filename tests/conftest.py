@@ -165,3 +165,32 @@ def overturned():
         return False
 
     return check
+
+
+@pytest.fixture
+def tight_bracket():
+    """Check a profile's bracket against the classes its tight shots read.
+
+    ``check(prof, classes)`` takes {amplitude: class} of the solve's tight
+    shots, the final pass included.  Both ends of ``prof.bracket`` are such
+    shots, one of them the final pass at the amplitude, and they read the
+    two classes (or the bracket is one Converged shot twice).  The measured
+    error is at most amp_tol/2, and a bracket that the class stop closed
+    (``amp_error`` 0.0) is at most amp_tol wide.
+    """
+    from gslab import Classification
+
+    def check(prof, classes, amp_tol=ShootControls().amp_tol):
+        lo, hi = prof.bracket
+        assert prof.amplitude in (lo, hi)
+        assert lo in classes and hi in classes
+        if lo == hi:
+            assert classes[lo] == Classification.CONVERGED
+        else:
+            assert {classes[lo], classes[hi]} == {Classification.UNDERSHOOT,
+                                                   Classification.OVERSHOOT}
+        assert 0.0 <= prof.amp_error <= 0.5 * amp_tol
+        if prof.amp_error == 0.0:
+            assert hi / lo - 1.0 <= amp_tol
+
+    return check

@@ -95,7 +95,7 @@ def test_cli_solve_and_cache(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["--family", "P_eps", "--N", "3", "--p", "6", "--q", "10", "--eps", "1e-3"], 14),
+    (["--family", "P_eps", "--N", "3", "--p", "6", "--q", "10", "--eps", "1e-3"], 12),
     (["--family", "P_zero", "--N", "3", "--p", "8", "--q", "12"], 21),
 ], ids=["P_eps", "P_zero"])
 def test_cli_integrations_run_counts_every_integration(tmp_path, monkeypatch, argv, expected):
@@ -440,6 +440,29 @@ def test_cli_fallbacks_report_the_all_tight_re_solve(tmp_path, misread_loose_sho
     assert misread and sol.profile.fallbacks == 1 and overturned(calls)
     for scaled in (sol.rescaled_to_frame().profile, rescale_to_v(sol.profile, 0.7)):
         assert scaled.fallbacks == 1
+
+
+def test_cli_amp_error_reports_the_measured_error(tmp_path):
+    # the record carries the measured relative error of a resolution stop
+    # (the P_eps golden case ends on one); a cache hit runs no search and
+    # reports 0.0; the rescaled frames carry the profile's value
+    from gslab import (Family, ProblemParams, ShootControls, find_ground_state, rescale_to_v,
+                       solve_ground_state)
+
+    prof = find_ground_state(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS))
+    assert 0.0 < prof.amp_error <= 0.5 * ShootControls().amp_tol
+    out = tmp_path / "r.json"
+    cached = ["solve", "--family", "P_eps", "--N", "3", "--p", "6", "--q", "10", "--eps", "1e-3",
+              "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]
+    assert main(cached) == 0
+    assert parse(out.read_bytes()).diagnostics["amp_error"] == prof.amp_error
+    assert main(cached) == 0
+    assert parse(out.read_bytes()).diagnostics["amp_error"] == 0.0
+
+    sol = solve_ground_state(ProblemParams(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS))
+    assert sol.profile.amp_error > 0.0
+    for scaled in (sol.rescaled_to_frame().profile, rescale_to_v(sol.profile, 0.7)):
+        assert scaled.amp_error == sol.profile.amp_error
 
 
 @pytest.mark.parametrize("argv", [["emden"], ["check", "--suite", "emden"]])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,7 +203,8 @@ def _plain_bisection(params, lo, hi, r_max, ctrl):
 
 
 def _solve_with_plain_reference(params, monkeypatch):
-    """(profile, (lo, hi, runs) of the plain bisection from its starting bracket).
+    """(profile, (lo, hi, runs) of the plain bisection from its starting
+    bracket, {amplitude: class} of the solve's tight shots and final pass).
 
     The bracket shots are the solve's first integrations at its own r_max and
     step controls, loose or tight (the P_zero r_max probe runs at other
@@ -210,13 +212,20 @@ def _solve_with_plain_reference(params, monkeypatch):
     Overshoot shot after it.
     """
     ctrl = ShootControls()
-    shots = []
+    loose, final = shooting._loose_step(ctrl.step), replace(ctrl.step, with_quadrature=True)
+    shots, tight = [], {}
     real = shooting.integrate
 
     def recorded(p, a, r_max, tol=None):
         t = real(p, a, r_max, tol)
-        if tol in (ctrl.step, shooting._loose_step(ctrl.step)):
-            shots.append((a, classify(t, p, a, ctrl.convergence_factor)))
+        if tol in (ctrl.step, loose, final):
+            c = classify(t, p, a, ctrl.convergence_factor)
+            if tol == loose:
+                shots.append((a, c))
+            else:
+                tight[a] = c
+                if tol == ctrl.step:
+                    shots.append((a, c))
         return t
 
     monkeypatch.setattr(shooting, "integrate", recorded)
@@ -225,14 +234,14 @@ def _solve_with_plain_reference(params, monkeypatch):
     classes = [c for _, c in shots]
     i = classes.index(Classification.UNDERSHOOT)
     j = classes.index(Classification.OVERSHOOT, i)
-    return prof, _plain_bisection(params, shots[i][0], shots[j][0], prof.r_max_used, ctrl)
+    return prof, _plain_bisection(params, shots[i][0], shots[j][0], prof.r_max_used, ctrl), tight
 
 
-def _assert_within_amp_tol(prof, lo, hi):
-    """The search's bracket is at most amp_tol wide, and its amplitude within
-    amp_tol of the plain bisection's."""
+def _assert_within_amp_tol(prof, lo, hi, tight, tight_bracket):
+    """The search's bracket keeps its contract (the tight_bracket fixture),
+    and its amplitude is within amp_tol of the plain bisection's."""
+    tight_bracket(prof, tight)
     amp_tol = ShootControls().amp_tol
-    assert prof.bracket[1] / prof.bracket[0] - 1.0 <= amp_tol
     assert prof.amplitude == pytest.approx(math.sqrt(lo * hi), rel=amp_tol, abs=0.0)
 
 
@@ -245,32 +254,40 @@ GOLDEN_CASES = pytest.mark.parametrize("params", [
 
 
 @GOLDEN_CASES
-def test_replay_matches_plain_bisection_bitwise(params, monkeypatch):
+def test_replay_matches_plain_bisection_bitwise(params, monkeypatch, tight_bracket):
     # the Brent search lands within amp_tol of the plain bisection from the
     # same bracket (measured: 5.0e-13 at most), with far fewer probes
-    prof, (lo, hi, runs) = _solve_with_plain_reference(params, monkeypatch)
-    _assert_within_amp_tol(prof, lo, hi)
+    prof, (lo, hi, runs), tight = _solve_with_plain_reference(params, monkeypatch)
+    _assert_within_amp_tol(prof, lo, hi, tight, tight_bracket)
     # same bracket shots and final pass: fewer integrations in between
     assert prof.bisection_iterations < runs
 
 
-def test_replay_is_exact_and_bounded_under_a_misleading_proxy(monkeypatch):
+def test_replay_is_exact_and_bounded_under_a_misleading_proxy(monkeypatch, tight_bracket):
     # a proxy that always puts a* at the undershoot end of the bracket: the
     # search falls back on Brent's own bisection steps and still lands within
     # amp_tol of the plain bisection, in at most twice its integrations
     params = ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS)
     monkeypatch.setattr(shooting, "_shooting_proxy",
                         lambda p, t, c: -1e-300 if c == Classification.UNDERSHOOT else 1.0)
-    prof, (lo, hi, runs) = _solve_with_plain_reference(params, monkeypatch)
-    _assert_within_amp_tol(prof, lo, hi)
+    prof, (lo, hi, runs), tight = _solve_with_plain_reference(params, monkeypatch)
+    _assert_within_amp_tol(prof, lo, hi, tight, tight_bracket)
     assert prof.bisection_iterations <= 2 * runs
 
 
 @GOLDEN_CASES
-def test_search_converges_under_zero_and_wrong_sign_proxies(params, monkeypatch):
+def test_search_converges_under_zero_and_wrong_sign_proxies(params, monkeypatch, tight_bracket):
     # every third shot's proxy reads 0 and every third reads the wrong sign:
     # Brent reads each magnitude under its class's sign (the smallest
     # subnormal for a zero), so the search still closes within amp_tol
+    monkeypatch.setattr(shooting, "_shooting_proxy", _flaky_proxy())
+    prof, (lo, hi, runs), tight = _solve_with_plain_reference(params, monkeypatch)
+    _assert_within_amp_tol(prof, lo, hi, tight, tight_bracket)
+    assert prof.bisection_iterations <= 2 * runs
+
+
+def _flaky_proxy():
+    """Every third proxy reads 0 and every third the wrong sign."""
     real, shots = shooting._shooting_proxy, []
 
     def flaky(p, t, c):
@@ -278,10 +295,30 @@ def test_search_converges_under_zero_and_wrong_sign_proxies(params, monkeypatch)
         g = real(p, t, c)
         return (g, 0.0, -g)[len(shots) % 3]
 
-    monkeypatch.setattr(shooting, "_shooting_proxy", flaky)
-    prof, (lo, hi, runs) = _solve_with_plain_reference(params, monkeypatch)
-    _assert_within_amp_tol(prof, lo, hi)
-    assert prof.bisection_iterations <= 2 * runs
+    return flaky
+
+
+@GOLDEN_CASES
+@pytest.mark.parametrize("proxy", [
+    lambda: lambda p, t, c: -1e-300 if c == Classification.UNDERSHOOT else 1.0,
+    _flaky_proxy,
+], ids=["misleading", "flaky"])
+def test_adversarial_proxies_never_take_the_resolution_stop(params, proxy, monkeypatch,
+                                                           tight_bracket):
+    # the resolution stop needs the last three probes on one increasing line
+    # and a secant step larger than Brent's tolerance nudge; under either
+    # adversarial proxy the search ends on the class stop instead: the final
+    # pass is the geometric mid of a tight Undershoot and a tight Overshoot
+    # at most amp_tol apart, and no error is measured
+    monkeypatch.setattr(shooting, "_shooting_proxy", proxy())
+    prof, (lo, hi, runs), tight = _solve_with_plain_reference(params, monkeypatch)
+    _assert_within_amp_tol(prof, lo, hi, tight, tight_bracket)
+    assert prof.amp_error == 0.0
+    assert prof.bracket[1] / prof.bracket[0] - 1.0 <= ShootControls().amp_tol
+    under = [a for a, c in tight.items() if c == Classification.UNDERSHOOT]
+    over = [a for a, c in tight.items() if c == Classification.OVERSHOOT]
+    assert any(prof.amplitude == math.sqrt(u * o) and o / u - 1.0 <= ShootControls().amp_tol
+               for u in under for o in over)
 
 
 @GOLDEN_CASES
@@ -342,3 +379,16 @@ def test_loose_class_matches_tight_class_away_from_amplitude(params):
                          ctrl.convergence_factor)
                 for step in (ctrl.step, loose))
             assert loose_cls == tight_cls, (k, sign)
+
+
+def test_loose_scan_failure_runs_the_all_tight_attempt():
+    # critical N=6 at eps = 1e-9: u_F0 = 1.5e-9 is of the order of the loose
+    # shots' atol, and loose shots read the undershoots just above it as
+    # overshoots, so the loose lower scan walks down to u_F0 and finds no
+    # undershoot; the solve runs again all tight and converges
+    from gslab import solve_ground_state
+
+    sol = solve_ground_state(ProblemParams(6, 3.0, 5.0, 1e-9, Family.P_EPS))
+    assert sol.profile.fallbacks == 1
+    assert sol.amplitude == pytest.approx(4.7197e-3, rel=1e-4)
+    assert max(sol.nehari_residual, sol.pokhozhaev_residual) < 1e-6
