@@ -491,9 +491,9 @@ def _zeroin(a: float, fa: float, b: float, fb: float, rtol: float):
             if 2.0 * p < min(3.0 * xm * q - abs(tol * q), abs(e * q)):
                 e, d = d, p / q
             else:
-                d = e = math.sqrt(b * c) - b
+                d = e = math.sqrt(b) * math.sqrt(c) - b
         else:
-            d = e = math.sqrt(b * c) - b
+            d = e = math.sqrt(b) * math.sqrt(c) - b
         a, fa = b, fb
         b, fb = yield b + (d if abs(d) > tol else math.copysign(tol, xm))
 
@@ -516,7 +516,7 @@ def _bracket_root(f, lo: float, f_lo: float, hi: float, f_hi: float, rtol: float
     x, n = next(zeroin), 0
     while hi / lo - 1.0 > rtol and n < maxiter:
         if not lo < x < hi:
-            x = math.sqrt(lo * hi)
+            x = math.sqrt(lo) * math.sqrt(hi)
         n += 1
         fx = f(x)
         if fx == 0.0:

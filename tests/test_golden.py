@@ -37,7 +37,7 @@ GOLDEN = [
                  "0x1.1597c27ed3706p+2", "0x1.d83d9226f9653p+3", "0x1.441cc5c2f29eep-38",
                  2323, id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.0b612fe3fce89p+2", "0x1.eb9fac3e016bdp+3", "0x1.67721a731bd57p-38",
+                 "0x1.0b612fe3fce86p+2", "0x1.eb9fac3e016d2p+3", "0x1.67985d4edbdd3p-38",
                  2245, id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
@@ -54,7 +54,7 @@ PANELS = [
                  "0x1.80f8bd8d2fedfp+2", "0x1.20ba803c1394dp+2", 8950,
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.cc15a89057a20p+2", "0x1.32afa4efd02fcp+2", 13632,
+                 "0x1.cc15a89057a23p+2", "0x1.32afa4efcf60ap+2", 13626,
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
@@ -84,8 +84,9 @@ BISECTION_PINS = {
 # dirichlet_norm(prof)).  The resolution secant is within amp_tol/2 of the
 # class switch, so the amplitude and the level hold within 1e-12 relative
 # (they moved by at most 2.5e-13 and 2.1e-13), the norms within 1e-11 (at
-# most 8.5e-13 and 1.6e-12).  P_zero and R_eps still end on the class stop
-# and keep their bits.
+# most 8.5e-13 and 1.6e-12).  P_zero and R_eps still end on the class stop:
+# P_zero keeps its bits, R_eps moved by 3 ulp when Brent's geometric mid
+# became sqrt(b) * sqrt(c), which does not underflow.
 BRENT_PINS = {
     Family.P_EPS: ("0x1.bb150da6fc2f8p-1", "0x1.9e6885dd7d218p+2",
                    "0x1.69cad4a40a765p+4", "0x1.07a0f21ca56b8p+4"),
@@ -140,7 +141,7 @@ ARRAYS = [
                  "fc4fc9078c523673009c330c5482b6fda588626c5e69d9d72bab6b50447d9b27",
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "d8bdc80ca3d4c01385793c18c3e29c8bcf600f23b4f09829c50108baad0c0af1",
+                 "ed576d30e292f3d6e6129f525b614b2ed4b9433a606fbdd5f0ddf134dbc53026",
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
@@ -193,8 +194,8 @@ READ_SIDE = [
                  "0x1.5b966db052fb6p-19", "0x1.bdbaad8e21797p-19",
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.69597fa6909f9p+6", "0x1.e1bde1ea2114fp+5",
-                 "0x1.4584c5fb0080ap-19", "0x1.9f528626149e5p-19",
+                 "0x1.69597fa690a01p+6", "0x1.e1bde1ea21172p+5",
+                 "0x1.4584da243410cp-19", "0x1.9f52a0415f865p-19",
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
