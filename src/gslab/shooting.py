@@ -583,7 +583,7 @@ class _Search(NamedTuple):
     amplitude: float
     final: Trajectory            # the final pass, with quadrature, at amplitude
     bracket: tuple[float, float]   # the final pass and the nearest tight shot of the other class
-    error: float                 # measured relative error of a secant stop, else 0.0
+    error: float                 # measured relative error of a resolution stop, else 0.0
 
 
 def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls()) -> RadialProfile:
