@@ -5,27 +5,31 @@ r0 > 0, with event detection (zero crossing, slope sign flip, underflow,
 r_max) refined on the dense-output interpolant.  Norm integrands
 (u^2, |u|^p, |u|^q, u'^2 against r^(N-1) dr) can be accumulated alongside
 the trajectory using per-step Gauss panels on the same interpolant, so the
-quadrature grid is exactly the integrator's accepted-step grid.  The
-interpolant is built only for those two readers: on the step where an event
-is refined, and on every step when quadrature is on.
+quadrature grid is exactly the integrator's accepted-step grid.
 
 ``integrate`` is the hot loop of every solve, so it is written for CPython's
-interpreter: the controls and tableau constants are locals, the right-hand
-side is written out at each of the seven stage evaluations (calling it as a
-closure made a step without quadrature about 20% slower), and the quadrature
-panels evaluate the quartic inline.  The arithmetic is the textbook one,
-operation for operation: each expression keeps its order, ``max``/``min``
-become comparisons that pick the same operand, the dense-output
-coefficients are summed left to right from 0 as ``sum`` does, and powers
-stay ``**`` (``pow(x, 2.0)`` need not round like ``x * x``).  Results are
-therefore bitwise those of the plain formulation; ``tests/test_golden.py``
-pins them.
+interpreter: the controls and tableau constants are locals, and the
+right-hand side is written out at each of the seven stage evaluations
+(calling it as a closure made a step without quadrature about 20% slower).
+The interpolant is built in the loop only on the step that refines an
+event.  With quadrature on, each accepted step only appends its stages to a
+flat buffer, and ``_panel_norms`` builds every panel's interpolant and the
+four cumulative norm arrays in one numpy pass after the loop.  The
+arithmetic is the textbook one, operation for operation: each expression
+keeps its order, ``max``/``min`` become comparisons that pick the same
+operand, the dense-output coefficients are summed left to right from 0 as
+``sum`` does, and powers stay ``**`` (``pow(x, 2.0)`` need not round like
+``x * x``), or ``np.float_power``, which calls the same libm ``pow``.
+Results are therefore bitwise those of the plain formulation;
+``tests/test_golden.py`` pins them, and ``tests/test_ode.py`` checks the
+panel pass against the per-step loop it replaced.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -207,6 +211,7 @@ _GW = (
     0.11846344252809454,
 )
 _GAUSS = tuple(zip(_GX, _GW))
+_GX_COL, _GW_COL = np.array(_GX)[:, None], np.array(_GW)[:, None]
 
 
 def _dense_eval(r0: float, h: float, u0: float, v0: float, qu, qv,
@@ -242,8 +247,89 @@ def _bisect_event(dense: tuple, fn, lo: float, hi: float, tol: float) -> float:
     return hi
 
 
-def _trajectory(rs, us, vs, norms, nfev: int) -> Trajectory:
-    """The grid so far, as a ReachedRmax trajectory (norms: None or 4 lists)."""
+# _P's columns 1-3 on the rows of the stages that enter them (rows 0 and
+# 2-6): the quartic's coefficients 1-3 in _panel_norms
+_P_COLS = np.array([row[1:] for i, row in enumerate(_P) if i != 1])
+
+
+def _panel_norms(params: ProblemParams, a: float, k1: float, stages, radii: np.ndarray,
+                 values: np.ndarray, slopes: np.ndarray, v_end: float | None):
+    """The four cumulative norm arrays of a grid, one numpy pass over its steps.
+
+    The in-ball contribution [0, r0] comes from the series polynomial.  Step
+    i adds a 5-node Gauss panel over [radii[i], radii[i+1]] on its quartic
+    dense output.  ``stages`` holds (h, v3, v4, v5, v6, k3, k4, k5, k6, k7)
+    of every accepted step, ``k1`` is the first step's k1 (each later one is
+    the step before's k7), and ``v_end`` is u' at the end of the last step
+    before an event moved it (None if no event did).
+
+    Every expression is the one the per-step loop evaluated, in its order:
+    the dense-output coefficients are summed left to right from 0, the nodes
+    are added in order from 0 per step, the running sums are sequential
+    (``np.add.accumulate``), and powers are ``np.float_power``, which calls
+    libm's ``pow`` like Python's ``**`` (``np.power`` may take a SIMD path
+    that rounds differently).  The arrays are therefore bitwise those of the
+    loop; ``tests/test_ode.py`` checks them against it.
+    """
+    N1 = params.N - 1.0
+    pq = np.array([params.p, params.q])[:, None, None]
+    r0 = float(radii[0])
+    fa = params.f(a)
+    i2 = ip = iq = idir = 0.0
+    for x, w in _GAUSS:
+        rr = r0 * x
+        uu = a - fa * rr * rr / (2.0 * params.N)
+        vv = -fa * rr / params.N
+        wt = w * r0 * rr**N1
+        i2 += wt * uu * uu
+        ip += wt * abs(uu) ** params.p
+        iq += wt * abs(uu) ** params.q
+        idir += wt * vv * vv
+    n = len(radii) - 1
+    out = np.empty((4, n + 1))   # rows l2, dir, lp, lq
+    out[:, 0] = i2, idir, ip, iq
+    if n:
+        st = np.frombuffer(stages).reshape(n, 10).T
+        h = st[0]
+        r = radii[:-1]
+        # y[0]: u' at the stages 1, 3-7 that enter the quartic; y[1]: u''
+        y = np.empty((2, 6, n))
+        y[0, 0] = slopes[:-1]
+        y[0, 1:5] = st[1:5]
+        y[0, 5] = slopes[1:]
+        if v_end is not None:
+            y[0, 5, -1] = v_end
+        y[1, 0, 0] = k1
+        y[1, 0, 1:] = st[9, :-1]
+        y[1, 1:] = st[5:]
+        # the quartic's coefficients 0-3 of u (q[0]) and of u' (q[1])
+        q = np.empty((2, 4, 1, n))
+        q[:, 0, 0] = 0.0 + y[:, 0]
+        q[:, 1:, 0] = 0.0 + y[:, 0, None] * _P_COLS[0, :, None]
+        for j in range(1, 6):
+            q[:, 1:, 0] += y[:, j, None] * _P_COLS[j, :, None]
+        hh = radii[1:] - r
+        rr = r + hh * _GX_COL
+        th = (rr - r) / h
+        # (2, 5, n): u and u' at the nodes, as _dense_eval
+        start = np.stack((values[:-1], slopes[:-1]))[:, None]
+        uv = start + h * (th * (q[:, 0] + th * (q[:, 1] + th * (q[:, 2] + th * q[:, 3]))))
+        wt = _GW_COL * hh * np.float_power(rr, N1)
+        terms = np.empty((4, 5, n))
+        np.multiply(wt * uv, uv, out=terms[:2])
+        np.multiply(wt, np.float_power(np.abs(uv[0]), pq), out=terms[2:])
+        s = out[:, 1:]
+        np.add(0.0, terms[:, 0], out=s)
+        for j in range(1, 5):
+            s += terms[:, j]
+        out = np.add.accumulate(out, axis=1)
+    return out[0], out[2], out[3], out[1]
+
+
+def _trajectory(rs, us, vs, nfev: int, quad: tuple | None,
+                v_end: float | None = None) -> Trajectory:
+    """The grid so far, as a ReachedRmax trajectory.  ``quad`` is None, or
+    _panel_norms' (params, a, k1, stages) of a run with quadrature."""
     t = Trajectory(
         radii=np.array(rs),
         values=np.array(us),
@@ -252,8 +338,9 @@ def _trajectory(rs, us, vs, norms, nfev: int) -> Trajectory:
         terminal_radius=rs[-1],
         rhs_evals=nfev,
     )
-    if norms is not None:
-        t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir = (np.array(n) for n in norms)
+    if quad is not None:
+        t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir = _panel_norms(
+            *quad, t.radii, t.values, t.slopes, v_end)
     return t
 
 
@@ -283,10 +370,8 @@ def integrate(
     N1 = params.N - 1.0
     lin = params.linear_coeff
     qc = params.q_coeff
-    p_exp, q_exp = params.p, params.q
-    pm2, qm2 = p_exp - 2.0, q_exp - 2.0
+    pm2, qm2 = params.p - 2.0, params.q - 2.0
     floor = tol.underflow_factor * a
-    quad = tol.with_quadrature
     atol, rtol, min_step, max_steps = tol.atol, tol.rtol, tol.min_step, tol.max_steps
     C2, C3, C4, C5 = _C2, _C3, _C4, _C5
     A21 = _A21
@@ -302,7 +387,6 @@ def integrate(
     # leaving them out changes no bit.
     (_, P01, P02, P03), _, (_, P21, P22, P23), (_, P31, P32, P33), \
         (_, P41, P42, P43), (_, P51, P52, P53), (_, P61, P62, P63) = _P
-    gauss = _GAUSS
     sqrt, isfinite = math.sqrt, math.isfinite
 
     u, v = series_start(params, a, r0)
@@ -312,45 +396,31 @@ def integrate(
     us = [u]
     vs = [v]
     rs_append, us_append, vs_append = rs.append, us.append, vs.append
-    norms = None
-    if quad:
-        # in-ball contribution [0, r0] from the series polynomial
-        fa = params.f(a)
-        i2 = ip = iq = idir = 0.0
-        for x, w in gauss:
-            rr = r0 * x
-            uu = a - fa * rr * rr / (2.0 * params.N)
-            vv = -fa * rr / params.N
-            wt = w * r0 * rr**N1
-            i2 += wt * uu * uu
-            ip += wt * abs(uu) ** p_exp
-            iq += wt * abs(uu) ** q_exp
-            idir += wt * vv * vv
-        I2 = [i2]
-        Ip = [ip]
-        Iq = [iq]
-        Idir = [idir]
-        norms = (I2, Ip, Iq, Idir)
-
     nfev = 1
     au = abs(u)
     k1 = -N1 / r * v + lin * u - (u * au**pm2 - qc * u * au**qm2 if au > 0.0 else 0.0)
+    quad = None   # _panel_norms' (params, a, k1, stages) of a run with quadrature
+    if tol.with_quadrature:
+        stages = array("d")   # every accepted step appends its stages
+        stages_extend = stages.extend
+        quad = (params, a, k1, stages)
 
     # conservative first step; the controller grows it by up to 10x per step
     h = min(max(1e-6, 0.05 * r0), 0.5 * (r_max - r0))
 
     event: TerminalEvent | None = None
     r_event = r_max
+    v_end = None   # u' at the end of the last step before an event moved it
     steps = 0
 
     while event is None:
         steps += 1
         if steps > max_steps:
             raise IntegrationFailure(f"step budget {max_steps} exhausted",
-                                     _trajectory(rs, us, vs, norms, nfev))
+                                     _trajectory(rs, us, vs, nfev, quad))
         if h < min_step * (r if r > 1.0 else 1.0):
             raise IntegrationFailure(f"step size collapsed at r={r:.6g}",
-                                     _trajectory(rs, us, vs, norms, nfev))
+                                     _trajectory(rs, us, vs, nfev, quad))
         clipped = r + h >= r_max
         if clipped:
             h = r_max - r
@@ -421,44 +491,24 @@ def integrate(
             r_event = r_max
 
         r_stop = r_new
-        # the interpolant is built only on steps that read it: event
-        # refinement and quadrature panels.  Each coefficient is the stage
-        # sum of _P's column, added left to right from 0.
-        if quad or fn is not None:
+        if quad:
+            stages_extend((h, v3, v4, v5, v6, k3, k4, k5, k6, k7))
+        if fn is not None:
+            # the interpolant, built only for the step that refines an event:
+            # each coefficient is the stage sum of _P's column, added left to
+            # right from 0
             qu1 = 0.0 + v * P01 + v3 * P21 + v4 * P31 + v5 * P41 + v6 * P51 + v_new * P61
             qu2 = 0.0 + v * P02 + v3 * P22 + v4 * P32 + v5 * P42 + v6 * P52 + v_new * P62
             qu3 = 0.0 + v * P03 + v3 * P23 + v4 * P33 + v5 * P43 + v6 * P53 + v_new * P63
             qv1 = 0.0 + k1 * P01 + k3 * P21 + k4 * P31 + k5 * P41 + k6 * P51 + k7 * P61
             qv2 = 0.0 + k1 * P02 + k3 * P22 + k4 * P32 + k5 * P42 + k6 * P52 + k7 * P62
             qv3 = 0.0 + k1 * P03 + k3 * P23 + k4 * P33 + k5 * P43 + k6 * P53 + k7 * P63
-            qu0, qv0 = 0.0 + v, 0.0 + k1
-            if fn is not None:
-                dense = (r, h, u, v, (qu0, qu1, qu2, qu3), (qv0, qv1, qv2, qv3))
-                etol = tol.event_tol * max(1.0, r_new)
-                r_event = _bisect_event(dense, fn, r, r_new, etol)
-                u_new, v_new = _dense_eval(*dense, r_event)
-                r_stop = r_event
-
-        if quad:
-            # 5-node Gauss panel over [r, r_stop] on the quartic (as
-            # _dense_eval, written out)
-            hh = r_stop - r
-            i2 = ip = iq = idir = 0.0
-            for x, w in gauss:
-                rr = r + hh * x
-                th = (rr - r) / h
-                uu = u + h * (th * (qu0 + th * (qu1 + th * (qu2 + th * qu3))))
-                vv = v + h * (th * (qv0 + th * (qv1 + th * (qv2 + th * qv3))))
-                wt = w * hh * rr**N1
-                au = abs(uu)
-                i2 += wt * uu * uu
-                ip += wt * au**p_exp
-                iq += wt * au**q_exp
-                idir += wt * vv * vv
-            I2.append(I2[-1] + i2)
-            Ip.append(Ip[-1] + ip)
-            Iq.append(Iq[-1] + iq)
-            Idir.append(Idir[-1] + idir)
+            dense = (r, h, u, v, (0.0 + v, qu1, qu2, qu3), (0.0 + k1, qv1, qv2, qv3))
+            etol = tol.event_tol * max(1.0, r_new)
+            r_event = _bisect_event(dense, fn, r, r_new, etol)
+            v_end = v_new
+            u_new, v_new = _dense_eval(*dense, r_event)
+            r_stop = r_event
 
         r, u, v = r_stop, u_new, v_new
         k1 = k7
@@ -470,7 +520,7 @@ def integrate(
             fac = 0.9 * (err + 1e-300) ** -0.2
             h *= 10.0 if fac > 10.0 else (fac if fac > 0.2 else 0.2)
 
-    t = _trajectory(rs, us, vs, norms, nfev)
+    t = _trajectory(rs, us, vs, nfev, quad, v_end)
     t.terminal_event = event
     t.terminal_radius = r_event
     return t

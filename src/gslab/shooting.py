@@ -22,9 +22,10 @@ the hint checks and the far probes -- run loose, at 1000x the solve's
 step tolerances (_loose_step); a loose shot that reads Converged or fails
 runs again tight.  Only tight shots decide the answer: the secant check
 reads the final pass and the last probe, and a loose end of a class
-bracket is integrated again tight (if that reads another class, the solve
-runs again with every shot tight).  Where the tight class is monotone in
-the amplitude, the result is within amp_tol of the plain bisection's.
+bracket, like a loose Overshoot of the lower bracket scan, is integrated
+again tight (if that reads another class, the solve runs again with every
+shot tight).  Where the tight class is monotone in the amplitude, the
+result is within amp_tol of the plain bisection's.
 
 The admissible amplitude window is (u_F0, u_hi): u_F0 is the first
 positive zero of the potential F (below it the trajectory lacks the energy
@@ -604,13 +605,14 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
     again tight), the final pass runs at its geometric mid (or at a tight
     Converged probe), and ``amp_error`` is 0.0 (_attempt).
 
-    If a loose end of the class bracket reads another class tight, or the
-    loose bracket scans find no bracket, the solve runs again with every
-    shot tight and ``fallbacks`` is 1; the counters then sum over both
-    attempts.  ``bisection_iterations`` counts the integrations after the
-    bracket, the final pass excepted, ``integrations`` and ``rhs_evals``
-    every integrate() call of the solve, and ``loose_integrations`` those at
-    the loose step controls.
+    If a loose end of the class bracket or a loose Overshoot of the lower
+    bracket scan reads another class tight, or the loose bracket scans find
+    no bracket, the solve runs again with every shot tight and ``fallbacks``
+    is 1; the counters then sum over both attempts.
+    ``bisection_iterations`` counts the integrations after the bracket, the
+    final pass excepted, ``integrations`` and ``rhs_evals`` every
+    integrate() call of the solve, and ``loose_integrations`` those at the
+    loose step controls.
 
     Raises BracketNotFound if no (undershoot, overshoot) pair exists in the
     admissible window, which for family P_eps signals eps >= eps*.
@@ -676,7 +678,8 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
     ``window`` is (u_f0, u_hi, lo_seed, hi_seed).  With ``loose_first`` the
     scans, hint checks and the probes taken while Brent's prediction still
     moves run loose, and None is returned if a loose end of the class
-    bracket reads another class tight.  Without it every shot runs tight.
+    bracket reads another class tight; BracketNotFound is raised if a loose
+    Overshoot of the lower scan does.  Without it every shot runs tight.
     """
     u_f0, u_hi, lo_seed, hi_seed = window
     shots: dict[float, tuple[str, float, bool]] = {}   # amplitude -> (class, Brent's value, loose)
@@ -721,6 +724,8 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
         for _ in range(60):
             if shoot(lo, loose_first) == Classification.UNDERSHOOT:
                 break
+            if shots[lo][2] and shoot(lo, False) != Classification.OVERSHOOT:
+                raise BracketNotFound(f"a loose shot misread the amplitude {lo:g}")
             lo = math.sqrt(lo * u_f0) if u_f0 > 0.0 else 0.5 * lo
         else:
             raise BracketNotFound(

@@ -383,11 +383,19 @@ def test_loose_class_matches_tight_class_away_from_amplitude(params):
 def test_loose_scan_failure_runs_the_all_tight_attempt():
     # critical N=6 at eps = 1e-9: u_F0 = 1.5e-9 is of the order of the loose
     # shots' atol, and loose shots read the undershoots just above it as
-    # overshoots, so the loose lower scan walks down to u_F0 and finds no
-    # undershoot; the solve runs again all tight and converges
+    # overshoots.  The lower scan integrates its first loose Overshoot again
+    # tight, reads the undershoot, and the solve runs again all tight at
+    # once: one loose and one tight shot before the all-tight attempt's 21,
+    # where the loose scan used to walk 60 shots down to u_F0 first.  The
+    # pins are the amplitude and worst residual of that 81-integration solve.
     from gslab import solve_ground_state
 
     sol = solve_ground_state(ProblemParams(6, 3.0, 5.0, 1e-9, Family.P_EPS))
-    assert sol.profile.fallbacks == 1
-    assert sol.amplitude == pytest.approx(4.7197e-3, rel=1e-4)
-    assert max(sol.nehari_residual, sol.pokhozhaev_residual) < 1e-6
+    prof = sol.profile
+    assert prof.fallbacks == 1
+    assert prof.loose_integrations == 1
+    assert prof.integrations <= 25
+    amp = float.fromhex("0x1.354efdf86bd03p-8")
+    assert abs(sol.amplitude - amp) <= ShootControls().amp_tol * amp
+    worst = float.fromhex("0x1.03057eb64faa3p-21")   # 4.8e-7
+    assert max(sol.nehari_residual, sol.pokhozhaev_residual) <= worst
