@@ -349,17 +349,19 @@ class ScalingReport:
 
 
 def _trusted(pt: SweepPoint) -> bool:
-    return pt.converged and pt.nehari_res < 1e-5 and pt.pokh_res < 1e-5
+    return (pt.converged and pt.nehari_res < fn.TRUSTED_RESIDUAL
+            and pt.pokh_res < fn.TRUSTED_RESIDUAL)
 
 
 def fit_points(points: list[SweepPoint],
                window: tuple[float, float] | None = None) -> list[SweepPoint]:
     """The points an exponent fit reads, in the order given.
 
-    Converged points whose identity residuals are both below 1e-5; of those,
-    the ones with window[0] <= x <= window[1] if a window is given, else all
-    but the first two (the largest x of a sweep, pre-asymptotic).  The
-    sweep and the refit of a saved sweep record both use this rule.
+    Converged points whose identity residuals are both below
+    functionals.TRUSTED_RESIDUAL (1e-5); of those, the ones with
+    window[0] <= x <= window[1] if a window is given, else all but the
+    first two (the largest x of a sweep, pre-asymptotic).  The sweep and
+    the refit of a saved sweep record both use this rule.
     """
     ok = [pt for pt in points if _trusted(pt)]
     if window is not None:

@@ -37,6 +37,7 @@ __all__ = [
     "limit_identities",
     "analyze",
     "solve_ground_state",
+    "TRUSTED_RESIDUAL",
 ]
 
 
@@ -228,10 +229,26 @@ def analyze(profile: RadialProfile) -> GroundStateSolution:
     return sol
 
 
+# The largest Nehari or Pokhozhaev residual a trusted solution has:
+# solve_ground_state raises above it, and sweeps fit only points below it
+TRUSTED_RESIDUAL = 1e-5
+
+
 def solve_ground_state(params: ProblemParams,
                        ctrl: ShootControls = ShootControls()) -> GroundStateSolution:
-    """find_ground_state + functionals in one call."""
-    return analyze(find_ground_state(params, ctrl))
+    """find_ground_state + functionals in one call.
+
+    Raises InconsistentSolution if either identity residual exceeds
+    TRUSTED_RESIDUAL: the profile does not solve the equation it was shot
+    for, and is not returned as if it did.
+    """
+    sol = analyze(find_ground_state(params, ctrl))
+    if not max(sol.nehari_residual, sol.pokhozhaev_residual) <= TRUSTED_RESIDUAL:
+        raise InconsistentSolution(
+            f"identity residuals nehari {sol.nehari_residual:.3e}, pokhozhaev "
+            f"{sol.pokhozhaev_residual:.3e} exceed {TRUSTED_RESIDUAL:g} at u(0) = "
+            f"{sol.amplitude:.6g}")
+    return sol
 
 
 def constraint_value(sol: GroundStateSolution) -> float:

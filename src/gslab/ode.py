@@ -1,28 +1,29 @@
-"""Radial ODE integration with adaptive Dormand-Prince 4(5) stepping.
+"""Radial ODE integration with adaptive Dormand-Prince 8(5,3) stepping.
 
 Integrates u'' = -(N-1)/r u' - f(u) outward from a series hand-off radius
-r0 > 0, with event detection (zero crossing, slope sign flip, underflow,
-r_max) refined on the dense-output interpolant.  Norm integrands
-(u^2, |u|^p, |u|^q, u'^2 against r^(N-1) dr) can be accumulated alongside
-the trajectory using per-step Gauss panels on the same interpolant, so the
-quadrature grid is exactly the integrator's accepted-step grid.
+r0 > 0 with DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10): twelve
+stages per step, the FSAL one included, and the 5th/3rd-order error norm
+with step exponent 1/8.  Events (zero crossing, slope sign flip, underflow,
+r_max) are refined on the seventh-order dense output, whose three extra
+stages are paid only on the step that refines one.  Norm integrands (u^2,
+|u|^p, |u|^q, u'^2 against r^(N-1) dr) can be accumulated alongside the
+trajectory on the same interpolant: such a run (the final pass of a solve)
+stores every step as _SUB sub-intervals, so the grid that the cubic
+Hermite read side sees stays as dense as the steps are long, and each
+sub-interval is one Gauss panel.
 
 ``integrate`` is the hot loop of every solve, so it is written for CPython's
 interpreter: the controls and tableau constants are locals, and the
-right-hand side is written out at each of the seven stage evaluations
+right-hand side is written out at each of the twelve stage evaluations
 (calling it as a closure made a step without quadrature about 20% slower).
-The interpolant is built in the loop only on the step that refines an
-event.  With quadrature on, each accepted step only appends its stages to a
-flat buffer, and ``_panel_norms`` builds every panel's interpolant and the
-four cumulative norm arrays in one numpy pass after the loop.  The
-arithmetic is the textbook one, operation for operation: each expression
-keeps its order, ``max``/``min`` become comparisons that pick the same
-operand, the dense-output coefficients are summed left to right from 0 as
-``sum`` does, and powers stay ``**`` (``pow(x, 2.0)`` need not round like
-``x * x``), or ``np.float_power``, which calls the same libm ``pow``.
-Results are therefore bitwise those of the plain formulation;
-``tests/test_golden.py`` pins them, and ``tests/test_ode.py`` checks the
-panel pass against the per-step loop it replaced.
+With quadrature on, each accepted step only appends its stages to a flat
+buffer, and ``_dense_pass`` builds every step's interpolant, the interior
+grid points and the four cumulative norm arrays in one numpy pass after the
+loop.  Its powers are ``np.float_power``, which calls libm's ``pow`` like
+Python's ``**`` (``np.power`` may take a SIMD path that rounds differently
+from build to build).  ``tests/test_golden.py`` pins the results, and
+``tests/test_ode.py`` checks the stepper against the Dormand-Prince 4(5)
+loop it replaced and the tables against scipy's.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass, replace
+from operator import mul
 
 import numpy as np
 
@@ -75,9 +77,11 @@ class StepControls:
 class Trajectory:
     """Accepted-step grid of one outward integration.
 
-    ``norm_*`` arrays are cumulative integrals of the corresponding
-    integrand from 0 to radii[i] (without the sphere-area factor); they are
-    populated only when the integration ran with quadrature enabled.
+    A run with quadrature also holds the dense output at _SUB - 1 interior
+    points of every step.  ``norm_*`` arrays are cumulative integrals of the
+    corresponding integrand from 0 to radii[i] (without the sphere-area
+    factor); they are populated only when the integration ran with
+    quadrature enabled.
     """
 
     radii: np.ndarray
@@ -162,118 +166,173 @@ def default_handoff_radius(params: ProblemParams, a: float, r_max: float) -> flo
     return min(1e-4 * scale, 1e-3 * r_max)
 
 
-# Dormand-Prince 4(5) tableau (FSAL), error weights, and the Shampine
-# dense-output matrix P (interpolant is 4th order accurate).
-_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-_A21 = 0.2
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
+# Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10):
+# nodes C, stage matrix A (row i holds A[i][0..i-1]; row 12 is the 8th-order
+# weights B, rows 13-15 the three extra stages of the dense output), the 5th-
+# and 3rd-order error weights E5 and E3 (13 entries, the last on the FSAL
+# stage), and the rows D of the interpolant's coefficients 3-6.
+_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+    0.7777777777777778,
 )
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
+_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+     0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
 )
-_P = (
-    (1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0, -12715105075.0 / 11282082432.0),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0, 87487479700.0 / 32700410799.0),
-    (0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0, -10690763975.0 / 1880347072.0),
-    (0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0, 701980252875.0 / 199316789632.0),
-    (0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0, -1453857185.0 / 822651844.0),
-    (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0, 69997945.0 / 29380423.0),
+_B = _A[12]
+_E3 = (
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082, 0.0,
+)
+_E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, 0.0,
+)
+_D = (
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
 )
 
-# 5-point Gauss-Legendre on [0, 1] for per-step norm panels.
-_GX = (
-    0.046910077030668004,
-    0.23076534494715845,
-    0.5,
-    0.7692346550528415,
-    0.953089922969332,
-)
-_GW = (
-    0.11846344252809454,
-    0.23931433524968324,
-    0.28444444444444444,
-    0.23931433524968324,
-    0.11846344252809454,
-)
+
+# The dense output reads the stages 0 and 5-15 only (1-4 have no weight in
+# the extra stages' rows or in D): _DENSE_STAGES, with the extra stages'
+# (node, row) and D restricted to them.  The first nine are the step's own,
+# the ninth the FSAL stage at its end (``integrate`` numbers the stages
+# from 1: these are its 1, 6-13, then the extra 14-16).
+_DENSE_STAGES = (0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
+_EXTRA = tuple((_C[s], tuple(_A[s][j] for j in _DENSE_STAGES if j < s)) for s in (13, 14, 15))
+_D_DENSE = tuple(tuple(row[j] for j in _DENSE_STAGES) for row in _D)
+
+# 4-point Gauss-Legendre on [0, 1] for the norm panels (exact to degree 7;
+# 5 points move the golden norms by less than 1e-15 relative)
+_GX = (0.06943184420297371, 0.33000947820757187, 0.6699905217924281, 0.9305681557970262)
+_GW = (0.17392742256872679, 0.3260725774312732, 0.3260725774312732, 0.17392742256872679)
 _GAUSS = tuple(zip(_GX, _GW))
-_GX_COL, _GW_COL = np.array(_GX)[:, None], np.array(_GW)[:, None]
+
+# The final pass stores each step as _SUB sub-intervals: the grid gains the
+# interpolant at the _SUB - 1 interior points, and each sub-interval is one
+# Gauss panel.  _FRACS are the fractions of the step at which the pass reads
+# the interpolant: the interior grid points, then the Gauss nodes of each
+# sub-interval in order.
+_SUB = 3
+_FRACS = np.concatenate((np.arange(1, _SUB) / _SUB,
+                         ((np.arange(_SUB)[:, None] + np.array(_GX)) / _SUB).ravel()))[:, None]
+_GW_SUB = np.array(_GW)[:, None] / _SUB
 
 
-def _dense_eval(r0: float, h: float, u0: float, v0: float, qu, qv,
-                r: float) -> tuple[float, float]:
-    """(u, u') at r on the quartic dense output of the step [r0, r0 + h].
+def _dot(row: tuple, k):
+    """sum(row[j] * k[j]) over the row: k is a list of floats, or an array
+    whose rows are arrays of steps (then one matrix product)."""
+    return sum(map(mul, row, k)) if type(k) is list else np.dot(row, k[:len(row)])
 
-    ``qu``/``qv`` are the four coefficients of u and u' (``integrate`` builds
-    them from the stages and the matrix ``_P``).
+
+def _dense_coefficients(params: ProblemParams, power, r, h, u, v, u1, v1,
+                        ku, kv) -> tuple[tuple, tuple]:
+    """The seventh-order interpolant of the step [r, r + h] from (u, u') =
+    (u, v) to (u1, v1): its coefficients F0-F6 for u and for u'.
+
+    ``ku`` and ``kv`` hold u' and u'' at the 12 _DENSE_STAGES, of which the
+    step's own first nine are set; this sets the three extra stages.  Works
+    on floats (the step that refines an event: lists, ``power`` = pow) and
+    on arrays of steps (the final pass: 2-d arrays, ``power`` =
+    np.float_power, which calls libm's ``pow`` like ``**``; ``np.power``
+    may take a SIMD path that rounds differently).
     """
-    th = (r - r0) / h
-    su = th * (qu[0] + th * (qu[1] + th * (qu[2] + th * qu[3])))
-    sv = th * (qv[0] + th * (qv[1] + th * (qv[2] + th * qv[3])))
-    return u0 + h * su, v0 + h * sv
+    N1 = params.N - 1.0
+    lin, qc = params.linear_coeff, params.q_coeff
+    pm2, qm2 = params.p - 2.0, params.q - 2.0
+    for m, (c, row) in enumerate(_EXTRA, start=9):
+        us = u + h * _dot(row, ku)
+        vs = v + h * _dot(row, kv)
+        au = abs(us)
+        ku[m] = vs
+        kv[m] = us * (lin - power(au, pm2) + qc * power(au, qm2)) - N1 / (r + c * h) * vs
+    out = []
+    for y0, y1, k in ((u, u1, ku), (v, v1, kv)):
+        dy = y1 - y0
+        out.append((dy, h * k[0] - dy, 2.0 * dy - h * (k[8] + k[0]),
+                    *[h * _dot(row, k) for row in _D_DENSE]))
+    return out[0], out[1]
 
 
-def _bisect_event(dense: tuple, fn, lo: float, hi: float, tol: float) -> float:
-    """Smallest r in (lo, hi] with fn changed from its sign at lo.
+def _dense_eval(y0, f, x):
+    """y0 plus the interpolant with coefficients f[0..6] at the fraction x of
+    its step: floats, or arrays that broadcast."""
+    y = 1.0 - x
+    return y0 + x * (f[0] + y * (f[1] + x * (f[2] + y * (f[3] + x * (f[4] + y * (
+        f[5] + x * f[6]))))))
 
-    ``dense`` is ``_dense_eval``'s (r0, h, u0, v0, qu, qv).  Returns the
-    bracket endpoint on the event side, so the terminal state satisfies the
-    event condition (e.g. u <= 0 for a zero crossing).
+
+def _bisect_event(r0: float, h: float, y0: float, f, level: float, lo: float, hi: float,
+                  tol: float) -> float:
+    """Smallest r in (lo, hi] where the interpolant (y0, f) of the step
+    [r0, r0 + h] minus level changed from its sign at lo.
+
+    Returns the bracket endpoint on the event side, so the terminal state
+    satisfies the event condition (e.g. u <= 0 for a zero crossing).
     """
-    flo = fn(*_dense_eval(*dense, lo))
+    below = _dense_eval(y0, f, (lo - r0) / h) - level <= 0.0
     for _ in range(200):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        fmid = fn(*_dense_eval(*dense, mid))
-        if (flo <= 0.0) == (fmid <= 0.0):
-            lo, flo = mid, fmid
+        if (_dense_eval(y0, f, (mid - r0) / h) - level <= 0.0) == below:
+            lo = mid
         else:
             hi = mid
     return hi
 
 
-# _P's columns 1-3 on the rows of the stages that enter them (rows 0 and
-# 2-6): the quartic's coefficients 1-3 in _panel_norms
-_P_COLS = np.array([row[1:] for i, row in enumerate(_P) if i != 1])
-
-
-def _panel_norms(params: ProblemParams, a: float, k1: float, stages, radii: np.ndarray,
-                 values: np.ndarray, slopes: np.ndarray, v_end: float | None):
-    """The four cumulative norm arrays of a grid, one numpy pass over its steps.
-
-    The in-ball contribution [0, r0] comes from the series polynomial.  Step
-    i adds a 5-node Gauss panel over [radii[i], radii[i+1]] on its quartic
-    dense output.  ``stages`` holds (h, v3, v4, v5, v6, k3, k4, k5, k6, k7)
-    of every accepted step, ``k1`` is the first step's k1 (each later one is
-    the step before's k7), and ``v_end`` is u' at the end of the last step
-    before an event moved it (None if no event did).
-
-    Every expression is the one the per-step loop evaluated, in its order:
-    the dense-output coefficients are summed left to right from 0, the nodes
-    are added in order from 0 per step, the running sums are sequential
-    (``np.add.accumulate``), and powers are ``np.float_power``, which calls
-    libm's ``pow`` like Python's ``**`` (``np.power`` may take a SIMD path
-    that rounds differently).  The arrays are therefore bitwise those of the
-    loop; ``tests/test_ode.py`` checks them against it.
-    """
+def _series_norms(params: ProblemParams, a: float, r0: float) -> tuple:
+    """(l2, dir, lp, lq) over [0, r0] from the series polynomial, on the Gauss nodes."""
     N1 = params.N - 1.0
-    pq = np.array([params.p, params.q])[:, None, None]
-    r0 = float(radii[0])
     fa = params.f(a)
     i2 = ip = iq = idir = 0.0
     for x, w in _GAUSS:
@@ -285,62 +344,87 @@ def _panel_norms(params: ProblemParams, a: float, k1: float, stages, radii: np.n
         ip += wt * abs(uu) ** params.p
         iq += wt * abs(uu) ** params.q
         idir += wt * vv * vv
+    return i2, idir, ip, iq
+
+
+def _dense_pass(params: ProblemParams, a: float, k1: float, stages, radii: np.ndarray,
+                values: np.ndarray, slopes: np.ndarray, end: tuple | None):
+    """The final pass's grid and norms, one numpy pass over its steps.
+
+    Each step's interpolant (its three extra stages included) gives the
+    grid _SUB - 1 interior points and _SUB Gauss panels, and the four
+    cumulative norm arrays are summed over those panels after the in-ball
+    piece [0, r0] from the series polynomial.  ``stages`` holds (h, u' at
+    the stages 6-12, u'' at the stages 6-13) of every accepted step, as
+    ``integrate`` numbers them (stage 13 is the FSAL one); ``k1`` is the
+    first step's u'' at its start (each later one is the step before's
+    stage 13), and ``end`` is (u, u') at the end of the last step before an
+    event moved it (None if no event did).
+
+    Returns the dense (radii, values, slopes), the norms (l2, lp, lq, dir)
+    on it, and the RHS evaluations made.
+    """
     n = len(radii) - 1
-    out = np.empty((4, n + 1))   # rows l2, dir, lp, lq
-    out[:, 0] = i2, idir, ip, iq
-    if n:
-        st = np.frombuffer(stages).reshape(n, 10).T
-        h = st[0]
-        r = radii[:-1]
-        # y[0]: u' at the stages 1, 3-7 that enter the quartic; y[1]: u''
-        y = np.empty((2, 6, n))
-        y[0, 0] = slopes[:-1]
-        y[0, 1:5] = st[1:5]
-        y[0, 5] = slopes[1:]
-        if v_end is not None:
-            y[0, 5, -1] = v_end
-        y[1, 0, 0] = k1
-        y[1, 0, 1:] = st[9, :-1]
-        y[1, 1:] = st[5:]
-        # the quartic's coefficients 0-3 of u (q[0]) and of u' (q[1])
-        q = np.empty((2, 4, 1, n))
-        q[:, 0, 0] = 0.0 + y[:, 0]
-        q[:, 1:, 0] = 0.0 + y[:, 0, None] * _P_COLS[0, :, None]
-        for j in range(1, 6):
-            q[:, 1:, 0] += y[:, j, None] * _P_COLS[j, :, None]
-        hh = radii[1:] - r
-        rr = r + hh * _GX_COL
-        th = (rr - r) / h
-        # (2, 5, n): u and u' at the nodes, as _dense_eval
-        start = np.stack((values[:-1], slopes[:-1]))[:, None]
-        uv = start + h * (th * (q[:, 0] + th * (q[:, 1] + th * (q[:, 2] + th * q[:, 3]))))
-        wt = _GW_COL * hh * np.float_power(rr, N1)
-        terms = np.empty((4, 5, n))
-        np.multiply(wt * uv, uv, out=terms[:2])
-        np.multiply(wt, np.float_power(np.abs(uv[0]), pq), out=terms[2:])
-        s = out[:, 1:]
-        np.add(0.0, terms[:, 0], out=s)
-        for j in range(1, 5):
-            s += terms[:, j]
-        out = np.add.accumulate(out, axis=1)
-    return out[0], out[2], out[3], out[1]
+    out = np.empty((4, _SUB * n + 1))   # rows l2, dir, lp, lq
+    out[:, 0] = _series_norms(params, a, float(radii[0]))
+    if not n:
+        return (radii, values, slopes), (out[0], out[2], out[3], out[1]), 0
+    st = np.frombuffer(stages).reshape(n, 16).T
+    h, r = st[0], radii[:-1]
+    u0, v0, u1, v1 = values[:-1], slopes[:-1], values[1:].copy(), slopes[1:].copy()
+    if end is not None:
+        u1[-1], v1[-1] = end
+    ku, kv = np.empty((12, n)), np.empty((12, n))
+    ku[0], ku[1:8], ku[8] = v0, st[1:8], v1
+    kv[0, 0], kv[0, 1:], kv[1:9] = k1, st[15, :-1], st[8:16]
+    fu, fv = _dense_coefficients(params, np.float_power, r, h, u0, v0, u1, v1, ku, kv)
+    hh = radii[1:] - r
+    rr = r + hh * _FRACS
+    x = (rr - r) / h
+    uv = _dense_eval(u0, fu, x), _dense_eval(v0, fv, x)
+
+    # the grid: each step's start, then its interior points
+    k = _SUB - 1
+    grid = []
+    for start, dense, last in ((r, rr, radii), (u0, uv[0], values), (v0, uv[1], slopes)):
+        g = np.empty((_SUB, n))
+        g[0], g[1:] = start, dense[:k]
+        grid.append(np.append(g.T.ravel(), last[-1]))
+
+    # (sub-interval, node, step) arrays at the Gauss nodes
+    shape = (_SUB, len(_GX), n)
+    rg, ug, vg = (g[k:].reshape(shape) for g in (rr, *uv))
+    wt = _GW_SUB * hh * rg
+    for _ in range(params.N - 2):   # r^(N-1) by products: N is an integer
+        wt *= rg
+    pq = np.array([params.p, params.q])[:, None, None, None]
+    terms = np.empty((4,) + shape)
+    np.multiply(wt * ug, ug, out=terms[0])
+    np.multiply(wt * vg, vg, out=terms[1])
+    np.multiply(wt, np.float_power(np.abs(ug), pq), out=terms[2:])
+    out[:, 1:] = terms.sum(axis=2).transpose(0, 2, 1).reshape(4, _SUB * n)
+    out = np.add.accumulate(out, axis=1)
+    return tuple(grid), (out[0], out[2], out[3], out[1]), 3 * n
 
 
 def _trajectory(rs, us, vs, nfev: int, quad: tuple | None,
-                v_end: float | None = None) -> Trajectory:
+                end: tuple | None = None) -> Trajectory:
     """The grid so far, as a ReachedRmax trajectory.  ``quad`` is None, or
-    _panel_norms' (params, a, k1, stages) of a run with quadrature."""
+    _dense_pass' (params, a, k1, stages) of a run with quadrature."""
+    radii, values, slopes = np.array(rs), np.array(us), np.array(vs)
+    norms = (None,) * 4
+    if quad is not None:
+        (radii, values, slopes), norms, extra = _dense_pass(*quad, radii, values, slopes, end)
+        nfev += extra
     t = Trajectory(
-        radii=np.array(rs),
-        values=np.array(us),
-        slopes=np.array(vs),
+        radii=radii,
+        values=values,
+        slopes=slopes,
         terminal_event=TerminalEvent.REACHED_RMAX,
         terminal_radius=rs[-1],
         rhs_evals=nfev,
     )
-    if quad is not None:
-        t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir = _panel_norms(
-            *quad, t.radii, t.values, t.slopes, v_end)
+    t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir = norms
     return t
 
 
@@ -357,7 +441,9 @@ def integrate(
     negative to positive while u > 0 (SlopeSignFlip), r reaches r_max
     (ReachedRmax), or u drops below the underflow floor while still
     decreasing (Underflow).  The terminal radius is refined on the dense
-    output to tol.event_tol relative accuracy.
+    output to tol.event_tol relative accuracy.  With tol.with_quadrature
+    the grid also holds _SUB - 1 interior points of every step, and the
+    norm arrays are filled.
     """
     if r0 is None:
         r0 = default_handoff_radius(params, a, r_max)
@@ -365,28 +451,26 @@ def integrate(
         raise ValueError(f"r_max={r_max} must exceed the hand-off radius {r0}")
 
     # Everything the step loop reads is a local.  The RHS
-    #   u'' = -N1 / r * u' + lin * u - (u |u|^(p-2) - qc u |u|^(q-2))
-    # is written out at each of the seven stages below, in this order.
+    #   u'' = u (lin - |u|^(p-2) + qc |u|^(q-2)) - N1 / r * u'
+    # is written out at each of the twelve stages below.  Stage s has the
+    # state (us, vs), so u' = vs and u'' = ks there; stage 1 is the step's
+    # start and k13 the FSAL stage at its end.
     N1 = params.N - 1.0
     lin = params.linear_coeff
     qc = params.q_coeff
     pm2, qm2 = params.p - 2.0, params.q - 2.0
     floor = tol.underflow_factor * a
     atol, rtol, min_step, max_steps = tol.atol, tol.rtol, tol.min_step, tol.max_steps
-    C2, C3, C4, C5 = _C2, _C3, _C4, _C5
-    A21 = _A21
-    A31, A32 = _A31, _A32
-    A41, A42, A43 = _A41, _A42, _A43
-    A51, A52, A53, A54 = _A51, _A52, _A53, _A54
-    A61, A62, A63, A64, A65 = _A61, _A62, _A63, _A64, _A65
-    B1, B3, B4, B5, B6 = _B1, _B3, _B4, _B5, _B6
-    E1, E3, E4, E5, E6, E7 = _E1, _E3, _E4, _E5, _E6, _E7
-    # Column 0 of _P is (1, 0, ..., 0) and row 1 is zero.  Every stage of an
-    # accepted step is finite (each one feeds the finite error estimate), so
-    # those products add an exact +-0.0 to a sum that is never -0.0, and
-    # leaving them out changes no bit.
-    (_, P01, P02, P03), _, (_, P21, P22, P23), (_, P31, P32, P33), \
-        (_, P41, P42, P43), (_, P51, P52, P53), (_, P61, P62, P63) = _P
+    _, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _, _, _, _, _ = _C
+    _, (a2_1,), (a3_1, a3_2), (a4_1, _, a4_3), (a5_1, _, a5_3, a5_4), \
+        (a6_1, _, _, a6_4, a6_5), (a7_1, _, _, a7_4, a7_5, a7_6), \
+        (a8_1, _, _, a8_4, a8_5, a8_6, a8_7), (a9_1, _, _, a9_4, a9_5, a9_6, a9_7, a9_8), \
+        (a10_1, _, _, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9), \
+        (a11_1, _, _, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10), \
+        (a12_1, _, _, a12_4, a12_5, a12_6, a12_7, a12_8, a12_9, a12_10, a12_11) = _A[:12]
+    b1, _, _, _, _, b6, b7, b8, b9, b10, b11, b12 = _B
+    e5_1, _, _, _, _, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, e5_12, _ = _E5
+    d1, d9, d12 = b1 - _E3[0], b9 - _E3[8], b12 - _E3[11]   # B - E3
     sqrt, isfinite = math.sqrt, math.isfinite
 
     u, v = series_start(params, a, r0)
@@ -398,10 +482,10 @@ def integrate(
     rs_append, us_append, vs_append = rs.append, us.append, vs.append
     nfev = 1
     au = abs(u)
-    k1 = -N1 / r * v + lin * u - (u * au**pm2 - qc * u * au**qm2 if au > 0.0 else 0.0)
-    quad = None   # _panel_norms' (params, a, k1, stages) of a run with quadrature
+    k1 = u * (lin - au**pm2 + qc * au**qm2) - N1 / r * v
+    quad = None   # _dense_pass' (params, a, k1, stages) of a run with quadrature
     if tol.with_quadrature:
-        stages = array("d")   # every accepted step appends its stages
+        stages = array("d")   # every accepted step appends what _dense_pass reads
         stages_extend = stages.extend
         quad = (params, a, k1, stages)
 
@@ -410,7 +494,7 @@ def integrate(
 
     event: TerminalEvent | None = None
     r_event = r_max
-    v_end = None   # u' at the end of the last step before an event moved it
+    end = None   # (u, u') at the end of the last step before an event moved it
     steps = 0
 
     while event is None:
@@ -425,48 +509,90 @@ def integrate(
         if clipped:
             h = r_max - r
 
-        # six fresh stages (k1 via FSAL); stage j has state (uj, vj), u' = vj
-        # and u'' = kj
-        hA = h * A21
-        u2, v2 = u + hA * v, v + hA * k1
-        au = abs(u2)
-        k2 = (-N1 / (r + C2 * h) * v2 + lin * u2
-              - (u2 * au**pm2 - qc * u2 * au**qm2 if au > 0.0 else 0.0))
-        u3 = u + h * (A31 * v + A32 * v2)
-        v3 = v + h * (A31 * k1 + A32 * k2)
-        au = abs(u3)
-        k3 = (-N1 / (r + C3 * h) * v3 + lin * u3
-              - (u3 * au**pm2 - qc * u3 * au**qm2 if au > 0.0 else 0.0))
-        u4 = u + h * (A41 * v + A42 * v2 + A43 * v3)
-        v4 = v + h * (A41 * k1 + A42 * k2 + A43 * k3)
-        au = abs(u4)
-        k4 = (-N1 / (r + C4 * h) * v4 + lin * u4
-              - (u4 * au**pm2 - qc * u4 * au**qm2 if au > 0.0 else 0.0))
-        u5 = u + h * (A51 * v + A52 * v2 + A53 * v3 + A54 * v4)
-        v5 = v + h * (A51 * k1 + A52 * k2 + A53 * k3 + A54 * k4)
-        au = abs(u5)
-        k5 = (-N1 / (r + C5 * h) * v5 + lin * u5
-              - (u5 * au**pm2 - qc * u5 * au**qm2 if au > 0.0 else 0.0))
-        u6 = u + h * (A61 * v + A62 * v2 + A63 * v3 + A64 * v4 + A65 * v5)
-        v6 = v + h * (A61 * k1 + A62 * k2 + A63 * k3 + A64 * k4 + A65 * k5)
-        au = abs(u6)
-        k6 = (-N1 / (r + h) * v6 + lin * u6
-              - (u6 * au**pm2 - qc * u6 * au**qm2 if au > 0.0 else 0.0))
-        u_new = u + h * (B1 * v + B3 * v3 + B4 * v4 + B5 * v5 + B6 * v6)
-        v_new = v + h * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
-        r_new = r_max if clipped else r + h
-        au = abs(u_new)
-        k7 = (-N1 / r_new * v_new + lin * u_new
-              - (u_new * au**pm2 - qc * u_new * au**qm2 if au > 0.0 else 0.0))
-        nfev += 6
+        # eleven fresh stages and the FSAL one (k1 is the last step's k13)
+        nfev += 12
+        try:
+            hA = h * a2_1
+            u2, v2 = u + hA * v, v + hA * k1
+            au = u2 if u2 > 0.0 else -u2
+            k2 = u2 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c2 * h) * v2
+            u3 = u + h * (a3_1 * v + a3_2 * v2)
+            v3 = v + h * (a3_1 * k1 + a3_2 * k2)
+            au = u3 if u3 > 0.0 else -u3
+            k3 = u3 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c3 * h) * v3
+            u4 = u + h * (a4_1 * v + a4_3 * v3)
+            v4 = v + h * (a4_1 * k1 + a4_3 * k3)
+            au = u4 if u4 > 0.0 else -u4
+            k4 = u4 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c4 * h) * v4
+            u5 = u + h * (a5_1 * v + a5_3 * v3 + a5_4 * v4)
+            v5 = v + h * (a5_1 * k1 + a5_3 * k3 + a5_4 * k4)
+            au = u5 if u5 > 0.0 else -u5
+            k5 = u5 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c5 * h) * v5
+            u6 = u + h * (a6_1 * v + a6_4 * v4 + a6_5 * v5)
+            v6 = v + h * (a6_1 * k1 + a6_4 * k4 + a6_5 * k5)
+            au = u6 if u6 > 0.0 else -u6
+            k6 = u6 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c6 * h) * v6
+            u7 = u + h * (a7_1 * v + a7_4 * v4 + a7_5 * v5 + a7_6 * v6)
+            v7 = v + h * (a7_1 * k1 + a7_4 * k4 + a7_5 * k5 + a7_6 * k6)
+            au = u7 if u7 > 0.0 else -u7
+            k7 = u7 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c7 * h) * v7
+            u8 = u + h * (a8_1 * v + a8_4 * v4 + a8_5 * v5 + a8_6 * v6 + a8_7 * v7)
+            v8 = v + h * (a8_1 * k1 + a8_4 * k4 + a8_5 * k5 + a8_6 * k6 + a8_7 * k7)
+            au = u8 if u8 > 0.0 else -u8
+            k8 = u8 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c8 * h) * v8
+            u9 = u + h * (a9_1 * v + a9_4 * v4 + a9_5 * v5 + a9_6 * v6 + a9_7 * v7 + a9_8 * v8)
+            v9 = v + h * (a9_1 * k1 + a9_4 * k4 + a9_5 * k5 + a9_6 * k6 + a9_7 * k7 + a9_8 * k8)
+            au = u9 if u9 > 0.0 else -u9
+            k9 = u9 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c9 * h) * v9
+            u10 = u + h * (a10_1 * v + a10_4 * v4 + a10_5 * v5 + a10_6 * v6 + a10_7 * v7
+                           + a10_8 * v8 + a10_9 * v9)
+            v10 = v + h * (a10_1 * k1 + a10_4 * k4 + a10_5 * k5 + a10_6 * k6 + a10_7 * k7
+                           + a10_8 * k8 + a10_9 * k9)
+            au = u10 if u10 > 0.0 else -u10
+            k10 = u10 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c10 * h) * v10
+            u11 = u + h * (a11_1 * v + a11_4 * v4 + a11_5 * v5 + a11_6 * v6 + a11_7 * v7
+                           + a11_8 * v8 + a11_9 * v9 + a11_10 * v10)
+            v11 = v + h * (a11_1 * k1 + a11_4 * k4 + a11_5 * k5 + a11_6 * k6 + a11_7 * k7
+                           + a11_8 * k8 + a11_9 * k9 + a11_10 * k10)
+            au = u11 if u11 > 0.0 else -u11
+            k11 = u11 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c11 * h) * v11
+            u12 = u + h * (a12_1 * v + a12_4 * v4 + a12_5 * v5 + a12_6 * v6 + a12_7 * v7
+                           + a12_8 * v8 + a12_9 * v9 + a12_10 * v10 + a12_11 * v11)
+            v12 = v + h * (a12_1 * k1 + a12_4 * k4 + a12_5 * k5 + a12_6 * k6 + a12_7 * k7
+                           + a12_8 * k8 + a12_9 * k9 + a12_10 * k10 + a12_11 * k11)
+            au = u12 if u12 > 0.0 else -u12
+            k12 = u12 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + h) * v12
+            su = (b1 * v + b6 * v6 + b7 * v7 + b8 * v8 + b9 * v9 + b10 * v10 + b11 * v11
+                  + b12 * v12)
+            sv = (b1 * k1 + b6 * k6 + b7 * k7 + b8 * k8 + b9 * k9 + b10 * k10 + b11 * k11
+                  + b12 * k12)
+            u_new = u + h * su
+            v_new = v + h * sv
+            r_new = r_max if clipped else r + h
+            au = u_new if u_new > 0.0 else -u_new
+            k13 = u_new * (lin - au**pm2 + qc * au**qm2) - N1 / r_new * v_new
+        except OverflowError:
+            # a trial step so long that a stage's power overflows; shrink it
+            # hard, as for a non-finite error below
+            h *= 0.2
+            continue
 
-        eu = h * (E1 * v + E3 * v3 + E4 * v4 + E5 * v5 + E6 * v6 + E7 * v_new)
-        ev = h * (E1 * k1 + E3 * k3 + E4 * k4 + E5 * k5 + E6 * k6 + E7 * k7)
-        au, au_new = abs(u), abs(u_new)
-        av, av_new = abs(v), abs(v_new)
-        su = atol + rtol * (au_new if au_new > au else au)
-        sv = atol + rtol * (av_new if av_new > av else av)
-        err = sqrt(0.5 * ((eu / su) ** 2 + (ev / sv) ** 2))
+        # the error norm of DOP853: the 5th-order estimate, damped where the
+        # 3rd-order one is much smaller; the step exponent is 1/8.  E3 is B
+        # but at stages 1, 9 and 12, so its sums reuse those of B
+        au, an = abs(u), abs(u_new)
+        scale_u = atol + rtol * (an if an > au else au)
+        au, an = abs(v), abs(v_new)
+        scale_v = atol + rtol * (an if an > au else au)
+        x = (e5_1 * v + e5_6 * v6 + e5_7 * v7 + e5_8 * v8 + e5_9 * v9 + e5_10 * v10
+             + e5_11 * v11 + e5_12 * v12) / scale_u
+        y = (e5_1 * k1 + e5_6 * k6 + e5_7 * k7 + e5_8 * k8 + e5_9 * k9 + e5_10 * k10
+             + e5_11 * k11 + e5_12 * k12) / scale_v
+        err5 = x * x + y * y
+        x = (su - (d1 * v + d9 * v9 + d12 * v12)) / scale_u
+        y = (sv - (d1 * k1 + d9 * k9 + d12 * k12)) / scale_v
+        den = err5 + 0.01 * (x * x + y * y)
+        err = h * err5 / sqrt(2.0 * den) if den != 0.0 else 0.0
 
         if not isfinite(err):
             # overflowing state (e.g. runaway amplitude); shrink hard so the
@@ -474,53 +600,53 @@ def integrate(
             h *= 0.2
             continue
         if err > 1.0:
-            h *= max(0.2, 0.9 * err**-0.2)
+            h *= max(0.2, 0.9 * err**-0.125)
             continue
 
-        # terminal event checks, in priority order within the step; fn is the
-        # event function whose sign change is refined on the dense output
-        fn = None
+        # terminal event checks, in priority order within the step; an event
+        # that is refined on the dense output names the component (u or u')
+        # whose crossing of a level it is
+        refine = None
         if u_new <= 0.0:
-            event, fn = TerminalEvent.ZERO_CROSSING, lambda uu, vv: uu
+            event, refine = TerminalEvent.ZERO_CROSSING, (0, 0.0)
         elif v_new >= 0.0 and u_new > 0.0:
-            event, fn = TerminalEvent.SLOPE_SIGN_FLIP, lambda uu, vv: vv
+            event, refine = TerminalEvent.SLOPE_SIGN_FLIP, (1, 0.0)
         elif u_new < floor and v_new < 0.0:
-            event, fn = TerminalEvent.UNDERFLOW, lambda uu, vv: uu - floor
+            event, refine = TerminalEvent.UNDERFLOW, (0, floor)
         elif clipped:
             event = TerminalEvent.REACHED_RMAX
             r_event = r_max
 
         r_stop = r_new
         if quad:
-            stages_extend((h, v3, v4, v5, v6, k3, k4, k5, k6, k7))
-        if fn is not None:
-            # the interpolant, built only for the step that refines an event:
-            # each coefficient is the stage sum of _P's column, added left to
-            # right from 0
-            qu1 = 0.0 + v * P01 + v3 * P21 + v4 * P31 + v5 * P41 + v6 * P51 + v_new * P61
-            qu2 = 0.0 + v * P02 + v3 * P22 + v4 * P32 + v5 * P42 + v6 * P52 + v_new * P62
-            qu3 = 0.0 + v * P03 + v3 * P23 + v4 * P33 + v5 * P43 + v6 * P53 + v_new * P63
-            qv1 = 0.0 + k1 * P01 + k3 * P21 + k4 * P31 + k5 * P41 + k6 * P51 + k7 * P61
-            qv2 = 0.0 + k1 * P02 + k3 * P22 + k4 * P32 + k5 * P42 + k6 * P52 + k7 * P62
-            qv3 = 0.0 + k1 * P03 + k3 * P23 + k4 * P33 + k5 * P43 + k6 * P53 + k7 * P63
-            dense = (r, h, u, v, (0.0 + v, qu1, qu2, qu3), (0.0 + k1, qv1, qv2, qv3))
+            stages_extend((h, v6, v7, v8, v9, v10, v11, v12,
+                           k6, k7, k8, k9, k10, k11, k12, k13))
+        if refine is not None:
+            # the interpolant, built only for the step that refines an event
+            fu, fv = _dense_coefficients(
+                params, pow, r, h, u, v, u_new, v_new,
+                [v, v6, v7, v8, v9, v10, v11, v12, v_new, 0.0, 0.0, 0.0],
+                [k1, k6, k7, k8, k9, k10, k11, k12, k13, 0.0, 0.0, 0.0])
+            nfev += 3
+            i, level = refine
             etol = tol.event_tol * max(1.0, r_new)
-            r_event = _bisect_event(dense, fn, r, r_new, etol)
-            v_end = v_new
-            u_new, v_new = _dense_eval(*dense, r_event)
+            r_event = _bisect_event(r, h, (u, v)[i], (fu, fv)[i], level, r, r_new, etol)
+            end = u_new, v_new
+            x = (r_event - r) / h
+            u_new, v_new = _dense_eval(u, fu, x), _dense_eval(v, fv, x)
             r_stop = r_event
 
         r, u, v = r_stop, u_new, v_new
-        k1 = k7
+        k1 = k13
         rs_append(r)
         us_append(u)
         vs_append(v)
 
         if event is None:
-            fac = 0.9 * (err + 1e-300) ** -0.2
+            fac = 0.9 * (err + 1e-300) ** -0.125
             h *= 10.0 if fac > 10.0 else (fac if fac > 0.2 else 0.2)
 
-    t = _trajectory(rs, us, vs, nfev, quad, v_end)
+    t = _trajectory(rs, us, vs, nfev, quad, end)
     t.terminal_event = event
     t.terminal_radius = r_event
     return t

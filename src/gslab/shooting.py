@@ -18,7 +18,7 @@ the final pass and the last probe must put the root within amp_tol/2 of
 x.  If it does not, the final pass is one more Brent probe and the search
 closes a class bracket to a relative width of amp_tol, a* its geometric
 mid.  Shots taken while the prediction still moves -- the bracket scans,
-the hint checks and the far probes -- run loose, at 1000x the solve's
+the hint checks and the far probes -- run loose, at 1e5 times the solve's
 step tolerances (_loose_step); a loose shot that reads Converged or fails
 runs again tight.  Only tight shots decide the answer: the secant check
 reads the final pass and the last probe, and a loose end of a class
@@ -83,7 +83,7 @@ class ShootControls:
     bracket_hint: tuple[float, float] | None = None
     r_max: float | None = None
     convergence_factor: float = 1e-8   # terminal value below this * amplitude => converged
-    step: StepControls = field(default_factory=lambda: StepControls(atol=1e-12, rtol=1e-10))
+    step: StepControls = field(default_factory=lambda: StepControls(atol=1e-14, rtol=1e-12))
 
 
 @dataclass
@@ -215,7 +215,9 @@ class RadialProfile:
     rhs_evals: int = 0        # RHS evaluations summed over those calls
     loose_integrations: int = 0   # those of them at the loose step controls
     fallbacks: int = 0        # 1 if the loose first attempt failed: the solve re-ran all tight
-    amp_error: float = 0.0    # measured relative error of a resolution stop, else 0.0
+    # the search's own measured relative error (of a resolution stop, else 0.0);
+    # the integrator's error is not in it
+    amp_error: float = 0.0
 
     def __post_init__(self):
         g = self.grid
@@ -540,8 +542,14 @@ _RESOLUTION = 1e-8
 
 
 def _loose_step(step: StepControls) -> StepControls:
-    """Step controls of the loose shots: 1000x the solve's own tolerances."""
-    return replace(step, atol=1e3 * step.atol, rtol=1e3 * step.rtol)
+    """Step controls of the loose shots: 1e5 times the solve's own tolerances.
+
+    At the default tight pair (atol 1e-14, rtol 1e-12) that is 1e-9 / 1e-7,
+    the loose pair the solver has always used: the tight pair was tightened
+    by two decades so that the amplitude is within amp_tol of a reference
+    solve, and loose shots only steer the search.
+    """
+    return replace(step, atol=1e5 * step.atol, rtol=1e5 * step.rtol)
 
 
 def _on_line(points, rtol: float = 1e-2) -> bool:
@@ -595,7 +603,8 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
     step, and the last three probes' proxies lie on one increasing line,
     the final pass (tight, with quadrature) runs at x.  a* = x if the secant
     through the final pass and the last probe puts the root within amp_tol/2
-    of x; ``amp_error`` is that measured relative distance.  ``bracket`` is
+    of x; ``amp_error`` is that measured relative distance, the search's
+    error only (the proxy is exact to the step tolerances).  ``bracket`` is
     the final pass and the nearest tight shot of the other class; if there
     is none yet, one more tight shot amp_tol/2 past x must read it.  A final
     pass that reads Converged is accepted (``bracket`` is (a*, a*)).

@@ -1,0 +1,71 @@
+"""How close the default solve is to the truth, and how close the read side is
+to the co-integrated norms.
+
+The amplitude search stops within amp_tol/2 of the root of the shooting
+proxy, but the proxy is read off trajectories the integrator resolves only
+to its own step tolerances.  These tests hold the whole solve to amp_tol
+against a reference solve at atol 1e-15 / rtol 1e-13: the default tight
+pair, atol 1e-14 / rtol 1e-12, was chosen by this test, a decade at a time
+from 1e-12 / 1e-10 (which missed by up to 7.1e-12, and 1e-13 / 1e-11 by
+1.2e-12; the Dormand-Prince 4(5) integrator at 1e-12 / 1e-10 missed by
+3.6e-12 to 1.6e-11).
+
+The read side (radial_norm, dirichlet_norm, the concentration radius, the
+profile distances) reads the stored grid by cubic Hermite; the final pass's
+grid holds interior points of every step for it.  On the same profiles the
+Hermite route must match the norms co-integrated on the seventh-order
+interpolant within 1e-8.
+"""
+
+import pytest
+
+from gslab import (
+    Family,
+    ProblemParams,
+    ShootControls,
+    StepControls,
+    dirichlet_norm,
+    radial_norm,
+    solve_ground_state,
+)
+
+REFERENCE = ShootControls(step=StepControls(atol=1e-15, rtol=1e-13))
+
+# the four golden families, and P_eps (3, 4, 6, 1e-3), the hardest of the
+# five for the amplitude
+CASES = [
+    pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS), id="P_eps-N3-p6-q10-eps1e-3"),
+    pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO), id="P_zero-N3-p8-q12"),
+    pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO), id="R_zero-N3-p4-q6"),
+    pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS), id="R_eps-N3-p4-q6-eps1e-2"),
+    pytest.param(ProblemParams(3, 4.0, 6.0, 1e-3, Family.P_EPS), id="P_eps-N3-p4-q6-eps1e-3"),
+]
+
+
+@pytest.fixture(scope="module")
+def solutions():
+    cache = {}
+
+    def get(params):
+        if params not in cache:
+            cache[params] = solve_ground_state(params)
+        return cache[params]
+
+    return get
+
+
+@pytest.mark.parametrize("params", CASES)
+def test_amplitude_within_amp_tol_of_reference(params, solutions):
+    # measured: 6.3e-14, 4.1e-14, 3.4e-13, 8.5e-14 and 1.2e-13
+    sol = solutions(params)
+    ref = solve_ground_state(params, REFERENCE)
+    assert sol.amplitude == pytest.approx(ref.amplitude, rel=ShootControls().amp_tol, abs=0.0)
+
+
+@pytest.mark.parametrize("params", CASES)
+def test_grid_route_norms_match_co_integrated(params, solutions):
+    # measured: 1.8e-9, 1.6e-9, 6.2e-9, 6.9e-9 and 8.6e-9 (at most 6.8e-9
+    # on the Dormand-Prince 4(5) step grid)
+    sol = solutions(params)
+    assert radial_norm(sol.profile, params.p) == pytest.approx(sol.norm_Lp_p, rel=1e-8, abs=0.0)
+    assert dirichlet_norm(sol.profile) == pytest.approx(sol.dirichlet_sq, rel=1e-8, abs=0.0)

@@ -3,14 +3,18 @@
 A speed-up of the solver counts only if its results match the old code
 bitwise, or if a stated tolerance covers the difference.  The values below
 are ``float.hex`` of the solution and SHA-256 digests of its grid and norm
-arrays, last taken when the amplitude search began to end at the
-integrator's resolution (the secant of the tight proxy, verified by the
-final pass).  Older pins stay asserted at a tolerance: those from when the
-search closed a class bracket with Brent steps (BRENT_PINS), and those from
-when the solve replayed the plain bisection (BISECTION_PINS); the search
-lands within amp_tol of both.  Those from when f's roots came from a port
-of scipy's brentq hold at a tolerance too; fed those roots (SCIPY_ROOTS),
-the solve's amplitude is pinned bit for bit.  Any change to the stepping,
+arrays, last taken when the integrator became Dormand-Prince 8(5,3) at
+atol 1e-14 / rtol 1e-12.  Older pins stay asserted at a tolerance: those
+from the Dormand-Prince 4(5) integrator at atol 1e-12 / rtol 1e-10
+(DP45_PINS), with the amplitude search ending at the integrator's
+resolution; those from when the search closed a class bracket with Brent
+steps (BRENT_PINS); and those from when the solve replayed the plain
+bisection (BISECTION_PINS).  Those older pins were all taken on DP45
+trajectories, and a reference solve at atol 1e-15 / rtol 1e-13 puts their
+amplitudes 3.6e-12 to 1.5e-11 and their levels 1.0e-11 to 2.6e-11 from the
+truth; they hold at 2e-11 and 3e-11.  Fed the roots of f that a port of
+scipy's brentq found (SCIPY_ROOTS), the solve's amplitude is pinned bit for
+bit.  Any change to the stepping,
 the error control, the event refinement, the quadrature panels or the
 search shows up here as an exact mismatch.  They were taken on x86-64
 Linux (CPython, glibc libm); a different libm may move the last bits of
@@ -28,45 +32,60 @@ from gslab import Family, ProblemParams, ShootControls, solve_ground_state
 # (params, amplitude, level_S, nehari_residual, grid.rhs_evals)
 GOLDEN = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
-                 "0x1.bb150da6fbb5cp-1", "0x1.9e6885dd7cc33p+2", "0x1.fcf5503749d2fp-41",
-                 2113, id="P_eps-N3-p6-q10-eps1e-3"),
+                 "0x1.bb150da6ee77ap-1", "0x1.9e6885dd5e268p+2", "0x1.4646ee9dd6bf5p-44",
+                 2110, id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
-                 "0x1.f0dc83891881bp-1", "0x1.0ba01b5de5cf6p+3", "0x1.2dbbaa80e2e34p-37",
-                 3187, id="P_zero-N3-p8-q12"),
+                 "0x1.f0dc838910b0cp-1", "0x1.0ba01b5dc941bp+3", "0x1.ec83981f70c7bp-43",
+                 3703, id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "0x1.1597c27ed3706p+2", "0x1.d83d9226f9653p+3", "0x1.441cc5c2f29eep-38",
-                 2323, id="R_zero-N3-p4-q6"),
+                 "0x1.1597c27ee4ce0p+2", "0x1.d83d9226e4140p+3", "0x1.72487b1cddeb1p-45",
+                 2119, id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.0b612fe3fce86p+2", "0x1.eb9fac3e016d2p+3", "0x1.67985d4edbdd3p-38",
-                 2245, id="R_eps-N3-p4-q6-eps1e-2"),
+                 "0x1.0b612fe40a27ap+2", "0x1.eb9fac3de8d7dp+3", "0x1.e2840c2ed028dp-45",
+                 2128, id="R_eps-N3-p4-q6-eps1e-2"),
 ]
+
+# The pins taken with the Dormand-Prince 4(5) integrator at atol 1e-12 /
+# rtol 1e-10, the search ending at its resolution: (amplitude, level_S).  The
+# amplitudes moved by at most 1.5e-11 and the levels by 2.5e-11, which is
+# their distance to a reference solve at atol 1e-15 / rtol 1e-13 too.
+DP45_PINS = {
+    Family.P_EPS: ("0x1.bb150da6fbb5cp-1", "0x1.9e6885dd7cc33p+2"),
+    Family.P_ZERO: ("0x1.f0dc83891881bp-1", "0x1.0ba01b5de5cf6p+3"),
+    Family.R_ZERO: ("0x1.1597c27ed3706p+2", "0x1.d83d9226f9653p+3"),
+    Family.R_EPS: ("0x1.0b612fe3fce86p+2", "0x1.eb9fac3e016d2p+3"),
+}
 
 # (params, grid.norm_lp[-1], grid.norm_dir[-1], profile.rhs_evals): the
 # co-integrated Gauss panels of the final pass, and the RHS work of the solve
 PANELS = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
-                 "0x1.cca5f50fa7384p+0", "0x1.4fa96eb273c59p+0", 9090,
+                 "0x1.cca5f50f5e42bp+0", "0x1.4fa968d3dcfcep+0", 8154,
                  id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
-                 "0x1.ecb726ffc79adp+1", "0x1.ecb6aeec01597p+0", 25317,
+                 "0x1.ecb726ff2706fp+1", "0x1.ecb6aeeb9ec96p+0", 25488,
                  id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "0x1.80f8bd8d2fedfp+2", "0x1.20ba803c1394dp+2", 8950,
+                 "0x1.80f8bd8d21631p+2", "0x1.20ba8008ba90bp+2", 9191,
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.cc15a89057a23p+2", "0x1.32afa4efcf60ap+2", 13626,
+                 "0x1.cc15a8904b16dp+2", "0x1.32afa45be5982p+2", 7540,
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
 
 # The pins taken while the solve replayed the plain bisection bit for bit:
 # (amplitude, level_S, radial_norm(prof, p), dirichlet_norm(prof)) per
-# family.  The Brent search stays within amp_tol of that bisection, so the
-# amplitude holds within 1e-12 relative (it moved by at most 5.0e-13) and
-# the level and the norms within 1e-11 (at most 7.7e-13 and 2.1e-12).  The
-# grid-end, digest and tail-piece pins get no such check: the truncation
-# of the final trajectory moves by a grid point, which moves norm_dir[-1]
-# by up to 7.9e-7 and the tail pieces by up to 39% while their sums stay.
+# family.  The Brent search stays within amp_tol of that bisection, so on
+# DP45 trajectories the amplitude held within 1e-12 relative (it moved by at
+# most 5.0e-13) and the level and the norms within 1e-11 (at most 7.7e-13
+# and 2.1e-12).  On DOP853 trajectories the amplitude holds within 2e-11 and
+# the level within 3e-11 (see the module docstring), and the two norms, read
+# by cubic Hermite on the grid, within 1e-8 (they moved by at most 5.1e-9,
+# 3.9e-9 being the pins' distance to the reference solve).  The grid-end,
+# digest and tail-piece pins get no such check: the truncation of the final
+# trajectory moves by a grid point, which moves norm_dir[-1] by up to 7.9e-7
+# and the tail pieces by up to 39% while their sums stay.
 BISECTION_PINS = {
     Family.P_EPS: ("0x1.bb150da6fbff9p-1", "0x1.9e6885dd7cfa4p+2",
                    "0x1.69cad4a409f08p+4", "0x1.07a0f21ca46f6p+4"),
@@ -82,11 +101,10 @@ BISECTION_PINS = {
 # The pins taken while the search closed a class bracket with Brent steps to
 # amp_tol, a* its geometric mid: (amplitude, level_S, radial_norm(prof, p),
 # dirichlet_norm(prof)).  The resolution secant is within amp_tol/2 of the
-# class switch, so the amplitude and the level hold within 1e-12 relative
-# (they moved by at most 2.5e-13 and 2.1e-13), the norms within 1e-11 (at
-# most 8.5e-13 and 1.6e-12).  P_zero and R_eps still end on the class stop:
-# P_zero keeps its bits, R_eps moved by 3 ulp when Brent's geometric mid
-# became sqrt(b) * sqrt(c), which does not underflow.
+# class switch, so on DP45 trajectories the amplitude and the level held
+# within 1e-12 relative (they moved by at most 2.5e-13 and 2.1e-13), the
+# norms within 1e-11 (at most 8.5e-13 and 1.6e-12); on DOP853 trajectories
+# they hold at the tolerances of BISECTION_PINS.
 BRENT_PINS = {
     Family.P_EPS: ("0x1.bb150da6fc2f8p-1", "0x1.9e6885dd7d218p+2",
                    "0x1.69cad4a40a765p+4", "0x1.07a0f21ca56b8p+4"),
@@ -97,6 +115,12 @@ BRENT_PINS = {
     Family.R_EPS: ("0x1.0b612fe3fce89p+2", "0x1.eb9fac3e016bdp+3",
                    "0x1.69597fa6909f9p+6", "0x1.e1bde1ea2114fp+5"),
 }
+
+
+# the tolerances of the pins taken on DP45 trajectories (module docstring)
+OLD_AMPLITUDE_TOL = 2e-11
+OLD_LEVEL_TOL = 3e-11
+OLD_GRID_NORM_TOL = 1e-8
 
 
 def _near(value, pin, rel):
@@ -110,13 +134,11 @@ def test_solve_matches_golden_bitwise(params, amplitude, level_S, nehari, rhs_ev
     assert sol.level_S.hex() == level_S
     assert sol.nehari_residual.hex() == nehari
     assert sol.profile.grid.rhs_evals == rhs_evals
-    old_amplitude, old_level_S, _, _ = BISECTION_PINS[params.family]
-    assert _near(sol.amplitude, old_amplitude, 1e-12)
-    assert _near(sol.amplitude, SCIPY_ROOT_AMPLITUDES[params.family], 1e-12)
-    assert _near(sol.level_S, old_level_S, 1e-11)
-    brent_amplitude, brent_level_S, _, _ = BRENT_PINS[params.family]
-    assert _near(sol.amplitude, brent_amplitude, 1e-12)
-    assert _near(sol.level_S, brent_level_S, 1e-12)
+    for pins in (DP45_PINS, BISECTION_PINS, BRENT_PINS):
+        old_amplitude, old_level_S = pins[params.family][:2]
+        assert _near(sol.amplitude, old_amplitude, OLD_AMPLITUDE_TOL)
+        assert _near(sol.level_S, old_level_S, OLD_LEVEL_TOL)
+    assert _near(sol.amplitude, DP45_SCIPY_ROOT_AMPLITUDES[params.family], OLD_AMPLITUDE_TOL)
 
 
 @pytest.mark.parametrize("params, norm_lp, norm_dir, rhs_evals", PANELS)
@@ -132,16 +154,16 @@ def test_panels_match_golden_bitwise(params, norm_lp, norm_dir, rhs_evals):
 # every interior entry, not just the end values above
 ARRAYS = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
-                 "5fc3794c3cd92d8641a8c1f2aa1a13478e2b59d493f5466455d0d181532e8423",
+                 "55a7aa7c6f63c959bff6e33b53669f4b97cff3f4edd527d9a3a6db2f101c9887",
                  id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
-                 "6f213867760d5cbe5a0fa71dbb9af0dc4e42a77fce175f3662e60738f1861aa6",
+                 "c7bc797751f7ac5f406bfe1146bf9fc5b35ddb649f92e7451ec54ac6a65468b4",
                  id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "fc4fc9078c523673009c330c5482b6fda588626c5e69d9d72bab6b50447d9b27",
+                 "de2bb4e562369f88dc75b98279a8e660e51fb3b07eb8a8262f2b3ccfb4cc246f",
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "ed576d30e292f3d6e6129f525b614b2ed4b9433a606fbdd5f0ddf134dbc53026",
+                 "eb80c0bb530fac76112390c93a948ac27afb22269f36af1c617b8b373b02e9dc",
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
@@ -182,39 +204,28 @@ def test_forced_loose_probes_fall_back_to_golden_bitwise(params, amplitude, leve
 # became the closed-form derivative.
 READ_SIDE = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
-                 "0x1.69cad4a40922bp+4", "0x1.07a0f21ca38f2p+4",
-                 "0x1.d9baf4cd686cap-10", "0x1.4bb01ccb1738fp-19",
+                 "0x1.69cad49665443p+4", "0x1.07a0f218d5527p+4",
+                 "0x1.0d86155a59a20p-9", "0x1.7aa3822fe4e1fp-19",
                  id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
-                 "0x1.82fa513c33774p+5", "0x1.82fa51325fcf6p+4",
-                 None, "0x1.e04e20d9c829bp-18",
+                 "0x1.82fa511b268cep+5", "0x1.82fa512613b8fp+4",
+                 None, "0x1.e04e1f6b37554p-18",
                  id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "0x1.2e5b2444af9bfp+6", "0x1.c588b65e455bdp+5",
-                 "0x1.5b966db052fb6p-19", "0x1.bdbaad8e21797p-19",
+                 "0x1.2e5b244e34074p+6", "0x1.c588b66f86327p+5",
+                 "0x1.608278e8bf31dp-19", "0x1.c423cfb59c614p-19",
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.69597fa690a01p+6", "0x1.e1bde1ea21172p+5",
-                 "0x1.4584da243410cp-19", "0x1.9f52a0415f865p-19",
+                 "0x1.69597fb5ae6f1p+6", "0x1.e1bde1ffaf919p+5",
+                 "0x1.53c9118e56f7ap-19", "0x1.b1cd9d787d8cap-19",
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
-
-
-# dirichlet_tail(R) while TailModel.slope was a central difference with the
-# step 1e-6*max(1, r), with the amplitude of the profile it was pinned on
-# (the solve fed SCIPY_ROOTS while the search closed a class bracket): on
-# that profile the closed form moved it by at most 2.3e-11
-DIFFERENCE_TAIL_DIR = {
-    Family.P_EPS: ("0x1.bb150da6fc2f8p-1", "0x1.4bb00d4bceccbp-19"),
-    Family.R_ZERO: ("0x1.1597c27ed3241p+2", "0x1.bdbaa436b7983p-19"),
-    Family.R_EPS: ("0x1.0b612fe3fc55fp+2", "0x1.9f52b05304e2dp-19"),
-}
 
 
 def _profile_at(params, amplitude):
     """The profile packaged from a final pass at a pinned amplitude (an
     exponential family's r_max): the profile an older pin was taken on,
-    wherever the search now lands."""
+    wherever the search now lands, on today's integrator."""
     from dataclasses import replace
 
     from gslab import shooting
@@ -242,8 +253,8 @@ def test_read_side_norms_match_golden_bitwise(params, norm_p, dirichlet, tail_l2
     assert float(prof.tail.dirichlet_tail(R)).hex() == tail_dir
     for pins in (BISECTION_PINS, BRENT_PINS):
         _, _, old_norm_p, old_dirichlet = pins[params.family]
-        assert _near(radial_norm(prof, params.p), old_norm_p, 1e-11)
-        assert _near(dirichlet_norm(prof), old_dirichlet, 1e-11)
+        assert _near(radial_norm(prof, params.p), old_norm_p, OLD_GRID_NORM_TOL)
+        assert _near(dirichlet_norm(prof), old_dirichlet, OLD_GRID_NORM_TOL)
 
 
 def test_critical_read_side_matches_golden_bitwise(monkeypatch):
@@ -258,35 +269,48 @@ def test_critical_read_side_matches_golden_bitwise(monkeypatch):
     w = solve_ground_state(params).rescaled_to_frame()
     lam = concentration_lambda(w.profile)
     d1, dp = profile_distances(rescale_to_v(w.profile, lam), EmdenFowlerProfile(5, 1.0, "W"))
-    assert lam.hex() == "0x1.5ffd4d5a19901p+0"
-    assert d1.hex() == "0x1.3e79a1418ffcfp-2"
-    assert dp.hex() == "0x1.c958ee133c9fcp-5"
-    assert kappa_identities(w, params.eps).lq_residual.hex() == "0x1.49ccc2ca684b1p-23"
-    # the pins taken while the search closed a class bracket: the profile
-    # moved by 2.5e-13, lambda by 2.3e-13, d1 by 1.6e-12 and dp by 5.0e-12
-    assert _near(lam, "0x1.5ffd4d5a19e8fp+0", 1e-11)
-    assert _near(d1, "0x1.3e79a1418dd28p-2", 1e-11)
-    assert _near(dp, "0x1.c958ee1332dbep-5", 1e-11)
+    assert lam.hex() == "0x1.5ffd4d618eb49p+0"
+    assert d1.hex() == "0x1.3e799f8102329p-2"
+    assert dp.hex() == "0x1.c958ecdfa6b33p-5"
+    assert kappa_identities(w, params.eps).lq_residual.hex() == "0x1.23ae6c89e22e0p-23"
+    # The older pins below were taken on DP45 trajectories.  Against them
+    # lambda moved by at most 1.3e-9, d1 by 8.4e-8 and dp by 4.0e-8; a
+    # reference solve at atol 1e-15 / rtol 1e-13 is 1.2e-9, 1.0e-7 and
+    # 6.5e-8 from them, so they hold at 2e-9, 2e-7 and 1e-7.
+    # The pins taken with the DP45 integrator, the search ending at its
+    # resolution
+    assert _near(lam, "0x1.5ffd4d5a19901p+0", 2e-9)
+    assert _near(d1, "0x1.3e79a1418ffcfp-2", 2e-7)
+    assert _near(dp, "0x1.c958ee133c9fcp-5", 1e-7)
+    # the pins taken while the search closed a class bracket: on DP45
+    # trajectories the profile moved by 2.5e-13, lambda by 2.3e-13, d1 by
+    # 1.6e-12 and dp by 5.0e-12
+    assert _near(lam, "0x1.5ffd4d5a19e8fp+0", 2e-9)
+    assert _near(d1, "0x1.3e79a1418dd28p-2", 2e-7)
+    assert _near(dp, "0x1.c958ee1332dbep-5", 1e-7)
     # the radius pinned while it was a bisection of the panel to 1e-13: on
-    # the frame it was pinned on (the solve fed SCIPY_ROOTS while the search
-    # closed a class bracket), Brent's lambda is within both stop widths of it
+    # the frame at the amplitude it was pinned on (the solve fed SCIPY_ROOTS
+    # while the search closed a class bracket), Brent's lambda was within
+    # both stop widths of it on DP45 trajectories; on DOP853 ones, 8.0e-10
     w_old = analyze(_profile_at(params, "0x1.1aadc6ea9b41ap-1")).rescaled_to_frame()
-    assert _near(concentration_lambda(w_old.profile), "0x1.5ffd4d5a193a4p+0", 2e-13)
-    # the pins taken while the solve replayed the plain bisection: the
-    # profile moved by ~1e-13, lambda by 1.4e-13, d1 by 5.0e-13, dp by 2.4e-12
-    assert _near(lam, "0x1.5ffd4d5a19706p+0", 1e-11)
-    assert _near(d1, "0x1.3e79a141909c5p-2", 1e-11)
-    assert _near(dp, "0x1.c958ee13412a6p-5", 1e-11)
+    assert _near(concentration_lambda(w_old.profile), "0x1.5ffd4d5a193a4p+0", 1e-9)
+    # the pins taken while the solve replayed the plain bisection: on DP45
+    # trajectories the profile moved by ~1e-13, lambda by 1.4e-13, d1 by
+    # 5.0e-13, dp by 2.4e-12
+    assert _near(lam, "0x1.5ffd4d5a19706p+0", 2e-9)
+    assert _near(d1, "0x1.3e79a141909c5p-2", 2e-7)
+    assert _near(dp, "0x1.c958ee13412a6p-5", 1e-7)
     # the pins taken while the radius read Hermite prefix sums of the grid
-    # panels, not the co-integrated mass: lambda moved by 2.2e-9 relative,
-    # and at the old lambda the distances moved only by rounding until the
-    # profile itself moved with the Brent search (2.3e-13 and 2.4e-12)
+    # panels, not the co-integrated mass: lambda moved by 2.2e-9 relative
+    # (3.5e-9 now), and at the old lambda the distances moved only by
+    # rounding until the profile itself moved with the Brent search (2.3e-13
+    # and 2.4e-12) and with DOP853 (8.0e-8 and 4.0e-8)
     old_lam = float.fromhex("0x1.5ffd4d4d0787cp+0")
     assert lam == pytest.approx(old_lam, rel=1e-8, abs=0.0)
     d1_old, dp_old = profile_distances(rescale_to_v(w.profile, old_lam),
                                        EmdenFowlerProfile(5, 1.0, "W"))
-    assert _near(d1_old, "0x1.3e79a16892f20p-2", 1e-11)
-    assert _near(dp_old, "0x1.c958ee0f40d10p-5", 1e-11)
+    assert _near(d1_old, "0x1.3e79a16892f20p-2", 2e-7)
+    assert _near(dp_old, "0x1.c958ee0f40d10p-5", 1e-7)
 
 
 # f's roots (u_F0, u_hi) as the port of scipy's brentq found them, for the
@@ -301,12 +325,18 @@ SCIPY_ROOTS = {
                                                             "0x1.ffceced9b6131p-1"),
 }
 
-# The amplitudes of the solves fed those roots.  P_eps and R_zero end on the
-# resolution stop, which the roots' 1-3 ulp do not reach: they land on the
-# golden bits.  P_zero and R_eps end on the class stop, R_eps 5.0e-13 from
-# the golden amplitude.  Fed those roots while the search closed a class
-# bracket, P_eps and R_zero landed on their BRENT_PINS bits.
+# The amplitudes of the solves fed those roots.  P_zero and R_zero land on
+# the golden bits, P_eps 3 ulp and R_eps 1.4e-15 from them.  With the DP45
+# integrator (DP45_SCIPY_ROOT_AMPLITUDES) P_eps and R_zero landed on their
+# golden bits, and R_eps 5.0e-13 from them; fed those roots while the search
+# closed a class bracket, P_eps and R_zero landed on their BRENT_PINS bits.
 SCIPY_ROOT_AMPLITUDES = {
+    Family.P_EPS: "0x1.bb150da6ee777p-1",
+    Family.P_ZERO: "0x1.f0dc838910b0cp-1",
+    Family.R_ZERO: "0x1.1597c27ee4ce0p+2",
+    Family.R_EPS: "0x1.0b612fe40a273p+2",
+}
+DP45_SCIPY_ROOT_AMPLITUDES = {
     Family.P_EPS: "0x1.bb150da6fbb5cp-1",
     Family.P_ZERO: "0x1.f0dc83891881bp-1",
     Family.R_ZERO: "0x1.1597c27ed3706p+2",
@@ -332,14 +362,10 @@ def _solve_on_scipy_roots(params, monkeypatch):
 @pytest.mark.parametrize("params", [pytest.param(p.values[0], id=p.id) for p in GOLDEN])
 def test_scipy_roots_give_the_old_amplitudes_bitwise(params, monkeypatch):
     # fed the roots the old root finder found, the solve lands on its pinned
-    # amplitude bit for bit; the tail's Dirichlet term of the profile its
-    # difference-quotient pin was taken on is within 1e-10 of that pin
+    # amplitude bit for bit, and within the DP45 tolerance of the DP45 one
     prof = _solve_on_scipy_roots(params, monkeypatch).profile
     assert prof.amplitude.hex() == SCIPY_ROOT_AMPLITUDES[params.family]
-    if params.family in DIFFERENCE_TAIL_DIR:
-        amplitude, tail_dir = DIFFERENCE_TAIL_DIR[params.family]
-        old = _profile_at(params, amplitude)
-        assert _near(old.tail.dirichlet_tail(float(old.grid.radii[-1])), tail_dir, 1e-10)
+    assert _near(prof.amplitude, DP45_SCIPY_ROOT_AMPLITUDES[params.family], OLD_AMPLITUDE_TOL)
 
 
 @pytest.mark.parametrize("N, s_star, qs", [
@@ -360,16 +386,34 @@ def test_emden_constants_match_golden_bitwise(N, s_star, qs):
 # accepted; at ratio 2 the amplitude falls faster than the hint's lower end,
 # so every hint is rejected and the solve falls back to the window scans.
 HINTED_SWEEPS = [
-    pytest.param(1.5, ["0x1.abceb30662a13p-2", "0x1.61b612d426e8bp-2", "0x1.23389d16fb885p-2",
-                       "0x1.de34e92e6190ep-3", "0x1.87e5ff495dd27p-3", "0x1.40c58b6cb1f9cp-3",
-                       "0x1.0656a7d2bd668p-3", "0x1.acdd747594186p-4"], 2, id="hints-accepted"),
-    pytest.param(2.0, ["0x1.abceb30662a13p-2", "0x1.343e8a905a858p-2", "0x1.b805a1455fd92p-3",
-                       "0x1.389957fba8422p-3", "0x1.bb1d3ef7960d9p-4", "0x1.39b1d0f28ac5dp-4",
-                       "0x1.bbe3c7e821cdep-5", "0x1.39f80bd718bb8p-5"], 3, id="hints-rejected"),
+    pytest.param(1.5, ["0x1.abceb30676ac4p-2", "0x1.61b612d4392dcp-2", "0x1.23389d170b550p-2",
+                       "0x1.de34e92e7bb5ap-3", "0x1.87e5ff49744cep-3", "0x1.40c58b6cc6352p-3",
+                       "0x1.0656a7d2cf6d1p-3", "0x1.acdd7475b9a5ap-4"], 2, id="hints-accepted"),
+    pytest.param(2.0, ["0x1.abceb30676ac4p-2", "0x1.343e8a906ad4fp-2", "0x1.b805a1457851fp-3",
+                       "0x1.389957fbbc4abp-3", "0x1.bb1d3ef7c7d81p-4", "0x1.39b1d0f2c8b9fp-4",
+                       "0x1.bbe3c7e904537p-5", "0x1.39f80bd821443p-5"], 3, id="hints-rejected"),
 ]
 
-# The same sweeps pinned while the search closed a class bracket; they hold
-# within 1e-12 relative (the largest move is 5.0e-13)
+# The older pins of these sweeps below were all taken on DP45 trajectories:
+# against reference sweeps at atol 1e-15 / rtol 1e-13 (3.4e-13 from the
+# sweeps above) they are off by up to 2.1e-11 at ratio 1.5 and 2.0e-10 at
+# ratio 2, whose smallest amplitudes (0.04) the DP45 atol of 1e-12 limited;
+# they hold at these tolerances
+OLD_SWEEP_TOL = {1.5: 3e-11, 2.0: 3e-10}
+
+# The same sweeps pinned with the DP45 integrator, the search ending at its
+# resolution
+DP45_SWEEPS = {
+    1.5: ["0x1.abceb30662a13p-2", "0x1.61b612d426e8bp-2", "0x1.23389d16fb885p-2",
+          "0x1.de34e92e6190ep-3", "0x1.87e5ff495dd27p-3", "0x1.40c58b6cb1f9cp-3",
+          "0x1.0656a7d2bd668p-3", "0x1.acdd747594186p-4"],
+    2.0: ["0x1.abceb30662a13p-2", "0x1.343e8a905a858p-2", "0x1.b805a1455fd92p-3",
+          "0x1.389957fba8422p-3", "0x1.bb1d3ef7960d9p-4", "0x1.39b1d0f28ac5dp-4",
+          "0x1.bbe3c7e821cdep-5", "0x1.39f80bd718bb8p-5"],
+}
+
+# The same sweeps pinned while the search closed a class bracket (on DP45
+# trajectories they held within 1e-12 relative: the largest move was 5.0e-13)
 BRENT_SWEEPS = {
     1.5: ["0x1.abceb3066316cp-2", "0x1.61b612d426877p-2", "0x1.23389d16fc288p-2",
           "0x1.de34e92e610d1p-3", "0x1.87e5ff495d66ep-3", "0x1.40c58b6cb1a21p-3",
@@ -380,7 +424,8 @@ BRENT_SWEEPS = {
 }
 
 # The same sweeps pinned while f's roots came from the port of scipy's
-# brentq; the roots moved by 1-3 ulp, and the amplitudes by at most 5.0e-13
+# brentq; the roots moved by 1-3 ulp, and on DP45 trajectories the
+# amplitudes by at most 5.0e-13
 SCIPY_ROOT_SWEEPS = {
     1.5: ["0x1.abceb306622c0p-2", "0x1.61b612d427499p-2", "0x1.23389d16fb882p-2",
           "0x1.de34e92e610ddp-3", "0x1.87e5ff495d66ap-3", "0x1.40c58b6cb1a1ep-3",
@@ -391,8 +436,8 @@ SCIPY_ROOT_SWEEPS = {
 }
 
 # The same sweeps pinned while the solve replayed the plain bisection, before
-# the bracket scans and hint checks ran at the loose step controls; they
-# hold within 1e-12 relative (the largest move is 6.4e-13)
+# the bracket scans and hint checks ran at the loose step controls (on DP45
+# trajectories they held within 1e-12 relative: the largest move was 6.4e-13)
 BISECTION_SWEEPS = {
     1.5: ["0x1.abceb30662825p-2", "0x1.61b612d426cc7p-2", "0x1.23389d16fbe02p-2",
           "0x1.de34e92e61575p-3", "0x1.87e5ff495d912p-3", "0x1.40c58b6cb2012p-3",
@@ -420,8 +465,9 @@ def test_hinted_sweep_matches_golden_bitwise(ratio, amplitudes, bracket_runs, mo
     rep = sweep(SweepSpec(regime="subcritical", N=3, p=4.0, q=6.0,
                           grid_min=1e-2 / ratio ** 7, grid_max=1e-2, ratio=ratio))
     assert [pt.amplitude.hex() for pt in rep.points] == amplitudes
-    for old in (BRENT_SWEEPS[ratio], BISECTION_SWEEPS[ratio], SCIPY_ROOT_SWEEPS[ratio]):
-        assert all(_near(pt.amplitude, pin, 1e-12)
+    for old in (DP45_SWEEPS[ratio], BRENT_SWEEPS[ratio], BISECTION_SWEEPS[ratio],
+                SCIPY_ROOT_SWEEPS[ratio]):
+        assert all(_near(pt.amplitude, pin, OLD_SWEEP_TOL[ratio])
                    for pt, pin in zip(rep.points, old, strict=True))
     # an accepted hint costs its two checks; a rejected one its lower check
     # (an overshoot), then one shot at each end of the admissible window
@@ -505,9 +551,13 @@ def test_misread_hint_check_falls_back_to_golden_bitwise(misread_loose_shot, ove
 def test_non_monotone_solve_falls_back_to_plain_bisection_golden(misread_loose_shot,
                                                                  overturned, tight_bracket):
     # critical N=4 at eps ~ 3.7e-9, hinted as in the crit4 sweep: here the
-    # tight class is not monotone at the 1e-12 scale, so no result is the
-    # bisection's bit for bit; the search still lands within amp_tol of the
-    # amplitude the plain bisection gave (pinned while the solve replayed it)
+    # DP45 tight class was not monotone at the 1e-12 scale, and its search
+    # landed within amp_tol of the plain bisection's amplitude (pinned while
+    # the solve replayed it).  That amplitude was 6.5e-7 off: the solve is
+    # ill-conditioned here, and a reference solve at atol 1e-17 / rtol
+    # 1e-15 moves by 2.1e-11 from the one at a tenth of those controls.  On
+    # DOP853 trajectories the search lands within 2e-9 of the reference
+    # (1.1e-9 measured), with its bracket contract kept
     from gslab import shooting
 
     calls, _ = misread_loose_shot(lambda a, c: False)
@@ -515,8 +565,9 @@ def test_non_monotone_solve_falls_back_to_plain_bisection_golden(misread_loose_s
     ctrl = ShootControls(bracket_hint=(0.10300182478482967, 0.17853649629370474))
     prof = shooting.find_ground_state(params, ctrl)
     _assert_accounted(prof, calls, overturned, tight_bracket)
-    assert _near(prof.amplitude, "0x1.f8c1d41b8d90cp-4", ctrl.amp_tol)
-    assert prof.bracket[1] / prof.bracket[0] - 1.0 <= ctrl.amp_tol
+    reference = "0x1.f8c1be6db5975p-4"
+    assert _near(prof.amplitude, reference, 2e-9)
+    assert _near(float.fromhex("0x1.f8c1d41b8d90cp-4"), reference, 7e-7)
 
 
 def test_misread_edge_above_a_converged_stop_falls_back_to_golden_bitwise(misread_loose_shot,

@@ -169,6 +169,18 @@ def test_cli_exit_codes(capsys):
                  "--q", "6", "--eps", "0.2", "--no-cache"]) == 1
 
 
+def test_cli_untrusted_solution_exits_1(capsys):
+    # u(0) ~ eps^(1/(p-2)) ~ 1e-10 is of the order of the step controls'
+    # atol: the profile's identity residuals are far above the trust bound
+    # (they read 0.62 and 1.03 when this exited 0), so the solve fails
+    # instead of printing a wrong answer
+    assert main(["solve", "--family", "P_eps", "--N", "6", "--p", "2.615", "--q", "7.46",
+                 "--eps", "6.9e-8", "--no-cache"]) == 1
+    out = capsys.readouterr()
+    assert "solve failed" in out.out + out.err
+    assert "identity residuals" in out.out + out.err
+
+
 def test_cli_check_suite(capsys):
     rc = main(["check", "--suite", "pokhozhaev", "--N", "3", "--p", "8",
                "--q", "12", "--eps", "1e-3"])

@@ -19,7 +19,8 @@ import pytest
 from scipy.optimize import brentq
 
 import gslab
-from gslab import BracketNotFound, Family, InternalConsistencyError, ProblemParams, epsilon_star
+from gslab import (BracketNotFound, Family, InconsistentSolution, InternalConsistencyError,
+                   ProblemParams, epsilon_star)
 from gslab import shooting
 
 
@@ -189,11 +190,12 @@ def test_roots_below_the_square_root_of_the_smallest_float():
     # p = 2.05 and eps = 1e-8 eps*: f's roots lie near 1e-161, where the
     # geometric mid sqrt(lo * hi) underflowed to 0 (then hi / lo raised a bare
     # ZeroDivisionError); as sqrt(lo) * sqrt(hi) it does not, the roots are
-    # found, and the solve fails with the solver's own error type
+    # found, and the solve fails with the solver's own error type: the
+    # profile's identity residuals are of order 1 (its grid kept 7 steps)
     from gslab import solve_ground_state
 
     params = ProblemParams(3, 2.05, 6.0, 1e-8 * epsilon_star(2.05, 6.0), Family.P_EPS)
     u_f0, u_hi = shooting._f_positive_roots(params)
     assert 0.0 < u_f0 < 1e-150 and u_f0 < u_hi < 1.0
-    with pytest.raises(InternalConsistencyError, match=r"keep=7"):
+    with pytest.raises(InconsistentSolution, match=r"identity residuals"):
         solve_ground_state(params)

@@ -381,21 +381,40 @@ def test_loose_class_matches_tight_class_away_from_amplitude(params):
 
 
 def test_loose_scan_failure_runs_the_all_tight_attempt():
-    # critical N=6 at eps = 1e-9: u_F0 = 1.5e-9 is of the order of the loose
-    # shots' atol, and loose shots read the undershoots just above it as
-    # overshoots.  The lower scan integrates its first loose Overshoot again
-    # tight, reads the undershoot, and the solve runs again all tight at
-    # once: one loose and one tight shot before the all-tight attempt's 21,
-    # where the loose scan used to walk 60 shots down to u_F0 first.  The
-    # pins are the amplitude and worst residual of that 81-integration solve.
+    # critical N=6 at eps = 1e-11: u_F0 = 1.5e-11 lies far below the loose
+    # shots' atol (1e-9), and loose shots read the undershoots just above it
+    # as overshoots.  The lower scan integrates its first loose Overshoot
+    # again tight, reads the undershoot, and the solve runs again all tight
+    # at once: one loose shot before the all-tight attempt.  The pins are the
+    # amplitude and worst residual of that 35-integration solve.
+    from gslab import solve_ground_state
+
+    sol = solve_ground_state(ProblemParams(6, 3.0, 5.0, 1e-11, Family.P_EPS))
+    prof = sol.profile
+    assert prof.fallbacks == 1
+    assert prof.loose_integrations == 1
+    assert prof.integrations <= 40
+    amp = float.fromhex("0x1.0a715e6202248p-10")
+    assert abs(sol.amplitude - amp) <= ShootControls().amp_tol * amp
+    worst = float.fromhex("0x1.015ed33cc24ddp-21")   # 4.8e-7
+    assert max(sol.nehari_residual, sol.pokhozhaev_residual) <= worst
+
+
+def test_loose_shots_read_the_class_at_a_small_window_end():
+    # critical N=6 at eps = 1e-9 (u_F0 = 1.5e-9, of the order of the loose
+    # atol), where the Dormand-Prince 4(5) loose shots misread and ran the
+    # all-tight attempt (23 integrations): DOP853's loose shots read the
+    # class right.  The amplitude is within 1e-6 of a reference solve at
+    # atol 1e-15 / rtol 1e-13 (3.0e-8 measured; the DP45 reference solve is
+    # 2.3e-7 from it), where the DP45 solve's amplitude, pinned here before,
+    # was 4.6e-4 off.
     from gslab import solve_ground_state
 
     sol = solve_ground_state(ProblemParams(6, 3.0, 5.0, 1e-9, Family.P_EPS))
     prof = sol.profile
-    assert prof.fallbacks == 1
-    assert prof.loose_integrations == 1
-    assert prof.integrations <= 25
-    amp = float.fromhex("0x1.354efdf86bd03p-8")
-    assert abs(sol.amplitude - amp) <= ShootControls().amp_tol * amp
-    worst = float.fromhex("0x1.03057eb64faa3p-21")   # 4.8e-7
-    assert max(sol.nehari_residual, sol.pokhozhaev_residual) <= worst
+    assert prof.fallbacks == 0
+    assert prof.integrations <= 20
+    reference = float.fromhex("0x1.352a8c17e4f78p-8")
+    assert sol.amplitude == pytest.approx(reference, rel=1e-6, abs=0.0)
+    assert float.fromhex("0x1.354efdf86bd03p-8") == pytest.approx(reference, rel=5e-4, abs=0.0)
+    assert max(sol.nehari_residual, sol.pokhozhaev_residual) <= 4.1e-7   # 4.0e-7 measured
