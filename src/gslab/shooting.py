@@ -544,10 +544,9 @@ _RESOLUTION = 1e-8
 def _loose_step(step: StepControls) -> StepControls:
     """Step controls of the loose shots: 1e5 times the solve's own tolerances.
 
-    At the default tight pair (atol 1e-14, rtol 1e-12) that is 1e-9 / 1e-7,
-    the loose pair the solver has always used: the tight pair was tightened
-    by two decades so that the amplitude is within amp_tol of a reference
-    solve, and loose shots only steer the search.
+    At the default tight pair (atol 1e-14, rtol 1e-12), which holds the
+    amplitude within amp_tol of a reference solve, that is 1e-9 / 1e-7:
+    loose shots only steer the search.
     """
     return replace(step, atol=1e5 * step.atol, rtol=1e5 * step.rtol)
 
