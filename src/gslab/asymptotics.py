@@ -9,8 +9,8 @@ co-integrated on its grid, and Brent's method (shooting._bracket_root)
 finds lambda inside the grid panel that holds it.  The W_1 distances run on
 the profile's own Gauss panels (functionals._grid_quad).  Sweeps solve a
 geometric grid of eps (or delta) values, collect the regime's observables,
-and confront fitted log-log slopes (optionally with a log(1/eps) correction
-factor) with the predicted exponents.
+and confront fitted log-log slopes with the predicted exponents; a fit
+carries the log(1/eps) factor where predict_exponents gives one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     NotInAsymptoticRegime,
 )
 from .ode import IntegrationFailure
-from .params import Family, ProblemParams, sphere_area
+from .params import Family, ProblemParams, critical_exponent, sphere_area
 from .shooting import RadialProfile, ShootControls, _bracket_root
 
 __all__ = [
@@ -171,7 +171,7 @@ def predict_exponents(regime: str, N: int, p: float, q: float) -> dict[str, tupl
     valid for q > N(N+2)/(2(N-2)).
     p_up_subcritical (x = delta = p* - p): R_zero amplitude blow-up.
     """
-    ps = 2.0 * N / (N - 2.0)
+    ps = critical_exponent(N)
     if regime not in _REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if regime == "critical":
@@ -279,14 +279,13 @@ class SweepSpec:
     jobs: int = 1
 
     def p_value(self) -> float:
-        ps = 2.0 * self.N / (self.N - 2.0)
-        return ps if self.p is None else self.p
+        return critical_exponent(self.N) if self.p is None else self.p
 
     def params(self, x: float) -> ProblemParams:
         """The problem solved at grid value x: eps, or delta = |p - p*|."""
         if self.regime in ("subcritical", "critical", "supercritical"):
             return ProblemParams(self.N, self.p_value(), self.q, x, Family.P_EPS)
-        ps = 2.0 * self.N / (self.N - 2.0)
+        ps = critical_exponent(self.N)
         if self.regime == "delta_supercritical":
             return ProblemParams(self.N, ps + x, self.q, 0.0, Family.P_ZERO)
         return ProblemParams(self.N, ps - x, self.q, 0.0, Family.R_ZERO)  # p_up_subcritical
@@ -466,11 +465,7 @@ def sweep(spec: SweepSpec) -> ScalingReport:
         for x in xs:
             pt = _solve_point(spec, x, hint, refs)
             points.append(pt)
-            if pt.converged:
-                lo, hi = pt.amplitude * 0.75, min(pt.amplitude * 1.3, _amp_cap(spec, x))
-                hint = (lo, hi)
-            else:
-                hint = None
+            hint = (pt.amplitude * 0.75, pt.amplitude * 1.3) if pt.converged else None
     points.sort(key=lambda pt: -pt.x)
 
     n_ok = sum(map(_trusted, points))
@@ -480,14 +475,14 @@ def sweep(spec: SweepSpec) -> ScalingReport:
         )
     window = fit_points(points, spec.fit_window)
 
-    with_log = spec.N == 4 and spec.regime in ("critical", "p_up_subcritical")
     fits: dict[str, FitResult] = {}
 
-    def add_fit(name: str, attr: str, force_log: bool | None = None):
+    def add_fit(name: str, attr: str):
+        """Fit with the log(1/x) factor where the paper predicts one."""
         data = fit_data(window, attr)
         if len(data) < 4:
             return
-        res = fit_exponent(data, with_log=with_log if force_log is None else force_log)
+        res = fit_exponent(data, with_log=predicted.get(name, (0.0, 0.0))[1] != 0.0)
         if name in predicted:
             res.predicted_exponent, res.predicted_log_power = predicted[name]
         fits[name] = res
@@ -504,8 +499,8 @@ def sweep(spec: SweepSpec) -> ScalingReport:
             amp_pure = fit_exponent([(pt.x, pt.amplitude) for pt in window], with_log=False)
             fits["amplitude_pure_power"] = amp_pure
     elif spec.regime == "supercritical":
-        add_fit("eps_l2", "eps_l2", force_log=False)
-        add_fit("amp_gap", "amp_gap", force_log=False)
+        add_fit("eps_l2", "eps_l2")
+        add_fit("amp_gap", "amp_gap")
 
     return ScalingReport(
         regime=spec.regime,
@@ -519,13 +514,3 @@ def sweep(spec: SweepSpec) -> ScalingReport:
         fit_window=spec.fit_window,
     )
 
-
-def _amp_cap(spec: SweepSpec, x: float) -> float:
-    """Upper admissible amplitude for bracket hints (largest root of f)."""
-    from .shooting import _f_positive_roots
-
-    try:
-        _, hi = _f_positive_roots(spec.params(x))
-        return hi * (1.0 - 1e-9) if hi is not None else math.inf
-    except _POINT_FAILURES:
-        return math.inf

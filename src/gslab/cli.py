@@ -21,7 +21,7 @@ from .emden import EmdenFowlerProfile, q_star, sobolev_constant
 from .errors import BracketNotFound, InconsistentSolution, InternalConsistencyError
 from .ode import IntegrationFailure
 from .functionals import constraint_value, kappa_identities, solve_ground_state
-from .params import Family, InvalidParams, ProblemParams
+from .params import Family, InvalidParams, ProblemParams, critical_exponent
 from .records import (
     ResultRecord,
     cache_key,
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write (x, y, fit) triples for the amplitude observable")
 
     sp = sub.add_parser("fit", help="re-fit a saved sweep record")
-    sp.add_argument("--in", dest="infile", type=Path, required=True)
+    sp.add_argument("--in", dest="infile", type=Path, help="the sweep record (required)")
     sp.add_argument("--observable", default="amplitude",
                     choices=["amplitude", "lambda", "sigma", "S"])
     sp.add_argument("--with-log", action="store_true")
@@ -131,34 +131,35 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def _parse_args(argv) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
+    """(args, the parser that read them).  With --config, the file's section
+    named after the command sets that command's defaults, and argv is read
+    again, so explicit flags win; argparse converts the values as it does
+    flags' (a boolean flag reads the INI booleans)."""
+    parser = _parser()
+    args = parser.parse_args(argv)
     if not args.config:
-        return
+        return args, parser
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.optionxform = str  # flag names are case-sensitive (--N vs --n)
     if not cp.read(args.config):
         parser.error(f"config file {args.config} not found")
     if args.command not in cp:
-        return
+        return args, parser
+    parser = build_parser()   # a fresh one: the defaults below are this call's only
+    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    flags = {opt.lstrip("-"): a for a in sub._actions if a.dest != "help"
+             for opt in a.option_strings}
+    booleans = cp.BOOLEAN_STATES
+    defaults = {}
     for key, raw in cp[args.command].items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            parser.error(f"unknown config key {key!r} in [{args.command}]")
-        if getattr(args, attr) in (None, False):
-            cur = getattr(args, attr)
-            if isinstance(cur, bool):
-                setattr(args, attr, cp[args.command].getboolean(key))
-            else:
-                val: object = raw
-                for cast in (int, float):
-                    try:
-                        val = cast(raw)
-                        break
-                    except ValueError:
-                        continue
-                if attr in ("out", "csv", "infile", "cache_dir", "emit_plot_data"):
-                    val = Path(raw)
-                setattr(args, attr, val)
+        action = flags.get(key.replace("_", "-"))
+        if action is None or (raw.lower() not in booleans if action.nargs == 0 else
+                              action.choices is not None and raw not in action.choices):
+            parser.error(f"bad config entry {key} = {raw} in [{args.command}]")
+        defaults[action.dest] = booleans[raw.lower()] if action.nargs == 0 else raw
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv), parser
 
 
 def _resolve_params(args, parser, need_family=True) -> ProblemParams:
@@ -166,7 +167,7 @@ def _resolve_params(args, parser, need_family=True) -> ProblemParams:
         parser.error("--N and --q are required")
     p = args.p
     if getattr(args, "p_critical", False):
-        p = 2.0 * args.N / (args.N - 2.0)
+        p = critical_exponent(args.N)
     if p is None:
         parser.error("--p (or --p-critical) is required")
     eps = getattr(args, "eps", None)
@@ -175,7 +176,7 @@ def _resolve_params(args, parser, need_family=True) -> ProblemParams:
         if eps is None or eps > 0.0:
             fam = Family.P_EPS.value
         else:
-            fam = Family.P_ZERO.value if p > 2.0 * args.N / (args.N - 2.0) else Family.R_ZERO.value
+            fam = Family.P_ZERO.value if p > critical_exponent(args.N) else Family.R_ZERO.value
     if eps is None:
         eps = 0.0
     try:
@@ -349,6 +350,8 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_fit(args, parser) -> int:
+    if args.infile is None:
+        parser.error("--in is required")
     try:
         record = parse(args.infile.read_bytes())
         out = refit_record(record, args.observable, args.with_log)
@@ -376,7 +379,7 @@ def _cmd_check(args, parser) -> int:
             s = sobolev_constant(N)
             q = q_star(N)
             w1 = EmdenFowlerProfile(N, 1.0, "W")
-            lp = w1.norm_s(2.0 * N / (N - 2.0))
+            lp = w1.norm_s(critical_exponent(N))
             ok = abs(lp - 1.0) < 1e-8 and 0.0 < q < 1.0
             print(f"S* = {s:.12g}  Q* = {q:.12g}  ||W1||_p*^p* = {lp:.12g}")
         except InternalConsistencyError as exc:
@@ -417,7 +420,7 @@ def _cmd_emden(args, parser) -> int:
     q = q_star(N)
     u1 = EmdenFowlerProfile(N, 1.0, "U")
     w1 = EmdenFowlerProfile(N, 1.0, "W")
-    ps = 2.0 * N / (N - 2.0)
+    ps = critical_exponent(N)
     print(f"N = {N}   p* = {ps:.12g}")
     print(f"U1(0) = {u1.amplitude():.12g}")
     print(f"S* = {s:.12g}")
@@ -432,9 +435,7 @@ def _cmd_emden(args, parser) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    _apply_config(args, parser)
+    args, parser = _parse_args(argv)
     cmd = {
         "solve": _cmd_solve,
         "sweep": _cmd_sweep,

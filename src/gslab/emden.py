@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergentNormError, InternalConsistencyError
-from .params import sphere_area
+from .params import critical_exponent, sphere_area
 
 __all__ = [
     "eval_U",
@@ -114,11 +114,11 @@ def sobolev_constant(N: int) -> float:
     """
     if N < 3:
         raise ValueError(f"need N >= 3, got {N}")
-    p_star = 2.0 * N / (N - 2.0)
+    ps = critical_exponent(N)
     c = math.sqrt(N * (N - 2.0))
     omega = sphere_area(N)
     dir_sq = omega * radial_quad(lambda r: eval_U_slope(N, 1.0, r) ** 2, N, scale=c)
-    lp = omega * radial_quad(lambda r: eval_U(N, 1.0, r) ** p_star, N, scale=c)
+    lp = omega * radial_quad(lambda r: eval_U(N, 1.0, r) ** ps, N, scale=c)
     s_dir = dir_sq ** (2.0 / N)
     s_lp = lp ** (2.0 / N)
     if abs(s_dir - s_lp) > 1e-6 * s_dir:
@@ -139,12 +139,12 @@ def q_star(N: int) -> float:
 
 def q0_of_lambda(N: int, lam: float) -> float:
     """Q0(lam) = int_{B_1} |W_lam|^{p*} dx; strictly decreasing in lam."""
-    p_star = 2.0 * N / (N - 2.0)
+    ps = critical_exponent(N)
     s_ast = sobolev_constant(N)
     rt = math.sqrt(s_ast)
     c = math.sqrt(N * (N - 2.0)) * lam
     # W_lam(r)^{p*} integrated over the unit ball = S*^{-N/2} * U_lam mass in B_rt
-    mass = radial_quad(lambda r: eval_U(N, lam, r) ** p_star, N, r_hi=rt, scale=c)
+    mass = radial_quad(lambda r: eval_U(N, lam, r) ** ps, N, r_hi=rt, scale=c)
     return sphere_area(N) * mass * s_ast ** (-N / 2.0)
 
 
@@ -164,7 +164,7 @@ class EmdenFowlerProfile:
 
     @property
     def p_star(self) -> float:
-        return 2.0 * self.N / (self.N - 2.0)
+        return critical_exponent(self.N)
 
     def _stretch(self) -> float:
         return math.sqrt(sobolev_constant(self.N)) if self.frame == "W" else 1.0

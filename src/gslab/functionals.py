@@ -145,7 +145,7 @@ def identity_residuals(sol: "GroundStateSolution") -> tuple[float, float]:
     if sol.dirichlet_sq == 0.0:
         return 0.0, 0.0
     neh_rhs = sol.norm_Lp_p - qc * sol.norm_Lq_q - lin_l2
-    pok_rhs = p.p_star() * (sol.norm_Lp_p / p.p - qc * sol.norm_Lq_q / p.q - 0.5 * lin_l2)
+    pok_rhs = constraint_value(sol)   # p* int F(u) dx
     neh = abs(sol.dirichlet_sq - neh_rhs) / max(abs(sol.dirichlet_sq), abs(neh_rhs))
     pok = abs(sol.dirichlet_sq - pok_rhs) / max(abs(sol.dirichlet_sq), abs(pok_rhs))
     return neh, pok

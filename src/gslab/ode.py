@@ -44,6 +44,7 @@ __all__ = [
     "Trajectory",
     "IntegrationFailure",
     "rhs_eval",
+    "series_piece",
     "series_start",
     "default_handoff_radius",
     "integrate",
@@ -136,6 +137,12 @@ def rhs_eval(params: ProblemParams, r: float, u: float, du: float) -> float:
     return -(params.N - 1.0) / r * du + params.linear_coeff * u - nonlin
 
 
+def series_piece(a: float, fa: float, N: int, r):
+    """(u, u') of the series piece u = a - f(a) r^2/(2N), u' = -f(a) r/N at r,
+    fa = f(a): floats, or arrays of radii."""
+    return a - fa * r * r / (2.0 * N), -fa * r / N
+
+
 def series_start(params: ProblemParams, a: float, r0: float) -> tuple[float, float]:
     """Second-order Taylor hand-off at r0 for u(0) = a, u'(0) = 0.
 
@@ -146,10 +153,7 @@ def series_start(params: ProblemParams, a: float, r0: float) -> tuple[float, flo
         raise ValueError(f"amplitude must be positive, got {a}")
     if r0 <= 0.0:
         raise ValueError(f"hand-off radius must be positive, got {r0}")
-    fa = params.f(a)
-    u = a - fa * r0 * r0 / (2.0 * params.N)
-    du = -fa * r0 / params.N
-    return u, du
+    return series_piece(a, params.f(a), params.N, r0)
 
 
 def default_handoff_radius(params: ProblemParams, a: float, r_max: float) -> float:
@@ -337,8 +341,7 @@ def _series_norms(params: ProblemParams, a: float, r0: float) -> tuple:
     i2 = ip = iq = idir = 0.0
     for x, w in _GAUSS:
         rr = r0 * x
-        uu = a - fa * rr * rr / (2.0 * params.N)
-        vv = -fa * rr / params.N
+        uu, vv = series_piece(a, fa, params.N, rr)
         wt = w * r0 * rr**N1
         i2 += wt * uu * uu
         ip += wt * abs(uu) ** params.p

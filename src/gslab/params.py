@@ -75,7 +75,7 @@ class ProblemParams:
                 raise InvalidParams(f"family R_zero requires p < p* = {ps}")
 
     def p_star(self) -> float:
-        return 2.0 * self.N / (self.N - 2.0)
+        return critical_exponent(self.N)
 
     def regime(self) -> Regime:
         ps = self.p_star()
@@ -127,13 +127,9 @@ class ProblemParams:
             - 0.5 * self.linear_coeff * u * u
         )
 
-    def f_prime(self, u: float) -> float:
-        au = abs(u)
-        return (
-            (self.p - 1.0) * au ** (self.p - 2.0)
-            - self.q_coeff * (self.q - 1.0) * au ** (self.q - 2.0)
-            - self.linear_coeff
-        )
+def critical_exponent(N: int) -> float:
+    """The critical Sobolev exponent p* = 2N/(N-2) in R^N."""
+    return 2.0 * N / (N - 2.0)
 
 
 def sphere_area(N: int) -> float:

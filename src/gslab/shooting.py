@@ -53,7 +53,8 @@ from scipy.special import kve
 
 from .emden import _leggauss, _panel_quad
 from .errors import BracketNotFound, InternalConsistencyError
-from .ode import IntegrationFailure, StepControls, TerminalEvent, Trajectory, integrate
+from .ode import (IntegrationFailure, StepControls, TerminalEvent, Trajectory, integrate,
+                  series_piece)
 from .params import Family, ProblemParams
 
 __all__ = [
@@ -75,11 +76,15 @@ class Classification:
 
 @dataclass(frozen=True)
 class ShootControls:
-    """Knobs for the amplitude search and its inner integrations."""
+    """Knobs for the amplitude search and its inner integrations.
+
+    ``bracket_hint`` is a guessed (undershoot, overshoot) pair, checked by
+    one shot at each end before the bracket scans; its upper end is clipped
+    to the admissible window, u_hi (1 - 1e-9).
+    """
 
     amp_tol: float = 1e-12           # the final pass verifies u(0) to amp_tol/2, relative
     max_iter: int = 200              # Brent probes per attempt
-    amp_search_range: tuple[float, float] | None = None
     bracket_hint: tuple[float, float] | None = None
     r_max: float | None = None
     convergence_factor: float = 1e-8   # terminal value below this * amplitude => converged
@@ -240,12 +245,9 @@ class RadialProfile:
         v0, v1 = vg[:-1, None], vg[1:, None]
         uu = _hermite(t, hh, u0, u1, v0, v1, deriv=False)
         dd = _hermite(t, hh, u0, u1, v0, v1, deriv=True)
-        a = self.amplitude
-        fa = self.series_f
         r0 = rg[0]
         rr0 = r0 * x01
-        uu0 = a - fa * rr0**2 / (2.0 * self.params.N)
-        dd0 = -fa * rr0 / self.params.N
+        uu0, dd0 = series_piece(self.amplitude, self.series_f, self.params.N, rr0)
         return _HermitePanels(rr, uu, dd, h, w01, r0, rr0, uu0, dd0)
 
     def value(self, r):
@@ -283,17 +285,12 @@ def _eval_profile(prof: RadialProfile, r, deriv: bool):
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty_like(r_arr)
     rg = prof.grid.radii
-    a = prof.amplitude
-    fa = prof.series_f
     inner = r_arr < rg[0]
     outer = r_arr > rg[-1]
     mid = ~(inner | outer)
     if inner.any():
-        rr = r_arr[inner]
-        if deriv:
-            out[inner] = -fa * rr / prof.params.N
-        else:
-            out[inner] = a - fa * rr * rr / (2.0 * prof.params.N)
+        out[inner] = series_piece(prof.amplitude, prof.series_f, prof.params.N,
+                                  r_arr[inner])[int(deriv)]
     if mid.any():
         out[mid] = _hermite_eval(rg, prof.grid.values, prof.grid.slopes,
                                  r_arr[mid], deriv)
@@ -634,13 +631,9 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
                 f"eps = {params.eps:g} >= eps* = {es:g}: no ground state exists"
             )
 
-    if ctrl.amp_search_range is not None:
-        lo_seed, hi_seed = ctrl.amp_search_range
-        u_f0, u_hi = lo_seed, hi_seed
-    else:
-        u_f0, u_hi = _f_positive_roots(params)
-        lo_seed = u_f0 * (1.0 + 1e-9) if u_f0 > 0.0 else (u_hi or 1.0) * 1e-3
-        hi_seed = u_hi * (1.0 - 1e-9) if u_hi is not None else None
+    u_f0, u_hi = _f_positive_roots(params)
+    lo_seed = u_f0 * (1.0 + 1e-9) if u_f0 > 0.0 else (u_hi or 1.0) * 1e-3
+    hi_seed = u_hi * (1.0 - 1e-9) if u_hi is not None else None
 
     r_max, probe = _default_r_max(params, ctrl, lo_seed if hi_seed is None else
                                   math.sqrt(lo_seed * (hi_seed or lo_seed)))
@@ -683,11 +676,14 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
     The resolution stop is tried once: after a final pass that fails its
     check, the search goes on to the class stop.
 
-    ``window`` is (u_f0, u_hi, lo_seed, hi_seed).  With ``loose_first`` the
-    scans, hint checks and the probes taken while Brent's prediction still
-    moves run loose, and None is returned if a loose end of the class
-    bracket reads another class tight; BracketNotFound is raised if a loose
-    Overshoot of the lower scan does.  Without it every shot runs tight.
+    ``window`` is (u_f0, u_hi, lo_seed, hi_seed).  A bracket hint's upper end
+    is clipped to hi_seed, the top of the admissible window, and the hint is
+    taken if its two ends read Undershoot and Overshoot; otherwise the scans
+    build the bracket.  With ``loose_first`` the scans, hint checks and the
+    probes taken while Brent's prediction still moves run loose, and None is
+    returned if a loose end of the class bracket reads another class tight;
+    BracketNotFound is raised if a loose Overshoot of the lower scan does.
+    Without it every shot runs tight.
     """
     u_f0, u_hi, lo_seed, hi_seed = window
     shots: dict[float, tuple[str, float, bool]] = {}   # amplitude -> (class, Brent's value, loose)
@@ -721,12 +717,14 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
     lo = hi = None
     if ctrl.bracket_hint is not None:
         h_lo, h_hi = ctrl.bracket_hint
+        if hi_seed is not None:
+            h_hi = min(h_hi, hi_seed)
         try:
             if (shoot(h_lo, loose_first) == Classification.UNDERSHOOT
                     and shoot(h_hi, loose_first) == Classification.OVERSHOOT):
                 lo, hi = h_lo, h_hi
         except IntegrationFailure:
-            pass  # hint outside the admissible window; rebuild from scratch
+            pass  # a hint shot the integrator cannot finish; rebuild from scratch
     if lo is None:
         lo = lo_seed
         for _ in range(60):

@@ -144,8 +144,9 @@ def test_sweep_tolerates_per_point_failures():
 
 def test_sweep_propagates_programming_errors(monkeypatch):
     # only the solver's own failure types are recorded per point; a
-    # TypeError is a bug and must not turn into a silent "failed" point
-    from gslab import asymptotics, functionals, shooting
+    # TypeError is a bug and must not turn into a silent "failed" point,
+    # whether the solve raises it or the admissible window it reads first
+    from gslab import functionals, shooting
 
     def broken(*args, **kwargs):
         raise TypeError("broken solver")
@@ -154,9 +155,10 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     spec = SweepSpec(regime="critical", N=5, q=6.0, grid_min=1e-5, grid_max=1e-2)
     with pytest.raises(TypeError, match="broken solver"):
         sweep(spec)
+    monkeypatch.undo()
     monkeypatch.setattr(shooting, "_f_positive_roots", broken)
     with pytest.raises(TypeError, match="broken solver"):
-        asymptotics._amp_cap(spec, 1e-3)
+        sweep(spec)
 
 
 def test_sweep_requires_enough_points():

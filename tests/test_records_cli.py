@@ -253,6 +253,51 @@ def test_cli_config_file_seeds_flags(tmp_path, capsys):
     assert "eps=0.02" in out
 
 
+def test_cli_config_file_seeds_flags_with_defaults(tmp_path, capsys):
+    # suite and tol have defaults; the config's values apply all the same,
+    # and a flag given on the command line still wins
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[check]\nN = 3\np = 4.0\nq = 6.0\neps = 0.01\nsuite = nehari\n"
+                   "tol = 1e-30\n")
+    assert main(["--config", str(cfg), "check"]) == 1
+    out = capsys.readouterr().out
+    assert "nehari" in out and "pokhozhaev" not in out and "(tol 1.0e-30)  FAIL" in out
+    assert main(["--config", str(cfg), "check", "--tol", "1e-3"]) == 0
+    assert "(tol 1.0e-03)  ok" in capsys.readouterr().out
+    # a value argparse would refuse as a flag is refused from the config too
+    for entry in ("suite = bogus", "no-cache = maybe", "bogus = 1"):
+        section = "solve" if entry.startswith("no-cache") else "check"
+        cfg.write_text(f"[{section}]\n{entry}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), section])
+        assert exc.value.code == 2
+        assert f"bad config entry {entry}" in capsys.readouterr().err
+
+
+def test_cli_config_file_seeds_jobs_and_fit_input(tmp_path, monkeypatch, capsys):
+    from gslab import cli
+
+    specs = []
+
+    def stop(spec):
+        specs.append(spec)
+        raise RuntimeError("stopped")
+
+    monkeypatch.setattr(cli, "sweep", stop)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[sweep]\nregime = subcritical\nN = 3\np = 4\nq = 6\njobs = 2\n"
+                   f"[fit]\nin = {tmp_path / 'missing.json'}\n")
+    assert main(["--config", str(cfg), "sweep"]) == 1
+    assert main(["--config", str(cfg), "sweep", "--jobs", "3"]) == 1
+    assert [spec.jobs for spec in specs] == [2, 3]
+    # fit's --in can come from the config too
+    assert main(["--config", str(cfg), "fit"]) == 1
+    assert "missing.json" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["fit"])
+    assert exc.value.code == 2
+
+
 def test_cli_critical_sweep_with_p_critical_flag(tmp_path, capsys):
     rc = main(["sweep", "--regime", "critical", "--N", "5", "--p-critical",
                "--q", "6", "--eps-min", "2.5e-4", "--eps-max", "3.2e-2",

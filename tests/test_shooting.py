@@ -418,3 +418,26 @@ def test_loose_shots_read_the_class_at_a_small_window_end():
     assert sol.amplitude == pytest.approx(reference, rel=1e-6, abs=0.0)
     assert float.fromhex("0x1.354efdf86bd03p-8") == pytest.approx(reference, rel=5e-4, abs=0.0)
     assert max(sol.nehari_residual, sol.pokhozhaev_residual) <= 4.1e-7   # 4.0e-7 measured
+
+
+def test_bracket_hint_is_clipped_to_the_admissible_window(misread_loose_shot):
+    # critical N=5: a hint whose upper end lies above u_hi, the largest root
+    # of f (there u''(0) > 0 and every shot reads Undershoot), is clipped to
+    # u_hi (1 - 1e-9), the top of the window the upper scan starts from.
+    # The solve is then the one the clipped hint gives, bitwise, and no shot
+    # goes above the clip point.
+    params = ProblemParams(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)
+    a = find_ground_state(params).amplitude
+    clip = shooting._f_positive_roots(params)[1] * (1.0 - 1e-9)
+    assert a < clip < 5.0
+    want = find_ground_state(params, ShootControls(bracket_hint=(0.75 * a, clip)))
+    calls, _ = misread_loose_shot(lambda a, c: False)
+    prof = find_ground_state(params, ShootControls(bracket_hint=(0.75 * a, 5.0)))
+    assert [call[0] for call in calls[:2]] == [0.75 * a, clip]   # the hint checks
+    assert max(call[0] for call in calls) <= clip
+    for name in ("radii", "values", "slopes", "norm_l2", "norm_lp", "norm_lq", "norm_dir"):
+        assert getattr(prof.grid, name).tobytes() == getattr(want.grid, name).tobytes()
+    assert prof.tail == want.tail
+    fields = ("amplitude", "series_f", "bracket", "amp_error", "integrations", "rhs_evals",
+              "loose_integrations", "bisection_iterations", "fallbacks")
+    assert [getattr(prof, f) for f in fields] == [getattr(want, f) for f in fields]
