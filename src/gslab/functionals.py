@@ -89,8 +89,7 @@ def _grid_quad(prof: RadialProfile, integrand) -> float:
     pan = prof.panels
     vals = integrand(pan.r, pan.u, pan.du) * pan.r ** (N - 1)
     inner = float(np.sum(vals * pan.w[None, :] * pan.h[:, None]))
-    series = integrand(pan.r_series, pan.u_series, pan.du_series)
-    inner += pan.r0 * float(np.sum(pan.w * series * pan.r_series ** (N - 1)))
+    inner += float(np.sum(pan.w_series * integrand(pan.r_series, pan.u_series, pan.du_series)))
     return inner
 
 
@@ -197,7 +196,8 @@ def scale_profile(prof: RadialProfile, amp: float, lam_sq: float) -> RadialProfi
         corr=tail.corr * (amp ** -tail.corr_pm2 * lam_sq),
     )
     return replace(prof, amplitude=prof.amplitude * amp, grid=grid, tail=new_tail,
-                   series_f=prof.series_f * (amp * lam_sq), r_max_used=prof.r_max_used / lam)
+                   series=tuple(amp * c * lam_sq ** k for k, c in enumerate(prof.series)),
+                   r_max_used=prof.r_max_used / lam)
 
 
 def to_minimizer_frame(u: RadialProfile, S: float) -> RadialProfile:
@@ -210,10 +210,14 @@ def to_minimizer_frame(u: RadialProfile, S: float) -> RadialProfile:
 
 
 def analyze(profile: RadialProfile) -> GroundStateSolution:
-    """Assemble the functional report for a converged profile."""
+    """Assemble the functional report for a converged profile.
+
+    A ground state has E = ||grad u||^2 / N > 0 (the Pokhozhaev identity), so
+    a profile with E <= 0 fails its identities; the InconsistentSolution it
+    raises names their residuals.
+    """
     l2, lp, lq, dir_sq = _norms_from_trajectory(profile)
     E = energy(profile.params, l2, lp, lq, dir_sq)
-    S = extract_level(profile.params, E)
     sol = GroundStateSolution(
         profile=profile,
         norm_L2_sq=l2,
@@ -221,11 +225,16 @@ def analyze(profile: RadialProfile) -> GroundStateSolution:
         norm_Lq_q=lq,
         dirichlet_sq=dir_sq,
         energy=E,
-        level_S=S,
+        level_S=math.nan,
         nehari_residual=0.0,
         pokhozhaev_residual=0.0,
     )
     sol.nehari_residual, sol.pokhozhaev_residual = identity_residuals(sol)
+    if E <= 0.0:
+        raise InconsistentSolution(
+            f"energy {E} is not positive: identity residuals nehari "
+            f"{sol.nehari_residual:.3e}, pokhozhaev {sol.pokhozhaev_residual:.3e}")
+    sol.level_S = extract_level(profile.params, E)
     return sol
 
 

@@ -1,16 +1,22 @@
 """Radial ODE integration with adaptive Dormand-Prince 8(5,3) stepping.
 
-Integrates u'' = -(N-1)/r u' - f(u) outward from a series hand-off radius
-r0 > 0 with DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10): twelve
-stages per step, the FSAL one included, and the 5th/3rd-order error norm
-with step exponent 1/8.  Events (zero crossing, slope sign flip, underflow,
-r_max) are refined on the seventh-order dense output, whose three extra
-stages are paid only on the step that refines one.  Norm integrands (u^2,
-|u|^p, |u|^q, u'^2 against r^(N-1) dr) can be accumulated alongside the
-trajectory on the same interpolant: such a run (the final pass of a solve)
-stores every step as _SUB sub-intervals, so the grid that the cubic
-Hermite read side sees stays as dense as the steps are long, and each
-sub-interval is one Gauss panel.
+The solution with u(0) = a, u'(0) = 0 is analytic in r^2.  On [0, r0] it is
+the series piece, u = sum_k c_k r^(2k) to k = K (series_coefficients), and
+r0 is where the first term the piece leaves out falls below 1e-16 a
+(default_handoff_radius): 0.08 to 0.4 times the curvature radius
+sqrt(a/|f(a)|), so the steps do not have to grow out of the origin, where
+the (N-1)/r term holds them to h ~ r.  From r0
+``integrate`` shoots u'' = -(N-1)/r u' - f(u) outward with DOP853 (Hairer,
+Norsett & Wanner, Solving ODEs I, II.10): twelve stages per step, the FSAL
+one included, and the 5th/3rd-order error norm with step exponent 1/8.
+Events (zero crossing, slope sign flip, underflow, r_max) are refined on the
+seventh-order dense output, whose three extra stages are paid only on the
+step that refines one.  Norm integrands (u^2, |u|^p, |u|^q, u'^2 against
+r^(N-1) dr) can be accumulated alongside the trajectory on the same
+interpolant: such a run (the final pass of a solve) stores every step as
+_SUB sub-intervals, so the grid that the cubic Hermite read side sees stays
+as dense as the steps are long, and each sub-interval is one Gauss panel;
+the norms over [0, r0] come from the series piece.
 
 ``integrate`` is the hot loop of every solve, so it is written for CPython's
 interpreter: the controls and tableau constants are locals, and the
@@ -44,6 +50,7 @@ __all__ = [
     "Trajectory",
     "IntegrationFailure",
     "rhs_eval",
+    "series_coefficients",
     "series_piece",
     "series_start",
     "default_handoff_radius",
@@ -137,37 +144,73 @@ def rhs_eval(params: ProblemParams, r: float, u: float, du: float) -> float:
     return -(params.N - 1.0) / r * du + params.linear_coeff * u - nonlin
 
 
-def series_piece(a: float, fa: float, N: int, r):
-    """(u, u') of the series piece u = a - f(a) r^2/(2N), u' = -f(a) r/N at r,
-    fa = f(a): floats, or arrays of radii."""
-    return a - fa * r * r / (2.0 * N), -fa * r / N
+# The series piece on [0, r0] keeps the terms c_0..c_K of u = sum c_k r^(2k).
+# A solve_mix solve (seeds 1-3) takes 8.94k RHS evaluations at K = 6, 8.67k
+# at 8 and 8.44k at 12, while the coefficients cost ~K^2 (18 us at 8)
+_SERIES_ORDER = 8
 
 
-def series_start(params: ProblemParams, a: float, r0: float) -> tuple[float, float]:
-    """Second-order Taylor hand-off at r0 for u(0) = a, u'(0) = 0.
+def series_coefficients(params: ProblemParams, a: float) -> tuple[float, ...]:
+    """c_0..c_K (K = _SERIES_ORDER) of u = sum_k c_k r^(2k), the solution with
+    u(0) = a, u'(0) = 0.
 
-    u(r) = a - f(a) r^2/(2N) + O(r^4), so the 1/r term never gets evaluated
-    at the singular origin.
+    u'' + (N-1)/r u' = sum_k 2(k+1)(2k+N) c_(k+1) r^(2k) = -f(u), so
+    c_(k+1) = -g_k / (2(k+1)(2k+N)), g_k being the r^(2k) coefficient of
+    f(u) = u^(p-1) - qc u^(q-1) - lin u.  The powers w = u^m come from J.C.P.
+    Miller's recurrence, w_0 = a^m and
+    w_n = sum_(j=1..n) ((m+1) j - n) c_j w_(n-j) / (n a).
     """
     if a <= 0.0 or not math.isfinite(a):
         raise ValueError(f"amplitude must be positive, got {a}")
+    N, p, q = params.N, params.p, params.q
+    lin, qc = params.linear_coeff, params.q_coeff
+    c = [a, -params.f(a) / (2.0 * N)]
+    wp, wq = [a ** (p - 1.0)], [a ** (q - 1.0)]
+    for n in range(1, _SERIES_ORDER):
+        sp = sq = 0.0
+        for j in range(1, n + 1):
+            sp += (p * j - n) * c[j] * wp[n - j]
+            sq += (q * j - n) * c[j] * wq[n - j]
+        wp.append(sp / (n * a))
+        wq.append(sq / (n * a))
+        c.append((qc * wq[n] + lin * c[n] - wp[n]) / (2.0 * (n + 1) * (2 * n + N)))
+    return tuple(c)
+
+
+def series_piece(coeffs: tuple[float, ...], r):
+    """(u, u') of u = sum_k coeffs[k] r^(2k) at r: floats, or arrays of radii."""
+    x = r * r
+    u, du = coeffs[-1], 0.0
+    for k in range(len(coeffs) - 1, 0, -1):
+        du = du * x + 2.0 * k * coeffs[k]
+        u = u * x + coeffs[k - 1]
+    return u, du * r
+
+
+def series_start(params: ProblemParams, a: float, r0: float) -> tuple[float, float]:
+    """(u, u') at r0 of the series piece for u(0) = a, u'(0) = 0
+    (series_coefficients): the 1/r term is never evaluated at the origin."""
     if r0 <= 0.0:
         raise ValueError(f"hand-off radius must be positive, got {r0}")
-    return series_piece(a, params.f(a), params.N, r0)
+    return series_piece(series_coefficients(params, a), r0)
 
 
-def default_handoff_radius(params: ProblemParams, a: float, r_max: float) -> float:
-    """r0 = 1e-4 * sqrt(a/|f(a)|), capped away from r_max.
+def default_handoff_radius(coeffs: tuple[float, ...], r_max: float) -> float:
+    """r0 where the first term the series piece leaves out falls to 1e-16 u(0),
+    capped at 1e-3 r_max.
 
-    sqrt(a/|f(a)|) is the curvature radius of the profile at the origin: the
-    neglected O((r0/scale)^4) Taylor remainder stays below ~1e-12 * a both
-    at the blow-up amplitudes of the nearly-critical rescaled family (tiny
-    scale) and at the nearly-flat starts close to eps* (huge scale, where a
-    small r0 would make the first steps vanish below the float resolution).
+    That term, c_(K+1) r^(2K+2), is estimated as a (r / rho)^(2K+2) with
+    rho^(-2) = max |c_k / a|^(1/k) over k = 1..K, the growth the kept
+    coefficients show, so that no single coefficient that happens to vanish
+    moves r0.  Where every c_k with k >= 1 is 0 (f(a) = 0: u is constant)
+    only the cap binds.
     """
-    fa = abs(params.f(a))
-    scale = 1e6 if fa == 0.0 else min(1e6, math.sqrt(a / fa))
-    return min(1e-4 * scale, 1e-3 * r_max)
+    a = coeffs[0]
+    growth = max(abs(c / a) ** (1.0 / k) for k, c in enumerate(coeffs) if k)
+    r0 = 1e-3 * r_max
+    if growth > 0.0:
+        r0 = min(r0, (1e-16 ** (1.0 / len(coeffs)) / growth) ** 0.5)
+    return r0
 
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10):
@@ -258,7 +301,21 @@ _D_DENSE = tuple(tuple(row[j] for j in _DENSE_STAGES) for row in _D)
 # 5 points move the golden norms by less than 1e-15 relative)
 _GX = (0.06943184420297371, 0.33000947820757187, 0.6699905217924281, 0.9305681557970262)
 _GW = (0.17392742256872679, 0.3260725774312732, 0.3260725774312732, 0.17392742256872679)
-_GAUSS = tuple(zip(_GX, _GW))
+
+# Gauss-Legendre on [0, 1] for the series piece [0, r0] of the norms.  With
+# r0 at a tenth of the curvature radius or more, 4 nodes (exact to degree 7)
+# are off by up to 1e-4 of the piece and 6 by 3e-9; 10 nodes are within
+# 1.1e-15 of 100 on draws over all four families
+_BALL_NODES = 10
+_BALL_X, _BALL_W = np.polynomial.legendre.leggauss(_BALL_NODES)
+_BALL_X, _BALL_W = 0.5 * (_BALL_X + 1.0), 0.5 * _BALL_W
+
+
+def _ball_nodes(N: int, r0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes r on [0, r0] and weights w such that sum(w * g(r)) is the
+    integral of g(r) r^(N-1) over [0, r0], on _BALL_NODES Gauss nodes."""
+    rr = r0 * _BALL_X
+    return rr, _BALL_W * r0 * rr ** (N - 1)
 
 # The final pass stores each step as _SUB sub-intervals: the grid gains the
 # interpolant at the _SUB - 1 interior points, and each sub-interval is one
@@ -334,23 +391,18 @@ def _bisect_event(r0: float, h: float, y0: float, f, level: float, lo: float, hi
     return hi
 
 
-def _series_norms(params: ProblemParams, a: float, r0: float) -> tuple:
-    """(l2, dir, lp, lq) over [0, r0] from the series polynomial, on the Gauss nodes."""
-    N1 = params.N - 1.0
-    fa = params.f(a)
-    i2 = ip = iq = idir = 0.0
-    for x, w in _GAUSS:
-        rr = r0 * x
-        uu, vv = series_piece(a, fa, params.N, rr)
-        wt = w * r0 * rr**N1
-        i2 += wt * uu * uu
-        ip += wt * abs(uu) ** params.p
-        iq += wt * abs(uu) ** params.q
-        idir += wt * vv * vv
-    return i2, idir, ip, iq
+def _series_norms(params: ProblemParams, coeffs: tuple[float, ...], r0: float) -> tuple:
+    """(l2, dir, lp, lq) over [0, r0] from the series piece, by Gauss-Legendre
+    on _BALL_NODES nodes."""
+    rr, wt = _ball_nodes(params.N, r0)
+    u, v = series_piece(coeffs, rr)
+    au = np.abs(u)
+    return (float(np.sum(wt * u * u)), float(np.sum(wt * v * v)),
+            float(np.sum(wt * np.float_power(au, params.p))),
+            float(np.sum(wt * np.float_power(au, params.q))))
 
 
-def _dense_pass(params: ProblemParams, a: float, k1: float, stages, radii: np.ndarray,
+def _dense_pass(params: ProblemParams, coeffs: tuple, k1: float, stages, radii: np.ndarray,
                 values: np.ndarray, slopes: np.ndarray, end: tuple | None):
     """The final pass's grid and norms, one numpy pass over its steps.
 
@@ -369,7 +421,7 @@ def _dense_pass(params: ProblemParams, a: float, k1: float, stages, radii: np.nd
     """
     n = len(radii) - 1
     out = np.empty((4, _SUB * n + 1))   # rows l2, dir, lp, lq
-    out[:, 0] = _series_norms(params, a, float(radii[0]))
+    out[:, 0] = _series_norms(params, coeffs, float(radii[0]))
     if not n:
         return (radii, values, slopes), (out[0], out[2], out[3], out[1]), 0
     st = np.frombuffer(stages).reshape(n, 16).T
@@ -413,7 +465,7 @@ def _dense_pass(params: ProblemParams, a: float, k1: float, stages, radii: np.nd
 def _trajectory(rs, us, vs, nfev: int, quad: tuple | None,
                 end: tuple | None = None) -> Trajectory:
     """The grid so far, as a ReachedRmax trajectory.  ``quad`` is None, or
-    _dense_pass' (params, a, k1, stages) of a run with quadrature."""
+    _dense_pass' (params, coeffs, k1, stages) of a run with quadrature."""
     radii, values, slopes = np.array(rs), np.array(us), np.array(vs)
     norms = (None,) * 4
     if quad is not None:
@@ -448,8 +500,11 @@ def integrate(
     the grid also holds _SUB - 1 interior points of every step, and the
     norm arrays are filled.
     """
+    coeffs = series_coefficients(params, a)
     if r0 is None:
-        r0 = default_handoff_radius(params, a, r_max)
+        r0 = default_handoff_radius(coeffs, r_max)
+    if r0 <= 0.0:
+        raise ValueError(f"hand-off radius must be positive, got {r0}")
     if r_max <= r0:
         raise ValueError(f"r_max={r_max} must exceed the hand-off radius {r0}")
 
@@ -476,7 +531,7 @@ def integrate(
     d1, d9, d12 = b1 - _E3[0], b9 - _E3[8], b12 - _E3[11]   # B - E3
     sqrt, isfinite = math.sqrt, math.isfinite
 
-    u, v = series_start(params, a, r0)
+    u, v = series_piece(coeffs, r0)
     r = r0
 
     rs = [r]
@@ -486,11 +541,11 @@ def integrate(
     nfev = 1
     au = abs(u)
     k1 = u * (lin - au**pm2 + qc * au**qm2) - N1 / r * v
-    quad = None   # _dense_pass' (params, a, k1, stages) of a run with quadrature
+    quad = None   # _dense_pass' (params, coeffs, k1, stages) of a run with quadrature
     if tol.with_quadrature:
         stages = array("d")   # every accepted step appends what _dense_pass reads
         stages_extend = stages.extend
-        quad = (params, a, k1, stages)
+        quad = (params, coeffs, k1, stages)
 
     # conservative first step; the controller grows it by up to 10x per step
     h = min(max(1e-6, 0.05 * r0), 0.5 * (r_max - r0))

@@ -20,7 +20,11 @@ closes a class bracket to a relative width of amp_tol, a* its geometric
 mid.  Shots taken while the prediction still moves -- the bracket scans,
 the hint checks and the far probes -- run loose, at 1e5 times the solve's
 step tolerances (_loose_step); a loose shot that reads Converged or fails
-runs again tight.  Only tight shots decide the answer: the secant check
+runs again tight, and so does one that reads its class where u has fallen
+below the loose atol, after which the attempt runs every shot tight (loose
+shots do not resolve such a solve).  A tight shot integrates once per solve:
+its class is kept for a later shot at the same amplitude.  Only tight shots
+decide the answer: the secant check
 reads the final pass and the last probe, and a loose end of a class
 bracket, like a loose Overshoot of the lower bracket scan, is integrated
 again tight (if that reads another class, the solve runs again with every
@@ -30,7 +34,9 @@ result is within amp_tol of the plain bisection's.
 The admissible amplitude window is (u_F0, u_hi): u_F0 is the first
 positive zero of the potential F (below it the trajectory lacks the energy
 to reach zero), u_hi the largest positive root of f (at or above it the
-start is not monotone decreasing, since u''(0) = -f(a)/N).  Both come to
+start is not monotone decreasing, since u''(0) = -f(a)/N).  For P_zero,
+where u_F0 = 0, the lower scan starts at u_P, below which the Pokhozhaev
+identity rules out a zero crossing (_pohozaev_root).  Both come to
 1e-15 relative from _bracket_root, the Brent loop of the amplitude search:
 it is gslab's one root loop, and finds the concentration radii of
 ``asymptotics`` too.
@@ -53,8 +59,8 @@ from scipy.special import kve
 
 from .emden import _leggauss, _panel_quad
 from .errors import BracketNotFound, InternalConsistencyError
-from .ode import (IntegrationFailure, StepControls, TerminalEvent, Trajectory, integrate,
-                  series_piece)
+from .ode import (IntegrationFailure, StepControls, TerminalEvent, Trajectory, _ball_nodes,
+                  integrate, series_coefficients, series_piece)
 from .params import Family, ProblemParams
 
 __all__ = [
@@ -198,10 +204,10 @@ class _HermitePanels(NamedTuple):
     du: np.ndarray          # cubic Hermite slopes at r
     h: np.ndarray           # (panels,) widths
     w: np.ndarray           # (6,) Gauss weights on [0, 1]
-    r0: float               # first grid radius
-    r_series: np.ndarray    # (6,) nodes on [0, r0]
-    u_series: np.ndarray    # u(0) - series_f r^2 / (2N) there
-    du_series: np.ndarray   # -series_f r / N there
+    r_series: np.ndarray    # the in-ball nodes on [0, r0], r0 the first grid radius
+    w_series: np.ndarray    # their weights, r^(N-1) dr included (ode._ball_nodes)
+    u_series: np.ndarray    # the series piece there
+    du_series: np.ndarray   # and its slope
 
 
 @dataclass
@@ -212,7 +218,7 @@ class RadialProfile:
     amplitude: float
     grid: Trajectory
     tail: TailModel
-    series_f: float           # f(u(0)) of the series piece u(0) - series_f r^2/(2N) on [0, r0)
+    series: tuple[float, ...]   # c_k of the series piece sum c_k r^(2k) on [0, r0)
     bisection_iterations: int = 0
     bracket: tuple[float, float] = (0.0, 0.0)
     r_max_used: float = 0.0
@@ -231,8 +237,9 @@ class RadialProfile:
 
     @functools.cached_property
     def panels(self) -> _HermitePanels:
-        """6-point Gauss nodes on each grid panel and on the series piece [0, r0],
-        with the Hermite u and u' there; built once (replace() does not copy it)."""
+        """6-point Gauss nodes on each grid panel, with the Hermite u and u'
+        there, and the in-ball nodes of the series piece [0, r0]; built once
+        (replace() does not copy it)."""
         rg, ug, vg = self.grid.radii, self.grid.values, self.grid.slopes
         x, w = _leggauss(6)
         x01 = 0.5 * (x + 1.0)
@@ -245,10 +252,8 @@ class RadialProfile:
         v0, v1 = vg[:-1, None], vg[1:, None]
         uu = _hermite(t, hh, u0, u1, v0, v1, deriv=False)
         dd = _hermite(t, hh, u0, u1, v0, v1, deriv=True)
-        r0 = rg[0]
-        rr0 = r0 * x01
-        uu0, dd0 = series_piece(self.amplitude, self.series_f, self.params.N, rr0)
-        return _HermitePanels(rr, uu, dd, h, w01, r0, rr0, uu0, dd0)
+        rr0, ww0 = _ball_nodes(self.params.N, float(rg[0]))
+        return _HermitePanels(rr, uu, dd, h, w01, rr0, ww0, *series_piece(self.series, rr0))
 
     def value(self, r):
         return _eval_profile(self, r, deriv=False)
@@ -289,8 +294,7 @@ def _eval_profile(prof: RadialProfile, r, deriv: bool):
     outer = r_arr > rg[-1]
     mid = ~(inner | outer)
     if inner.any():
-        out[inner] = series_piece(prof.amplitude, prof.series_f, prof.params.N,
-                                  r_arr[inner])[int(deriv)]
+        out[inner] = series_piece(prof.series, r_arr[inner])[int(deriv)]
     if mid.any():
         out[mid] = _hermite_eval(rg, prof.grid.values, prof.grid.slopes,
                                  r_arr[mid], deriv)
@@ -443,6 +447,20 @@ def _f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
     return u_f0, m2
 
 
+def _pohozaev_root(params: ProblemParams) -> float:
+    """u_P, the positive zero of G(u) = N F(u) - (N-2)/2 u f(u) with lin = 0
+    and p > p* (family P_zero): no shot at a <= u_P overshoots.
+
+    G(u) = u^p (N/p - (N-2)/2) - qc u^q (N/q - (N-2)/2) is negative on
+    (0, u_P).  A shot at a <= u_P stays in (0, u_P] while it decreases, so
+    the Pokhozhaev identity puts int_0^R r^(N-1) G(u) dr < 0 at any zero R
+    of u, where it equals R^N u'(R)^2 / 2 > 0: the shot never reaches zero.
+    """
+    N, p, q = params.N, params.p, params.q
+    h = 0.5 * (N - 2.0)
+    return ((h - N / p) / (params.q_coeff * (h - N / q))) ** (1.0 / (q - p))
+
+
 def _default_r_max(params: ProblemParams, ctrl: ShootControls,
                    a_probe: float) -> tuple[float, Trajectory | None]:
     """(r_max, the probe trajectory it took, if any)."""
@@ -565,6 +583,9 @@ class _Runs:
         self.loose = _loose_step(ctrl.step)
         self.integrations = self.rhs_evals = self.loose_runs = 0
         self.bracket_runs = 0   # r_max probe, bracket scans and hint checks
+        # amplitude -> (class, Brent's value) of every tight shot, over both
+        # attempts: a tight shot integrates once per solve
+        self.tight_reads: dict[float, tuple[str, float]] = {}
 
     def __call__(self, a: float, quad: bool = False, loose: bool = False) -> Trajectory:
         self.integrations += 1
@@ -613,7 +634,8 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
     If a loose end of the class bracket or a loose Overshoot of the lower
     bracket scan reads another class tight, or the loose bracket scans find
     no bracket, the solve runs again with every shot tight and ``fallbacks``
-    is 1; the counters then sum over both attempts.
+    is 1; the counters then sum over both attempts, and the second attempt
+    reads the first one's tight shots instead of integrating them again.
     ``bisection_iterations`` counts the integrations after the bracket, the
     final pass excepted, ``integrations`` and ``rhs_evals`` every
     integrate() call of the solve, and ``loose_integrations`` those at the
@@ -632,11 +654,12 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
             )
 
     u_f0, u_hi = _f_positive_roots(params)
-    lo_seed = u_f0 * (1.0 + 1e-9) if u_f0 > 0.0 else (u_hi or 1.0) * 1e-3
+    lo_seed = (u_f0 if u_f0 > 0.0 else _pohozaev_root(params)) * (1.0 + 1e-9)
     hi_seed = u_hi * (1.0 - 1e-9) if u_hi is not None else None
 
-    r_max, probe = _default_r_max(params, ctrl, lo_seed if hi_seed is None else
-                                  math.sqrt(lo_seed * (hi_seed or lo_seed)))
+    # the algebraic family's r_max probe: the geometric mid of (1e-3 u_hi, hi_seed)
+    r_max, probe = _default_r_max(params, ctrl, math.sqrt(1e-3 * u_hi * hi_seed)
+                                  if params.is_algebraic() else lo_seed)
     run = _Runs(params, ctrl, r_max)
     if probe is not None:
         run.integrations = run.bracket_runs = 1
@@ -683,7 +706,9 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
     probes taken while Brent's prediction still moves run loose, and None is
     returned if a loose end of the class bracket reads another class tight;
     BracketNotFound is raised if a loose Overshoot of the lower scan does.
-    Without it every shot runs tight.
+    A loose shot that reads its class where u is below the loose atol
+    (_last_level) runs again tight, and so does every later shot.  Without
+    ``loose_first`` every shot runs tight.
     """
     u_f0, u_hi, lo_seed, hi_seed = window
     shots: dict[float, tuple[str, float, bool]] = {}   # amplitude -> (class, Brent's value, loose)
@@ -692,8 +717,12 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
 
     def shoot(a: float, loose: bool, quad: bool = False) -> str:
         """Class of a shot; a loose one that reads Converged or fails runs again
-        tight.  With ``quad`` it is the final pass."""
-        nonlocal final
+        tight.  With ``quad`` it is the final pass.  A tight shot at an
+        amplitude already shot tight in this solve is read, not integrated."""
+        nonlocal final, loose_first
+        if not (loose or quad) and a in run.tight_reads:
+            shots[a] = *run.tight_reads[a], False
+            return shots[a][0]
         if loose:
             try:
                 t = run(a, loose=True)
@@ -701,6 +730,10 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
                 loose = c != Classification.CONVERGED
             except IntegrationFailure:
                 loose = False
+            if loose and _last_level(t) < run.loose.atol:
+                # the class was read where u is below the loose atol: loose
+                # shots do not resolve this solve, so the attempt goes on tight
+                loose = loose_first = False
         if not loose:
             t = run(a, quad=quad)
             c = classify(t, params, a, ctrl.convergence_factor)
@@ -711,6 +744,8 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
         # a float: numpy-scalar predictions would slow ode.integrate ~3x
         g = abs(float(_shooting_proxy(params, t, c))) or math.ulp(0.0)
         shots[a] = c, -g if c == Classification.UNDERSHOOT else g, loose
+        if not loose:
+            run.tight_reads[a] = shots[a][:2]
         return c
 
     # establish the bracket, preferring a caller-supplied hint
@@ -820,6 +855,12 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
     return _Search(a, t, _tight_bracket(shots, a), error)
 
 
+def _last_level(t: Trajectory) -> float:
+    """|u| where a shot read its class: before the crossing of a zero
+    crossing, at the end of any other run."""
+    return abs(t.values[-2 if t.terminal_event is TerminalEvent.ZERO_CROSSING else -1])
+
+
 def _tight_bracket(shots, a: float) -> tuple[float, float] | None:
     """The shot at a and the nearest tight shot of the other class, in order:
     (a, a) if a reads Converged, None if no such shot exists."""
@@ -865,7 +906,8 @@ def _package_profile(params: ProblemParams, a: float, traj: Trajectory,
         )
     t = traj.truncated(keep)
     tail = _fit_tail(params, t, a)
-    return RadialProfile(params=params, amplitude=a, grid=t, tail=tail, series_f=params.f(a))
+    return RadialProfile(params=params, amplitude=a, grid=t, tail=tail,
+                         series=series_coefficients(params, a))
 
 
 def _fit_tail(params: ProblemParams, t: Trajectory, a: float) -> TailModel:

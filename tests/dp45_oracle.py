@@ -9,8 +9,8 @@ radius, RHS evaluations); norms are not co-integrated.
 
 import math
 
-from gslab import TerminalEvent, series_start
-from gslab.ode import default_handoff_radius
+from gslab import TerminalEvent
+from gslab.ode import default_handoff_radius, series_coefficients, series_piece
 
 C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
 A = (
@@ -53,8 +53,9 @@ def integrate(params, a, r_max, tol):
         au = abs(u)
         return -N1 / r * v + lin * u - (u * au**pm2 - qc * u * au**qm2 if au > 0.0 else 0.0)
 
-    r0 = default_handoff_radius(params, a, r_max)
-    u, v = series_start(params, a, r0)
+    coeffs = series_coefficients(params, a)
+    r0 = default_handoff_radius(coeffs, r_max)
+    u, v = series_piece(coeffs, r0)
     r = r0
     rs, us, vs = [r], [u], [v]
     k1, nfev = rhs(r, u, v), 1

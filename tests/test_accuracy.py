@@ -8,7 +8,9 @@ against a reference solve at atol 1e-15 / rtol 1e-13: the default tight
 pair, atol 1e-14 / rtol 1e-12, was chosen by this test, a decade at a time
 from 1e-12 / 1e-10 (which missed by up to 7.1e-12, and 1e-13 / 1e-11 by
 1.2e-12; the Dormand-Prince 4(5) integrator at 1e-12 / 1e-10 missed by
-3.6e-12 to 1.6e-11).
+3.6e-12 to 1.6e-11).  A second reference, at atol 1e-17 / rtol 1e-15,
+starts every shot from the second-order Taylor piece the solver started
+from before the series piece, so the check does not rest on the series.
 
 The read side (radial_norm, dirichlet_norm, the concentration radius, the
 profile distances) reads the stored grid by cubic Hermite; the final pass's
@@ -16,6 +18,8 @@ grid holds interior points of every step for it.  On the same profiles the
 Hermite route must match the norms co-integrated on the seventh-order
 interpolant within 1e-8.
 """
+
+import math
 
 import pytest
 
@@ -30,6 +34,7 @@ from gslab import (
 )
 
 REFERENCE = ShootControls(step=StepControls(atol=1e-15, rtol=1e-13))
+SECOND_ORDER_REFERENCE = ShootControls(step=StepControls(atol=1e-17, rtol=1e-15))
 
 # the four golden families, and P_eps (3, 4, 6, 1e-3), the hardest of the
 # five for the amplitude
@@ -56,9 +61,34 @@ def solutions():
 
 @pytest.mark.parametrize("params", CASES)
 def test_amplitude_within_amp_tol_of_reference(params, solutions):
-    # measured: 6.3e-14, 4.1e-14, 3.4e-13, 8.5e-14 and 1.2e-13
+    # measured: 6.5e-14, 3.5e-14, 2.8e-14, 8.8e-14 and 9.2e-14 (6.3e-14,
+    # 4.1e-14, 3.4e-13, 8.5e-14 and 1.2e-13 from the second-order start)
     sol = solutions(params)
     ref = solve_ground_state(params, REFERENCE)
+    assert sol.amplitude == pytest.approx(ref.amplitude, rel=ShootControls().amp_tol, abs=0.0)
+
+
+@pytest.mark.parametrize("params", CASES)
+def test_amplitude_within_amp_tol_of_second_order_reference(params, solutions, monkeypatch):
+    # the same check against a reference that shares nothing with the
+    # default solve's start: every shot of a solve at atol 1e-17 / rtol
+    # 1e-15 starts from the second-order Taylor piece u = a - f(a) r^2/(2N)
+    # at r0 = 1e-4 sqrt(a/|f(a)|) (at most 1e-3 r_max), the hand-off before
+    # the series piece.  Measured: 7.2e-14, 4.0e-14, 1.5e-13, 1.0e-13 and
+    # 1.1e-13; the two references are 4.2e-15 to 1.8e-13 apart
+    from gslab import ode
+
+    sol = solutions(params)
+    series = ode.series_coefficients
+
+    def second_order_radius(coeffs, r_max):
+        a, fa = coeffs[0], -2.0 * params.N * coeffs[1]
+        scale = 1e6 if fa == 0.0 else min(1e6, math.sqrt(a / abs(fa)))
+        return min(1e-4 * scale, 1e-3 * r_max)
+
+    monkeypatch.setattr(ode, "series_coefficients", lambda prm, a: series(prm, a)[:2])
+    monkeypatch.setattr(ode, "default_handoff_radius", second_order_radius)
+    ref = solve_ground_state(params, SECOND_ORDER_REFERENCE)
     assert sol.amplitude == pytest.approx(ref.amplitude, rel=ShootControls().amp_tol, abs=0.0)
 
 

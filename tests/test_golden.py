@@ -3,9 +3,13 @@
 A speed-up of the solver counts only if its results match the old code
 bitwise, or if a stated tolerance covers the difference.  The values below
 are ``float.hex`` of the solution and SHA-256 digests of its grid and norm
-arrays, last taken when the integrator became Dormand-Prince 8(5,3) at
-atol 1e-14 / rtol 1e-12.  Older pins stay asserted at a tolerance: those
-from the Dormand-Prince 4(5) integrator at atol 1e-12 / rtol 1e-10
+arrays, last taken when every shot began to start from the series piece of
+``ode`` (the power series in r^2 to k = 8, handed off where its first
+omitted term falls below 1e-16 u(0)), on Dormand-Prince 8(5,3) at atol
+1e-14 / rtol 1e-12.  Older pins stay asserted at a tolerance: those taken
+on the same integrator started from the second-order Taylor piece at
+r0 = 1e-4 sqrt(a/|f(a)|) (SECOND_ORDER_PINS and the like), those from the
+Dormand-Prince 4(5) integrator at atol 1e-12 / rtol 1e-10
 (DP45_PINS), with the amplitude search ending at the integrator's
 resolution; those from when the search closed a class bracket with Brent
 steps (BRENT_PINS); and those from when the solve replayed the plain
@@ -29,21 +33,45 @@ import pytest
 
 from gslab import Family, ProblemParams, ShootControls, solve_ground_state
 
-# (params, amplitude, level_S, nehari_residual, grid.rhs_evals)
+# (params, amplitude, level_S, nehari_residual, grid.rhs_evals); the final
+# pass took 2110, 3703, 2119 and 2128 RHS evaluations from the second-order
+# start
 GOLDEN = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
-                 "0x1.bb150da6ee77ap-1", "0x1.9e6885dd5e268p+2", "0x1.4646ee9dd6bf5p-44",
-                 2110, id="P_eps-N3-p6-q10-eps1e-3"),
+                 "0x1.bb150da6ee784p-1", "0x1.9e6885dd5e240p+2", "0x1.1a944a1669fe8p-44",
+                 1840, id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
-                 "0x1.f0dc838910b0cp-1", "0x1.0ba01b5dc941bp+3", "0x1.ec83981f70c7bp-43",
-                 3703, id="P_zero-N3-p8-q12"),
+                 "0x1.f0dc8389107dap-1", "0x1.0ba01b5dc8868p+3", "0x1.3ae435ef5096ep-46",
+                 3277, id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "0x1.1597c27ee4ce0p+2", "0x1.d83d9226e4140p+3", "0x1.72487b1cddeb1p-45",
-                 2119, id="R_zero-N3-p4-q6"),
+                 "0x1.1597c27ee4ce7p+2", "0x1.d83d9226e4145p+3", "0x1.73697b7cf46f4p-45",
+                 1639, id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.0b612fe40a27ap+2", "0x1.eb9fac3de8d7dp+3", "0x1.e2840c2ed028dp-45",
-                 2128, id="R_eps-N3-p4-q6-eps1e-2"),
+                 "0x1.0b612fe40a280p+2", "0x1.eb9fac3de8d8bp+3", "0x1.e39420825eb58p-45",
+                 1648, id="R_eps-N3-p4-q6-eps1e-2"),
 ]
+
+# The pins taken on DOP853 while every shot started from the second-order
+# Taylor piece at r0 = 1e-4 sqrt(a/|f(a)|): (amplitude, level_S,
+# grid.norm_lp[-1], grid.norm_dir[-1], radial_norm(prof, p),
+# dirichlet_norm(prof)).  The series start moved the amplitudes by at most
+# 9.4e-14 and the levels by 6.4e-13 (both on P_zero, whose lower scan also
+# starts elsewhere now), so they hold at amp_tol; the co-integrated L^p
+# norm by 1.7e-12 (1e-11), the read-side norms by 2.3e-10 (1e-9), and
+# norm_dir[-1], which moves with the truncation of the final trajectory
+# (by a grid point), by 2.4e-7 (1e-6).
+SECOND_ORDER_PINS = {
+    Family.P_EPS: ("0x1.bb150da6ee77ap-1", "0x1.9e6885dd5e268p+2", "0x1.cca5f50f5e42bp+0",
+                   "0x1.4fa968d3dcfcep+0", "0x1.69cad49665443p+4", "0x1.07a0f218d5527p+4"),
+    Family.P_ZERO: ("0x1.f0dc838910b0cp-1", "0x1.0ba01b5dc941bp+3", "0x1.ecb726ff2706fp+1",
+                    "0x1.ecb6aeeb9ec96p+0", "0x1.82fa511b268cep+5", "0x1.82fa512613b8fp+4"),
+    Family.R_ZERO: ("0x1.1597c27ee4ce0p+2", "0x1.d83d9226e4140p+3", "0x1.80f8bd8d21631p+2",
+                    "0x1.20ba8008ba90bp+2", "0x1.2e5b244e34074p+6", "0x1.c588b66f86327p+5"),
+    Family.R_EPS: ("0x1.0b612fe40a27ap+2", "0x1.eb9fac3de8d7dp+3", "0x1.cc15a8904b16dp+2",
+                   "0x1.32afa45be5982p+2", "0x1.69597fb5ae6f1p+6", "0x1.e1bde1ffaf919p+5"),
+}
+SECOND_ORDER_TOL = {"amplitude": 1e-12, "level_S": 1e-12, "norm_lp": 1e-11, "norm_dir": 1e-6,
+                    "read_side": 1e-9}
 
 # The pins taken with the Dormand-Prince 4(5) integrator at atol 1e-12 /
 # rtol 1e-10, the search ending at its resolution: (amplitude, level_S).  The
@@ -57,19 +85,21 @@ DP45_PINS = {
 }
 
 # (params, grid.norm_lp[-1], grid.norm_dir[-1], profile.rhs_evals): the
-# co-integrated Gauss panels of the final pass, and the RHS work of the solve
+# co-integrated Gauss panels of the final pass, and the RHS work of the
+# solve (8154, 25488, 9191 and 7540 from the second-order start, P_zero's
+# lower scan from 1e-3 u_hi)
 PANELS = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
-                 "0x1.cca5f50f5e42bp+0", "0x1.4fa968d3dcfcep+0", 8154,
+                 "0x1.cca5f50f5e44bp+0", "0x1.4fa96e33de4f0p+0", 8212,
                  id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
-                 "0x1.ecb726ff2706fp+1", "0x1.ecb6aeeb9ec96p+0", 25488,
+                 "0x1.ecb726ff23765p+1", "0x1.ecb6aeeb9c0a0p+0", 15527,
                  id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "0x1.80f8bd8d21631p+2", "0x1.20ba8008ba90bp+2", 9191,
+                 "0x1.80f8bd8d21634p+2", "0x1.20ba7fe21cd99p+2", 5539,
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.cc15a8904b16dp+2", "0x1.32afa45be5982p+2", 7540,
+                 "0x1.cc15a8904b17ap+2", "0x1.32afa4255ad9dp+2", 5752,
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
@@ -134,6 +164,9 @@ def test_solve_matches_golden_bitwise(params, amplitude, level_S, nehari, rhs_ev
     assert sol.level_S.hex() == level_S
     assert sol.nehari_residual.hex() == nehari
     assert sol.profile.grid.rhs_evals == rhs_evals
+    old_amplitude, old_level_S = SECOND_ORDER_PINS[params.family][:2]
+    assert _near(sol.amplitude, old_amplitude, SECOND_ORDER_TOL["amplitude"])
+    assert _near(sol.level_S, old_level_S, SECOND_ORDER_TOL["level_S"])
     for pins in (DP45_PINS, BISECTION_PINS, BRENT_PINS):
         old_amplitude, old_level_S = pins[params.family][:2]
         assert _near(sol.amplitude, old_amplitude, OLD_AMPLITUDE_TOL)
@@ -147,6 +180,9 @@ def test_panels_match_golden_bitwise(params, norm_lp, norm_dir, rhs_evals):
     assert float(prof.grid.norm_lp[-1]).hex() == norm_lp
     assert float(prof.grid.norm_dir[-1]).hex() == norm_dir
     assert prof.rhs_evals == rhs_evals
+    old_lp, old_dir = SECOND_ORDER_PINS[params.family][2:4]
+    assert _near(float(prof.grid.norm_lp[-1]), old_lp, SECOND_ORDER_TOL["norm_lp"])
+    assert _near(float(prof.grid.norm_dir[-1]), old_dir, SECOND_ORDER_TOL["norm_dir"])
 
 
 # (params, SHA-256 of the final grid's radii, values, slopes, norm_l2,
@@ -154,16 +190,16 @@ def test_panels_match_golden_bitwise(params, norm_lp, norm_dir, rhs_evals):
 # every interior entry, not just the end values above
 ARRAYS = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
-                 "55a7aa7c6f63c959bff6e33b53669f4b97cff3f4edd527d9a3a6db2f101c9887",
+                 "5eae4813fc26274c1d1cc9b005bf58ce4c999372729ef59b0361a96140aa5c3d",
                  id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
-                 "c7bc797751f7ac5f406bfe1146bf9fc5b35ddb649f92e7451ec54ac6a65468b4",
+                 "b10306af6d3a8cf247c2f4110c6b7f4c238380319145c02b17af75c8164ba557",
                  id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "de2bb4e562369f88dc75b98279a8e660e51fb3b07eb8a8262f2b3ccfb4cc246f",
+                 "f2cfc4927fdae25bea428aafa2ec723058a6996e1e8eae095daa2bb04b818dbd",
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "eb80c0bb530fac76112390c93a948ac27afb22269f36af1c617b8b373b02e9dc",
+                 "7c3f2359a17c046d96f3843fdb87e21420cb7a83f778cf316f8338a6d5fea72d",
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
@@ -201,23 +237,24 @@ def test_forced_loose_probes_fall_back_to_golden_bitwise(params, amplitude, leve
 # tail.norm_tail(2.0, R), tail.dirichlet_tail(R)) with R the last grid
 # radius; None where the algebraic tail makes the L^2 norm diverge.  The
 # exponential tails' Dirichlet terms were re-pinned when TailModel.slope
-# became the closed-form derivative.
+# became the closed-form derivative.  The tail pieces moved by 1-11% when
+# the start became the series piece (the truncation moved by a grid point).
 READ_SIDE = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
-                 "0x1.69cad49665443p+4", "0x1.07a0f218d5527p+4",
-                 "0x1.0d86155a59a20p-9", "0x1.7aa3822fe4e1fp-19",
+                 "0x1.69cad497c34e3p+4", "0x1.07a0f2192f861p+4",
+                 "0x1.df3c6037453a3p-10", "0x1.4fa3778c776e1p-19",
                  id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
-                 "0x1.82fa511b268cep+5", "0x1.82fa512613b8fp+4",
-                 None, "0x1.e04e1f6b37554p-18",
+                 "0x1.82fa511c64b04p+5", "0x1.82fa5126663acp+4",
+                 None, "0x1.e04e216f410f8p-18",
                  id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "0x1.2e5b244e34074p+6", "0x1.c588b66f86327p+5",
-                 "0x1.608278e8bf31dp-19", "0x1.c423cfb59c614p-19",
+                 "0x1.2e5b244e332e8p+6", "0x1.c588b66f87297p+5",
+                 "0x1.643709a3ed5a3p-19", "0x1.c8f786f075bbbp-19",
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.69597fb5ae6f1p+6", "0x1.e1bde1ffaf919p+5",
-                 "0x1.53c9118e56f7ap-19", "0x1.b1cd9d787d8cap-19",
+                 "0x1.69597fb5a859fp+6", "0x1.e1bde1ffa7304p+5",
+                 "0x1.590bc738dec8cp-19", "0x1.b89ef560fa2afp-19",
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
@@ -251,6 +288,9 @@ def test_read_side_norms_match_golden_bitwise(params, norm_p, dirichlet, tail_l2
     else:
         assert float(prof.tail.norm_tail(2.0, R)).hex() == tail_l2
     assert float(prof.tail.dirichlet_tail(R)).hex() == tail_dir
+    old_norm_p, old_dirichlet = SECOND_ORDER_PINS[params.family][4:]
+    assert _near(radial_norm(prof, params.p), old_norm_p, SECOND_ORDER_TOL["read_side"])
+    assert _near(dirichlet_norm(prof), old_dirichlet, SECOND_ORDER_TOL["read_side"])
     for pins in (BISECTION_PINS, BRENT_PINS):
         _, _, old_norm_p, old_dirichlet = pins[params.family]
         assert _near(radial_norm(prof, params.p), old_norm_p, OLD_GRID_NORM_TOL)
@@ -269,10 +309,18 @@ def test_critical_read_side_matches_golden_bitwise(monkeypatch):
     w = solve_ground_state(params).rescaled_to_frame()
     lam = concentration_lambda(w.profile)
     d1, dp = profile_distances(rescale_to_v(w.profile, lam), EmdenFowlerProfile(5, 1.0, "W"))
-    assert lam.hex() == "0x1.5ffd4d618eb49p+0"
-    assert d1.hex() == "0x1.3e799f8102329p-2"
-    assert dp.hex() == "0x1.c958ecdfa6b33p-5"
-    assert kappa_identities(w, params.eps).lq_residual.hex() == "0x1.23ae6c89e22e0p-23"
+    kappa = kappa_identities(w, params.eps).lq_residual
+    assert lam.hex() == "0x1.5ffd4d6102ba5p+0"
+    assert d1.hex() == "0x1.3e79a032b1bf3p-2"
+    assert dp.hex() == "0x1.c958ecf095e85p-5"
+    assert kappa.hex() == "0x1.2597ece687f93p-23"
+    # the pins taken on DOP853 from the second-order start: lambda moved by
+    # 9.3e-11, d1 by 3.3e-8, dp by 2.2e-9 and the kappa residual (1.4e-7) by
+    # 0.65%, so they hold at 1e-9, 1e-7, 1e-8 and 1e-2
+    assert _near(lam, "0x1.5ffd4d618eb49p+0", 1e-9)
+    assert _near(d1, "0x1.3e799f8102329p-2", 1e-7)
+    assert _near(dp, "0x1.c958ecdfa6b33p-5", 1e-8)
+    assert _near(kappa, "0x1.23ae6c89e22e0p-23", 1e-2)
     # The older pins below were taken on DP45 trajectories.  Against them
     # lambda moved by at most 1.3e-9, d1 by 8.4e-8 and dp by 4.0e-8; a
     # reference solve at atol 1e-15 / rtol 1e-13 is 1.2e-9, 1.0e-7 and
@@ -326,11 +374,19 @@ SCIPY_ROOTS = {
 }
 
 # The amplitudes of the solves fed those roots.  P_zero and R_zero land on
-# the golden bits, P_eps 3 ulp and R_eps 1.4e-15 from them.  With the DP45
+# the golden bits, P_eps 2.0e-15 and R_eps 1.3e-15 from them.  From the
+# second-order start (SECOND_ORDER_SCIPY_ROOT_AMPLITUDES) they landed within
+# 9.4e-14 of today's and hold at amp_tol.  With the DP45
 # integrator (DP45_SCIPY_ROOT_AMPLITUDES) P_eps and R_zero landed on their
 # golden bits, and R_eps 5.0e-13 from them; fed those roots while the search
 # closed a class bracket, P_eps and R_zero landed on their BRENT_PINS bits.
 SCIPY_ROOT_AMPLITUDES = {
+    Family.P_EPS: "0x1.bb150da6ee78ap-1",
+    Family.P_ZERO: "0x1.f0dc8389107dap-1",
+    Family.R_ZERO: "0x1.1597c27ee4ce7p+2",
+    Family.R_EPS: "0x1.0b612fe40a280p+2",
+}
+SECOND_ORDER_SCIPY_ROOT_AMPLITUDES = {
     Family.P_EPS: "0x1.bb150da6ee777p-1",
     Family.P_ZERO: "0x1.f0dc838910b0cp-1",
     Family.R_ZERO: "0x1.1597c27ee4ce0p+2",
@@ -365,6 +421,8 @@ def test_scipy_roots_give_the_old_amplitudes_bitwise(params, monkeypatch):
     # amplitude bit for bit, and within the DP45 tolerance of the DP45 one
     prof = _solve_on_scipy_roots(params, monkeypatch).profile
     assert prof.amplitude.hex() == SCIPY_ROOT_AMPLITUDES[params.family]
+    assert _near(prof.amplitude, SECOND_ORDER_SCIPY_ROOT_AMPLITUDES[params.family],
+                 ShootControls().amp_tol)
     assert _near(prof.amplitude, DP45_SCIPY_ROOT_AMPLITUDES[params.family], OLD_AMPLITUDE_TOL)
 
 
@@ -386,13 +444,25 @@ def test_emden_constants_match_golden_bitwise(N, s_star, qs):
 # accepted; at ratio 2 the amplitude falls faster than the hint's lower end,
 # so every hint is rejected and the solve falls back to the window scans.
 HINTED_SWEEPS = [
-    pytest.param(1.5, ["0x1.abceb30676ac4p-2", "0x1.61b612d4392dcp-2", "0x1.23389d170b550p-2",
-                       "0x1.de34e92e7bb5ap-3", "0x1.87e5ff49744cep-3", "0x1.40c58b6cc6352p-3",
-                       "0x1.0656a7d2cf6d1p-3", "0x1.acdd7475b9a5ap-4"], 2, id="hints-accepted"),
-    pytest.param(2.0, ["0x1.abceb30676ac4p-2", "0x1.343e8a906ad4fp-2", "0x1.b805a1457851fp-3",
-                       "0x1.389957fbbc4abp-3", "0x1.bb1d3ef7c7d81p-4", "0x1.39b1d0f2c8b9fp-4",
-                       "0x1.bbe3c7e904537p-5", "0x1.39f80bd821443p-5"], 3, id="hints-rejected"),
+    pytest.param(1.5, ["0x1.abceb30676ac6p-2", "0x1.61b612d4392cfp-2", "0x1.23389d170b5b5p-2",
+                       "0x1.de34e92e7b73ep-3", "0x1.87e5ff4973df9p-3", "0x1.40c58b6cc63ccp-3",
+                       "0x1.0656a7d2cfc93p-3", "0x1.acdd7475b9c33p-4"], 2, id="hints-accepted"),
+    pytest.param(2.0, ["0x1.abceb30676ac6p-2", "0x1.343e8a906ada1p-2", "0x1.b805a1457852dp-3",
+                       "0x1.389957fbbc4b8p-3", "0x1.bb1d3ef7c7dafp-4", "0x1.39b1d0f2c8bb3p-4",
+                       "0x1.bbe3c7e9042e9p-5", "0x1.39f80bd8215c6p-5"], 3, id="hints-rejected"),
 ]
+
+# The same sweeps pinned on DOP853 from the second-order start: the series
+# start moved them by at most 3.2e-13 (ratio 1.5) and 7.6e-14 (ratio 2), so
+# they hold at amp_tol
+SECOND_ORDER_SWEEPS = {
+    1.5: ["0x1.abceb30676ac4p-2", "0x1.61b612d4392dcp-2", "0x1.23389d170b550p-2",
+          "0x1.de34e92e7bb5ap-3", "0x1.87e5ff49744cep-3", "0x1.40c58b6cc6352p-3",
+          "0x1.0656a7d2cf6d1p-3", "0x1.acdd7475b9a5ap-4"],
+    2.0: ["0x1.abceb30676ac4p-2", "0x1.343e8a906ad4fp-2", "0x1.b805a1457851fp-3",
+          "0x1.389957fbbc4abp-3", "0x1.bb1d3ef7c7d81p-4", "0x1.39b1d0f2c8b9fp-4",
+          "0x1.bbe3c7e904537p-5", "0x1.39f80bd821443p-5"],
+}
 
 # The older pins of these sweeps below were all taken on DP45 trajectories:
 # against reference sweeps at atol 1e-15 / rtol 1e-13 (3.4e-13 from the
@@ -465,6 +535,8 @@ def test_hinted_sweep_matches_golden_bitwise(ratio, amplitudes, bracket_runs, mo
     rep = sweep(SweepSpec(regime="subcritical", N=3, p=4.0, q=6.0,
                           grid_min=1e-2 / ratio ** 7, grid_max=1e-2, ratio=ratio))
     assert [pt.amplitude.hex() for pt in rep.points] == amplitudes
+    assert all(_near(pt.amplitude, pin, ShootControls().amp_tol)
+               for pt, pin in zip(rep.points, SECOND_ORDER_SWEEPS[ratio], strict=True))
     for old in (DP45_SWEEPS[ratio], BRENT_SWEEPS[ratio], BISECTION_SWEEPS[ratio],
                 SCIPY_ROOT_SWEEPS[ratio]):
         assert all(_near(pt.amplitude, pin, OLD_SWEEP_TOL[ratio])

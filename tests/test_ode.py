@@ -15,6 +15,7 @@ from gslab import (
     rhs_eval,
     series_start,
 )
+from gslab.ode import series_coefficients, series_piece
 
 R_ZERO_34 = ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO)
 
@@ -74,6 +75,42 @@ def test_series_start_matches_fine_integration():
     sol = solve_ivp(rhs, (tiny, r0), y0, method="DOP853", rtol=1e-13, atol=1e-16)
     assert u == pytest.approx(sol.y[0, -1], abs=1e-10)
     assert du == pytest.approx(sol.y[1, -1], abs=1e-10)
+
+
+# the four golden solves: (params, amplitude)
+GOLDEN_STARTS = [
+    pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS), "0x1.bb150da6ee784p-1",
+                 id="P_eps-N3-p6-q10-eps1e-3"),
+    pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO), "0x1.f0dc8389107dap-1",
+                 id="P_zero-N3-p8-q12"),
+    pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO), "0x1.1597c27ee4ce7p+2",
+                 id="R_zero-N3-p4-q6"),
+    pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS), "0x1.0b612fe40a280p+2",
+                 id="R_eps-N3-p4-q6-eps1e-2"),
+]
+
+
+@pytest.mark.parametrize("prm, amplitude", GOLDEN_STARTS)
+def test_series_hand_off_matches_fine_integration(prm, amplitude):
+    # the state every shot starts from, at the hand-off radius integrate
+    # takes, against scipy's DOP853 run from r = 1e-6 at rtol 1e-13 / atol
+    # 1e-16: u within 2e-15 a (6.4e-16 a measured) and u' within 1e-12
+    # relative (1.5e-13 measured, the oracle's own rtol)
+    from gslab import ShootControls, shooting
+    from gslab.ode import default_handoff_radius
+
+    a = float.fromhex(amplitude)
+    r_max = shooting._default_r_max(prm, ShootControls(), a)[0]
+    coeffs = series_coefficients(prm, a)
+    r0 = default_handoff_radius(coeffs, r_max)
+    u, du = series_piece(coeffs, r0)
+    t = integrate(prm, a, r_max)
+    assert (t.radii[0], t.values[0], t.slopes[0]) == (r0, u, du)
+    tiny = 1e-6
+    sol = solve_ivp(lambda r, y: [y[1], rhs_eval(prm, r, y[0], y[1])], (tiny, r0),
+                    series_piece(coeffs, tiny), method="DOP853", rtol=1e-13, atol=1e-16)
+    assert u == pytest.approx(sol.y[0, -1], rel=0.0, abs=2e-15 * a)
+    assert du == pytest.approx(sol.y[1, -1], rel=1e-12, abs=0.0)
 
 
 def test_series_start_rejects_nonpositive_amplitude():
@@ -282,7 +319,7 @@ def test_golden_final_pass_norms_match_tighter_run(params):
 
 
 @pytest.mark.parametrize("tol", [
-    StepControls(with_quadrature=True, max_steps=20),    # step budget, mid-run
+    StepControls(with_quadrature=True, max_steps=12),    # step budget, mid-run (17 steps)
     StepControls(with_quadrature=True, min_step=1.0),    # collapse before any step
 ], ids=["budget", "collapse"])
 def test_failure_partial_norms_match_tighter_run(tol):
@@ -297,12 +334,14 @@ def test_failure_partial_norms_match_tighter_run(tol):
     if len(partial.radii) == 1:
         from scipy.integrate import quad
 
-        fa, N = R_ZERO_34.f(3.3), R_ZERO_34.N
-        u = lambda r: 3.3 - fa * r * r / (2.0 * N)   # noqa: E731
-        want = [quad(lambda r: u(r) ** s * r ** (N - 1), 0.0, R, epsabs=0.0,
-                     epsrel=1e-13)[0] for s in (2.0, R_ZERO_34.p, R_ZERO_34.q)]
-        want.append(quad(lambda r: (fa * r / N) ** 2 * r ** (N - 1), 0.0, R, epsabs=0.0,
-                         epsrel=1e-13)[0])
+        coeffs, N = series_coefficients(R_ZERO_34, 3.3), R_ZERO_34.N
+
+        def ball(g):
+            return quad(lambda r: g(*series_piece(coeffs, r)) * r ** (N - 1), 0.0, R,
+                        epsabs=0.0, epsrel=1e-13)[0]
+
+        want = [ball(lambda u, du, s=s: abs(u) ** s) for s in (2.0, R_ZERO_34.p, R_ZERO_34.q)]
+        want.append(ball(lambda u, du: du * du))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         return
     # at the default step controls: within 1e-8 relative (4.2e-9 measured)
@@ -349,8 +388,12 @@ def test_dp45_oracle_event_radii_agree(event):
     # here as a tolerance oracle: at tight step controls both end on the same
     # event, at the same radius (within 1e-7 relative: 2.4e-8 measured at
     # the underflow, whose start sits on the ground-state amplitude, where
-    # the tail amplifies the integration error; 1e-12 elsewhere), in the same
-    # state, and DOP853 takes under half the RHS evaluations
+    # the tail amplifies the integration error; 1e-10 elsewhere, the event
+    # refinement's tolerance), in the same state, and DOP853 takes under
+    # half the RHS evaluations.  The two refinements stop anywhere within
+    # event_tol of the event (2.6e-11 relative apart at the zero crossing),
+    # so the oracle's state is carried to DOP853's event radius by one
+    # first-order step before the states are compared
     from dp45_oracle import integrate as dp45
 
     a, r_max, tol = EVENT_CASES[event]
@@ -361,8 +404,10 @@ def test_dp45_oracle_event_radii_agree(event):
     assert t.terminal_radius == pytest.approx(radius, rel=1e-7, abs=0.0)
     if event is not TerminalEvent.UNDERFLOW:
         assert t.terminal_radius == pytest.approx(radius, rel=1e-10, abs=0.0)
-        assert t.values[-1] == pytest.approx(us[-1], abs=2e-11)
-        assert t.slopes[-1] == pytest.approx(vs[-1], abs=2e-11)
+        dr = t.terminal_radius - radius
+        assert t.values[-1] == pytest.approx(us[-1] + vs[-1] * dr, abs=2e-11)
+        assert t.slopes[-1] == pytest.approx(
+            vs[-1] + rhs_eval(R_ZERO_34, radius, us[-1], vs[-1]) * dr, abs=2e-11)
     assert t.rhs_evals < 0.5 * nfev
 
 

@@ -95,8 +95,8 @@ def test_cli_solve_and_cache(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["--family", "P_eps", "--N", "3", "--p", "6", "--q", "10", "--eps", "1e-3"], 12),
-    (["--family", "P_zero", "--N", "3", "--p", "8", "--q", "12"], 21),
+    (["--family", "P_eps", "--N", "3", "--p", "6", "--q", "10", "--eps", "1e-3"], 13),
+    (["--family", "P_zero", "--N", "3", "--p", "8", "--q", "12"], 14),
 ], ids=["P_eps", "P_zero"])
 def test_cli_integrations_run_counts_every_integration(tmp_path, monkeypatch, argv, expected):
     # independent count: wrap the integrate() that find_ground_state calls,
