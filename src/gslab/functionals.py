@@ -230,11 +230,12 @@ def analyze(profile: RadialProfile) -> GroundStateSolution:
         pokhozhaev_residual=0.0,
     )
     sol.nehari_residual, sol.pokhozhaev_residual = identity_residuals(sol)
-    if E <= 0.0:
+    try:
+        sol.level_S = extract_level(profile.params, E)
+    except InconsistentSolution as exc:
         raise InconsistentSolution(
-            f"energy {E} is not positive: identity residuals nehari "
-            f"{sol.nehari_residual:.3e}, pokhozhaev {sol.pokhozhaev_residual:.3e}")
-    sol.level_S = extract_level(profile.params, E)
+            f"{exc}: identity residuals nehari {sol.nehari_residual:.3e}, "
+            f"pokhozhaev {sol.pokhozhaev_residual:.3e}") from exc
     return sol
 
 

@@ -20,16 +20,14 @@ closes a class bracket to a relative width of amp_tol, a* its geometric
 mid.  Shots taken while the prediction still moves -- the bracket scans,
 the hint checks and the far probes -- run loose, at 1e5 times the solve's
 step tolerances (_loose_step); a loose shot that reads Converged or fails
-runs again tight, and so does one that reads its class where u has fallen
-below the loose atol, after which the attempt runs every shot tight (loose
-shots do not resolve such a solve).  A tight shot integrates once per solve:
-its class is kept for a later shot at the same amplitude.  Only tight shots
-decide the answer: the secant check
+runs again tight.  Only tight shots decide the answer: the secant check
 reads the final pass and the last probe, and a loose end of a class
 bracket, like a loose Overshoot of the lower bracket scan, is integrated
 again tight (if that reads another class, the solve runs again with every
-shot tight).  Where the tight class is monotone in the amplitude, the
-result is within amp_tol of the plain bisection's.
+shot tight, as it does once a loose shot reads its class where u has
+fallen below the loose atol: loose shots do not resolve such a solve).
+Where the tight class is monotone in the amplitude, the result is within
+amp_tol of the plain bisection's.
 
 The admissible amplitude window is (u_F0, u_hi): u_F0 is the first
 positive zero of the potential F (below it the trajectory lacks the energy
@@ -583,9 +581,6 @@ class _Runs:
         self.loose = _loose_step(ctrl.step)
         self.integrations = self.rhs_evals = self.loose_runs = 0
         self.bracket_runs = 0   # r_max probe, bracket scans and hint checks
-        # amplitude -> (class, Brent's value) of every tight shot, over both
-        # attempts: a tight shot integrates once per solve
-        self.tight_reads: dict[float, tuple[str, float]] = {}
 
     def __call__(self, a: float, quad: bool = False, loose: bool = False) -> Trajectory:
         self.integrations += 1
@@ -632,10 +627,10 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
     Converged probe), and ``amp_error`` is 0.0 (_attempt).
 
     If a loose end of the class bracket or a loose Overshoot of the lower
-    bracket scan reads another class tight, or the loose bracket scans find
-    no bracket, the solve runs again with every shot tight and ``fallbacks``
-    is 1; the counters then sum over both attempts, and the second attempt
-    reads the first one's tight shots instead of integrating them again.
+    bracket scan reads another class tight, a loose shot reads its class
+    where u is below the loose atol, or the loose bracket scans find no
+    bracket, the solve runs again with every shot tight and ``fallbacks``
+    is 1; the counters then sum over both attempts.
     ``bisection_iterations`` counts the integrations after the bracket, the
     final pass excepted, ``integrations`` and ``rhs_evals`` every
     integrate() call of the solve, and ``loose_integrations`` those at the
@@ -705,10 +700,9 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
     build the bracket.  With ``loose_first`` the scans, hint checks and the
     probes taken while Brent's prediction still moves run loose, and None is
     returned if a loose end of the class bracket reads another class tight;
-    BracketNotFound is raised if a loose Overshoot of the lower scan does.
-    A loose shot that reads its class where u is below the loose atol
-    (_last_level) runs again tight, and so does every later shot.  Without
-    ``loose_first`` every shot runs tight.
+    BracketNotFound is raised if a loose Overshoot of the lower scan does,
+    or if a loose shot reads its class where u is below the loose atol
+    (_last_level).  Without ``loose_first`` every shot runs tight.
     """
     u_f0, u_hi, lo_seed, hi_seed = window
     shots: dict[float, tuple[str, float, bool]] = {}   # amplitude -> (class, Brent's value, loose)
@@ -717,12 +711,8 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
 
     def shoot(a: float, loose: bool, quad: bool = False) -> str:
         """Class of a shot; a loose one that reads Converged or fails runs again
-        tight.  With ``quad`` it is the final pass.  A tight shot at an
-        amplitude already shot tight in this solve is read, not integrated."""
-        nonlocal final, loose_first
-        if not (loose or quad) and a in run.tight_reads:
-            shots[a] = *run.tight_reads[a], False
-            return shots[a][0]
+        tight.  With ``quad`` it is the final pass."""
+        nonlocal final
         if loose:
             try:
                 t = run(a, loose=True)
@@ -731,9 +721,7 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
             except IntegrationFailure:
                 loose = False
             if loose and _last_level(t) < run.loose.atol:
-                # the class was read where u is below the loose atol: loose
-                # shots do not resolve this solve, so the attempt goes on tight
-                loose = loose_first = False
+                raise BracketNotFound(f"a loose shot read the class of {a:g} below its atol")
         if not loose:
             t = run(a, quad=quad)
             c = classify(t, params, a, ctrl.convergence_factor)
@@ -744,8 +732,6 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
         # a float: numpy-scalar predictions would slow ode.integrate ~3x
         g = abs(float(_shooting_proxy(params, t, c))) or math.ulp(0.0)
         shots[a] = c, -g if c == Classification.UNDERSHOOT else g, loose
-        if not loose:
-            run.tight_reads[a] = shots[a][:2]
         return c
 
     # establish the bracket, preferring a caller-supplied hint
