@@ -66,7 +66,7 @@ def concentration_lambda(w, Qstar: float | None = None) -> float:
         Qstar = q_star(N)
     omega = sphere_area(N)
     cum = omega * w.grid.norm_lp   # cum[i]: the co-integrated mass of B_{rg[i]}
-    total = float(cum[-1]) + omega * w.tail.norm_tail(p, float(w.grid.radii[-1]))
+    total = float(cum[-1]) + omega * w.norm_tail(p)
     if total <= Qstar:
         raise NotInAsymptoticRegime(
             f"total |w|^p mass {total:.6g} <= Q* = {Qstar:.6g}; eps too large "

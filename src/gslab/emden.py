@@ -12,10 +12,11 @@ profiles are the analytic oracle for the critical regime: everything here
 is evaluated in closed form, with norms computed by a tan-substitution
 Gauss quadrature that resolves the algebraic tail exactly.
 
-The Gauss panel kernel behind it (``_panel_quad``) is the one tail
-quadrature of the package: ``shooting`` integrates the exponential far
-fields with it too, on its own node map.  Each caller maps the panel nodes
-to radii; the kernel evaluates every panel in one numpy pass.
+The Gauss panel kernel behind it (``_panel_quad``) maps the panel nodes to
+radii and sums every panel in one numpy pass (``_panel_sum``, the panel
+totals added in panel order).  That sum is the package's one panel sum:
+``shooting`` evaluates an exponential far field once on its own geometric
+Gauss panels (TailModel.far_field) and sums every tail norm with it too.
 """
 
 from __future__ import annotations
@@ -82,9 +83,14 @@ def _panel_quad(g, N: int, edges, nodes: int, node_map):
     a, b = edges[:-1], edges[1:]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     r, jac = node_map(mid[:, None] + half[:, None] * x)
-    sums = np.sum(w * g(r) * r ** (N - 1) * jac, axis=1)
+    return _panel_sum(w * g(r) * r ** (N - 1) * jac, half)
+
+
+def _panel_sum(terms, half) -> float:
+    """sum_i half_i * sum_j terms_ij: each panel's (weighted) node terms
+    summed in one numpy pass, the panel totals added in panel order."""
     total = 0.0
-    for h, s in zip(half, sums):
+    for h, s in zip(half, np.sum(terms, axis=1)):
         total += h * s
     return total
 

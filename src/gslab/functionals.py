@@ -100,7 +100,7 @@ def radial_norm(profile, s: float) -> float:
     if isinstance(profile, EmdenFowlerProfile):
         return profile.norm_s(s)
     # first: an algebraic tail raises DivergentNormError where s*(N-2) <= N
-    tail = profile.tail.norm_tail(s, float(profile.grid.radii[-1]))
+    tail = profile.norm_tail(s)
     bulk = _grid_quad(profile, lambda r, u, du: np.abs(u) ** s)
     return sphere_area(profile.params.N) * (bulk + tail)
 
@@ -110,7 +110,7 @@ def dirichlet_norm(profile) -> float:
     if isinstance(profile, EmdenFowlerProfile):
         return profile.dirichlet_sq()
     bulk = _grid_quad(profile, lambda r, u, du: du * du)
-    tail = profile.tail.dirichlet_tail(float(profile.grid.radii[-1]))
+    tail = profile.dirichlet_tail()
     return sphere_area(profile.params.N) * (bulk + tail)
 
 
@@ -118,14 +118,13 @@ def _norms_from_trajectory(prof: RadialProfile) -> tuple[float, float, float, fl
     """(L2^2, Lp^p, Lq^q, dirichlet^2) from co-integrated panels plus tail."""
     t = prof.grid
     omega = sphere_area(prof.params.N)
-    R = float(t.radii[-1])
     l2 = math.inf
     # an algebraic tail r^-(N-2) carries finite L^2 mass only for N > 4
     if prof.tail.kind == "Exponential" or 2.0 * (prof.params.N - 2.0) > prof.params.N:
-        l2 = omega * (float(t.norm_l2[-1]) + prof.tail.norm_tail(2.0, R))
-    lp = omega * (float(t.norm_lp[-1]) + prof.tail.norm_tail(prof.params.p, R))
-    lq = omega * (float(t.norm_lq[-1]) + prof.tail.norm_tail(prof.params.q, R))
-    dir_sq = omega * (float(t.norm_dir[-1]) + prof.tail.dirichlet_tail(R))
+        l2 = omega * (float(t.norm_l2[-1]) + prof.norm_tail(2.0))
+    lp = omega * (float(t.norm_lp[-1]) + prof.norm_tail(prof.params.p))
+    lq = omega * (float(t.norm_lq[-1]) + prof.norm_tail(prof.params.q))
+    dir_sq = omega * (float(t.norm_dir[-1]) + prof.dirichlet_tail())
     return l2, lp, lq, dir_sq
 
 

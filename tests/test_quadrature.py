@@ -1,10 +1,11 @@
-"""The vectorized panel kernel against the per-panel loops it replaced.
+"""The vectorized panel kernel against the per-panel loops it replaced,
+and the exponential far field against a fine reference rule.
 
-``emden._panel_quad`` evaluates every Gauss panel of a tail quadrature in
-one numpy pass.  The loops below are the reference: one numpy pass per
-panel, accumulated in panel order.  Both quadratures built on the kernel
-(``shooting._exp_tail_quad`` and ``emden.radial_quad``) must return the
-loop's value bit for bit, with the same type.
+``emden._panel_sum`` adds up every Gauss panel of a tail quadrature in one
+numpy pass.  The loops below are the reference: one numpy pass per panel,
+accumulated in panel order.  Both quadratures built on it (the far field of
+``shooting.TailModel`` and ``emden.radial_quad``) must return the loop's
+value bit for bit, with the same type.
 """
 
 import math
@@ -12,20 +13,21 @@ import math
 import numpy as np
 import pytest
 
-from gslab import EmdenFowlerProfile, Family, ProblemParams, solve_ground_state
+from gslab import EmdenFowlerProfile, Family, ProblemParams, find_ground_state, solve_ground_state
 from gslab.emden import _leggauss, eval_U, eval_U_slope, radial_quad, sobolev_constant
-from gslab.shooting import _exp_tail_quad
+from gslab.functionals import analyze, dirichlet_norm, radial_norm
+from gslab.shooting import TailModel
 
 
-def _exp_tail_loop(g, N, R, decay):
-    x, w = _leggauss(32)
-    width = 60.0 / max(decay, 1e-300)
-    edges = R + width * np.linspace(0.0, 1.0, 17) ** 2
+def _exp_tail_loop(g, N, R, k):
+    """16 Gauss nodes on each of 16 geometric panels over [R, R + 30/k]."""
+    x, w = _leggauss(16)
+    edges = R * ((R + 30.0 / k) / R) ** np.linspace(0.0, 1.0, 17)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         r = mid + half * x
-        total += half * float(np.sum(w * g(r) * r ** (N - 1)))
+        total += half * float(np.sum(w * r ** (N - 1) * g(r)))
     return total
 
 
@@ -60,33 +62,93 @@ GOLDEN = [
 
 
 @pytest.fixture(scope="module")
-def tails():
+def profiles():
     cache = {}
 
     def get(params):
         if params not in cache:
-            prof = solve_ground_state(params).profile
-            cache[params] = (prof.tail, float(prof.grid.radii[-1]))
+            cache[params] = solve_ground_state(params).profile
         return cache[params]
 
     return get
 
 
 @pytest.mark.parametrize("params", GOLDEN)
-def test_exp_tail_quad_matches_panel_loop_bitwise(params, tails):
-    tail, R = tails(params)
-    # the algebraic P_zero tail never reaches this quadrature in a solve;
-    # over a nominal window it is one more smooth integrand for the kernel
-    rate = tail.rate_or_power if tail.kind == "Exponential" else 1.0
+def test_exp_tail_quad_matches_panel_loop_bitwise(params, profiles):
+    prof = profiles(params)
+    tail, R = prof.tail, float(prof.grid.radii[-1])
+    N, k = params.N, tail.rate_or_power
+    # the algebraic P_zero tail never reaches the far field in a solve (its
+    # norms are closed forms); at its power as a nominal rate it is one more
+    # smooth integrand for the panels
+    far = tail.far_field(R)
     for s in (2.0, params.p, params.q):
-        g = lambda r, s=s: np.abs(tail.predict(r)) ** s
-        _same(_exp_tail_quad(g, params.N, R, s * rate), _exp_tail_loop(g, params.N, R, s * rate))
+        want = _exp_tail_loop(lambda r, s=s: np.abs(tail.predict(r)) ** s, N, R, k)
+        _same(far.norm(s), want)
         if tail.kind == "Exponential":
-            _same(tail.norm_tail(s, R), _exp_tail_loop(g, params.N, R, s * rate))
-    g = lambda r: tail.slope(r) ** 2
-    _same(_exp_tail_quad(g, params.N, R, 2.0 * rate), _exp_tail_loop(g, params.N, R, 2.0 * rate))
+            _same(tail.norm_tail(s, R), want)
+            _same(prof.norm_tail(s), want)
+    want = _exp_tail_loop(lambda r: tail.slope(r) ** 2, N, R, k)
+    _same(far.dirichlet(), want)
     if tail.kind == "Exponential":
-        _same(tail.dirichlet_tail(R), _exp_tail_loop(g, params.N, R, 2.0 * rate))
+        _same(tail.dirichlet_tail(R), want)
+        _same(prof.dirichlet_tail(), want)
+
+
+def _reference_tail(g, N, R, decay):
+    """600 log-spaced 32-node Gauss panels over [R, R + 80/decay]."""
+    x, w = _leggauss(32)
+    edges = np.geomspace(R, R + 80.0 / decay, 601)
+    a, b = edges[:-1], edges[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    r = mid[:, None] + half[:, None] * x
+    return float(np.sum(half * np.sum(w * g(r) * r ** (N - 1), axis=1)))
+
+
+# The far field of the critical N = 6 (3, 5) solves ends at kR = 0.024 and
+# 0.0052, where the 16 x 32 squared-linspace rule it replaced missed the
+# Dirichlet tail by 6.9e-15 and 3.9e-8; the geometric panels stay within
+# 3e-15 on every case here.
+TAIL_ACCURACY = [
+    pytest.param(ProblemParams(6, 3.0, 5.0, 1e-9, Family.P_EPS), id="crit6-eps1e-9"),
+    pytest.param(ProblemParams(6, 3.0, 5.0, 1e-11, Family.P_EPS), id="crit6-eps1e-11"),
+    pytest.param(ProblemParams(5, 10.0 / 3.0, 6.0, 1e-5, Family.P_EPS), id="crit5-eps1e-5"),
+    pytest.param(ProblemParams(4, 4.0, 8.0, 1e-5, Family.P_EPS), id="crit4-eps1e-5"),
+    GOLDEN[0],
+    GOLDEN[2],
+    GOLDEN[3],
+]
+
+
+@pytest.mark.parametrize("params", TAIL_ACCURACY)
+def test_exp_tail_within_1e12_of_fine_reference(params):
+    prof = find_ground_state(params)
+    tail, R, N = prof.tail, float(prof.grid.radii[-1]), params.N
+    k = tail.rate_or_power
+    for s in (2.0, params.p, params.q):
+        want = _reference_tail(lambda r, s=s: np.abs(tail.predict(r)) ** s, N, R, s * k)
+        assert prof.norm_tail(s) == pytest.approx(want, rel=1e-12, abs=0.0)
+    want = _reference_tail(lambda r: tail.slope(r) ** 2, N, R, 2.0 * k)
+    assert prof.dirichlet_tail() == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_tail_model_is_evaluated_once_per_profile(monkeypatch):
+    # analyze's four tail terms, radial_norm and dirichlet_norm all sum the
+    # one far-field set of the profile: one predict and one slope call
+    prof = find_ground_state(GOLDEN[0].values[0])
+    calls = {"predict": 0, "slope": 0}
+    for name in calls:
+        method = getattr(TailModel, name)
+
+        def counted(self, r, name=name, method=method):
+            calls[name] += 1
+            return method(self, r)
+
+        monkeypatch.setattr(TailModel, name, counted)
+    analyze(prof)
+    radial_norm(prof, prof.params.p)
+    dirichlet_norm(prof)
+    assert calls == {"predict": 1, "slope": 1}
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
@@ -110,9 +172,10 @@ def test_radial_quad_matches_panel_loop_bitwise(N):
 
 
 @pytest.mark.parametrize("params", [GOLDEN[0], GOLDEN[3]])
-def test_radial_quad_on_profile_distance_integrand_matches_loop(params, tails):
+def test_radial_quad_on_profile_distance_integrand_matches_loop(params, profiles):
     # the beyond-the-grid integrand of profile_distances: W_1 against a solved tail
-    tail, R = tails(params)
+    prof = profiles(params)
+    tail, R = prof.tail, float(prof.grid.radii[-1])
     ref = EmdenFowlerProfile(params.N, 1.0, "W")
     scale = max(math.sqrt(params.N * (params.N - 2.0)) / ref._stretch(), R / 10.0)
     g = lambda r: np.abs(ref.value(r) - tail.predict(r)) ** params.p

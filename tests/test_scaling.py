@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gslab import Family, ProblemParams, rescale_to_v, solve_ground_state, to_minimizer_frame
-from gslab.functionals import _norms_from_trajectory, dirichlet_norm, radial_norm, scale_profile
+from gslab.functionals import (_norm_factors, _norms_from_trajectory, analyze, dirichlet_norm,
+                               radial_norm, scale_profile)
 
 # the four golden cases of tests/test_golden.py
 CASES = [
@@ -96,3 +97,31 @@ def test_rescaled_profile_builds_its_own_panels(params, rescale):
     assert fresh is not v.panels
     for got, want in zip(v.panels, fresh):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# The far-field Gauss set of an exponential tail is cached on its profile
+# too: a rescaled copy builds its own at its own grid end, and its tail
+# norms carry the closed-form factors (an algebraic tail's closed forms do).
+@pytest.mark.parametrize("params", CASES)
+@pytest.mark.parametrize("rescale, amp_lam_sq", [
+    pytest.param(lambda u: analyze(u).rescaled_to_frame(2.9).profile, lambda N: (1.0, 2.9),
+                 id="frame-S2.9"),
+    pytest.param(lambda u: rescale_to_v(u, 9.0), lambda N: (9.0 ** ((N - 2.0) / 2.0), 81.0),
+                 id="v-lam9"),
+])
+def test_rescaled_profile_builds_its_own_far_field(params, rescale, amp_lam_sq):
+    u = _profile(params)
+    built = u.far_field
+    v = rescale(u)
+    if built is None:
+        assert u.tail.kind == "Algebraic" and v.far_field is None
+    else:
+        assert v.far_field is not built
+        assert v.far_field.u.shape == built.u.shape
+    l2, lp, lq, dir_ = _norm_factors(params, *amp_lam_sq(params.N))
+    pairs = [(params.p, lp), (params.q, lq)]
+    if u.tail.kind == "Exponential":
+        pairs.append((2.0, l2))
+    for s, fac in pairs:
+        assert v.norm_tail(s) == pytest.approx(fac * u.norm_tail(s), rel=1e-13, abs=0.0)
+    assert v.dirichlet_tail() == pytest.approx(dir_ * u.dirichlet_tail(), rel=1e-13, abs=0.0)
