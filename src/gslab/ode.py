@@ -11,12 +11,16 @@ Norsett & Wanner, Solving ODEs I, II.10): twelve stages per step, the FSAL
 one included, and the 5th/3rd-order error norm with step exponent 1/8.
 Events (zero crossing, slope sign flip, underflow, r_max) are refined on the
 seventh-order dense output, whose three extra stages are paid only on the
-step that refines one.  Norm integrands (u^2, |u|^p, |u|^q, u'^2 against
-r^(N-1) dr) can be accumulated alongside the trajectory on the same
-interpolant: such a run (the final pass of a solve) stores every step as
-_SUB sub-intervals, so the grid that the cubic Hermite read side sees stays
-as dense as the steps are long, and each sub-interval is one Gauss panel;
-the norms over [0, r0] come from the series piece.
+step that refines one.  A run of an algebraic family without quadrature (a
+P_zero search shot) also ends, as ReachedRmax at its own radius, once the
+far-field constant B of u ~ B + A r^-(N-2) has settled (_SETTLE_MARGIN):
+its class and B are those of the run to r_max, at a fraction of the steps.
+Norm integrands (u^2, |u|^p, |u|^q, u'^2 against r^(N-1) dr) can be
+accumulated alongside the trajectory on the same interpolant: such a run
+(the final pass of a solve) stores every step as _SUB sub-intervals, so the
+grid that the cubic Hermite read side sees stays as dense as the steps are
+long, and each sub-interval is one Gauss panel; the norms over [0, r0] come
+from the series piece.
 
 ``integrate`` is the hot loop of every solve, so it is written for CPython's
 interpreter: the controls and tableau constants are locals, and the
@@ -148,6 +152,30 @@ def rhs_eval(params: ProblemParams, r: float, u: float, du: float) -> float:
 # A solve_mix solve (seeds 1-3) takes 8.94k RHS evaluations at K = 6, 8.67k
 # at 8 and 8.44k at 12, while the coefficients cost ~K^2 (18 us at 8)
 _SERIES_ORDER = 8
+
+
+# The settled stop of an algebraic run without quadrature (a P_zero search
+# shot).  Past the core u ~ B + A r^-(N-2), and dB/dr = -r f(u)/(N-2) leaves
+# B = u + r u'/(N-2) the drift -D still to come, D = u g / ((N-2)((N-2)(p-1)
+# - 2)) with g = u^(p-2) r^2; shooting._far_field_B reads B less D.  The run
+# ends, as ReachedRmax at its own radius, once 0 < u < a/2, u' < 0,
+# g < _SETTLE_G and |B| > _SETTLE_MARGIN D.  Undershoots on the Emden decay
+# u ~ c r^(-2/(p-2)) keep g at c^(p-2) (2/9 at (3, 8)) and run to r_max.
+# Measured on solve_mix's 12 P_zero solves (seeds 1-3), RHS evaluations per
+# solve (16,974 with every shot run to r_max): _SETTLE_G 1e-1 or 3e-2 within
+# 0.1% of 1e-2, 3e-3 0.7% more; _SETTLE_MARGIN 1e2 / 1e3 / 1e4 11,233 /
+# 11,577 / 12,514.  1e3 keeps B within 1e-3 of the run to r_max
+# (tests/test_settled_stop.py); without the drift taken off B, a margin of
+# 1e6 took 13,023 and 1e3 ended the golden solve on its class stop (16,982)
+_SETTLE_G = 1e-2
+_SETTLE_MARGIN = 1e3
+
+
+def _drift_coeff(params: ProblemParams) -> float:
+    """D / (u g) = 1 / ((N-2)((N-2)(p-1) - 2)): the drift B still takes on
+    past r, per u g (_SETTLE_MARGIN)."""
+    n2 = params.N - 2.0
+    return 1.0 / (n2 * (n2 * (params.p - 1.0) - 2.0))
 
 
 def series_coefficients(params: ProblemParams, a: float) -> tuple[float, ...]:
@@ -496,9 +524,10 @@ def integrate(
     negative to positive while u > 0 (SlopeSignFlip), r reaches r_max
     (ReachedRmax), or u drops below the underflow floor while still
     decreasing (Underflow).  The terminal radius is refined on the dense
-    output to tol.event_tol relative accuracy.  With tol.with_quadrature
-    the grid also holds _SUB - 1 interior points of every step, and the
-    norm arrays are filled.
+    output to tol.event_tol relative accuracy.  An algebraic run without
+    quadrature also ends as ReachedRmax where B has settled (_SETTLE_G).
+    With tol.with_quadrature the grid also holds _SUB - 1 interior points of
+    every step, and the norm arrays are filled.
     """
     coeffs = series_coefficients(params, a)
     if r0 is None:
@@ -530,6 +559,13 @@ def integrate(
     e5_1, _, _, _, _, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, e5_12, _ = _E5
     d1, d9, d12 = b1 - _E3[0], b9 - _E3[8], b12 - _E3[11]   # B - E3
     sqrt, isfinite = math.sqrt, math.isfinite
+
+    # an algebraic run without quadrature ends where B has settled (_SETTLE_G)
+    settle = params.is_algebraic() and not tol.with_quadrature
+    if settle:
+        n2 = params.N - 2.0
+        half = 0.5 * a
+        drift = _SETTLE_MARGIN * _drift_coeff(params)
 
     u, v = series_piece(coeffs, r0)
     r = r0
@@ -699,6 +735,11 @@ def integrate(
         rs_append(r)
         us_append(u)
         vs_append(v)
+
+        if settle and event is None and 0.0 < u < half and v < 0.0:
+            g = u**pm2 * r * r
+            if g < _SETTLE_G and abs(u + r * v / n2) > drift * u * g:
+                event, r_event = TerminalEvent.REACHED_RMAX, r
 
         if event is None:
             fac = 0.9 * (err + 1e-300) ** -0.125

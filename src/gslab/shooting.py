@@ -5,7 +5,9 @@ state, trajectories that rebound (u' turns positive) undershoot it.  For
 the eps = 0 supercritical family nothing rebounds -- sub-ground-state
 trajectories decay at the slow Emden rate r^(-2/(p-2)) instead of the
 Green-function rate r^(-(N-2)) -- so classification there uses the sign of
-the far-field constant mode B in u ~ B + A r^(-(N-2)).
+the far-field constant mode B in u ~ B + A r^(-(N-2)).  A search shot ends
+where B has settled (ode's settled stop), the final pass at r_max, and
+_far_field_B reads both less the drift B still takes on past them.
 
 The amplitude search first brackets a* between an undershoot and an
 overshoot, then runs Brent steps on a signed proxy of a - a* read off each
@@ -13,14 +15,16 @@ shot (the terminal state, see _shooting_proxy).  It ends at the
 integrator's resolution: once Brent's next abscissa x is within
 _RESOLUTION of a tight last probe, and the last three probes lie on one
 increasing line, a* = x, the root of the secant (or inverse quadratic) of
-the proxy.  The final pass runs at x and verifies it: the secant through
-the final pass and the last probe must put the root within amp_tol/2 of
-x.  If it does not, the final pass is one more Brent probe and the search
-closes a class bracket to a relative width of amp_tol, a* its geometric
-mid.  Shots taken while the prediction still moves -- the bracket scans,
-the hint checks and the far probes -- run loose, at 1e5 times the solve's
-step tolerances (_loose_step); a loose shot that reads Converged or fails
-runs again tight.  Only tight shots decide the answer: the secant check
+the proxy.  The final pass runs at x (or _PAST_ROOT amp_tol past it, away
+from the last probe, when that probe alone can close its bracket) and
+verifies it: the secant through the final pass and the last probe must put
+the root within amp_tol/2 of the final pass.  If it does not, the final
+pass is one more Brent probe and the search closes a class bracket to a
+relative width of amp_tol, a* its geometric mid.  Shots taken while the
+prediction still moves -- the bracket scans, the hint checks and the far
+probes -- run loose, at 1e5 times the solve's step tolerances
+(_loose_step); a loose shot that reads Converged or fails runs again
+tight.  Only tight shots decide the answer: the secant check
 reads the final pass and the last probe, and a loose end of a class
 bracket, like a loose Overshoot of the lower bracket scan, is integrated
 again tight (if that reads another class, the solve runs again with every
@@ -58,9 +62,10 @@ import numpy as np
 from scipy.special import kve
 
 from .emden import _leggauss, _panel_sum
-from .errors import BracketNotFound, DivergentNormError, InternalConsistencyError
+from .errors import (BracketNotFound, DivergentNormError, InconsistentSolution,
+                     InternalConsistencyError)
 from .ode import (IntegrationFailure, StepControls, TerminalEvent, Trajectory, _ball_nodes,
-                  integrate, series_coefficients, series_piece)
+                  _drift_coeff, integrate, series_coefficients, series_piece)
 from .params import Family, ProblemParams
 
 __all__ = [
@@ -133,18 +138,22 @@ class TailModel:
         k = self.rate_or_power if self.kind == "Exponential" else 0.0
         return 1.0 + (k * r) ** 2
 
-    def predict(self, r):
+    def predict(self, r, base=None):
+        """The model at r; ``base`` is the linear mode there, if the caller has it."""
         r = np.asarray(r, dtype=float)
-        base = self._base(r)
+        if base is None:
+            base = self._base(r)
         g = np.abs(base) ** self.corr_pm2 * r * r / self._one_plus_kr2(r)
         out = base * (1.0 + self.corr * g)
         return float(out) if np.ndim(r) == 0 else out
 
-    def slope(self, r):
+    def slope(self, r, base=None):
         """d/dr of predict: the product rule through the correction factor, with
-        g'/g = (p-2) base'/base + 2 / (r (1 + (k r)^2))."""
+        g'/g = (p-2) base'/base + 2 / (r (1 + (k r)^2)).  ``base`` as in predict."""
         r = np.asarray(r, dtype=float)
-        base, dbase = self._base(r), self._base(r, deriv=True)
+        if base is None:
+            base = self._base(r)
+        dbase = self._base(r, deriv=True)
         kr2 = self._one_plus_kr2(r)
         cg = self.corr * np.abs(base) ** self.corr_pm2 * r * r / kr2
         out = dbase * (1.0 + cg) + cg * (self.corr_pm2 * dbase + 2.0 * base / (r * kr2))
@@ -160,7 +169,9 @@ class TailModel:
         a, b = edges[:-1], edges[1:]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         r = mid[:, None] + half[:, None] * x
-        return _FarField(w * r ** (self.N - 1), half, np.abs(self.predict(r)), self.slope(r))
+        base = self._base(r)   # one Bessel mode for both (kve twice per node)
+        return _FarField(w * r ** (self.N - 1), half, np.abs(self.predict(r, base)),
+                         self.slope(r, base))
 
     def norm_tail(self, s: float, R: float) -> float:
         """int_R^inf |u_tail|^s r^(N-1) dr (sphere factor excluded)."""
@@ -171,18 +182,24 @@ class TailModel:
                     f"s*(N-2) = {s * (N - 2.0):g} <= N = {N}: "
                     f"the algebraic tail makes the L^{s:g} norm diverge"
                 )
-            C = abs(self.prefactor) ** s
-            lead = C * R ** (N - s * (N - 2.0)) / (s * (N - 2.0) - N)
-            gam = (N - 2.0) * self.corr_pm2 - 2.0
-            corr = 0.0
-            if self.corr != 0.0 and s * (N - 2.0) + gam > N:
-                corr = (
-                    s
-                    * self.corr
-                    * abs(self.prefactor) ** (s + self.corr_pm2)
-                    * R ** (N - s * (N - 2.0) - gam)
-                    / (s * (N - 2.0) + gam - N)
-                )
+            try:
+                C = abs(self.prefactor) ** s
+                lead = C * R ** (N - s * (N - 2.0)) / (s * (N - 2.0) - N)
+                gam = (N - 2.0) * self.corr_pm2 - 2.0
+                corr = 0.0
+                if self.corr != 0.0 and s * (N - 2.0) + gam > N:
+                    corr = (
+                        s
+                        * self.corr
+                        * abs(self.prefactor) ** (s + self.corr_pm2)
+                        * R ** (N - s * (N - 2.0) - gam)
+                        / (s * (N - 2.0) + gam - N)
+                    )
+            except OverflowError:
+                raise InconsistentSolution(
+                    f"the L^{s:g} tail of the algebraic tail model (prefactor "
+                    f"{self.prefactor:.3g}) overflows: the fit is not a ground-state tail"
+                ) from None
             return lead + corr
         return self.far_field(R).norm(s)
 
@@ -364,9 +381,20 @@ def epsilon_star(p: float, q: float) -> float:
 
 
 def _far_field_B(params: ProblemParams, t: Trajectory) -> float:
-    """Constant mode in u ~ B + A r^(-(N-2)); B = u + r u'/(N-2)."""
+    """The constant mode B in u ~ B + A r^(-(N-2)), read at the end R of t.
+
+    u + r u'/(N-2) is B up to the drift that dB/dr = -r f(u)/(N-2) still
+    adds past R; with u ~ A r^(-(N-2)) that is -D, D = u^(p-1) R^2 /
+    ((N-2)((N-2)(p-1)-2)) (ode._drift_coeff), so B is read as
+    u + R u'/(N-2) - D (u > 0).  A
+    search shot ends where ode._SETTLE_MARGIN D is below |u + R u'/(N-2)|,
+    the final pass at r_max, where D is negligible: both read one B.
+    """
     r, u, v = t.radii[-1], t.values[-1], t.slopes[-1]
-    return u + r * v / (params.N - 2.0)
+    b = u + r * v / (params.N - 2.0)
+    if u > 0.0:
+        b -= _drift_coeff(params) * u * (u ** (params.p - 2.0) * r * r)
+    return b
 
 
 def classify(
@@ -508,18 +536,19 @@ def _pohozaev_root(params: ProblemParams) -> float:
     return ((h - N / p) / (params.q_coeff * (h - N / q))) ** (1.0 / (q - p))
 
 
-def _default_r_max(params: ProblemParams, ctrl: ShootControls,
-                   a_probe: float) -> tuple[float, Trajectory | None]:
-    """(r_max, the probe trajectory it took, if any)."""
+# The algebraic families' r_max.  It was min(1e6, max(1e3, 1e4 r_half)),
+# r_half read off a probe shot; every P_zero solve measured took the 1e6 cap
+# (32 solve_mix draws, both delta sweeps, (4, 5, 8), (5, 4, 7), (3, 6.5, 7)),
+# and a search shot ends where B has settled (ode._SETTLE_MARGIN) long before
+_ALGEBRAIC_R_MAX = 1e6
+
+
+def _default_r_max(params: ProblemParams, ctrl: ShootControls) -> float:
+    """The outer radius of every shot: ctrl.r_max if set, else 50 decay
+    lengths of an exponential tail, or _ALGEBRAIC_R_MAX."""
     if ctrl.r_max is not None:
-        return ctrl.r_max, None
-    if not params.is_algebraic():
-        return 50.0 / params.decay_rate, None
-    # algebraic family: scale radius from a probe trajectory's half-height
-    t = integrate(params, a_probe, 1e6, replace(ctrl.step, rtol=1e-6, atol=1e-9))
-    below = np.nonzero(t.values < 0.5 * a_probe)[0]
-    r_half = t.radii[below[0]] if len(below) else 1.0
-    return min(1e6, max(1e3, 1e4 * r_half)), t
+        return ctrl.r_max
+    return _ALGEBRAIC_R_MAX if params.is_algebraic() else 50.0 / params.decay_rate
 
 
 def _zeroin(a: float, fa: float, b: float, fb: float, rtol: float):
@@ -569,10 +598,11 @@ def _bracket_root(f, lo: float, f_lo: float, hi: float, f_hi: float, rtol: float
 
     0 < lo < hi, and f_lo = f(lo), f_hi = f(hi) have opposite signs.  A step
     of _zeroin outside (lo, hi) is replaced by the geometric mid, and each
-    probe replaces the end whose value has its sign.  The loop stops when
-    hi / lo - 1 <= rtol (the steps are at least half that, relative), when
-    f reads 0 (then lo = hi = the probe), or after maxiter evaluations.  An
-    end where f is 0 is returned as both ends.
+    probe replaces the end whose value has its sign.  f(x) returns f's value
+    at x, or the pair (y, f(y)) of a point y in (lo, hi) it took instead.
+    The loop stops when hi / lo - 1 <= rtol (the steps are at least half
+    that, relative), when f reads 0 (then lo = hi = the probe), or after
+    maxiter evaluations.  An end where f is 0 is returned as both ends.
     """
     if f_lo == 0.0 or f_hi == 0.0:
         x = lo if f_lo == 0.0 else hi
@@ -584,6 +614,8 @@ def _bracket_root(f, lo: float, f_lo: float, hi: float, f_hi: float, rtol: float
             x = math.sqrt(lo) * math.sqrt(hi)
         n += 1
         fx = f(x)
+        if type(fx) is tuple:
+            x, fx = fx
         if fx == 0.0:
             return x, x, n
         if (fx > 0.0) == (f_lo > 0.0):
@@ -601,6 +633,18 @@ _LOOSE_SHIFT = 1e-3
 # the search stops once Brent's next abscissa is this close, relative, to a
 # tight last probe: the integrator resolves the proxy no finer than ~rtol
 _RESOLUTION = 1e-8
+
+# A final pass that needs the last probe to close its bracket lands this
+# many amp_tol past Brent's abscissa, away from the probe.  Over 224
+# solve_mix solves (seeds 1-8) Brent's abscissa fell short of the verified
+# root by up to 2.2e-13 and past it by up to 5.0e-13, the most the check
+# allows, so a nudge past a root it had already passed can miss the check
+# and cost a class stop.  0 / 0.25 / 0.1 / 0.05 left 39 / 3 / 4 / 7 closing
+# shots and took 7485 / 7298 / 7291 / 7256 RHS evaluations per solve on
+# seeds 1-3, 7505 / 7307 / 7288 / 7320 on seeds 4-8.  It must stay below
+# 1/4: Brent keeps its abscissa more than amp_tol/4 from the far end of its
+# bracket (its tolerance step is amp_tol/2), so the final pass stays inside
+_PAST_ROOT = 0.1
 
 
 def _loose_step(step: StepControls) -> StepControls:
@@ -629,7 +673,7 @@ class _Runs:
         self.tight = ctrl.step
         self.loose = _loose_step(ctrl.step)
         self.integrations = self.rhs_evals = self.loose_runs = 0
-        self.bracket_runs = 0   # r_max probe, bracket scans and hint checks
+        self.bracket_runs = 0   # bracket scans and hint checks
 
     def __call__(self, a: float, quad: bool = False, loose: bool = False) -> Trajectory:
         self.integrations += 1
@@ -662,13 +706,18 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
     a* is the resolution secant: once Brent's next abscissa x is within
     _RESOLUTION of a tight last probe, by more than Brent's own tolerance
     step, and the last three probes' proxies lie on one increasing line,
-    the final pass (tight, with quadrature) runs at x.  a* = x if the secant
-    through the final pass and the last probe puts the root within amp_tol/2
-    of x; ``amp_error`` is that measured relative distance, the search's
-    error only (the proxy is exact to the step tolerances).  ``bracket`` is
-    the final pass and the nearest tight shot of the other class; if there
-    is none yet, one more tight shot amp_tol/2 past x must read it.  A final
-    pass that reads Converged is accepted (``bracket`` is (a*, a*)).
+    the final pass (tight, with quadrature) runs at x; if no tight shot of
+    the other class than the last probe's exists yet, and x is more than two
+    of Brent's tolerance steps from that probe, it runs _PAST_ROOT amp_tol
+    past x, away from the probe, so that the probe closes its bracket.  a*
+    is the final pass's amplitude if the secant through the final pass and
+    the last probe puts the root within amp_tol/2 of it; ``amp_error`` is
+    that measured relative distance, the search's error only (the proxy is
+    exact to the step tolerances).  ``bracket`` is the final pass and the
+    nearest tight shot of the other class; if there is none yet (the final
+    pass fell short of the root), one more tight shot amp_tol/2 past it
+    must read it.  A final pass that reads Converged is accepted
+    (``bracket`` is (a*, a*)).
     Otherwise the final pass is one more Brent probe and the class stop
     follows: the search closes a bracket of a tight Undershoot and a tight
     Overshoot to a relative width of amp_tol (a loose end is integrated
@@ -701,13 +750,8 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
     lo_seed = (u_f0 if u_f0 > 0.0 else _pohozaev_root(params)) * (1.0 + 1e-9)
     hi_seed = u_hi * (1.0 - 1e-9) if u_hi is not None else None
 
-    # the algebraic family's r_max probe: the geometric mid of (1e-3 u_hi, hi_seed)
-    r_max, probe = _default_r_max(params, ctrl, math.sqrt(1e-3 * u_hi * hi_seed)
-                                  if params.is_algebraic() else lo_seed)
+    r_max = _default_r_max(params, ctrl)
     run = _Runs(params, ctrl, r_max)
-    if probe is not None:
-        run.integrations = run.bracket_runs = 1
-        run.rhs_evals = probe.rhs_evals
     window = (u_f0, u_hi, lo_seed, hi_seed)
     try:
         search = _attempt(params, ctrl, window, run, loose_first=True)
@@ -842,32 +886,39 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
     seq = []        # the probes, in order
     error = None    # set when a final pass ends the search
 
-    def probe(x: float) -> float:
+    def probe(x: float) -> float | tuple[float, float]:
         """Brent's value of a probe, 0 to stop (Converged, or a final pass that
         verifies x); loose while the prediction moves by more than _LOOSE_SHIFT
-        (the first probe always)."""
+        (the first probe always).  A final pass returns (its amplitude, value):
+        it may run past x."""
         nonlocal error
         p = seq[-1] if seq else None
         seq.append(x)
         if (final is None and len(seq) > 3 and not shots[p][2]
                 and 0.5 * ctrl.amp_tol * x < abs(x - p) <= _RESOLUTION * x
                 and _on_line([(a, shots[a][1]) for a in seq[-4:-1]])):
+            if _tight_bracket(shots, p) is None and abs(x - p) > ctrl.amp_tol * x:
+                # no tight shot of the other class than p's yet: land the final
+                # pass past the root, away from p, so that p closes the bracket
+                # (at Brent's tolerance step from p, x is past the root Brent
+                # interpolates already)
+                x = seq[-1] = x + math.copysign(_PAST_ROOT * ctrl.amp_tol * x, x - p)
             if shoot(x, False, quad=True) == Classification.CONVERGED:
                 error = 0.0
-                return 0.0
+                return x, 0.0
             gp, gx = shots[p][1], shots[x][1]
             dg = gx - gp
             # the secant through the final pass and the last probe puts the
             # root within amp_tol/2 of x
             if dg * (x - p) > 0.0 and abs(gx * (x - p)) <= 0.5 * ctrl.amp_tol * x * abs(dg):
                 if _tight_bracket(shots, x) is None:
-                    # no tight shot of the other class yet: one amp_tol/2 past x
+                    # the final pass fell short of the root: one amp_tol/2 past x
                     up = shots[x][0] == Classification.UNDERSHOOT
                     shoot(x * (1.0 + (0.5 if up else -0.5) * ctrl.amp_tol), False)
                 if _tight_bracket(shots, x) is not None:
                     error = abs(gx * (x - p) / dg) / x
-                    return 0.0
-            return gx   # the final pass becomes a Brent probe; the class stop follows
+                    return x, 0.0
+            return x, gx   # the final pass becomes a Brent probe; the class stop follows
         loose = loose_first and (p is None or abs(x - p) > _LOOSE_SHIFT * x)
         return 0.0 if shoot(x, loose) == Classification.CONVERGED else shots[x][1]
 
@@ -974,7 +1025,12 @@ def _fit_tail(params: ProblemParams, t: Trajectory, a: float) -> TailModel:
     ones = np.ones_like(y)
     coef, *_ = np.linalg.lstsq(np.column_stack([ones, g]), y, rcond=None)
     log_c, d = float(coef[0]), float(coef[1])
-    cb = math.exp(log_c)
+    try:
+        cb = math.exp(log_c)
+    except OverflowError:
+        raise InconsistentSolution(
+            f"the {kind.lower()} tail fit's prefactor e^{log_c:.4g} overflows: "
+            "the final trajectory has no such tail") from None
     if kind == "Exponential":
         prefactor = cb * math.sqrt(math.pi / (2.0 * rate))
     else:

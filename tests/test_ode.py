@@ -100,7 +100,7 @@ def test_series_hand_off_matches_fine_integration(prm, amplitude):
     from gslab.ode import default_handoff_radius
 
     a = float.fromhex(amplitude)
-    r_max = shooting._default_r_max(prm, ShootControls(), a)[0]
+    r_max = shooting._default_r_max(prm, ShootControls())
     coeffs = series_coefficients(prm, a)
     r0 = default_handoff_radius(coeffs, r_max)
     u, du = series_piece(coeffs, r0)

@@ -95,12 +95,12 @@ def test_cli_solve_and_cache(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["--family", "P_eps", "--N", "3", "--p", "6", "--q", "10", "--eps", "1e-3"], 13),
-    (["--family", "P_zero", "--N", "3", "--p", "8", "--q", "12"], 14),
+    (["--family", "P_eps", "--N", "3", "--p", "6", "--q", "10", "--eps", "1e-3"], 12),
+    (["--family", "P_zero", "--N", "3", "--p", "8", "--q", "12"], 13),
 ], ids=["P_eps", "P_zero"])
 def test_cli_integrations_run_counts_every_integration(tmp_path, monkeypatch, argv, expected):
     # independent count: wrap the integrate() that find_ground_state calls,
-    # so bracket scans, the P_zero r_max probe and the final pass all count
+    # so bracket scans, the search's probes and the final pass all count
     from gslab import shooting
 
     calls = []
@@ -120,7 +120,7 @@ def test_cli_integrations_run_counts_every_integration(tmp_path, monkeypatch, ar
 
 def test_cli_rhs_evals_sum_over_every_integration(tmp_path, monkeypatch):
     # independent sum: wrap the integrate() that find_ground_state calls; the
-    # P_zero solve includes the r_max probe, which runs at its own tolerances
+    # P_zero solve's search shots end where B settles, its final pass at r_max
     from gslab import shooting
 
     evals = []

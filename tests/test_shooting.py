@@ -207,9 +207,8 @@ def _solve_with_plain_reference(params, monkeypatch):
     bracket, {amplitude: class} of the solve's tight shots and final pass).
 
     The bracket shots are the solve's first integrations at its own r_max and
-    step controls, loose or tight (the P_zero r_max probe runs at other
-    ones): its lower end is the first Undershoot, its upper end the first
-    Overshoot shot after it.
+    step controls, loose or tight: its lower end is the first Undershoot,
+    its upper end the first Overshoot shot after it.
     """
     ctrl = ShootControls()
     loose, final = shooting._loose_step(ctrl.step), replace(ctrl.step, with_quadrature=True)
@@ -506,3 +505,57 @@ def test_p_zero_lower_scan_starts_at_the_pohozaev_root(delta_sweep, delta_sweep_
         a = u_p * (1.0 + 1e-9)
         t = integrate(params, a, 1e6, ctrl.step)
         assert classify(t, params, a, ctrl.convergence_factor) == Classification.UNDERSHOOT
+
+
+def _p_zero_draws():
+    """Every fifth of 120 P_zero draws (random.Random(5)): N = 3..6, 30 each,
+    p = p* U(1.02, 1.6), q = p + U(0.3, 6)."""
+    import random
+
+    from gslab.params import critical_exponent
+
+    rng = random.Random(5)
+    draws = []
+    for N in (3, 4, 5, 6):
+        for _ in range(30):
+            p = critical_exponent(N) * rng.uniform(1.02, 1.6)
+            draws.append(ProblemParams(N, p, p + rng.uniform(0.3, 6.0), 0.0, Family.P_ZERO))
+    return draws[::5]
+
+
+def test_p_zero_draws_solve_or_raise_a_classified_error():
+    # each draw returns identity residuals below 1e-9 or raises one of the
+    # solver's own error types, never a builtin one and never a silent
+    # residual above 1e-9.  Before search shots ended where B settles, two
+    # N = 5 draws of these 24 returned residuals of 2.4e-7 and 5.4e-7 (runs
+    # to r_max = 1e6 read B in integrator noise for N >= 4) and 7 raised
+    # InconsistentSolution; now 22 solve (at most 7.4e-12), and an N = 5 and
+    # an N = 6 draw with p near p* raise it
+    import gslab.errors
+    from gslab import solve_ground_state
+
+    classified = tuple(v for v in vars(gslab.errors).values()
+                       if isinstance(v, type) and issubclass(v, Exception))
+    solved = 0
+    for params in _p_zero_draws():
+        try:
+            sol = solve_ground_state(params)
+        except classified:
+            continue
+        assert max(sol.nehari_residual, sol.pokhozhaev_residual) < 1e-9, params
+        solved += 1
+    assert solved >= 20
+
+
+@pytest.mark.parametrize("p, q", [(3.3491403547350806, 8.417875958451788),
+                                  (3.2602295230225344, 8.299038863613408)])
+def test_absurd_algebraic_tail_fit_raises_inconsistent_solution(p, q):
+    # N = 6 with p near p* = 3: the final pass decays like the singular
+    # Emden solution, not like r^-4, and the algebraic tail fitted to it has
+    # a prefactor of e^924 (math.exp overflowed in _fit_tail) or 8e142 (its
+    # L^2 tail overflowed in TailModel.norm_tail): both now raise the
+    # solver's own error
+    from gslab import InconsistentSolution, solve_ground_state
+
+    with pytest.raises(InconsistentSolution, match="overflows"):
+        solve_ground_state(ProblemParams(6, p, q, 0.0, Family.P_ZERO))
