@@ -446,8 +446,61 @@ def _references(spec: SweepSpec) -> dict[str, float]:
     return refs
 
 
+# The relative half-width w of a serial sweep point's bracket hint is three
+# times the relative miss of the previous point's hint centre, within
+# [_HINT_FLOOR, _HINT_CAP], and _HINT_CAP before any hint has missed.
+# Replayed offline on 21 sweeps (the seven test-suite sweeps, the
+# benchmark's sweep_chain seeds 1-5, and N=3 subcritical, N=5 critical and
+# N=3 supercritical sweeps at grid ratios 1.5 and 3), a cap of 0.1 leaves 4
+# of 206 hinted amplitudes outside their hint and 0.25 one (the third point
+# of the ratio-3 supercritical sweep, 5e-3 off at the floor).  The floor
+# keeps hints wide enough to pay: hinted at its exact amplitude, a critical
+# N=5 point costs 5.8k RHS evaluations at w = 1e-2 and 14.3k at 1e-4, where
+# loose shots near a* read their class below the loose atol and 4 of 9
+# solves run again all tight (subcritical N=3: 3.9k and 5.5k).
+_HINT_FLOOR = 3e-3
+_HINT_CAP = 0.25
+
+
+def _amplitude_hint(seen, x: float, b: float) -> tuple[float, float] | None:
+    """(a (1 - w), a (1 + w)): the bracket hint of the serial sweep point at x.
+
+    ``seen`` holds (x, amplitude, bracket hint or None) of the converged
+    points since the sweep's last failure, in sweep order; without one the
+    point runs unhinted.  a extrapolates log(amplitude x^-b) against log x
+    through the last three points, by the polynomial of one degree less than
+    their count: with one point, a follows the paper's law x^b (b is
+    predict_exponents' amplitude power); with two, the secant of log
+    amplitude; with three, its quadratic.  w is three times the relative
+    miss of the last point's hint centre, within [_HINT_FLOOR, _HINT_CAP],
+    and _HINT_CAP if that point ran unhinted.
+    """
+    if not seen:
+        return None
+    pts = seen[-3:]
+    lx = math.log(x)
+    logs = [math.log(xi) for xi, _, _ in pts]
+    la = 0.0
+    for i, (_, ai, _) in enumerate(pts):
+        weight = math.prod((lx - lj) / (logs[i] - lj) for j, lj in enumerate(logs) if j != i)
+        la += weight * (math.log(ai) - b * logs[i])
+    a = math.exp(la + b * lx)
+    _, a_last, last_hint = seen[-1]
+    w = _HINT_CAP
+    if last_hint is not None:
+        mid = 0.5 * (last_hint[0] + last_hint[1])
+        w = min(max(3.0 * abs(a_last / mid - 1.0), _HINT_FLOOR), _HINT_CAP)
+    return a * (1.0 - w), a * (1.0 + w)
+
+
 def sweep(spec: SweepSpec) -> ScalingReport:
-    """Run the sweep, assemble observables, and fit the regime's exponents."""
+    """Run the sweep, assemble observables, and fit the regime's exponents.
+
+    With ``jobs`` = 1 the points are solved in grid order, each after the
+    first with the bracket hint its converged predecessors predict
+    (_amplitude_hint); a failed point clears them.  With ``jobs`` > 1 the
+    points are solved unhinted on a process pool.
+    """
     p_val = spec.p_value()
     predicted = predict_exponents(spec.regime, spec.N, p_val, spec.q)
     refs = _references(spec)
@@ -461,11 +514,13 @@ def sweep(spec: SweepSpec) -> ScalingReport:
             futs = [ex.submit(_solve_point, spec, x, None, refs) for x in xs]
             points = [f.result() for f in futs]
     else:
-        hint = None
+        b = predicted["amplitude"][0]
+        seen = []   # (x, amplitude, bracket hint) of the converged points since the last failure
         for x in xs:
+            hint = _amplitude_hint(seen, x, b)
             pt = _solve_point(spec, x, hint, refs)
             points.append(pt)
-            hint = (pt.amplitude * 0.75, pt.amplitude * 1.3) if pt.converged else None
+            seen = [*seen[-2:], (x, pt.amplitude, hint)] if pt.converged else []
     points.sort(key=lambda pt: -pt.x)
 
     n_ok = sum(map(_trusted, points))

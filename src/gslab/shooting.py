@@ -411,13 +411,14 @@ def classify(
         return Classification.UNDERSHOOT
     if ev is TerminalEvent.UNDERFLOW:
         return Classification.CONVERGED
-    # ReachedRmax
-    ref = amplitude if amplitude is not None else abs(t.values[0])
-    if abs(t.values[-1]) < convergence_factor * ref:
-        return Classification.CONVERGED
+    # ReachedRmax.  An algebraic run reads B's sign first: for N >= 5 near p*
+    # shots on both sides of a* end with |u| far below convergence_factor * a
     if params is not None and params.is_algebraic():
         b = _far_field_B(params, t)
         return Classification.UNDERSHOOT if b > 0.0 else Classification.OVERSHOOT
+    ref = amplitude if amplitude is not None else abs(t.values[0])
+    if abs(t.values[-1]) < convergence_factor * ref:
+        return Classification.CONVERGED
     if params is not None:
         # exponential family that ran out of window: compare the local decay
         # rate against the true one; slower decay means the positive growing

@@ -515,18 +515,32 @@ def test_emden_constants_match_golden_bitwise(N, s_star, qs):
     assert float(q_star.__wrapped__(N)).hex() == qs
 
 
-# The amplitudes of two 8-point hinted N=3 subcritical sweeps.  At grid
-# ratio 1.5 every hint (0.75 a, 1.3 a) around the previous amplitude is
-# accepted; at ratio 2 the amplitude falls faster than the hint's lower end,
-# so every hint is rejected and the solve falls back to the window scans.
+# The amplitudes of two 8-point hinted N=3 subcritical sweeps, at grid
+# ratios 1.5 and 2.  Every point after the first is hinted around the
+# amplitude its predecessors predict (asymptotics._amplitude_hint), and
+# every hint is accepted: the solve pays its two checks, no window scan.
 HINTED_SWEEPS = [
-    pytest.param(1.5, ["0x1.abceb30676db7p-2", "0x1.61b612d4392cdp-2", "0x1.23389d170b5b7p-2",
-                       "0x1.de34e92e7b73ep-3", "0x1.87e5ff4973df9p-3", "0x1.40c58b6cc63ccp-3",
-                       "0x1.0656a7d2cfe61p-3", "0x1.acdd7475b9f23p-4"], 2, id="hints-accepted"),
-    pytest.param(2.0, ["0x1.abceb30676db7p-2", "0x1.343e8a906ada1p-2", "0x1.b805a1457852dp-3",
-                       "0x1.389957fbbc4b8p-3", "0x1.bb1d3ef7c7dafp-4", "0x1.39b1d0f2c8bb3p-4",
-                       "0x1.bbe3c7e9042e9p-5", "0x1.39f80bd8215c6p-5"], 3, id="hints-rejected"),
+    pytest.param(1.5, ["0x1.abceb30676db7p-2", "0x1.61b612d4392cbp-2", "0x1.23389d170b7b7p-2",
+                       "0x1.de34e92e7b740p-3", "0x1.87e5ff49740acp-3", "0x1.40c58b6cc65f8p-3",
+                       "0x1.0656a7d2cfe5fp-3", "0x1.acdd7475b9f2bp-4"], id="ratio-1.5"),
+    pytest.param(2.0, ["0x1.abceb30676db7p-2", "0x1.343e8a906ada1p-2", "0x1.b805a14578833p-3",
+                       "0x1.389957fbbc3c7p-3", "0x1.bb1d3ef7c7dacp-4", "0x1.39b1d0f2c8bb2p-4",
+                       "0x1.bbe3c7e9042f0p-5", "0x1.39f80bd8215c1p-5"], id="ratio-2"),
 ]
+
+# The same sweeps pinned while every hint was (0.75 a, 1.3 a) around the
+# previous amplitude: all accepted at ratio 1.5, all rejected at ratio 2
+# (the amplitude fell below the lower end, and each solve scanned the
+# admissible window).  The predicted hints moved them by 1.0e-13 at most,
+# so they hold at amp_tol
+FIXED_HINT_SWEEPS = {
+    1.5: ["0x1.abceb30676db7p-2", "0x1.61b612d4392cdp-2", "0x1.23389d170b5b7p-2",
+          "0x1.de34e92e7b73ep-3", "0x1.87e5ff4973df9p-3", "0x1.40c58b6cc63ccp-3",
+          "0x1.0656a7d2cfe61p-3", "0x1.acdd7475b9f23p-4"],
+    2.0: ["0x1.abceb30676db7p-2", "0x1.343e8a906ada1p-2", "0x1.b805a1457852dp-3",
+          "0x1.389957fbbc4b8p-3", "0x1.bb1d3ef7c7dafp-4", "0x1.39b1d0f2c8bb3p-4",
+          "0x1.bbe3c7e9042e9p-5", "0x1.39f80bd8215c6p-5"],
+}
 
 # The same sweeps pinned while a final pass that needed a closing shot ran
 # at Brent's abscissa: four amplitudes moved, by 1.0e-13 at most, so they
@@ -606,8 +620,8 @@ BISECTION_SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("ratio, amplitudes, bracket_runs", HINTED_SWEEPS)
-def test_hinted_sweep_matches_golden_bitwise(ratio, amplitudes, bracket_runs, monkeypatch):
+@pytest.mark.parametrize("ratio, amplitudes", HINTED_SWEEPS)
+def test_hinted_sweep_matches_golden_bitwise(ratio, amplitudes, monkeypatch):
     from gslab import SweepSpec, functionals, sweep
 
     hinted = []   # integrations before the Brent search, per hinted solve
@@ -623,16 +637,15 @@ def test_hinted_sweep_matches_golden_bitwise(ratio, amplitudes, bracket_runs, mo
     rep = sweep(SweepSpec(regime="subcritical", N=3, p=4.0, q=6.0,
                           grid_min=1e-2 / ratio ** 7, grid_max=1e-2, ratio=ratio))
     assert [pt.amplitude.hex() for pt in rep.points] == amplitudes
-    for old in (SERIES_SWEEPS[ratio], SECOND_ORDER_SWEEPS[ratio]):
+    for old in (FIXED_HINT_SWEEPS[ratio], SERIES_SWEEPS[ratio], SECOND_ORDER_SWEEPS[ratio]):
         assert all(_near(pt.amplitude, pin, ShootControls().amp_tol)
                    for pt, pin in zip(rep.points, old, strict=True))
     for old in (DP45_SWEEPS[ratio], BRENT_SWEEPS[ratio], BISECTION_SWEEPS[ratio],
                 SCIPY_ROOT_SWEEPS[ratio]):
         assert all(_near(pt.amplitude, pin, OLD_SWEEP_TOL[ratio])
                    for pt, pin in zip(rep.points, old, strict=True))
-    # an accepted hint costs its two checks; a rejected one its lower check
-    # (an overshoot), then one shot at each end of the admissible window
-    assert hinted == [bracket_runs] * 7
+    # an accepted hint costs its two checks and no window scan
+    assert hinted == [2] * 7
 
 
 def _assert_accounted(prof, calls, overturned, tight_bracket):
@@ -680,11 +693,11 @@ def test_misread_scan_end_falls_back_to_golden_bitwise(params, amplitude, level_
 
 def test_misread_hint_check_falls_back_to_golden_bitwise(misread_loose_shot, overturned,
                                                          tight_bracket, monkeypatch):
-    # the hinted sweep whose hints are all accepted, with the loose lower
-    # hint check of its first hinted solve misread as an overshoot
+    # the hinted sweep at ratio 1.5, with the loose lower hint check of its
+    # first hinted solve misread as an overshoot
     from gslab import SweepSpec, functionals, sweep
 
-    ratio, amplitudes, _ = HINTED_SWEEPS[0].values
+    ratio, amplitudes = HINTED_SWEEPS[0].values
     hint = [None]   # the bracket hint of the solve running
     calls, misread = misread_loose_shot(lambda a, c: hint[-1] is not None and a == hint[-1][0])
     solves = []   # (profile, its integrate calls)

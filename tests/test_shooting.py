@@ -529,8 +529,9 @@ def test_p_zero_draws_solve_or_raise_a_classified_error():
     # residual above 1e-9.  Before search shots ended where B settles, two
     # N = 5 draws of these 24 returned residuals of 2.4e-7 and 5.4e-7 (runs
     # to r_max = 1e6 read B in integrator noise for N >= 4) and 7 raised
-    # InconsistentSolution; now 22 solve (at most 7.4e-12), and an N = 5 and
-    # an N = 6 draw with p near p* raise it
+    # InconsistentSolution; then 22 solved (at most 7.4e-12), and an N = 5
+    # and an N = 6 draw with p near p* raised it.  Since an algebraic run
+    # reads its class from B before its terminal value, all 24 solve
     import gslab.errors
     from gslab import solve_ground_state
 
@@ -544,18 +545,45 @@ def test_p_zero_draws_solve_or_raise_a_classified_error():
             continue
         assert max(sol.nehari_residual, sol.pokhozhaev_residual) < 1e-9, params
         solved += 1
-    assert solved >= 20
+    assert solved == 24
 
 
-@pytest.mark.parametrize("p, q", [(3.3491403547350806, 8.417875958451788),
-                                  (3.2602295230225344, 8.299038863613408)])
-def test_absurd_algebraic_tail_fit_raises_inconsistent_solution(p, q):
-    # N = 6 with p near p* = 3: the final pass decays like the singular
-    # Emden solution, not like r^-4, and the algebraic tail fitted to it has
-    # a prefactor of e^924 (math.exp overflowed in _fit_tail) or 8e142 (its
-    # L^2 tail overflowed in TailModel.norm_tail): both now raise the
-    # solver's own error
-    from gslab import InconsistentSolution, solve_ground_state
+@pytest.mark.parametrize("p, q, drift", [
+    pytest.param(3.3491403547350806, 8.417875958451788, 3e-3,
+                 id="3.3491403547350806-8.417875958451788"),
+    pytest.param(3.2602295230225344, 8.299038863613408, 8e-3,
+                 id="3.2602295230225344-8.299038863613408"),
+])
+def test_absurd_algebraic_tail_fit_raises_inconsistent_solution(p, q, drift):
+    # N = 6 with p near p* = 3.  While search shots read Converged on both
+    # sides of a*, these draws' final passes decayed like the singular Emden
+    # solution r^(-2/(p-2)), not like r^-4, and the algebraic tail fitted to
+    # them had a prefactor of e^924 (math.exp overflowed in _fit_tail) or
+    # 8e142 (its L^2 tail overflowed in TailModel.norm_tail).  The draws now
+    # solve (test_p_zero_draws_that_read_converged_on_both_sides_solve), so
+    # a synthetic far field just steeper than the singular one stands in:
+    # r^2 u^(p-2) drifts so little that the fit's two columns are nearly
+    # collinear, and its prefactor is e^869 or 2.2e143
+    from gslab import InconsistentSolution
 
+    params = ProblemParams(6, p, q, 0.0, Family.P_ZERO)
+    r = np.geomspace(1.0, 1e6, 200)
+    u = r ** -((2.0 + drift) / (p - 2.0))
+    t = Trajectory(radii=r, values=u, slopes=np.gradient(u, r),
+                   terminal_event=TerminalEvent.REACHED_RMAX, terminal_radius=float(r[-1]))
     with pytest.raises(InconsistentSolution, match="overflows"):
-        solve_ground_state(ProblemParams(6, p, q, 0.0, Family.P_ZERO))
+        shooting._fit_tail(params, t, 1.0).norm_tail(2.0, float(r[-1]))
+
+
+@pytest.mark.parametrize("N, p, q", [(5, 3.422389270243452, 6.840237355186352),
+                                     (6, 3.0611494714759697, 5.671791238016732)])
+def test_p_zero_draws_that_read_converged_on_both_sides_solve(N, p, q):
+    # two P_zero draws with p near p* (1.027 p* and 1.02 p*): search shots
+    # on both sides of a* end with |u| far below convergence_factor * a, and
+    # read as Converged they ended Brent's search 2.5% and 95% off a* with
+    # residuals of 0.11 and 0.12 (InconsistentSolution).  Read from B's sign
+    # they solve, at u(0) = 0.76017 and 0.68666
+    from gslab import solve_ground_state
+
+    sol = solve_ground_state(ProblemParams(N, p, q, 0.0, Family.P_ZERO))
+    assert max(sol.nehari_residual, sol.pokhozhaev_residual) < 1e-9
