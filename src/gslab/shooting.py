@@ -47,7 +47,10 @@ Beyond the grid a profile is its TailModel.  An exponential tail is
 evaluated once, |u| and u' on 16 Gauss panels of 16 nodes with geometric
 edges over [R, R + 30/k] (_FarField), and every tail norm sums those nodes
 through the panel sum of ``emden``; RadialProfile.far_field keeps the set
-of its grid end R.  Algebraic tails have closed forms.
+of its grid end R.  Algebraic tails have closed forms.  The decaying mode
+K_nu(x) e^x of the exponential tails and of the shooting proxy is _kve's:
+an upward recurrence from closed forms or two trapezoid sums, so gslab
+imports no scipy.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import kve
 
 from .emden import _leggauss, _panel_sum
 from .errors import (BracketNotFound, DivergentNormError, InconsistentSolution,
@@ -102,13 +104,137 @@ class ShootControls:
     step: StepControls = field(default_factory=lambda: StepControls(atol=1e-14, rtol=1e-12))
 
 
+def _kve(nu: float, x):
+    """K_nu(x) e^x, the scaled modified Bessel function of the second kind,
+    for nu in {0, 1/2, 1, 3/2, ...} and x > 0: a float for a float x, else
+    an array of x's shape.
+
+    The upward recurrence K_{m+1} = K_{m-1} + (2m/x) K_m, stable upward and
+    unchanged by the e^x scaling, runs from the two lowest orders of nu's
+    family: K_{1/2} e^x = sqrt(pi/2x) and K_{3/2} e^x = sqrt(pi/2x) (1 + 1/x)
+    in closed form, K_0 e^x and K_1 e^x as trapezoid sums.  Floats stay in
+    ``math``: the shooting proxy takes one per shot.
+    """
+    m = nu % 1.0   # the lowest order of nu's family
+    if isinstance(x, float):
+        x, sqrt, kve01 = float(x), math.sqrt, _kve01_float
+    else:
+        x, sqrt, kve01 = np.asarray(x, dtype=float), np.sqrt, _kve01_array
+    if m:
+        k0 = sqrt(0.5 * math.pi / x)
+        k1 = k0 * (1.0 + 1.0 / x)
+    else:
+        k0, k1 = kve01(x)
+    while m + 1.0 < nu:   # (k0, k1) = (K_m, K_{m+1}) e^x
+        m += 1.0
+        k0, k1 = k1, k0 + (2.0 * m / x) * k1
+    return k0 if m == nu else k1
+
+
+# K_0 e^x and K_1 e^x are trapezoid sums at step _KVE_H of one of two
+# integrals.  The t-form, int_0^inf e^(-2x sinh^2(t/2)) (1, cosh t) dt, runs
+# until the exponent passes _KVE_T_CUT: 13 nodes past t = 0 at x = 8, 115 at
+# x = 1e-8, but above x ~ 10 its peak is too narrow for the step.  The
+# s-form (s = sqrt(x) sinh(t/2)),
+# int_0^inf 2 e^(-2 s^2) (1, 1 + 2 s^2/x) (x + s^2)^(-1/2) ds, sums
+# _KVE_S_NODES fixed nodes, the last where e^(-2 s^2) < 1e-16, but below
+# x ~ 1.4 the branch point s = i sqrt(x) comes too near them.  A float takes
+# the t-form below _KVE_T_MAX, where it has fewer nodes; an array takes one
+# form for all of it where one holds (the s-form from _KVE_S_MIN), else the
+# s-form from _KVE_S_MIN and the t-form below.  Both are within 1e-15 of
+# mpmath, and _kve within 1.5e-15 of scipy.special.kve, over x in
+# [1e-8, 1e4] (tests/test_bessel.py).
+_KVE_H = 0.2
+_KVE_S_NODES = 23
+_KVE_S_MIN = 2.0
+_KVE_T_CUT = 45.0
+_KVE_T_MAX = 8.0
+
+
+@functools.cache
+def _kve_s_rule():
+    """The s-form's nodes: (s^2, weight) pairs, and as arrays s^2 and
+    (nodes, 2) of weight and weight * s^2."""
+    s2 = np.square(_KVE_H * np.arange(_KVE_S_NODES))
+    w = 2.0 * _KVE_H * np.exp(-2.0 * s2)
+    w[0] *= 0.5
+    return tuple(zip(s2.tolist(), w.tolist())), s2, np.column_stack([w, w * s2])
+
+
+@functools.cache
+def _kve_t_rule(n: int):
+    """The t-form's first n nodes past t = 0: (sinh^2(t/2), cosh t) pairs,
+    and as arrays sinh^2(t/2) and (n, 2) of 1 and cosh t."""
+    s2 = np.sinh(0.5 * _KVE_H * np.arange(1, n + 1)) ** 2
+    g = 1.0 + 2.0 * s2
+    return tuple(zip(s2.tolist(), g.tolist())), s2, np.column_stack([np.ones(n), g])
+
+
+def _kve_t_nodes(x_min: float) -> tuple[int, int]:
+    """Nodes of the t-form past t = 0 up to its cut at x_min, and the length
+    of the table that holds them: a power of 2, so few tables are built."""
+    n = int(math.asinh(math.sqrt(0.5 * _KVE_T_CUT / x_min)) * 2.0 / _KVE_H) + 1
+    return n, 1 << max(n - 1, 31).bit_length()
+
+
+def _kve01_float(x: float) -> tuple[float, float]:
+    """(K_0(x) e^x, K_1(x) e^x) for a float x > 0."""
+    if x >= _KVE_T_MAX:
+        k0 = k1 = 0.0
+        for s2, w in _kve_s_rule()[0]:
+            c = w / math.sqrt(x + s2)
+            k0 += c
+            k1 += s2 * c
+        return k0, k0 + 2.0 * k1 / x
+    x2 = -2.0 * x
+    k0 = k1 = 0.0
+    for s2, g in _kve_t_rule(_kve_t_nodes(x)[1])[0]:
+        e = x2 * s2
+        if e < -_KVE_T_CUT:
+            break
+        c = math.exp(e)
+        k0 += c
+        k1 += c * g
+    return _KVE_H * (0.5 + k0), _KVE_H * (0.5 + k1)
+
+
+def _kve01_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K_0(x) e^x, K_1(x) e^x) elementwise for an array x > 0."""
+    lo = float(x.min())
+    if lo >= _KVE_S_MIN:
+        return _kve01_s(x)
+    if x.max() < _KVE_T_MAX:
+        return _kve01_t(x, lo)
+    far = x >= _KVE_S_MIN
+    near = ~far
+    k0, k1 = np.empty_like(x), np.empty_like(x)
+    k0[far], k1[far] = _kve01_s(x[far])
+    k0[near], k1[near] = _kve01_t(x[near], lo)
+    return k0, k1
+
+
+def _kve01_s(x: np.ndarray):
+    _, s2, w = _kve_s_rule()
+    k = (1.0 / np.sqrt(x[..., None] + s2)) @ w
+    return k[..., 0], k[..., 0] + 2.0 * k[..., 1] / x
+
+
+def _kve01_t(x: np.ndarray, x_min: float):
+    # nodes past the cut of the smallest x add e^-45 or less at the others
+    n, size = _kve_t_nodes(x_min)
+    _, s2, g = _kve_t_rule(size)
+    k = _KVE_H * (0.5 + np.exp(-2.0 * x[..., None] * s2[:n]) @ g[:n])
+    return k[..., 0], k[..., 1]
+
+
 @dataclass
 class TailModel:
     """Analytic far-field model matched to the numerical profile.
 
     Exponential (rate k > 0): u(r) ~ prefactor * r^(-(N-1)/2) e^(-k r),
     realized through the exact linear-equation mode r^(1-N/2) K_nu(k r)
-    (nu = N/2 - 1), whose asymptotic constant is the stored prefactor.
+    (nu = N/2 - 1, K_nu e^x from _kve), whose asymptotic constant is the
+    stored prefactor.
     Algebraic: u(r) ~ prefactor * r^(-(N-2)).  Both carry a fitted
     first-order correction ``corr`` for the residual nonlinearity.
     """
@@ -131,8 +257,8 @@ class TailModel:
         nu = 0.5 * self.N - 1.0
         cb = self.prefactor * math.sqrt(2.0 * k / math.pi)
         if deriv:   # d/dr [r^-nu K_nu(k r)] = -k r^-nu K_{nu+1}(k r)
-            return -k * cb * r ** -nu * kve(nu + 1.0, k * r) * np.exp(-k * r)
-        return cb * r ** (1.0 - 0.5 * self.N) * kve(nu, k * r) * np.exp(-k * r)
+            return -k * cb * r ** -nu * _kve(nu + 1.0, k * r) * np.exp(-k * r)
+        return cb * r ** (1.0 - 0.5 * self.N) * _kve(nu, k * r) * np.exp(-k * r)
 
     def _one_plus_kr2(self, r):
         k = self.rate_or_power if self.kind == "Exponential" else 0.0
@@ -169,7 +295,7 @@ class TailModel:
         a, b = edges[:-1], edges[1:]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         r = mid[:, None] + half[:, None] * x
-        base = self._base(r)   # one Bessel mode for both (kve twice per node)
+        base = self._base(r)   # one mode for both (_kve twice per node: nu, nu + 1)
         return _FarField(w * r ** (self.N - 1), half, np.abs(self.predict(r, base)),
                          self.slope(r, base))
 
@@ -444,7 +570,8 @@ def _shooting_proxy(params: ProblemParams, t: Trajectory, c: str) -> float:
     prefactor: delta = -u'(R) R^nu x K_nu(x) / k at a zero crossing, and
     delta = -u(R) R^nu x K_{nu+1}(x) at a slope flip.  So
     R(a) ~ R0 - ln|a - a*| / (2k), and the terminal value or slope keeps the
-    estimate honest for shots far from a*.
+    estimate honest for shots far from a*.  K e^x is one float call of _kve
+    per shot, which stays in ``math``.
     """
     if params.is_algebraic():
         return -_far_field_B(params, t)
@@ -454,8 +581,8 @@ def _shooting_proxy(params: ProblemParams, t: Trajectory, c: str) -> float:
     nu = 0.5 * params.N - 1.0
     scale = R ** nu * x * math.exp(-x)
     if c == Classification.OVERSHOOT:
-        return -t.slopes[-1] * scale * kve(nu, x) / k
-    return -t.values[-1] * scale * kve(nu + 1.0, x)
+        return -t.slopes[-1] * scale * _kve(nu, x) / k
+    return -t.values[-1] * scale * _kve(nu + 1.0, x)
 
 
 def _f_root(fun, a: float, b: float) -> float:
@@ -764,7 +891,7 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
         search = _attempt(params, ctrl, window, run, loose_first=False)
 
     profile = _package_profile(params, search.amplitude, search.final, 0.5 * ctrl.amp_tol,
-                               r_max)
+                               ctrl.step.atol)
     profile.bisection_iterations = run.integrations - run.bracket_runs - 1
     profile.bracket = search.bracket
     profile.amp_error = search.error
@@ -963,11 +1090,12 @@ def _tight_bracket(shots, a: float) -> tuple[float, float] | None:
 
 
 def _package_profile(params: ProblemParams, a: float, traj: Trajectory,
-                     width: float, r_max: float) -> RadialProfile:
+                     width: float, atol: float) -> RadialProfile:
     """Truncate the converged trajectory to its reliable range and fit the tail.
 
     ``width`` bounds the relative error of a: half of amp_tol, the stop width
     of the search, so the kept range does not depend on where it stopped.
+    ``atol`` is the absolute step tolerance traj was integrated at.
     """
     u = traj.values
     if params.is_algebraic():
@@ -992,18 +1120,29 @@ def _package_profile(params: ProblemParams, a: float, traj: Trajectory,
             f"converged trajectory has no reliable monotone range (keep={keep})"
         )
     t = traj.truncated(keep)
-    tail = _fit_tail(params, t, a)
+    tail = _fit_tail(params, t, a, atol)
     return RadialProfile(params=params, amplitude=a, grid=t, tail=tail,
                          series=series_coefficients(params, a))
 
 
-def _fit_tail(params: ProblemParams, t: Trajectory, a: float) -> TailModel:
+# An algebraic tail is fitted on [r_end/30, r_end], r_end the last radius
+# where u is at least _ALGEBRAIC_FIT_FLOOR times the step controls' atol:
+# below that u is integrator noise (~1e-18 at r_max = 1e6 for N >= 5), and
+# for N = 3 the window still ends at r_max.  Over 120 P_zero draws the
+# worst mismatch is 1.4e-2 at 1e5, 0.12 at 1e4 (noise) and 3.4e-2 at 1e6
+# (nearer the core, where one correction term misses the tail near p*).
+_ALGEBRAIC_FIT_FLOOR = 1e5
+
+
+def _fit_tail(params: ProblemParams, t: Trajectory, a: float, atol: float) -> TailModel:
     N = params.N
     r, u = t.radii, t.values
     if params.is_algebraic():
-        mask = r >= r.max() / 30.0
+        above = r[u >= _ALGEBRAIC_FIT_FLOOR * atol]   # u decreases on t
+        r_end = above[-1] if len(above) else r[-1]
+        mask = (r >= r_end / 30.0) & (r <= r_end)
         if mask.sum() < 6:
-            mask = r >= r.max() / 100.0
+            mask = (r >= r_end / 100.0) & (r <= r_end)
         psi = r[mask] ** -(N - 2.0)
         g = u[mask] ** (params.p - 2.0) * r[mask] ** 2
         kind, rate = "Algebraic", float(N - 2.0)
@@ -1018,7 +1157,7 @@ def _fit_tail(params: ProblemParams, t: Trajectory, a: float) -> TailModel:
         k = params.decay_rate
         nu = 0.5 * N - 1.0
         rm = r[mask]
-        psi = rm ** (1.0 - 0.5 * N) * kve(nu, k * rm) * np.exp(-k * rm)
+        psi = rm ** (1.0 - 0.5 * N) * _kve(nu, k * rm) * np.exp(-k * rm)
         g = u[mask] ** (params.p - 2.0) * rm**2 / (1.0 + (k * rm) ** 2)
         kind, rate = "Exponential", float(k)
 
@@ -1041,7 +1180,8 @@ def _fit_tail(params: ProblemParams, t: Trajectory, a: float) -> TailModel:
                       match_radius=0.0, N=N, corr=d, corr_pm2=params.p - 2.0)
 
     rw = r[mask]
-    resid = np.abs(model.predict(rw) - u[mask]) / u[mask]
+    # the model's linear mode on the window is the fitted cb * psi
+    resid = np.abs(model.predict(rw, cb * psi) - u[mask]) / u[mask]
     model.mismatch = float(resid.max())
     if kind == "Algebraic":
         target = rw[-1] / 2.0

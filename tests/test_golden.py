@@ -9,8 +9,10 @@ drift still to come, r_max 1e6 without a probe shot) and a final pass that
 needs the last probe to close its bracket began to land past Brent's
 abscissa, on Dormand-Prince 8(5,3) at atol 1e-14 / rtol 1e-12, every shot
 started from the series piece of ``ode`` (the power series in r^2 to
-k = 8, handed off where its first omitted term falls below 1e-16 u(0)).
-Older pins stay asserted at a tolerance: those taken with every P_zero shot
+k = 8, handed off where its first omitted term falls below 1e-16 u(0)),
+with K_nu e^x from ``shooting._kve``.  Older pins stay asserted at a tolerance:
+those taken while K_nu e^x came from scipy.special.kve (SCIPY_KVE_PINS and
+the like), those taken with every P_zero shot
 run to the r_max of a probe shot (SERIES_PINS and the like), those taken
 on the same integrator started from the second-order Taylor piece at
 r0 = 1e-4 sqrt(a/|f(a)|) (SECOND_ORDER_PINS and the like), those from the
@@ -49,7 +51,7 @@ GOLDEN = [
                  "0x1.f0dc838910f40p-1", "0x1.0ba01b5dca20ep+3", "0x1.efa805d663a19p-42",
                  3277, id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "0x1.1597c27ee4ce7p+2", "0x1.d83d9226e4145p+3", "0x1.73697b7cf46f4p-45",
+                 "0x1.1597c27ee4ce0p+2", "0x1.d83d9226e412ep+3", "0x1.7fd47f9dec477p-45",
                  1639, id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
                  "0x1.0b612fe40a280p+2", "0x1.eb9fac3de8d8bp+3", "0x1.e39420825eb58p-45",
@@ -75,6 +77,23 @@ SERIES_PINS = {
 }
 SERIES_TOL = {"amplitude": 1e-12, "level_S": 1e-11, "norm_lp": 1e-11, "norm_dir": 1e-10,
               "read_side": 1e-11}
+
+# The pins taken while K_nu e^x came from scipy.special.kve, for the golden
+# solve whose amplitude _kve moved: (amplitude, level_S, grid.norm_lp[-1],
+# grid.norm_dir[-1], radial_norm(prof, p), dirichlet_norm(prof)).  R_zero's
+# proxy reads K_{1/2} e^x and K_{3/2} e^x in closed form, an ulp or two from
+# scipy's, and its amplitude moved by 7 ulp (1.4e-15, held at amp_tol), its
+# level by 2.8e-15 (1e-14), norm_lp[-1] by 1.9e-15 (1e-14), the read-side
+# norms by 1.2e-14 (2e-14), and norm_dir[-1], which moves with the grid end
+# of the final pass (7.071131 -> 7.071059), by 1.1e-10 (2e-10); its Nehari
+# residual went 4.1e-14 -> 4.3e-14.  The other three golden solves are
+# bitwise.
+SCIPY_KVE_PINS = {
+    Family.R_ZERO: ("0x1.1597c27ee4ce7p+2", "0x1.d83d9226e4145p+3", "0x1.80f8bd8d21634p+2",
+                    "0x1.20ba7fe21cd99p+2", "0x1.2e5b244e332e8p+6", "0x1.c588b66f87297p+5"),
+}
+SCIPY_KVE_TOL = {"amplitude": 1e-12, "level_S": 1e-14, "norm_lp": 1e-14, "norm_dir": 2e-10,
+                 "read_side": 2e-14}
 
 # The pins taken on DOP853 while every shot started from the second-order
 # Taylor piece at r0 = 1e-4 sqrt(a/|f(a)|): (amplitude, level_S,
@@ -122,7 +141,7 @@ PANELS = [
                  "0x1.ecb726ff2badbp+1", "0x1.ecb6aeeba2333p+0", 13537,
                  id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "0x1.80f8bd8d21634p+2", "0x1.20ba7fe21cd99p+2", 5539,
+                 "0x1.80f8bd8d21627p+2", "0x1.20ba7fe1957c5p+2", 5539,
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
                  "0x1.cc15a8904b17ap+2", "0x1.32afa4255ad9dp+2", 5752,
@@ -190,6 +209,10 @@ def test_solve_matches_golden_bitwise(params, amplitude, level_S, nehari, rhs_ev
     assert sol.level_S.hex() == level_S
     assert sol.nehari_residual.hex() == nehari
     assert sol.profile.grid.rhs_evals == rhs_evals
+    if params.family in SCIPY_KVE_PINS:
+        old_amplitude, old_level_S = SCIPY_KVE_PINS[params.family][:2]
+        assert _near(sol.amplitude, old_amplitude, SCIPY_KVE_TOL["amplitude"])
+        assert _near(sol.level_S, old_level_S, SCIPY_KVE_TOL["level_S"])
     if params.family in SERIES_PINS:
         old_amplitude, old_level_S = SERIES_PINS[params.family][:2]
         assert _near(sol.amplitude, old_amplitude, SERIES_TOL["amplitude"])
@@ -210,6 +233,10 @@ def test_panels_match_golden_bitwise(params, norm_lp, norm_dir, rhs_evals):
     assert float(prof.grid.norm_lp[-1]).hex() == norm_lp
     assert float(prof.grid.norm_dir[-1]).hex() == norm_dir
     assert prof.rhs_evals == rhs_evals
+    if params.family in SCIPY_KVE_PINS:
+        old_lp, old_dir = SCIPY_KVE_PINS[params.family][2:4]
+        assert _near(float(prof.grid.norm_lp[-1]), old_lp, SCIPY_KVE_TOL["norm_lp"])
+        assert _near(float(prof.grid.norm_dir[-1]), old_dir, SCIPY_KVE_TOL["norm_dir"])
     if params.family in SERIES_PINS:
         old_lp, old_dir = SERIES_PINS[params.family][2:4]
         assert _near(float(prof.grid.norm_lp[-1]), old_lp, SERIES_TOL["norm_lp"])
@@ -230,7 +257,7 @@ ARRAYS = [
                  "5aae158c62ce9e336d5f2d0506796b7359bd5e98f740c71c55d8827b0eca1dc1",
                  id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "f2cfc4927fdae25bea428aafa2ec723058a6996e1e8eae095daa2bb04b818dbd",
+                 "1ace07cd6c3ca5377b70d0dc82365f4164154ac1f5e11cd7f6b50061014e7f80",
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
                  "7c3f2359a17c046d96f3843fdb87e21420cb7a83f778cf316f8338a6d5fea72d",
@@ -275,36 +302,50 @@ def test_forced_loose_probes_fall_back_to_golden_bitwise(params, amplitude, leve
 # the start became the series piece (the truncation moved by a grid point).
 # The exponential tail pieces were re-pinned again when the far field moved
 # to 16 x 16 Gauss nodes on geometric panels; norm totals did not move.
-# P_eps and P_zero were re-pinned with SERIES_PINS.
+# P_eps and P_zero were re-pinned with SERIES_PINS, and the three
+# exponential tails again with SCIPY_KVE_PINS.
 READ_SIDE = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
                  "0x1.69cad497c3bfep+4", "0x1.07a0f219303d7p+4",
-                 "0x1.df3f399f9ab62p-10", "0x1.4fa5830a22b80p-19",
+                 "0x1.df3f399f9ab63p-10", "0x1.4fa5830a22b81p-19",
                  id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
                  "0x1.82fa511c6b7d4p+5", "0x1.82fa51266a3b2p+4",
                  None, "0x1.e04e1cd0fe236p-18",
                  id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "0x1.2e5b244e332e8p+6", "0x1.c588b66f87297p+5",
-                 "0x1.643709a3ed59ep-19", "0x1.c8f786f075bb4p-19",
+                 "0x1.2e5b244e332a7p+6", "0x1.c588b66f87276p+5",
+                 "0x1.6444062560801p-19", "0x1.c908723e288bap-19",
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
                  "0x1.69597fb5a859fp+6", "0x1.e1bde1ffa7304p+5",
-                 "0x1.590bc738dec8ep-19", "0x1.b89ef560fa2b4p-19",
+                 "0x1.590bc738dec93p-19", "0x1.b89ef560fa2b7p-19",
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
 # The exponential tail pieces (norm_tail(2.0, R), dirichlet_tail(R)) of the
 # 16 x 32 Gauss rule on squared-linspace panels over [R, R + 60/decay]; the
 # geometric panels moved them by at most 8.9e-16, so they hold at 2e-15 (on
-# the profile they were taken on: P_eps's at its SERIES_PINS amplitude).
+# the profile they were taken on: P_eps's at its SERIES_PINS amplitude,
+# R_zero's at its SCIPY_KVE_PINS one).
 SQUARED_LINSPACE_TAIL_PINS = {
     Family.P_EPS: ("0x1.df3c6037453a3p-10", "0x1.4fa3778c776e1p-19"),
     Family.R_ZERO: ("0x1.643709a3ed5a3p-19", "0x1.c8f786f075bbbp-19"),
     Family.R_EPS: ("0x1.590bc738dec8cp-19", "0x1.b89ef560fa2afp-19"),
 }
 SQUARED_LINSPACE_TAIL_TOL = 2e-15
+
+# The exponential tail pieces (norm_tail(2.0, R), dirichlet_tail(R)) while
+# K_nu e^x came from scipy.special.kve.  On the profile they were taken on
+# (R_zero's at its SCIPY_KVE_PINS amplitude: today's grid ends at another
+# radius, which moved its pieces by 1.5e-4) _kve moved them by at most
+# 8.9e-16, so they hold at 2e-15.
+SCIPY_KVE_TAIL_PINS = {
+    Family.P_EPS: ("0x1.df3f399f9ab62p-10", "0x1.4fa5830a22b80p-19"),
+    Family.R_ZERO: ("0x1.643709a3ed59ep-19", "0x1.c8f786f075bb4p-19"),
+    Family.R_EPS: ("0x1.590bc738dec8ep-19", "0x1.b89ef560fa2b4p-19"),
+}
+SCIPY_KVE_TAIL_TOL = 2e-15
 
 
 def _profile_at(params, amplitude):
@@ -319,7 +360,7 @@ def _profile_at(params, amplitude):
     a = float.fromhex(amplitude)
     r_max = shooting._default_r_max(params, ctrl)
     t = shooting.integrate(params, a, r_max, replace(ctrl.step, with_quadrature=True))
-    return shooting._package_profile(params, a, t, 0.5 * ctrl.amp_tol, r_max)
+    return shooting._package_profile(params, a, t, 0.5 * ctrl.amp_tol, ctrl.step.atol)
 
 
 @pytest.mark.parametrize("params, norm_p, dirichlet, tail_l2, tail_dir", READ_SIDE)
@@ -336,10 +377,21 @@ def test_read_side_norms_match_golden_bitwise(params, norm_p, dirichlet, tail_l2
     else:
         assert float(prof.tail.norm_tail(2.0, R)).hex() == tail_l2
     assert float(prof.tail.dirichlet_tail(R)).hex() == tail_dir
+    if params.family in SCIPY_KVE_TAIL_PINS:
+        old_l2, old_dir = SCIPY_KVE_TAIL_PINS[params.family]
+        old = (_profile_at(params, SCIPY_KVE_PINS[params.family][0])
+               if params.family in SCIPY_KVE_PINS else prof)
+        R_old = float(old.grid.radii[-1])
+        assert _near(old.tail.norm_tail(2.0, R_old), old_l2, SCIPY_KVE_TAIL_TOL)
+        assert _near(old.tail.dirichlet_tail(R_old), old_dir, SCIPY_KVE_TAIL_TOL)
+    if params.family in SCIPY_KVE_PINS:
+        old_norm_p, old_dirichlet = SCIPY_KVE_PINS[params.family][4:]
+        assert _near(radial_norm(prof, params.p), old_norm_p, SCIPY_KVE_TOL["read_side"])
+        assert _near(dirichlet_norm(prof), old_dirichlet, SCIPY_KVE_TOL["read_side"])
     if params.family in SQUARED_LINSPACE_TAIL_PINS:
         old_l2, old_dir = SQUARED_LINSPACE_TAIL_PINS[params.family]
-        old = (_profile_at(params, SERIES_PINS[params.family][0])
-               if params.family in SERIES_PINS else prof)
+        pinned = {**SCIPY_KVE_PINS, **SERIES_PINS}.get(params.family)
+        old = prof if pinned is None else _profile_at(params, pinned[0])
         R_old = float(old.grid.radii[-1])
         assert _near(old.tail.norm_tail(2.0, R_old), old_l2, SQUARED_LINSPACE_TAIL_TOL)
         assert _near(old.tail.dirichlet_tail(R_old), old_dir, SQUARED_LINSPACE_TAIL_TOL)
@@ -441,7 +493,10 @@ SCIPY_ROOTS = {
 }
 
 # The amplitudes of the solves fed those roots.  P_zero and R_zero land on
-# the golden bits, P_eps 2.0e-15 and R_eps 1.3e-15 from them.  Before the
+# the golden bits, P_eps 2.0e-15 and R_eps 1.3e-15 from them.  R_zero's,
+# whose roots are in closed form, is its golden solve, and while K_nu e^x
+# came from scipy.special.kve it landed on SCIPY_KVE_PINS' amplitude, 7 ulp
+# from today's (held at amp_tol).  Before the
 # P_zero settled stop and the final pass past Brent's abscissa
 # (SERIES_SCIPY_ROOT_AMPLITUDES) P_eps landed 1.0e-13 and P_zero 2.2e-13
 # from today's, so they hold at amp_tol.  From the second-order start (SECOND_ORDER_SCIPY_ROOT_AMPLITUDES) they landed within
@@ -452,7 +507,7 @@ SCIPY_ROOTS = {
 SCIPY_ROOT_AMPLITUDES = {
     Family.P_EPS: "0x1.bb150da6eea95p-1",
     Family.P_ZERO: "0x1.f0dc838910f40p-1",
-    Family.R_ZERO: "0x1.1597c27ee4ce7p+2",
+    Family.R_ZERO: "0x1.1597c27ee4ce0p+2",
     Family.R_EPS: "0x1.0b612fe40a280p+2",
 }
 SERIES_SCIPY_ROOT_AMPLITUDES = {
@@ -494,6 +549,8 @@ def test_scipy_roots_give_the_old_amplitudes_bitwise(params, monkeypatch):
     # amplitude bit for bit, and within the DP45 tolerance of the DP45 one
     prof = _solve_on_scipy_roots(params, monkeypatch).profile
     assert prof.amplitude.hex() == SCIPY_ROOT_AMPLITUDES[params.family]
+    if params.family in SCIPY_KVE_PINS:
+        assert _near(prof.amplitude, SCIPY_KVE_PINS[params.family][0], ShootControls().amp_tol)
     if params.family in SERIES_SCIPY_ROOT_AMPLITUDES:
         assert _near(prof.amplitude, SERIES_SCIPY_ROOT_AMPLITUDES[params.family],
                      ShootControls().amp_tol)
@@ -520,13 +577,24 @@ def test_emden_constants_match_golden_bitwise(N, s_star, qs):
 # amplitude its predecessors predict (asymptotics._amplitude_hint), and
 # every hint is accepted: the solve pays its two checks, no window scan.
 HINTED_SWEEPS = [
-    pytest.param(1.5, ["0x1.abceb30676db7p-2", "0x1.61b612d4392cbp-2", "0x1.23389d170b7b7p-2",
-                       "0x1.de34e92e7b740p-3", "0x1.87e5ff49740acp-3", "0x1.40c58b6cc65f8p-3",
-                       "0x1.0656a7d2cfe5fp-3", "0x1.acdd7475b9f2bp-4"], id="ratio-1.5"),
-    pytest.param(2.0, ["0x1.abceb30676db7p-2", "0x1.343e8a906ada1p-2", "0x1.b805a14578833p-3",
-                       "0x1.389957fbbc3c7p-3", "0x1.bb1d3ef7c7dacp-4", "0x1.39b1d0f2c8bb2p-4",
-                       "0x1.bbe3c7e9042f0p-5", "0x1.39f80bd8215c1p-5"], id="ratio-2"),
+    pytest.param(1.5, ["0x1.abceb30676db7p-2", "0x1.61b612d4392c3p-2", "0x1.23389d170b7b6p-2",
+                       "0x1.de34e92e7b740p-3", "0x1.87e5ff49740b3p-3", "0x1.40c58b6cc65fap-3",
+                       "0x1.0656a7d2cfe63p-3", "0x1.acdd7475b9f27p-4"], id="ratio-1.5"),
+    pytest.param(2.0, ["0x1.abceb30676db7p-2", "0x1.343e8a906ada1p-2", "0x1.b805a14578831p-3",
+                       "0x1.389957fbbc3d1p-3", "0x1.bb1d3ef7c7dafp-4", "0x1.39b1d0f2c8bb2p-4",
+                       "0x1.bbe3c7e9042e4p-5", "0x1.39f80bd8215c1p-5"], id="ratio-2"),
 ]
+
+# The same sweeps pinned while K_nu e^x came from scipy.special.kve: _kve
+# moved ten amplitudes, by 1.8e-15 at most, so they hold at amp_tol
+SCIPY_KVE_SWEEPS = {
+    1.5: ["0x1.abceb30676db7p-2", "0x1.61b612d4392cbp-2", "0x1.23389d170b7b7p-2",
+          "0x1.de34e92e7b740p-3", "0x1.87e5ff49740acp-3", "0x1.40c58b6cc65f8p-3",
+          "0x1.0656a7d2cfe5fp-3", "0x1.acdd7475b9f2bp-4"],
+    2.0: ["0x1.abceb30676db7p-2", "0x1.343e8a906ada1p-2", "0x1.b805a14578833p-3",
+          "0x1.389957fbbc3c7p-3", "0x1.bb1d3ef7c7dacp-4", "0x1.39b1d0f2c8bb2p-4",
+          "0x1.bbe3c7e9042f0p-5", "0x1.39f80bd8215c1p-5"],
+}
 
 # The same sweeps pinned while every hint was (0.75 a, 1.3 a) around the
 # previous amplitude: all accepted at ratio 1.5, all rejected at ratio 2
@@ -637,7 +705,8 @@ def test_hinted_sweep_matches_golden_bitwise(ratio, amplitudes, monkeypatch):
     rep = sweep(SweepSpec(regime="subcritical", N=3, p=4.0, q=6.0,
                           grid_min=1e-2 / ratio ** 7, grid_max=1e-2, ratio=ratio))
     assert [pt.amplitude.hex() for pt in rep.points] == amplitudes
-    for old in (FIXED_HINT_SWEEPS[ratio], SERIES_SWEEPS[ratio], SECOND_ORDER_SWEEPS[ratio]):
+    for old in (SCIPY_KVE_SWEEPS[ratio], FIXED_HINT_SWEEPS[ratio], SERIES_SWEEPS[ratio],
+                SECOND_ORDER_SWEEPS[ratio]):
         assert all(_near(pt.amplitude, pin, ShootControls().amp_tol)
                    for pt, pin in zip(rep.points, old, strict=True))
     for old in (DP45_SWEEPS[ratio], BRENT_SWEEPS[ratio], BISECTION_SWEEPS[ratio],

@@ -135,8 +135,8 @@ def test_exp_tail_within_1e12_of_fine_reference(params):
 def test_tail_model_is_evaluated_once_per_profile(monkeypatch):
     # analyze's four tail terms, radial_norm and dirichlet_norm all sum the
     # one far-field set of the profile: one predict and one slope call, which
-    # share the Bessel mode, so the far field evaluates kve twice per node
-    # (the mode and its derivative)
+    # share the Bessel mode, so the far field evaluates shooting._kve twice
+    # per node (K_nu for the mode, K_{nu+1} for its derivative)
     prof = find_ground_state(GOLDEN[0].values[0])
     calls = {"predict": 0, "slope": 0, "_base": 0}
     for name in calls:

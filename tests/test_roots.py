@@ -2,23 +2,19 @@
 
 gslab finds every root with Brent's steps through ``_bracket_root`` (f's
 roots by ``_f_root``, at a relative width of 1e-15), so importing it leaves
-scipy.optimize unimported.  scipy's brentq, which f's roots came from before
+scipy.optimize unimported (test_bessel.py checks that no scipy module is
+loaded).  scipy's brentq, which f's roots came from before
 (retried in log u where it did not converge in u), is the oracle: the roots
 must agree within 5e-15 relative, and the same inputs must raise, gslab's
 with its own InternalConsistencyError.
 """
 
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from scipy.optimize import brentq
 
-import gslab
 from gslab import (BracketNotFound, Family, InconsistentSolution, InternalConsistencyError,
                    ProblemParams, epsilon_star)
 from gslab import shooting
@@ -150,14 +146,6 @@ def test_brentq_edge_cases_match_scipy(monkeypatch):
     monkeypatch.setattr(shooting, "_zeroin", creeping)
     with pytest.raises(InternalConsistencyError, match="not found in 200 steps"):
         shooting._f_root(cubic, 1.0, 3.0)
-
-
-def test_cli_import_leaves_scipy_optimize_out():
-    code = "import sys, gslab.cli; sys.exit('scipy.optimize' in sys.modules)"
-    src = str(Path(gslab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_f_positive_roots_raise_only_bracket_not_found():

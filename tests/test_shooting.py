@@ -563,7 +563,8 @@ def test_absurd_algebraic_tail_fit_raises_inconsistent_solution(p, q, drift):
     # solve (test_p_zero_draws_that_read_converged_on_both_sides_solve), so
     # a synthetic far field just steeper than the singular one stands in:
     # r^2 u^(p-2) drifts so little that the fit's two columns are nearly
-    # collinear, and its prefactor is e^869 or 2.2e143
+    # collinear, and its prefactor is e^869 or 3.0e142 (2.2e143 while the
+    # window ran to r_max; the second far field falls below 1e5 atol first)
     from gslab import InconsistentSolution
 
     params = ProblemParams(6, p, q, 0.0, Family.P_ZERO)
@@ -572,7 +573,7 @@ def test_absurd_algebraic_tail_fit_raises_inconsistent_solution(p, q, drift):
     t = Trajectory(radii=r, values=u, slopes=np.gradient(u, r),
                    terminal_event=TerminalEvent.REACHED_RMAX, terminal_radius=float(r[-1]))
     with pytest.raises(InconsistentSolution, match="overflows"):
-        shooting._fit_tail(params, t, 1.0).norm_tail(2.0, float(r[-1]))
+        shooting._fit_tail(params, t, 1.0, ShootControls().step.atol).norm_tail(2.0, float(r[-1]))
 
 
 @pytest.mark.parametrize("N, p, q", [(5, 3.422389270243452, 6.840237355186352),
