@@ -6,8 +6,12 @@ rescaling v_eps(x) = lambda^((N-2)/2) w_eps(lambda x), which converges to
 the Sobolev minimizer W_1; it and the minimizer frame are both
 functionals.scale_profile.  The ball mass reads the |w|^p mass the solve
 co-integrated on its grid, and Brent's method (shooting._bracket_root)
-finds lambda inside the grid panel that holds it.  The W_1 distances run on
-the profile's own Gauss panels (functionals._grid_quad).  Sweeps solve a
+finds lambda inside the grid panel that holds it, evaluating that panel's
+cubic Hermite (or the series piece) at each probe.  The W_1 distances run
+on the profile's own Gauss panels (functionals._grid_quad) and past the
+grid on tan panels (emden.radial_quad); both distances are the two rows of
+one stack there, so W_1 and the tail's linear mode are evaluated once per
+node set.  Sweeps solve a
 geometric grid of eps (or delta) values, collect the regime's observables,
 and confront fitted log-log slopes with the predicted exponents; a fit
 carries the log(1/eps) factor where predict_exponents gives one.
@@ -30,9 +34,9 @@ from .errors import (
     InternalConsistencyError,
     NotInAsymptoticRegime,
 )
-from .ode import IntegrationFailure
+from .ode import IntegrationFailure, series_piece
 from .params import Family, ProblemParams, critical_exponent, sphere_area
-from .shooting import RadialProfile, ShootControls, _bracket_root
+from .shooting import RadialProfile, ShootControls, _bracket_root, _hermite
 
 __all__ = [
     "concentration_lambda",
@@ -54,9 +58,10 @@ def concentration_lambda(w, Qstar: float | None = None) -> float:
     The grid panel that holds the root, and the mass below it, come from the
     co-integrated mass omega * grid.norm_lp (the one analyze's L^p norm and
     the identities read, scaled exactly by scale_profile); inside that panel
-    the mass is a 24-point Gauss sum of the profile (its Hermite
-    reconstruction, or the series piece below the first grid radius), and
-    _bracket_root closes the panel to a relative width of 1e-13.
+    the mass is a 24-point Gauss sum of that panel's cubic Hermite
+    (shooting._hermite on its end points; the series piece below the first
+    grid radius), and _bracket_root closes the panel to a relative width of
+    1e-13.
     """
     if isinstance(w, EmdenFowlerProfile):
         return _emden_concentration(w, Qstar)
@@ -81,13 +86,23 @@ def concentration_lambda(w, Qstar: float | None = None) -> float:
     start = 0.0 if idx == 0 else float(rg[idx - 1])
     f_start = (0.0 if idx == 0 else float(cum[idx - 1])) - Qstar
     x, gw = _leggauss(24)
+    if idx == 0:
+        def piece(rr):
+            return series_piece(w.series, rr)[0]
+    else:   # the cubic Hermite of the one grid panel [start, rg[idx]]
+        h = rg[idx] - rg[idx - 1]
+        ug, vg = w.grid.values, w.grid.slopes
+        ends = (ug[idx - 1], ug[idx], vg[idx - 1], vg[idx])
+
+        def piece(rr):
+            return _hermite((rr - start) / h, h, *ends, deriv=False)
 
     def excess(r: float) -> float:
         """Mass of B_r minus Q*: the panel's own mass up to r plus f_start,
         so it keeps its precision where the panel adds little mass."""
         mid, half = 0.5 * (start + r), 0.5 * (r - start)
         rr = mid + half * x
-        return f_start + omega * half * float(np.sum(gw * np.abs(w.value(rr)) ** p
+        return f_start + omega * half * float(np.sum(gw * np.abs(piece(rr)) ** p
                                                      * rr ** (N - 1)))
 
     if idx == 0:
@@ -137,21 +152,35 @@ def rescale_to_v(w: RadialProfile, lam: float) -> RadialProfile:
 
 
 def profile_distances(v: RadialProfile, ref: EmdenFowlerProfile) -> tuple[float, float]:
-    """(||grad(v - ref)||_2, ||v - ref||_p) on v's Gauss panels plus ref tails."""
+    """(||grad(v - ref)||_2, ||v - ref||_p) on v's Gauss panels plus ref tails.
+
+    Both integrands are rows of one stack on each node set: v's grid panels
+    and series nodes (functionals._grid_quad), then the tan panels past the
+    grid (emden.radial_quad), where v is its tail model.  ref's value and
+    slope and the tail's linear mode are evaluated once per node set.
+    """
     N = v.params.N
     p = v.params.p
     omega = sphere_area(N)
-    d1_sq = fn._grid_quad(v, lambda r, u, du: (du - ref.slope(r)) ** 2)
-    lp = fn._grid_quad(v, lambda r, u, du: np.abs(u - ref.value(r)) ** p)
+
+    def gaps(r, u, du):
+        return np.stack(((du - ref.slope(r)) ** 2, np.abs(u - ref.value(r)) ** p))
+
+    d1_sq, lp = fn._grid_quad(v, gaps)
     # beyond the grid: v is exponentially small, ref keeps algebraic mass
     R = float(v.grid.radii[-1])
-    from .emden import radial_quad
+    from .emden import radial_quad   # at call time: a wrapper on emden.radial_quad sees it
+
+    tail = v.tail
+
+    def tail_gaps(r):
+        base = tail._base(r)
+        return gaps(r, tail.predict(r, base), tail.slope(r, base))
 
     scale = math.sqrt(N * (N - 2.0)) * ref.lam / ref._stretch()
-    d1_sq += radial_quad(lambda r: (ref.slope(r) - v.tail.slope(r)) ** 2, N,
-                         r_lo=R, scale=max(scale, R / 10.0))
-    lp += radial_quad(lambda r: np.abs(ref.value(r) - v.tail.predict(r)) ** p, N,
-                      r_lo=R, scale=max(scale, R / 10.0))
+    d1_far, lp_far = radial_quad(tail_gaps, N, r_lo=R, scale=max(scale, R / 10.0))
+    d1_sq += d1_far
+    lp += lp_far
     return math.sqrt(omega * d1_sq), (omega * lp) ** (1.0 / p)
 
 

@@ -77,13 +77,18 @@ def _panel_quad(g, N: int, edges, nodes: int, node_map):
     ``node_map(t) -> (r, jac)`` takes the (panels x nodes) array of t to
     radii and dr/dt.  Every panel runs in one numpy pass; the panel totals
     are added in panel order, so the sum is the same, bit for bit, as one
-    Gauss sum per panel accumulated in a loop.
+    Gauss sum per panel accumulated in a loop.  A ``g`` that returns a stack
+    of rows (shape (k, panels, nodes)) gets a list of k sums, each the bits
+    of its row's integrand summed alone.
     """
     x, w = _leggauss(nodes)
     a, b = edges[:-1], edges[1:]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     r, jac = node_map(mid[:, None] + half[:, None] * x)
-    return _panel_sum(w * g(r) * r ** (N - 1) * jac, half)
+    terms = w * g(r) * r ** (N - 1) * jac
+    if terms.ndim == 2:
+        return _panel_sum(terms, half)
+    return [_panel_sum(row, half) for row in terms]
 
 
 def _panel_sum(terms, half) -> float:
@@ -100,13 +105,14 @@ def radial_quad(g, N: int, r_lo: float = 0.0, r_hi: float = math.inf,
     """int_{r_lo}^{r_hi} g(r) r^(N-1) dr via r = scale*tan(theta) panels.
 
     The substitution maps [0, inf) to [0, pi/2) and turns algebraic tails
-    into smooth integrands; `g` must accept numpy arrays of any shape.
+    into smooth integrands; `g` must accept numpy arrays of any shape.  It
+    may return a stack of k rows (shape (k,) + r.shape), several integrands
+    on one node set: the result is then a list of k integrals (_panel_quad).
+    An empty range has no panels, and each integral is 0.0.
     """
     th_lo = math.atan2(r_lo, scale)
     th_hi = math.pi / 2.0 if math.isinf(r_hi) else math.atan2(r_hi, scale)
-    if th_hi <= th_lo:
-        return 0.0
-    edges = np.linspace(th_lo, th_hi, panels + 1)
+    edges = np.linspace(th_lo, th_hi, panels + 1) if th_hi > th_lo else np.array([th_lo])
     return _panel_quad(g, N, edges, nodes,
                        lambda th: (scale * np.tan(th), scale / np.cos(th) ** 2))
 

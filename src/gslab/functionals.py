@@ -15,6 +15,7 @@ transform amp*u(lam y) that asymptotics.rescale_to_v uses too.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -23,7 +24,7 @@ import numpy as np
 from .emden import EmdenFowlerProfile
 from .errors import InconsistentSolution
 from .params import ProblemParams, sphere_area
-from .shooting import RadialProfile, ShootControls, find_ground_state
+from .shooting import RadialProfile, ShootControls, _FarField, find_ground_state
 
 __all__ = [
     "GroundStateSolution",
@@ -83,14 +84,22 @@ class GroundStateSolution:
         return frame
 
 
-def _grid_quad(prof: RadialProfile, integrand) -> float:
-    """Gauss panels on the stored grid using cubic Hermite reconstruction."""
+def _grid_quad(prof: RadialProfile, integrand):
+    """Gauss panels on the stored grid using cubic Hermite reconstruction.
+
+    ``integrand(r, u, u')`` may return a stack of k rows (shape (k,) +
+    r.shape), several integrands on one node set: the result is then a list
+    of k integrals, each summed from its own row alone, so it has the bits
+    of that integrand passed by itself.
+    """
     N = prof.params.N
     pan = prof.panels
     vals = integrand(pan.r, pan.u, pan.du) * pan.r ** (N - 1)
-    inner = float(np.sum(vals * pan.w[None, :] * pan.h[:, None]))
-    inner += float(np.sum(pan.w_series * integrand(pan.r_series, pan.u_series, pan.du_series)))
-    return inner
+    bulk = vals * pan.w[None, :] * pan.h[:, None]
+    series = pan.w_series * integrand(pan.r_series, pan.u_series, pan.du_series)
+    if bulk.ndim == 2:
+        return float(np.sum(bulk)) + float(np.sum(series))
+    return [float(np.sum(b)) + float(np.sum(s)) for b, s in zip(bulk, series)]
 
 
 def radial_norm(profile, s: float) -> float:
@@ -170,6 +179,7 @@ def _norm_factors(params: ProblemParams, amp: float,
 def scale_profile(prof: RadialProfile, amp: float, lam_sq: float) -> RadialProfile:
     """amp * u(lam y), lam = sqrt(lam_sq): grid, norm arrays, series piece and
     tail reparameterized exactly, every other field (the counters) carried.
+    The copy's exponential far field is prof's, scaled on its first read.
 
     The scale enters squared so that both callers keep their bits: the
     minimizer frame passes S, so each factor is the power of S it always
@@ -194,9 +204,24 @@ def scale_profile(prof: RadialProfile, amp: float, lam_sq: float) -> RadialProfi
         match_radius=tail.match_radius / lam,
         corr=tail.corr * (amp ** -tail.corr_pm2 * lam_sq),
     )
-    return replace(prof, amplitude=prof.amplitude * amp, grid=grid, tail=new_tail,
-                   series=tuple(amp * c * lam_sq ** k for k, c in enumerate(prof.series)),
-                   r_max_used=prof.r_max_used / lam)
+    out = replace(prof, amplitude=prof.amplitude * amp, grid=grid, tail=new_tail,
+                  series=tuple(amp * c * lam_sq ** k for k, c in enumerate(prof.series)),
+                  r_max_used=prof.r_max_used / lam)
+    out._far_field_from = functools.partial(_scaled_far_field, prof, amp, lam)
+    return out
+
+
+def _scaled_far_field(prof: RadialProfile, amp: float, lam: float) -> _FarField:
+    """prof's far field as scale_profile(prof, amp, lam ** 2) has it.
+
+    The copy's set is prof's divided by lam: its grid end is R / lam and its
+    rate k lam, so the geometric edges R ((R + 30/k) / R)^t become the same
+    edges over lam.  The weights r^(N-1) gain lam^(1-N), the half-widths
+    1/lam, |u| amp and u' amp lam; the arrays match a fresh build to ulps.
+    """
+    far = prof.far_field
+    return _FarField(far.wr * lam ** (1.0 - prof.params.N), far.half / lam,
+                     far.u * abs(amp), far.du * (amp * lam))
 
 
 def to_minimizer_frame(u: RadialProfile, S: float) -> RadialProfile:

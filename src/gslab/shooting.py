@@ -47,7 +47,10 @@ Beyond the grid a profile is its TailModel.  An exponential tail is
 evaluated once, |u| and u' on 16 Gauss panels of 16 nodes with geometric
 edges over [R, R + 30/k] (_FarField), and every tail norm sums those nodes
 through the panel sum of ``emden``; RadialProfile.far_field keeps the set
-of its grid end R.  Algebraic tails have closed forms.  The decaying mode
+of its grid end R, made on first read.  A profile rescaled by
+functionals.scale_profile scales its source's set, the same nodes over the
+scale, and does not evaluate the model again.  Algebraic tails have closed
+forms.  The decaying mode
 K_nu(x) e^x of the exponential tails and of the shooting proxy is _kve's:
 an upward recurrence from closed forms or two trapezoid sums, so gslab
 imports no scipy.
@@ -59,7 +62,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -397,6 +400,10 @@ class RadialProfile:
     # the search's own measured relative error (of a resolution stop, else 0.0);
     # the integrator's error is not in it
     amp_error: float = 0.0
+    # a rescaled copy's far field from its source's (functionals.scale_profile
+    # sets it); replace() starts without it
+    _far_field_from: Callable[[], _FarField] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.grid
@@ -426,9 +433,13 @@ class RadialProfile:
     @functools.cached_property
     def far_field(self) -> _FarField | None:
         """The exponential tail model on its Gauss panels past the grid end
-        (None for an algebraic tail); built once (replace() does not copy it)."""
+        (None for an algebraic tail), made once, on first read: a rescaled
+        copy scales its source's, any other profile builds its own
+        (replace() copies neither the set nor the source)."""
         if self.tail.kind != "Exponential":
             return None
+        if self._far_field_from is not None:
+            return self._far_field_from()
         return self.tail.far_field(float(self.grid.radii[-1]))
 
     def norm_tail(self, s: float) -> float:

@@ -19,10 +19,10 @@ import math
 import numpy as np
 import pytest
 
-from gslab import Family, ProblemParams, concentration_lambda, solve_ground_state
+from gslab import Family, ProblemParams, asymptotics, concentration_lambda, solve_ground_state
 from gslab.emden import _leggauss, q_star
 from gslab.params import sphere_area
-from gslab.shooting import RadialProfile, _hermite_eval
+from gslab.shooting import _hermite_eval
 
 
 def _lambda_loop(w, Qstar, visits=None):
@@ -83,15 +83,18 @@ def frames():
 
 @pytest.fixture
 def mass_evaluations(monkeypatch):
-    """Count the profile evaluations (one per ball mass) of a call."""
+    """Count the panel evaluations (one per ball mass) of a call: the cubic
+    Hermite of the grid panel that holds the root, or the series piece when
+    the root lies below the first grid radius."""
     calls = []
-    real = RadialProfile.value
+    for name in ("_hermite", "series_piece"):
+        real = getattr(asymptotics, name)
 
-    def counted(self, r):
-        calls.append(r)
-        return real(self, r)
+        def counted(*args, real=real, **kw):
+            calls.append(args)
+            return real(*args, **kw)
 
-    monkeypatch.setattr(RadialProfile, "value", counted)
+        monkeypatch.setattr(asymptotics, name, counted)
     return calls
 
 

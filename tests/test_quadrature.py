@@ -5,7 +5,9 @@ and the exponential far field against a fine reference rule.
 numpy pass.  The loops below are the reference: one numpy pass per panel,
 accumulated in panel order.  Both quadratures built on it (the far field of
 ``shooting.TailModel`` and ``emden.radial_quad``) must return the loop's
-value bit for bit, with the same type.
+value bit for bit, with the same type.  ``radial_quad`` and
+``functionals._grid_quad`` also take a stack of integrands and return one
+sum per row, each with the bits of its integrand passed alone.
 """
 
 import math
@@ -15,7 +17,7 @@ import pytest
 
 from gslab import EmdenFowlerProfile, Family, ProblemParams, find_ground_state, solve_ground_state
 from gslab.emden import _leggauss, eval_U, eval_U_slope, radial_quad, sobolev_constant
-from gslab.functionals import analyze, dirichlet_norm, radial_norm
+from gslab.functionals import _grid_quad, analyze, dirichlet_norm, radial_norm
 from gslab.shooting import TailModel
 
 
@@ -185,9 +187,49 @@ def test_radial_quad_on_profile_distance_integrand_matches_loop(params, profiles
           _radial_quad_loop(g, params.N, r_lo=R, scale=scale))
 
 
+@pytest.mark.parametrize("params", [GOLDEN[0], GOLDEN[3]])
+def test_radial_quad_stacked_rows_match_loop_bitwise(params, profiles):
+    # profile_distances' two integrands past the grid as the rows of one
+    # stack, the tail's linear mode shared: each row has the loop's bits of
+    # its integrand alone
+    prof = profiles(params)
+    tail, R, N, p = prof.tail, float(prof.grid.radii[-1]), params.N, params.p
+    ref = EmdenFowlerProfile(N, 1.0, "W")
+    scale = max(math.sqrt(N * (N - 2.0)) / ref._stretch(), R / 10.0)
+
+    def rows(r):
+        base = tail._base(r)
+        return np.stack(((tail.slope(r, base) - ref.slope(r)) ** 2,
+                         np.abs(tail.predict(r, base) - ref.value(r)) ** p))
+
+    got = radial_quad(rows, N, r_lo=R, scale=scale)
+    assert len(got) == 2
+    _same(got[0], _radial_quad_loop(lambda r: (ref.slope(r) - tail.slope(r)) ** 2, N,
+                                    r_lo=R, scale=scale))
+    _same(got[1], _radial_quad_loop(lambda r: np.abs(ref.value(r) - tail.predict(r)) ** p, N,
+                                    r_lo=R, scale=scale))
+
+
+@pytest.mark.parametrize("params", GOLDEN)
+def test_grid_quad_stacked_rows_match_single_rows_bitwise(params, profiles):
+    # a stack of integrands on the grid's Gauss panels and series nodes gives,
+    # row by row, the bits of each integrand passed alone
+    prof = profiles(params)
+    p = params.p
+    singles = [lambda r, u, du: du * du, lambda r, u, du: np.abs(u) ** p]
+    got = _grid_quad(prof, lambda r, u, du: np.stack([g(r, u, du) for g in singles]))
+    assert len(got) == 2
+    for row, g in zip(got, singles):
+        _same(row, _grid_quad(prof, g))
+
+
 @pytest.mark.parametrize("r_lo, r_hi", [(2.0, 1.0), (2.0, 2.0)])
 def test_radial_quad_empty_range_is_zero(r_lo, r_hi):
     g = lambda r: eval_U(3, 1.0, r) ** 6
     got = radial_quad(g, 3, r_lo=r_lo, r_hi=r_hi)
     _same(got, _radial_quad_loop(g, 3, r_lo=r_lo, r_hi=r_hi))
     assert got == 0.0
+    stacked = radial_quad(lambda r: np.stack((g(r), g(r))), 3, r_lo=r_lo, r_hi=r_hi)
+    for row in stacked:
+        _same(row, got)
+    assert len(stacked) == 2
