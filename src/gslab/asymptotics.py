@@ -43,6 +43,7 @@ __all__ = [
     "rescale_to_v",
     "profile_distances",
     "predict_exponents",
+    "REGIMES",
     "fit_exponent",
     "FitResult",
     "SweepSpec",
@@ -61,7 +62,8 @@ def concentration_lambda(w, Qstar: float | None = None) -> float:
     the mass is a 24-point Gauss sum of that panel's cubic Hermite
     (shooting._hermite on its end points; the series piece below the first
     grid radius), and _bracket_root closes the panel to a relative width of
-    1e-13.
+    1e-13.  The tail past the grid is read only when the grid mass falls
+    short of Q*, to tell which NotInAsymptoticRegime to raise.
     """
     if isinstance(w, EmdenFowlerProfile):
         return _emden_concentration(w, Qstar)
@@ -71,16 +73,14 @@ def concentration_lambda(w, Qstar: float | None = None) -> float:
         Qstar = q_star(N)
     omega = sphere_area(N)
     cum = omega * w.grid.norm_lp   # cum[i]: the co-integrated mass of B_{rg[i]}
-    total = float(cum[-1]) + omega * w.norm_tail(p)
-    if total <= Qstar:
-        raise NotInAsymptoticRegime(
-            f"total |w|^p mass {total:.6g} <= Q* = {Qstar:.6g}; eps too large "
-            "for the concentration rescaling"
-        )
     if cum[-1] < Qstar:
-        raise NotInAsymptoticRegime(
-            "concentration radius lies beyond the stored grid"
-        )
+        total = float(cum[-1]) + omega * w.norm_tail(p)
+        if total <= Qstar:
+            raise NotInAsymptoticRegime(
+                f"total |w|^p mass {total:.6g} <= Q* = {Qstar:.6g}; eps too large "
+                "for the concentration rescaling"
+            )
+        raise NotInAsymptoticRegime("concentration radius lies beyond the stored grid")
     idx = int(np.searchsorted(cum, Qstar))
     rg = w.grid.radii
     start = 0.0 if idx == 0 else float(rg[idx - 1])
@@ -177,8 +177,7 @@ def profile_distances(v: RadialProfile, ref: EmdenFowlerProfile) -> tuple[float,
         base = tail._base(r)
         return gaps(r, tail.predict(r, base), tail.slope(r, base))
 
-    scale = math.sqrt(N * (N - 2.0)) * ref.lam / ref._stretch()
-    d1_far, lp_far = radial_quad(tail_gaps, N, r_lo=R, scale=max(scale, R / 10.0))
+    d1_far, lp_far = radial_quad(tail_gaps, N, r_lo=R, scale=max(ref.tan_scale(), R / 10.0))
     d1_sq += d1_far
     lp += lp_far
     return math.sqrt(omega * d1_sq), (omega * lp) ** (1.0 / p)
@@ -186,8 +185,8 @@ def profile_distances(v: RadialProfile, ref: EmdenFowlerProfile) -> tuple[float,
 
 # --- exponent predictions -------------------------------------------------
 
-_REGIMES = ("subcritical", "critical", "supercritical",
-            "delta_supercritical", "p_up_subcritical")
+REGIMES = ("subcritical", "critical", "supercritical",
+           "delta_supercritical", "p_up_subcritical")
 
 
 def predict_exponents(regime: str, N: int, p: float, q: float) -> dict[str, tuple[float, float]]:
@@ -201,7 +200,7 @@ def predict_exponents(regime: str, N: int, p: float, q: float) -> dict[str, tupl
     p_up_subcritical (x = delta = p* - p): R_zero amplitude blow-up.
     """
     ps = critical_exponent(N)
-    if regime not in _REGIMES:
+    if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if regime == "critical":
         if abs(p - ps) > 1e-9 * ps:

@@ -16,13 +16,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .asymptotics import SweepSpec, sweep
+from .asymptotics import REGIMES, SweepSpec, sweep
 from .emden import EmdenFowlerProfile, q_star, sobolev_constant
 from .errors import BracketNotFound, InconsistentSolution, InternalConsistencyError
 from .ode import IntegrationFailure
 from .functionals import constraint_value, kappa_identities, solve_ground_state
 from .params import Family, InvalidParams, ProblemParams, critical_exponent
 from .records import (
+    FIT_OBSERVABLES,
     ResultRecord,
     cache_key,
     cache_load,
@@ -33,7 +34,7 @@ from .records import (
     serialize,
     sweep_csv,
 )
-from .shooting import ShootControls
+from .shooting import _CONVERGENCE_FACTOR, ShootControls
 
 # What one solve can raise besides argument errors; `solve` and `check` report
 # these as "solve failed" with exit code 1.
@@ -95,9 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="run an ε- or δ-sweep and fit exponents")
     common(sp, with_eps=False)
-    sp.add_argument("--regime", required=False,
-                    choices=["subcritical", "critical", "supercritical",
-                             "delta_supercritical", "p_up_subcritical"])
+    sp.add_argument("--regime", required=False, choices=REGIMES)
     sp.add_argument("--eps-min", type=float, help="smallest grid value")
     sp.add_argument("--eps-max", type=float, help="largest grid value")
     sp.add_argument("--ratio", type=float, help="geometric grid ratio (1, 4]")
@@ -109,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fit", help="re-fit a saved sweep record")
     sp.add_argument("--in", dest="infile", type=Path, help="the sweep record (required)")
-    sp.add_argument("--observable", default="amplitude",
-                    choices=["amplitude", "lambda", "sigma", "S"])
+    sp.add_argument("--observable", default="amplitude", choices=FIT_OBSERVABLES)
     sp.add_argument("--with-log", action="store_true")
 
     sp = sub.add_parser("check", help="run an identity suite, exit 1 on breach")
@@ -215,7 +213,7 @@ def _solve_config(params: ProblemParams, ctrl: ShootControls) -> dict:
         "rtol": ctrl.step.rtol,
         "atol": ctrl.step.atol,
         "r_max": ctrl.r_max,
-        "convergence_factor": ctrl.convergence_factor,
+        "convergence_factor": _CONVERGENCE_FACTOR,
     }
 
 

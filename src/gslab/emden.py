@@ -12,11 +12,11 @@ profiles are the analytic oracle for the critical regime: everything here
 is evaluated in closed form, with norms computed by a tan-substitution
 Gauss quadrature that resolves the algebraic tail exactly.
 
-The Gauss panel kernel behind it (``_panel_quad``) maps the panel nodes to
-radii and sums every panel in one numpy pass (``_panel_sum``, the panel
-totals added in panel order).  That sum is the package's one panel sum:
-``shooting`` evaluates an exponential far field once on its own geometric
-Gauss panels (TailModel.far_field) and sums every tail norm with it too.
+``radial_quad`` evaluates every tan panel in one numpy pass and adds the
+panel totals in panel order (``_panel_sum``).  That sum is the package's
+one panel sum: ``shooting`` evaluates an exponential far field once on its
+own geometric Gauss panels (TailModel.far_field) and sums every tail norm
+with it too.
 """
 
 from __future__ import annotations
@@ -70,27 +70,6 @@ def _leggauss(n: int):
     return x, w
 
 
-def _panel_quad(g, N: int, edges, nodes: int, node_map):
-    """sum_i half_i * sum_j w_j g(r_ij) r_ij^(N-1) jac_ij over Gauss panels.
-
-    The panels are [edges[i], edges[i+1]] in the node variable t, and
-    ``node_map(t) -> (r, jac)`` takes the (panels x nodes) array of t to
-    radii and dr/dt.  Every panel runs in one numpy pass; the panel totals
-    are added in panel order, so the sum is the same, bit for bit, as one
-    Gauss sum per panel accumulated in a loop.  A ``g`` that returns a stack
-    of rows (shape (k, panels, nodes)) gets a list of k sums, each the bits
-    of its row's integrand summed alone.
-    """
-    x, w = _leggauss(nodes)
-    a, b = edges[:-1], edges[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    r, jac = node_map(mid[:, None] + half[:, None] * x)
-    terms = w * g(r) * r ** (N - 1) * jac
-    if terms.ndim == 2:
-        return _panel_sum(terms, half)
-    return [_panel_sum(row, half) for row in terms]
-
-
 def _panel_sum(terms, half) -> float:
     """sum_i half_i * sum_j terms_ij: each panel's (weighted) node terms
     summed in one numpy pass, the panel totals added in panel order."""
@@ -107,14 +86,24 @@ def radial_quad(g, N: int, r_lo: float = 0.0, r_hi: float = math.inf,
     The substitution maps [0, inf) to [0, pi/2) and turns algebraic tails
     into smooth integrands; `g` must accept numpy arrays of any shape.  It
     may return a stack of k rows (shape (k,) + r.shape), several integrands
-    on one node set: the result is then a list of k integrals (_panel_quad).
+    on one node set: the result is then a list of k integrals, each the bits
+    of its row's integrand summed alone.  Every panel runs in one numpy
+    pass, and the panel totals are added in panel order, so each sum is the
+    same, bit for bit, as one Gauss sum per panel accumulated in a loop.
     An empty range has no panels, and each integral is 0.0.
     """
     th_lo = math.atan2(r_lo, scale)
     th_hi = math.pi / 2.0 if math.isinf(r_hi) else math.atan2(r_hi, scale)
     edges = np.linspace(th_lo, th_hi, panels + 1) if th_hi > th_lo else np.array([th_lo])
-    return _panel_quad(g, N, edges, nodes,
-                       lambda th: (scale * np.tan(th), scale / np.cos(th) ** 2))
+    x, w = _leggauss(nodes)
+    a, b = edges[:-1], edges[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    th = mid[:, None] + half[:, None] * x
+    r = scale * np.tan(th)
+    terms = w * g(r) * r ** (N - 1) * (scale / np.cos(th) ** 2)
+    if terms.ndim == 2:
+        return _panel_sum(terms, half)
+    return [_panel_sum(row, half) for row in terms]
 
 
 @lru_cache(maxsize=32)
@@ -181,6 +170,11 @@ class EmdenFowlerProfile:
     def _stretch(self) -> float:
         return math.sqrt(sobolev_constant(self.N)) if self.frame == "W" else 1.0
 
+    def tan_scale(self) -> float:
+        """sqrt(N(N-2)) lam / stretch: the radius where the profile turns from
+        its core to its algebraic tail, the scale of radial_quad's panels."""
+        return math.sqrt(self.N * (self.N - 2.0)) * self.lam / self._stretch()
+
     def value(self, r):
         return eval_U(self.N, self.lam, np.asarray(r, dtype=float) * self._stretch())
 
@@ -198,15 +192,11 @@ class EmdenFowlerProfile:
                 f"s*(N-2) = {s * (self.N - 2.0):g} <= N = {self.N}: "
                 f"the algebraic tail makes the L^{s:g} norm diverge"
             )
-        k = self._stretch()
-        c = math.sqrt(self.N * (self.N - 2.0)) * self.lam / k
         mass = radial_quad(lambda r: np.abs(self.value(r)) ** s, self.N,
-                           r_hi=r_hi, scale=c)
+                           r_hi=r_hi, scale=self.tan_scale())
         return sphere_area(self.N) * mass
 
     def dirichlet_sq(self) -> float:
         """||grad profile||_2^2; equals S*^{N/2} in U frame, S* in W frame."""
-        k = self._stretch()
-        c = math.sqrt(self.N * (self.N - 2.0)) * self.lam / k
-        mass = radial_quad(lambda r: self.slope(r) ** 2, self.N, scale=c)
+        mass = radial_quad(lambda r: self.slope(r) ** 2, self.N, scale=self.tan_scale())
         return sphere_area(self.N) * mass

@@ -15,16 +15,15 @@ transform amp*u(lam y) that asymptotics.rescale_to_v uses too.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .emden import EmdenFowlerProfile
-from .errors import InconsistentSolution
+from .errors import DivergentNormError, InconsistentSolution
 from .params import ProblemParams, sphere_area
-from .shooting import RadialProfile, ShootControls, _FarField, find_ground_state
+from .shooting import RadialProfile, ShootControls, find_ground_state
 
 __all__ = [
     "GroundStateSolution",
@@ -127,10 +126,10 @@ def _norms_from_trajectory(prof: RadialProfile) -> tuple[float, float, float, fl
     """(L2^2, Lp^p, Lq^q, dirichlet^2) from co-integrated panels plus tail."""
     t = prof.grid
     omega = sphere_area(prof.params.N)
-    l2 = math.inf
-    # an algebraic tail r^-(N-2) carries finite L^2 mass only for N > 4
-    if prof.tail.kind == "Exponential" or 2.0 * (prof.params.N - 2.0) > prof.params.N:
+    try:
         l2 = omega * (float(t.norm_l2[-1]) + prof.norm_tail(2.0))
+    except DivergentNormError:   # an algebraic tail r^-(N-2) with N <= 4
+        l2 = math.inf
     lp = omega * (float(t.norm_lp[-1]) + prof.norm_tail(prof.params.p))
     lq = omega * (float(t.norm_lq[-1]) + prof.norm_tail(prof.params.q))
     dir_sq = omega * (float(t.norm_dir[-1]) + prof.dirichlet_tail())
@@ -179,7 +178,7 @@ def _norm_factors(params: ProblemParams, amp: float,
 def scale_profile(prof: RadialProfile, amp: float, lam_sq: float) -> RadialProfile:
     """amp * u(lam y), lam = sqrt(lam_sq): grid, norm arrays, series piece and
     tail reparameterized exactly, every other field (the counters) carried.
-    The copy's exponential far field is prof's, scaled on its first read.
+    The copy builds its own far field if a tail norm reads it.
 
     The scale enters squared so that both callers keep their bits: the
     minimizer frame passes S, so each factor is the power of S it always
@@ -204,24 +203,9 @@ def scale_profile(prof: RadialProfile, amp: float, lam_sq: float) -> RadialProfi
         match_radius=tail.match_radius / lam,
         corr=tail.corr * (amp ** -tail.corr_pm2 * lam_sq),
     )
-    out = replace(prof, amplitude=prof.amplitude * amp, grid=grid, tail=new_tail,
-                  series=tuple(amp * c * lam_sq ** k for k, c in enumerate(prof.series)),
-                  r_max_used=prof.r_max_used / lam)
-    out._far_field_from = functools.partial(_scaled_far_field, prof, amp, lam)
-    return out
-
-
-def _scaled_far_field(prof: RadialProfile, amp: float, lam: float) -> _FarField:
-    """prof's far field as scale_profile(prof, amp, lam ** 2) has it.
-
-    The copy's set is prof's divided by lam: its grid end is R / lam and its
-    rate k lam, so the geometric edges R ((R + 30/k) / R)^t become the same
-    edges over lam.  The weights r^(N-1) gain lam^(1-N), the half-widths
-    1/lam, |u| amp and u' amp lam; the arrays match a fresh build to ulps.
-    """
-    far = prof.far_field
-    return _FarField(far.wr * lam ** (1.0 - prof.params.N), far.half / lam,
-                     far.u * abs(amp), far.du * (amp * lam))
+    return replace(prof, amplitude=prof.amplitude * amp, grid=grid, tail=new_tail,
+                   series=tuple(amp * c * lam_sq ** k for k, c in enumerate(prof.series)),
+                   r_max_used=prof.r_max_used / lam)
 
 
 def to_minimizer_frame(u: RadialProfile, S: float) -> RadialProfile:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
@@ -75,14 +75,13 @@ class StepControls:
 
     atol: float = 1e-10
     rtol: float = 1e-8
-    event_tol: float = 1e-10      # event radius refinement, relative to max(1, r)
     min_step: float = 1e-13       # failure threshold, relative to max(1, r)
     max_steps: int = 5_000_000
     underflow_factor: float = 1e-14   # floor = underflow_factor * amplitude
     with_quadrature: bool = False
 
-    def halved(self) -> "StepControls":
-        return replace(self, atol=0.5 * self.atol, rtol=0.5 * self.rtol)
+
+_EVENT_TOL = 1e-10   # an event radius is refined to this, relative to max(1, r)
 
 
 @dataclass
@@ -516,7 +515,6 @@ def integrate(
     a: float,
     r_max: float,
     tol: StepControls = StepControls(),
-    r0: float | None = None,
 ) -> Trajectory:
     """Shoot outward from amplitude a until the first terminal event.
 
@@ -524,18 +522,15 @@ def integrate(
     negative to positive while u > 0 (SlopeSignFlip), r reaches r_max
     (ReachedRmax), or u drops below the underflow floor while still
     decreasing (Underflow).  The terminal radius is refined on the dense
-    output to tol.event_tol relative accuracy.  An algebraic run without
+    output to _EVENT_TOL relative accuracy.  An algebraic run without
     quadrature also ends as ReachedRmax where B has settled (_SETTLE_G).
     With tol.with_quadrature the grid also holds _SUB - 1 interior points of
     every step, and the norm arrays are filled.
     """
+    if not r_max > 0.0:
+        raise ValueError(f"r_max must be positive, got {r_max}")
     coeffs = series_coefficients(params, a)
-    if r0 is None:
-        r0 = default_handoff_radius(coeffs, r_max)
-    if r0 <= 0.0:
-        raise ValueError(f"hand-off radius must be positive, got {r0}")
-    if r_max <= r0:
-        raise ValueError(f"r_max={r_max} must exceed the hand-off radius {r0}")
+    r0 = default_handoff_radius(coeffs, r_max)   # below r_max
 
     # Everything the step loop reads is a local.  The RHS
     #   u'' = u (lin - |u|^(p-2) + qc |u|^(q-2)) - N1 / r * u'
@@ -723,7 +718,7 @@ def integrate(
                 [k1, k6, k7, k8, k9, k10, k11, k12, k13, 0.0, 0.0, 0.0])
             nfev += 3
             i, level = refine
-            etol = tol.event_tol * max(1.0, r_new)
+            etol = _EVENT_TOL * max(1.0, r_new)
             r_event = _bisect_event(r, h, (u, v)[i], (fu, fv)[i], level, r, r_new, etol)
             end = u_new, v_new
             x = (r_event - r) / h

@@ -23,17 +23,22 @@ from .asymptotics import ScalingReport, SweepPoint, fit_data, fit_exponent, fit_
 
 SCHEMA_VERSION = "1"
 
-CSV_COLUMNS = (
-    "eps",
-    "amplitude",
-    "S",
-    "sigma",
-    "lambda",
-    "dist_D1",
-    "nehari_res",
-    "pokh_res",
-    "converged_flag",
+# The sweep grid's columns, in CSV order, and the SweepPoint attribute each
+# one holds: sweep_rows writes them, refit_record reads them back.
+# converged_flag holds the converged bool as 1 or 0.
+_GRID_FIELDS = (
+    ("eps", "x"),
+    ("amplitude", "amplitude"),
+    ("S", "S"),
+    ("sigma", "sigma"),
+    ("lambda", "lam"),
+    ("dist_D1", "dist_D1"),
+    ("nehari_res", "nehari_res"),
+    ("pokh_res", "pokh_res"),
+    ("converged_flag", "converged"),
 )
+CSV_COLUMNS = tuple(col for col, _ in _GRID_FIELDS)
+FIT_OBSERVABLES = CSV_COLUMNS[1:5]   # amplitude, S, sigma, lambda: the ones refit_record fits
 
 
 class ParseError(ValueError):
@@ -120,20 +125,8 @@ def _fmt(x: float | None) -> str:
 
 
 def sweep_rows(report: ScalingReport) -> list[dict]:
-    rows = []
-    for pt in report.points:
-        rows.append({
-            "eps": pt.x,
-            "amplitude": pt.amplitude,
-            "S": pt.S,
-            "sigma": pt.sigma,
-            "lambda": pt.lam,
-            "dist_D1": pt.dist_D1,
-            "nehari_res": pt.nehari_res,
-            "pokh_res": pt.pokh_res,
-            "converged_flag": 1 if pt.converged else 0,
-        })
-    return rows
+    return [{col: int(pt.converged) if attr == "converged" else getattr(pt, attr)
+             for col, attr in _GRID_FIELDS} for pt in report.points]
 
 
 def sweep_csv(report: ScalingReport) -> str:
@@ -185,23 +178,19 @@ def refit_record(record: ResultRecord, observable: str = "amplitude",
     with the record's fit window), so with the sweep's with_log it gives the
     sweep's exponent exactly.
     """
-    attr = {"amplitude": "amplitude", "lambda": "lam", "S": "S",
-            "sigma": "sigma"}.get(observable)
-    if attr is None:
+    if observable not in FIT_OBSERVABLES:
         raise ParseError(f"unknown observable {observable!r}")
+    attrs = dict(_GRID_FIELDS)
 
-    def num(v) -> float:
+    def value(attr: str, v):
+        if attr == "converged":
+            return bool(v)
         return math.nan if v is None else float(v)
 
-    points = [
-        SweepPoint(x=row["eps"], converged=bool(row["converged_flag"]),
-                   amplitude=num(row["amplitude"]), S=num(row["S"]),
-                   sigma=num(row["sigma"]), lam=num(row["lambda"]),
-                   nehari_res=num(row["nehari_res"]), pokh_res=num(row["pokh_res"]))
-        for row in record.payload["grid"]
-    ]
+    points = [SweepPoint(**{attr: value(attr, row[col]) for col, attr in _GRID_FIELDS})
+              for row in record.payload["grid"]]
     window = fit_points(points, record.payload.get("fit_window"))
-    fit = fit_exponent(fit_data(window, attr), with_log=with_log)
+    fit = fit_exponent(fit_data(window, attrs[observable]), with_log=with_log)
     return {
         "observable": observable,
         "with_log": with_log,

@@ -47,10 +47,8 @@ Beyond the grid a profile is its TailModel.  An exponential tail is
 evaluated once, |u| and u' on 16 Gauss panels of 16 nodes with geometric
 edges over [R, R + 30/k] (_FarField), and every tail norm sums those nodes
 through the panel sum of ``emden``; RadialProfile.far_field keeps the set
-of its grid end R, made on first read.  A profile rescaled by
-functionals.scale_profile scales its source's set, the same nodes over the
-scale, and does not evaluate the model again.  Algebraic tails have closed
-forms.  The decaying mode
+of its grid end R, made on first read, rescaled copies included.  Algebraic
+tails have closed forms.  The decaying mode
 K_nu(x) e^x of the exponential tails and of the shooting proxy is _kve's:
 an upward recurrence from closed forms or two trapezoid sums, so gslab
 imports no scipy.
@@ -62,7 +60,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,11 +98,13 @@ class ShootControls:
     """
 
     amp_tol: float = 1e-12           # the final pass verifies u(0) to amp_tol/2, relative
-    max_iter: int = 200              # Brent probes per attempt
     bracket_hint: tuple[float, float] | None = None
     r_max: float | None = None
-    convergence_factor: float = 1e-8   # terminal value below this * amplitude => converged
     step: StepControls = field(default_factory=lambda: StepControls(atol=1e-14, rtol=1e-12))
+
+
+_MAX_PROBES = 200             # Brent probes per attempt of the amplitude search
+_CONVERGENCE_FACTOR = 1e-8    # an exponential run that reaches r_max below this * a is Converged
 
 
 def _kve(nu: float, x):
@@ -203,7 +203,7 @@ def _kve01_float(x: float) -> tuple[float, float]:
 
 def _kve01_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(K_0(x) e^x, K_1(x) e^x) elementwise for an array x > 0."""
-    lo = float(x.min())
+    lo = float(x.min(initial=_KVE_S_MIN))   # an empty x takes the s-form
     if lo >= _KVE_S_MIN:
         return _kve01_s(x)
     if x.max() < _KVE_T_MAX:
@@ -400,10 +400,6 @@ class RadialProfile:
     # the search's own measured relative error (of a resolution stop, else 0.0);
     # the integrator's error is not in it
     amp_error: float = 0.0
-    # a rescaled copy's far field from its source's (functionals.scale_profile
-    # sets it); replace() starts without it
-    _far_field_from: Callable[[], _FarField] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.grid
@@ -433,13 +429,10 @@ class RadialProfile:
     @functools.cached_property
     def far_field(self) -> _FarField | None:
         """The exponential tail model on its Gauss panels past the grid end
-        (None for an algebraic tail), made once, on first read: a rescaled
-        copy scales its source's, any other profile builds its own
-        (replace() copies neither the set nor the source)."""
+        (None for an algebraic tail), made once, on first read (replace()
+        does not copy it)."""
         if self.tail.kind != "Exponential":
             return None
-        if self._far_field_from is not None:
-            return self._far_field_from()
         return self.tail.far_field(float(self.grid.radii[-1]))
 
     def norm_tail(self, s: float) -> float:
@@ -534,13 +527,8 @@ def _far_field_B(params: ProblemParams, t: Trajectory) -> float:
     return b
 
 
-def classify(
-    t: Trajectory,
-    params: ProblemParams | None = None,
-    amplitude: float | None = None,
-    convergence_factor: float = 1e-8,
-) -> str:
-    """Map a terminated trajectory to the shooting dichotomy."""
+def classify(t: Trajectory, params: ProblemParams, amplitude: float) -> str:
+    """Map a trajectory shot from u(0) = amplitude to the shooting dichotomy."""
     ev = t.terminal_event
     if ev is TerminalEvent.ZERO_CROSSING:
         return Classification.OVERSHOOT
@@ -548,22 +536,18 @@ def classify(
         return Classification.UNDERSHOOT
     if ev is TerminalEvent.UNDERFLOW:
         return Classification.CONVERGED
-    # ReachedRmax.  An algebraic run reads B's sign first: for N >= 5 near p*
-    # shots on both sides of a* end with |u| far below convergence_factor * a
-    if params is not None and params.is_algebraic():
+    # ReachedRmax.  An algebraic run reads B's sign: for N >= 5 near p* shots
+    # on both sides of a* end with |u| far below _CONVERGENCE_FACTOR * a
+    if params.is_algebraic():
         b = _far_field_B(params, t)
         return Classification.UNDERSHOOT if b > 0.0 else Classification.OVERSHOOT
-    ref = amplitude if amplitude is not None else abs(t.values[0])
-    if abs(t.values[-1]) < convergence_factor * ref:
+    if abs(t.values[-1]) < _CONVERGENCE_FACTOR * amplitude:
         return Classification.CONVERGED
-    if params is not None:
-        # exponential family that ran out of window: compare the local decay
-        # rate against the true one; slower decay means the positive growing
-        # mode (undershoot side) is taking over
-        k = params.decay_rate
-        local = -t.slopes[-1] / t.values[-1]
-        return Classification.UNDERSHOOT if local < 0.999 * k else Classification.CONVERGED
-    return Classification.CONVERGED
+    # an exponential run out of window: compare the local decay rate against
+    # the true one; slower decay means the positive growing mode (undershoot
+    # side) is taking over
+    slow = -t.slopes[-1] / t.values[-1] < 0.999 * params.decay_rate
+    return Classification.UNDERSHOOT if slow else Classification.CONVERGED
 
 
 def _shooting_proxy(params: ProblemParams, t: Trajectory, c: str) -> float:
@@ -651,12 +635,7 @@ def _f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
         hi *= 2.0
     m2 = _f_root(g, u_peak, hi)
     if params.F(m2) <= 0.0:
-        extra = ""
-        if params.family is Family.P_EPS:
-            extra = f"; eps = {params.eps:g} >= eps* = {epsilon_star(p, q):g}"
-        raise BracketNotFound(
-            f"potential F has no positive zero below the largest root of f{extra}"
-        )
+        raise BracketNotFound("potential F has no positive zero below the largest root of f")
     u_f0 = _f_root(params.F, m1, m2)
     return u_f0, m2
 
@@ -948,7 +927,7 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
         if loose:
             try:
                 t = run(a, loose=True)
-                c = classify(t, params, a, ctrl.convergence_factor)
+                c = classify(t, params, a)
                 loose = c != Classification.CONVERGED
             except IntegrationFailure:
                 loose = False
@@ -956,7 +935,7 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
                 raise BracketNotFound(f"a loose shot read the class of {a:g} below its atol")
         if not loose:
             t = run(a, quad=quad)
-            c = classify(t, params, a, ctrl.convergence_factor)
+            c = classify(t, params, a)
         if quad:
             final = a, t
         # Brent reads the proxy's magnitude under the class's sign (near p = 2
@@ -1062,10 +1041,10 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
         return 0.0 if shoot(x, loose) == Classification.CONVERGED else shots[x][1]
 
     lo, hi, probes = _bracket_root(probe, lo, shots[lo][1], hi, shots[hi][1],
-                                   ctrl.amp_tol, ctrl.max_iter)
-    if probes >= ctrl.max_iter:
+                                   ctrl.amp_tol, _MAX_PROBES)
+    if probes >= _MAX_PROBES:
         warnings.warn(
-            f"amplitude search hit the {ctrl.max_iter}-probe cap at "
+            f"amplitude search hit the {_MAX_PROBES}-probe cap at "
             f"width {hi / lo - 1.0:.3g}",
             RuntimeWarning,
         )

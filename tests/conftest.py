@@ -130,8 +130,8 @@ def misread_loose_shot(monkeypatch):
             calls[-1][2] = t.rhs_evals
             return t
 
-        def classify(t, params=None, amplitude=None, convergence_factor=1e-8):
-            c = real_classify(t, params, amplitude, convergence_factor)
+        def classify(t, params, amplitude):
+            c = real_classify(t, params, amplitude)
             if (not misread and c in other and calls[-1][1] == "loose"
                     and pick(amplitude, c)):
                 misread.append(amplitude)

@@ -10,7 +10,7 @@ radius, RHS evaluations); norms are not co-integrated.
 import math
 
 from gslab import TerminalEvent
-from gslab.ode import default_handoff_radius, series_coefficients, series_piece
+from gslab.ode import _EVENT_TOL, default_handoff_radius, series_coefficients, series_piece
 
 C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
 A = (
@@ -108,7 +108,7 @@ def integrate(params, a, r_max, tol):
 
             lo, hi = r, r_new
             flo = fn(*dense(lo))
-            while hi - lo > tol.event_tol * max(1.0, r_new):
+            while hi - lo > _EVENT_TOL * max(1.0, r_new):
                 mid = 0.5 * (lo + hi)
                 if (flo <= 0.0) == (fn(*dense(mid)) <= 0.0):
                     lo = mid

@@ -16,6 +16,7 @@ from gslab import (
     radial_norm,
     dirichlet_norm,
     rescale_to_v,
+    sphere_area,
     sweep,
 )
 from gslab.asymptotics import profile_distances
@@ -48,6 +49,19 @@ def test_concentration_error_when_mass_too_small(identity_solutions):
     total = radial_norm(w, w.params.p)
     with pytest.raises(NotInAsymptoticRegime):
         concentration_lambda(w, Qstar=total * 1.01)
+
+
+def test_concentration_error_when_radius_is_past_the_grid(identity_solutions):
+    # Q* above the grid's co-integrated mass but below the total with the
+    # tail: the radius lies past the stored grid
+    sol = identity_solutions[(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)]
+    w = sol.rescaled_to_frame().profile
+    omega = sphere_area(5)
+    grid = omega * float(w.grid.norm_lp[-1])
+    Qstar = grid + 0.5 * omega * w.norm_tail(w.params.p)
+    assert grid < Qstar
+    with pytest.raises(NotInAsymptoticRegime, match="beyond the stored grid"):
+        concentration_lambda(w, Qstar=Qstar)
 
 
 def test_rescale_identity():

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import gslab
-from gslab.shooting import _kve
+from gslab.shooting import TailModel, _kve
 
 ORDERS = sorted({N / 2.0 + d for N in range(3, 13) for d in (-1.0, 0.0)})
 X = np.geomspace(1e-8, 1e4, 4000)
@@ -103,6 +103,19 @@ def test_float_in_float_out(nu, x):
     assert type(_kve(nu, x)) is float
     assert type(_kve(nu, np.float64(x))) is float
     assert _kve(nu, np.float64(x)) == _kve(nu, x)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_empty_node_set(N):
+    # an empty array of x comes back empty at both orders an N profile
+    # reads, integer (even N) and half-integer (odd N) alike, and so do the
+    # tail model's value and slope on an empty node set
+    for nu in (N / 2.0 - 1.0, N / 2.0):
+        out = _kve(nu, np.empty(0))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+    tail = TailModel("Exponential", 0.1, 1.0, 2.0, N, corr=0.01, corr_pm2=1.0)
+    assert tail.predict(np.empty(0)).shape == (0,)
+    assert tail.slope(np.empty(0)).shape == (0,)
 
 
 def test_import_loads_no_scipy():

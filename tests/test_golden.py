@@ -828,8 +828,8 @@ def test_misread_edge_above_a_converged_stop_falls_back_to_golden_bitwise(misrea
     calls, misread = misread_loose_shot(lambda a, c: c == Classification.OVERSHOOT)
     misreading, stopped = shooting.classify, []
 
-    def converged_once(t, params=None, amplitude_=None, convergence_factor=1e-8):
-        c = misreading(t, params, amplitude_, convergence_factor)
+    def converged_once(t, params, amplitude_):
+        c = misreading(t, params, amplitude_)
         if not stopped and calls[-1][1] != "loose" and _near(amplitude_, amplitude, tol):
             stopped.append(amplitude_)
             calls[-1][3] = c = Classification.CONVERGED

@@ -181,7 +181,8 @@ def test_tolerance_halving_convergence():
     base = StepControls(atol=1e-8, rtol=1e-6)
     for r in (0.5, 1.0, 1.5, 1.9):
         t1 = integrate(R_ZERO_34, 4.0, r, base)
-        t2 = integrate(R_ZERO_34, 4.0, r, base.halved())
+        t2 = integrate(R_ZERO_34, 4.0, r, replace(base, atol=0.5 * base.atol,
+                                                  rtol=0.5 * base.rtol))
         assert t1.terminal_event is TerminalEvent.REACHED_RMAX
         assert t2.terminal_event is TerminalEvent.REACHED_RMAX
         u1, u2 = t1.values[-1], t2.values[-1]

@@ -583,3 +583,56 @@ def test_cli_reused_parser_carries_no_state(tmp_path, monkeypatch, capsys):
     assert [rc for rc, _ in fresh] == [0, 0, "SystemExit 2", 0, 0, 0, 0]
     assert [("cache hit" in out.out) for _, out in fresh] == [
         False, True, False, False, False, False, True]
+
+
+def test_cli_check_kappa_suite_of_the_readme(capsys):
+    # the README's example: --p-critical sets p = p* = 10/3, and the kappa
+    # suite checks the minimizer frame's two kappa identities and its
+    # constraint p* int F(w) = 1
+    assert main(["check", "--suite", "kappa", "--N", "5", "--p-critical", "--q", "6",
+                 "--eps", "1e-3"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == ["kappa_lq", "kappa_lp", "constraint"]
+    assert all(row.endswith("  ok") for row in rows)
+
+
+def test_cli_step_flags_reach_the_shoot_controls(tmp_path, monkeypatch):
+    # --rtol, --atol and --r-max set the solve's step controls and r_max
+    # (above the default 50/k = 1581 here); the record's config and
+    # diagnostics carry them
+    from gslab import cli
+
+    seen = []
+    real = cli.solve_ground_state
+
+    def recorded(params, ctrl):
+        seen.append(ctrl)
+        return real(params, ctrl)
+
+    monkeypatch.setattr(cli, "solve_ground_state", recorded)
+    out = tmp_path / "r.json"
+    assert main(["solve", "--family", "P_eps", "--N", "3", "--p", "6", "--q", "10",
+                 "--eps", "1e-3", "--rtol", "1e-11", "--atol", "1e-13", "--r-max", "2000",
+                 "--no-cache", "--out", str(out)]) == 0
+    (ctrl,) = seen
+    assert (ctrl.step.rtol, ctrl.step.atol, ctrl.r_max) == (1e-11, 1e-13, 2000.0)
+    rec = parse(out.read_bytes())
+    assert (rec.config["rtol"], rec.config["atol"], rec.config["r_max"]) == (1e-11, 1e-13, 2000.0)
+    assert rec.diagnostics["r_max"] == 2000.0
+    assert max(rec.payload["nehari_residual"], rec.payload["pokhozhaev_residual"]) < 1e-9
+
+
+def test_cli_truncated_cache_entry_is_a_miss(tmp_path, capsys):
+    # a cache entry cut short does not parse: the solve runs again and
+    # rewrites it, and the next call hits the rewritten entry
+    argv = ["solve", *_SOLVE_ARGV]
+    assert main(argv) == 0
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    whole = entry.read_bytes()
+    entry.write_bytes(whole[: len(whole) // 2])
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    assert parse(entry.read_bytes()).payload == parse(whole).payload
+    assert main(argv) == 0
+    assert "cache hit" in capsys.readouterr().out

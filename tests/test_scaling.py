@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gslab import Family, ProblemParams, rescale_to_v, solve_ground_state, to_minimizer_frame
+from gslab import (EmdenFowlerProfile, Family, ProblemParams, concentration_lambda, rescale_to_v,
+                   solve_ground_state, to_minimizer_frame)
+from gslab.asymptotics import profile_distances
 from gslab.functionals import (_norm_factors, _norms_from_trajectory, analyze, dirichlet_norm,
                                radial_norm, scale_profile)
 from gslab.shooting import TailModel
@@ -101,10 +103,10 @@ def test_rescaled_profile_builds_its_own_panels(params, rescale):
 
 
 # The far-field Gauss set of an exponential tail is cached on its profile
-# too.  A rescaled copy makes a new set on its first read: its source's,
-# scaled by scale_profile's closed-form factors (the same nodes over the
-# scale), so the set is not its source's, and its tail norms carry the
-# closed-form factors (an algebraic tail's closed forms do).
+# too.  A rescaled copy builds its own set on its first read, at its own
+# grid end from its own tail model, so the set is not its source's, and its
+# tail norms carry the closed-form factors (an algebraic tail's closed forms
+# do).
 @pytest.mark.parametrize("params", CASES)
 @pytest.mark.parametrize("rescale, amp_lam_sq", [
     pytest.param(lambda u: analyze(u).rescaled_to_frame(2.9).profile, lambda N: (1.0, 2.9),
@@ -130,11 +132,14 @@ def test_rescaled_profile_builds_its_own_far_field(params, rescale, amp_lam_sq):
     assert v.dirichlet_tail() == pytest.approx(dir_ * u.dirichlet_tail(), rel=1e-13, abs=0.0)
 
 
-# A u -> w -> v chain (the minimizer frame, then the concentration rescaling)
-# evaluates the tail model on its far-field panels once, for u: w scales u's
-# set and v scales w's, each on its first read, and their tail norms carry
-# the closed-form factors of the whole chain.
-@pytest.mark.parametrize("params", [c for c in CASES if c.family in (Family.P_EPS, Family.R_EPS)])
+# The critical read side -- analyze, the minimizer frame, the concentration
+# radius, the rescaling to v and v's W_1 distances -- evaluates the tail
+# model on its far-field panels once, for u's norms: the frame's norms are
+# u's times closed-form factors, concentration_lambda reads no tail where
+# the grid holds Q*, and the distances sum the tail model on tan panels.  A
+# copy that reads a tail norm afterwards builds its own set.
+@pytest.mark.parametrize("params", [CASES[0], ProblemParams(5, 10.0 / 3.0, 6.0, 1e-3,
+                                                            Family.P_EPS)])
 def test_rescaled_chain_builds_the_far_field_once(params, monkeypatch):
     u = replace(_profile(params))   # a copy without the cached far field
     assert u.tail.kind == "Exponential"
@@ -146,21 +151,11 @@ def test_rescaled_chain_builds_the_far_field_once(params, monkeypatch):
         return real(self, R)
 
     monkeypatch.setattr(TailModel, "far_field", counted)
-    S, lam = 2.9, 9.0
-    w = to_minimizer_frame(u, S)
+    w = analyze(u).rescaled_to_frame().profile
+    lam = concentration_lambda(w)
     v = rescale_to_v(w, lam)
-    assert built == []   # lazily: no copy builds its set before a read
-    v_tail = {s: v.norm_tail(s) for s in (2.0, params.p, params.q)}
-    v_dir = v.dirichlet_tail()
-    w_tail = {s: w.norm_tail(s) for s in (2.0, params.p, params.q)}
-    w_dir = w.dirichlet_tail()
+    d1, dlp = profile_distances(v, EmdenFowlerProfile(params.N))
+    assert math.isfinite(d1) and math.isfinite(dlp)
     assert len(built) == 1 and built[0] is u.tail
-    N = params.N
-    w_fac = _norm_factors(params, 1.0, S)
-    v_fac = [a * b for a, b in zip(w_fac, _norm_factors(params, lam ** ((N - 2.0) / 2.0),
-                                                        lam ** 2))]
-    for copy_tail, copy_dir, (l2, lp, lq, dir_) in ((w_tail, w_dir, w_fac), (v_tail, v_dir, v_fac)):
-        for s, fac in ((2.0, l2), (params.p, lp), (params.q, lq)):
-            assert copy_tail[s] == pytest.approx(fac * u.norm_tail(s), rel=1e-13, abs=0.0)
-        assert copy_dir == pytest.approx(dir_ * u.dirichlet_tail(), rel=1e-13, abs=0.0)
-    assert len(built) == 1
+    w.norm_tail(params.p)
+    assert len(built) == 2 and built[1] is w.tail

@@ -10,7 +10,7 @@ N = 4, 5, 6:
 
 * the stopped shot is a prefix of the full run, bit for bit;
 * it reads the full run's class; where the full run reads Converged (u at
-  r_max below convergence_factor * a, or the underflow floor: N >= 4 close
+  r_max below _CONVERGENCE_FACTOR * a, or the underflow floor: N >= 4 close
   to a*), it reads the class of the full run's B;
 * its B is within 1e-3 = 1 / _SETTLE_MARGIN of the full run's (the stop
   leaves less drift than that, D < |B| / _SETTLE_MARGIN), plus the drift
@@ -58,7 +58,7 @@ def test_settled_stop_reads_the_class_and_B_of_the_run_to_r_max(params, monkeypa
             if n == len(full):
                 continue   # never settled: the run to r_max itself
             stopped += 1
-            c, c_full = (classify(x, params, a, ctrl.convergence_factor) for x in (t, full))
+            c, c_full = (classify(x, params, a) for x in (t, full))
             b, b_full = _far_field_B(params, t), _far_field_B(params, full)
             if c_full == Classification.CONVERGED:
                 c_full = Classification.UNDERSHOOT if b_full > 0.0 else Classification.OVERSHOOT

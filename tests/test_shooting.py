@@ -38,9 +38,10 @@ def _mk_traj(event, values=(1.0, 0.5, 0.1), slopes=(-0.1, -0.1, -0.05)):
 
 
 def test_classify_event_mapping():
-    assert classify(_mk_traj(TerminalEvent.ZERO_CROSSING)) == Classification.OVERSHOOT
-    assert classify(_mk_traj(TerminalEvent.SLOPE_SIGN_FLIP)) == Classification.UNDERSHOOT
-    assert classify(_mk_traj(TerminalEvent.UNDERFLOW)) == Classification.CONVERGED
+    for event, c in ((TerminalEvent.ZERO_CROSSING, Classification.OVERSHOOT),
+                     (TerminalEvent.SLOPE_SIGN_FLIP, Classification.UNDERSHOOT),
+                     (TerminalEvent.UNDERFLOW, Classification.CONVERGED)):
+        assert classify(_mk_traj(event), R_ZERO_34, 1.0) == c
 
 
 def test_profile_without_norm_arrays_is_refused():
@@ -56,7 +57,7 @@ def test_profile_without_norm_arrays_is_refused():
 
 def test_classify_rmax_threshold():
     t = _mk_traj(TerminalEvent.REACHED_RMAX, values=(1.0, 1e-8, 1e-15 * 1.0))
-    assert classify(t, amplitude=1.0) == Classification.CONVERGED
+    assert classify(t, R_ZERO_34, 1.0) == Classification.CONVERGED
 
 
 def test_r_zero_amplitude_matches_scan_oracle():
@@ -187,11 +188,11 @@ def test_exponential_tail_kind(identity_solutions):
 def _plain_bisection(params, lo, hi, r_max, ctrl):
     """The amplitude bisection: integrate every geometric mid, all tight."""
     runs = 0
-    while hi / lo - 1.0 > ctrl.amp_tol and runs < ctrl.max_iter:
+    while hi / lo - 1.0 > ctrl.amp_tol and runs < shooting._MAX_PROBES:
         runs += 1
         mid = math.sqrt(lo * hi)
         t = shooting.integrate(params, mid, r_max, ctrl.step)
-        c = classify(t, params, mid, ctrl.convergence_factor)
+        c = classify(t, params, mid)
         if c == Classification.OVERSHOOT:
             hi = mid
         elif c == Classification.UNDERSHOOT:
@@ -218,7 +219,7 @@ def _solve_with_plain_reference(params, monkeypatch):
     def recorded(p, a, r_max, tol=None):
         t = real(p, a, r_max, tol)
         if tol in (ctrl.step, loose, final):
-            c = classify(t, p, a, ctrl.convergence_factor)
+            c = classify(t, p, a)
             if tol == loose:
                 shots.append((a, c))
             else:
@@ -351,7 +352,7 @@ def test_classification_switches_once_across_amplitude(params):
     for j in range(-5, 6):
         a = prof.amplitude * (1.0 + j * 1e-13)
         t = integrate(params, a, prof.r_max_used, ctrl.step)
-        classes.append(classify(t, params, a, ctrl.convergence_factor))
+        classes.append(classify(t, params, a))
     n_u = classes.count(Classification.UNDERSHOOT)
     assert 0 < n_u < len(classes)
     assert classes == [Classification.UNDERSHOOT] * n_u + [Classification.OVERSHOOT] * (11 - n_u)
@@ -373,8 +374,7 @@ def test_loose_class_matches_tight_class_away_from_amplitude(params):
         for sign in (-1.0, 1.0):
             a = prof.amplitude * (1.0 + sign * 10.0 ** -k)
             tight_cls, loose_cls = (
-                classify(integrate(params, a, prof.r_max_used, step), params, a,
-                         ctrl.convergence_factor)
+                classify(integrate(params, a, prof.r_max_used, step), params, a)
                 for step in (ctrl.step, loose))
             assert loose_cls == tight_cls, (k, sign)
 
@@ -504,7 +504,7 @@ def test_p_zero_lower_scan_starts_at_the_pohozaev_root(delta_sweep, delta_sweep_
         assert u_p < a_star, params
         a = u_p * (1.0 + 1e-9)
         t = integrate(params, a, 1e6, ctrl.step)
-        assert classify(t, params, a, ctrl.convergence_factor) == Classification.UNDERSHOOT
+        assert classify(t, params, a) == Classification.UNDERSHOOT
 
 
 def _p_zero_draws():
@@ -580,7 +580,7 @@ def test_absurd_algebraic_tail_fit_raises_inconsistent_solution(p, q, drift):
                                      (6, 3.0611494714759697, 5.671791238016732)])
 def test_p_zero_draws_that_read_converged_on_both_sides_solve(N, p, q):
     # two P_zero draws with p near p* (1.027 p* and 1.02 p*): search shots
-    # on both sides of a* end with |u| far below convergence_factor * a, and
+    # on both sides of a* end with |u| far below _CONVERGENCE_FACTOR * a, and
     # read as Converged they ended Brent's search 2.5% and 95% off a* with
     # residuals of 0.11 and 0.12 (InconsistentSolution).  Read from B's sign
     # they solve, at u(0) = 0.76017 and 0.68666
