@@ -1,0 +1,350 @@
+/* The DOP853 step loop of gslab.ode.integrate, written stage by stage like
+ * the Python loop (ode._py_loop), which stays the reference.
+ *
+ * Every float operation is the one the Python loop performs, in its order:
+ * sums run left to right, max and min pick the branches Python's max and
+ * min pick, ** is CPython's float_pow (py_pow below, the same libm pow with
+ * the same error cases) and a division by zero stops the loop where Python
+ * raises ZeroDivisionError.  Compiled with -ffp-contract=off and without
+ * -ffast-math, the two loops give the same bits; ode loads this library
+ * only after a reference shot has matched the Python loop bit for bit.
+ *
+ * The caller passes the tableau (ode._C, _A, _B, _E5, _E3, packed by
+ * ode._TABLEAU), the run's constants and the loop state, and owns every
+ * buffer: the grid (radii, values and slopes, cap points each) and, with
+ * quadrature, the stage buffer (16 doubles per accepted step: h, u' at the
+ * stages 6-12, u'' at the stages 6-13).  The loop returns at a terminal
+ * event, a failure, or a full grid (STOP_ROOM: the state is saved at the
+ * top of a step, so the caller grows the grid and calls again).  An event
+ * that the dense output refines returns its step unrefined: refinement,
+ * the series start and the dense pass stay Python.
+ */
+#include <errno.h>
+#include <math.h>
+#include <stdint.h>
+
+enum {
+    STOP_ROOM = 0,        /* the grid is full: grow it and call again */
+    STOP_RMAX = 1,        /* the clipped step reached r_max */
+    STOP_SETTLED = 2,     /* an algebraic run's far-field B has settled */
+    STOP_ZERO = 3,        /* u crossed zero: refine u at level 0 */
+    STOP_SLOPE = 4,       /* u' turned positive: refine u' at level 0 */
+    STOP_UNDERFLOW = 5,   /* u fell below the floor: refine u at the floor */
+    STOP_BUDGET = 6,      /* the step budget is spent */
+    STOP_COLLAPSE = 7,    /* the step size collapsed */
+    STOP_ZERO_DIV = 8,    /* Python raises ZeroDivisionError (float division) */
+    STOP_ZERO_POW = 9,    /* Python raises ZeroDivisionError (0.0 ** negative) */
+    STOP_POW_VALUE = 10,  /* Python raises ValueError (pow set an errno not ERANGE) */
+};
+
+/* prm: the run's constants */
+enum { P_N1, P_LIN, P_QC, P_PM2, P_QM2, P_FLOOR, P_ATOL, P_RTOL, P_MIN_STEP,
+       P_RMAX, P_HALF, P_N2, P_DRIFT, P_SETTLE_G, P_COUNT };
+/* st: the loop state r, u, v, k1 (u'' at r) and h; after a refined event
+ * also the step's end and its stages (ode._c_loop reads them) */
+enum { S_R, S_U, S_V, S_K1, S_H, S_UNEW, S_VNEW, S_RNEW, S_V6, S_K6 = S_V6 + 7,
+       S_COUNT = S_K6 + 8 };
+/* cnt: grid points, RHS evaluations, steps, the step budget, quadrature on,
+ * settled stop on, and the trial steps a power overflow shrank */
+enum { C_N, C_NFEV, C_STEPS, C_MAX_STEPS, C_QUAD, C_SETTLE, C_OVERFLOWS, C_COUNT };
+/* tab: C (16), A (16 rows of 16, row i holding A[i][0..i-1]), B (12),
+ * E5 (13), E3 (13) */
+#define TC(i) tab[(i) - 1]
+#define TA(i, j) tab[16 + 16 * ((i) - 1) + (j) - 1]
+#define TB(j) tab[272 + (j) - 1]
+#define TE5(j) tab[284 + (j) - 1]
+#define TE3(j) tab[297 + (j) - 1]
+
+enum { POW_OK, POW_OVERFLOW, POW_ZERO, POW_VALUE };
+
+/* x ** y as CPython's float_pow computes it, for x >= 0, -0.0 or NaN (the
+ * loop's |u|): its special cases, then libm's pow with errno read as
+ * _Py_ADJUST_ERANGE1 reads it.  POW_OVERFLOW, POW_ZERO and POW_VALUE are
+ * where ** raises OverflowError, ZeroDivisionError and ValueError. */
+static int py_pow(double x, double y, double *out)
+{
+    if (y == 0.0) {
+        *out = 1.0;
+        return POW_OK;
+    }
+    if (isnan(x)) {
+        *out = x;
+        return POW_OK;
+    }
+    if (isnan(y)) {
+        *out = x == 1.0 ? 1.0 : y;
+        return POW_OK;
+    }
+    if (isinf(y)) {
+        x = fabs(x);
+        *out = x == 1.0 ? 1.0 : ((y > 0.0) == (x > 1.0) ? fabs(y) : 0.0);
+        return POW_OK;
+    }
+    if (isinf(x)) {
+        *out = y > 0.0 ? x : 0.0;
+        return POW_OK;
+    }
+    if (x == 0.0) {
+        if (y < 0.0)
+            return POW_ZERO;
+        *out = fmod(fabs(y), 2.0) == 1.0 ? x : 0.0;
+        return POW_OK;
+    }
+    if (x == 1.0) {
+        *out = 1.0;
+        return POW_OK;
+    }
+    errno = 0;
+    *out = pow(x, y);
+    if (errno == 0) {
+        if (isinf(*out))
+            errno = ERANGE;
+    }
+    else if (errno == ERANGE && *out == 0.0)
+        errno = 0;
+    if (errno != 0)
+        return errno == ERANGE ? POW_OVERFLOW : POW_VALUE;
+    return POW_OK;
+}
+
+/* k = u'' at the stage state (us, vs) and radius rr:
+ * us (lin - |us|^(p-2) + qc |us|^(q-2)) - N1 / rr * vs */
+#define RHS(k, us, vs, rr)                                                   \
+    do {                                                                     \
+        double au_ = (us) > 0.0 ? (us) : -(us), pp_, qq_, rr_;              \
+        if ((pc = py_pow(au_, pm2, &pp_)) || (pc = py_pow(au_, qm2, &qq_)))  \
+            goto bad_pow;                                                    \
+        rr_ = (rr);                                                          \
+        if (rr_ == 0.0)                                                      \
+            goto zero_div;                                                   \
+        k = (us) * (lin - pp_ + qc * qq_) - N1 / rr_ * (vs);                 \
+    } while (0)
+
+int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
+                double *grid, int64_t cap, double *stages)
+{
+    const double N1 = prm[P_N1], lin = prm[P_LIN], qc = prm[P_QC];
+    const double pm2 = prm[P_PM2], qm2 = prm[P_QM2], floor_ = prm[P_FLOOR];
+    const double atol = prm[P_ATOL], rtol = prm[P_RTOL], min_step = prm[P_MIN_STEP];
+    const double r_max = prm[P_RMAX], half = prm[P_HALF], n2 = prm[P_N2];
+    const double drift = prm[P_DRIFT], settle_g = prm[P_SETTLE_G];
+    const int64_t max_steps = cnt[C_MAX_STEPS];
+    const int quad = cnt[C_QUAD] != 0, settle = cnt[C_SETTLE] != 0;
+    double *rs = grid, *us = grid + cap, *vs = grid + 2 * cap;
+
+    const double c2 = TC(2), c3 = TC(3), c4 = TC(4), c5 = TC(5), c6 = TC(6),
+        c7 = TC(7), c8 = TC(8), c9 = TC(9), c10 = TC(10), c11 = TC(11);
+    const double a2_1 = TA(2, 1), a3_1 = TA(3, 1), a3_2 = TA(3, 2),
+        a4_1 = TA(4, 1), a4_3 = TA(4, 3),
+        a5_1 = TA(5, 1), a5_3 = TA(5, 3), a5_4 = TA(5, 4),
+        a6_1 = TA(6, 1), a6_4 = TA(6, 4), a6_5 = TA(6, 5),
+        a7_1 = TA(7, 1), a7_4 = TA(7, 4), a7_5 = TA(7, 5), a7_6 = TA(7, 6),
+        a8_1 = TA(8, 1), a8_4 = TA(8, 4), a8_5 = TA(8, 5), a8_6 = TA(8, 6),
+        a8_7 = TA(8, 7),
+        a9_1 = TA(9, 1), a9_4 = TA(9, 4), a9_5 = TA(9, 5), a9_6 = TA(9, 6),
+        a9_7 = TA(9, 7), a9_8 = TA(9, 8),
+        a10_1 = TA(10, 1), a10_4 = TA(10, 4), a10_5 = TA(10, 5), a10_6 = TA(10, 6),
+        a10_7 = TA(10, 7), a10_8 = TA(10, 8), a10_9 = TA(10, 9),
+        a11_1 = TA(11, 1), a11_4 = TA(11, 4), a11_5 = TA(11, 5), a11_6 = TA(11, 6),
+        a11_7 = TA(11, 7), a11_8 = TA(11, 8), a11_9 = TA(11, 9), a11_10 = TA(11, 10),
+        a12_1 = TA(12, 1), a12_4 = TA(12, 4), a12_5 = TA(12, 5), a12_6 = TA(12, 6),
+        a12_7 = TA(12, 7), a12_8 = TA(12, 8), a12_9 = TA(12, 9), a12_10 = TA(12, 10),
+        a12_11 = TA(12, 11);
+    const double b1 = TB(1), b6 = TB(6), b7 = TB(7), b8 = TB(8), b9 = TB(9),
+        b10 = TB(10), b11 = TB(11), b12 = TB(12);
+    const double e5_1 = TE5(1), e5_6 = TE5(6), e5_7 = TE5(7), e5_8 = TE5(8),
+        e5_9 = TE5(9), e5_10 = TE5(10), e5_11 = TE5(11), e5_12 = TE5(12);
+    const double d1 = b1 - TE3(1), d9 = b9 - TE3(9), d12 = b12 - TE3(12);   /* B - E3 */
+
+    double r = st[S_R], u = st[S_U], v = st[S_V], k1 = st[S_K1], h = st[S_H];
+    int64_t n = cnt[C_N], nfev = cnt[C_NFEV], steps = cnt[C_STEPS];
+    int64_t overflows = cnt[C_OVERFLOWS];
+    int code, pc;
+
+    for (;;) {
+        double hA, u2, v2, k2, u3, v3, k3, u4, v4, k4, u5, v5, k5, u6, v6, k6,
+            u7, v7, k7, u8, v8, k8, u9, v9, k9, u10, v10, k10, u11, v11, k11,
+            u12, v12, k12, su, sv, u_new, v_new, r_new, k13;
+        double au, an, scale_u, scale_v, x, y, err5, den, err, fac;
+        int clipped, event;
+
+        if (n == cap) {
+            code = STOP_ROOM;
+            goto out;
+        }
+        steps += 1;
+        if (steps > max_steps) {
+            code = STOP_BUDGET;
+            goto out;
+        }
+        if (h < min_step * (r > 1.0 ? r : 1.0)) {
+            code = STOP_COLLAPSE;
+            goto out;
+        }
+        clipped = r + h >= r_max;
+        if (clipped)
+            h = r_max - r;
+
+        /* eleven fresh stages and the FSAL one (k1 is the last step's k13) */
+        nfev += 12;
+        hA = h * a2_1;
+        u2 = u + hA * v;
+        v2 = v + hA * k1;
+        RHS(k2, u2, v2, r + c2 * h);
+        u3 = u + h * (a3_1 * v + a3_2 * v2);
+        v3 = v + h * (a3_1 * k1 + a3_2 * k2);
+        RHS(k3, u3, v3, r + c3 * h);
+        u4 = u + h * (a4_1 * v + a4_3 * v3);
+        v4 = v + h * (a4_1 * k1 + a4_3 * k3);
+        RHS(k4, u4, v4, r + c4 * h);
+        u5 = u + h * (a5_1 * v + a5_3 * v3 + a5_4 * v4);
+        v5 = v + h * (a5_1 * k1 + a5_3 * k3 + a5_4 * k4);
+        RHS(k5, u5, v5, r + c5 * h);
+        u6 = u + h * (a6_1 * v + a6_4 * v4 + a6_5 * v5);
+        v6 = v + h * (a6_1 * k1 + a6_4 * k4 + a6_5 * k5);
+        RHS(k6, u6, v6, r + c6 * h);
+        u7 = u + h * (a7_1 * v + a7_4 * v4 + a7_5 * v5 + a7_6 * v6);
+        v7 = v + h * (a7_1 * k1 + a7_4 * k4 + a7_5 * k5 + a7_6 * k6);
+        RHS(k7, u7, v7, r + c7 * h);
+        u8 = u + h * (a8_1 * v + a8_4 * v4 + a8_5 * v5 + a8_6 * v6 + a8_7 * v7);
+        v8 = v + h * (a8_1 * k1 + a8_4 * k4 + a8_5 * k5 + a8_6 * k6 + a8_7 * k7);
+        RHS(k8, u8, v8, r + c8 * h);
+        u9 = u + h * (a9_1 * v + a9_4 * v4 + a9_5 * v5 + a9_6 * v6 + a9_7 * v7 + a9_8 * v8);
+        v9 = v + h * (a9_1 * k1 + a9_4 * k4 + a9_5 * k5 + a9_6 * k6 + a9_7 * k7 + a9_8 * k8);
+        RHS(k9, u9, v9, r + c9 * h);
+        u10 = u + h * (a10_1 * v + a10_4 * v4 + a10_5 * v5 + a10_6 * v6 + a10_7 * v7
+                       + a10_8 * v8 + a10_9 * v9);
+        v10 = v + h * (a10_1 * k1 + a10_4 * k4 + a10_5 * k5 + a10_6 * k6 + a10_7 * k7
+                       + a10_8 * k8 + a10_9 * k9);
+        RHS(k10, u10, v10, r + c10 * h);
+        u11 = u + h * (a11_1 * v + a11_4 * v4 + a11_5 * v5 + a11_6 * v6 + a11_7 * v7
+                       + a11_8 * v8 + a11_9 * v9 + a11_10 * v10);
+        v11 = v + h * (a11_1 * k1 + a11_4 * k4 + a11_5 * k5 + a11_6 * k6 + a11_7 * k7
+                       + a11_8 * k8 + a11_9 * k9 + a11_10 * k10);
+        RHS(k11, u11, v11, r + c11 * h);
+        u12 = u + h * (a12_1 * v + a12_4 * v4 + a12_5 * v5 + a12_6 * v6 + a12_7 * v7
+                       + a12_8 * v8 + a12_9 * v9 + a12_10 * v10 + a12_11 * v11);
+        v12 = v + h * (a12_1 * k1 + a12_4 * k4 + a12_5 * k5 + a12_6 * k6 + a12_7 * k7
+                       + a12_8 * k8 + a12_9 * k9 + a12_10 * k10 + a12_11 * k11);
+        RHS(k12, u12, v12, r + h);
+        su = (b1 * v + b6 * v6 + b7 * v7 + b8 * v8 + b9 * v9 + b10 * v10 + b11 * v11
+              + b12 * v12);
+        sv = (b1 * k1 + b6 * k6 + b7 * k7 + b8 * k8 + b9 * k9 + b10 * k10 + b11 * k11
+              + b12 * k12);
+        u_new = u + h * su;
+        v_new = v + h * sv;
+        r_new = clipped ? r_max : r + h;
+        RHS(k13, u_new, v_new, r_new);
+
+        /* the error norm of DOP853 (see the Python loop) */
+        au = fabs(u);
+        an = fabs(u_new);
+        scale_u = atol + rtol * (an > au ? an : au);
+        au = fabs(v);
+        an = fabs(v_new);
+        scale_v = atol + rtol * (an > au ? an : au);
+        if (scale_u == 0.0 || scale_v == 0.0)
+            goto zero_div;
+        x = (e5_1 * v + e5_6 * v6 + e5_7 * v7 + e5_8 * v8 + e5_9 * v9 + e5_10 * v10
+             + e5_11 * v11 + e5_12 * v12) / scale_u;
+        y = (e5_1 * k1 + e5_6 * k6 + e5_7 * k7 + e5_8 * k8 + e5_9 * k9 + e5_10 * k10
+             + e5_11 * k11 + e5_12 * k12) / scale_v;
+        err5 = x * x + y * y;
+        x = (su - (d1 * v + d9 * v9 + d12 * v12)) / scale_u;
+        y = (sv - (d1 * k1 + d9 * k9 + d12 * k12)) / scale_v;
+        den = err5 + 0.01 * (x * x + y * y);
+        err = den != 0.0 ? h * err5 / sqrt(2.0 * den) : 0.0;
+
+        if (!isfinite(err)) {
+            h *= 0.2;
+            continue;
+        }
+        if (err > 1.0) {
+            fac = 0.9 * pow(err, -0.125);
+            h *= fac > 0.2 ? fac : 0.2;
+            continue;
+        }
+
+        /* terminal events, in the Python loop's priority order */
+        event = 0;
+        if (u_new <= 0.0)
+            event = STOP_ZERO;
+        else if (v_new >= 0.0 && u_new > 0.0)
+            event = STOP_SLOPE;
+        else if (u_new < floor_ && v_new < 0.0)
+            event = STOP_UNDERFLOW;
+        else if (clipped)
+            event = STOP_RMAX;
+
+        if (quad) {
+            double *s = stages + 16 * (n - 1);
+            s[0] = h;
+            s[1] = v6; s[2] = v7; s[3] = v8; s[4] = v9; s[5] = v10; s[6] = v11; s[7] = v12;
+            s[8] = k6; s[9] = k7; s[10] = k8; s[11] = k9; s[12] = k10; s[13] = k11;
+            s[14] = k12; s[15] = k13;
+        }
+        if (event >= STOP_ZERO) {
+            /* the step the dense output refines: r, u, v, k1 and h are its start */
+            double *p = st + S_V6;
+            st[S_UNEW] = u_new;
+            st[S_VNEW] = v_new;
+            st[S_RNEW] = r_new;
+            *p++ = v6; *p++ = v7; *p++ = v8; *p++ = v9; *p++ = v10; *p++ = v11; *p++ = v12;
+            *p++ = k6; *p++ = k7; *p++ = k8; *p++ = k9; *p++ = k10; *p++ = k11; *p++ = k12;
+            *p = k13;
+            code = event;
+            goto out;
+        }
+
+        r = r_new;
+        u = u_new;
+        v = v_new;
+        k1 = k13;
+        rs[n] = r;
+        us[n] = u;
+        vs[n] = v;
+        n += 1;
+        if (event == STOP_RMAX) {
+            code = event;
+            goto out;
+        }
+
+        /* u < a/2 here, so u^(p-2) cannot overflow where a^(p-1) did not */
+        if (settle && 0.0 < u && u < half && v < 0.0) {
+            double g = pow(u, pm2) * r * r;
+            if (g < settle_g && fabs(u + r * v / n2) > drift * u * g) {
+                code = STOP_SETTLED;
+                goto out;
+            }
+        }
+
+        fac = 0.9 * pow(err + 1e-300, -0.125);
+        h *= fac > 10.0 ? 10.0 : (fac > 0.2 ? fac : 0.2);
+        continue;
+
+    bad_pow:
+        if (pc != POW_OVERFLOW) {
+            code = pc == POW_ZERO ? STOP_ZERO_POW : STOP_POW_VALUE;
+            goto out;
+        }
+        /* a trial step so long that a stage's power overflows: shrink it */
+        overflows += 1;
+        h *= 0.2;
+        continue;
+    zero_div:
+        code = STOP_ZERO_DIV;
+        goto out;
+    }
+
+out:
+    st[S_R] = r;
+    st[S_U] = u;
+    st[S_V] = v;
+    st[S_K1] = k1;
+    st[S_H] = h;
+    cnt[C_N] = n;
+    cnt[C_NFEV] = nfev;
+    cnt[C_STEPS] = steps;
+    cnt[C_OVERFLOWS] = overflows;
+    return code;
+}

@@ -19,7 +19,7 @@ from . import __version__
 from .asymptotics import REGIMES, SweepSpec, sweep
 from .emden import EmdenFowlerProfile, q_star, sobolev_constant
 from .errors import BracketNotFound, InconsistentSolution, InternalConsistencyError
-from .ode import IntegrationFailure
+from .ode import STEP_LOOP, IntegrationFailure
 from .functionals import constraint_value, kappa_identities, solve_ground_state
 from .params import Family, InvalidParams, ProblemParams, critical_exponent
 from .records import (
@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Radial ground states of -Δu + εu - u^(p-1) + u^(q-1) = 0 "
                     "and their ε → 0 scaling laws.",
     )
-    ap.add_argument("--version", action="version", version=f"gslab {__version__}")
+    ap.add_argument("--version", action="version",
+                    version=f"gslab {__version__} (step loop: {STEP_LOOP})")
     ap.add_argument("--config", type=Path, help="INI file seeding the flags below")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -13,10 +13,11 @@ is evaluated in closed form, with norms computed by a tan-substitution
 Gauss quadrature that resolves the algebraic tail exactly.
 
 ``radial_quad`` evaluates every tan panel in one numpy pass and adds the
-panel totals in panel order (``_panel_sum``).  That sum is the package's
-one panel sum: ``shooting`` evaluates an exponential far field once on its
-own geometric Gauss panels (TailModel.far_field) and sums every tail norm
-with it too.
+panel totals in panel order (``_panel_sum``).  That sum, and the map from
+panel edges to Gauss nodes (``_gauss_panels``), are the package's only
+ones: ``shooting`` evaluates an exponential far field once on its own
+geometric Gauss panels (TailModel.far_field) and sums every tail norm
+with them too.
 """
 
 from __future__ import annotations
@@ -70,6 +71,17 @@ def _leggauss(n: int):
     return x, w
 
 
+def _gauss_panels(edges: np.ndarray, nodes: int):
+    """Gauss-Legendre nodes on the panels between consecutive ``edges``:
+    (nodes, shape (panels, nodes); half-widths, (panels,); weights on
+    [-1, 1], (nodes,)).  A panel's integral is its half-width times the
+    weighted sum over its nodes (_panel_sum)."""
+    x, w = _leggauss(nodes)
+    a, b = edges[:-1], edges[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid[:, None] + half[:, None] * x, half, w
+
+
 def _panel_sum(terms, half) -> float:
     """sum_i half_i * sum_j terms_ij: each panel's (weighted) node terms
     summed in one numpy pass, the panel totals added in panel order."""
@@ -95,10 +107,7 @@ def radial_quad(g, N: int, r_lo: float = 0.0, r_hi: float = math.inf,
     th_lo = math.atan2(r_lo, scale)
     th_hi = math.pi / 2.0 if math.isinf(r_hi) else math.atan2(r_hi, scale)
     edges = np.linspace(th_lo, th_hi, panels + 1) if th_hi > th_lo else np.array([th_lo])
-    x, w = _leggauss(nodes)
-    a, b = edges[:-1], edges[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    th = mid[:, None] + half[:, None] * x
+    th, half, w = _gauss_panels(edges, nodes)
     r = scale * np.tan(th)
     terms = w * g(r) * r ** (N - 1) * (scale / np.cos(th) ** 2)
     if terms.ndim == 2:

@@ -22,31 +22,49 @@ grid that the cubic Hermite read side sees stays as dense as the steps are
 long, and each sub-interval is one Gauss panel; the norms over [0, r0] come
 from the series piece.
 
-``integrate`` is the hot loop of every solve, so it is written for CPython's
-interpreter: the controls and tableau constants are locals, and the
-right-hand side is written out at each of the twelve stage evaluations
-(calling it as a closure made a step without quadrature about 20% slower).
-With quadrature on, each accepted step only appends its stages to a flat
-buffer, and ``_dense_pass`` builds every step's interpolant, the interior
-grid points and the four cumulative norm arrays in one numpy pass after the
-loop.  Its powers are ``np.float_power``, which calls libm's ``pow`` like
-Python's ``**`` (``np.power`` may take a SIMD path that rounds differently
-from build to build).  ``tests/test_golden.py`` pins the results, and
-``tests/test_ode.py`` checks the stepper against the Dormand-Prince 4(5)
-loop it replaced and the tables against scipy's.
+``integrate`` is the hot loop of every solve.  Its step loop (the twelve
+stages, the error norm, step control, event detection, the stage buffer of
+a run with quadrature and the settled stop) runs in a C kernel,
+``_dop853.c``, written stage by stage like the Python loop ``_py_loop``,
+which stays the reference: the same float operations in the same order,
+``**`` as CPython's float_pow (an overflowing power shrinks the step as
+Python's OverflowError does), so the two give the same bits.  At import
+``_native.build`` compiles the file once into the cache directory (the
+compiler CPython was built with, -O2 -ffp-contract=off); ``ode`` loads it
+with ctypes and uses it only if its self-check shots match ``_py_loop``
+bit for bit (``STEP_LOOP`` names the loop in use).  Without a compiler, with
+an unwritable cache or on a failed check, ``_py_loop`` runs, the same bits
+about 2.3x slower; nothing else chooses between the two.  The series start,
+the event refinement (``_refine``) and the dense pass are Python for both.
+``_py_loop`` is written for CPython's interpreter: the controls and tableau
+constants are locals, and the right-hand side is written out at each of
+the twelve stage evaluations (calling it as a closure made a step without
+quadrature about 20% slower).  With quadrature on, each accepted step only
+appends its stages to a flat buffer, and ``_dense_pass`` builds every
+step's interpolant, the interior grid points and the four cumulative norm
+arrays in one numpy pass after the loop.  Its powers are
+``np.float_power``, which calls libm's ``pow`` like Python's ``**``
+(``np.power`` may take a SIMD path that rounds differently from build to
+build).  ``tests/test_golden.py`` pins the results, ``tests/test_kernel.py``
+checks the kernel against ``_py_loop`` bit for bit, and ``tests/test_ode.py``
+checks the stepper against the Dormand-Prince 4(5) loop it replaced and the
+tables against scipy's.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import math
 from array import array
 from dataclasses import dataclass
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 
-from .params import ProblemParams
+from . import _native
+from .params import Family, ProblemParams
 
 __all__ = [
     "TerminalEvent",
@@ -491,8 +509,9 @@ def _dense_pass(params: ProblemParams, coeffs: tuple, k1: float, stages, radii: 
 
 def _trajectory(rs, us, vs, nfev: int, quad: tuple | None,
                 end: tuple | None = None) -> Trajectory:
-    """The grid so far, as a ReachedRmax trajectory.  ``quad`` is None, or
-    _dense_pass' (params, coeffs, k1, stages) of a run with quadrature."""
+    """The grid so far (lists, or arrays the step kernel filled), as a
+    ReachedRmax trajectory.  ``quad`` is None, or _dense_pass' (params,
+    coeffs, k1, stages) of a run with quadrature."""
     radii, values, slopes = np.array(rs), np.array(us), np.array(vs)
     norms = (None,) * 4
     if quad is not None:
@@ -503,7 +522,7 @@ def _trajectory(rs, us, vs, nfev: int, quad: tuple | None,
         values=values,
         slopes=slopes,
         terminal_event=TerminalEvent.REACHED_RMAX,
-        terminal_radius=rs[-1],
+        terminal_radius=float(rs[-1]),
         rhs_evals=nfev,
     )
     t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir = norms
@@ -527,10 +546,51 @@ def integrate(
     With tol.with_quadrature the grid also holds _SUB - 1 interior points of
     every step, and the norm arrays are filled.
     """
+    return _step_loop(params, a, r_max, tol)
+
+
+def _start(params: ProblemParams, a: float, r_max: float, tol: StepControls):
+    """What both step loops start from: the series coefficients, the hand-off
+    radius r0, (u, u', u'') there, the first step, and the settled stop's
+    (a/2, N-2, _SETTLE_MARGIN D / (u g)) where it is on (else None)."""
     if not r_max > 0.0:
         raise ValueError(f"r_max must be positive, got {r_max}")
     coeffs = series_coefficients(params, a)
     r0 = default_handoff_radius(coeffs, r_max)   # below r_max
+    u, v = series_piece(coeffs, r0)
+    au = abs(u)
+    k1 = (u * (params.linear_coeff - au**(params.p - 2.0) + params.q_coeff * au**(params.q - 2.0))
+          - (params.N - 1.0) / r0 * v)
+    # conservative first step; the controller grows it by up to 10x per step
+    h = min(max(1e-6, 0.05 * r0), 0.5 * (r_max - r0))
+    # an algebraic run without quadrature ends where B has settled (_SETTLE_G)
+    settle = None
+    if params.is_algebraic() and not tol.with_quadrature:
+        settle = 0.5 * a, params.N - 2.0, _SETTLE_MARGIN * _drift_coeff(params)
+    return coeffs, r0, u, v, k1, h, settle
+
+
+def _refine(params: ProblemParams, event: TerminalEvent, floor: float, r: float, h: float,
+            u: float, v: float, u_new: float, v_new: float, r_new: float,
+            ku: list, kv: list) -> tuple[float, float, float]:
+    """(r, u, u') of the event on the step [r, r_new], refined on the step's
+    dense output: the crossing of 0 by u (ZeroCrossing) or u'
+    (SlopeSignFlip), or of the floor by u (Underflow).  ``ku`` and ``kv``
+    as _dense_coefficients takes them."""
+    fu, fv = _dense_coefficients(params, pow, r, h, u, v, u_new, v_new, ku, kv)
+    i, level = ((1, 0.0) if event is TerminalEvent.SLOPE_SIGN_FLIP
+                else (0, floor if event is TerminalEvent.UNDERFLOW else 0.0))
+    etol = _EVENT_TOL * max(1.0, r_new)
+    r_event = _bisect_event(r, h, (u, v)[i], (fu, fv)[i], level, r, r_new, etol)
+    x = (r_event - r) / h
+    return r_event, _dense_eval(u, fu, x), _dense_eval(v, fv, x)
+
+
+def _py_loop(params: ProblemParams, a: float, r_max: float, tol: StepControls) -> Trajectory:
+    """``integrate`` with the step loop in Python: the reference the C
+    kernel (_c_loop) matches bit for bit, and the loop that runs where the
+    kernel cannot be built."""
+    coeffs, r, u, v, k1, h, settle = _start(params, a, r_max, tol)
 
     # Everything the step loop reads is a local.  The RHS
     #   u'' = u (lin - |u|^(p-2) + qc |u|^(q-2)) - N1 / r * u'
@@ -554,32 +614,19 @@ def integrate(
     e5_1, _, _, _, _, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, e5_12, _ = _E5
     d1, d9, d12 = b1 - _E3[0], b9 - _E3[8], b12 - _E3[11]   # B - E3
     sqrt, isfinite = math.sqrt, math.isfinite
-
-    # an algebraic run without quadrature ends where B has settled (_SETTLE_G)
-    settle = params.is_algebraic() and not tol.with_quadrature
     if settle:
-        n2 = params.N - 2.0
-        half = 0.5 * a
-        drift = _SETTLE_MARGIN * _drift_coeff(params)
-
-    u, v = series_piece(coeffs, r0)
-    r = r0
+        half, n2, drift = settle
 
     rs = [r]
     us = [u]
     vs = [v]
     rs_append, us_append, vs_append = rs.append, us.append, vs.append
     nfev = 1
-    au = abs(u)
-    k1 = u * (lin - au**pm2 + qc * au**qm2) - N1 / r * v
     quad = None   # _dense_pass' (params, coeffs, k1, stages) of a run with quadrature
     if tol.with_quadrature:
         stages = array("d")   # every accepted step appends what _dense_pass reads
         stages_extend = stages.extend
         quad = (params, coeffs, k1, stages)
-
-    # conservative first step; the controller grows it by up to 10x per step
-    h = min(max(1e-6, 0.05 * r0), 0.5 * (r_max - r0))
 
     event: TerminalEvent | None = None
     r_event = r_max
@@ -692,16 +739,14 @@ def integrate(
             h *= max(0.2, 0.9 * err**-0.125)
             continue
 
-        # terminal event checks, in priority order within the step; an event
-        # that is refined on the dense output names the component (u or u')
-        # whose crossing of a level it is
-        refine = None
+        # terminal event checks, in priority order within the step; all but
+        # ReachedRmax are refined on the dense output
         if u_new <= 0.0:
-            event, refine = TerminalEvent.ZERO_CROSSING, (0, 0.0)
+            event = TerminalEvent.ZERO_CROSSING
         elif v_new >= 0.0 and u_new > 0.0:
-            event, refine = TerminalEvent.SLOPE_SIGN_FLIP, (1, 0.0)
+            event = TerminalEvent.SLOPE_SIGN_FLIP
         elif u_new < floor and v_new < 0.0:
-            event, refine = TerminalEvent.UNDERFLOW, (0, floor)
+            event = TerminalEvent.UNDERFLOW
         elif clipped:
             event = TerminalEvent.REACHED_RMAX
             r_event = r_max
@@ -710,19 +755,14 @@ def integrate(
         if quad:
             stages_extend((h, v6, v7, v8, v9, v10, v11, v12,
                            k6, k7, k8, k9, k10, k11, k12, k13))
-        if refine is not None:
+        if event is not None and event is not TerminalEvent.REACHED_RMAX:
             # the interpolant, built only for the step that refines an event
-            fu, fv = _dense_coefficients(
-                params, pow, r, h, u, v, u_new, v_new,
+            end = u_new, v_new
+            r_event, u_new, v_new = _refine(
+                params, event, floor, r, h, u, v, u_new, v_new, r_new,
                 [v, v6, v7, v8, v9, v10, v11, v12, v_new, 0.0, 0.0, 0.0],
                 [k1, k6, k7, k8, k9, k10, k11, k12, k13, 0.0, 0.0, 0.0])
             nfev += 3
-            i, level = refine
-            etol = _EVENT_TOL * max(1.0, r_new)
-            r_event = _bisect_event(r, h, (u, v)[i], (fu, fv)[i], level, r, r_new, etol)
-            end = u_new, v_new
-            x = (r_event - r) / h
-            u_new, v_new = _dense_eval(u, fu, x), _dense_eval(v, fv, x)
             r_stop = r_event
 
         r, u, v = r_stop, u_new, v_new
@@ -744,3 +784,133 @@ def integrate(
     t.terminal_event = event
     t.terminal_radius = r_event
     return t
+
+
+# --- the C step kernel --------------------------------------------------------
+
+# The tableau as _dop853.c reads it: C (16), A (16 rows of 16), B, E5, E3
+_TABLEAU = (ctypes.c_double * 310)(*_C, *(x for row in _A for x in row + (0.0,) * (16 - len(row))),
+                                   *_B, *_E5, *_E3)
+
+# what the kernel returns (the STOP_ codes of _dop853.c)
+_ROOM, _SETTLED = 0, 2   # 1 is ReachedRmax at r_max
+_REFINED = {3: TerminalEvent.ZERO_CROSSING, 4: TerminalEvent.SLOPE_SIGN_FLIP,
+            5: TerminalEvent.UNDERFLOW}
+_BUDGET, _COLLAPSE = 6, 7
+_RAISED = {8: (ZeroDivisionError, "float division by zero"),   # where _py_loop raises
+           9: (ZeroDivisionError, "0.0 cannot be raised to a negative power"),
+           10: (ValueError, "libm pow failed in **")}
+_GRID0 = 256   # grid points the first call has room for; each refill doubles it
+_SOURCE = Path(__file__).with_name("_dop853.c")
+
+
+def _c_loop(params: ProblemParams, a: float, r_max: float, tol: StepControls,
+            kernel=None) -> Trajectory:
+    """``integrate`` with the step loop in the C kernel, which matches
+    _py_loop bit for bit; ``kernel`` is a loaded dop853_loop (the module's
+    own by default).  The series start, the event refinement and the dense
+    pass are the Python loop's."""
+    coeffs, r0, u0, v0, k1, h, settle = _start(params, a, r_max, tol)
+    floor = tol.underflow_factor * a
+    half, n2, drift = settle or (0.0, 1.0, 0.0)
+    quad = tol.with_quadrature
+    prm = (ctypes.c_double * 14)(
+        params.N - 1.0, params.linear_coeff, params.q_coeff, params.p - 2.0, params.q - 2.0,
+        floor, tol.atol, tol.rtol, tol.min_step, r_max, half, n2, drift, _SETTLE_G)
+    st = (ctypes.c_double * 23)(r0, u0, v0, k1, h)
+    budget = math.floor(max(min(tol.max_steps, 2**62), -1))   # steps > budget fails
+    cnt = (ctypes.c_int64 * 7)(1, 1, 0, budget, quad, settle is not None, 0)
+    cap = _GRID0
+    grid = np.empty((3, cap))   # rows: radii, values, slopes
+    grid[:, 0] = r0, u0, v0
+    stages = np.empty((cap, 16)) if quad else None   # h, u' and u'' at the stages, per step
+    kernel = kernel or _kernel
+    while (code := kernel(_TABLEAU, prm, st, cnt, grid.ctypes.data, cap,
+                          stages.ctypes.data if quad else None)) == _ROOM:
+        n, cap = cnt[0], 2 * cap
+        grid = np.concatenate((grid, np.empty((3, cap - n))), axis=1)
+        if quad:
+            stages = np.concatenate((stages, np.empty((cap - n, 16))))
+
+    n, nfev = cnt[0], cnt[1]
+    event, r_event, end = TerminalEvent.REACHED_RMAX, r_max, None
+    if code in _REFINED:
+        # the kernel stopped at the step's start; it has room for its end
+        event = _REFINED[code]
+        r, u, v, k1_step, h, u_new, v_new, r_new = st[:8]
+        end = u_new, v_new
+        r_event, u, v = _refine(params, event, floor, r, h, u, v, u_new, v_new, r_new,
+                                [v, *st[8:15], v_new, 0.0, 0.0, 0.0],
+                                [k1_step, *st[15:23], 0.0, 0.0, 0.0])
+        grid[:, n] = r_event, u, v
+        n, nfev = n + 1, nfev + 3
+    elif code == _SETTLED:
+        r_event = st[0]
+    rs, us, vs = grid[:, :n]
+    run = (params, coeffs, k1, stages[:n - 1]) if quad else None
+    if code in (_BUDGET, _COLLAPSE):
+        raise IntegrationFailure(f"step budget {tol.max_steps} exhausted" if code == _BUDGET
+                                 else f"step size collapsed at r={st[0]:.6g}",
+                                 _trajectory(rs, us, vs, nfev, run))
+    if code in _RAISED:
+        exc, message = _RAISED[code]
+        raise exc(message)
+    t = _trajectory(rs, us, vs, nfev, run, end)
+    t.terminal_event = event
+    t.terminal_radius = r_event
+    return t
+
+
+# The self-check shots: a tight P_eps shot with quadrature to its zero
+# crossing, and a P_zero search shot to its settled stop
+_CHECK_SHOTS = (
+    (ProblemParams(3, 4.0, 6.0, 1e-2, Family.P_EPS), 0.75, 500.0,
+     StepControls(atol=1e-14, rtol=1e-12, with_quadrature=True)),
+    (ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO), 0.98, 1e6,
+     StepControls(atol=1e-14, rtol=1e-12)),
+)
+
+
+def _same(t: Trajectory, ref: Trajectory) -> bool:
+    """Whether two trajectories hold the same bits (norm arrays included)."""
+    return (t.terminal_event is ref.terminal_event
+            and t.terminal_radius.hex() == ref.terminal_radius.hex()
+            and t.rhs_evals == ref.rhs_evals
+            and all((x is None and y is None)
+                    or (x is not None and y is not None and x.tobytes() == y.tobytes())
+                    for x, y in zip((t.radii, t.values, t.slopes, t.norm_l2, t.norm_lp,
+                                     t.norm_lq, t.norm_dir),
+                                    (ref.radii, ref.values, ref.slopes, ref.norm_l2,
+                                     ref.norm_lp, ref.norm_lq, ref.norm_dir))))
+
+
+def _load_kernel():
+    """dop853_loop of _dop853.c, built into the cache directory, or None
+    where it cannot be built or loaded, or where the self-check shots do
+    not match _py_loop bit for bit."""
+    path = _native.build(_SOURCE)
+    if path is None:
+        return None
+    try:
+        kernel = ctypes.CDLL(str(path)).dop853_loop
+        kernel.restype = ctypes.c_int
+        doubles = ctypes.POINTER(ctypes.c_double)
+        kernel.argtypes = (doubles, doubles, doubles, ctypes.POINTER(ctypes.c_int64),
+                           ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+        if all(_same(_c_loop(*shot, kernel=kernel), _py_loop(*shot))
+               for shot in _CHECK_SHOTS):
+            return kernel
+    except Exception:   # a library that does not load or run: keep the Python loop
+        pass
+    return None
+
+
+def _select_loop():
+    """(kernel, step loop): the C kernel and _c_loop where it loads and
+    passes its self-check, else (None, _py_loop)."""
+    kernel = _load_kernel()
+    return kernel, (_c_loop if kernel else _py_loop)
+
+
+_kernel, _step_loop = _select_loop()
+STEP_LOOP = "C kernel" if _kernel else "Python"   # the step loop integrate runs

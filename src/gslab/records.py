@@ -19,6 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from ._native import cache_dir
 from .asymptotics import ScalingReport, SweepPoint, fit_data, fit_exponent, fit_points
 
 SCHEMA_VERSION = "1"
@@ -205,25 +206,31 @@ def refit_record(record: ResultRecord, observable: str = "amplitude",
 # --- solve cache ------------------------------------------------------------
 
 
-def cache_dir() -> Path:
-    env = os.environ.get("GSLAB_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "gslab"
+def _source_files(directory: Path = Path(__file__).parent) -> list[Path]:
+    """The package's sources in ``directory``: its Python modules and the C
+    step kernel, in name order."""
+    return sorted([*directory.glob("*.py"), *directory.glob("*.c")], key=lambda p: p.name)
+
+
+def _sources_digest(directory: Path = Path(__file__).parent) -> str:
+    """SHA-256 over the names and bytes of _source_files(directory)."""
+    h = hashlib.sha256()
+    for path in _source_files(directory):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 @functools.cache
 def solver_revision() -> str:
-    """SHA-256 of the package's own sources, read once per process.
+    """SHA-256 of the package's own sources (_sources_digest), read once per
+    process.
 
-    Part of the cache key, so a changed solver misses the entries an older
-    one wrote even when ``__version__`` is unchanged.
+    Part of the cache key, so a changed solver, its C kernel included,
+    misses the entries an older one wrote even when ``__version__`` is
+    unchanged.
     """
-    h = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        h.update(path.name.encode())
-        h.update(path.read_bytes())
-    return h.hexdigest()
+    return _sources_digest()
 
 
 def cache_key(config: dict) -> str:

@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .emden import _leggauss, _panel_sum
+from .emden import _gauss_panels, _leggauss, _panel_sum
 from .errors import (BracketNotFound, DivergentNormError, InconsistentSolution,
                      InternalConsistencyError)
 from .ode import (IntegrationFailure, StepControls, TerminalEvent, Trajectory, _ball_nodes,
@@ -294,10 +294,7 @@ class TailModel:
         [R, R + 30/k], _TAIL_NODES nodes each."""
         k = self.rate_or_power
         edges = R * ((R + 30.0 / k) / R) ** np.linspace(0.0, 1.0, _TAIL_PANELS + 1)
-        x, w = _leggauss(_TAIL_NODES)
-        a, b = edges[:-1], edges[1:]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        r = mid[:, None] + half[:, None] * x
+        r, half, w = _gauss_panels(edges, _TAIL_NODES)
         base = self._base(r)   # one mode for both (_kve twice per node: nu, nu + 1)
         return _FarField(w * r ** (self.N - 1), half, np.abs(self.predict(r, base)),
                          self.slope(r, base))
@@ -659,13 +656,22 @@ def _pohozaev_root(params: ProblemParams) -> float:
 # (32 solve_mix draws, both delta sweeps, (4, 5, 8), (5, 4, 7), (3, 6.5, 7)),
 # and a search shot ends where B has settled (ode._SETTLE_MARGIN) long before
 _ALGEBRAIC_R_MAX = 1e6
+# P_zero's r_max is at least _CORE_RADII core radii u_P^(-(p-2)/2): near p*
+# (the delta sweeps) u_P is small and the core wide, so 1e6 alone is too
+# short for the Emden tail to separate the classes (N = 3, q = 7 lost
+# delta = 5e-3 with residuals 4.6e-4 at 1e6)
+_CORE_RADII = 1e4
 
 
 def _default_r_max(params: ProblemParams, ctrl: ShootControls) -> float:
     """The outer radius of every shot: ctrl.r_max if set, else 50 decay
-    lengths of an exponential tail, or _ALGEBRAIC_R_MAX."""
+    lengths of an exponential tail, or _ALGEBRAIC_R_MAX, for P_zero at least
+    _CORE_RADII core radii u_P^(-(p-2)/2) (_pohozaev_root)."""
     if ctrl.r_max is not None:
         return ctrl.r_max
+    if params.family is Family.P_ZERO:
+        core = _pohozaev_root(params) ** (-(params.p - 2.0) / 2.0)
+        return max(_ALGEBRAIC_R_MAX, _CORE_RADII * core)
     return _ALGEBRAIC_R_MAX if params.is_algebraic() else 50.0 / params.decay_rate
 
 

@@ -256,6 +256,15 @@ def test_delta_sweep_level_excess_vanishes(delta_sweep):
     assert sig[-1] < 0.1 * sig[0]
 
 
+def test_small_q_delta_sweep_solves_its_smallest_delta(delta_sweep_small_q):
+    # delta = 5e-3 raised InconsistentSolution (residuals 4.6e-4) while
+    # P_zero's r_max was 1e6 whatever its core radius
+    pt = min(delta_sweep_small_q.points, key=lambda pt: pt.x)
+    assert pt.x == pytest.approx(5e-3)
+    assert pt.converged, pt.failure
+    assert max(pt.nehari_res, pt.pokh_res) <= 1e-9
+
+
 def test_parallel_sweep_matches_serial():
     spec = dict(regime="subcritical", N=3, q=6.0, p=4.0,
                 grid_min=1.4e-3, grid_max=0.18, ratio=2.0)

@@ -1,0 +1,217 @@
+"""The C step kernel against the Python step loop it keeps as reference.
+
+``ode._c_loop`` runs ``integrate``'s step loop in ``_dop853.c``;
+``ode._py_loop`` is the same loop in Python, which runs wherever the kernel
+cannot be built.  On every call the two must agree to the bit: radii,
+values, slopes and the four norm arrays, terminal event and radius, and
+RHS evaluations, the partial trajectory of an IntegrationFailure included.
+The calls are every integrate call of the benchmark's solve_mix seeds 1-3
+and sweep_chain seed 1 (captured at shooting.integrate), and the paths
+those leave out: underflow, step budget, step collapse, a power that
+overflows, a division by zero, the settled stop switched off, and a grid
+refilled on every step.
+"""
+
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from gslab import _native, functionals, ode, records, shooting
+from gslab.asymptotics import sweep
+from gslab.ode import IntegrationFailure, StepControls, TerminalEvent
+from gslab.params import Family, ProblemParams
+
+ROOT = Path(__file__).resolve().parents[1]
+
+needs_kernel = pytest.mark.skipif(
+    ode._kernel is None, reason="the C kernel did not build here: integrate runs the Python loop")
+
+
+def _outcome(loop, call):
+    """("done", trajectory), (failure message, partial) or (raised, None)."""
+    try:
+        return "done", loop(*call)
+    except IntegrationFailure as exc:
+        return str(exc), exc.partial
+    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        return repr(exc), None
+
+
+def _bits(t):
+    arrays = (t.radii, t.values, t.slopes, t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir)
+    return (t.terminal_event, t.terminal_radius.hex(), t.rhs_evals,
+            [None if x is None else x.tobytes() for x in arrays])
+
+
+def assert_same_bits(call, kernel=None):
+    """Both loops on one integrate call: the same outcome, bit for bit."""
+    c_loop = ode._c_loop if kernel is None else lambda *a: ode._c_loop(*a, kernel=kernel)
+    (c_end, c), (py_end, py) = _outcome(c_loop, call), _outcome(ode._py_loop, call)
+    assert c_end == py_end, call
+    if py is not None:
+        assert type(c.terminal_radius) is float
+        assert _bits(c) == _bits(py), call
+    return py_end, py
+
+
+@pytest.fixture(scope="module")
+def benchmark_calls():
+    """Every integrate call of solve_mix seeds 1-3, then of sweep_chain seed 1:
+    (params, a, r_max, tol) each, and the number of solve_mix calls."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    calls = []
+    real = shooting.integrate
+
+    def recorded(params, a, r_max, tol=StepControls()):
+        calls.append((params, a, r_max, tol))
+        return real(params, a, r_max, tol)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(shooting, "integrate", recorded)
+        for seed in (1, 2, 3):
+            for params in workloads.SolveMix(seed, None).inputs:
+                functionals.solve_ground_state(params)
+        n_mix = len(calls)
+        for spec, _, _ in workloads.SweepChain(1, None).sweeps:
+            sweep(spec)
+    return calls, n_mix
+
+
+@needs_kernel
+def test_benchmark_calls_match_bit_for_bit(benchmark_calls):
+    calls, n_mix = benchmark_calls
+    seen = set()
+    rhs_mix = 0
+    for i, call in enumerate(calls):
+        end, t = assert_same_bits(call)
+        params, _, r_max, tol = call
+        kind = t.terminal_event
+        if kind is TerminalEvent.REACHED_RMAX and t.terminal_radius < r_max:
+            kind = "settled"
+        seen.add((kind, "quad" if tol.with_quadrature else "loose" if tol.rtol > 1e-8
+                  else "tight"))
+        if i < n_mix:
+            rhs_mix += t.rhs_evals
+    # the deterministic counters of solve_mix seeds 1-3 (84 solves)
+    assert (n_mix, rhs_mix) == (997, 613_378)   # 7302 per solve
+    for path in [(TerminalEvent.ZERO_CROSSING, "loose"), (TerminalEvent.ZERO_CROSSING, "tight"),
+                 (TerminalEvent.SLOPE_SIGN_FLIP, "quad"), (TerminalEvent.REACHED_RMAX, "quad"),
+                 ("settled", "tight"), (TerminalEvent.SLOPE_SIGN_FLIP, "loose")]:
+        assert path in seen, path
+
+
+R_ZERO = ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO)
+P_EPS = ProblemParams(3, 4.0, 6.0, 1e-2, Family.P_EPS)
+P_ZERO = ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO)
+TIGHT = StepControls(atol=1e-14, rtol=1e-12)
+
+# (call, outcome): the paths the benchmark's calls leave out.  The R_zero
+# amplitude is its a*, the P_zero ones are a* and 1 +- 1% of it; P_eps
+# shots from 1e4 and 1e8 take trial steps whose stage powers overflow.
+PATHS = {
+    "underflow": ((R_ZERO, 4.337387679977127, 50.0, replace(TIGHT, underflow_factor=1e-8)),
+                  "done"),
+    "underflow-quad": ((R_ZERO, 4.337387679977127, 50.0, replace(
+        TIGHT, underflow_factor=1e-8, with_quadrature=True)), "done"),
+    "budget": ((R_ZERO, 3.3, 50.0, StepControls(max_steps=12)), "step budget 12 exhausted"),
+    "budget-quad": ((R_ZERO, 3.3, 50.0, StepControls(max_steps=12, with_quadrature=True)),
+                    "step budget 12 exhausted"),
+    "collapse-first": ((R_ZERO, 3.3, 50.0, StepControls(min_step=1.0)), "step size collapsed"),
+    "collapse-quad": ((R_ZERO, 3.3, 50.0, StepControls(min_step=1.0, with_quadrature=True)),
+                      "step size collapsed"),
+    "pow-overflow": ((P_EPS, 1e4, 500.0, StepControls()), "done"),
+    "pow-overflow-collapse": ((P_EPS, 1e8, 500.0, StepControls()), "step size collapsed"),
+    "zero-division": ((P_EPS, 0.5, 500.0, StepControls(atol=0.0, rtol=0.0)),
+                      "ZeroDivisionError('float division by zero')"),
+    "r_max": ((P_ZERO, 0.9, 1e6, TIGHT), "done"),
+    "settled": ((P_ZERO, 0.98, 1e6, TIGHT), "done"),
+    "quad-to-r_max": ((P_ZERO, 0.9704323868577163, 1e6, replace(TIGHT, with_quadrature=True)),
+                      "done"),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("grid0", [ode._GRID0, 1], ids=["grid", "refill-every-step"])
+@pytest.mark.parametrize("name", list(PATHS))
+def test_paths_match_bit_for_bit(name, grid0, monkeypatch):
+    call, expected = PATHS[name]
+    monkeypatch.setattr(ode, "_GRID0", grid0)
+    overflows = []
+
+    def counted(*args):   # the kernel, counting the trial steps a power overflow shrank
+        code = ode._kernel(*args)
+        overflows.append(args[3][6])
+        return code
+
+    end, t = assert_same_bits(call, kernel=counted)
+    assert end.startswith(expected)
+    assert (overflows[-1] > 0) == name.startswith("pow-overflow")
+    if name.startswith("underflow"):
+        assert t.terminal_event is TerminalEvent.UNDERFLOW
+    if name == "settled":
+        assert t.terminal_radius < call[2]
+    if name.endswith("quad"):
+        assert t.norm_l2 is not None
+
+
+@needs_kernel
+def test_settled_stop_off_reads_settle_g_at_call_time(monkeypatch):
+    monkeypatch.setattr(ode, "_SETTLE_G", 0.0)   # no step settles
+    _, t = assert_same_bits(PATHS["settled"][0])
+    assert t.terminal_event is TerminalEvent.ZERO_CROSSING   # the overshoot runs on
+
+
+def test_loaded_loop_is_the_kernel_where_it_builds():
+    assert (ode._step_loop is ode._c_loop) == (ode._kernel is not None)
+    assert ode.STEP_LOOP == ("C kernel" if ode._kernel is not None else "Python")
+
+
+@pytest.mark.parametrize("compiler", [[sys.executable, "-c", "raise SystemExit(1)"],
+                                      ["/nonexistent/cc"]], ids=["fails", "missing"])
+def test_failed_build_falls_back_to_the_python_loop(compiler, monkeypatch, tmp_path):
+    monkeypatch.setenv("GSLAB_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(_native, "_compiler", lambda: compiler)
+    assert _native.build(ode._SOURCE) is None
+    assert not list(tmp_path.iterdir())   # no library, no temporary file left
+    kernel, loop = ode._select_loop()
+    assert kernel is None and loop is ode._py_loop
+    # integrate on the fallback gives the kernel's bits (test_golden pins those)
+    params = ProblemParams(3, 4.0, 6.0, 1e-2, Family.P_EPS)
+    ref = functionals.solve_ground_state(params)
+    monkeypatch.setattr(ode, "_step_loop", loop)
+    sol = functionals.solve_ground_state(params)
+    assert sol.amplitude.hex() == ref.amplitude.hex()
+    assert _bits(sol.profile.grid) == _bits(ref.profile.grid)
+
+
+def test_unwritable_cache_runs_the_python_loop(tmp_path):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    env = {**os.environ, "GSLAB_CACHE_DIR": str(blocker / "cache"), "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-m", "gslab.cli", "--version"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().endswith("(step loop: Python)")
+
+
+def test_edited_kernel_gets_a_new_library_and_revision(tmp_path):
+    package = Path(ode.__file__).parent
+    for path in records._source_files(package):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    assert "_dop853.c" in [p.name for p in records._source_files(package)]
+    assert records._sources_digest(tmp_path) == records.solver_revision()
+    lib, _ = _native.library_path(tmp_path / "_dop853.c")
+    assert lib == _native.library_path(ode._SOURCE)[0]
+
+    edited = tmp_path / "_dop853.c"
+    edited.write_bytes(edited.read_bytes() + b"/* edited */\n")
+    assert records._sources_digest(tmp_path) != records.solver_revision()
+    assert _native.library_path(edited)[0] != lib

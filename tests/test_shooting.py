@@ -588,3 +588,27 @@ def test_p_zero_draws_that_read_converged_on_both_sides_solve(N, p, q):
 
     sol = solve_ground_state(ProblemParams(N, p, q, 0.0, Family.P_ZERO))
     assert max(sol.nehari_residual, sol.pokhozhaev_residual) < 1e-9
+
+
+@pytest.mark.parametrize("delta", [2e-2, 1e-2, 5e-3, 2e-3, 1e-3])
+def test_p_zero_delta_ladder_solves(delta):
+    # N = 3, q = 7, p = p* + delta.  Near p* the core radius u_P^(-(p-2)/2)
+    # grows, and with r_max fixed at 1e6 delta = 5e-3, 2e-3 and 1e-3 raised
+    # InconsistentSolution (residuals 4.6e-4, 3.1e-2, 0.11) and 1e-2 returned
+    # 1.4e-6.  r_max = 1e4 core radii (2.2e7 to 7.5e9 here) solves every rung
+    # below 2e-12
+    from gslab import solve_ground_state
+    from gslab.params import critical_exponent
+
+    params = ProblemParams(3, critical_exponent(3) + delta, 7.0, 0.0, Family.P_ZERO)
+    core = shooting._pohozaev_root(params) ** (-(params.p - 2.0) / 2.0)
+    assert shooting._default_r_max(params, ShootControls()) == shooting._CORE_RADII * core > 1e6
+    sol = solve_ground_state(params)
+    assert max(sol.nehari_residual, sol.pokhozhaev_residual) <= 1e-9
+
+
+@pytest.mark.parametrize("q", [9.0, 12.0, 16.0])
+def test_p_zero_benchmark_draws_keep_r_max_1e6(q):
+    # (3, 8, q in [9, 16]): u_P >= 0.75, so 1e4 core radii stay below 1e6
+    params = ProblemParams(3, 8.0, q, 0.0, Family.P_ZERO)
+    assert shooting._default_r_max(params, ShootControls()) == shooting._ALGEBRAIC_R_MAX
