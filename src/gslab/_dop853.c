@@ -1,23 +1,28 @@
-/* The DOP853 step loop of gslab.ode.integrate, written stage by stage like
- * the Python loop (ode._py_loop), which stays the reference.
+/* One outward DOP853 shot of gslab.ode.integrate: the series start, the step
+ * loop and the refinement of its terminal event, written line by line like
+ * the Python reference (ode._start, ode._py_loop and ode._refine).
  *
- * Every float operation is the one the Python loop performs, in its order:
- * sums run left to right, max and min pick the branches Python's max and
- * min pick, ** is CPython's float_pow (py_pow below, the same libm pow with
- * the same error cases) and a division by zero stops the loop where Python
- * raises ZeroDivisionError.  Compiled with -ffp-contract=off and without
- * -ffast-math, the two loops give the same bits; ode loads this library
- * only after a reference shot has matched the Python loop bit for bit.
+ * Every float operation is the one Python performs, in its order: written
+ * sums run left to right and sum() calls add as builtins.sum adds floats
+ * (py_dot), max and min pick the branches Python's max and min pick, ints
+ * meet floats as Python converts them, ** is CPython's float_pow (py_pow
+ * below, the same libm pow with the same error cases), and a division by
+ * zero or a power that ** rejects stops the shot with the code of the
+ * exception Python raises.  Compiled with -ffp-contract=off and without -ffast-math, the two
+ * give the same bits; ode loads this library only after its self-check
+ * shots have matched the Python loop bit for bit.
  *
- * The caller passes the tableau (ode._C, _A, _B, _E5, _E3, packed by
- * ode._TABLEAU), the run's constants and the loop state, and owns every
- * buffer: the grid (radii, values and slopes, cap points each) and, with
- * quadrature, the stage buffer (16 doubles per accepted step: h, u' at the
- * stages 6-12, u'' at the stages 6-13).  The loop returns at a terminal
- * event, a failure, or a full grid (STOP_ROOM: the state is saved at the
- * top of a step, so the caller grows the grid and calls again).  An event
- * that the dense output refines returns its step unrefined: refinement,
- * the series start and the dense pass stay Python.
+ * The caller passes the tableau (ode._C, _A, _B, _E5, _E3 and the dense
+ * output's _EXTRA and _D_DENSE, packed by ode._TABLEAU), the shot's
+ * constants, the state and the counters, and owns every buffer: the grid
+ * (radii, values and slopes, cap points each) and, with quadrature, the
+ * stage buffer (16 doubles per accepted step: h, u' at the stages 6-12, u''
+ * at the stages 6-13).  The first call (no grid point yet) computes the
+ * series start; the shot returns at a terminal event (refined on the dense
+ * output where it is one), a failure, an exception, or a full grid
+ * (STOP_ROOM: the state is saved at the top of a step, so the caller grows
+ * the grid and calls again).  The dense pass of a run with quadrature stays
+ * numpy (ode._dense_pass).
  */
 #include <errno.h>
 #include <math.h>
@@ -27,40 +32,52 @@ enum {
     STOP_ROOM = 0,        /* the grid is full: grow it and call again */
     STOP_RMAX = 1,        /* the clipped step reached r_max */
     STOP_SETTLED = 2,     /* an algebraic run's far-field B has settled */
-    STOP_ZERO = 3,        /* u crossed zero: refine u at level 0 */
-    STOP_SLOPE = 4,       /* u' turned positive: refine u' at level 0 */
-    STOP_UNDERFLOW = 5,   /* u fell below the floor: refine u at the floor */
+    STOP_ZERO = 3,        /* u crossed zero: refined on u at level 0 */
+    STOP_SLOPE = 4,       /* u' turned positive: refined on u' at level 0 */
+    STOP_UNDERFLOW = 5,   /* u fell below the floor: refined on u at the floor */
     STOP_BUDGET = 6,      /* the step budget is spent */
     STOP_COLLAPSE = 7,    /* the step size collapsed */
-    STOP_ZERO_DIV = 8,    /* Python raises ZeroDivisionError (float division) */
-    STOP_ZERO_POW = 9,    /* Python raises ZeroDivisionError (0.0 ** negative) */
-    STOP_POW_VALUE = 10,  /* Python raises ValueError (pow set an errno not ERANGE) */
+    /* where Python raises: */
+    STOP_ZERO_DIV = 8,    /* ZeroDivisionError (float division) */
+    STOP_ZERO_POW = 9,    /* ZeroDivisionError (0.0 ** negative) */
+    STOP_POW_VALUE = 10,  /* ValueError (pow set an errno not ERANGE) */
+    STOP_POW_RANGE = 11,  /* OverflowError (a power out of range) */
+    STOP_BAD_RMAX = 12,   /* ValueError: r_max is not positive */
+    STOP_BAD_AMP = 13,    /* ValueError: the amplitude is not positive and finite */
 };
 
-/* prm: the run's constants */
-enum { P_N1, P_LIN, P_QC, P_PM2, P_QM2, P_FLOOR, P_ATOL, P_RTOL, P_MIN_STEP,
-       P_RMAX, P_HALF, P_N2, P_DRIFT, P_SETTLE_G, P_COUNT };
-/* st: the loop state r, u, v, k1 (u'' at r) and h; after a refined event
- * also the step's end and its stages (ode._c_loop reads them) */
-enum { S_R, S_U, S_V, S_K1, S_H, S_UNEW, S_VNEW, S_RNEW, S_V6, S_K6 = S_V6 + 7,
-       S_COUNT = S_K6 + 8 };
+/* prm: the shot's constants */
+enum { P_N1, P_LIN, P_QC, P_PM2, P_QM2, P_P, P_Q, P_N, P_A, P_RMAX, P_UNDERFLOW,
+       P_ATOL, P_RTOL, P_MIN_STEP, P_SETTLE_G, P_SETTLE_MARGIN, P_EVENT_TOL, P_COUNT };
+/* st: the loop state r, u, v, k1 (u'' at r) and h; (u, u') at the end of
+ * the step a refined event moved; u'' at the hand-off radius; the settled
+ * stop's a/2 (0: off), N-2 and _SETTLE_MARGIN D / (u g); then the series
+ * coefficients c_0..c_K */
+enum { S_R, S_U, S_V, S_K1, S_H, S_UEND, S_VEND, S_K10, S_HALF, S_N2, S_DRIFT, S_COEFFS };
 /* cnt: grid points, RHS evaluations, steps, the step budget, quadrature on,
- * settled stop on, and the trial steps a power overflow shrank */
-enum { C_N, C_NFEV, C_STEPS, C_MAX_STEPS, C_QUAD, C_SETTLE, C_OVERFLOWS, C_COUNT };
+ * the number of series coefficients (K + 1, at least 2), sum() compensated,
+ * and the trial steps a power overflow shrank */
+enum { C_N, C_NFEV, C_STEPS, C_MAX_STEPS, C_QUAD, C_NCOEF, C_COMPENSATED, C_OVERFLOWS,
+       C_COUNT };
 /* tab: C (16), A (16 rows of 16, row i holding A[i][0..i-1]), B (12),
- * E5 (13), E3 (13) */
+ * E5 (13), E3 (13), then the dense output: the extra stages' nodes (3) and
+ * rows (9, 10 and 11 entries, on the dense stages), and D (4 rows of 12) */
 #define TC(i) tab[(i) - 1]
 #define TA(i, j) tab[16 + 16 * ((i) - 1) + (j) - 1]
 #define TB(j) tab[272 + (j) - 1]
 #define TE5(j) tab[284 + (j) - 1]
 #define TE3(j) tab[297 + (j) - 1]
+#define T_XC 310
+#define T_XROWS 313
+#define T_D 343
 
 enum { POW_OK, POW_OVERFLOW, POW_ZERO, POW_VALUE };
 
-/* x ** y as CPython's float_pow computes it, for x >= 0, -0.0 or NaN (the
- * loop's |u|): its special cases, then libm's pow with errno read as
- * _Py_ADJUST_ERANGE1 reads it.  POW_OVERFLOW, POW_ZERO and POW_VALUE are
- * where ** raises OverflowError, ZeroDivisionError and ValueError. */
+/* x ** y as CPython's float_pow computes it, for x >= 0, -0.0 or NaN (every
+ * base here is an absolute value or positive): its special cases, then
+ * libm's pow with errno read as _Py_ADJUST_ERANGE1 reads it.  POW_OVERFLOW,
+ * POW_ZERO and POW_VALUE are where ** raises OverflowError,
+ * ZeroDivisionError and ValueError. */
 static int py_pow(double x, double y, double *out)
 {
     if (y == 0.0) {
@@ -107,6 +124,203 @@ static int py_pow(double x, double y, double *out)
     return POW_OK;
 }
 
+/* The STOP_ code of the exception a failed ** raises */
+static int pow_stop(int pc)
+{
+    return pc == POW_OVERFLOW ? STOP_POW_RANGE : pc == POW_ZERO ? STOP_ZERO_POW : STOP_POW_VALUE;
+}
+
+/* sum(map(mul, row, k)) over n >= 1 products, as builtins.sum adds floats:
+ * from the int 0, then left to right, or with Neumaier's compensation (the
+ * sum() of CPython 3.12 on), which adds the compensation at the end only
+ * where it is nonzero and finite */
+static double py_dot(const double *row, const double *k, int n, int compensated)
+{
+    double s = 0.0 + row[0] * k[0], c = 0.0;
+    int i;
+
+    if (!compensated) {
+        for (i = 1; i < n; i++)
+            s += row[i] * k[i];
+        return s;
+    }
+    for (i = 1; i < n; i++) {
+        double x = row[i] * k[i], t = s + x;
+        if (fabs(s) >= fabs(x))
+            c += (s - t) + x;
+        else
+            c += (x - t) + s;
+        s = t;
+    }
+    if (c != 0.0 && isfinite(c))
+        s += c;
+    return s;
+}
+
+/* ode._start, into st: the series coefficients (ode.series_coefficients),
+ * the hand-off radius r0 (ode.default_handoff_radius), (u, u', u'') there
+ * (ode.series_piece), the first step, and the settled stop's constants
+ * where it is on.  Returns 0 or the code of the exception _start raises. */
+static int series_start(const double *prm, int ncoef, int quad, double *st)
+{
+    const double N = prm[P_N], p = prm[P_P], q = prm[P_Q], a = prm[P_A], r_max = prm[P_RMAX];
+    const double lin = prm[P_LIN], qc = prm[P_QC], pm2 = prm[P_PM2], qm2 = prm[P_QM2];
+    double *coef = st + S_COEFFS, wp[ncoef], wq[ncoef];
+    double x, y, growth = 0.0, r0, u, v, du, h;
+    int n, j, k, pc;
+
+    if (!(r_max > 0.0))
+        return STOP_BAD_RMAX;
+    if (a <= 0.0 || !isfinite(a))
+        return STOP_BAD_AMP;
+
+    /* c_0, c_1 = -f(a) / (2N), and the powers a^(p-1), a^(q-1) */
+    if ((pc = py_pow(a, pm2, &x)) || (pc = py_pow(a, qm2, &y)))
+        return pow_stop(pc);
+    coef[0] = a;
+    coef[1] = -(a * x - qc * a * y - lin * a) / (2.0 * N);
+    if ((pc = py_pow(a, p - 1.0, &wp[0])) || (pc = py_pow(a, q - 1.0, &wq[0])))
+        return pow_stop(pc);
+    for (n = 1; n < ncoef - 1; n++) {
+        double sp = 0.0, sq = 0.0, na = (double)n * a;
+        for (j = 1; j <= n; j++) {
+            sp += (p * (double)j - (double)n) * coef[j] * wp[n - j];
+            sq += (q * (double)j - (double)n) * coef[j] * wq[n - j];
+        }
+        if (na == 0.0)
+            return STOP_ZERO_DIV;
+        wp[n] = sp / na;
+        wq[n] = sq / na;
+        coef[n + 1] = (qc * wq[n] + lin * coef[n] - wp[n])
+                      / (2.0 * (double)(n + 1) * (double)(2 * n + (int64_t)N));
+    }
+
+    /* r0: growth = max |c_k / a|^(1/k), r0 = min(1e-3 r_max, (1e-16^(1/(K+1)) / growth)^0.5) */
+    for (k = 1; k < ncoef; k++) {
+        if ((pc = py_pow(fabs(coef[k] / a), 1.0 / (double)k, &x)))
+            return pow_stop(pc);
+        if (k == 1 || x > growth)
+            growth = x;
+    }
+    r0 = 1e-3 * r_max;
+    if (growth > 0.0) {
+        if ((pc = py_pow(1e-16, 1.0 / (double)ncoef, &x)) || (pc = py_pow(x / growth, 0.5, &y)))
+            return pow_stop(pc);
+        if (y < r0)
+            r0 = y;
+    }
+
+    /* the series piece at r0 */
+    x = r0 * r0;
+    u = coef[ncoef - 1];
+    du = 0.0;
+    for (k = ncoef - 1; k > 0; k--) {
+        du = du * x + 2.0 * (double)k * coef[k];
+        u = u * x + coef[k - 1];
+    }
+    v = du * r0;
+    st[S_R] = r0;
+    st[S_U] = u;
+    st[S_V] = v;
+    if ((pc = py_pow(fabs(u), pm2, &x)) || (pc = py_pow(fabs(u), qm2, &y)))
+        return pow_stop(pc);
+    if (r0 == 0.0)
+        return STOP_ZERO_DIV;
+    st[S_K1] = st[S_K10] = u * (lin - x + qc * y) - prm[P_N1] / r0 * v;
+
+    /* a conservative first step; the controller grows it by up to 10x per step */
+    h = 0.05 * r0 > 1e-6 ? 0.05 * r0 : 1e-6;
+    x = 0.5 * (r_max - r0);
+    st[S_H] = x < h ? x : h;
+
+    /* an algebraic run without quadrature ends where B has settled */
+    st[S_HALF] = 0.0;
+    if (lin == 0.0 && !quad) {
+        const double n2 = N - 2.0, den = n2 * (n2 * (p - 1.0) - 2.0);
+        if (den == 0.0)
+            return STOP_ZERO_DIV;
+        st[S_HALF] = 0.5 * a;
+        st[S_N2] = n2;
+        st[S_DRIFT] = prm[P_SETTLE_MARGIN] * (1.0 / den);
+    }
+    return 0;
+}
+
+/* y0 plus the interpolant with coefficients f[0..6] at the fraction x of
+ * its step (ode._dense_eval) */
+static double dense_eval(double y0, const double *f, double x)
+{
+    const double y = 1.0 - x;
+    return y0 + x * (f[0] + y * (f[1] + x * (f[2] + y * (f[3] + x * (f[4] + y * (
+        f[5] + x * f[6]))))));
+}
+
+/* ode._refine: the event of the step [r, r1] from (u, v) to (u1, v1),
+ * refined on its seventh-order dense output.  ku and kv hold u' and u'' at
+ * the 12 dense stages, the step's own nine set; this sets the three extra
+ * ones (ode._dense_coefficients), bisects the interpolant of u (or of u' for
+ * SlopeSignFlip) to the event tolerance (ode._bisect_event) and writes the
+ * event's (r, u, u') to out.  Returns 0 or the code of the exception
+ * _refine raises. */
+static int refine(const double *tab, const double *prm, int compensated, int event,
+                  double floor_, double r, double h, double u, double v, double u1, double v1,
+                  double r1, double *ku, double *kv, double *out)
+{
+    const double N1 = prm[P_N1], lin = prm[P_LIN], qc = prm[P_QC];
+    const double pm2 = prm[P_PM2], qm2 = prm[P_QM2];
+    const double *row = tab + T_XROWS;
+    double fu[7], fv[7], lo = r, hi = r1, level, etol, y0, x;
+    const double *f;
+    int m, i, it, below, pc;
+
+    for (m = 0; m < 3; m++) {
+        const int len = 9 + m;
+        const double us = u + h * py_dot(row, ku, len, compensated);
+        const double vs = v + h * py_dot(row, kv, len, compensated);
+        const double au = fabs(us), rr = r + tab[T_XC + m] * h;
+        double pp, qq;
+        ku[9 + m] = vs;
+        if ((pc = py_pow(au, pm2, &pp)) || (pc = py_pow(au, qm2, &qq)))
+            return pow_stop(pc);
+        if (rr == 0.0)
+            return STOP_ZERO_DIV;
+        kv[9 + m] = us * (lin - pp + qc * qq) - N1 / rr * vs;
+        row += len;
+    }
+    for (m = 0; m < 2; m++) {
+        const double y = m ? v : u, dy = (m ? v1 : u1) - y, *k = m ? kv : ku;
+        double *c = m ? fv : fu;
+        c[0] = dy;
+        c[1] = h * k[0] - dy;
+        c[2] = 2.0 * dy - h * (k[8] + k[0]);
+        for (i = 0; i < 4; i++)
+            c[3 + i] = h * py_dot(tab + T_D + 12 * i, k, 12, compensated);
+    }
+
+    level = event == STOP_UNDERFLOW ? floor_ : 0.0;
+    etol = prm[P_EVENT_TOL] * (r1 > 1.0 ? r1 : 1.0);
+    y0 = event == STOP_SLOPE ? v : u;
+    f = event == STOP_SLOPE ? fv : fu;
+    if (h == 0.0)
+        return STOP_ZERO_DIV;
+    below = dense_eval(y0, f, (lo - r) / h) - level <= 0.0;
+    for (it = 0; it < 200; it++) {
+        double mid;
+        if (hi - lo <= etol)
+            break;
+        mid = 0.5 * (lo + hi);
+        if ((dense_eval(y0, f, (mid - r) / h) - level <= 0.0) == below)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    x = (hi - r) / h;
+    out[0] = hi;
+    out[1] = dense_eval(u, fu, x);
+    out[2] = dense_eval(v, fv, x);
+    return 0;
+}
+
 /* k = u'' at the stage state (us, vs) and radius rr:
  * us (lin - |us|^(p-2) + qc |us|^(q-2)) - N1 / rr * vs */
 #define RHS(k, us, vs, rr)                                                   \
@@ -124,13 +338,14 @@ int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
                 double *grid, int64_t cap, double *stages)
 {
     const double N1 = prm[P_N1], lin = prm[P_LIN], qc = prm[P_QC];
-    const double pm2 = prm[P_PM2], qm2 = prm[P_QM2], floor_ = prm[P_FLOOR];
+    const double pm2 = prm[P_PM2], qm2 = prm[P_QM2];
+    const double floor_ = prm[P_UNDERFLOW] * prm[P_A];
     const double atol = prm[P_ATOL], rtol = prm[P_RTOL], min_step = prm[P_MIN_STEP];
-    const double r_max = prm[P_RMAX], half = prm[P_HALF], n2 = prm[P_N2];
-    const double drift = prm[P_DRIFT], settle_g = prm[P_SETTLE_G];
+    const double r_max = prm[P_RMAX], settle_g = prm[P_SETTLE_G];
     const int64_t max_steps = cnt[C_MAX_STEPS];
-    const int quad = cnt[C_QUAD] != 0, settle = cnt[C_SETTLE] != 0;
+    const int quad = cnt[C_QUAD] != 0, compensated = cnt[C_COMPENSATED] != 0;
     double *rs = grid, *us = grid + cap, *vs = grid + 2 * cap;
+    double half, n2, drift;
 
     const double c2 = TC(2), c3 = TC(3), c4 = TC(4), c5 = TC(5), c6 = TC(6),
         c7 = TC(7), c8 = TC(8), c9 = TC(9), c10 = TC(10), c11 = TC(11);
@@ -156,10 +371,27 @@ int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
         e5_9 = TE5(9), e5_10 = TE5(10), e5_11 = TE5(11), e5_12 = TE5(12);
     const double d1 = b1 - TE3(1), d9 = b9 - TE3(9), d12 = b12 - TE3(12);   /* B - E3 */
 
-    double r = st[S_R], u = st[S_U], v = st[S_V], k1 = st[S_K1], h = st[S_H];
+    double r, u, v, k1, h;
     int64_t n = cnt[C_N], nfev = cnt[C_NFEV], steps = cnt[C_STEPS];
     int64_t overflows = cnt[C_OVERFLOWS];
     int code, pc;
+
+    if (n == 0) {   /* the first call: the start is the grid's first point */
+        if ((code = series_start(prm, (int)cnt[C_NCOEF], quad, st)))
+            return code;
+        rs[0] = st[S_R];
+        us[0] = st[S_U];
+        vs[0] = st[S_V];
+        n = nfev = 1;
+    }
+    r = st[S_R];
+    u = st[S_U];
+    v = st[S_V];
+    k1 = st[S_K1];
+    h = st[S_H];
+    half = st[S_HALF];
+    n2 = st[S_N2];
+    drift = st[S_DRIFT];
 
     for (;;) {
         double hA, u2, v2, k2, u3, v3, k3, u4, v4, k4, u5, v5, k5, u6, v6, k6,
@@ -284,16 +516,19 @@ int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
             s[14] = k12; s[15] = k13;
         }
         if (event >= STOP_ZERO) {
-            /* the step the dense output refines: r, u, v, k1 and h are its start */
-            double *p = st + S_V6;
-            st[S_UNEW] = u_new;
-            st[S_VNEW] = v_new;
-            st[S_RNEW] = r_new;
-            *p++ = v6; *p++ = v7; *p++ = v8; *p++ = v9; *p++ = v10; *p++ = v11; *p++ = v12;
-            *p++ = k6; *p++ = k7; *p++ = k8; *p++ = k9; *p++ = k10; *p++ = k11; *p++ = k12;
-            *p = k13;
-            code = event;
-            goto out;
+            /* refined on the step's dense output, built only here */
+            double ku[12] = {v, v6, v7, v8, v9, v10, v11, v12, v_new, 0.0, 0.0, 0.0};
+            double kv[12] = {k1, k6, k7, k8, k9, k10, k11, k12, k13, 0.0, 0.0, 0.0};
+            double ev[3];
+            st[S_UEND] = u_new;
+            st[S_VEND] = v_new;
+            if ((code = refine(tab, prm, compensated, event, floor_, r, h, u, v, u_new, v_new,
+                               r_new, ku, kv, ev)))
+                goto out;
+            nfev += 3;
+            r_new = ev[0];
+            u_new = ev[1];
+            v_new = ev[2];
         }
 
         r = r_new;
@@ -304,13 +539,13 @@ int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
         us[n] = u;
         vs[n] = v;
         n += 1;
-        if (event == STOP_RMAX) {
+        if (event) {
             code = event;
             goto out;
         }
 
         /* u < a/2 here, so u^(p-2) cannot overflow where a^(p-1) did not */
-        if (settle && 0.0 < u && u < half && v < 0.0) {
+        if (half != 0.0 && 0.0 < u && u < half && v < 0.0) {
             double g = pow(u, pm2) * r * r;
             if (g < settle_g && fabs(u + r * v / n2) > drift * u * g) {
                 code = STOP_SETTLED;
@@ -324,7 +559,7 @@ int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
 
     bad_pow:
         if (pc != POW_OVERFLOW) {
-            code = pc == POW_ZERO ? STOP_ZERO_POW : STOP_POW_VALUE;
+            code = pow_stop(pc);
             goto out;
         }
         /* a trial step so long that a stage's power overflows: shrink it */

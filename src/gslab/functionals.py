@@ -186,8 +186,9 @@ def scale_profile(prof: RadialProfile, amp: float, lam_sq: float) -> RadialProfi
     """
     lam = math.sqrt(lam_sq)
     t, tail, N = prof.grid, prof.tail, prof.params.N
+    series = tuple(amp * c * lam_sq ** k for k, c in enumerate(prof.series))
     grid = replace(t, radii=t.radii / lam, values=t.values * amp, slopes=t.slopes * (amp * lam),
-                   terminal_radius=t.terminal_radius / lam)
+                   terminal_radius=t.terminal_radius / lam, series=series)
     grid.norm_l2, grid.norm_lp, grid.norm_lq, grid.norm_dir = (
         arr * fac for arr, fac in zip((t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir),
                                       _norm_factors(prof.params, amp, lam_sq)))
@@ -204,8 +205,7 @@ def scale_profile(prof: RadialProfile, amp: float, lam_sq: float) -> RadialProfi
         corr=tail.corr * (amp ** -tail.corr_pm2 * lam_sq),
     )
     return replace(prof, amplitude=prof.amplitude * amp, grid=grid, tail=new_tail,
-                   series=tuple(amp * c * lam_sq ** k for k, c in enumerate(prof.series)),
-                   r_max_used=prof.r_max_used / lam)
+                   series=series, r_max_used=prof.r_max_used / lam)
 
 
 def to_minimizer_frame(u: RadialProfile, S: float) -> RadialProfile:

@@ -22,20 +22,23 @@ grid that the cubic Hermite read side sees stays as dense as the steps are
 long, and each sub-interval is one Gauss panel; the norms over [0, r0] come
 from the series piece.
 
-``integrate`` is the hot loop of every solve.  Its step loop (the twelve
-stages, the error norm, step control, event detection, the stage buffer of
-a run with quadrature and the settled stop) runs in a C kernel,
-``_dop853.c``, written stage by stage like the Python loop ``_py_loop``,
-which stays the reference: the same float operations in the same order,
-``**`` as CPython's float_pow (an overflowing power shrinks the step as
-Python's OverflowError does), so the two give the same bits.  At import
-``_native.build`` compiles the file once into the cache directory (the
-compiler CPython was built with, -O2 -ffp-contract=off); ``ode`` loads it
-with ctypes and uses it only if its self-check shots match ``_py_loop``
-bit for bit (``STEP_LOOP`` names the loop in use).  Without a compiler, with
-an unwritable cache or on a failed check, ``_py_loop`` runs, the same bits
-about 2.3x slower; nothing else chooses between the two.  The series start,
-the event refinement (``_refine``) and the dense pass are Python for both.
+``integrate`` is the hot loop of every solve, and each shot is one call of
+a C kernel, ``_dop853.c``: the series start (``_start``), the step loop
+(the twelve stages, the error norm, step control, event detection, the
+stage buffer of a run with quadrature and the settled stop) and the
+refinement of the terminal event (``_refine``), written line by line like
+those two and the Python loop ``_py_loop``, which stay the reference.  The
+same float operations in the same order: ``**`` as CPython's float_pow (an
+overflowing power shrinks a trial step as Python's OverflowError does,
+and the start and the refinement raise what Python raises), Python's max
+and min branches, and sums as ``sum`` adds floats, so the two give the
+same bits.  At import ``_native.build`` compiles the file once into the
+cache directory (the compiler CPython was built with, -O2
+-ffp-contract=off); ``ode`` loads it with ctypes and uses it only if its
+self-check shots match ``_py_loop`` bit for bit (``STEP_LOOP`` names the
+loop in use).  Without a compiler, with an unwritable cache or on a failed
+check, ``_py_loop`` runs, the same bits about 3.7x slower on solve_mix;
+nothing else chooses between the two.  The dense pass is numpy for both.
 ``_py_loop`` is written for CPython's interpreter: the controls and tableau
 constants are locals, and the right-hand side is written out at each of
 the twelve stage evaluations (calling it as a closure made a step without
@@ -55,7 +58,10 @@ from __future__ import annotations
 
 import ctypes
 import enum
+import errno
+import functools
 import math
+import os
 from array import array
 from dataclasses import dataclass
 from operator import mul
@@ -110,7 +116,8 @@ class Trajectory:
     points of every step.  ``norm_*`` arrays are cumulative integrals of the
     corresponding integrand from 0 to radii[i] (without the sphere-area
     factor); they are populated only when the integration ran with
-    quadrature enabled.
+    quadrature enabled, and so is ``series``, the coefficients c_0..c_K of
+    the series piece u = sum c_k r^(2k) on [0, radii[0]].
     """
 
     radii: np.ndarray
@@ -123,6 +130,7 @@ class Trajectory:
     norm_lq: np.ndarray | None = None
     norm_dir: np.ndarray | None = None
     rhs_evals: int = 0
+    series: tuple[float, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.radii)
@@ -143,6 +151,7 @@ class Trajectory:
             norm_lq=None if self.norm_lq is None else self.norm_lq[cut],
             norm_dir=None if self.norm_dir is None else self.norm_dir[cut],
             rhs_evals=self.rhs_evals,
+            series=self.series,
         )
 
 
@@ -509,14 +518,15 @@ def _dense_pass(params: ProblemParams, coeffs: tuple, k1: float, stages, radii: 
 
 def _trajectory(rs, us, vs, nfev: int, quad: tuple | None,
                 end: tuple | None = None) -> Trajectory:
-    """The grid so far (lists, or arrays the step kernel filled), as a
+    """The grid so far (lists, or arrays the kernel filled), as a
     ReachedRmax trajectory.  ``quad`` is None, or _dense_pass' (params,
     coeffs, k1, stages) of a run with quadrature."""
-    radii, values, slopes = np.array(rs), np.array(us), np.array(vs)
-    norms = (None,) * 4
+    radii, values, slopes = np.asarray(rs), np.asarray(us), np.asarray(vs)
+    norms, series = (None,) * 4, None
     if quad is not None:
         (radii, values, slopes), norms, extra = _dense_pass(*quad, radii, values, slopes, end)
         nfev += extra
+        series = quad[1]
     t = Trajectory(
         radii=radii,
         values=values,
@@ -524,6 +534,7 @@ def _trajectory(rs, us, vs, nfev: int, quad: tuple | None,
         terminal_event=TerminalEvent.REACHED_RMAX,
         terminal_radius=float(rs[-1]),
         rhs_evals=nfev,
+        series=series,
     )
     t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir = norms
     return t
@@ -786,75 +797,95 @@ def _py_loop(params: ProblemParams, a: float, r_max: float, tol: StepControls) -
     return t
 
 
-# --- the C step kernel --------------------------------------------------------
+# --- the C kernel -------------------------------------------------------------
 
-# The tableau as _dop853.c reads it: C (16), A (16 rows of 16), B, E5, E3
-_TABLEAU = (ctypes.c_double * 310)(*_C, *(x for row in _A for x in row + (0.0,) * (16 - len(row))),
-                                   *_B, *_E5, *_E3)
+# The tableau as _dop853.c reads it: C (16), A (16 rows of 16), B, E5, E3, then
+# the dense output's extra nodes and rows (_EXTRA) and D (_D_DENSE)
+_TABLEAU = (ctypes.c_double * 391)(
+    *_C, *(x for row in _A for x in row + (0.0,) * (16 - len(row))), *_B, *_E5, *_E3,
+    *(c for c, _ in _EXTRA), *(x for _, row in _EXTRA for x in row),
+    *(x for row in _D_DENSE for x in row))
+_TAB = ctypes.addressof(_TABLEAU)
 
 # what the kernel returns (the STOP_ codes of _dop853.c)
 _ROOM, _SETTLED = 0, 2   # 1 is ReachedRmax at r_max
 _REFINED = {3: TerminalEvent.ZERO_CROSSING, 4: TerminalEvent.SLOPE_SIGN_FLIP,
             5: TerminalEvent.UNDERFLOW}
 _BUDGET, _COLLAPSE = 6, 7
-_RAISED = {8: (ZeroDivisionError, "float division by zero"),   # where _py_loop raises
-           9: (ZeroDivisionError, "0.0 cannot be raised to a negative power"),
-           10: (ValueError, "libm pow failed in **")}
+_RAISED = {8: (ZeroDivisionError, ("float division by zero",)),   # where the Python raises
+           9: (ZeroDivisionError, ("0.0 cannot be raised to a negative power",)),
+           10: (ValueError, ("libm pow failed in **",)),
+           11: (OverflowError, (errno.ERANGE, os.strerror(errno.ERANGE)))}   # as ** raises it
+_BAD_RMAX, _BAD_AMP = 12, 13
+# the state (the S_ slots of _dop853.c): r, u, u', u'', h; (u, u') at the end
+# of the step a refined event moved (5, 6); u'' at r0 (7); the settled
+# stop's constants (8-10); then the series coefficients
+_S_END, _S_K10, _S_COEFFS = 5, 7, 11
 _GRID0 = 256   # grid points the first call has room for; each refill doubles it
 _SOURCE = Path(__file__).with_name("_dop853.c")
+_ZEROS = array("d", [0.0])
+# builtins.sum adds floats with Neumaier's compensation from CPython 3.12 on,
+# left to right before: _refine's _dot sums so, and the kernel must too
+_COMPENSATED_SUM = sum([1e100, 1.0, -1e100]) != 0.0
+
+
+@functools.lru_cache(maxsize=256)
+def _shot_constants(params: ProblemParams) -> tuple[float, ...]:
+    """(N-1, lin, qc, p-2, q-2, p, q, N) of params, as the kernel reads them."""
+    return (params.N - 1.0, params.linear_coeff, params.q_coeff, params.p - 2.0,
+            params.q - 2.0, params.p, params.q, float(params.N))
 
 
 def _c_loop(params: ProblemParams, a: float, r_max: float, tol: StepControls,
             kernel=None) -> Trajectory:
-    """``integrate`` with the step loop in the C kernel, which matches
-    _py_loop bit for bit; ``kernel`` is a loaded dop853_loop (the module's
-    own by default).  The series start, the event refinement and the dense
-    pass are the Python loop's."""
-    coeffs, r0, u0, v0, k1, h, settle = _start(params, a, r_max, tol)
-    floor = tol.underflow_factor * a
-    half, n2, drift = settle or (0.0, 1.0, 0.0)
+    """``integrate`` as one call of the C kernel (``kernel``, a loaded
+    dop853_loop; the module's own by default), which matches _py_loop bit
+    for bit: the series start, the step loop and the event refinement.
+    The dense pass of a run with quadrature is numpy for both."""
     quad = tol.with_quadrature
-    prm = (ctypes.c_double * 14)(
-        params.N - 1.0, params.linear_coeff, params.q_coeff, params.p - 2.0, params.q - 2.0,
-        floor, tol.atol, tol.rtol, tol.min_step, r_max, half, n2, drift, _SETTLE_G)
-    st = (ctypes.c_double * 23)(r0, u0, v0, k1, h)
+    ncoef = max(_SERIES_ORDER, 1) + 1   # as many as series_coefficients returns
+    prm = array("d", (*_shot_constants(params), a, r_max, tol.underflow_factor, tol.atol,
+                      tol.rtol, tol.min_step, _SETTLE_G, _SETTLE_MARGIN, _EVENT_TOL))
+    st = _ZEROS * (_S_COEFFS + ncoef)
     budget = math.floor(max(min(tol.max_steps, 2**62), -1))   # steps > budget fails
-    cnt = (ctypes.c_int64 * 7)(1, 1, 0, budget, quad, settle is not None, 0)
+    cnt = array("q", (0, 0, 0, budget, quad, ncoef, _COMPENSATED_SUM, 0))
     cap = _GRID0
-    grid = np.empty((3, cap))   # rows: radii, values, slopes
-    grid[:, 0] = r0, u0, v0
-    stages = np.empty((cap, 16)) if quad else None   # h, u' and u'' at the stages, per step
+    grid = _ZEROS * (3 * cap)   # rows: radii, values, slopes
+    stages = _ZEROS * (16 * cap) if quad else None   # h, u' and u'' at the stages, per step
     kernel = kernel or _kernel
-    while (code := kernel(_TABLEAU, prm, st, cnt, grid.ctypes.data, cap,
-                          stages.ctypes.data if quad else None)) == _ROOM:
-        n, cap = cnt[0], 2 * cap
-        grid = np.concatenate((grid, np.empty((3, cap - n))), axis=1)
+    while (code := kernel(_TAB, prm.buffer_info()[0], st.buffer_info()[0],
+                          cnt.buffer_info()[0], grid.buffer_info()[0], cap,
+                          stages.buffer_info()[0] if quad else None)) == _ROOM:
+        n = cnt[0]
+        grown = _ZEROS * (6 * cap)
+        for i in range(3):
+            grown[2 * i * cap:2 * i * cap + n] = grid[i * cap:i * cap + n]
+        grid, cap = grown, 2 * cap
         if quad:
-            stages = np.concatenate((stages, np.empty((cap - n, 16))))
+            stages.extend(_ZEROS * (8 * cap))
 
+    if code in _RAISED:
+        exc, args = _RAISED[code]
+        raise exc(*args)
+    if code == _BAD_RMAX:
+        raise ValueError(f"r_max must be positive, got {r_max}")
+    if code == _BAD_AMP:
+        raise ValueError(f"amplitude must be positive, got {a}")
     n, nfev = cnt[0], cnt[1]
-    event, r_event, end = TerminalEvent.REACHED_RMAX, r_max, None
-    if code in _REFINED:
-        # the kernel stopped at the step's start; it has room for its end
-        event = _REFINED[code]
-        r, u, v, k1_step, h, u_new, v_new, r_new = st[:8]
-        end = u_new, v_new
-        r_event, u, v = _refine(params, event, floor, r, h, u, v, u_new, v_new, r_new,
-                                [v, *st[8:15], v_new, 0.0, 0.0, 0.0],
-                                [k1_step, *st[15:23], 0.0, 0.0, 0.0])
-        grid[:, n] = r_event, u, v
-        n, nfev = n + 1, nfev + 3
-    elif code == _SETTLED:
-        r_event = st[0]
-    rs, us, vs = grid[:, :n]
-    run = (params, coeffs, k1, stages[:n - 1]) if quad else None
+    rs, us, vs = (np.frombuffer(grid, count=n, offset=8 * i * cap) for i in range(3))
+    run = None
+    if quad:
+        run = (params, tuple(st[_S_COEFFS:]), st[_S_K10],
+               np.frombuffer(stages, count=16 * (n - 1)))
     if code in (_BUDGET, _COLLAPSE):
         raise IntegrationFailure(f"step budget {tol.max_steps} exhausted" if code == _BUDGET
                                  else f"step size collapsed at r={st[0]:.6g}",
                                  _trajectory(rs, us, vs, nfev, run))
-    if code in _RAISED:
-        exc, message = _RAISED[code]
-        raise exc(message)
+    event, r_event, end = TerminalEvent.REACHED_RMAX, r_max, None
+    if code in _REFINED:
+        event, r_event, end = _REFINED[code], st[0], tuple(st[_S_END:_S_END + 2])
+    elif code == _SETTLED:
+        r_event = st[0]
     t = _trajectory(rs, us, vs, nfev, run, end)
     t.terminal_event = event
     t.terminal_radius = r_event
@@ -862,10 +893,13 @@ def _c_loop(params: ProblemParams, a: float, r_max: float, tol: StepControls,
 
 
 # The self-check shots: a tight P_eps shot with quadrature to its zero
-# crossing, and a P_zero search shot to its settled stop
+# crossing (refined on u), a P_eps undershoot to its slope sign flip
+# (refined on u'), and a P_zero search shot to its settled stop
 _CHECK_SHOTS = (
     (ProblemParams(3, 4.0, 6.0, 1e-2, Family.P_EPS), 0.75, 500.0,
      StepControls(atol=1e-14, rtol=1e-12, with_quadrature=True)),
+    (ProblemParams(3, 4.0, 6.0, 1e-2, Family.P_EPS), 0.4, 500.0,
+     StepControls(atol=1e-14, rtol=1e-12)),
     (ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO), 0.98, 1e6,
      StepControls(atol=1e-14, rtol=1e-12)),
 )
@@ -894,9 +928,7 @@ def _load_kernel():
     try:
         kernel = ctypes.CDLL(str(path)).dop853_loop
         kernel.restype = ctypes.c_int
-        doubles = ctypes.POINTER(ctypes.c_double)
-        kernel.argtypes = (doubles, doubles, doubles, ctypes.POINTER(ctypes.c_int64),
-                           ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+        kernel.argtypes = (ctypes.c_void_p,) * 5 + (ctypes.c_int64, ctypes.c_void_p)
         if all(_same(_c_loop(*shot, kernel=kernel), _py_loop(*shot))
                for shot in _CHECK_SHOTS):
             return kernel

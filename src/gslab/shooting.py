@@ -68,7 +68,7 @@ from .emden import _gauss_panels, _leggauss, _panel_sum
 from .errors import (BracketNotFound, DivergentNormError, InconsistentSolution,
                      InternalConsistencyError)
 from .ode import (IntegrationFailure, StepControls, TerminalEvent, Trajectory, _ball_nodes,
-                  _drift_coeff, integrate, series_coefficients, series_piece)
+                  _drift_coeff, integrate, series_piece)
 from .params import Family, ProblemParams
 
 __all__ = [
@@ -1117,8 +1117,7 @@ def _package_profile(params: ProblemParams, a: float, traj: Trajectory,
         )
     t = traj.truncated(keep)
     tail = _fit_tail(params, t, a, atol)
-    return RadialProfile(params=params, amplitude=a, grid=t, tail=tail,
-                         series=series_coefficients(params, a))
+    return RadialProfile(params=params, amplitude=a, grid=t, tail=tail, series=t.series)
 
 
 # An algebraic tail is fitted on [r_end/30, r_end], r_end the last radius

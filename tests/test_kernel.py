@@ -1,17 +1,21 @@
 """The C step kernel against the Python step loop it keeps as reference.
 
-``ode._c_loop`` runs ``integrate``'s step loop in ``_dop853.c``;
-``ode._py_loop`` is the same loop in Python, which runs wherever the kernel
-cannot be built.  On every call the two must agree to the bit: radii,
-values, slopes and the four norm arrays, terminal event and radius, and
-RHS evaluations, the partial trajectory of an IntegrationFailure included.
-The calls are every integrate call of the benchmark's solve_mix seeds 1-3
-and sweep_chain seed 1 (captured at shooting.integrate), and the paths
-those leave out: underflow, step budget, step collapse, a power that
-overflows, a division by zero, the settled stop switched off, and a grid
-refilled on every step.
+``ode._c_loop`` runs a whole ``integrate`` shot in ``_dop853.c``: the
+series start, the step loop and the event refinement.  ``ode._py_loop`` is
+the same shot in Python (``_start``, the loop, ``_refine``), which runs
+wherever the kernel cannot be built.  On every call the two must agree to
+the bit: radii, values, slopes and the four norm arrays, terminal event and
+radius, and RHS evaluations, the partial trajectory of an
+IntegrationFailure included, and an exception the same by its repr.  The
+calls are every integrate call of the benchmark's solve_mix seeds 1-3 and
+sweep_chain seed 1 (captured at shooting.integrate), and the paths those
+leave out: underflow, step budget, step collapse, a power that overflows,
+a division by zero, the start's exceptions, the settled stop switched off,
+and a grid refilled on every step.
 """
 
+import ctypes
+import math
 import os
 import subprocess
 import sys
@@ -115,7 +119,11 @@ TIGHT = StepControls(atol=1e-14, rtol=1e-12)
 
 # (call, outcome): the paths the benchmark's calls leave out.  The R_zero
 # amplitude is its a*, the P_zero ones are a* and 1 +- 1% of it; P_eps
-# shots from 1e4 and 1e8 take trial steps whose stage powers overflow.
+# shots from 1e4 and 1e8 take trial steps whose stage powers overflow.  The
+# start raises where _start does: on a = 0, a NaN a or r_max = 0; where the
+# series' powers overflow (a = 1e100); and where the series coefficients
+# overflow to inf, so that the hand-off radius is 0 and (N-1)/r0 divides by
+# zero (a = 1e31).
 PATHS = {
     "underflow": ((R_ZERO, 4.337387679977127, 50.0, replace(TIGHT, underflow_factor=1e-8)),
                   "done"),
@@ -131,6 +139,16 @@ PATHS = {
     "pow-overflow-collapse": ((P_EPS, 1e8, 500.0, StepControls()), "step size collapsed"),
     "zero-division": ((P_EPS, 0.5, 500.0, StepControls(atol=0.0, rtol=0.0)),
                       "ZeroDivisionError('float division by zero')"),
+    "amplitude-zero": ((P_EPS, 0.0, 500.0, StepControls()),
+                       "ValueError('amplitude must be positive, got 0.0')"),
+    "amplitude-nan": ((P_EPS, math.nan, 500.0, StepControls()),
+                      "ValueError('amplitude must be positive, got nan')"),
+    "r_max-zero": ((P_EPS, 0.75, 0.0, StepControls()),
+                   "ValueError('r_max must be positive, got 0.0')"),
+    "series-overflow": ((P_EPS, 1e100, 500.0, StepControls()),
+                        "OverflowError(34, 'Numerical result out of range')"),
+    "handoff-zero-division": ((P_EPS, 1e31, 500.0, StepControls()),
+                              "ZeroDivisionError('float division by zero')"),
     "r_max": ((P_ZERO, 0.9, 1e6, TIGHT), "done"),
     "settled": ((P_ZERO, 0.98, 1e6, TIGHT), "done"),
     "quad-to-r_max": ((P_ZERO, 0.9704323868577163, 1e6, replace(TIGHT, with_quadrature=True)),
@@ -148,7 +166,7 @@ def test_paths_match_bit_for_bit(name, grid0, monkeypatch):
 
     def counted(*args):   # the kernel, counting the trial steps a power overflow shrank
         code = ode._kernel(*args)
-        overflows.append(args[3][6])
+        overflows.append(ctypes.c_int64.from_address(args[3] + 8 * 7).value)
         return code
 
     end, t = assert_same_bits(call, kernel=counted)
@@ -160,6 +178,11 @@ def test_paths_match_bit_for_bit(name, grid0, monkeypatch):
         assert t.terminal_radius < call[2]
     if name.endswith("quad"):
         assert t.norm_l2 is not None
+    if name in ("series-overflow", "handoff-zero-division"):   # the start raises
+        with pytest.raises((OverflowError, ZeroDivisionError)):
+            ode._start(*call)
+    if name == "handoff-zero-division":
+        assert ode.default_handoff_radius(ode.series_coefficients(*call[:2]), call[2]) == 0.0
 
 
 @needs_kernel

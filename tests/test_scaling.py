@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from gslab import (EmdenFowlerProfile, Family, ProblemParams, concentration_lambda, rescale_to_v,
                    solve_ground_state, to_minimizer_frame)
 from gslab.asymptotics import profile_distances
+from gslab.ode import series_coefficients
 from gslab.functionals import (_norm_factors, _norms_from_trajectory, analyze, dirichlet_norm,
                                radial_norm, scale_profile)
 from gslab.shooting import TailModel
@@ -76,7 +77,12 @@ def test_scaled_norms_follow_the_closed_form_powers(params, log_amp, log_lam):
     pytest.param(lambda u: rescale_to_v(u, 9.0), id="v-lam9"),
 ])
 def test_rescaled_profile_is_continuous_at_first_grid_radius(params, rescale):
-    v = rescale(_profile(params))
+    u = _profile(params)
+    # the series is the final pass's own, and a rescaled grid carries the
+    # rescaled one
+    assert u.series == u.grid.series == series_coefficients(params, u.amplitude)
+    v = rescale(u)
+    assert v.grid.series == v.series
     below = np.nextafter(v.grid.radii[0], 0.0)
     assert v.value(below) == pytest.approx(v.grid.values[0], rel=1e-12, abs=0.0)
     assert v.slope(below) == pytest.approx(v.grid.slopes[0], rel=1e-12, abs=0.0)
