@@ -1,28 +1,32 @@
 /* One outward DOP853 shot of gslab.ode.integrate: the series start, the step
- * loop and the refinement of its terminal event, written line by line like
- * the Python reference (ode._start, ode._py_loop and ode._refine).
+ * loop and the refinement of its terminal event (dop853_loop), and the dense
+ * pass of a run with quadrature (dop853_dense), written line by line like the
+ * Python reference (ode._start, ode._py_loop, ode._refine and
+ * ode._dense_pass).
  *
  * Every float operation is the one Python performs, in its order: written
- * sums run left to right and sum() calls add as builtins.sum adds floats
- * (py_dot), max and min pick the branches Python's max and min pick, ints
- * meet floats as Python converts them, ** is CPython's float_pow (py_pow
- * below, the same libm pow with the same error cases), and a division by
- * zero or a power that ** rejects stops the shot with the code of the
- * exception Python raises.  Compiled with -ffp-contract=off and without -ffast-math, the two
- * give the same bits; ode loads this library only after its self-check
- * shots have matched the Python loop bit for bit.
+ * sums run left to right, and so does every dot product of the interpolant
+ * (dot, ode._dot) and every sum over nodes, max and min pick the branches
+ * Python's max and min pick, ints meet floats as Python converts them, **
+ * is CPython's float_pow (py_pow below, the same libm pow with the same
+ * error cases), np.float_power is libm's pow, and a division by zero or a
+ * power that ** rejects stops the shot with the code of the exception
+ * Python raises.  Compiled with -ffp-contract=off and without -ffast-math,
+ * the two give the same bits; ode loads this library only after its
+ * self-check shots have matched the Python bit for bit.
  *
- * The caller passes the tableau (ode._C, _A, _B, _E5, _E3 and the dense
- * output's _EXTRA and _D_DENSE, packed by ode._TABLEAU), the shot's
- * constants, the state and the counters, and owns every buffer: the grid
- * (radii, values and slopes, cap points each) and, with quadrature, the
- * stage buffer (16 doubles per accepted step: h, u' at the stages 6-12, u''
- * at the stages 6-13).  The first call (no grid point yet) computes the
- * series start; the shot returns at a terminal event (refined on the dense
- * output where it is one), a failure, an exception, or a full grid
- * (STOP_ROOM: the state is saved at the top of a step, so the caller grows
- * the grid and calls again).  The dense pass of a run with quadrature stays
- * numpy (ode._dense_pass).
+ * The caller passes the tableau (ode._C, _A, _B, _E5, _E3, the dense
+ * output's _EXTRA and _D_DENSE and the quadrature's nodes and weights,
+ * packed by ode._TABLEAU), the shot's constants, the state and the
+ * counters, and owns every buffer: the grid (radii, values and slopes, cap
+ * points each), with quadrature the stage buffer (16 doubles per accepted
+ * step: h, u' at the stages 6-12, u'' at the stages 6-13), and the dense
+ * pass's output.  The first call of dop853_loop (no grid point yet)
+ * computes the series start; the shot returns at a terminal event (refined
+ * on the dense output where it is one), a failure, an exception, or a full
+ * grid (STOP_ROOM: the state is saved at the top of a step, so the caller
+ * grows the grid and calls again).  dop853_dense then reads the grid, the
+ * stages and the state the loop left.
  */
 #include <errno.h>
 #include <math.h>
@@ -55,13 +59,17 @@ enum { P_N1, P_LIN, P_QC, P_PM2, P_QM2, P_P, P_Q, P_N, P_A, P_RMAX, P_UNDERFLOW,
  * coefficients c_0..c_K */
 enum { S_R, S_U, S_V, S_K1, S_H, S_UEND, S_VEND, S_K10, S_HALF, S_N2, S_DRIFT, S_COEFFS };
 /* cnt: grid points, RHS evaluations, steps, the step budget, quadrature on,
- * the number of series coefficients (K + 1, at least 2), sum() compensated,
- * and the trial steps a power overflow shrank */
-enum { C_N, C_NFEV, C_STEPS, C_MAX_STEPS, C_QUAD, C_NCOEF, C_COMPENSATED, C_OVERFLOWS,
-       C_COUNT };
+ * the number of series coefficients (K + 1, at least 2) and the trial steps
+ * a power overflow shrank */
+enum { C_N, C_NFEV, C_STEPS, C_MAX_STEPS, C_QUAD, C_NCOEF, C_OVERFLOWS, C_COUNT };
 /* tab: C (16), A (16 rows of 16, row i holding A[i][0..i-1]), B (12),
  * E5 (13), E3 (13), then the dense output: the extra stages' nodes (3) and
- * rows (9, 10 and 11 entries, on the dense stages), and D (4 rows of 12) */
+ * rows (9, 10 and 11 entries, on the dense stages), and D (4 rows of 12);
+ * then the dense pass's fractions of a step (ode._FRACS: the SUB - 1
+ * interior grid points, then the NODES Gauss nodes of each of the SUB
+ * sub-intervals), their Gauss weights over SUB (ode._GW_SUB), and the
+ * series piece's BALL Gauss nodes and weights on [0, 1] (ode._BALL_X,
+ * _BALL_W) */
 #define TC(i) tab[(i) - 1]
 #define TA(i, j) tab[16 + 16 * ((i) - 1) + (j) - 1]
 #define TB(j) tab[272 + (j) - 1]
@@ -70,6 +78,11 @@ enum { C_N, C_NFEV, C_STEPS, C_MAX_STEPS, C_QUAD, C_NCOEF, C_COMPENSATED, C_OVER
 #define T_XC 310
 #define T_XROWS 313
 #define T_D 343
+#define T_FRACS 391
+#define T_GW 405
+#define T_BALL_X 409
+#define T_BALL_W 419
+enum { SUB = 3, NODES = 4, BALL = 10 };
 
 enum { POW_OK, POW_OVERFLOW, POW_ZERO, POW_VALUE };
 
@@ -130,30 +143,14 @@ static int pow_stop(int pc)
     return pc == POW_OVERFLOW ? STOP_POW_RANGE : pc == POW_ZERO ? STOP_ZERO_POW : STOP_POW_VALUE;
 }
 
-/* sum(map(mul, row, k)) over n >= 1 products, as builtins.sum adds floats:
- * from the int 0, then left to right, or with Neumaier's compensation (the
- * sum() of CPython 3.12 on), which adds the compensation at the end only
- * where it is nonzero and finite */
-static double py_dot(const double *row, const double *k, int n, int compensated)
+/* sum(row[j] * k[j]) over j < n, left to right from 0.0 (ode._dot) */
+static double dot(const double *row, const double *k, int n)
 {
-    double s = 0.0 + row[0] * k[0], c = 0.0;
+    double s = 0.0;
     int i;
 
-    if (!compensated) {
-        for (i = 1; i < n; i++)
-            s += row[i] * k[i];
-        return s;
-    }
-    for (i = 1; i < n; i++) {
-        double x = row[i] * k[i], t = s + x;
-        if (fabs(s) >= fabs(x))
-            c += (s - t) + x;
-        else
-            c += (x - t) + s;
-        s = t;
-    }
-    if (c != 0.0 && isfinite(c))
-        s += c;
+    for (i = 0; i < n; i++)
+        s += row[i] * k[i];
     return s;
 }
 
@@ -255,34 +252,37 @@ static double dense_eval(double y0, const double *f, double x)
         f[5] + x * f[6]))))));
 }
 
-/* ode._refine: the event of the step [r, r1] from (u, v) to (u1, v1),
- * refined on its seventh-order dense output.  ku and kv hold u' and u'' at
- * the 12 dense stages, the step's own nine set; this sets the three extra
- * ones (ode._dense_coefficients), bisects the interpolant of u (or of u' for
- * SlopeSignFlip) to the event tolerance (ode._bisect_event) and writes the
- * event's (r, u, u') to out.  Returns 0 or the code of the exception
- * _refine raises. */
-static int refine(const double *tab, const double *prm, int compensated, int event,
-                  double floor_, double r, double h, double u, double v, double u1, double v1,
-                  double r1, double *ku, double *kv, double *out)
+/* ode._dense_coefficients: the seventh-order interpolant of the step [r,
+ * r + h] from (u, u') = (u, v) to (u1, v1), its coefficients F0-F6 for u
+ * into fu and for u' into fv.  ku and kv hold u' and u'' at the 12 dense
+ * stages, the step's own nine set; this sets the three extra ones.  strict:
+ * the powers are ** and a division by zero raises, as on the floats of
+ * ode._refine (returns 0 or the code of that exception); else they are
+ * np.float_power and IEEE division, as on the arrays of ode._dense_pass
+ * (returns 0). */
+static int interpolant(const double *tab, const double *prm, int strict, double r, double h,
+                       double u, double v, double u1, double v1, double *ku, double *kv,
+                       double *fu, double *fv)
 {
     const double N1 = prm[P_N1], lin = prm[P_LIN], qc = prm[P_QC];
     const double pm2 = prm[P_PM2], qm2 = prm[P_QM2];
     const double *row = tab + T_XROWS;
-    double fu[7], fv[7], lo = r, hi = r1, level, etol, y0, x;
-    const double *f;
-    int m, i, it, below, pc;
+    int m, i, pc;
 
     for (m = 0; m < 3; m++) {
         const int len = 9 + m;
-        const double us = u + h * py_dot(row, ku, len, compensated);
-        const double vs = v + h * py_dot(row, kv, len, compensated);
+        const double us = u + h * dot(row, ku, len);
+        const double vs = v + h * dot(row, kv, len);
         const double au = fabs(us), rr = r + tab[T_XC + m] * h;
         double pp, qq;
         ku[9 + m] = vs;
-        if ((pc = py_pow(au, pm2, &pp)) || (pc = py_pow(au, qm2, &qq)))
+        if (!strict) {
+            pp = pow(au, pm2);
+            qq = pow(au, qm2);
+        }
+        else if ((pc = py_pow(au, pm2, &pp)) || (pc = py_pow(au, qm2, &qq)))
             return pow_stop(pc);
-        if (rr == 0.0)
+        else if (rr == 0.0)
             return STOP_ZERO_DIV;
         kv[9 + m] = us * (lin - pp + qc * qq) - N1 / rr * vs;
         row += len;
@@ -294,8 +294,26 @@ static int refine(const double *tab, const double *prm, int compensated, int eve
         c[1] = h * k[0] - dy;
         c[2] = 2.0 * dy - h * (k[8] + k[0]);
         for (i = 0; i < 4; i++)
-            c[3 + i] = h * py_dot(tab + T_D + 12 * i, k, 12, compensated);
+            c[3 + i] = h * dot(tab + T_D + 12 * i, k, 12);
     }
+    return 0;
+}
+
+/* ode._refine: the event of the step [r, r1] from (u, v) to (u1, v1),
+ * refined on its seventh-order dense output (interpolant, with ku and kv as
+ * it takes them): bisects the interpolant of u (or of u' for SlopeSignFlip)
+ * to the event tolerance (ode._bisect_event) and writes the event's (r, u,
+ * u') to out.  Returns 0 or the code of the exception _refine raises. */
+static int refine(const double *tab, const double *prm, int event,
+                  double floor_, double r, double h, double u, double v, double u1, double v1,
+                  double r1, double *ku, double *kv, double *out)
+{
+    double fu[7], fv[7], lo = r, hi = r1, level, etol, y0, x;
+    const double *f;
+    int it, below, code;
+
+    if ((code = interpolant(tab, prm, 1, r, h, u, v, u1, v1, ku, kv, fu, fv)))
+        return code;
 
     level = event == STOP_UNDERFLOW ? floor_ : 0.0;
     etol = prm[P_EVENT_TOL] * (r1 > 1.0 ? r1 : 1.0);
@@ -343,7 +361,7 @@ int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
     const double atol = prm[P_ATOL], rtol = prm[P_RTOL], min_step = prm[P_MIN_STEP];
     const double r_max = prm[P_RMAX], settle_g = prm[P_SETTLE_G];
     const int64_t max_steps = cnt[C_MAX_STEPS];
-    const int quad = cnt[C_QUAD] != 0, compensated = cnt[C_COMPENSATED] != 0;
+    const int quad = cnt[C_QUAD] != 0;
     double *rs = grid, *us = grid + cap, *vs = grid + 2 * cap;
     double half, n2, drift;
 
@@ -522,7 +540,7 @@ int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
             double ev[3];
             st[S_UEND] = u_new;
             st[S_VEND] = v_new;
-            if ((code = refine(tab, prm, compensated, event, floor_, r, h, u, v, u_new, v_new,
+            if ((code = refine(tab, prm, event, floor_, r, h, u, v, u_new, v_new,
                                r_new, ku, kv, ev)))
                 goto out;
             nfev += 3;
@@ -582,4 +600,121 @@ out:
     cnt[C_STEPS] = steps;
     cnt[C_OVERFLOWS] = overflows;
     return code;
+}
+
+
+/* ode._dense_pass: the grid and the four cumulative norms of a run with
+ * quadrature, from what dop853_loop left: its grid of n + 1 points
+ * (cnt[C_N]), the stage buffer and the state.  Each step's interpolant
+ * gives the grid SUB - 1 interior points and SUB Gauss panels of NODES
+ * nodes, and the norms are summed over those panels, node by node, after
+ * the series piece's on [0, r0] (ode._series_norms).  moved: a refined
+ * event moved the end of the last step, whose (u, u') before it are
+ * st[S_UEND], st[S_VEND].  out holds 7 rows of SUB n + 1 points: the
+ * radii, values and slopes, then the norms l2, lp, lq and dir. */
+void dop853_dense(const double *tab, const double *prm, const double *st, const int64_t *cnt,
+                  const double *grid, int64_t cap, const double *stages, int moved,
+                  double *out)
+{
+    const double p = prm[P_P], q = prm[P_Q], *coef = st + S_COEFFS;
+    const int powers = (int)prm[P_N] - 2;   /* r^(N-1): r and N - 2 more factors */
+    const int ncoef = (int)cnt[C_NCOEF];
+    const int64_t n = cnt[C_N] - 1, m = SUB * n + 1;
+    const double *rs = grid, *us = grid + cap, *vs = grid + 2 * cap, r0 = rs[0];
+    double *radii = out, *values = out + m, *slopes = out + 2 * m;
+    double *l2 = out + 3 * m, *lp = out + 4 * m, *lq = out + 5 * m, *dir = out + 6 * m;
+    double s2 = 0.0, sd = 0.0, sp = 0.0, sq = 0.0;
+    int64_t i;
+    int j, k, b;
+
+    /* the series piece on [0, r0]: BALL Gauss nodes, weights r^(N-1) dr */
+    for (j = 0; j < BALL; j++) {
+        const double rr = r0 * tab[T_BALL_X + j], x = rr * rr;
+        double rn = rr, w, u = coef[ncoef - 1], du = 0.0, v, au;
+        for (k = 0; k < powers; k++)
+            rn = rn * rr;
+        w = tab[T_BALL_W + j] * r0 * rn;
+        for (k = ncoef - 1; k > 0; k--) {
+            du = du * x + 2.0 * (double)k * coef[k];
+            u = u * x + coef[k - 1];
+        }
+        v = du * rr;
+        au = fabs(u);
+        s2 += w * u * u;
+        sd += w * v * v;
+        sp += w * pow(au, p);
+        sq += w * pow(au, q);
+    }
+    l2[0] = s2;
+    dir[0] = sd;
+    lp[0] = sp;
+    lq[0] = sq;
+
+    for (i = 0; i < n; i++) {
+        const double *s = stages + 16 * i, h = s[0], r = rs[i], hh = rs[i + 1] - r;
+        const double u0 = us[i], v0 = vs[i];
+        const int last = moved && i == n - 1;
+        double ku[12], kv[12], fu[7], fv[7];
+        double rr[SUB - 1 + SUB * NODES], uu[SUB - 1 + SUB * NODES], vv[SUB - 1 + SUB * NODES];
+
+        ku[0] = v0;
+        kv[0] = i ? s[-1] : st[S_K10];   /* the step before's FSAL stage */
+        for (k = 1; k < 8; k++)
+            ku[k] = s[k];
+        ku[8] = last ? st[S_VEND] : vs[i + 1];
+        for (k = 1; k < 9; k++)
+            kv[k] = s[7 + k];
+        interpolant(tab, prm, 0, r, h, u0, v0, last ? st[S_UEND] : us[i + 1], ku[8], ku, kv,
+                    fu, fv);
+
+        /* the interior grid points, then the Gauss nodes */
+        for (j = 0; j < SUB - 1 + SUB * NODES; j++) {
+            const double x = ((rr[j] = r + hh * tab[T_FRACS + j]) - r) / h;
+            uu[j] = dense_eval(u0, fu, x);
+            vv[j] = dense_eval(v0, fv, x);
+        }
+        radii[SUB * i] = r;
+        values[SUB * i] = u0;
+        slopes[SUB * i] = v0;
+        for (j = 1; j < SUB; j++) {
+            radii[SUB * i + j] = rr[j - 1];
+            values[SUB * i + j] = uu[j - 1];
+            slopes[SUB * i + j] = vv[j - 1];
+        }
+
+        /* each sub-interval's panel: the terms at its nodes, summed in order */
+        for (b = 0; b < SUB; b++) {
+            const int64_t c = SUB * i + b + 1;
+            for (j = 0; j < NODES; j++) {
+                const int g = SUB - 1 + NODES * b + j;
+                const double rg = rr[g], ug = uu[g], vg = vv[g], au = fabs(ug);
+                double w = tab[T_GW + j] * hh * rg, t2, td, tp, tq;
+                for (k = 0; k < powers; k++)
+                    w *= rg;
+                t2 = w * ug * ug;
+                td = w * vg * vg;
+                tp = w * pow(au, p);
+                tq = w * pow(au, q);
+                if (j) {
+                    s2 += t2;
+                    sd += td;
+                    sp += tp;
+                    sq += tq;
+                }
+                else {
+                    s2 = t2;
+                    sd = td;
+                    sp = tp;
+                    sq = tq;
+                }
+            }
+            l2[c] = l2[c - 1] + s2;
+            dir[c] = dir[c - 1] + sd;
+            lp[c] = lp[c - 1] + sp;
+            lq[c] = lq[c - 1] + sq;
+        }
+    }
+    radii[m - 1] = rs[n];
+    values[m - 1] = us[n];
+    slopes[m - 1] = vs[n];
 }

@@ -27,31 +27,34 @@ a C kernel, ``_dop853.c``: the series start (``_start``), the step loop
 (the twelve stages, the error norm, step control, event detection, the
 stage buffer of a run with quadrature and the settled stop) and the
 refinement of the terminal event (``_refine``), written line by line like
-those two and the Python loop ``_py_loop``, which stay the reference.  The
-same float operations in the same order: ``**`` as CPython's float_pow (an
-overflowing power shrinks a trial step as Python's OverflowError does,
-and the start and the refinement raise what Python raises), Python's max
-and min branches, and sums as ``sum`` adds floats, so the two give the
-same bits.  At import ``_native.build`` compiles the file once into the
-cache directory (the compiler CPython was built with, -O2
--ffp-contract=off); ``ode`` loads it with ctypes and uses it only if its
-self-check shots match ``_py_loop`` bit for bit (``STEP_LOOP`` names the
-loop in use).  Without a compiler, with an unwritable cache or on a failed
-check, ``_py_loop`` runs, the same bits about 3.7x slower on solve_mix;
-nothing else chooses between the two.  The dense pass is numpy for both.
-``_py_loop`` is written for CPython's interpreter: the controls and tableau
-constants are locals, and the right-hand side is written out at each of
-the twelve stage evaluations (calling it as a closure made a step without
-quadrature about 20% slower).  With quadrature on, each accepted step only
-appends its stages to a flat buffer, and ``_dense_pass`` builds every
-step's interpolant, the interior grid points and the four cumulative norm
-arrays in one numpy pass after the loop.  Its powers are
-``np.float_power``, which calls libm's ``pow`` like Python's ``**``
-(``np.power`` may take a SIMD path that rounds differently from build to
-build).  ``tests/test_golden.py`` pins the results, ``tests/test_kernel.py``
-checks the kernel against ``_py_loop`` bit for bit, and ``tests/test_ode.py``
-checks the stepper against the Dormand-Prince 4(5) loop it replaced and the
-tables against scipy's.
+those two and the Python loop ``_py_loop``, which stay the reference; a
+run with quadrature makes one more call, for its dense pass
+(``_dense_pass``, the reference there).  The same float operations in the
+same order: ``**`` as CPython's float_pow (an overflowing power shrinks a
+trial step as Python's OverflowError does, and the start and the
+refinement raise what Python raises), Python's max and min branches, and
+every dot product of the interpolant summed left to right from 0.0
+(``_dot``, on floats and on arrays alike), so the two give the same bits.
+At import ``_native.build`` compiles the file once into the cache
+directory (the compiler CPython was built with, -O2 -ffp-contract=off);
+``ode`` loads it with ctypes and uses it only if its self-check shots
+match the Python bit for bit (``STEP_LOOP`` names the loop in use).
+Without a compiler, with an unwritable cache or on a failed check,
+``_py_loop`` runs, the same bits about 3.7x slower on solve_mix; nothing
+else chooses between the two.  ``_py_loop`` is written for CPython's
+interpreter: the controls and tableau constants are locals, and the
+right-hand side is written out at each of the twelve stage evaluations
+(calling it as a closure made a step without quadrature about 20% slower).
+With quadrature on, each accepted step only appends its stages to a flat
+buffer, and the dense pass builds every step's interpolant, the interior
+grid points and the four cumulative norm arrays after the loop.  Its
+powers are libm's ``pow`` (``np.float_power`` in numpy; ``np.power`` may
+take a SIMD path that rounds differently from build to build), and no sum
+goes through BLAS, whose kernels add in an order that depends on the CPU.
+``tests/test_golden.py`` pins the results, ``tests/test_kernel.py`` checks
+the kernel against the Python bit for bit, and ``tests/test_ode.py`` checks
+the stepper against the Dormand-Prince 4(5) loop it replaced and the tables
+against scipy's.
 """
 
 from __future__ import annotations
@@ -63,9 +66,11 @@ import functools
 import math
 import os
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -368,8 +373,10 @@ _BALL_X, _BALL_W = 0.5 * (_BALL_X + 1.0), 0.5 * _BALL_W
 def _ball_nodes(N: int, r0: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes r on [0, r0] and weights w such that sum(w * g(r)) is the
     integral of g(r) r^(N-1) over [0, r0], on _BALL_NODES Gauss nodes."""
-    rr = r0 * _BALL_X
-    return rr, _BALL_W * r0 * rr ** (N - 1)
+    rr = rn = r0 * _BALL_X
+    for _ in range(N - 2):   # r^(N-1) by products, as on the panels
+        rn = rn * rr
+    return rr, _BALL_W * r0 * rn
 
 # The final pass stores each step as _SUB sub-intervals: the grid gains the
 # interpolant at the _SUB - 1 interior points, and each sub-interval is one
@@ -382,10 +389,15 @@ _FRACS = np.concatenate((np.arange(1, _SUB) / _SUB,
 _GW_SUB = np.array(_GW)[:, None] / _SUB
 
 
+def _sum(terms):
+    """The terms added left to right from 0.0: floats, or arrays."""
+    return functools.reduce(add, terms, 0.0)
+
+
 def _dot(row: tuple, k):
-    """sum(row[j] * k[j]) over the row: k is a list of floats, or an array
-    whose rows are arrays of steps (then one matrix product)."""
-    return sum(map(mul, row, k)) if type(k) is list else np.dot(row, k[:len(row)])
+    """sum(row[j] * k[j]) over the row, left to right (_sum): k is a list of
+    floats, or an array whose rows are arrays of steps."""
+    return _sum(map(mul, row, k))
 
 
 def _dense_coefficients(params: ProblemParams, power, r, h, u, v, u1, v1,
@@ -447,13 +459,13 @@ def _bisect_event(r0: float, h: float, y0: float, f, level: float, lo: float, hi
 
 def _series_norms(params: ProblemParams, coeffs: tuple[float, ...], r0: float) -> tuple:
     """(l2, dir, lp, lq) over [0, r0] from the series piece, by Gauss-Legendre
-    on _BALL_NODES nodes."""
+    on _BALL_NODES nodes, each summed left to right (_sum)."""
     rr, wt = _ball_nodes(params.N, r0)
     u, v = series_piece(coeffs, rr)
     au = np.abs(u)
-    return (float(np.sum(wt * u * u)), float(np.sum(wt * v * v)),
-            float(np.sum(wt * np.float_power(au, params.p))),
-            float(np.sum(wt * np.float_power(au, params.q))))
+    return tuple(_sum(x.tolist()) for x in (wt * u * u, wt * v * v,
+                                            wt * np.float_power(au, params.p),
+                                            wt * np.float_power(au, params.q)))
 
 
 def _dense_pass(params: ProblemParams, coeffs: tuple, k1: float, stages, radii: np.ndarray,
@@ -471,7 +483,8 @@ def _dense_pass(params: ProblemParams, coeffs: tuple, k1: float, stages, radii: 
     event moved it (None if no event did).
 
     Returns the dense (radii, values, slopes), the norms (l2, lp, lq, dir)
-    on it, and the RHS evaluations made.
+    on it, and the RHS evaluations made.  The pass of _py_loop, and the
+    reference of the kernel's dop853_dense (_c_loop).
     """
     n = len(radii) - 1
     out = np.empty((4, _SUB * n + 1))   # rows l2, dir, lp, lq
@@ -511,6 +524,7 @@ def _dense_pass(params: ProblemParams, coeffs: tuple, k1: float, stages, radii: 
     np.multiply(wt * ug, ug, out=terms[0])
     np.multiply(wt * vg, vg, out=terms[1])
     np.multiply(wt, np.float_power(np.abs(ug), pq), out=terms[2:])
+    # summed over the nodes as ((t0 + t1) + t2) + t3, then cumulatively
     out[:, 1:] = terms.sum(axis=2).transpose(0, 2, 1).reshape(4, _SUB * n)
     out = np.add.accumulate(out, axis=1)
     return tuple(grid), (out[0], out[2], out[3], out[1]), 3 * n
@@ -800,15 +814,17 @@ def _py_loop(params: ProblemParams, a: float, r_max: float, tol: StepControls) -
 # --- the C kernel -------------------------------------------------------------
 
 # The tableau as _dop853.c reads it: C (16), A (16 rows of 16), B, E5, E3, then
-# the dense output's extra nodes and rows (_EXTRA) and D (_D_DENSE)
-_TABLEAU = (ctypes.c_double * 391)(
+# the dense output's extra nodes and rows (_EXTRA) and D (_D_DENSE), then the
+# dense pass's _FRACS and _GW_SUB and the series piece's _BALL_X and _BALL_W
+_TABLEAU = (ctypes.c_double * 429)(
     *_C, *(x for row in _A for x in row + (0.0,) * (16 - len(row))), *_B, *_E5, *_E3,
     *(c for c, _ in _EXTRA), *(x for _, row in _EXTRA for x in row),
-    *(x for row in _D_DENSE for x in row))
+    *(x for row in _D_DENSE for x in row),
+    *_FRACS.ravel().tolist(), *_GW_SUB.ravel().tolist(), *_BALL_X.tolist(), *_BALL_W.tolist())
 _TAB = ctypes.addressof(_TABLEAU)
 
 # what the kernel returns (the STOP_ codes of _dop853.c)
-_ROOM, _SETTLED = 0, 2   # 1 is ReachedRmax at r_max
+_ROOM = 0   # 1 and 2 are ReachedRmax: at r_max, and where B has settled
 _REFINED = {3: TerminalEvent.ZERO_CROSSING, 4: TerminalEvent.SLOPE_SIGN_FLIP,
             5: TerminalEvent.UNDERFLOW}
 _BUDGET, _COLLAPSE = 6, 7
@@ -820,13 +836,17 @@ _BAD_RMAX, _BAD_AMP = 12, 13
 # the state (the S_ slots of _dop853.c): r, u, u', u'', h; (u, u') at the end
 # of the step a refined event moved (5, 6); u'' at r0 (7); the settled
 # stop's constants (8-10); then the series coefficients
-_S_END, _S_K10, _S_COEFFS = 5, 7, 11
+_S_COEFFS = 11
 _GRID0 = 256   # grid points the first call has room for; each refill doubles it
 _SOURCE = Path(__file__).with_name("_dop853.c")
 _ZEROS = array("d", [0.0])
-# builtins.sum adds floats with Neumaier's compensation from CPython 3.12 on,
-# left to right before: _refine's _dot sums so, and the kernel must too
-_COMPENSATED_SUM = sum([1e100, 1.0, -1e100]) != 0.0
+
+
+class _Kernel(NamedTuple):
+    """The entry points of the loaded _dop853.c."""
+
+    loop: Callable[..., int]     # dop853_loop: one shot
+    dense: Callable[..., None]   # dop853_dense: its dense pass, with quadrature
 
 
 @functools.lru_cache(maxsize=256)
@@ -837,25 +857,25 @@ def _shot_constants(params: ProblemParams) -> tuple[float, ...]:
 
 
 def _c_loop(params: ProblemParams, a: float, r_max: float, tol: StepControls,
-            kernel=None) -> Trajectory:
-    """``integrate`` as one call of the C kernel (``kernel``, a loaded
-    dop853_loop; the module's own by default), which matches _py_loop bit
-    for bit: the series start, the step loop and the event refinement.
-    The dense pass of a run with quadrature is numpy for both."""
+            kernel: _Kernel | None = None) -> Trajectory:
+    """``integrate`` as one call of the C kernel (``kernel``, the loaded
+    _dop853.c; the module's own by default), which matches _py_loop bit
+    for bit: the series start, the step loop and the event refinement, and
+    for a run with quadrature one more call for its dense pass."""
     quad = tol.with_quadrature
     ncoef = max(_SERIES_ORDER, 1) + 1   # as many as series_coefficients returns
     prm = array("d", (*_shot_constants(params), a, r_max, tol.underflow_factor, tol.atol,
                       tol.rtol, tol.min_step, _SETTLE_G, _SETTLE_MARGIN, _EVENT_TOL))
     st = _ZEROS * (_S_COEFFS + ncoef)
     budget = math.floor(max(min(tol.max_steps, 2**62), -1))   # steps > budget fails
-    cnt = array("q", (0, 0, 0, budget, quad, ncoef, _COMPENSATED_SUM, 0))
+    cnt = array("q", (0, 0, 0, budget, quad, ncoef, 0))
     cap = _GRID0
     grid = _ZEROS * (3 * cap)   # rows: radii, values, slopes
     stages = _ZEROS * (16 * cap) if quad else None   # h, u' and u'' at the stages, per step
     kernel = kernel or _kernel
-    while (code := kernel(_TAB, prm.buffer_info()[0], st.buffer_info()[0],
-                          cnt.buffer_info()[0], grid.buffer_info()[0], cap,
-                          stages.buffer_info()[0] if quad else None)) == _ROOM:
+    while (code := kernel.loop(_TAB, prm.buffer_info()[0], st.buffer_info()[0],
+                               cnt.buffer_info()[0], grid.buffer_info()[0], cap,
+                               stages.buffer_info()[0] if quad else None)) == _ROOM:
         n = cnt[0]
         grown = _ZEROS * (6 * cap)
         for i in range(3):
@@ -872,23 +892,22 @@ def _c_loop(params: ProblemParams, a: float, r_max: float, tol: StepControls,
     if code == _BAD_AMP:
         raise ValueError(f"amplitude must be positive, got {a}")
     n, nfev = cnt[0], cnt[1]
-    rs, us, vs = (np.frombuffer(grid, count=n, offset=8 * i * cap) for i in range(3))
-    run = None
-    if quad:
-        run = (params, tuple(st[_S_COEFFS:]), st[_S_K10],
-               np.frombuffer(stages, count=16 * (n - 1)))
+    # the grid ends at the terminal radius: r_max, the settled stop's or the
+    # refined event's, or where a failure stopped
+    t = _trajectory(*(np.frombuffer(grid, count=n, offset=8 * i * cap) for i in range(3)),
+                    nfev, None)
+    if quad:   # _dense_pass as one more call, into the rows of out
+        out = np.empty((7, _SUB * (n - 1) + 1))
+        kernel.dense(_TAB, prm.buffer_info()[0], st.buffer_info()[0], cnt.buffer_info()[0],
+                     grid.buffer_info()[0], cap, stages.buffer_info()[0], code in _REFINED,
+                     out.ctypes.data)
+        t.radii, t.values, t.slopes, t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir = out
+        t.rhs_evals += 3 * (n - 1)
+        t.series = tuple(st[_S_COEFFS:])
     if code in (_BUDGET, _COLLAPSE):
         raise IntegrationFailure(f"step budget {tol.max_steps} exhausted" if code == _BUDGET
-                                 else f"step size collapsed at r={st[0]:.6g}",
-                                 _trajectory(rs, us, vs, nfev, run))
-    event, r_event, end = TerminalEvent.REACHED_RMAX, r_max, None
-    if code in _REFINED:
-        event, r_event, end = _REFINED[code], st[0], tuple(st[_S_END:_S_END + 2])
-    elif code == _SETTLED:
-        r_event = st[0]
-    t = _trajectory(rs, us, vs, nfev, run, end)
-    t.terminal_event = event
-    t.terminal_radius = r_event
+                                 else f"step size collapsed at r={st[0]:.6g}", t)
+    t.terminal_event = _REFINED.get(code, TerminalEvent.REACHED_RMAX)
     return t
 
 
@@ -918,21 +937,28 @@ def _same(t: Trajectory, ref: Trajectory) -> bool:
                                      ref.norm_lp, ref.norm_lq, ref.norm_dir))))
 
 
-def _load_kernel():
-    """dop853_loop of _dop853.c, built into the cache directory, or None
-    where it cannot be built or loaded, or where the self-check shots do
-    not match _py_loop bit for bit."""
+def _load_kernel() -> _Kernel | None:
+    """The entry points of _dop853.c, built into the cache directory, or
+    None where it cannot be built or loaded, or where the self-check shots
+    do not match _py_loop bit for bit."""
     path = _native.build(_SOURCE)
     if path is None:
         return None
     try:
-        kernel = ctypes.CDLL(str(path)).dop853_loop
-        kernel.restype = ctypes.c_int
-        kernel.argtypes = (ctypes.c_void_p,) * 5 + (ctypes.c_int64, ctypes.c_void_p)
+        lib = ctypes.CDLL(str(path))
+        kernel = _Kernel(lib.dop853_loop, lib.dop853_dense)
+        kernel.loop.restype = ctypes.c_int
+        kernel.loop.argtypes = (ctypes.c_void_p,) * 5 + (ctypes.c_int64, ctypes.c_void_p)
+        kernel.dense.restype = None   # the loop's arguments, a refined event's flag, out
+        kernel.dense.argtypes = kernel.loop.argtypes + (ctypes.c_int, ctypes.c_void_p)
         if all(_same(_c_loop(*shot, kernel=kernel), _py_loop(*shot))
                for shot in _CHECK_SHOTS):
             return kernel
-    except Exception:   # a library that does not load or run: keep the Python loop
+    # a library that does not load or lacks an entry point (OSError,
+    # AttributeError), or a self-check shot that raises: keep the Python
+    # loop.  Anything else (a TypeError from mis-declared argtypes) is a bug
+    # and fails the import
+    except (OSError, AttributeError, ArithmeticError, ValueError, IntegrationFailure):
         pass
     return None
 

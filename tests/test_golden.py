@@ -3,20 +3,25 @@
 A speed-up of the solver counts only if its results match the old code
 bitwise, or if a stated tolerance covers the difference.  The values below
 are ``float.hex`` of the solution and SHA-256 digests of its grid and norm
-arrays, last taken when the P_zero search shots began to end where the
+arrays, last taken when the final pass's dense output began to sum every
+dot product of its interpolant and every series-piece norm left to right
+(``ode._dot``, ``ode._series_norms``, the same in the C kernel), so that no
+pin goes through BLAS and the pins hold whichever kernel OpenBLAS picks for
+the CPU; before that, when the P_zero search shots began to end where the
 far-field constant B has settled (``ode``'s settled stop, B read less its
 drift still to come, r_max 1e6 without a probe shot) and a final pass that
 needs the last probe to close its bracket began to land past Brent's
 abscissa, on Dormand-Prince 8(5,3) at atol 1e-14 / rtol 1e-12, every shot
 started from the series piece of ``ode`` (the power series in r^2 to
 k = 8, handed off where its first omitted term falls below 1e-16 u(0)),
-with K_nu e^x from ``shooting._kve``.  Older pins stay asserted at a tolerance:
-those taken while K_nu e^x came from scipy.special.kve (SCIPY_KVE_PINS and
-the like), those taken with every P_zero shot
-run to the r_max of a probe shot (SERIES_PINS and the like), those taken
-on the same integrator started from the second-order Taylor piece at
-r0 = 1e-4 sqrt(a/|f(a)|) (SECOND_ORDER_PINS and the like), those from the
-Dormand-Prince 4(5) integrator at atol 1e-12 / rtol 1e-10
+with K_nu e^x from ``shooting._kve``.  Older pins stay asserted at a
+tolerance: those taken while the final pass summed its interpolant through
+OpenBLAS's gemv (GEMV_PINS), those taken while K_nu e^x came from
+scipy.special.kve (SCIPY_KVE_PINS and the like), those taken with every
+P_zero shot run to the r_max of a probe shot (SERIES_PINS and the like),
+those taken on the same integrator started from the second-order Taylor
+piece at r0 = 1e-4 sqrt(a/|f(a)|) (SECOND_ORDER_PINS and the like), those
+from the Dormand-Prince 4(5) integrator at atol 1e-12 / rtol 1e-10
 (DP45_PINS), with the amplitude search ending at the integrator's
 resolution; those from when the search closed a class bracket with Brent
 steps (BRENT_PINS); and those from when the solve replayed the plain
@@ -25,12 +30,13 @@ trajectories, and a reference solve at atol 1e-15 / rtol 1e-13 puts their
 amplitudes 3.6e-12 to 1.5e-11 and their levels 1.0e-11 to 2.6e-11 from the
 truth; they hold at 2e-11 and 3e-11.  Fed the roots of f that a port of
 scipy's brentq found (SCIPY_ROOTS), the solve's amplitude is pinned bit for
-bit.  Any change to the stepping,
-the error control, the event refinement, the quadrature panels or the
-search shows up here as an exact mismatch.  They were taken on x86-64
-Linux (CPython, glibc libm); a different libm may move the last bits of
-``**``.  The RHS totals of a whole solve (PANELS) count work, not results:
-they move when the solver integrates less.
+bit.  Any change to the stepping, the error control, the event refinement,
+the quadrature panels or the search shows up here as an exact mismatch.
+They were taken on x86-64 Linux (CPython, glibc libm); a different libm may
+move the last bits of ``**``, and the read side's ``np.power`` may round
+differently where numpy dispatches it to other SIMD code.  The RHS totals
+of a whole solve (PANELS) count work, not results: they move when the
+solver integrates less.
 """
 
 import hashlib
@@ -45,18 +51,41 @@ from gslab import Family, ProblemParams, ShootControls, solve_ground_state
 # start
 GOLDEN = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
-                 "0x1.bb150da6eea8fp-1", "0x1.9e6885dd5e489p+2", "0x1.b1180f05512f5p-45",
+                 "0x1.bb150da6eea8fp-1", "0x1.9e6885dd5e48bp+2", "0x1.b3093e27c7ca6p-45",
                  1795, id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
                  "0x1.f0dc838910f40p-1", "0x1.0ba01b5dca20ep+3", "0x1.efa805d663a19p-42",
                  3277, id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "0x1.1597c27ee4ce0p+2", "0x1.d83d9226e412ep+3", "0x1.7fd47f9dec477p-45",
+                 "0x1.1597c27ee4ce0p+2", "0x1.d83d9226e4130p+3", "0x1.7d927eddbf380p-45",
                  1639, id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.0b612fe40a280p+2", "0x1.eb9fac3de8d8bp+3", "0x1.e39420825eb58p-45",
+                 "0x1.0b612fe40a280p+2", "0x1.eb9fac3de8d89p+3", "0x1.e5b449297bd1cp-45",
                  1648, id="R_eps-N3-p4-q6-eps1e-2"),
 ]
+
+# The pins taken while the final pass's dense output summed the dot
+# products of its interpolant through OpenBLAS's gemv (its SkylakeX kernel;
+# the Haswell, Zen and Prescott kernels gave other bits) and the series-piece
+# norms in np.sum's pairwise order: (level_S, nehari_residual,
+# grid.norm_lp[-1], grid.norm_dir[-1], radial_norm(prof, p),
+# dirichlet_norm(prof)).  Amplitudes and RHS counts did not move.  Summed
+# left to right, the levels moved by at most 2.7e-16, norm_lp[-1] and
+# norm_dir[-1] by 2.0e-16, the read-side norms by 4.4e-16 (a few ulp; held
+# at 1e-15), and the Nehari residuals, which cancel terms of order 10 to
+# ~5e-14, by at most 2.5e-16 absolute (held at 1e-15 absolute).
+GEMV_PINS = {
+    Family.P_EPS: ("0x1.9e6885dd5e489p+2", "0x1.b1180f05512f5p-45", "0x1.cca5f50f5ef22p+0",
+                   "0x1.4fa96e339dcfcp+0", "0x1.69cad497c3bfep+4", "0x1.07a0f219303d7p+4"),
+    Family.P_ZERO: ("0x1.0ba01b5dca20ep+3", "0x1.efa805d663a19p-42", "0x1.ecb726ff2badbp+1",
+                    "0x1.ecb6aeeba2333p+0", "0x1.82fa511c6b7d4p+5", "0x1.82fa51266a3b2p+4"),
+    Family.R_ZERO: ("0x1.d83d9226e412ep+3", "0x1.7fd47f9dec477p-45", "0x1.80f8bd8d21627p+2",
+                    "0x1.20ba7fe1957c5p+2", "0x1.2e5b244e332a7p+6", "0x1.c588b66f87276p+5"),
+    Family.R_EPS: ("0x1.eb9fac3de8d8bp+3", "0x1.e39420825eb58p-45", "0x1.cc15a8904b17ap+2",
+                   "0x1.32afa4255ad9dp+2", "0x1.69597fb5a859fp+6", "0x1.e1bde1ffa7304p+5"),
+}
+GEMV_TOL = 1e-15      # relative: the level, the grid-end norms, the read-side norms
+GEMV_NEHARI_ABS = 1e-15
 
 # The pins taken while every P_zero shot ran to the r_max of a probe shot
 # (1e6 here) and a final pass that needed a closing shot ran at Brent's
@@ -135,16 +164,16 @@ DP45_PINS = {
 # took a closing shot and P_zero's shots ran to r_max)
 PANELS = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
-                 "0x1.cca5f50f5ef22p+0", "0x1.4fa96e339dcfcp+0", 6735,
+                 "0x1.cca5f50f5ef22p+0", "0x1.4fa96e339dcfdp+0", 6735,
                  id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
                  "0x1.ecb726ff2badbp+1", "0x1.ecb6aeeba2333p+0", 13537,
                  id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "0x1.80f8bd8d21627p+2", "0x1.20ba7fe1957c5p+2", 5539,
+                 "0x1.80f8bd8d21627p+2", "0x1.20ba7fe1957c6p+2", 5539,
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.cc15a8904b17ap+2", "0x1.32afa4255ad9dp+2", 5752,
+                 "0x1.cc15a8904b17bp+2", "0x1.32afa4255ad9dp+2", 5752,
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
@@ -209,6 +238,10 @@ def test_solve_matches_golden_bitwise(params, amplitude, level_S, nehari, rhs_ev
     assert sol.level_S.hex() == level_S
     assert sol.nehari_residual.hex() == nehari
     assert sol.profile.grid.rhs_evals == rhs_evals
+    old_level_S, old_nehari = GEMV_PINS[params.family][:2]
+    assert _near(sol.level_S, old_level_S, GEMV_TOL)
+    assert sol.nehari_residual == pytest.approx(float.fromhex(old_nehari), rel=0.0,
+                                                abs=GEMV_NEHARI_ABS)
     if params.family in SCIPY_KVE_PINS:
         old_amplitude, old_level_S = SCIPY_KVE_PINS[params.family][:2]
         assert _near(sol.amplitude, old_amplitude, SCIPY_KVE_TOL["amplitude"])
@@ -233,6 +266,9 @@ def test_panels_match_golden_bitwise(params, norm_lp, norm_dir, rhs_evals):
     assert float(prof.grid.norm_lp[-1]).hex() == norm_lp
     assert float(prof.grid.norm_dir[-1]).hex() == norm_dir
     assert prof.rhs_evals == rhs_evals
+    old_lp, old_dir = GEMV_PINS[params.family][2:4]
+    assert _near(float(prof.grid.norm_lp[-1]), old_lp, GEMV_TOL)
+    assert _near(float(prof.grid.norm_dir[-1]), old_dir, GEMV_TOL)
     if params.family in SCIPY_KVE_PINS:
         old_lp, old_dir = SCIPY_KVE_PINS[params.family][2:4]
         assert _near(float(prof.grid.norm_lp[-1]), old_lp, SCIPY_KVE_TOL["norm_lp"])
@@ -248,19 +284,21 @@ def test_panels_match_golden_bitwise(params, norm_lp, norm_dir, rhs_evals):
 
 # (params, SHA-256 of the final grid's radii, values, slopes, norm_l2,
 # norm_lp, norm_lq and norm_dir as little-endian float64, in that order):
-# every interior entry, not just the end values above
+# every interior entry, not just the end values above.  Re-pinned with the
+# values above when the final pass began to sum left to right (GEMV_PINS);
+# a digest has no tolerance
 ARRAYS = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
-                 "52eb34c6951bd166fb6532994212a04bb4d20039dfb85572e91558e06ea36c3f",
+                 "8c5643bccede60400c6d8bbaff3c33d9eb70a744d1905a0deede348b88a66ad6",
                  id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
-                 "5aae158c62ce9e336d5f2d0506796b7359bd5e98f740c71c55d8827b0eca1dc1",
+                 "36f7991ee6825e65961f6f990f2b3ab01f8ada2f9ec876d6122d067eb522bdb7",
                  id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "1ace07cd6c3ca5377b70d0dc82365f4164154ac1f5e11cd7f6b50061014e7f80",
+                 "3d15c680fe197aef1acc4a785bfa223f5b2aae4449351b463e4137663d7e2332",
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "7c3f2359a17c046d96f3843fdb87e21420cb7a83f778cf316f8338a6d5fea72d",
+                 "b907a2a417dec36a00525cfd8b56f93c5c3466e4808fda0f0f66033e6a6e2ffb",
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
@@ -303,14 +341,15 @@ def test_forced_loose_probes_fall_back_to_golden_bitwise(params, amplitude, leve
 # The exponential tail pieces were re-pinned again when the far field moved
 # to 16 x 16 Gauss nodes on geometric panels; norm totals did not move.
 # P_eps and P_zero were re-pinned with SERIES_PINS, and the three
-# exponential tails again with SCIPY_KVE_PINS.
+# exponential tails again with SCIPY_KVE_PINS; the norms of all but R_zero
+# with GEMV_PINS (the tail pieces did not move).
 READ_SIDE = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
-                 "0x1.69cad497c3bfep+4", "0x1.07a0f219303d7p+4",
+                 "0x1.69cad497c3bfep+4", "0x1.07a0f219303d9p+4",
                  "0x1.df3f399f9ab63p-10", "0x1.4fa5830a22b81p-19",
                  id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
-                 "0x1.82fa511c6b7d4p+5", "0x1.82fa51266a3b2p+4",
+                 "0x1.82fa511c6b7d3p+5", "0x1.82fa51266a3afp+4",
                  None, "0x1.e04e1cd0fe236p-18",
                  id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
@@ -318,7 +357,7 @@ READ_SIDE = [
                  "0x1.6444062560801p-19", "0x1.c908723e288bap-19",
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.69597fb5a859fp+6", "0x1.e1bde1ffa7304p+5",
+                 "0x1.69597fb5a859dp+6", "0x1.e1bde1ffa7304p+5",
                  "0x1.590bc738dec93p-19", "0x1.b89ef560fa2b7p-19",
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
@@ -377,6 +416,9 @@ def test_read_side_norms_match_golden_bitwise(params, norm_p, dirichlet, tail_l2
     else:
         assert float(prof.tail.norm_tail(2.0, R)).hex() == tail_l2
     assert float(prof.tail.dirichlet_tail(R)).hex() == tail_dir
+    old_norm_p, old_dirichlet = GEMV_PINS[params.family][4:]
+    assert _near(radial_norm(prof, params.p), old_norm_p, GEMV_TOL)
+    assert _near(dirichlet_norm(prof), old_dirichlet, GEMV_TOL)
     if params.family in SCIPY_KVE_TAIL_PINS:
         old_l2, old_dir = SCIPY_KVE_TAIL_PINS[params.family]
         old = (_profile_at(params, SCIPY_KVE_PINS[params.family][0])
@@ -422,9 +464,14 @@ def test_critical_read_side_matches_golden_bitwise(monkeypatch):
     d1, dp = profile_distances(rescale_to_v(w.profile, lam), EmdenFowlerProfile(5, 1.0, "W"))
     kappa = kappa_identities(w, params.eps).lq_residual
     assert lam.hex() == "0x1.5ffd4d6102b69p+0"
-    assert d1.hex() == "0x1.3e79a032a28ddp-2"
-    assert dp.hex() == "0x1.c958ecf090a7dp-5"
+    assert d1.hex() == "0x1.3e79a032a28e3p-2"
+    assert dp.hex() == "0x1.c958ecf090a7ep-5"
     assert kappa.hex() == "0x1.2597a30d35ebdp-23"
+    # the pins taken while the final pass summed its interpolant through
+    # gemv (GEMV_PINS): lambda and the kappa residual did not move, d1 moved
+    # by 1.1e-15 and dp by 1.2e-16, so they hold at 3e-15
+    assert _near(d1, "0x1.3e79a032a28ddp-2", 3e-15)
+    assert _near(dp, "0x1.c958ecf090a7dp-5", 3e-15)
     # the pins taken while a final pass that needed a closing shot ran at
     # Brent's abscissa (SERIES_PINS): the final pass now lands 1e-13 past
     # it, and lambda moved by 9.7e-15, d1 by 1.1e-11, dp by 2.7e-12 and the

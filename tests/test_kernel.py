@@ -1,8 +1,9 @@
 """The C step kernel against the Python step loop it keeps as reference.
 
 ``ode._c_loop`` runs a whole ``integrate`` shot in ``_dop853.c``: the
-series start, the step loop and the event refinement.  ``ode._py_loop`` is
-the same shot in Python (``_start``, the loop, ``_refine``), which runs
+series start, the step loop and the event refinement, then, with
+quadrature, the dense pass.  ``ode._py_loop`` is the same shot in Python
+(``_start``, the loop, ``_refine``, the numpy ``_dense_pass``), which runs
 wherever the kernel cannot be built.  On every call the two must agree to
 the bit: radii, values, slopes and the four norm arrays, terminal event and
 radius, and RHS evaluations, the partial trajectory of an
@@ -11,7 +12,8 @@ calls are every integrate call of the benchmark's solve_mix seeds 1-3 and
 sweep_chain seed 1 (captured at shooting.integrate), and the paths those
 leave out: underflow, step budget, step collapse, a power that overflows,
 a division by zero, the start's exceptions, the settled stop switched off,
-and a grid refilled on every step.
+a grid refilled on every step, and dense passes after each refined event,
+on a one-point grid, for N = 3 to 8 and where |u|^q underflows to 0.
 """
 
 import ctypes
@@ -93,7 +95,7 @@ def benchmark_calls():
 def test_benchmark_calls_match_bit_for_bit(benchmark_calls):
     calls, n_mix = benchmark_calls
     seen = set()
-    rhs_mix = 0
+    rhs_mix = quad = 0
     for i, call in enumerate(calls):
         end, t = assert_same_bits(call)
         params, _, r_max, tol = call
@@ -104,8 +106,11 @@ def test_benchmark_calls_match_bit_for_bit(benchmark_calls):
                   else "tight"))
         if i < n_mix:
             rhs_mix += t.rhs_evals
-    # the deterministic counters of solve_mix seeds 1-3 (84 solves)
+        quad += tol.with_quadrature
+    # the deterministic counters of solve_mix seeds 1-3 (84 solves), and the
+    # dense passes among all the calls (final passes and their retries)
     assert (n_mix, rhs_mix) == (997, 613_378)   # 7302 per solve
+    assert quad == 107
     for path in [(TerminalEvent.ZERO_CROSSING, "loose"), (TerminalEvent.ZERO_CROSSING, "tight"),
                  (TerminalEvent.SLOPE_SIGN_FLIP, "quad"), (TerminalEvent.REACHED_RMAX, "quad"),
                  ("settled", "tight"), (TerminalEvent.SLOPE_SIGN_FLIP, "loose")]:
@@ -116,6 +121,7 @@ R_ZERO = ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO)
 P_EPS = ProblemParams(3, 4.0, 6.0, 1e-2, Family.P_EPS)
 P_ZERO = ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO)
 TIGHT = StepControls(atol=1e-14, rtol=1e-12)
+QUAD = replace(TIGHT, with_quadrature=True)
 
 # (call, outcome): the paths the benchmark's calls leave out.  The R_zero
 # amplitude is its a*, the P_zero ones are a* and 1 +- 1% of it; P_eps
@@ -151,9 +157,22 @@ PATHS = {
                               "ZeroDivisionError('float division by zero')"),
     "r_max": ((P_ZERO, 0.9, 1e6, TIGHT), "done"),
     "settled": ((P_ZERO, 0.98, 1e6, TIGHT), "done"),
-    "quad-to-r_max": ((P_ZERO, 0.9704323868577163, 1e6, replace(TIGHT, with_quadrature=True)),
-                      "done"),
+    "quad-to-r_max": ((P_ZERO, 0.9704323868577163, 1e6, QUAD), "done"),
+    # dense passes whose last step a refined event moved (underflow-quad
+    # above), a one-step pass, and the r^(N-1) weights for N = 3 to 8
+    "zero-crossing-quad": ((P_EPS, 0.75, 500.0, QUAD), "done"),
+    "slope-flip-quad": ((P_EPS, 0.4, 500.0, QUAD), "done"),
+    "one-step-quad": ((ProblemParams(3, 2.5, 4.0, 1e-2, Family.P_EPS), 1.0, 500.0, QUAD), "done"),
+    **{f"N{N}-quad": ((ProblemParams(N, 2.5, 4.0, 1e-2, Family.P_EPS), 0.5, 500.0, QUAD), "done")
+       for N in range(3, 9)},
+    # |u|^12 underflows to 0 at every node, |u|^8 does not
+    "power-underflow-quad": ((P_ZERO, 1e-30, 1e6, QUAD), "done"),
 }
+EVENTS = {"underflow": TerminalEvent.UNDERFLOW, "underflow-quad": TerminalEvent.UNDERFLOW,
+          "zero-crossing-quad": TerminalEvent.ZERO_CROSSING,
+          "slope-flip-quad": TerminalEvent.SLOPE_SIGN_FLIP,
+          "one-step-quad": TerminalEvent.SLOPE_SIGN_FLIP,
+          **{f"N{N}-quad": TerminalEvent.ZERO_CROSSING for N in range(3, 9)}}
 
 
 @needs_kernel
@@ -165,19 +184,25 @@ def test_paths_match_bit_for_bit(name, grid0, monkeypatch):
     overflows = []
 
     def counted(*args):   # the kernel, counting the trial steps a power overflow shrank
-        code = ode._kernel(*args)
-        overflows.append(ctypes.c_int64.from_address(args[3] + 8 * 7).value)
+        code = ode._kernel.loop(*args)
+        overflows.append(ctypes.c_int64.from_address(args[3] + 8 * 6).value)   # C_OVERFLOWS
         return code
 
-    end, t = assert_same_bits(call, kernel=counted)
+    end, t = assert_same_bits(call, kernel=ode._kernel._replace(loop=counted))
     assert end.startswith(expected)
     assert (overflows[-1] > 0) == name.startswith("pow-overflow")
-    if name.startswith("underflow"):
-        assert t.terminal_event is TerminalEvent.UNDERFLOW
+    if name in EVENTS:
+        assert t.terminal_event is EVENTS[name]
     if name == "settled":
         assert t.terminal_radius < call[2]
     if name.endswith("quad"):
         assert t.norm_l2 is not None
+    if name == "collapse-quad":   # the dense pass of a grid of one point
+        assert len(t.radii) == 1
+    if name == "one-step-quad":
+        assert len(t.radii) == ode._SUB + 1
+    if name == "power-underflow-quad":
+        assert t.norm_lq[-1] == 0.0 < t.norm_lp[-1]
     if name in ("series-overflow", "handoff-zero-division"):   # the start raises
         with pytest.raises((OverflowError, ZeroDivisionError)):
             ode._start(*call)
@@ -213,6 +238,73 @@ def test_failed_build_falls_back_to_the_python_loop(compiler, monkeypatch, tmp_p
     sol = functionals.solve_ground_state(params)
     assert sol.amplitude.hex() == ref.amplitude.hex()
     assert _bits(sol.profile.grid) == _bits(ref.profile.grid)
+
+
+def _raises(exc):
+    def raising(*args, **kwargs):
+        raise exc
+    return raising
+
+
+@needs_kernel
+@pytest.mark.parametrize("exc", [ZeroDivisionError("float division by zero"),
+                                 OverflowError(34, "Numerical result out of range"),
+                                 ValueError("libm pow failed in **"),
+                                 IntegrationFailure("step budget 12 exhausted", None)],
+                         ids=["ZeroDivisionError", "OverflowError", "ValueError",
+                              "IntegrationFailure"])
+def test_self_check_shot_that_raises_keeps_the_python_loop(exc, monkeypatch):
+    monkeypatch.setattr(ode, "_c_loop", _raises(exc))
+    assert ode._load_kernel() is None
+
+
+@needs_kernel
+def test_library_that_does_not_load_keeps_the_python_loop(monkeypatch, tmp_path):
+    junk = tmp_path / "junk.so"
+    junk.write_text("not a shared library")
+    monkeypatch.setattr(_native, "build", lambda source: junk)
+    with pytest.raises(OSError):
+        ctypes.CDLL(str(junk))
+    assert ode._load_kernel() is None
+
+
+@needs_kernel
+def test_library_without_an_entry_point_keeps_the_python_loop(monkeypatch, tmp_path):
+    source = tmp_path / "loop_only.c"
+    source.write_text("int dop853_loop(void) { return 0; }\n")
+    monkeypatch.setenv("GSLAB_CACHE_DIR", str(tmp_path / "cache"))
+    lib = _native.build(source)
+    assert lib is not None
+    assert not hasattr(ctypes.CDLL(str(lib)), "dop853_dense")   # AttributeError
+    monkeypatch.setattr(_native, "build", lambda _: lib)
+    assert ode._load_kernel() is None
+
+
+@needs_kernel
+def test_misdeclared_entry_point_fails_the_import(monkeypatch):
+    # dop853_dense declared with one argument too many: the self-check's
+    # call raises TypeError, a bug that must not fall back to the Python
+    # loop in silence
+    class Misdeclared:
+        def __init__(self, fn):
+            object.__setattr__(self, "fn", fn)
+
+        def __setattr__(self, name, value):
+            setattr(self.fn, name, value + (ctypes.c_void_p,) if name == "argtypes" else value)
+
+        def __call__(self, *args):
+            return self.fn(*args)
+
+    real = ctypes.CDLL
+
+    def cdll(path):
+        lib = real(path)
+        lib.dop853_dense = Misdeclared(lib.dop853_dense)
+        return lib
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    with pytest.raises(TypeError, match="arguments"):
+        ode._load_kernel()
 
 
 def test_unwritable_cache_runs_the_python_loop(tmp_path):
