@@ -14,12 +14,14 @@ one stack there, so W_1 and the tail's linear mode are evaluated once per
 node set.  Sweeps solve a
 geometric grid of eps (or delta) values, collect the regime's observables,
 and confront fitted log-log slopes with the predicted exponents; a fit
-carries the log(1/eps) factor where predict_exponents gives one.
+carries the log(1/eps) factor where predict_exponents gives one.  What each
+regime solves, predicts, observes and fits is its row of one table (_ROWS).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,7 +37,7 @@ from .errors import (
     NotInAsymptoticRegime,
 )
 from .ode import IntegrationFailure, series_piece
-from .params import Family, ProblemParams, critical_exponent, sphere_area
+from .params import Family, ProblemParams, critical_exponent, is_critical, sphere_area
 from .shooting import RadialProfile, ShootControls, _bracket_root, _hermite
 
 __all__ = [
@@ -44,6 +46,8 @@ __all__ = [
     "profile_distances",
     "predict_exponents",
     "REGIMES",
+    "RegimeRow",
+    "regime_row",
     "fit_exponent",
     "FitResult",
     "SweepSpec",
@@ -183,57 +187,140 @@ def profile_distances(v: RadialProfile, ref: EmdenFowlerProfile) -> tuple[float,
     return math.sqrt(omega * d1_sq), (omega * lp) ** (1.0 / p)
 
 
-# --- exponent predictions -------------------------------------------------
+# --- the regime table -------------------------------------------------------
+# One row per sweep regime, read by predict_exponents, SweepSpec, the sweep and
+# the CLI.  Row code looks the module's functions up at call time, so a wrapper
+# set on asymptotics.concentration_lambda (say) sees its calls.
 
-REGIMES = ("subcritical", "critical", "supercritical",
-           "delta_supercritical", "p_up_subcritical")
+
+def _subcritical_exponents(N: int, p: float, q: float) -> dict[str, tuple[float, float]]:
+    if p >= (ps := critical_exponent(N)):
+        raise ValueError(f"subcritical regime needs p < p* = {ps}, got {p}")
+    return {"amplitude": (1.0 / (p - 2.0), 0.0)}
+
+
+def _critical_exponents(N: int, p: float, q: float) -> dict[str, tuple[float, float]]:
+    if not is_critical(N, p):
+        raise ValueError(f"critical regime needs p = p* = {critical_exponent(N)}, got {p}")
+    if N >= 5:
+        return {"amplitude": (1.0 / (q - 2.0), 0.0),
+                "lambda": (-(p - 2.0) / (2.0 * q - 4.0), 0.0),
+                "sigma": ((q - p) / (q - 2.0), 0.0)}
+    if N == 4:
+        return {"amplitude": (1.0 / (q - 2.0), 1.0 / (q - 2.0)),
+                "lambda": (-1.0 / (q - 2.0), -1.0 / (q - 2.0)),
+                "sigma": ((q - 4.0) / (q - 2.0), (q - 4.0) / (q - 2.0))}
+    return {"amplitude": (1.0 / (2.0 * q - 8.0), 0.0),
+            "lambda": (-1.0 / (q - 4.0), 0.0),
+            "sigma": ((q - 6.0) / (2.0 * q - 8.0), 0.0)}
+
+
+def _supercritical_exponents(N: int, p: float, q: float) -> dict[str, tuple[float, float]]:
+    if p <= (ps := critical_exponent(N)):
+        raise ValueError(f"supercritical regime needs p > p* = {ps}, got {p}")
+    return {"amplitude": (0.0, 0.0)}
+
+
+def _delta_supercritical_exponents(N: int, p: float, q: float) -> dict[str, tuple[float, float]]:
+    # the paper's law holds for q > N(N+2)/(2(N-2)); q = 7 at N = 3 is exploratory
+    if q <= (ps := critical_exponent(N)):
+        raise ValueError(f"delta sweep needs q > p* = {ps}, got {q}")
+    return {"amplitude": (1.0 / (q - ps), 0.0)}
+
+
+def _p_up_subcritical_exponents(N: int, p: float, q: float) -> dict[str, tuple[float, float]]:
+    if N >= 5:
+        return {"amplitude": (-(N - 2.0) / 4.0, 0.0)}
+    return {"amplitude": (-0.5, 1.0 if N == 4 else 0.0)}
+
+
+def _subcritical_columns(pt, sol, refs) -> None:
+    scaled = pt.x ** (-1.0 / (sol.params.p - 2.0)) * sol.amplitude
+    pt.amp_gap = abs(scaled - refs["v0_amp"]) / refs["v0_amp"]
+
+
+def _critical_columns(pt, sol, refs) -> None:
+    N = sol.params.N
+    pt.sigma = sol.level_S - sobolev_constant(N)
+    w_sol = sol.rescaled_to_frame()
+    pt.kappa_res = fn.kappa_identities(w_sol, pt.x).lq_residual
+    lam = pt.lam = concentration_lambda(w_sol.profile)
+    v = rescale_to_v(w_sol.profile, lam)
+    l2, _, lq, _ = fn._norm_factors(sol.params, lam ** ((N - 2.0) / 2.0), lam ** 2)
+    pt.v_l2_sq = w_sol.norm_L2_sq * l2
+    pt.v_lq_q = w_sol.norm_Lq_q * lq
+    pt.dist_D1, pt.dist_Lp = profile_distances(v, EmdenFowlerProfile(N, 1.0, "W"))
+
+
+def _supercritical_columns(pt, sol, refs) -> None:
+    pt.amp_gap = abs(sol.amplitude - refs["u0_amp"])
+
+
+def _delta_supercritical_columns(pt, sol, refs) -> None:
+    pt.sigma = sol.level_S - sobolev_constant(sol.params.N)
+
+
+@dataclass(frozen=True)
+class RegimeRow:
+    """What one sweep regime means; ``grid`` and ``fits`` are by N, None for any other N."""
+
+    family: Family   # solved at each grid value x
+    # (N, p, q) -> {observable: (power, log power)}; ValueError outside the regime
+    exponents: Callable[[int, float, float], dict[str, tuple[float, float]]]
+    grid: dict      # the CLI's (grid_min, grid_max, ratio)
+    delta_sign: int = 0   # 0: x = eps (a point gets eps_l2).  +-1: x = delta, p = p* +- delta
+    observe: Callable | None = None   # (point, solution, references): the row's columns
+    # (limit family, {reference entry: attribute}): solved once at the spec's p
+    reference: tuple[Family, dict[str, str]] | None = None
+    # (name, SweepPoint attribute, predicted entry or None) beyond amplitude; a
+    # fit named after its entry takes its log(1/x) factor, others are pure powers
+    fits: dict = field(default_factory=lambda: {None: ()})
+    fit_window: tuple[float, float] | None = None   # the CLI's
+
+
+_DELTA_RATIO = 100.0 ** 0.1   # ten grid points per factor 100
+_CRITICAL_FITS = (("lambda", "lam", "lambda"), ("sigma", "sigma", "sigma"))
+# The CLI's grids and fit window sit inside the asymptotic range the
+# regression suite established.
+_ROWS = {
+    "subcritical": RegimeRow(
+        Family.P_EPS, _subcritical_exponents, {None: (9e-5, 5e-2, 2.0)},
+        observe=_subcritical_columns, reference=(Family.R_ZERO, {"v0_amp": "amplitude"})),
+    "critical": RegimeRow(
+        Family.P_EPS, _critical_exponents,
+        {3: (1.5e-9, 3e-6, 2.0), 4: (1e-9, 3e-5, 2.0), None: (1e-5, 1e-2, 2.0)},
+        observe=_critical_columns,
+        fits={None: _CRITICAL_FITS,
+              4: (*_CRITICAL_FITS, ("lambda_pure_power", "lam", "lambda"),
+                  ("amplitude_pure_power", "amplitude", None))}),
+    "supercritical": RegimeRow(
+        Family.P_EPS, _supercritical_exponents, {None: (5e-9, 2e-2, 2.0)},
+        observe=_supercritical_columns,
+        reference=(Family.P_ZERO, {"u0_amp": "amplitude", "u0_S": "level_S"}),
+        fits={None: (("eps_l2", "eps_l2", None), ("amp_gap", "amp_gap", None))}),
+    "delta_supercritical": RegimeRow(
+        Family.P_ZERO, _delta_supercritical_exponents, {None: (5e-3, 0.5, _DELTA_RATIO)},
+        delta_sign=1, observe=_delta_supercritical_columns, fit_window=(0.01, 0.3)),
+    "p_up_subcritical": RegimeRow(
+        Family.R_ZERO, _p_up_subcritical_exponents, {None: (5e-3, 0.2, _DELTA_RATIO)},
+        delta_sign=-1),
+}
+REGIMES = tuple(_ROWS)
+
+
+def regime_row(regime: str) -> RegimeRow:
+    """The row of ``regime``; ValueError naming the known regimes if there is none."""
+    if regime not in _ROWS:
+        raise ValueError(f"unknown regime {regime!r}; known: {', '.join(REGIMES)}")
+    return _ROWS[regime]
 
 
 def predict_exponents(regime: str, N: int, p: float, q: float) -> dict[str, tuple[float, float]]:
     """Paper-predicted (power, log_power) per observable, y ~ x^b log(1/x)^c.
 
-    Critical (x = eps): amplitude u_eps(0) and concentration lambda_eps.
-    Subcritical (x = eps): amplitude, b = 1/(p-2).
-    Supercritical (x = eps): amplitude tends to the eps = 0 value (b = 0).
-    delta_supercritical (x = delta = p - p*): amplitude, b = 1/(q - p*),
-    valid for q > N(N+2)/(2(N-2)).
-    p_up_subcritical (x = delta = p* - p): R_zero amplitude blow-up.
+    ValueError on an unknown regime, or on a p or q outside the regime.
     """
-    ps = critical_exponent(N)
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
-    if regime == "critical":
-        if abs(p - ps) > 1e-9 * ps:
-            raise ValueError(f"critical regime needs p = p* = {ps}, got {p}")
-        if N >= 5:
-            return {"amplitude": (1.0 / (q - 2.0), 0.0),
-                    "lambda": (-(p - 2.0) / (2.0 * q - 4.0), 0.0),
-                    "sigma": ((q - p) / (q - 2.0), 0.0)}
-        if N == 4:
-            return {"amplitude": (1.0 / (q - 2.0), 1.0 / (q - 2.0)),
-                    "lambda": (-1.0 / (q - 2.0), -1.0 / (q - 2.0)),
-                    "sigma": ((q - 4.0) / (q - 2.0), (q - 4.0) / (q - 2.0))}
-        return {"amplitude": (1.0 / (2.0 * q - 8.0), 0.0),
-                "lambda": (-1.0 / (q - 4.0), 0.0),
-                "sigma": ((q - 6.0) / (2.0 * q - 8.0), 0.0)}
-    if regime == "subcritical":
-        if p >= ps:
-            raise ValueError(f"subcritical regime needs p < p* = {ps}, got {p}")
-        return {"amplitude": (1.0 / (p - 2.0), 0.0)}
-    if regime == "supercritical":
-        if p <= ps:
-            raise ValueError(f"supercritical regime needs p > p* = {ps}, got {p}")
-        return {"amplitude": (0.0, 0.0)}
-    if regime == "delta_supercritical":
-        if q <= ps:
-            raise ValueError(f"delta sweep needs q > p* = {ps}, got {q}")
-        return {"amplitude": (1.0 / (q - ps), 0.0)}
-    # p_up_subcritical: v_0(0) blow-up as p -> p* from below
-    if N >= 5:
-        return {"amplitude": (-(N - 2.0) / 4.0, 0.0)}
-    if N == 4:
-        return {"amplitude": (-0.5, 1.0)}
-    return {"amplitude": (-0.5, 0.0)}
+    return regime_row(regime).exponents(N, p, q)
 
 
 @dataclass
@@ -293,7 +380,10 @@ def fit_exponent(points, with_log: bool = False) -> FitResult:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A geometric eps- (or delta-) sweep for one regime."""
+    """A geometric eps- (or delta-) sweep for one regime of REGIMES.
+
+    ValueError on an unknown regime, or on a p given to a delta regime.
+    """
 
     regime: str
     N: int
@@ -306,17 +396,19 @@ class SweepSpec:
     shoot: ShootControls = field(default_factory=ShootControls)
     jobs: int = 1
 
+    def __post_init__(self):
+        if regime_row(self.regime).delta_sign and self.p is not None:
+            raise ValueError(f"regime {self.regime!r} sets p = p* +- delta itself; "
+                             f"p must not be given, got {self.p}")
+
     def p_value(self) -> float:
         return critical_exponent(self.N) if self.p is None else self.p
 
     def params(self, x: float) -> ProblemParams:
         """The problem solved at grid value x: eps, or delta = |p - p*|."""
-        if self.regime in ("subcritical", "critical", "supercritical"):
-            return ProblemParams(self.N, self.p_value(), self.q, x, Family.P_EPS)
-        ps = critical_exponent(self.N)
-        if self.regime == "delta_supercritical":
-            return ProblemParams(self.N, ps + x, self.q, 0.0, Family.P_ZERO)
-        return ProblemParams(self.N, ps - x, self.q, 0.0, Family.R_ZERO)  # p_up_subcritical
+        row = _ROWS[self.regime]
+        eps = 0.0 if row.delta_sign else x
+        return ProblemParams(self.N, self.p_value() + row.delta_sign * x, self.q, eps, row.family)
 
     def grid(self) -> list[float]:
         if not (1.0 < self.ratio <= 4.0):
@@ -418,7 +510,7 @@ _POINT_FAILURES = (
 
 def _solve_point(spec: SweepSpec, x: float, hint: tuple[float, float] | None,
                  refs: dict) -> SweepPoint:
-    N = spec.N
+    row = _ROWS[spec.regime]   # by name: a spec sent to a worker pickles without its row
     pt = SweepPoint(x=x)
     try:
         params = spec.params(x)
@@ -428,50 +520,14 @@ def _solve_point(spec: SweepSpec, x: float, hint: tuple[float, float] | None,
         pt.S = sol.level_S
         pt.nehari_res = sol.nehari_residual
         pt.pokh_res = sol.pokhozhaev_residual
-        if spec.regime == "critical":
-            s_ast = sobolev_constant(N)
-            pt.sigma = sol.level_S - s_ast
-            w_sol = sol.rescaled_to_frame()
-            kap = fn.kappa_identities(w_sol, x)
-            pt.kappa_res = kap.lq_residual
-            lam = concentration_lambda(w_sol.profile)
-            pt.lam = lam
-            v = rescale_to_v(w_sol.profile, lam)
-            l2, _, lq, _ = fn._norm_factors(params, lam ** ((N - 2.0) / 2.0), lam ** 2)
-            pt.v_l2_sq = w_sol.norm_L2_sq * l2
-            pt.v_lq_q = w_sol.norm_Lq_q * lq
-            pt.dist_D1, pt.dist_Lp = profile_distances(v, EmdenFowlerProfile(N, 1.0, "W"))
+        if row.observe is not None:
+            row.observe(pt, sol, refs)
+        if not row.delta_sign:
             pt.eps_l2 = x * sol.norm_L2_sq
-        elif spec.regime == "subcritical":
-            scaled = x ** (-1.0 / (params.p - 2.0)) * sol.amplitude
-            pt.amp_gap = abs(scaled - refs["v0_amp"]) / refs["v0_amp"]
-            pt.eps_l2 = x * sol.norm_L2_sq
-        elif spec.regime == "supercritical":
-            pt.amp_gap = abs(sol.amplitude - refs["u0_amp"])
-            pt.eps_l2 = x * sol.norm_L2_sq
-        elif spec.regime == "delta_supercritical":
-            pt.sigma = sol.level_S - sobolev_constant(N)
         pt.converged = True
     except _POINT_FAILURES as exc:  # per-point failures are recorded, not fatal
         pt.failure = f"{type(exc).__name__}: {exc}"
     return pt
-
-
-def _references(spec: SweepSpec) -> dict[str, float]:
-    refs: dict[str, float] = {}
-    N, q = spec.N, spec.q
-    if spec.regime == "subcritical":
-        v0 = fn.solve_ground_state(
-            ProblemParams(N, spec.p_value(), q, 0.0, Family.R_ZERO), spec.shoot
-        )
-        refs["v0_amp"] = v0.amplitude
-    elif spec.regime == "supercritical":
-        u0 = fn.solve_ground_state(
-            ProblemParams(N, spec.p_value(), q, 0.0, Family.P_ZERO), spec.shoot
-        )
-        refs["u0_amp"] = u0.amplitude
-        refs["u0_S"] = u0.level_S
-    return refs
 
 
 # The relative half-width w of a serial sweep point's bracket hint is three
@@ -529,9 +585,14 @@ def sweep(spec: SweepSpec) -> ScalingReport:
     (_amplitude_hint); a failed point clears them.  With ``jobs`` > 1 the
     points are solved unhinted on a process pool.
     """
+    row = _ROWS[spec.regime]
     p_val = spec.p_value()
-    predicted = predict_exponents(spec.regime, spec.N, p_val, spec.q)
-    refs = _references(spec)
+    predicted = row.exponents(spec.N, p_val, spec.q)
+    refs: dict[str, float] = {}
+    if row.reference is not None:
+        family, entries = row.reference
+        ref = fn.solve_ground_state(ProblemParams(spec.N, p_val, spec.q, 0.0, family), spec.shoot)
+        refs = {entry: getattr(ref, attr) for entry, attr in entries.items()}
     xs = spec.grid()
 
     points: list[SweepPoint] = []
@@ -559,31 +620,16 @@ def sweep(spec: SweepSpec) -> ScalingReport:
     window = fit_points(points, spec.fit_window)
 
     fits: dict[str, FitResult] = {}
-
-    def add_fit(name: str, attr: str):
-        """Fit with the log(1/x) factor where the paper predicts one."""
+    for name, attr, entry in (("amplitude", "amplitude", "amplitude"),
+                              *row.fits.get(spec.N, row.fits[None])):
         data = fit_data(window, attr)
         if len(data) < 4:
-            return
-        res = fit_exponent(data, with_log=predicted.get(name, (0.0, 0.0))[1] != 0.0)
-        if name in predicted:
-            res.predicted_exponent, res.predicted_log_power = predicted[name]
+            continue
+        pred = predicted.get(entry)
+        res = fit_exponent(data, with_log=name == entry and pred[1] != 0.0)
+        if pred is not None:
+            res.predicted_exponent, res.predicted_log_power = pred
         fits[name] = res
-
-    add_fit("amplitude", "amplitude")
-    if spec.regime == "critical":
-        add_fit("lambda", "lam")
-        add_fit("sigma", "sigma")
-        if spec.N == 4:
-            # record the pure power-law fit alongside for the log comparison
-            pure = fit_exponent([(pt.x, pt.lam) for pt in window], with_log=False)
-            pure.predicted_exponent, pure.predicted_log_power = predicted["lambda"]
-            fits["lambda_pure_power"] = pure
-            amp_pure = fit_exponent([(pt.x, pt.amplitude) for pt in window], with_log=False)
-            fits["amplitude_pure_power"] = amp_pure
-    elif spec.regime == "supercritical":
-        add_fit("eps_l2", "eps_l2")
-        add_fit("amp_gap", "amp_gap")
 
     return ScalingReport(
         regime=spec.regime,

@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .asymptotics import REGIMES, SweepSpec, sweep
+from .asymptotics import REGIMES, SweepSpec, regime_row, sweep
 from .emden import EmdenFowlerProfile, q_star, sobolev_constant
 from .errors import BracketNotFound, InconsistentSolution, InternalConsistencyError
 from .ode import STEP_LOOP, IntegrationFailure
@@ -46,22 +46,6 @@ _SOLVE_FAILURES = (BracketNotFound, IntegrationFailure, InternalConsistencyError
 # (ParseError is a ValueError; a missing column is a KeyError).
 _SWEEP_FAILURES = (RuntimeError, ValueError)
 _FIT_FAILURES = (OSError, ValueError, KeyError)
-
-_REGIME_GRIDS = {
-    # regime -> (grid_min, grid_max, ratio) chosen so the default fit window
-    # sits inside the asymptotic range established by the regression suite
-    ("critical", 3): (1.5e-9, 3e-6, 2.0),
-    ("critical", 4): (1e-9, 3e-5, 2.0),
-    ("critical", None): (1e-5, 1e-2, 2.0),
-    ("subcritical", None): (9e-5, 5e-2, 2.0),
-    ("supercritical", None): (5e-9, 2e-2, 2.0),
-    ("delta_supercritical", None): (5e-3, 0.5, 100.0 ** 0.1),
-    ("p_up_subcritical", None): (5e-3, 0.2, 100.0 ** 0.1),
-}
-
-
-def _regime_grid(regime: str, N: int):
-    return _REGIME_GRIDS.get((regime, N)) or _REGIME_GRIDS[(regime, None)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,7 +284,10 @@ def _cmd_sweep(args, parser) -> int:
         parser.error("--regime is required")
     if args.N is None or args.q is None:
         parser.error("--N and --q are required")
-    gmin, gmax, ratio = _regime_grid(args.regime, args.N)
+    row = regime_row(args.regime)
+    if row.delta_sign and args.p is not None:
+        parser.error(f"--p cannot be given with --regime {args.regime}, which sets p = p* +- delta")
+    gmin, gmax, ratio = row.grid.get(args.N, row.grid[None])
     spec = SweepSpec(
         regime=args.regime,
         N=args.N,
@@ -309,7 +296,7 @@ def _cmd_sweep(args, parser) -> int:
         grid_min=args.eps_min if args.eps_min else gmin,
         grid_max=args.eps_max if args.eps_max else gmax,
         ratio=args.ratio if args.ratio else ratio,
-        fit_window=(0.01, 0.3) if args.regime == "delta_supercritical" else None,
+        fit_window=row.fit_window,
         shoot=_shoot_controls(args, parser),
         jobs=args.jobs or 1,
     )

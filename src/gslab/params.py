@@ -78,10 +78,9 @@ class ProblemParams:
         return critical_exponent(self.N)
 
     def regime(self) -> Regime:
-        ps = self.p_star()
-        if abs(self.p - ps) <= _CRITICAL_MATCH_TOL * ps:
+        if is_critical(self.N, self.p):
             return Regime.CRITICAL
-        return Regime.SUBCRITICAL if self.p < ps else Regime.SUPERCRITICAL
+        return Regime.SUBCRITICAL if self.p < self.p_star() else Regime.SUPERCRITICAL
 
     @property
     def linear_coeff(self) -> float:
@@ -130,6 +129,12 @@ class ProblemParams:
 def critical_exponent(N: int) -> float:
     """The critical Sobolev exponent p* = 2N/(N-2) in R^N."""
     return 2.0 * N / (N - 2.0)
+
+
+def is_critical(N: int, p: float) -> bool:
+    """Whether p is p* to within _CRITICAL_MATCH_TOL relative: the critical regime."""
+    ps = critical_exponent(N)
+    return abs(p - ps) <= _CRITICAL_MATCH_TOL * ps
 
 
 def sphere_area(N: int) -> float:

@@ -3,7 +3,8 @@
 Records are canonical JSON (sorted keys, two-space indent, no NaN/Inf) so
 that serialize(parse(b)) == b byte-for-byte.  Sweep grids additionally
 flatten to a fixed-column CSV: eps, amplitude, S, sigma, lambda, dist_D1,
-nehari_res, pokh_res, converged_flag.
+nehari_res, pokh_res, converged_flag.  The eps column holds the grid value
+x, which is delta for the delta regimes; refit_record reads it by that name.
 """
 
 from __future__ import annotations

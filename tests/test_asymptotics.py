@@ -109,6 +109,18 @@ def test_predict_exponents_regime_mismatch():
         predict_exponents("nonsense", 3, 4.0, 6.0)
 
 
+def test_spec_rejects_unknown_regime_and_p_of_a_delta_regime():
+    # an unknown regime must not fall back to another regime's problem, and a
+    # delta regime sets p = p* +- delta itself, so a p given to it would be
+    # reported by p_value() but never solved
+    with pytest.raises(ValueError, match="known: subcritical, critical, supercritical"):
+        SweepSpec(regime="nonsense", N=3, q=7.0)
+    for regime in ("delta_supercritical", "p_up_subcritical"):
+        with pytest.raises(ValueError, match="p must not be given"):
+            SweepSpec(regime=regime, N=3, q=12.0, p=4.0)
+        assert SweepSpec(regime=regime, N=3, q=12.0).p_value() == 6.0
+
+
 def test_fit_exact_power():
     xs = np.geomspace(1e-4, 1e-1, 12)
     fit = fit_exponent([(x, 3.0 * x**0.25) for x in xs])

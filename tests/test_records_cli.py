@@ -298,6 +298,19 @@ def test_cli_config_file_seeds_jobs_and_fit_input(tmp_path, monkeypatch, capsys)
     assert exc.value.code == 2
 
 
+def test_cli_delta_sweep_rejects_p(monkeypatch, capsys):
+    from gslab import cli
+
+    def solved(spec):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "sweep", solved)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--regime", "delta_supercritical", "--N", "3", "--q", "12", "--p", "4"])
+    assert exc.value.code == 2
+    assert "--p" in capsys.readouterr().err
+
+
 def test_cli_critical_sweep_with_p_critical_flag(tmp_path, capsys):
     rc = main(["sweep", "--regime", "critical", "--N", "5", "--p-critical",
                "--q", "6", "--eps-min", "2.5e-4", "--eps-max", "3.2e-2",
