@@ -267,20 +267,21 @@ class RegimeRow:
     family: Family   # solved at each grid value x
     # (N, p, q) -> {observable: (power, log power)}; ValueError outside the regime
     exponents: Callable[[int, float, float], dict[str, tuple[float, float]]]
-    grid: dict      # the CLI's (grid_min, grid_max, ratio)
+    grid: dict      # a spec's default (grid_min, grid_max, ratio)
     delta_sign: int = 0   # 0: x = eps (a point gets eps_l2).  +-1: x = delta, p = p* +- delta
     observe: Callable | None = None   # (point, solution, references): the row's columns
     # (limit family, {reference entry: attribute}): solved once at the spec's p
     reference: tuple[Family, dict[str, str]] | None = None
     # (name, SweepPoint attribute, predicted entry or None) beyond amplitude; a
-    # fit named after its entry takes its log(1/x) factor, others are pure powers
+    # fit named after its entry takes its log(1/x) factor, others are pure
+    # powers and predict the entry's power with log power 0
     fits: dict = field(default_factory=lambda: {None: ()})
-    fit_window: tuple[float, float] | None = None   # the CLI's
+    fit_window: tuple[float, float] | None = None   # the sweep's, as fit_points takes it
 
 
 _DELTA_RATIO = 100.0 ** 0.1   # ten grid points per factor 100
 _CRITICAL_FITS = (("lambda", "lam", "lambda"), ("sigma", "sigma", "sigma"))
-# The CLI's grids and fit window sit inside the asymptotic range the
+# The default grids and fit window sit inside the asymptotic range the
 # regression suite established.
 _ROWS = {
     "subcritical": RegimeRow(
@@ -292,7 +293,7 @@ _ROWS = {
         observe=_critical_columns,
         fits={None: _CRITICAL_FITS,
               4: (*_CRITICAL_FITS, ("lambda_pure_power", "lam", "lambda"),
-                  ("amplitude_pure_power", "amplitude", None))}),
+                  ("amplitude_pure_power", "amplitude", "amplitude"))}),
     "supercritical": RegimeRow(
         Family.P_EPS, _supercritical_exponents, {None: (5e-9, 2e-2, 2.0)},
         observe=_supercritical_columns,
@@ -382,24 +383,29 @@ def fit_exponent(points, with_log: bool = False) -> FitResult:
 class SweepSpec:
     """A geometric eps- (or delta-) sweep for one regime of REGIMES.
 
-    ValueError on an unknown regime, or on a p given to a delta regime.
+    A grid bound or ratio left None is set at construction to the regime
+    row's grid for N.  ValueError on an unknown regime, or on a p given to a
+    delta regime.
     """
 
     regime: str
     N: int
     q: float
     p: float | None = None
-    grid_min: float = 1e-5
-    grid_max: float = 1e-2
-    ratio: float = 2.0
-    fit_window: tuple[float, float] | None = None
+    grid_min: float | None = None
+    grid_max: float | None = None
+    ratio: float | None = None
     shoot: ShootControls = field(default_factory=ShootControls)
-    jobs: int = 1
 
     def __post_init__(self):
-        if regime_row(self.regime).delta_sign and self.p is not None:
+        row = regime_row(self.regime)
+        if row.delta_sign and self.p is not None:
             raise ValueError(f"regime {self.regime!r} sets p = p* +- delta itself; "
                              f"p must not be given, got {self.p}")
+        defaults = row.grid.get(self.N, row.grid[None])
+        for name, value in zip(("grid_min", "grid_max", "ratio"), defaults):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
 
     def p_value(self) -> float:
         return critical_exponent(self.N) if self.p is None else self.p
@@ -411,8 +417,12 @@ class SweepSpec:
         return ProblemParams(self.N, self.p_value() + row.delta_sign * x, self.q, eps, row.family)
 
     def grid(self) -> list[float]:
+        """The grid values, largest first; ValueError on a bad ratio, bounds or count."""
         if not (1.0 < self.ratio <= 4.0):
             raise ValueError(f"grid ratio must be in (1, 4], got {self.ratio}")
+        if not (0.0 < self.grid_min and self.grid_max < math.inf):
+            raise ValueError(f"grid bounds must be positive and finite, "
+                             f"got [{self.grid_min}, {self.grid_max}]")
         vals = []
         x = self.grid_max
         while x >= self.grid_min * (1.0 - 1e-12):
@@ -453,7 +463,7 @@ class ScalingReport:
     fits: dict[str, FitResult]
     reference: dict[str, float]
     predicted: dict[str, tuple[float, float]]
-    fit_window: tuple[float, float] | None = None   # the spec's, as fit_points takes it
+    fit_window: tuple[float, float] | None = None   # the regime row's, as fit_points takes it
 
     @property
     def fitted_exponent(self) -> float:
@@ -508,9 +518,9 @@ _POINT_FAILURES = (
 )
 
 
-def _solve_point(spec: SweepSpec, x: float, hint: tuple[float, float] | None,
-                 refs: dict) -> SweepPoint:
-    row = _ROWS[spec.regime]   # by name: a spec sent to a worker pickles without its row
+def _solve_point(spec: SweepSpec, row: RegimeRow, x: float,
+                 hint: tuple[float, float] | None, refs: dict) -> SweepPoint:
+    """The solve at grid value x, hinted if ``hint``, with ``row``'s columns."""
     pt = SweepPoint(x=x)
     try:
         params = spec.params(x)
@@ -580,44 +590,36 @@ def _amplitude_hint(seen, x: float, b: float) -> tuple[float, float] | None:
 def sweep(spec: SweepSpec) -> ScalingReport:
     """Run the sweep, assemble observables, and fit the regime's exponents.
 
-    With ``jobs`` = 1 the points are solved in grid order, each after the
-    first with the bracket hint its converged predecessors predict
-    (_amplitude_hint); a failed point clears them.  With ``jobs`` > 1 the
-    points are solved unhinted on a process pool.
+    The points are solved in one process, in grid order (largest x first),
+    each after the first with the bracket hint its converged predecessors
+    predict (_amplitude_hint); a failed point clears them.  The fits read the
+    points fit_points keeps under the regime row's fit window.
     """
     row = _ROWS[spec.regime]
     p_val = spec.p_value()
     predicted = row.exponents(spec.N, p_val, spec.q)
+    xs = spec.grid()
     refs: dict[str, float] = {}
     if row.reference is not None:
         family, entries = row.reference
         ref = fn.solve_ground_state(ProblemParams(spec.N, p_val, spec.q, 0.0, family), spec.shoot)
         refs = {entry: getattr(ref, attr) for entry, attr in entries.items()}
-    xs = spec.grid()
 
     points: list[SweepPoint] = []
-    if spec.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=spec.jobs) as ex:
-            futs = [ex.submit(_solve_point, spec, x, None, refs) for x in xs]
-            points = [f.result() for f in futs]
-    else:
-        b = predicted["amplitude"][0]
-        seen = []   # (x, amplitude, bracket hint) of the converged points since the last failure
-        for x in xs:
-            hint = _amplitude_hint(seen, x, b)
-            pt = _solve_point(spec, x, hint, refs)
-            points.append(pt)
-            seen = [*seen[-2:], (x, pt.amplitude, hint)] if pt.converged else []
-    points.sort(key=lambda pt: -pt.x)
+    b = predicted["amplitude"][0]
+    seen = []   # (x, amplitude, bracket hint) of the converged points since the last failure
+    for x in xs:
+        hint = _amplitude_hint(seen, x, b)
+        pt = _solve_point(spec, row, x, hint, refs)
+        points.append(pt)
+        seen = [*seen[-2:], (x, pt.amplitude, hint)] if pt.converged else []
 
     n_ok = sum(map(_trusted, points))
     if n_ok < 6:
         raise RuntimeError(
             f"only {n_ok} of {len(points)} sweep points converged; need >= 6"
         )
-    window = fit_points(points, spec.fit_window)
+    window = fit_points(points, row.fit_window)
 
     fits: dict[str, FitResult] = {}
     for name, attr, entry in (("amplitude", "amplitude", "amplitude"),
@@ -625,10 +627,11 @@ def sweep(spec: SweepSpec) -> ScalingReport:
         data = fit_data(window, attr)
         if len(data) < 4:
             continue
-        pred = predicted.get(entry)
-        res = fit_exponent(data, with_log=name == entry and pred[1] != 0.0)
-        if pred is not None:
-            res.predicted_exponent, res.predicted_log_power = pred
+        b_fit, c_fit = predicted.get(entry, (math.nan, 0.0))
+        if name != entry:   # a pure power
+            c_fit = 0.0
+        res = fit_exponent(data, with_log=c_fit != 0.0)
+        res.predicted_exponent, res.predicted_log_power = b_fit, c_fit
         fits[name] = res
 
     return ScalingReport(
@@ -640,6 +643,5 @@ def sweep(spec: SweepSpec) -> ScalingReport:
         fits=fits,
         reference=refs,
         predicted=predicted,
-        fit_window=spec.fit_window,
+        fit_window=row.fit_window,
     )
-

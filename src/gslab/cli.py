@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .asymptotics import REGIMES, SweepSpec, regime_row, sweep
+from .asymptotics import REGIMES, SweepSpec, predict_exponents, regime_row, sweep
 from .emden import EmdenFowlerProfile, q_star, sobolev_constant
 from .errors import BracketNotFound, InconsistentSolution, InternalConsistencyError
 from .ode import STEP_LOOP, IntegrationFailure
@@ -41,9 +41,10 @@ from .shooting import _CONVERGENCE_FACTOR, ShootControls
 _SOLVE_FAILURES = (BracketNotFound, IntegrationFailure, InternalConsistencyError,
                    InconsistentSolution)
 # `sweep` raises RuntimeError when fewer than 6 points converge (the gslab
-# solver errors are RuntimeErrors too) and ValueError on a bad grid, regime or
-# fit; `fit` reads a file (OSError), then parses and re-fits the record
-# (ParseError is a ValueError; a missing column is a KeyError).
+# solver errors are RuntimeErrors too) and ValueError where a solve or fit
+# rejects its input (`_cmd_sweep` checks the arguments first); `fit` reads a
+# file (OSError), then parses and re-fits the record (ParseError is a
+# ValueError; a missing column is a KeyError).
 _SWEEP_FAILURES = (RuntimeError, ValueError)
 _FIT_FAILURES = (OSError, ValueError, KeyError)
 
@@ -85,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps-min", type=float, help="smallest grid value")
     sp.add_argument("--eps-max", type=float, help="largest grid value")
     sp.add_argument("--ratio", type=float, help="geometric grid ratio (1, 4]")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel solve workers")
     sp.add_argument("--out", type=Path, help="write the sweep record here")
     sp.add_argument("--csv", type=Path, help="write the flat grid table here")
     sp.add_argument("--emit-plot-data", type=Path,
@@ -284,22 +284,18 @@ def _cmd_sweep(args, parser) -> int:
         parser.error("--regime is required")
     if args.N is None or args.q is None:
         parser.error("--N and --q are required")
-    row = regime_row(args.regime)
-    if row.delta_sign and args.p is not None:
+    if regime_row(args.regime).delta_sign and args.p is not None:
         parser.error(f"--p cannot be given with --regime {args.regime}, which sets p = p* +- delta")
-    gmin, gmax, ratio = row.grid.get(args.N, row.grid[None])
-    spec = SweepSpec(
-        regime=args.regime,
-        N=args.N,
-        q=args.q,
-        p=None if args.p_critical else args.p,
-        grid_min=args.eps_min if args.eps_min else gmin,
-        grid_max=args.eps_max if args.eps_max else gmax,
-        ratio=args.ratio if args.ratio else ratio,
-        fit_window=row.fit_window,
-        shoot=_shoot_controls(args, parser),
-        jobs=args.jobs or 1,
-    )
+    shoot = _shoot_controls(args, parser)
+    # argument errors exit 2 before any solve: the regime's (p, q) and the grid
+    try:
+        spec = SweepSpec(regime=args.regime, N=args.N, q=args.q,
+                         p=None if args.p_critical else args.p, grid_min=args.eps_min,
+                         grid_max=args.eps_max, ratio=args.ratio, shoot=shoot)
+        predict_exponents(spec.regime, spec.N, spec.p_value(), spec.q)
+        spec.grid()
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         report = sweep(spec)
     except _SWEEP_FAILURES as exc:

@@ -84,16 +84,14 @@ def sub_sweep():
 @pytest.fixture(scope="session")
 def delta_sweep():
     return sweep(SweepSpec(regime="delta_supercritical", N=3, q=12.0,
-                           grid_min=5e-3, grid_max=0.5, ratio=100.0 ** 0.1,
-                           fit_window=(0.01, 0.3)))
+                           grid_min=5e-3, grid_max=0.5, ratio=100.0 ** 0.1))
 
 
 @pytest.fixture(scope="session")
 def delta_sweep_small_q():
     # exploratory: q = 7 < N(N+2)/(2(N-2)) = 7.5, no exponent assertion
     return sweep(SweepSpec(regime="delta_supercritical", N=3, q=7.0,
-                           grid_min=5e-3, grid_max=0.5, ratio=100.0 ** 0.1,
-                           fit_window=(0.01, 0.3)))
+                           grid_min=5e-3, grid_max=0.5, ratio=100.0 ** 0.1))
 
 
 @pytest.fixture(scope="session")

@@ -277,17 +277,17 @@ def test_small_q_delta_sweep_solves_its_smallest_delta(delta_sweep_small_q):
     assert max(pt.nehari_res, pt.pokh_res) <= 1e-9
 
 
-def test_parallel_sweep_matches_serial():
-    spec = dict(regime="subcritical", N=3, q=6.0, p=4.0,
-                grid_min=1.4e-3, grid_max=0.18, ratio=2.0)
-    serial = sweep(SweepSpec(**spec, jobs=1))
-    parallel = sweep(SweepSpec(**spec, jobs=2))
-    a1 = [pt.amplitude for pt in serial.converged_points()]
-    a2 = [pt.amplitude for pt in parallel.converged_points()]
-    # same points in the same eps order; values agree to solver precision
-    # (serial runs reuse bracket hints, so they are not bit-identical)
-    assert len(a1) == len(a2)
-    assert np.allclose(a1, a2, rtol=1e-9)
+def test_n4_pure_power_fits_predict_their_entry_without_log(crit4_sweep):
+    # the pure-power fits carry no log term, so they predict (b, 0); the
+    # log-corrected fits keep the paper's (b, c)
+    predicted = crit4_sweep.predicted
+    for name, entry in (("lambda_pure_power", "lambda"), ("amplitude_pure_power", "amplitude")):
+        fit = crit4_sweep.fits[name]
+        assert fit.log_power == 0.0
+        assert (fit.predicted_exponent, fit.predicted_log_power) == (predicted[entry][0], 0.0)
+        log_fit = crit4_sweep.fits[entry]
+        assert (log_fit.predicted_exponent, log_fit.predicted_log_power) == predicted[entry]
+        assert predicted[entry][1] != 0.0
 
 
 def test_p_up_subcritical_blowup_exponent():

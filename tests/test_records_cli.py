@@ -70,7 +70,7 @@ def test_refit_recovers_sweep_fit(sub_sweep):
 
 @pytest.mark.parametrize("fixture, observable", [
     ("sub_sweep", "amplitude"),       # default rule: all but the two largest x
-    ("delta_sweep", "amplitude"),     # fit_window=(0.01, 0.3)
+    ("delta_sweep", "amplitude"),     # the row's fit window (0.01, 0.3)
     ("crit3_sweep", "lambda"),
 ])
 def test_refit_reproduces_the_sweep_fit_exactly(request, fixture, observable):
@@ -274,7 +274,7 @@ def test_cli_config_file_seeds_flags_with_defaults(tmp_path, capsys):
         assert f"bad config entry {entry}" in capsys.readouterr().err
 
 
-def test_cli_config_file_seeds_jobs_and_fit_input(tmp_path, monkeypatch, capsys):
+def test_cli_config_file_seeds_ratio_and_fit_input(tmp_path, monkeypatch, capsys):
     from gslab import cli
 
     specs = []
@@ -285,11 +285,11 @@ def test_cli_config_file_seeds_jobs_and_fit_input(tmp_path, monkeypatch, capsys)
 
     monkeypatch.setattr(cli, "sweep", stop)
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[sweep]\nregime = subcritical\nN = 3\np = 4\nq = 6\njobs = 2\n"
+    cfg.write_text("[sweep]\nregime = subcritical\nN = 3\np = 4\nq = 6\nratio = 1.5\n"
                    f"[fit]\nin = {tmp_path / 'missing.json'}\n")
     assert main(["--config", str(cfg), "sweep"]) == 1
-    assert main(["--config", str(cfg), "sweep", "--jobs", "3"]) == 1
-    assert [spec.jobs for spec in specs] == [2, 3]
+    assert main(["--config", str(cfg), "sweep", "--ratio", "1.25"]) == 1
+    assert [spec.ratio for spec in specs] == [1.5, 1.25]
     # fit's --in can come from the config too
     assert main(["--config", str(cfg), "fit"]) == 1
     assert "missing.json" in capsys.readouterr().err
@@ -309,6 +309,26 @@ def test_cli_delta_sweep_rejects_p(monkeypatch, capsys):
         main(["sweep", "--regime", "delta_supercritical", "--N", "3", "--q", "12", "--p", "4"])
     assert exc.value.code == 2
     assert "--p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--regime", "subcritical", "--N", "3", "--q", "6"], "needs p < p*"),
+    (["--regime", "critical", "--N", "5", "--q", "6", "--p", "4"], "needs p = p*"),
+    (["--regime", "critical", "--N", "5", "--q", "6", "--ratio", "5"], "ratio must be in"),
+    (["--regime", "critical", "--N", "5", "--q", "6", "--eps-min", "1e-3"], "< 8 points"),
+    (["--regime", "critical", "--N", "5", "--q", "6", "--eps-min", "0"], "positive and finite"),
+], ids=["subcritical-without-p", "critical-off-p-star", "ratio", "short-grid", "zero-eps-min"])
+def test_cli_sweep_argument_errors_exit_2_before_any_solve(monkeypatch, capsys, argv, message):
+    from gslab import cli
+
+    def solved(spec):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "sweep", solved)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_critical_sweep_with_p_critical_flag(tmp_path, capsys):
@@ -382,15 +402,6 @@ def test_cli_rejects_nonpositive_tolerances():
         main(["solve", "--family", "P_eps", "--N", "3", "--p", "4", "--q", "6",
               "--eps", "1e-2", "--rtol", "-1e-8"])
     assert exc.value.code == 2
-
-
-def test_cli_sweep_jobs_flag(tmp_path):
-    rc = main(["sweep", "--regime", "subcritical", "--N", "3", "--p", "4",
-               "--q", "6", "--eps-min", "1.4e-3", "--eps-max", "0.18",
-               "--jobs", "2", "--csv", str(tmp_path / "j.csv")])
-    assert rc == 0
-    rows = (tmp_path / "j.csv").read_text().splitlines()
-    assert len(rows) >= 8
 
 
 

@@ -8,7 +8,7 @@ exactly on any CPU and under any numpy or BLAS build.
 import pytest
 
 from gslab import cli
-from gslab.asymptotics import REGIMES, SweepSpec, predict_exponents
+from gslab.asymptotics import REGIMES, SweepSpec, predict_exponents, regime_row
 
 P_STAR = {3: 6.0, 4: 4.0, 5: 3.3333333333333335, 6: 3.0, 7: 2.8, 8: 2.6666666666666665}
 
@@ -152,7 +152,8 @@ def test_spec_params_cover_every_regime():
 
 
 # `gslab sweep --regime R --N n --q 12` (with --p for the sub- and
-# supercritical regimes) -> (grid_min, grid_max, ratio, grid points, fit window)
+# supercritical regimes) -> (grid_min, grid_max, ratio, grid points), and the
+# regime row's fit window
 CLI_DEFAULTS = {
     ("subcritical", 3): (9e-05, 0.05, 2.0, 10, None),
     ("subcritical", 4): (9e-05, 0.05, 2.0, 10, None),
@@ -200,4 +201,4 @@ def test_cli_default_grid_and_fit_window(key, monkeypatch, capsys):
     assert "stopped" in capsys.readouterr().err
     (spec,) = specs
     assert (spec.grid_min, spec.grid_max, spec.ratio, len(spec.grid()),
-            spec.fit_window) == CLI_DEFAULTS[key]
+            regime_row(regime).fit_window) == CLI_DEFAULTS[key]

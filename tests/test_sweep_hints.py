@@ -1,11 +1,13 @@
-"""The bracket hints of a serial sweep (asymptotics._amplitude_hint), without solves."""
+"""The bracket hints of a sweep (asymptotics._amplitude_hint): the predictor
+on synthetic points, and the hint-independence oracle on solved sweeps."""
 
 import math
 
 import pytest
 
-from gslab import SweepSpec, asymptotics
-from gslab.asymptotics import _HINT_CAP, _HINT_FLOOR, SweepPoint, _amplitude_hint
+from gslab import SweepSpec, asymptotics, solve_ground_state, sweep
+from gslab.asymptotics import (_HINT_CAP, _HINT_FLOOR, _POINT_FAILURES, SweepPoint,
+                               _amplitude_hint)
 
 
 def _centre_and_width(hint):
@@ -85,7 +87,7 @@ def test_failed_point_resets_the_history(monkeypatch):
     b = asymptotics.predict_exponents("critical", 5, spec.p_value(), 6.0)["amplitude"][0]
     hints = []
 
-    def solved(spec_, x, hint, refs):
+    def solved(spec_, row, x, hint, refs):
         hints.append(hint)
         if len(hints) == 4:
             return SweepPoint(x=x, failure="BracketNotFound: synthetic")
@@ -105,3 +107,27 @@ def test_failed_point_resets_the_history(monkeypatch):
         assert _centre_and_width(hints[k])[0] == pytest.approx(_power_law(xs[k]), rel=1e-12)
     assert not rep.points[3].converged
     assert math.isclose(rep.fitted_exponent, 0.3, rel_tol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def sub_hinted():
+    # eps from 0.18 down by 2: the first point lies past eps* and fails
+    return sweep(SweepSpec(regime="subcritical", N=3, q=6.0, p=4.0,
+                           grid_min=1.4e-3, grid_max=0.18, ratio=2.0))
+
+
+@pytest.mark.parametrize("fixture", ["sub_hinted", "crit5_sweep"])
+def test_hinted_sweep_matches_unhinted_solves(request, fixture):
+    # the hint-independence oracle: a hint only narrows the amplitude
+    # bracket, so every point of the hinted sweep converges exactly where an
+    # unhinted solve of its problem does, to within solver precision
+    report = request.getfixturevalue(fixture)
+    spec = SweepSpec(regime=report.regime, N=report.N, q=report.q, p=report.p)
+    for pt in report.points:
+        try:
+            amplitude = solve_ground_state(spec.params(pt.x), spec.shoot).amplitude
+        except _POINT_FAILURES:
+            amplitude = None
+        assert pt.converged == (amplitude is not None), pt.x
+        if pt.converged:
+            assert pt.amplitude == pytest.approx(amplitude, rel=1e-9, abs=0.0), pt.x
