@@ -1,19 +1,19 @@
 /* One outward DOP853 shot of gslab.ode.integrate: the series start, the step
  * loop and the refinement of its terminal event (dop853_loop), and the dense
  * pass of a run with quadrature (dop853_dense), written line by line like the
- * Python reference (ode._start, ode._py_loop, ode._refine and
- * ode._dense_pass).
+ * Python reference, tests/dop853_reference.py (its _start, integrate, _refine
+ * and numpy dense pass; the names in the comments below are its own).
  *
  * Every float operation is the one Python performs, in its order: written
  * sums run left to right, and so does every dot product of the interpolant
- * (dot, ode._dot) and every sum over nodes, max and min pick the branches
+ * (dot, _dot) and every sum over nodes, max and min pick the branches
  * Python's max and min pick, ints meet floats as Python converts them, **
  * is CPython's float_pow (py_pow below, the same libm pow with the same
  * error cases), np.float_power is libm's pow, and a division by zero or a
  * power that ** rejects stops the shot with the code of the exception
  * Python raises.  Compiled with -ffp-contract=off and without -ffast-math,
- * the two give the same bits; ode loads this library only after its
- * self-check shots have matched the Python bit for bit.
+ * the two give the same bits; tests/test_kernel.py checks them on every
+ * call of the benchmark's and the golden solves.
  *
  * The caller passes the tableau (ode._C, _A, _B, _E5, _E3, the dense
  * output's _EXTRA and _D_DENSE and the quadrature's nodes and weights,
@@ -143,7 +143,7 @@ static int pow_stop(int pc)
     return pc == POW_OVERFLOW ? STOP_POW_RANGE : pc == POW_ZERO ? STOP_ZERO_POW : STOP_POW_VALUE;
 }
 
-/* sum(row[j] * k[j]) over j < n, left to right from 0.0 (ode._dot) */
+/* sum(row[j] * k[j]) over j < n, left to right from 0.0 (_dot) */
 static double dot(const double *row, const double *k, int n)
 {
     double s = 0.0;
@@ -154,7 +154,7 @@ static double dot(const double *row, const double *k, int n)
     return s;
 }
 
-/* ode._start, into st: the series coefficients (ode.series_coefficients),
+/* _start, into st: the series coefficients (ode.series_coefficients),
  * the hand-off radius r0 (ode.default_handoff_radius), (u, u', u'') there
  * (ode.series_piece), the first step, and the settled stop's constants
  * where it is on.  Returns 0 or the code of the exception _start raises. */
@@ -244,7 +244,7 @@ static int series_start(const double *prm, int ncoef, int quad, double *st)
 }
 
 /* y0 plus the interpolant with coefficients f[0..6] at the fraction x of
- * its step (ode._dense_eval) */
+ * its step (_dense_eval) */
 static double dense_eval(double y0, const double *f, double x)
 {
     const double y = 1.0 - x;
@@ -252,14 +252,14 @@ static double dense_eval(double y0, const double *f, double x)
         f[5] + x * f[6]))))));
 }
 
-/* ode._dense_coefficients: the seventh-order interpolant of the step [r,
+/* _dense_coefficients: the seventh-order interpolant of the step [r,
  * r + h] from (u, u') = (u, v) to (u1, v1), its coefficients F0-F6 for u
  * into fu and for u' into fv.  ku and kv hold u' and u'' at the 12 dense
  * stages, the step's own nine set; this sets the three extra ones.  strict:
  * the powers are ** and a division by zero raises, as on the floats of
- * ode._refine (returns 0 or the code of that exception); else they are
- * np.float_power and IEEE division, as on the arrays of ode._dense_pass
- * (returns 0). */
+ * _refine (returns 0 or the code of that exception); else they are
+ * np.float_power and IEEE division, as on the arrays of the reference's
+ * dense pass (returns 0). */
 static int interpolant(const double *tab, const double *prm, int strict, double r, double h,
                        double u, double v, double u1, double v1, double *ku, double *kv,
                        double *fu, double *fv)
@@ -299,10 +299,10 @@ static int interpolant(const double *tab, const double *prm, int strict, double 
     return 0;
 }
 
-/* ode._refine: the event of the step [r, r1] from (u, v) to (u1, v1),
+/* _refine: the event of the step [r, r1] from (u, v) to (u1, v1),
  * refined on its seventh-order dense output (interpolant, with ku and kv as
  * it takes them): bisects the interpolant of u (or of u' for SlopeSignFlip)
- * to the event tolerance (ode._bisect_event) and writes the event's (r, u,
+ * to the event tolerance (_bisect_event) and writes the event's (r, u,
  * u') to out.  Returns 0 or the code of the exception _refine raises. */
 static int refine(const double *tab, const double *prm, int event,
                   double floor_, double r, double h, double u, double v, double u1, double v1,
@@ -603,12 +603,12 @@ out:
 }
 
 
-/* ode._dense_pass: the grid and the four cumulative norms of a run with
- * quadrature, from what dop853_loop left: its grid of n + 1 points
+/* The reference's dense pass: the grid and the four cumulative norms of a
+ * run with quadrature, from what dop853_loop left: its grid of n + 1 points
  * (cnt[C_N]), the stage buffer and the state.  Each step's interpolant
  * gives the grid SUB - 1 interior points and SUB Gauss panels of NODES
  * nodes, and the norms are summed over those panels, node by node, after
- * the series piece's on [0, r0] (ode._series_norms).  moved: a refined
+ * the series piece's on [0, r0] (_series_norms).  moved: a refined
  * event moved the end of the last step, whose (u, u') before it are
  * st[S_UEND], st[S_VEND].  out holds 7 rows of SUB n + 1 points: the
  * radii, values and slopes, then the norms l2, lp, lq and dir. */

@@ -6,8 +6,8 @@ multiply-adds, no fast-math: the C must round as Python does).  The library
 is written atomically into the cache directory, named by the SHA-256 of the
 source, the command and the platform, so an edited source or another
 compiler gets a new file and a warm cache costs one hash.  Without a
-compiler, or with an unwritable cache, ``build`` returns None and the
-caller keeps its Python.
+compiler, with an unwritable cache, or where the compiler fails, ``build``
+raises OSError naming the reason.
 """
 
 from __future__ import annotations
@@ -44,29 +44,30 @@ def library_path(source: Path) -> tuple[Path, list[str]]:
     return cache_dir() / f"{source.stem}-{h.hexdigest()}.so", cmd
 
 
-def build(source: Path) -> Path | None:
+def build(source: Path) -> Path:
     """The shared library of ``source`` in the cache directory, compiled on
-    first use; None if it cannot be built there."""
-    try:
-        path, cmd = library_path(source)
-        if path.is_file():
-            return path
-        import subprocess
-
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-        os.close(fd)
-        try:
-            done = subprocess.run([*cmd, "-o", tmp, str(source), "-lm"],
-                                  capture_output=True, timeout=120)
-            if done.returncode != 0:
-                return None
-            os.replace(tmp, path)
-        except subprocess.TimeoutExpired:
-            return None
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+    first use.  OSError where it cannot be built there: no compiler, an
+    unwritable cache, or a compiler that fails (its exit status and the
+    tail of its stderr) or times out."""
+    path, cmd = library_path(source)
+    if path.is_file():
         return path
-    except OSError:   # no compiler, an unwritable cache
-        return None
+    import subprocess
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    os.close(fd)
+    try:
+        done = subprocess.run([*cmd, "-o", tmp, str(source), "-lm"],
+                              capture_output=True, timeout=120)
+        if done.returncode != 0:
+            tail = done.stderr.decode(errors="replace").strip().splitlines()[-20:]
+            raise OSError("\n".join([f"the compiler exited with status {done.returncode}",
+                                     *tail]))
+        os.replace(tmp, path)
+    except subprocess.TimeoutExpired as exc:
+        raise OSError(f"the compiler timed out after {exc.timeout:g} s") from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path

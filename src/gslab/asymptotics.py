@@ -417,7 +417,8 @@ class SweepSpec:
         return ProblemParams(self.N, self.p_value() + row.delta_sign * x, self.q, eps, row.family)
 
     def grid(self) -> list[float]:
-        """The grid values, largest first; ValueError on a bad ratio, bounds or count."""
+        """The grid values, largest first; ValueError on a bad ratio, bounds or
+        count, or where the problem at either end is invalid (InvalidParams)."""
         if not (1.0 < self.ratio <= 4.0):
             raise ValueError(f"grid ratio must be in (1, 4], got {self.ratio}")
         if not (0.0 < self.grid_min and self.grid_max < math.inf):
@@ -430,6 +431,8 @@ class SweepSpec:
             x /= self.ratio
         if len(vals) < 8:
             raise ValueError(f"grid has {len(vals)} < 8 points; widen the range")
+        for x in (vals[0], vals[-1]):   # p and eps move monotonically with x
+            self.params(x)
         return vals
 
 

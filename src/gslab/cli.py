@@ -19,7 +19,7 @@ from . import __version__
 from .asymptotics import REGIMES, SweepSpec, predict_exponents, regime_row, sweep
 from .emden import EmdenFowlerProfile, q_star, sobolev_constant
 from .errors import BracketNotFound, InconsistentSolution, InternalConsistencyError
-from .ode import STEP_LOOP, IntegrationFailure
+from .ode import IntegrationFailure
 from .functionals import constraint_value, kappa_identities, solve_ground_state
 from .params import Family, InvalidParams, ProblemParams, critical_exponent
 from .records import (
@@ -55,8 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Radial ground states of -Δu + εu - u^(p-1) + u^(q-1) = 0 "
                     "and their ε → 0 scaling laws.",
     )
-    ap.add_argument("--version", action="version",
-                    version=f"gslab {__version__} (step loop: {STEP_LOOP})")
+    ap.add_argument("--version", action="version", version=f"gslab {__version__}")
     ap.add_argument("--config", type=Path, help="INI file seeding the flags below")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -148,21 +147,21 @@ def _parse_args(argv) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
 def _resolve_params(args, parser, need_family=True) -> ProblemParams:
     if args.N is None or args.q is None:
         parser.error("--N and --q are required")
-    p = args.p
-    if getattr(args, "p_critical", False):
-        p = critical_exponent(args.N)
-    if p is None:
-        parser.error("--p (or --p-critical) is required")
-    eps = getattr(args, "eps", None)
-    fam = getattr(args, "family", None)
-    if fam is None:
-        if eps is None or eps > 0.0:
-            fam = Family.P_EPS.value
-        else:
-            fam = Family.P_ZERO.value if p > critical_exponent(args.N) else Family.R_ZERO.value
-    if eps is None:
-        eps = 0.0
-    try:
+    try:   # critical_exponent rejects N < 3 as ProblemParams does
+        p = args.p
+        if getattr(args, "p_critical", False):
+            p = critical_exponent(args.N)
+        if p is None:
+            parser.error("--p (or --p-critical) is required")
+        eps = getattr(args, "eps", None)
+        fam = getattr(args, "family", None)
+        if fam is None:
+            if eps is None or eps > 0.0:
+                fam = Family.P_EPS.value
+            else:
+                fam = Family.P_ZERO.value if p > critical_exponent(args.N) else Family.R_ZERO.value
+        if eps is None:
+            eps = 0.0
         return ProblemParams(args.N, p, args.q, eps, Family(fam))
     except InvalidParams as exc:
         parser.error(str(exc))

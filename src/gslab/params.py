@@ -127,7 +127,9 @@ class ProblemParams:
         )
 
 def critical_exponent(N: int) -> float:
-    """The critical Sobolev exponent p* = 2N/(N-2) in R^N."""
+    """The critical Sobolev exponent p* = 2N/(N-2) in R^N; InvalidParams for N < 3."""
+    if N < 3:
+        raise InvalidParams(f"dimension must be an integer >= 3, got {N}")
     return 2.0 * N / (N - 2.0)
 
 

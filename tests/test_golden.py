@@ -5,9 +5,9 @@ bitwise, or if a stated tolerance covers the difference.  The values below
 are ``float.hex`` of the solution and SHA-256 digests of its grid and norm
 arrays, last taken when the final pass's dense output began to sum every
 dot product of its interpolant and every series-piece norm left to right
-(``ode._dot``, ``ode._series_norms``, the same in the C kernel), so that no
-pin goes through BLAS and the pins hold whichever kernel OpenBLAS picks for
-the CPU; before that, when the P_zero search shots began to end where the
+(in the C kernel, as ``_dot`` and ``_series_norms`` of its Python
+reference, ``tests/dop853_reference.py``, do), so that no pin goes through
+BLAS and the pins hold whichever kernel OpenBLAS picks for the CPU; before that, when the P_zero search shots began to end where the
 far-field constant B has settled (``ode``'s settled stop, B read less its
 drift still to come, r_max 1e6 without a probe shot) and a final pass that
 needs the last probe to close its bracket began to land past Brent's
@@ -32,7 +32,9 @@ truth; they hold at 2e-11 and 3e-11.  Fed the roots of f that a port of
 scipy's brentq found (SCIPY_ROOTS), the solve's amplitude is pinned bit for
 bit.  Any change to the stepping, the error control, the event refinement,
 the quadrature panels or the search shows up here as an exact mismatch.
-They were taken on x86-64 Linux (CPython, glibc libm); a different libm may
+The pins are taken on the C kernel, and ``test_kernel.py`` checks every
+integrate call of these solves and sweeps against the reference bit for
+bit.  They were taken on x86-64 Linux (CPython, glibc libm); a different libm may
 move the last bits of ``**``, and the read side's ``np.power`` may round
 differently where numpy dispatches it to other SIMD code.  The RHS totals
 of a whole solve (PANELS) count work, not results: they move when the
@@ -44,7 +46,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from gslab import Family, ProblemParams, ShootControls, solve_ground_state
+from gslab import Family, ProblemParams, ShootControls, SweepSpec, solve_ground_state
 
 # (params, amplitude, level_S, nehari_residual, grid.rhs_evals); the final
 # pass took 2110, 3703, 2119 and 2128 RHS evaluations from the second-order
@@ -450,6 +452,9 @@ def test_read_side_norms_match_golden_bitwise(params, norm_p, dirichlet, tail_l2
         assert _near(dirichlet_norm(prof), old_dirichlet, OLD_GRID_NORM_TOL)
 
 
+CRITICAL_READ_SIDE = ProblemParams(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)
+
+
 def test_critical_read_side_matches_golden_bitwise(monkeypatch):
     # one critical N=5 solve in the minimizer frame: the concentration
     # radius, both distances of the rescaled profile to W_1 and the
@@ -458,7 +463,7 @@ def test_critical_read_side_matches_golden_bitwise(monkeypatch):
                        rescale_to_v)
     from gslab.asymptotics import profile_distances
 
-    params = ProblemParams(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)
+    params = CRITICAL_READ_SIDE
     w = solve_ground_state(params).rescaled_to_frame()
     lam = concentration_lambda(w.profile)
     d1, dp = profile_distances(rescale_to_v(w.profile, lam), EmdenFowlerProfile(5, 1.0, "W"))
@@ -632,6 +637,13 @@ HINTED_SWEEPS = [
                        "0x1.bbe3c7e9042e4p-5", "0x1.39f80bd8215c1p-5"], id="ratio-2"),
 ]
 
+
+def hinted_sweep_spec(ratio: float) -> SweepSpec:
+    """The sweep of HINTED_SWEEPS at this grid ratio: eps from 1e-2 down, 8 points."""
+    return SweepSpec(regime="subcritical", N=3, p=4.0, q=6.0,
+                     grid_min=1e-2 / ratio ** 7, grid_max=1e-2, ratio=ratio)
+
+
 # The same sweeps pinned while K_nu e^x came from scipy.special.kve: _kve
 # moved ten amplitudes, by 1.8e-15 at most, so they hold at amp_tol
 SCIPY_KVE_SWEEPS = {
@@ -737,7 +749,7 @@ BISECTION_SWEEPS = {
 
 @pytest.mark.parametrize("ratio, amplitudes", HINTED_SWEEPS)
 def test_hinted_sweep_matches_golden_bitwise(ratio, amplitudes, monkeypatch):
-    from gslab import SweepSpec, functionals, sweep
+    from gslab import functionals, sweep
 
     hinted = []   # integrations before the Brent search, per hinted solve
     real = functionals.find_ground_state
@@ -749,8 +761,7 @@ def test_hinted_sweep_matches_golden_bitwise(ratio, amplitudes, monkeypatch):
         return prof
 
     monkeypatch.setattr(functionals, "find_ground_state", recorded)
-    rep = sweep(SweepSpec(regime="subcritical", N=3, p=4.0, q=6.0,
-                          grid_min=1e-2 / ratio ** 7, grid_max=1e-2, ratio=ratio))
+    rep = sweep(hinted_sweep_spec(ratio))
     assert [pt.amplitude.hex() for pt in rep.points] == amplitudes
     for old in (SCIPY_KVE_SWEEPS[ratio], FIXED_HINT_SWEEPS[ratio], SERIES_SWEEPS[ratio],
                 SECOND_ORDER_SWEEPS[ratio]):
@@ -811,7 +822,7 @@ def test_misread_hint_check_falls_back_to_golden_bitwise(misread_loose_shot, ove
                                                          tight_bracket, monkeypatch):
     # the hinted sweep at ratio 1.5, with the loose lower hint check of its
     # first hinted solve misread as an overshoot
-    from gslab import SweepSpec, functionals, sweep
+    from gslab import functionals, sweep
 
     ratio, amplitudes = HINTED_SWEEPS[0].values
     hint = [None]   # the bracket hint of the solve running
@@ -827,8 +838,7 @@ def test_misread_hint_check_falls_back_to_golden_bitwise(misread_loose_shot, ove
         return prof
 
     monkeypatch.setattr(functionals, "find_ground_state", recorded)
-    rep = sweep(SweepSpec(regime="subcritical", N=3, p=4.0, q=6.0,
-                          grid_min=1e-2 / ratio ** 7, grid_max=1e-2, ratio=ratio))
+    rep = sweep(hinted_sweep_spec(ratio))
     assert all(_near(pt.amplitude, want, ShootControls().amp_tol)
                for pt, want in zip(rep.points, amplitudes, strict=True))
     # the reference solve and the first point run unhinted

@@ -1,24 +1,26 @@
-"""The C step kernel against the Python step loop it keeps as reference.
+"""The C step kernel against the Python shot it is written after.
 
-``ode._c_loop`` runs a whole ``integrate`` shot in ``_dop853.c``: the
-series start, the step loop and the event refinement, then, with
-quadrature, the dense pass.  ``ode._py_loop`` is the same shot in Python
-(``_start``, the loop, ``_refine``, the numpy ``_dense_pass``), which runs
-wherever the kernel cannot be built.  On every call the two must agree to
-the bit: radii, values, slopes and the four norm arrays, terminal event and
-radius, and RHS evaluations, the partial trajectory of an
+``ode.integrate`` runs a whole shot in ``_dop853.c``: the series start, the
+step loop and the event refinement, then, with quadrature, the dense pass.
+``dop853_reference.integrate`` is the same shot in Python (``_start``, the
+loop, ``_refine``, the numpy ``_dense_pass``).  On every call the two must
+agree to the bit: radii, values, slopes and the four norm arrays, terminal
+event and radius, and RHS evaluations, the partial trajectory of an
 IntegrationFailure included, and an exception the same by its repr.  The
 calls are every integrate call of the benchmark's solve_mix seeds 1-3 and
-sweep_chain seed 1 (captured at shooting.integrate), and the paths those
-leave out: underflow, step budget, step collapse, a power that overflows,
-a division by zero, the start's exceptions, the settled stop switched off,
-a grid refilled on every step, and dense passes after each refined event,
-on a one-point grid, for N = 3 to 8 and where |u|^q underflows to 0.
+sweep_chain seed 1 and of the solves and sweeps ``test_golden.py`` pins
+(captured at shooting.integrate), and the paths those leave out:
+underflow, step budget, step collapse, a power that overflows, a division
+by zero, the start's exceptions, the settled stop switched off, a grid
+refilled on every step, and dense passes after each refined event, on a
+one-point grid, for N = 3 to 8 and where |u|^q underflows to 0.  Where the
+kernel cannot be built or loaded, importing ``gslab`` fails.
 """
 
 import ctypes
 import math
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -31,16 +33,16 @@ from gslab.asymptotics import sweep
 from gslab.ode import IntegrationFailure, StepControls, TerminalEvent
 from gslab.params import Family, ProblemParams
 
+import dop853_reference
+from test_golden import CRITICAL_READ_SIDE, GOLDEN, HINTED_SWEEPS, hinted_sweep_spec
+
 ROOT = Path(__file__).resolve().parents[1]
 
-needs_kernel = pytest.mark.skipif(
-    ode._kernel is None, reason="the C kernel did not build here: integrate runs the Python loop")
 
-
-def _outcome(loop, call):
+def _outcome(integrate, call):
     """("done", trajectory), (failure message, partial) or (raised, None)."""
     try:
-        return "done", loop(*call)
+        return "done", integrate(*call)
     except IntegrationFailure as exc:
         return str(exc), exc.partial
     except (ZeroDivisionError, ValueError, OverflowError) as exc:
@@ -53,10 +55,11 @@ def _bits(t):
             [None if x is None else x.tobytes() for x in arrays])
 
 
-def assert_same_bits(call, kernel=None):
-    """Both loops on one integrate call: the same outcome, bit for bit."""
-    c_loop = ode._c_loop if kernel is None else lambda *a: ode._c_loop(*a, kernel=kernel)
-    (c_end, c), (py_end, py) = _outcome(c_loop, call), _outcome(ode._py_loop, call)
+def assert_same_bits(call):
+    """The kernel and the reference on one integrate call: the same outcome,
+    bit for bit."""
+    (c_end, c), (py_end, py) = (_outcome(ode.integrate, call),
+                                _outcome(dop853_reference.integrate, call))
     assert c_end == py_end, call
     if py is not None:
         assert type(c.terminal_radius) is float
@@ -65,9 +68,10 @@ def assert_same_bits(call, kernel=None):
 
 
 @pytest.fixture(scope="module")
-def benchmark_calls():
-    """Every integrate call of solve_mix seeds 1-3, then of sweep_chain seed 1:
-    (params, a, r_max, tol) each, and the number of solve_mix calls."""
+def captured_calls():
+    """Every integrate call of solve_mix seeds 1-3 ("solve_mix"), of
+    sweep_chain seed 1 ("sweep_chain"), and of the solves and sweeps
+    test_golden pins ("golden"): (params, a, r_max, tol) each."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
@@ -80,41 +84,62 @@ def benchmark_calls():
         calls.append((params, a, r_max, tol))
         return real(params, a, r_max, tol)
 
+    captured = {}
     with pytest.MonkeyPatch.context() as m:
         m.setattr(shooting, "integrate", recorded)
         for seed in (1, 2, 3):
             for params in workloads.SolveMix(seed, None).inputs:
                 functionals.solve_ground_state(params)
-        n_mix = len(calls)
+        captured["solve_mix"], calls = calls, []
         for spec, _, _ in workloads.SweepChain(1, None).sweeps:
             sweep(spec)
-    return calls, n_mix
+        captured["sweep_chain"], calls = calls, []
+        for case in GOLDEN:
+            functionals.solve_ground_state(case.values[0])
+        functionals.solve_ground_state(CRITICAL_READ_SIDE)
+        for case in HINTED_SWEEPS:
+            sweep(hinted_sweep_spec(case.values[0]))
+        captured["golden"] = calls
+    return captured
 
 
-@needs_kernel
-def test_benchmark_calls_match_bit_for_bit(benchmark_calls):
-    calls, n_mix = benchmark_calls
+def _check_calls(calls):
+    """assert_same_bits on each call; the (terminal event, kind of run) seen,
+    the RHS evaluations and the dense passes (runs with quadrature)."""
     seen = set()
-    rhs_mix = quad = 0
-    for i, call in enumerate(calls):
-        end, t = assert_same_bits(call)
+    rhs = quad = 0
+    for call in calls:
+        _, t = assert_same_bits(call)
         params, _, r_max, tol = call
         kind = t.terminal_event
         if kind is TerminalEvent.REACHED_RMAX and t.terminal_radius < r_max:
             kind = "settled"
         seen.add((kind, "quad" if tol.with_quadrature else "loose" if tol.rtol > 1e-8
                   else "tight"))
-        if i < n_mix:
-            rhs_mix += t.rhs_evals
+        rhs += t.rhs_evals
         quad += tol.with_quadrature
+    return seen, rhs, quad
+
+
+def test_benchmark_calls_match_bit_for_bit(captured_calls):
+    seen, rhs_mix, quad_mix = _check_calls(captured_calls["solve_mix"])
+    seen_chain, _, quad_chain = _check_calls(captured_calls["sweep_chain"])
     # the deterministic counters of solve_mix seeds 1-3 (84 solves), and the
     # dense passes among all the calls (final passes and their retries)
-    assert (n_mix, rhs_mix) == (997, 613_378)   # 7302 per solve
-    assert quad == 107
+    assert (len(captured_calls["solve_mix"]), rhs_mix) == (997, 613_378)   # 7302 per solve
+    assert quad_mix + quad_chain == 107
     for path in [(TerminalEvent.ZERO_CROSSING, "loose"), (TerminalEvent.ZERO_CROSSING, "tight"),
                  (TerminalEvent.SLOPE_SIGN_FLIP, "quad"), (TerminalEvent.REACHED_RMAX, "quad"),
                  ("settled", "tight"), (TerminalEvent.SLOPE_SIGN_FLIP, "loose")]:
-        assert path in seen, path
+        assert path in seen | seen_chain, path
+
+
+def test_golden_calls_match_bit_for_bit(captured_calls):
+    # the goldens are pinned on the kernel; this puts the reference under
+    # the same pins.  Each of the 5 solves, and each sweep's reference solve
+    # and 8 points, ends in one dense pass (its final pass)
+    _, _, quad = _check_calls(captured_calls["golden"])
+    assert quad == len(GOLDEN) + 1 + 9 * len(HINTED_SWEEPS)
 
 
 R_ZERO = ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO)
@@ -126,10 +151,10 @@ QUAD = replace(TIGHT, with_quadrature=True)
 # (call, outcome): the paths the benchmark's calls leave out.  The R_zero
 # amplitude is its a*, the P_zero ones are a* and 1 +- 1% of it; P_eps
 # shots from 1e4 and 1e8 take trial steps whose stage powers overflow.  The
-# start raises where _start does: on a = 0, a NaN a or r_max = 0; where the
-# series' powers overflow (a = 1e100); and where the series coefficients
-# overflow to inf, so that the hand-off radius is 0 and (N-1)/r0 divides by
-# zero (a = 1e31).
+# start raises where the reference's _start does: on a = 0, a NaN a or
+# r_max = 0; where the series' powers overflow (a = 1e100); and where the
+# series coefficients overflow to inf, so that the hand-off radius is 0 and
+# (N-1)/r0 divides by zero (a = 1e31).
 PATHS = {
     "underflow": ((R_ZERO, 4.337387679977127, 50.0, replace(TIGHT, underflow_factor=1e-8)),
                   "done"),
@@ -175,20 +200,21 @@ EVENTS = {"underflow": TerminalEvent.UNDERFLOW, "underflow-quad": TerminalEvent.
           **{f"N{N}-quad": TerminalEvent.ZERO_CROSSING for N in range(3, 9)}}
 
 
-@needs_kernel
 @pytest.mark.parametrize("grid0", [ode._GRID0, 1], ids=["grid", "refill-every-step"])
 @pytest.mark.parametrize("name", list(PATHS))
 def test_paths_match_bit_for_bit(name, grid0, monkeypatch):
     call, expected = PATHS[name]
     monkeypatch.setattr(ode, "_GRID0", grid0)
     overflows = []
+    kernel = ode._kernel
 
     def counted(*args):   # the kernel, counting the trial steps a power overflow shrank
-        code = ode._kernel.loop(*args)
+        code = kernel.loop(*args)
         overflows.append(ctypes.c_int64.from_address(args[3] + 8 * 6).value)   # C_OVERFLOWS
         return code
 
-    end, t = assert_same_bits(call, kernel=ode._kernel._replace(loop=counted))
+    monkeypatch.setattr(ode, "_kernel", kernel._replace(loop=counted))
+    end, t = assert_same_bits(call)
     assert end.startswith(expected)
     assert (overflows[-1] > 0) == name.startswith("pow-overflow")
     if name in EVENTS:
@@ -205,116 +231,74 @@ def test_paths_match_bit_for_bit(name, grid0, monkeypatch):
         assert t.norm_lq[-1] == 0.0 < t.norm_lp[-1]
     if name in ("series-overflow", "handoff-zero-division"):   # the start raises
         with pytest.raises((OverflowError, ZeroDivisionError)):
-            ode._start(*call)
+            dop853_reference._start(*call)
     if name == "handoff-zero-division":
         assert ode.default_handoff_radius(ode.series_coefficients(*call[:2]), call[2]) == 0.0
 
 
-@needs_kernel
 def test_settled_stop_off_reads_settle_g_at_call_time(monkeypatch):
     monkeypatch.setattr(ode, "_SETTLE_G", 0.0)   # no step settles
     _, t = assert_same_bits(PATHS["settled"][0])
     assert t.terminal_event is TerminalEvent.ZERO_CROSSING   # the overshoot runs on
 
 
-def test_loaded_loop_is_the_kernel_where_it_builds():
-    assert (ode._step_loop is ode._c_loop) == (ode._kernel is not None)
-    assert ode.STEP_LOOP == ("C kernel" if ode._kernel is not None else "Python")
+def _import_error(tmp_path):
+    """The message and cause of ode._load_kernel's ImportError, checked to
+    name the compiler command and the cache directory (under tmp_path)."""
+    with pytest.raises(ImportError) as exc:
+        ode._load_kernel()
+    message = str(exc.value)
+    assert shlex.join(_native._compiler()) in message
+    assert f"cache directory {_native.cache_dir()} ($GSLAB_CACHE_DIR" in message
+    assert _native.cache_dir().is_relative_to(tmp_path)
+    return message, exc.value.__cause__
 
 
-@pytest.mark.parametrize("compiler", [[sys.executable, "-c", "raise SystemExit(1)"],
-                                      ["/nonexistent/cc"]], ids=["fails", "missing"])
-def test_failed_build_falls_back_to_the_python_loop(compiler, monkeypatch, tmp_path):
+@pytest.mark.parametrize("compiler, reason", [
+    ([sys.executable, "-c", "import sys; sys.stderr.write('cc: error: no kernel here\\n'); "
+      "raise SystemExit(3)"], "the compiler exited with status 3\ncc: error: no kernel here"),
+    (["/nonexistent/cc"], "No such file or directory: '/nonexistent/cc'"),
+], ids=["fails", "missing"])
+def test_failed_build_fails_the_import(compiler, reason, monkeypatch, tmp_path):
     monkeypatch.setenv("GSLAB_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(_native, "_compiler", lambda: compiler)
-    assert _native.build(ode._SOURCE) is None
+    message, cause = _import_error(tmp_path)
+    assert isinstance(cause, OSError)
+    assert reason in message
     assert not list(tmp_path.iterdir())   # no library, no temporary file left
-    kernel, loop = ode._select_loop()
-    assert kernel is None and loop is ode._py_loop
-    # integrate on the fallback gives the kernel's bits (test_golden pins those)
-    params = ProblemParams(3, 4.0, 6.0, 1e-2, Family.P_EPS)
-    ref = functionals.solve_ground_state(params)
-    monkeypatch.setattr(ode, "_step_loop", loop)
-    sol = functionals.solve_ground_state(params)
-    assert sol.amplitude.hex() == ref.amplitude.hex()
-    assert _bits(sol.profile.grid) == _bits(ref.profile.grid)
 
 
-def _raises(exc):
-    def raising(*args, **kwargs):
-        raise exc
-    return raising
+def test_library_that_does_not_load_fails_the_import(monkeypatch, tmp_path):
+    monkeypatch.setenv("GSLAB_CACHE_DIR", str(tmp_path))
+    lib, _ = _native.library_path(ode._SOURCE)
+    lib.write_text("not a shared library")   # a cached library is loaded as it is
+    message, cause = _import_error(tmp_path)
+    assert isinstance(cause, OSError) and str(cause) in message
 
 
-@needs_kernel
-@pytest.mark.parametrize("exc", [ZeroDivisionError("float division by zero"),
-                                 OverflowError(34, "Numerical result out of range"),
-                                 ValueError("libm pow failed in **"),
-                                 IntegrationFailure("step budget 12 exhausted", None)],
-                         ids=["ZeroDivisionError", "OverflowError", "ValueError",
-                              "IntegrationFailure"])
-def test_self_check_shot_that_raises_keeps_the_python_loop(exc, monkeypatch):
-    monkeypatch.setattr(ode, "_c_loop", _raises(exc))
-    assert ode._load_kernel() is None
-
-
-@needs_kernel
-def test_library_that_does_not_load_keeps_the_python_loop(monkeypatch, tmp_path):
-    junk = tmp_path / "junk.so"
-    junk.write_text("not a shared library")
-    monkeypatch.setattr(_native, "build", lambda source: junk)
-    with pytest.raises(OSError):
-        ctypes.CDLL(str(junk))
-    assert ode._load_kernel() is None
-
-
-@needs_kernel
-def test_library_without_an_entry_point_keeps_the_python_loop(monkeypatch, tmp_path):
+def test_library_without_an_entry_point_fails_the_import(monkeypatch, tmp_path):
     source = tmp_path / "loop_only.c"
     source.write_text("int dop853_loop(void) { return 0; }\n")
     monkeypatch.setenv("GSLAB_CACHE_DIR", str(tmp_path / "cache"))
-    lib = _native.build(source)
-    assert lib is not None
-    assert not hasattr(ctypes.CDLL(str(lib)), "dop853_dense")   # AttributeError
-    monkeypatch.setattr(_native, "build", lambda _: lib)
-    assert ode._load_kernel() is None
+    monkeypatch.setattr(ode, "_SOURCE", source)
+    message, cause = _import_error(tmp_path)
+    assert isinstance(cause, AttributeError)
+    assert "dop853_dense" in message
 
 
-@needs_kernel
-def test_misdeclared_entry_point_fails_the_import(monkeypatch):
-    # dop853_dense declared with one argument too many: the self-check's
-    # call raises TypeError, a bug that must not fall back to the Python
-    # loop in silence
-    class Misdeclared:
-        def __init__(self, fn):
-            object.__setattr__(self, "fn", fn)
-
-        def __setattr__(self, name, value):
-            setattr(self.fn, name, value + (ctypes.c_void_p,) if name == "argtypes" else value)
-
-        def __call__(self, *args):
-            return self.fn(*args)
-
-    real = ctypes.CDLL
-
-    def cdll(path):
-        lib = real(path)
-        lib.dop853_dense = Misdeclared(lib.dop853_dense)
-        return lib
-
-    monkeypatch.setattr(ctypes, "CDLL", cdll)
-    with pytest.raises(TypeError, match="arguments"):
-        ode._load_kernel()
-
-
-def test_unwritable_cache_runs_the_python_loop(tmp_path):
+def test_unwritable_cache_fails_the_import(tmp_path):
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")
-    env = {**os.environ, "GSLAB_CACHE_DIR": str(blocker / "cache"), "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run([sys.executable, "-m", "gslab.cli", "--version"], env=env,
+    cache = blocker / "cache"
+    env = {**os.environ, "GSLAB_CACHE_DIR": str(cache), "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", "import gslab"], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip().endswith("(step loop: Python)")
+    assert out.returncode != 0
+    error = out.stderr.strip().splitlines()
+    assert any(line.startswith("ImportError: gslab cannot run without its C kernel")
+               for line in error), out.stderr
+    assert f"cache directory {cache} ($GSLAB_CACHE_DIR" in out.stderr
+    assert shlex.join(_native._compiler()) in out.stderr
 
 
 def test_edited_kernel_gets_a_new_library_and_revision(tmp_path):

@@ -312,21 +312,32 @@ def test_cli_delta_sweep_rejects_p(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--regime", "subcritical", "--N", "3", "--q", "6"], "needs p < p*"),
-    (["--regime", "critical", "--N", "5", "--q", "6", "--p", "4"], "needs p = p*"),
-    (["--regime", "critical", "--N", "5", "--q", "6", "--ratio", "5"], "ratio must be in"),
-    (["--regime", "critical", "--N", "5", "--q", "6", "--eps-min", "1e-3"], "< 8 points"),
-    (["--regime", "critical", "--N", "5", "--q", "6", "--eps-min", "0"], "positive and finite"),
-], ids=["subcritical-without-p", "critical-off-p-star", "ratio", "short-grid", "zero-eps-min"])
+    (["sweep", "--regime", "subcritical", "--N", "3", "--q", "6"], "needs p < p*"),
+    (["sweep", "--regime", "critical", "--N", "5", "--q", "6", "--p", "4"], "needs p = p*"),
+    (["sweep", "--regime", "critical", "--N", "5", "--q", "6", "--ratio", "5"],
+     "ratio must be in"),
+    (["sweep", "--regime", "critical", "--N", "5", "--q", "6", "--eps-min", "1e-3"],
+     "< 8 points"),
+    (["sweep", "--regime", "critical", "--N", "5", "--q", "6", "--eps-min", "0"],
+     "positive and finite"),
+    (["sweep", "--regime", "critical", "--N", "2", "--q", "6"], "dimension must be"),
+    (["sweep", "--regime", "subcritical", "--N", "3", "--p", "4", "--q", "3"], "need q > p"),
+    (["sweep", "--regime", "critical", "--N", "5", "--q", "3"], "need q > p"),
+    (["sweep", "--regime", "delta_supercritical", "--N", "3", "--q", "6.2", "--eps-max", "0.3"],
+     "need q > p"),
+    (["solve", "--N", "2", "--p-critical", "--q", "6", "--eps", "1e-2"], "dimension must be"),
+], ids=["subcritical-without-p", "critical-off-p-star", "ratio", "short-grid", "zero-eps-min",
+        "critical-N2", "q-below-p", "critical-q-below-p-star", "delta-past-q", "solve-N2"])
 def test_cli_sweep_argument_errors_exit_2_before_any_solve(monkeypatch, capsys, argv, message):
     from gslab import cli
 
-    def solved(spec):
-        raise AssertionError("the sweep ran")
+    def solved(*args):
+        raise AssertionError("a solve ran")
 
     monkeypatch.setattr(cli, "sweep", solved)
+    monkeypatch.setattr(cli, "solve_ground_state", solved)
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", *argv])
+        main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
 
