@@ -4,14 +4,14 @@ In the critical case the minimizer w_eps concentrates: the radius
 lambda_eps at which the ball-mass of |w_eps|^p reaches Q* defines the
 rescaling v_eps(x) = lambda^((N-2)/2) w_eps(lambda x), which converges to
 the Sobolev minimizer W_1; it and the minimizer frame are both
-functionals.scale_profile.  The ball mass reads the |w|^p mass the solve
+RadialProfile.scaled.  The ball mass reads the |w|^p mass the solve
 co-integrated on its grid, and Brent's method (shooting._bracket_root)
 finds lambda inside the grid panel that holds it, evaluating that panel's
 cubic Hermite (or the series piece) at each probe.  The W_1 distances run
-on the profile's own Gauss panels (functionals._grid_quad) and past the
-grid on tan panels (emden.radial_quad); both distances are the two rows of
-one stack there, so W_1 and the tail's linear mode are evaluated once per
-node set.  Sweeps solve a
+on the profile's own Gauss panels (RadialProfile.quad) and past the grid on
+tan panels (emden.radial_quad), where v is TailModel.evaluate; both
+distances are the two rows of one stack there, so W_1 and the tail model
+are evaluated once per node set.  Sweeps solve a
 geometric grid of eps (or delta) values, collect the regime's observables,
 and confront fitted log-log slopes with the predicted exponents; a fit
 carries the log(1/eps) factor where predict_exponents gives one.  What each
@@ -62,7 +62,7 @@ def concentration_lambda(w, Qstar: float | None = None) -> float:
 
     The grid panel that holds the root, and the mass below it, come from the
     co-integrated mass omega * grid.norm_lp (the one analyze's L^p norm and
-    the identities read, scaled exactly by scale_profile); inside that panel
+    the identities read, scaled exactly by RadialProfile.scaled); inside that panel
     the mass is a 24-point Gauss sum of that panel's cubic Hermite
     (shooting._hermite on its end points; the series piece below the first
     grid radius), and _bracket_root closes the panel to a relative width of
@@ -92,7 +92,7 @@ def concentration_lambda(w, Qstar: float | None = None) -> float:
     x, gw = _leggauss(24)
     if idx == 0:
         def piece(rr):
-            return series_piece(w.series, rr)[0]
+            return series_piece(w.grid.series, rr)[0]
     else:   # the cubic Hermite of the one grid panel [start, rg[idx]]
         h = rg[idx] - rg[idx - 1]
         ug, vg = w.grid.values, w.grid.slopes
@@ -140,7 +140,7 @@ def _emden_concentration(w: EmdenFowlerProfile, Qstar: float | None) -> float:
 
 
 def rescale_to_v(w: RadialProfile, lam: float) -> RadialProfile:
-    """v(x) = lam^((N-2)/2) w(lam x): scale_profile(w, lam^((N-2)/2), lam ** 2).
+    """v(x) = lam^((N-2)/2) w(lam x): w.scaled(lam^((N-2)/2), lam ** 2).
 
     lam ** 2 is the square the tail correction always took, and its square
     root is lam exactly (pow is within 0.52 ulp, and sqrt maps anything
@@ -152,16 +152,17 @@ def rescale_to_v(w: RadialProfile, lam: float) -> RadialProfile:
         raise ValueError(f"lambda must be positive, got {lam}")
     if lam == 1.0:
         return w
-    return fn.scale_profile(w, lam ** ((w.params.N - 2.0) / 2.0), lam ** 2)
+    return w.scaled(lam ** ((w.params.N - 2.0) / 2.0), lam ** 2)
 
 
 def profile_distances(v: RadialProfile, ref: EmdenFowlerProfile) -> tuple[float, float]:
     """(||grad(v - ref)||_2, ||v - ref||_p) on v's Gauss panels plus ref tails.
 
     Both integrands are rows of one stack on each node set: v's grid panels
-    and series nodes (functionals._grid_quad), then the tan panels past the
+    and series nodes (RadialProfile.quad), then the tan panels past the
     grid (emden.radial_quad), where v is its tail model.  ref's value and
-    slope and the tail's linear mode are evaluated once per node set.
+    slope and the tail model's value and slope are evaluated once per node
+    set.
     """
     N = v.params.N
     p = v.params.p
@@ -170,16 +171,13 @@ def profile_distances(v: RadialProfile, ref: EmdenFowlerProfile) -> tuple[float,
     def gaps(r, u, du):
         return np.stack(((du - ref.slope(r)) ** 2, np.abs(u - ref.value(r)) ** p))
 
-    d1_sq, lp = fn._grid_quad(v, gaps)
+    d1_sq, lp = v.quad(gaps)
     # beyond the grid: v is exponentially small, ref keeps algebraic mass
     R = float(v.grid.radii[-1])
     from .emden import radial_quad   # at call time: a wrapper on emden.radial_quad sees it
 
-    tail = v.tail
-
     def tail_gaps(r):
-        base = tail._base(r)
-        return gaps(r, tail.predict(r, base), tail.slope(r, base))
+        return gaps(r, *v.tail.evaluate(r))
 
     d1_far, lp_far = radial_quad(tail_gaps, N, r_lo=R, scale=max(ref.tan_scale(), R / 10.0))
     d1_sq += d1_far
@@ -246,7 +244,7 @@ def _critical_columns(pt, sol, refs) -> None:
     pt.kappa_res = fn.kappa_identities(w_sol, pt.x).lq_residual
     lam = pt.lam = concentration_lambda(w_sol.profile)
     v = rescale_to_v(w_sol.profile, lam)
-    l2, _, lq, _ = fn._norm_factors(sol.params, lam ** ((N - 2.0) / 2.0), lam ** 2)
+    l2, _, lq, _ = sol.params.norm_factors(lam ** ((N - 2.0) / 2.0), lam ** 2)
     pt.v_l2_sq = w_sol.norm_L2_sq * l2
     pt.v_lq_q = w_sol.norm_Lq_q * lq
     pt.dist_D1, pt.dist_Lp = profile_distances(v, EmdenFowlerProfile(N, 1.0, "W"))

@@ -144,7 +144,7 @@ def _parse_args(argv) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
     return parser.parse_args(argv), parser
 
 
-def _resolve_params(args, parser, need_family=True) -> ProblemParams:
+def _resolve_params(args, parser) -> ProblemParams:
     if args.N is None or args.q is None:
         parser.error("--N and --q are required")
     try:   # critical_exponent rejects N < 3 as ProblemParams does
@@ -167,10 +167,10 @@ def _resolve_params(args, parser, need_family=True) -> ProblemParams:
         parser.error(str(exc))
 
 
-def _shoot_controls(args, parser=None) -> ShootControls:
+def _shoot_controls(args, parser) -> ShootControls:
     for name in ("rtol", "atol", "amp_tol", "r_max"):
         val = getattr(args, name, None)
-        if val is not None and val <= 0.0 and parser is not None:
+        if val is not None and val <= 0.0:
             parser.error(f"--{name.replace('_', '-')} must be positive, got {val}")
     ctrl = ShootControls()
     step = ctrl.step

@@ -9,8 +9,9 @@ exact integral identities hold and serve as solver correctness oracles:
 Together they give E(u) = (1/2 - 1/p*) ||grad u||_2^2, so the variational
 level is S = (E / (1/2 - 1/p*))^(2/N) and ||grad u||_2^2 = S^(N/2).  The
 minimizer frame w(y) = u(sqrt(S) y) then satisfies ||grad w||_2^2 = S and
-the constraint p* int F(w) = 1.  It is scale_profile(u, 1, S), the one
-transform amp*u(lam y) that asymptotics.rescale_to_v uses too.
+the constraint p* int F(w) = 1.  It is u.scaled(1, S), the one transform
+amp*u(lam y) of shooting.RadialProfile that asymptotics.rescale_to_v uses
+too.  Norms sum RadialProfile.quad on the grid and norm_tail past it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .emden import EmdenFowlerProfile
 from .errors import DivergentNormError, InconsistentSolution
-from .params import ProblemParams, sphere_area
+from .params import Family, ProblemParams, sphere_area
 from .shooting import RadialProfile, ShootControls, find_ground_state
 
 __all__ = [
@@ -64,11 +65,11 @@ class GroundStateSolution:
         return self.profile.amplitude
 
     def rescaled_to_frame(self, S: float | None = None) -> "GroundStateSolution":
-        """Exact minimizer-frame copy; the norms take scale_profile's factors,
+        """Exact minimizer-frame copy; the norms take ProblemParams.norm_factors,
         and the energy is E of the frame's own norms (S/2 - 1/p* at the level)."""
         S = self.level_S if S is None else S
         w = to_minimizer_frame(self.profile, S)
-        l2, lp, lq, dir_ = _norm_factors(self.params, 1.0, S)
+        l2, lp, lq, dir_ = self.params.norm_factors(1.0, S)
         frame = replace(
             self,
             profile=w,
@@ -83,24 +84,6 @@ class GroundStateSolution:
         return frame
 
 
-def _grid_quad(prof: RadialProfile, integrand):
-    """Gauss panels on the stored grid using cubic Hermite reconstruction.
-
-    ``integrand(r, u, u')`` may return a stack of k rows (shape (k,) +
-    r.shape), several integrands on one node set: the result is then a list
-    of k integrals, each summed from its own row alone, so it has the bits
-    of that integrand passed by itself.
-    """
-    N = prof.params.N
-    pan = prof.panels
-    vals = integrand(pan.r, pan.u, pan.du) * pan.r ** (N - 1)
-    bulk = vals * pan.w[None, :] * pan.h[:, None]
-    series = pan.w_series * integrand(pan.r_series, pan.u_series, pan.du_series)
-    if bulk.ndim == 2:
-        return float(np.sum(bulk)) + float(np.sum(series))
-    return [float(np.sum(b)) + float(np.sum(s)) for b, s in zip(bulk, series)]
-
-
 def radial_norm(profile, s: float) -> float:
     """int |u|^s dx for a RadialProfile or EmdenFowlerProfile."""
     if s < 1.0:
@@ -109,7 +92,7 @@ def radial_norm(profile, s: float) -> float:
         return profile.norm_s(s)
     # first: an algebraic tail raises DivergentNormError where s*(N-2) <= N
     tail = profile.norm_tail(s)
-    bulk = _grid_quad(profile, lambda r, u, du: np.abs(u) ** s)
+    bulk = profile.quad(lambda r, u, du: np.abs(u) ** s)
     return sphere_area(profile.params.N) * (bulk + tail)
 
 
@@ -117,7 +100,7 @@ def dirichlet_norm(profile) -> float:
     """||grad u||_2^2 for a RadialProfile or EmdenFowlerProfile."""
     if isinstance(profile, EmdenFowlerProfile):
         return profile.dirichlet_sq()
-    bulk = _grid_quad(profile, lambda r, u, du: du * du)
+    bulk = profile.quad(lambda r, u, du: du * du)
     tail = profile.dirichlet_tail()
     return sphere_area(profile.params.N) * (bulk + tail)
 
@@ -165,56 +148,13 @@ def extract_level(params: ProblemParams, E: float) -> float:
     return (E / coef) ** (2.0 / params.N)
 
 
-def _norm_factors(params: ProblemParams, amp: float,
-                  lam_sq: float) -> tuple[float, float, float, float]:
-    """(L2^2, Lp^p, Lq^q, dirichlet^2) of amp*u(lam y) over those of u: amp^s
-    lam^-N, and lam^(2-N) for u'^2; lam_sq = lam^2 is passed, not lam."""
-    N = params.N
-    vol = lam_sq ** (-N / 2.0)
-    return (amp**2 * vol, amp**params.p * vol, amp**params.q * vol,
-            amp**2 * lam_sq ** (-(N - 2.0) / 2.0))
-
-
-def scale_profile(prof: RadialProfile, amp: float, lam_sq: float) -> RadialProfile:
-    """amp * u(lam y), lam = sqrt(lam_sq): grid, norm arrays, series piece and
-    tail reparameterized exactly, every other field (the counters) carried.
-    The copy builds its own far field if a tail norm reads it.
-
-    The scale enters squared so that both callers keep their bits: the
-    minimizer frame passes S, so each factor is the power of S it always
-    was, and rescale_to_v passes lam ** 2, whose square root is lam again.
-    """
-    lam = math.sqrt(lam_sq)
-    t, tail, N = prof.grid, prof.tail, prof.params.N
-    series = tuple(amp * c * lam_sq ** k for k, c in enumerate(prof.series))
-    grid = replace(t, radii=t.radii / lam, values=t.values * amp, slopes=t.slopes * (amp * lam),
-                   terminal_radius=t.terminal_radius / lam, series=series)
-    grid.norm_l2, grid.norm_lp, grid.norm_lq, grid.norm_dir = (
-        arr * fac for arr, fac in zip((t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir),
-                                      _norm_factors(prof.params, amp, lam_sq)))
-    # base(y) = amp * base_u(lam y): an exponential rate gains lam, the
-    # prefactor amp * lam^-power, and the correction regressor |base|^(p-2)
-    # r^2 / (1 + (k r)^2) amp^(p-2) lam^-2, which corr absorbs
-    exponential = tail.kind == "Exponential"
-    power = (N - 1.0) / 2.0 if exponential else N - 2.0
-    new_tail = replace(
-        tail,
-        rate_or_power=tail.rate_or_power * lam if exponential else tail.rate_or_power,
-        prefactor=tail.prefactor * amp * lam ** -power,
-        match_radius=tail.match_radius / lam,
-        corr=tail.corr * (amp ** -tail.corr_pm2 * lam_sq),
-    )
-    return replace(prof, amplitude=prof.amplitude * amp, grid=grid, tail=new_tail,
-                   series=series, r_max_used=prof.r_max_used / lam)
-
-
 def to_minimizer_frame(u: RadialProfile, S: float) -> RadialProfile:
-    """w(y) = u(sqrt(S) y): scale_profile(u, 1.0, S), S being the squared scale."""
+    """w(y) = u(sqrt(S) y): u.scaled(1.0, S), S being the squared scale."""
     if S <= 0.0:
         raise ValueError(f"level must be positive, got {S}")
     if S == 1.0:
         return u
-    return scale_profile(u, 1.0, S)
+    return u.scaled(1.0, S)
 
 
 def analyze(profile: RadialProfile) -> GroundStateSolution:
@@ -317,7 +257,7 @@ def limit_identities(w0: GroundStateSolution) -> LimitReport:
     """
     prm = w0.params
     p, q, ps = prm.p, prm.q, prm.p_star()
-    if prm.family.value == "P_zero":
+    if prm.family is Family.P_ZERO:
         cf_a = (q - ps) * p / ((q - p) * ps)
         cf_b = (p - ps) * q / ((q - p) * ps)
         got = (w0.norm_Lp_p, w0.norm_Lq_q)

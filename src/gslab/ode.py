@@ -20,7 +20,11 @@ accumulated alongside the trajectory on the same interpolant: such a run
 (the final pass of a solve) stores every step as _SUB sub-intervals, so the
 grid that the cubic Hermite read side sees stays as dense as the steps are
 long, and each sub-interval is one Gauss panel; the norms over [0, r0] come
-from the series piece.
+from the series piece.  At the far end, past the core, u follows the
+decaying mode r^(-nu) K_nu(k r) (nu = N/2 - 1) of the linear equation, the
+mode of the tail models and the shooting proxy in ``shooting``: _kve gives
+K_nu(x) e^x by an upward recurrence from closed forms or two trapezoid
+sums, so gslab imports no scipy.
 
 ``integrate`` is the hot loop of every solve, and each shot is one call of
 a C kernel, ``_dop853.c``: the series start, the step loop (the twelve
@@ -118,7 +122,6 @@ class Trajectory:
     values: np.ndarray
     slopes: np.ndarray
     terminal_event: TerminalEvent
-    terminal_radius: float
     norm_l2: np.ndarray | None = None
     norm_lp: np.ndarray | None = None
     norm_lq: np.ndarray | None = None
@@ -128,6 +131,11 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.radii)
+
+    @property
+    def terminal_radius(self) -> float:
+        """Where the run ended: its last grid radius."""
+        return float(self.radii[-1])
 
     def truncated(self, n: int) -> "Trajectory":
         """Keep the first n grid points (terminal event becomes ReachedRmax)."""
@@ -139,7 +147,6 @@ class Trajectory:
             values=self.values[cut],
             slopes=self.slopes[cut],
             terminal_event=TerminalEvent.REACHED_RMAX,
-            terminal_radius=float(self.radii[n - 1]),
             norm_l2=None if self.norm_l2 is None else self.norm_l2[cut],
             norm_lp=None if self.norm_lp is None else self.norm_lp[cut],
             norm_lq=None if self.norm_lq is None else self.norm_lq[cut],
@@ -259,6 +266,133 @@ def default_handoff_radius(coeffs: tuple[float, ...], r_max: float) -> float:
     if growth > 0.0:
         r0 = min(r0, (1e-16 ** (1.0 / len(coeffs)) / growth) ** 0.5)
     return r0
+
+
+# --- the far end: K_nu(x) e^x of the decaying mode r^(-nu) K_nu(k r) -----------
+
+
+def _kve(nu: float, x):
+    """K_nu(x) e^x, the scaled modified Bessel function of the second kind,
+    for nu in {0, 1/2, 1, 3/2, ...} and x > 0: a float for a float x, else
+    an array of x's shape.
+
+    The upward recurrence K_{m+1} = K_{m-1} + (2m/x) K_m, stable upward and
+    unchanged by the e^x scaling, runs from the two lowest orders of nu's
+    family: K_{1/2} e^x = sqrt(pi/2x) and K_{3/2} e^x = sqrt(pi/2x) (1 + 1/x)
+    in closed form, K_0 e^x and K_1 e^x as trapezoid sums.  Floats stay in
+    ``math``: the shooting proxy takes one per shot.
+    """
+    m = nu % 1.0   # the lowest order of nu's family
+    if isinstance(x, float):
+        x, sqrt, kve01 = float(x), math.sqrt, _kve01_float
+    else:
+        x, sqrt, kve01 = np.asarray(x, dtype=float), np.sqrt, _kve01_array
+    if m:
+        k0 = sqrt(0.5 * math.pi / x)
+        k1 = k0 * (1.0 + 1.0 / x)
+    else:
+        k0, k1 = kve01(x)
+    while m + 1.0 < nu:   # (k0, k1) = (K_m, K_{m+1}) e^x
+        m += 1.0
+        k0, k1 = k1, k0 + (2.0 * m / x) * k1
+    return k0 if m == nu else k1
+
+
+# K_0 e^x and K_1 e^x are trapezoid sums at step _KVE_H of one of two
+# integrals.  The t-form, int_0^inf e^(-2x sinh^2(t/2)) (1, cosh t) dt, runs
+# until the exponent passes _KVE_T_CUT: 13 nodes past t = 0 at x = 8, 115 at
+# x = 1e-8, but above x ~ 10 its peak is too narrow for the step.  The
+# s-form (s = sqrt(x) sinh(t/2)),
+# int_0^inf 2 e^(-2 s^2) (1, 1 + 2 s^2/x) (x + s^2)^(-1/2) ds, sums
+# _KVE_S_NODES fixed nodes, the last where e^(-2 s^2) < 1e-16, but below
+# x ~ 1.4 the branch point s = i sqrt(x) comes too near them.  A float takes
+# the t-form below _KVE_T_MAX, where it has fewer nodes; an array takes one
+# form for all of it where one holds (the s-form from _KVE_S_MIN), else the
+# s-form from _KVE_S_MIN and the t-form below.  Both are within 1e-15 of
+# mpmath, and _kve within 1.5e-15 of scipy.special.kve, over x in
+# [1e-8, 1e4] (tests/test_bessel.py).
+_KVE_H = 0.2
+_KVE_S_NODES = 23
+_KVE_S_MIN = 2.0
+_KVE_T_CUT = 45.0
+_KVE_T_MAX = 8.0
+
+
+@functools.cache
+def _kve_s_rule():
+    """The s-form's nodes: (s^2, weight) pairs, and as arrays s^2 and
+    (nodes, 2) of weight and weight * s^2."""
+    s2 = np.square(_KVE_H * np.arange(_KVE_S_NODES))
+    w = 2.0 * _KVE_H * np.exp(-2.0 * s2)
+    w[0] *= 0.5
+    return tuple(zip(s2.tolist(), w.tolist())), s2, np.column_stack([w, w * s2])
+
+
+@functools.cache
+def _kve_t_rule(n: int):
+    """The t-form's first n nodes past t = 0: (sinh^2(t/2), cosh t) pairs,
+    and as arrays sinh^2(t/2) and (n, 2) of 1 and cosh t."""
+    s2 = np.sinh(0.5 * _KVE_H * np.arange(1, n + 1)) ** 2
+    g = 1.0 + 2.0 * s2
+    return tuple(zip(s2.tolist(), g.tolist())), s2, np.column_stack([np.ones(n), g])
+
+
+def _kve_t_nodes(x_min: float) -> tuple[int, int]:
+    """Nodes of the t-form past t = 0 up to its cut at x_min, and the length
+    of the table that holds them: a power of 2, so few tables are built."""
+    n = int(math.asinh(math.sqrt(0.5 * _KVE_T_CUT / x_min)) * 2.0 / _KVE_H) + 1
+    return n, 1 << max(n - 1, 31).bit_length()
+
+
+def _kve01_float(x: float) -> tuple[float, float]:
+    """(K_0(x) e^x, K_1(x) e^x) for a float x > 0."""
+    if x >= _KVE_T_MAX:
+        k0 = k1 = 0.0
+        for s2, w in _kve_s_rule()[0]:
+            c = w / math.sqrt(x + s2)
+            k0 += c
+            k1 += s2 * c
+        return k0, k0 + 2.0 * k1 / x
+    x2 = -2.0 * x
+    k0 = k1 = 0.0
+    for s2, g in _kve_t_rule(_kve_t_nodes(x)[1])[0]:
+        e = x2 * s2
+        if e < -_KVE_T_CUT:
+            break
+        c = math.exp(e)
+        k0 += c
+        k1 += c * g
+    return _KVE_H * (0.5 + k0), _KVE_H * (0.5 + k1)
+
+
+def _kve01_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K_0(x) e^x, K_1(x) e^x) elementwise for an array x > 0."""
+    lo = float(x.min(initial=_KVE_S_MIN))   # an empty x takes the s-form
+    if lo >= _KVE_S_MIN:
+        return _kve01_s(x)
+    if x.max() < _KVE_T_MAX:
+        return _kve01_t(x, lo)
+    far = x >= _KVE_S_MIN
+    near = ~far
+    k0, k1 = np.empty_like(x), np.empty_like(x)
+    k0[far], k1[far] = _kve01_s(x[far])
+    k0[near], k1[near] = _kve01_t(x[near], lo)
+    return k0, k1
+
+
+def _kve01_s(x: np.ndarray):
+    _, s2, w = _kve_s_rule()
+    k = (1.0 / np.sqrt(x[..., None] + s2)) @ w
+    return k[..., 0], k[..., 0] + 2.0 * k[..., 1] / x
+
+
+def _kve01_t(x: np.ndarray, x_min: float):
+    # nodes past the cut of the smallest x add e^-45 or less at the others
+    n, size = _kve_t_nodes(x_min)
+    _, s2, g = _kve_t_rule(size)
+    k = _KVE_H * (0.5 + np.exp(-2.0 * x[..., None] * s2[:n]) @ g[:n])
+    return k[..., 0], k[..., 1]
+
 
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10):
@@ -478,8 +612,7 @@ def integrate(
     # refined event's, or where a failure stopped
     radii, values, slopes = (np.frombuffer(grid, count=n, offset=8 * i * cap) for i in range(3))
     t = Trajectory(radii=radii, values=values, slopes=slopes,
-                   terminal_event=_REFINED.get(code, TerminalEvent.REACHED_RMAX),
-                   terminal_radius=float(radii[-1]), rhs_evals=nfev)
+                   terminal_event=_REFINED.get(code, TerminalEvent.REACHED_RMAX), rhs_evals=nfev)
     if quad:   # the dense pass as one more call, into the rows of out
         out = np.empty((7, _SUB * (n - 1) + 1))
         _kernel.dense(_TAB, prm.buffer_info()[0], st.buffer_info()[0], cnt.buffer_info()[0],

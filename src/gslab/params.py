@@ -103,6 +103,14 @@ class ProblemParams:
         """sqrt(linear_coeff): exponential tail rate, 0 for algebraic tails."""
         return math.sqrt(self.linear_coeff)
 
+    def norm_factors(self, amp: float, lam_sq: float) -> tuple[float, float, float, float]:
+        """(L2^2, Lp^p, Lq^q, dirichlet^2) of amp*u(lam y) over those of u: amp^s
+        lam^-N, and lam^(2-N) for u'^2; lam_sq = lam^2 is passed, not lam."""
+        N = self.N
+        vol = lam_sq ** (-N / 2.0)
+        return (amp**2 * vol, amp**self.p * vol, amp**self.q * vol,
+                amp**2 * lam_sq ** (-(N - 2.0) / 2.0))
+
     def is_algebraic(self) -> bool:
         return self.linear_coeff == 0.0
 

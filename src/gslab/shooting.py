@@ -43,15 +43,14 @@ identity rules out a zero crossing (_pohozaev_root).  Both come to
 it is gslab's one root loop, and finds the concentration radii of
 ``asymptotics`` too.
 
-Beyond the grid a profile is its TailModel.  An exponential tail is
-evaluated once, |u| and u' on 16 Gauss panels of 16 nodes with geometric
-edges over [R, R + 30/k] (_FarField), and every tail norm sums those nodes
-through the panel sum of ``emden``; RadialProfile.far_field keeps the set
-of its grid end R, made on first read, rescaled copies included.  Algebraic
-tails have closed forms.  The decaying mode
-K_nu(x) e^x of the exponential tails and of the shooting proxy is _kve's:
-an upward recurrence from closed forms or two trapezoid sums, so gslab
-imports no scipy.
+A solved profile is a RadialProfile, which owns its read side: its
+integrals over the grid (quad), its copy amp u(lam y) (scaled), and u and
+u' anywhere (value, slope).  Beyond the grid it is its TailModel, whose
+evaluate gives (u, u') from one evaluation of the decaying mode (K_nu e^x
+from ode._kve).  An exponential tail is evaluated once on 16 Gauss panels
+of 16 nodes with geometric edges over [R, R + 30/k] (_FarField), kept on
+first read as RadialProfile.far_field; norm_tail and dirichlet_tail sum it
+through the panel sum of ``emden``, or take an algebraic tail's closed forms.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ from .emden import _gauss_panels, _leggauss, _panel_sum
 from .errors import (BracketNotFound, DivergentNormError, InconsistentSolution,
                      InternalConsistencyError)
 from .ode import (IntegrationFailure, StepControls, TerminalEvent, Trajectory, _ball_nodes,
-                  _drift_coeff, integrate, series_piece)
+                  _drift_coeff, _kve, integrate, series_piece)
 from .params import Family, ProblemParams
 
 __all__ = [
@@ -107,129 +106,6 @@ _MAX_PROBES = 200             # Brent probes per attempt of the amplitude search
 _CONVERGENCE_FACTOR = 1e-8    # an exponential run that reaches r_max below this * a is Converged
 
 
-def _kve(nu: float, x):
-    """K_nu(x) e^x, the scaled modified Bessel function of the second kind,
-    for nu in {0, 1/2, 1, 3/2, ...} and x > 0: a float for a float x, else
-    an array of x's shape.
-
-    The upward recurrence K_{m+1} = K_{m-1} + (2m/x) K_m, stable upward and
-    unchanged by the e^x scaling, runs from the two lowest orders of nu's
-    family: K_{1/2} e^x = sqrt(pi/2x) and K_{3/2} e^x = sqrt(pi/2x) (1 + 1/x)
-    in closed form, K_0 e^x and K_1 e^x as trapezoid sums.  Floats stay in
-    ``math``: the shooting proxy takes one per shot.
-    """
-    m = nu % 1.0   # the lowest order of nu's family
-    if isinstance(x, float):
-        x, sqrt, kve01 = float(x), math.sqrt, _kve01_float
-    else:
-        x, sqrt, kve01 = np.asarray(x, dtype=float), np.sqrt, _kve01_array
-    if m:
-        k0 = sqrt(0.5 * math.pi / x)
-        k1 = k0 * (1.0 + 1.0 / x)
-    else:
-        k0, k1 = kve01(x)
-    while m + 1.0 < nu:   # (k0, k1) = (K_m, K_{m+1}) e^x
-        m += 1.0
-        k0, k1 = k1, k0 + (2.0 * m / x) * k1
-    return k0 if m == nu else k1
-
-
-# K_0 e^x and K_1 e^x are trapezoid sums at step _KVE_H of one of two
-# integrals.  The t-form, int_0^inf e^(-2x sinh^2(t/2)) (1, cosh t) dt, runs
-# until the exponent passes _KVE_T_CUT: 13 nodes past t = 0 at x = 8, 115 at
-# x = 1e-8, but above x ~ 10 its peak is too narrow for the step.  The
-# s-form (s = sqrt(x) sinh(t/2)),
-# int_0^inf 2 e^(-2 s^2) (1, 1 + 2 s^2/x) (x + s^2)^(-1/2) ds, sums
-# _KVE_S_NODES fixed nodes, the last where e^(-2 s^2) < 1e-16, but below
-# x ~ 1.4 the branch point s = i sqrt(x) comes too near them.  A float takes
-# the t-form below _KVE_T_MAX, where it has fewer nodes; an array takes one
-# form for all of it where one holds (the s-form from _KVE_S_MIN), else the
-# s-form from _KVE_S_MIN and the t-form below.  Both are within 1e-15 of
-# mpmath, and _kve within 1.5e-15 of scipy.special.kve, over x in
-# [1e-8, 1e4] (tests/test_bessel.py).
-_KVE_H = 0.2
-_KVE_S_NODES = 23
-_KVE_S_MIN = 2.0
-_KVE_T_CUT = 45.0
-_KVE_T_MAX = 8.0
-
-
-@functools.cache
-def _kve_s_rule():
-    """The s-form's nodes: (s^2, weight) pairs, and as arrays s^2 and
-    (nodes, 2) of weight and weight * s^2."""
-    s2 = np.square(_KVE_H * np.arange(_KVE_S_NODES))
-    w = 2.0 * _KVE_H * np.exp(-2.0 * s2)
-    w[0] *= 0.5
-    return tuple(zip(s2.tolist(), w.tolist())), s2, np.column_stack([w, w * s2])
-
-
-@functools.cache
-def _kve_t_rule(n: int):
-    """The t-form's first n nodes past t = 0: (sinh^2(t/2), cosh t) pairs,
-    and as arrays sinh^2(t/2) and (n, 2) of 1 and cosh t."""
-    s2 = np.sinh(0.5 * _KVE_H * np.arange(1, n + 1)) ** 2
-    g = 1.0 + 2.0 * s2
-    return tuple(zip(s2.tolist(), g.tolist())), s2, np.column_stack([np.ones(n), g])
-
-
-def _kve_t_nodes(x_min: float) -> tuple[int, int]:
-    """Nodes of the t-form past t = 0 up to its cut at x_min, and the length
-    of the table that holds them: a power of 2, so few tables are built."""
-    n = int(math.asinh(math.sqrt(0.5 * _KVE_T_CUT / x_min)) * 2.0 / _KVE_H) + 1
-    return n, 1 << max(n - 1, 31).bit_length()
-
-
-def _kve01_float(x: float) -> tuple[float, float]:
-    """(K_0(x) e^x, K_1(x) e^x) for a float x > 0."""
-    if x >= _KVE_T_MAX:
-        k0 = k1 = 0.0
-        for s2, w in _kve_s_rule()[0]:
-            c = w / math.sqrt(x + s2)
-            k0 += c
-            k1 += s2 * c
-        return k0, k0 + 2.0 * k1 / x
-    x2 = -2.0 * x
-    k0 = k1 = 0.0
-    for s2, g in _kve_t_rule(_kve_t_nodes(x)[1])[0]:
-        e = x2 * s2
-        if e < -_KVE_T_CUT:
-            break
-        c = math.exp(e)
-        k0 += c
-        k1 += c * g
-    return _KVE_H * (0.5 + k0), _KVE_H * (0.5 + k1)
-
-
-def _kve01_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K_0(x) e^x, K_1(x) e^x) elementwise for an array x > 0."""
-    lo = float(x.min(initial=_KVE_S_MIN))   # an empty x takes the s-form
-    if lo >= _KVE_S_MIN:
-        return _kve01_s(x)
-    if x.max() < _KVE_T_MAX:
-        return _kve01_t(x, lo)
-    far = x >= _KVE_S_MIN
-    near = ~far
-    k0, k1 = np.empty_like(x), np.empty_like(x)
-    k0[far], k1[far] = _kve01_s(x[far])
-    k0[near], k1[near] = _kve01_t(x[near], lo)
-    return k0, k1
-
-
-def _kve01_s(x: np.ndarray):
-    _, s2, w = _kve_s_rule()
-    k = (1.0 / np.sqrt(x[..., None] + s2)) @ w
-    return k[..., 0], k[..., 0] + 2.0 * k[..., 1] / x
-
-
-def _kve01_t(x: np.ndarray, x_min: float):
-    # nodes past the cut of the smallest x add e^-45 or less at the others
-    n, size = _kve_t_nodes(x_min)
-    _, s2, g = _kve_t_rule(size)
-    k = _KVE_H * (0.5 + np.exp(-2.0 * x[..., None] * s2[:n]) @ g[:n])
-    return k[..., 0], k[..., 1]
-
-
 @dataclass
 class TailModel:
     """Analytic far-field model matched to the numerical profile.
@@ -251,42 +127,57 @@ class TailModel:
     corr_pm2: float = 0.0     # correction regressor exponent, p - 2
     mismatch: float = 0.0     # max relative residual over the fit window
 
-    def _base(self, r, deriv: bool = False):
-        """The linear mode at r, or its derivative in closed form."""
+    def _mode(self, r):
+        """The linear mode at r and its derivative, in closed form."""
         if self.kind == "Algebraic":
             base = self.prefactor * r ** -(self.N - 2.0)
-            return -(self.N - 2.0) * base / r if deriv else base
+            return base, -(self.N - 2.0) * base / r
         k = self.rate_or_power
         nu = 0.5 * self.N - 1.0
         cb = self.prefactor * math.sqrt(2.0 * k / math.pi)
-        if deriv:   # d/dr [r^-nu K_nu(k r)] = -k r^-nu K_{nu+1}(k r)
-            return -k * cb * r ** -nu * _kve(nu + 1.0, k * r) * np.exp(-k * r)
-        return cb * r ** (1.0 - 0.5 * self.N) * _kve(nu, k * r) * np.exp(-k * r)
+        kr, decay = k * r, np.exp(-k * r)
+        # d/dr [r^-nu K_nu(k r)] = -k r^-nu K_{nu+1}(k r)
+        return (cb * r ** (1.0 - 0.5 * self.N) * _kve(nu, kr) * decay,
+                -k * cb * r ** -nu * _kve(nu + 1.0, kr) * decay)
 
     def _one_plus_kr2(self, r):
         k = self.rate_or_power if self.kind == "Exponential" else 0.0
         return 1.0 + (k * r) ** 2
 
-    def predict(self, r, base=None):
-        """The model at r; ``base`` is the linear mode there, if the caller has it."""
-        r = np.asarray(r, dtype=float)
-        if base is None:
-            base = self._base(r)
+    def _value(self, r, base):
+        """The model at r from its linear mode ``base`` there."""
         g = np.abs(base) ** self.corr_pm2 * r * r / self._one_plus_kr2(r)
-        out = base * (1.0 + self.corr * g)
-        return float(out) if np.ndim(r) == 0 else out
+        return base * (1.0 + self.corr * g)
 
-    def slope(self, r, base=None):
-        """d/dr of predict: the product rule through the correction factor, with
-        g'/g = (p-2) base'/base + 2 / (r (1 + (k r)^2)).  ``base`` as in predict."""
+    def evaluate(self, r):
+        """(u, u') of the model at r, floats for a float r, from one evaluation
+        of the linear mode: u' is the product rule through the correction
+        factor, with g'/g = (p-2) base'/base + 2 / (r (1 + (k r)^2))."""
         r = np.asarray(r, dtype=float)
-        if base is None:
-            base = self._base(r)
-        dbase = self._base(r, deriv=True)
+        base, dbase = self._mode(r)
         kr2 = self._one_plus_kr2(r)
         cg = self.corr * np.abs(base) ** self.corr_pm2 * r * r / kr2
-        out = dbase * (1.0 + cg) + cg * (self.corr_pm2 * dbase + 2.0 * base / (r * kr2))
-        return float(out) if np.ndim(r) == 0 else out
+        du = dbase * (1.0 + cg) + cg * (self.corr_pm2 * dbase + 2.0 * base / (r * kr2))
+        u = self._value(r, base)
+        return (float(u), float(du)) if np.ndim(r) == 0 else (u, du)
+
+    def scaled(self, amp: float, lam_sq: float) -> TailModel:
+        """The model of amp * u(lam y), lam = sqrt(lam_sq) (RadialProfile.scaled).
+
+        base(y) = amp * base_u(lam y): an exponential rate gains lam, the
+        prefactor amp * lam^-power, and the correction regressor |base|^(p-2)
+        r^2 / (1 + (k r)^2) amp^(p-2) lam^-2, which corr absorbs.
+        """
+        lam = math.sqrt(lam_sq)
+        exponential = self.kind == "Exponential"
+        power = (self.N - 1.0) / 2.0 if exponential else self.N - 2.0
+        return replace(
+            self,
+            rate_or_power=self.rate_or_power * lam if exponential else self.rate_or_power,
+            prefactor=self.prefactor * amp * lam ** -power,
+            match_radius=self.match_radius / lam,
+            corr=self.corr * (amp ** -self.corr_pm2 * lam_sq),
+        )
 
     def far_field(self, R: float) -> _FarField:
         """The exponential model on the Gauss panels past R that every tail
@@ -295,46 +186,37 @@ class TailModel:
         k = self.rate_or_power
         edges = R * ((R + 30.0 / k) / R) ** np.linspace(0.0, 1.0, _TAIL_PANELS + 1)
         r, half, w = _gauss_panels(edges, _TAIL_NODES)
-        base = self._base(r)   # one mode for both (_kve twice per node: nu, nu + 1)
-        return _FarField(w * r ** (self.N - 1), half, np.abs(self.predict(r, base)),
-                         self.slope(r, base))
+        u, du = self.evaluate(r)
+        return _FarField(w * r ** (self.N - 1), half, np.abs(u), du)
 
-    def norm_tail(self, s: float, R: float) -> float:
-        """int_R^inf |u_tail|^s r^(N-1) dr (sphere factor excluded)."""
+    def algebraic_norm(self, s: float, R: float) -> float:
+        """int_R^inf |u_tail|^s r^(N-1) dr of an algebraic tail, in closed form
+        (sphere factor excluded)."""
         N = self.N
-        if self.kind == "Algebraic":
-            if s * (N - 2.0) <= N:
-                raise DivergentNormError(
-                    f"s*(N-2) = {s * (N - 2.0):g} <= N = {N}: "
-                    f"the algebraic tail makes the L^{s:g} norm diverge"
-                )
-            try:
-                C = abs(self.prefactor) ** s
-                lead = C * R ** (N - s * (N - 2.0)) / (s * (N - 2.0) - N)
-                gam = (N - 2.0) * self.corr_pm2 - 2.0
-                corr = 0.0
-                if self.corr != 0.0 and s * (N - 2.0) + gam > N:
-                    corr = (
-                        s
-                        * self.corr
-                        * abs(self.prefactor) ** (s + self.corr_pm2)
-                        * R ** (N - s * (N - 2.0) - gam)
-                        / (s * (N - 2.0) + gam - N)
-                    )
-            except OverflowError:
-                raise InconsistentSolution(
-                    f"the L^{s:g} tail of the algebraic tail model (prefactor "
-                    f"{self.prefactor:.3g}) overflows: the fit is not a ground-state tail"
-                ) from None
-            return lead + corr
-        return self.far_field(R).norm(s)
+        if s * (N - 2.0) <= N:
+            raise DivergentNormError(
+                f"s*(N-2) = {s * (N - 2.0):g} <= N = {N}: "
+                f"the algebraic tail makes the L^{s:g} norm diverge"
+            )
+        try:
+            C = abs(self.prefactor) ** s
+            lead = C * R ** (N - s * (N - 2.0)) / (s * (N - 2.0) - N)
+            gam = (N - 2.0) * self.corr_pm2 - 2.0
+            corr = 0.0
+            if self.corr != 0.0 and s * (N - 2.0) + gam > N:
+                corr = (s * self.corr * abs(self.prefactor) ** (s + self.corr_pm2)
+                        * R ** (N - s * (N - 2.0) - gam) / (s * (N - 2.0) + gam - N))
+        except OverflowError:
+            raise InconsistentSolution(
+                f"the L^{s:g} tail of the algebraic tail model (prefactor "
+                f"{self.prefactor:.3g}) overflows: the fit is not a ground-state tail"
+            ) from None
+        return lead + corr
 
-    def dirichlet_tail(self, R: float) -> float:
-        """int_R^inf u_tail'(r)^2 r^(N-1) dr (sphere factor excluded)."""
-        N = self.N
-        if self.kind == "Algebraic":
-            return self.prefactor**2 * (N - 2.0) * R ** -(N - 2.0)
-        return self.far_field(R).dirichlet()
+    def algebraic_dirichlet(self, R: float) -> float:
+        """int_R^inf u_tail'(r)^2 r^(N-1) dr of an algebraic tail, in closed
+        form (sphere factor excluded)."""
+        return self.prefactor**2 * (self.N - 2.0) * R ** -(self.N - 2.0)
 
 
 # The far-field panels of an exponential tail.  Against 600 log-spaced
@@ -386,7 +268,6 @@ class RadialProfile:
     amplitude: float
     grid: Trajectory
     tail: TailModel
-    series: tuple[float, ...]   # c_k of the series piece sum c_k r^(2k) on [0, r0)
     bisection_iterations: int = 0
     bracket: tuple[float, float] = (0.0, 0.0)
     r_max_used: float = 0.0
@@ -421,7 +302,7 @@ class RadialProfile:
         uu = _hermite(t, hh, u0, u1, v0, v1, deriv=False)
         dd = _hermite(t, hh, u0, u1, v0, v1, deriv=True)
         rr0, ww0 = _ball_nodes(self.params.N, float(rg[0]))
-        return _HermitePanels(rr, uu, dd, h, w01, rr0, ww0, *series_piece(self.series, rr0))
+        return _HermitePanels(rr, uu, dd, h, w01, rr0, ww0, *series_piece(self.grid.series, rr0))
 
     @functools.cached_property
     def far_field(self) -> _FarField | None:
@@ -433,18 +314,58 @@ class RadialProfile:
         return self.tail.far_field(float(self.grid.radii[-1]))
 
     def norm_tail(self, s: float) -> float:
-        """int |u|^s r^(N-1) dr past the grid end (TailModel.norm_tail)."""
+        """int |u|^s r^(N-1) dr past the grid end: the far field's sum, or an
+        algebraic tail's closed form."""
         far = self.far_field
         if far is None:
-            return self.tail.norm_tail(s, float(self.grid.radii[-1]))
+            return self.tail.algebraic_norm(s, float(self.grid.radii[-1]))
         return far.norm(s)
 
     def dirichlet_tail(self) -> float:
-        """int u'^2 r^(N-1) dr past the grid end (TailModel.dirichlet_tail)."""
+        """int u'^2 r^(N-1) dr past the grid end, as norm_tail."""
         far = self.far_field
         if far is None:
-            return self.tail.dirichlet_tail(float(self.grid.radii[-1]))
+            return self.tail.algebraic_dirichlet(float(self.grid.radii[-1]))
         return far.dirichlet()
+
+    def quad(self, integrand):
+        """int integrand(r, u, u') r^(N-1) dr over [0, R], R the grid end: the
+        cubic Hermite on the Gauss nodes of every grid panel, and the series
+        piece on its in-ball nodes (panels).
+
+        ``integrand`` may return a stack of k rows (shape (k,) + r.shape),
+        several integrands on one node set: the result is then a list of k
+        integrals, each summed from its own row alone, so it has the bits of
+        that integrand passed by itself.
+        """
+        pan = self.panels
+        vals = integrand(pan.r, pan.u, pan.du) * pan.r ** (self.params.N - 1)
+        bulk = vals * pan.w[None, :] * pan.h[:, None]
+        series = pan.w_series * integrand(pan.r_series, pan.u_series, pan.du_series)
+        if bulk.ndim == 2:
+            return float(np.sum(bulk)) + float(np.sum(series))
+        return [float(np.sum(b)) + float(np.sum(s)) for b, s in zip(bulk, series)]
+
+    def scaled(self, amp: float, lam_sq: float) -> RadialProfile:
+        """amp * u(lam y), lam = sqrt(lam_sq): grid, norm arrays
+        (ProblemParams.norm_factors), series piece and tail (TailModel.scaled)
+        reparameterized exactly, every other field (the counters) carried.
+        The copy builds its own panels and far field.
+
+        The scale enters squared so that both callers keep their bits: the
+        minimizer frame passes S, so each factor is the power of S it always
+        was, and rescale_to_v passes lam ** 2, whose square root is lam again.
+        """
+        lam = math.sqrt(lam_sq)
+        t = self.grid
+        series = tuple(amp * c * lam_sq ** k for k, c in enumerate(t.series))
+        grid = replace(t, radii=t.radii / lam, values=t.values * amp, slopes=t.slopes * (amp * lam),
+                       series=series)
+        grid.norm_l2, grid.norm_lp, grid.norm_lq, grid.norm_dir = (
+            arr * fac for arr, fac in zip((t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir),
+                                          self.params.norm_factors(amp, lam_sq)))
+        return replace(self, amplitude=self.amplitude * amp, grid=grid,
+                       tail=self.tail.scaled(amp, lam_sq), r_max_used=self.r_max_used / lam)
 
     def value(self, r):
         return _eval_profile(self, r, deriv=False)
@@ -485,13 +406,12 @@ def _eval_profile(prof: RadialProfile, r, deriv: bool):
     outer = r_arr > rg[-1]
     mid = ~(inner | outer)
     if inner.any():
-        out[inner] = series_piece(prof.series, r_arr[inner])[int(deriv)]
+        out[inner] = series_piece(prof.grid.series, r_arr[inner])[int(deriv)]
     if mid.any():
         out[mid] = _hermite_eval(rg, prof.grid.values, prof.grid.slopes,
                                  r_arr[mid], deriv)
     if outer.any():
-        fn = prof.tail.slope if deriv else prof.tail.predict
-        out[outer] = fn(r_arr[outer])
+        out[outer] = prof.tail.evaluate(r_arr[outer])[int(deriv)]
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
@@ -1117,7 +1037,7 @@ def _package_profile(params: ProblemParams, a: float, traj: Trajectory,
         )
     t = traj.truncated(keep)
     tail = _fit_tail(params, t, a, atol)
-    return RadialProfile(params=params, amplitude=a, grid=t, tail=tail, series=t.series)
+    return RadialProfile(params=params, amplitude=a, grid=t, tail=tail)
 
 
 # An algebraic tail is fitted on [r_end/30, r_end], r_end the last radius
@@ -1176,7 +1096,7 @@ def _fit_tail(params: ProblemParams, t: Trajectory, a: float, atol: float) -> Ta
 
     rw = r[mask]
     # the model's linear mode on the window is the fitted cb * psi
-    resid = np.abs(model.predict(rw, cb * psi) - u[mask]) / u[mask]
+    resid = np.abs(model._value(rw, cb * psi) - u[mask]) / u[mask]
     model.mismatch = float(resid.max())
     if kind == "Algebraic":
         target = rw[-1] / 2.0

@@ -209,7 +209,6 @@ def _trajectory(rs, us, vs, nfev: int, quad: tuple | None,
         values=values,
         slopes=slopes,
         terminal_event=TerminalEvent.REACHED_RMAX,
-        terminal_radius=float(rs[-1]),
         rhs_evals=nfev,
         series=series,
     )
@@ -297,7 +296,6 @@ def integrate(params: ProblemParams, a: float, r_max: float,
         quad = (params, coeffs, k1, stages)
 
     event: TerminalEvent | None = None
-    r_event = r_max
     end = None   # (u, u') at the end of the last step before an event moved it
     steps = 0
 
@@ -417,7 +415,6 @@ def integrate(params: ProblemParams, a: float, r_max: float,
             event = TerminalEvent.UNDERFLOW
         elif clipped:
             event = TerminalEvent.REACHED_RMAX
-            r_event = r_max
 
         r_stop = r_new
         if quad:
@@ -426,12 +423,11 @@ def integrate(params: ProblemParams, a: float, r_max: float,
         if event is not None and event is not TerminalEvent.REACHED_RMAX:
             # the interpolant, built only for the step that refines an event
             end = u_new, v_new
-            r_event, u_new, v_new = _refine(
+            r_stop, u_new, v_new = _refine(
                 params, event, floor, r, h, u, v, u_new, v_new, r_new,
                 [v, v6, v7, v8, v9, v10, v11, v12, v_new, 0.0, 0.0, 0.0],
                 [k1, k6, k7, k8, k9, k10, k11, k12, k13, 0.0, 0.0, 0.0])
             nfev += 3
-            r_stop = r_event
 
         r, u, v = r_stop, u_new, v_new
         k1 = k13
@@ -442,7 +438,7 @@ def integrate(params: ProblemParams, a: float, r_max: float,
         if settle and event is None and 0.0 < u < half and v < 0.0:
             g = u**pm2 * r * r
             if g < ode._SETTLE_G and abs(u + r * v / n2) > drift * u * g:
-                event, r_event = TerminalEvent.REACHED_RMAX, r
+                event = TerminalEvent.REACHED_RMAX
 
         if event is None:
             fac = 0.9 * (err + 1e-300) ** -0.125
@@ -450,5 +446,4 @@ def integrate(params: ProblemParams, a: float, r_max: float,
 
     t = _trajectory(rs, us, vs, nfev, quad, end)
     t.terminal_event = event
-    t.terminal_radius = r_event
     return t

@@ -97,7 +97,7 @@ def test_amplitude_within_amp_tol_of_second_order_reference(params, solutions, m
     monkeypatch.setattr(ode, "default_handoff_radius", second_order_radius)
     ref = solve_ground_state(params, SECOND_ORDER_REFERENCE)
     assert len(handoffs) == ref.profile.integrations   # every shot started second-order
-    assert len(ref.profile.series) == 2
+    assert len(ref.profile.grid.series) == 2
     assert sol.amplitude == pytest.approx(ref.amplitude, rel=ShootControls().amp_tol, abs=0.0)
 
 

@@ -1,7 +1,7 @@
 """The one-pass W_1 distances against the two-pass routine they replaced.
 
 ``asymptotics.profile_distances`` sums ||grad(v - W_1)||_2^2 and
-||v - W_1||_p^p as the two rows of one stack: one ``functionals._grid_quad``
+||v - W_1||_p^p as the two rows of one stack: one ``RadialProfile.quad``
 on v's Gauss panels and one ``emden.radial_quad`` past the grid, with W_1's
 value and slope and the tail model's linear mode evaluated once per node
 set.  The reference below is the routine before that: one quadrature per
@@ -17,7 +17,6 @@ import pytest
 
 from gslab import (EmdenFowlerProfile, Family, ProblemParams, concentration_lambda, rescale_to_v,
                    solve_ground_state)
-from gslab import functionals as fn
 from gslab.asymptotics import profile_distances
 from gslab.emden import radial_quad
 from gslab.params import sphere_area
@@ -27,13 +26,13 @@ def _two_pass_distances(v, ref):
     N = v.params.N
     p = v.params.p
     omega = sphere_area(N)
-    d1_sq = fn._grid_quad(v, lambda r, u, du: (du - ref.slope(r)) ** 2)
-    lp = fn._grid_quad(v, lambda r, u, du: np.abs(u - ref.value(r)) ** p)
+    d1_sq = v.quad(lambda r, u, du: (du - ref.slope(r)) ** 2)
+    lp = v.quad(lambda r, u, du: np.abs(u - ref.value(r)) ** p)
     R = float(v.grid.radii[-1])
     scale = math.sqrt(N * (N - 2.0)) * ref.lam / ref._stretch()
-    d1_sq += radial_quad(lambda r: (ref.slope(r) - v.tail.slope(r)) ** 2, N,
+    d1_sq += radial_quad(lambda r: (ref.slope(r) - v.tail.evaluate(r)[1]) ** 2, N,
                          r_lo=R, scale=max(scale, R / 10.0))
-    lp += radial_quad(lambda r: np.abs(ref.value(r) - v.tail.predict(r)) ** p, N,
+    lp += radial_quad(lambda r: np.abs(ref.value(r) - v.tail.evaluate(r)[0]) ** p, N,
                       r_lo=R, scale=max(scale, R / 10.0))
     return math.sqrt(omega * d1_sq), (omega * lp) ** (1.0 / p)
 

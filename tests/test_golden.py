@@ -14,7 +14,7 @@ needs the last probe to close its bracket began to land past Brent's
 abscissa, on Dormand-Prince 8(5,3) at atol 1e-14 / rtol 1e-12, every shot
 started from the series piece of ``ode`` (the power series in r^2 to
 k = 8, handed off where its first omitted term falls below 1e-16 u(0)),
-with K_nu e^x from ``shooting._kve``.  Older pins stay asserted at a
+with K_nu e^x from ``ode._kve``.  Older pins stay asserted at a
 tolerance: those taken while the final pass summed its interpolant through
 OpenBLAS's gemv (GEMV_PINS), those taken while K_nu e^x came from
 scipy.special.kve (SCIPY_KVE_PINS and the like), those taken with every
@@ -335,8 +335,8 @@ def test_forced_loose_probes_fall_back_to_golden_bitwise(params, amplitude, leve
 
 
 # The read side: (params, radial_norm(prof, p), dirichlet_norm,
-# tail.norm_tail(2.0, R), tail.dirichlet_tail(R)) with R the last grid
-# radius; None where the algebraic tail makes the L^2 norm diverge.  The
+# prof.norm_tail(2.0), prof.dirichlet_tail()), the tail pieces past the last
+# grid radius R; None where the algebraic tail makes the L^2 norm diverge.  The
 # exponential tails' Dirichlet terms were re-pinned when TailModel.slope
 # became the closed-form derivative.  The tail pieces moved by 1-11% when
 # the start became the series piece (the truncation moved by a grid point).
@@ -364,7 +364,7 @@ READ_SIDE = [
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
 
-# The exponential tail pieces (norm_tail(2.0, R), dirichlet_tail(R)) of the
+# The exponential tail pieces (norm_tail(2.0), dirichlet_tail()) of the
 # 16 x 32 Gauss rule on squared-linspace panels over [R, R + 60/decay]; the
 # geometric panels moved them by at most 8.9e-16, so they hold at 2e-15 (on
 # the profile they were taken on: P_eps's at its SERIES_PINS amplitude,
@@ -376,7 +376,7 @@ SQUARED_LINSPACE_TAIL_PINS = {
 }
 SQUARED_LINSPACE_TAIL_TOL = 2e-15
 
-# The exponential tail pieces (norm_tail(2.0, R), dirichlet_tail(R)) while
+# The exponential tail pieces (norm_tail(2.0), dirichlet_tail()) while
 # K_nu e^x came from scipy.special.kve.  On the profile they were taken on
 # (R_zero's at its SCIPY_KVE_PINS amplitude: today's grid ends at another
 # radius, which moved its pieces by 1.5e-4) _kve moved them by at most
@@ -409,15 +409,14 @@ def test_read_side_norms_match_golden_bitwise(params, norm_p, dirichlet, tail_l2
     from gslab import DivergentNormError, dirichlet_norm, radial_norm
 
     prof = solve_ground_state(params).profile
-    R = float(prof.grid.radii[-1])
     assert float(radial_norm(prof, params.p)).hex() == norm_p
     assert float(dirichlet_norm(prof)).hex() == dirichlet
     if tail_l2 is None:
         with pytest.raises(DivergentNormError):
-            prof.tail.norm_tail(2.0, R)
+            prof.norm_tail(2.0)
     else:
-        assert float(prof.tail.norm_tail(2.0, R)).hex() == tail_l2
-    assert float(prof.tail.dirichlet_tail(R)).hex() == tail_dir
+        assert float(prof.norm_tail(2.0)).hex() == tail_l2
+    assert float(prof.dirichlet_tail()).hex() == tail_dir
     old_norm_p, old_dirichlet = GEMV_PINS[params.family][4:]
     assert _near(radial_norm(prof, params.p), old_norm_p, GEMV_TOL)
     assert _near(dirichlet_norm(prof), old_dirichlet, GEMV_TOL)
@@ -425,9 +424,8 @@ def test_read_side_norms_match_golden_bitwise(params, norm_p, dirichlet, tail_l2
         old_l2, old_dir = SCIPY_KVE_TAIL_PINS[params.family]
         old = (_profile_at(params, SCIPY_KVE_PINS[params.family][0])
                if params.family in SCIPY_KVE_PINS else prof)
-        R_old = float(old.grid.radii[-1])
-        assert _near(old.tail.norm_tail(2.0, R_old), old_l2, SCIPY_KVE_TAIL_TOL)
-        assert _near(old.tail.dirichlet_tail(R_old), old_dir, SCIPY_KVE_TAIL_TOL)
+        assert _near(old.norm_tail(2.0), old_l2, SCIPY_KVE_TAIL_TOL)
+        assert _near(old.dirichlet_tail(), old_dir, SCIPY_KVE_TAIL_TOL)
     if params.family in SCIPY_KVE_PINS:
         old_norm_p, old_dirichlet = SCIPY_KVE_PINS[params.family][4:]
         assert _near(radial_norm(prof, params.p), old_norm_p, SCIPY_KVE_TOL["read_side"])
@@ -436,9 +434,8 @@ def test_read_side_norms_match_golden_bitwise(params, norm_p, dirichlet, tail_l2
         old_l2, old_dir = SQUARED_LINSPACE_TAIL_PINS[params.family]
         pinned = {**SCIPY_KVE_PINS, **SERIES_PINS}.get(params.family)
         old = prof if pinned is None else _profile_at(params, pinned[0])
-        R_old = float(old.grid.radii[-1])
-        assert _near(old.tail.norm_tail(2.0, R_old), old_l2, SQUARED_LINSPACE_TAIL_TOL)
-        assert _near(old.tail.dirichlet_tail(R_old), old_dir, SQUARED_LINSPACE_TAIL_TOL)
+        assert _near(old.norm_tail(2.0), old_l2, SQUARED_LINSPACE_TAIL_TOL)
+        assert _near(old.dirichlet_tail(), old_dir, SQUARED_LINSPACE_TAIL_TOL)
     if params.family in SERIES_PINS:
         old_norm_p, old_dirichlet = SERIES_PINS[params.family][4:]
         assert _near(radial_norm(prof, params.p), old_norm_p, SERIES_TOL["read_side"])

@@ -6,7 +6,7 @@ numpy pass.  The loops below are the reference: one numpy pass per panel,
 accumulated in panel order.  Both quadratures built on it (the far field of
 ``shooting.TailModel`` and ``emden.radial_quad``) must return the loop's
 value bit for bit, with the same type.  ``radial_quad`` and
-``functionals._grid_quad`` also take a stack of integrands and return one
+``RadialProfile.quad`` also take a stack of integrands and return one
 sum per row, each with the bits of its integrand passed alone.
 """
 
@@ -17,7 +17,7 @@ import pytest
 
 from gslab import EmdenFowlerProfile, Family, ProblemParams, find_ground_state, solve_ground_state
 from gslab.emden import _leggauss, eval_U, eval_U_slope, radial_quad, sobolev_constant
-from gslab.functionals import _grid_quad, analyze, dirichlet_norm, radial_norm
+from gslab.functionals import analyze, dirichlet_norm, radial_norm
 from gslab.shooting import TailModel
 
 
@@ -85,15 +85,13 @@ def test_exp_tail_quad_matches_panel_loop_bitwise(params, profiles):
     # smooth integrand for the panels
     far = tail.far_field(R)
     for s in (2.0, params.p, params.q):
-        want = _exp_tail_loop(lambda r, s=s: np.abs(tail.predict(r)) ** s, N, R, k)
+        want = _exp_tail_loop(lambda r, s=s: np.abs(tail.evaluate(r)[0]) ** s, N, R, k)
         _same(far.norm(s), want)
         if tail.kind == "Exponential":
-            _same(tail.norm_tail(s, R), want)
             _same(prof.norm_tail(s), want)
-    want = _exp_tail_loop(lambda r: tail.slope(r) ** 2, N, R, k)
+    want = _exp_tail_loop(lambda r: tail.evaluate(r)[1] ** 2, N, R, k)
     _same(far.dirichlet(), want)
     if tail.kind == "Exponential":
-        _same(tail.dirichlet_tail(R), want)
         _same(prof.dirichlet_tail(), want)
 
 
@@ -128,19 +126,19 @@ def test_exp_tail_within_1e12_of_fine_reference(params):
     tail, R, N = prof.tail, float(prof.grid.radii[-1]), params.N
     k = tail.rate_or_power
     for s in (2.0, params.p, params.q):
-        want = _reference_tail(lambda r, s=s: np.abs(tail.predict(r)) ** s, N, R, s * k)
+        want = _reference_tail(lambda r, s=s: np.abs(tail.evaluate(r)[0]) ** s, N, R, s * k)
         assert prof.norm_tail(s) == pytest.approx(want, rel=1e-12, abs=0.0)
-    want = _reference_tail(lambda r: tail.slope(r) ** 2, N, R, 2.0 * k)
+    want = _reference_tail(lambda r: tail.evaluate(r)[1] ** 2, N, R, 2.0 * k)
     assert prof.dirichlet_tail() == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_tail_model_is_evaluated_once_per_profile(monkeypatch):
     # analyze's four tail terms, radial_norm and dirichlet_norm all sum the
-    # one far-field set of the profile: one predict and one slope call, which
-    # share the Bessel mode, so the far field evaluates shooting._kve twice
-    # per node (K_nu for the mode, K_{nu+1} for its derivative)
+    # one far-field set of the profile: one evaluate call, one evaluation of
+    # the linear mode, so the far field evaluates ode._kve twice per node
+    # (K_nu for the mode, K_{nu+1} for its derivative)
     prof = find_ground_state(GOLDEN[0].values[0])
-    calls = {"predict": 0, "slope": 0, "_base": 0}
+    calls = {"evaluate": 0, "_mode": 0}
     for name in calls:
         method = getattr(TailModel, name)
 
@@ -152,7 +150,7 @@ def test_tail_model_is_evaluated_once_per_profile(monkeypatch):
     analyze(prof)
     radial_norm(prof, prof.params.p)
     dirichlet_norm(prof)
-    assert calls == {"predict": 1, "slope": 1, "_base": 2}
+    assert calls == {"evaluate": 1, "_mode": 1}
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
@@ -182,7 +180,7 @@ def test_radial_quad_on_profile_distance_integrand_matches_loop(params, profiles
     tail, R = prof.tail, float(prof.grid.radii[-1])
     ref = EmdenFowlerProfile(params.N, 1.0, "W")
     scale = max(math.sqrt(params.N * (params.N - 2.0)) / ref._stretch(), R / 10.0)
-    g = lambda r: np.abs(ref.value(r) - tail.predict(r)) ** params.p
+    g = lambda r: np.abs(ref.value(r) - tail.evaluate(r)[0]) ** params.p
     _same(radial_quad(g, params.N, r_lo=R, scale=scale),
           _radial_quad_loop(g, params.N, r_lo=R, scale=scale))
 
@@ -190,7 +188,7 @@ def test_radial_quad_on_profile_distance_integrand_matches_loop(params, profiles
 @pytest.mark.parametrize("params", [GOLDEN[0], GOLDEN[3]])
 def test_radial_quad_stacked_rows_match_loop_bitwise(params, profiles):
     # profile_distances' two integrands past the grid as the rows of one
-    # stack, the tail's linear mode shared: each row has the loop's bits of
+    # stack, the tail model evaluated once: each row has the loop's bits of
     # its integrand alone
     prof = profiles(params)
     tail, R, N, p = prof.tail, float(prof.grid.radii[-1]), params.N, params.p
@@ -198,15 +196,14 @@ def test_radial_quad_stacked_rows_match_loop_bitwise(params, profiles):
     scale = max(math.sqrt(N * (N - 2.0)) / ref._stretch(), R / 10.0)
 
     def rows(r):
-        base = tail._base(r)
-        return np.stack(((tail.slope(r, base) - ref.slope(r)) ** 2,
-                         np.abs(tail.predict(r, base) - ref.value(r)) ** p))
+        u, du = tail.evaluate(r)
+        return np.stack(((du - ref.slope(r)) ** 2, np.abs(u - ref.value(r)) ** p))
 
     got = radial_quad(rows, N, r_lo=R, scale=scale)
     assert len(got) == 2
-    _same(got[0], _radial_quad_loop(lambda r: (ref.slope(r) - tail.slope(r)) ** 2, N,
+    _same(got[0], _radial_quad_loop(lambda r: (ref.slope(r) - tail.evaluate(r)[1]) ** 2, N,
                                     r_lo=R, scale=scale))
-    _same(got[1], _radial_quad_loop(lambda r: np.abs(ref.value(r) - tail.predict(r)) ** p, N,
+    _same(got[1], _radial_quad_loop(lambda r: np.abs(ref.value(r) - tail.evaluate(r)[0]) ** p, N,
                                     r_lo=R, scale=scale))
 
 
@@ -217,10 +214,10 @@ def test_grid_quad_stacked_rows_match_single_rows_bitwise(params, profiles):
     prof = profiles(params)
     p = params.p
     singles = [lambda r, u, du: du * du, lambda r, u, du: np.abs(u) ** p]
-    got = _grid_quad(prof, lambda r, u, du: np.stack([g(r, u, du) for g in singles]))
+    got = prof.quad(lambda r, u, du: np.stack([g(r, u, du) for g in singles]))
     assert len(got) == 2
     for row, g in zip(got, singles):
-        _same(row, _grid_quad(prof, g))
+        _same(row, prof.quad(g))
 
 
 @pytest.mark.parametrize("r_lo, r_hi", [(2.0, 1.0), (2.0, 2.0)])

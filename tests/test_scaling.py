@@ -15,8 +15,7 @@ from gslab import (EmdenFowlerProfile, Family, ProblemParams, concentration_lamb
                    solve_ground_state, to_minimizer_frame)
 from gslab.asymptotics import profile_distances
 from gslab.ode import series_coefficients
-from gslab.functionals import (_norm_factors, _norms_from_trajectory, analyze, dirichlet_norm,
-                               radial_norm, scale_profile)
+from gslab.functionals import _norms_from_trajectory, analyze, dirichlet_norm, radial_norm
 from gslab.shooting import TailModel
 
 # the four golden cases of tests/test_golden.py
@@ -42,11 +41,12 @@ def test_scaled_norms_follow_the_closed_form_powers(params, log_amp, log_lam):
     # int |amp u(lam y)|^s dy = amp^s lam^-N int |u|^s, and the Dirichlet
     # integral gains amp^2 lam^(2-N).  The tail's Dirichlet term is checked
     # on its own too, since the bulk outweighs it in dirichlet_norm: it
-    # scales exactly only if TailModel.slope is the model's exact derivative.
+    # scales exactly only if TailModel.evaluate's u' is the model's exact
+    # derivative.
     u = _profile(params)
     amp, lam = math.exp(log_amp), math.exp(log_lam)
     N, p, q = params.N, params.p, params.q
-    v = scale_profile(u, amp, lam * lam)
+    v = u.scaled(amp, lam * lam)
     vol = lam**-N
     factors = (amp**2 * vol, amp**p * vol, amp**q * vol, amp**2 * lam ** (2 - N))
     for got, base, fac in zip(_norms_from_trajectory(v), _norms_from_trajectory(u), factors):
@@ -59,9 +59,7 @@ def test_scaled_norms_follow_the_closed_form_powers(params, log_amp, log_lam):
                                                   rel=1e-13, abs=0.0)
     dir_fac = factors[3]
     assert dirichlet_norm(v) == pytest.approx(dir_fac * dirichlet_norm(u), rel=1e-13, abs=0.0)
-    R = float(u.grid.radii[-1])
-    assert v.tail.dirichlet_tail(R / lam) == pytest.approx(dir_fac * u.tail.dirichlet_tail(R),
-                                                           rel=1e-13, abs=0.0)
+    assert v.dirichlet_tail() == pytest.approx(dir_fac * u.dirichlet_tail(), rel=1e-13, abs=0.0)
 
 
 # Before the series piece was scaled with the profile, evaluating just below
@@ -80,9 +78,8 @@ def test_rescaled_profile_is_continuous_at_first_grid_radius(params, rescale):
     u = _profile(params)
     # the series is the final pass's own, and a rescaled grid carries the
     # rescaled one
-    assert u.series == u.grid.series == series_coefficients(params, u.amplitude)
+    assert u.grid.series == series_coefficients(params, u.amplitude)
     v = rescale(u)
-    assert v.grid.series == v.series
     below = np.nextafter(v.grid.radii[0], 0.0)
     assert v.value(below) == pytest.approx(v.grid.values[0], rel=1e-12, abs=0.0)
     assert v.slope(below) == pytest.approx(v.grid.slopes[0], rel=1e-12, abs=0.0)
@@ -95,7 +92,7 @@ def test_rescaled_profile_is_continuous_at_first_grid_radius(params, rescale):
 @pytest.mark.parametrize("rescale", [
     pytest.param(lambda u: to_minimizer_frame(u, 2.9), id="frame-S2.9"),
     pytest.param(lambda u: rescale_to_v(u, 9.0), id="v-lam9"),
-    pytest.param(lambda u: scale_profile(u, 0.3, 4.0), id="amp0.3-lamsq4"),
+    pytest.param(lambda u: u.scaled(0.3, 4.0), id="amp0.3-lamsq4"),
 ])
 def test_rescaled_profile_builds_its_own_panels(params, rescale):
     u = _profile(params)
@@ -129,7 +126,7 @@ def test_rescaled_profile_builds_its_own_far_field(params, rescale, amp_lam_sq):
     else:
         assert v.far_field is not built
         assert v.far_field.u.shape == built.u.shape
-    l2, lp, lq, dir_ = _norm_factors(params, *amp_lam_sq(params.N))
+    l2, lp, lq, dir_ = params.norm_factors(*amp_lam_sq(params.N))
     pairs = [(params.p, lp), (params.q, lq)]
     if u.tail.kind == "Exponential":
         pairs.append((2.0, l2))

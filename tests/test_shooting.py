@@ -8,6 +8,7 @@ from gslab import (
     BracketNotFound,
     Classification,
     Family,
+    IntegrationFailure,
     ProblemParams,
     ShootControls,
     TerminalEvent,
@@ -33,7 +34,6 @@ def _mk_traj(event, values=(1.0, 0.5, 0.1), slopes=(-0.1, -0.1, -0.05)):
         values=np.array(values, dtype=float),
         slopes=np.array(slopes, dtype=float),
         terminal_event=event,
-        terminal_radius=2.0,
     )
 
 
@@ -51,8 +51,7 @@ def test_profile_without_norm_arrays_is_refused():
     params = ProblemParams(3, 4.0, 6.0, 1e-2, Family.P_EPS)
     tail = shooting.TailModel("Exponential", 0.1, 1.0, 2.0, 3)
     with pytest.raises(ValueError, match="norm arrays"):
-        shooting.RadialProfile(params, 1.0, _mk_traj(TerminalEvent.REACHED_RMAX), tail,
-                               series=(1.0,))
+        shooting.RadialProfile(params, 1.0, _mk_traj(TerminalEvent.REACHED_RMAX), tail)
 
 
 def test_classify_rmax_threshold():
@@ -147,7 +146,7 @@ def test_tail_residual_at_twice_match_radius():
     r_chk = min(2.0 * rm, r_end)
     idx = np.argmin(np.abs(prof.grid.radii - r_chk))
     u_num = prof.grid.values[idx]
-    u_tail = prof.tail.predict(prof.grid.radii[idx])
+    u_tail = prof.tail.evaluate(prof.grid.radii[idx])[0]
     assert abs(u_tail - u_num) / u_num < 1e-3
 
 
@@ -455,13 +454,116 @@ def test_loose_shots_read_the_class_at_a_small_window_end():
     assert max(sol.nehari_residual, sol.pokhozhaev_residual) <= 4.5e-7   # 4.40e-7 measured
 
 
+CRITICAL_N5 = ProblemParams(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)
+
+
+def _failing_integrate(monkeypatch, fails):
+    """Patch shooting.integrate so that a call for which fails(a, tol) holds
+    fails in the kernel (its step budget cut to 5 steps).  Returns the calls
+    as (amplitude, tol, RHS evaluations, failed), a count kept apart from the
+    solve's own: a failed call counts its partial trajectory's evaluations."""
+    calls = []
+    real = shooting.integrate
+
+    def patched(p, a, r_max, tol):
+        if fails(a, tol):
+            with pytest.raises(IntegrationFailure) as info:
+                real(p, a, r_max, replace(tol, max_steps=5))
+            calls.append((a, tol, info.value.partial.rhs_evals, True))
+            raise info.value
+        t = real(p, a, r_max, tol)
+        calls.append((a, tol, t.rhs_evals, False))
+        return t
+
+    monkeypatch.setattr(shooting, "integrate", patched)
+    return calls
+
+
+def _assert_counted(prof, calls):
+    assert prof.integrations == len(calls)
+    assert prof.rhs_evals == sum(nfev for _, _, nfev, _ in calls)
+    loose = shooting._loose_step(ShootControls().step)
+    assert prof.loose_integrations == sum(tol == loose for _, tol, _, _ in calls)
+
+
+@pytest.mark.parametrize("params", [R_ZERO_34, CRITICAL_N5], ids=["R_zero", "critical-N5"])
+def test_failed_loose_shot_runs_again_tight(params, monkeypatch):
+    # the first loose shot (the lower scan's first) fails: shoot runs it
+    # again tight, and the solve counts the failed call with its partial
+    # RHS evaluations
+    want = find_ground_state(params)
+    loose = shooting._loose_step(ShootControls().step)
+    failed = []
+
+    def first_loose(a, tol):
+        if tol == loose and not failed:
+            failed.append(a)
+            return True
+        return False
+
+    calls = _failing_integrate(monkeypatch, first_loose)
+    prof = find_ground_state(params)
+    assert [(a, tol, bad) for a, tol, _, bad in calls[:2]] == [
+        (failed[0], loose, True), (failed[0], ShootControls().step, False)]
+    assert not any(bad for *_, bad in calls[2:])
+    _assert_counted(prof, calls)
+    assert prof.fallbacks == 0
+    assert abs(prof.amplitude - want.amplitude) <= ShootControls().amp_tol * want.amplitude
+
+
+def test_failed_hint_shot_rebuilds_the_bracket(monkeypatch):
+    # every shot at the hint's lower end fails, loose and then tight: the
+    # hint is dropped, and the scans build the bracket as in the unhinted
+    # solve, shot for shot, after the two failed calls
+    unhinted = _failing_integrate(monkeypatch, lambda a, tol: False)
+    want = find_ground_state(CRITICAL_N5)
+    monkeypatch.undo()
+    hint = (0.99 * want.amplitude, 1.01 * want.amplitude)
+    calls = _failing_integrate(monkeypatch, lambda a, tol: a == hint[0])
+    prof = find_ground_state(CRITICAL_N5, ShootControls(bracket_hint=hint))
+    loose = shooting._loose_step(ShootControls().step)
+    assert [(a, tol, bad) for a, tol, _, bad in calls[:2]] == [
+        (hint[0], loose, True), (hint[0], ShootControls().step, True)]
+    assert [(a, tol) for a, tol, _, _ in calls[2:]] == [(a, tol) for a, tol, _, _ in unhinted]
+    assert not any(bad for *_, bad in calls[2:])
+    _assert_counted(prof, calls)
+    assert abs(prof.amplitude - want.amplitude) <= ShootControls().amp_tol * want.amplitude
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS), id="P_eps"),
+    pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO), id="P_zero"),
+    pytest.param(R_ZERO_34, id="R_zero"),
+    pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS), id="R_eps"),
+])
+def test_profile_past_its_grid_is_its_tail(params):
+    # the golden profiles (tests/test_golden.py), three exponential tails and
+    # one algebraic.  Past the last grid radius R, value and slope are
+    # TailModel.evaluate's, bit for bit, on an array and on a float.  Just
+    # past R the value is within the tail's fit mismatch of the grid's last
+    # value; the fit matches values, not slopes, and the slope gap is bounded
+    # by twice the mismatch (P_eps's is 1.32 times it, the others' below 1)
+    prof = find_ground_state(params)
+    R = float(prof.grid.radii[-1])
+    r = R * np.array([1.5, 2.0, 4.0])
+    u, du = prof.tail.evaluate(r)
+    assert prof.value(r).tobytes() == u.tobytes()
+    assert prof.slope(r).tobytes() == du.tobytes()
+    for x in r.tolist():
+        assert (prof.value(x), prof.slope(x)) == prof.tail.evaluate(x)
+    past = float(np.nextafter(R, np.inf))
+    mismatch = prof.tail.mismatch
+    assert abs(prof.value(past) / prof.grid.values[-1] - 1.0) <= mismatch
+    assert abs(prof.slope(past) / prof.grid.slopes[-1] - 1.0) <= 2.0 * mismatch
+
+
 def test_bracket_hint_is_clipped_to_the_admissible_window(misread_loose_shot):
     # critical N=5: a hint whose upper end lies above u_hi, the largest root
     # of f (there u''(0) > 0 and every shot reads Undershoot), is clipped to
     # u_hi (1 - 1e-9), the top of the window the upper scan starts from.
     # The solve is then the one the clipped hint gives, bitwise, and no shot
     # goes above the clip point.
-    params = ProblemParams(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)
+    params = CRITICAL_N5
     a = find_ground_state(params).amplitude
     clip = shooting._f_positive_roots(params)[1] * (1.0 - 1e-9)
     assert a < clip < 5.0
@@ -473,7 +575,8 @@ def test_bracket_hint_is_clipped_to_the_admissible_window(misread_loose_shot):
     for name in ("radii", "values", "slopes", "norm_l2", "norm_lp", "norm_lq", "norm_dir"):
         assert getattr(prof.grid, name).tobytes() == getattr(want.grid, name).tobytes()
     assert prof.tail == want.tail
-    fields = ("amplitude", "series", "bracket", "amp_error", "integrations", "rhs_evals",
+    assert prof.grid.series == want.grid.series
+    fields = ("amplitude", "bracket", "amp_error", "integrations", "rhs_evals",
               "loose_integrations", "bisection_iterations", "fallbacks")
     assert [getattr(prof, f) for f in fields] == [getattr(want, f) for f in fields]
 
@@ -559,7 +662,7 @@ def test_absurd_algebraic_tail_fit_raises_inconsistent_solution(p, q, drift):
     # sides of a*, these draws' final passes decayed like the singular Emden
     # solution r^(-2/(p-2)), not like r^-4, and the algebraic tail fitted to
     # them had a prefactor of e^924 (math.exp overflowed in _fit_tail) or
-    # 8e142 (its L^2 tail overflowed in TailModel.norm_tail).  The draws now
+    # 8e142 (its L^2 tail overflowed in TailModel.algebraic_norm).  The draws now
     # solve (test_p_zero_draws_that_read_converged_on_both_sides_solve), so
     # a synthetic far field just steeper than the singular one stands in:
     # r^2 u^(p-2) drifts so little that the fit's two columns are nearly
@@ -571,9 +674,10 @@ def test_absurd_algebraic_tail_fit_raises_inconsistent_solution(p, q, drift):
     r = np.geomspace(1.0, 1e6, 200)
     u = r ** -((2.0 + drift) / (p - 2.0))
     t = Trajectory(radii=r, values=u, slopes=np.gradient(u, r),
-                   terminal_event=TerminalEvent.REACHED_RMAX, terminal_radius=float(r[-1]))
+                   terminal_event=TerminalEvent.REACHED_RMAX)
     with pytest.raises(InconsistentSolution, match="overflows"):
-        shooting._fit_tail(params, t, 1.0, ShootControls().step.atol).norm_tail(2.0, float(r[-1]))
+        shooting._fit_tail(params, t, 1.0, ShootControls().step.atol).algebraic_norm(
+            2.0, float(r[-1]))
 
 
 @pytest.mark.parametrize("N, p, q", [(5, 3.422389270243452, 6.840237355186352),
