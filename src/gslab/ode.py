@@ -26,15 +26,21 @@ mode of the tail models and the shooting proxy in ``shooting``: _kve gives
 K_nu(x) e^x by an upward recurrence from closed forms or two trapezoid
 sums, so gslab imports no scipy.
 
-``integrate`` is the hot loop of every solve, and each shot is one call of
-a C kernel, ``_dop853.c``: the series start, the step loop (the twelve
-stages, the error norm, step control, event detection, the stage buffer of
-a run with quadrature and the settled stop) and the refinement of the
-terminal event; a run with quadrature makes one more call, for its dense
-pass.  With quadrature on, each accepted step only appends its stages to a
-flat buffer, and the dense pass builds every step's interpolant, the
-interior grid points and the four cumulative norm arrays after the loop.
-Its powers are libm's ``pow``, and every dot product of the interpolant and
+Each shot is one call of a C kernel, ``_dop853.c``: the series start, the
+step loop (the twelve stages, the error norm, step control, event
+detection, the stage buffer of a run with quadrature and the settled stop)
+and the refinement of the terminal event; a run with quadrature makes one
+more call, for its dense pass.  The kernel writes into blocks its caller
+owns, and a ``Shot`` holds them for one (params, r_max, StepControls): a
+parameter block of which a shot writes only the amplitude, the state, the
+counters and a grid that only ever grows.  The amplitude search reuses one
+Shot per fidelity for all its shots, and ``Shot.end`` returns what it reads
+of one, the last two grid rows as Python floats (``ShotEnd``); ``integrate``
+runs a fresh Shot and returns its whole grid (a solve's final pass).  With
+quadrature on, each accepted step only appends its stages to a flat
+buffer, and the dense pass builds every step's interpolant, the interior
+grid points and the four cumulative norm arrays after the loop.  Its
+powers are libm's ``pow``, and every dot product of the interpolant and
 every sum over nodes runs left to right from 0.0, so no sum goes through
 BLAS, whose kernels add in an order that depends on the CPU.  At import
 ``_native.build`` compiles the file once into the cache directory (the
@@ -81,6 +87,8 @@ __all__ = [
     "series_start",
     "default_handoff_radius",
     "integrate",
+    "Shot",
+    "ShotEnd",
 ]
 
 
@@ -157,9 +165,10 @@ class Trajectory:
 
 
 class IntegrationFailure(RuntimeError):
-    """Step size collapsed (or step budget exhausted); carries the partial grid."""
+    """Step size collapsed (or step budget exhausted); carries the partial
+    run: its Trajectory, or a search shot's ShotEnd (Shot.end)."""
 
-    def __init__(self, message: str, partial: Trajectory):
+    def __init__(self, message: str, partial: Trajectory | ShotEnd):
         super().__init__(message)
         self.partial = partial
 
@@ -539,6 +548,7 @@ _BAD_RMAX, _BAD_AMP = 12, 13
 # of the step a refined event moved (5, 6); u'' at r0 (7); the settled
 # stop's constants (8-10); then the series coefficients
 _S_COEFFS = 11
+_P_A = 8   # the amplitude's slot in the parameter block (P_A)
 _GRID0 = 256   # grid points the first call has room for; each refill doubles it
 _SOURCE = Path(__file__).with_name("_dop853.c")
 _ZEROS = array("d", [0.0])
@@ -551,11 +561,99 @@ class _Kernel(NamedTuple):
     dense: Callable[..., None]   # dop853_dense: its dense pass, with quadrature
 
 
-@functools.lru_cache(maxsize=256)
-def _shot_constants(params: ProblemParams) -> tuple[float, ...]:
-    """(N-1, lin, qc, p-2, q-2, p, q, N) of params, as the kernel reads them."""
-    return (params.N - 1.0, params.linear_coeff, params.q_coeff, params.p - 2.0,
-            params.q - 2.0, params.p, params.q, float(params.N))
+class ShotEnd(NamedTuple):
+    """The end of a search shot (Shot.end): the last two grid rows (one on a
+    grid of one point) as Python floats, its terminal event and its RHS
+    evaluations, read as a Trajectory's."""
+
+    radii: tuple[float, ...]
+    values: tuple[float, ...]
+    slopes: tuple[float, ...]
+    terminal_event: TerminalEvent
+    rhs_evals: int
+
+    @property
+    def terminal_radius(self) -> float:
+        """Where the run ended: its last grid radius."""
+        return self.radii[-1]
+
+
+class Shot:
+    """The kernel's blocks for the shots of one (params, r_max, tol).
+
+    The parameter block, of which a shot writes only the amplitude slot,
+    the state, the counters, and a grid (with quadrature also a stage
+    buffer) that a refill doubles and that the next shot reuses.  The module
+    constants the kernel reads (_SETTLE_G, _GRID0, ...) are read here, when
+    the Shot is made.  ``end`` runs a search shot; ``integrate`` runs a
+    fresh Shot, as its trajectory's arrays are views of the grid.
+    """
+
+    def __init__(self, params: ProblemParams, r_max: float, tol: StepControls = StepControls()):
+        self.params, self.r_max, self.tol = params, r_max, tol
+        ncoef = max(_SERIES_ORDER, 1) + 1   # as many as series_coefficients returns
+        self._prm = array("d", (params.N - 1.0, params.linear_coeff, params.q_coeff,
+                                params.p - 2.0, params.q - 2.0, params.p, params.q,
+                                float(params.N), 0.0, r_max, tol.underflow_factor, tol.atol,
+                                tol.rtol, tol.min_step, _SETTLE_G, _SETTLE_MARGIN, _EVENT_TOL))
+        self._st = _ZEROS * (_S_COEFFS + ncoef)
+        budget = math.floor(max(min(tol.max_steps, 2**62), -1))   # steps > budget fails
+        self._cnt = array("q", (0, 0, 0, budget, tol.with_quadrature, ncoef, 0))
+        self._cap = _GRID0
+        self._grid = _ZEROS * (3 * self._cap)   # rows: radii, values, slopes
+        # h, u' and u'' at the stages, per step
+        self._stages = _ZEROS * (16 * self._cap) if tol.with_quadrature else None
+        self._bind()
+
+    def _bind(self) -> None:
+        """The kernel's arguments: the tableau, the blocks, the grid's room."""
+        stages = None if self._stages is None else self._stages.buffer_info()[0]
+        self._args = (_TAB, self._prm.buffer_info()[0], self._st.buffer_info()[0],
+                      self._cnt.buffer_info()[0], self._grid.buffer_info()[0], self._cap, stages)
+
+    def _run(self, a: float) -> int:
+        """Shoot from amplitude a into the blocks, the grid refilled as it
+        fills: the kernel's stop code, or the exception Python raises."""
+        self._prm[_P_A] = a
+        cnt = self._cnt
+        cnt[0] = cnt[1] = cnt[2] = cnt[6] = 0   # grid points, RHS evaluations, steps, overflows
+        while (code := _kernel.loop(*self._args)) == _ROOM:
+            n, cap, grid = cnt[0], self._cap, self._grid
+            self._grid = _ZEROS * (6 * cap)
+            for i in range(3):
+                self._grid[2 * i * cap:2 * i * cap + n] = grid[i * cap:i * cap + n]
+            self._cap = 2 * cap
+            if self._stages is not None:
+                self._stages.extend(_ZEROS * (16 * cap))
+            self._bind()
+        if code > _COLLAPSE:   # the start or a power raised
+            if code == _BAD_RMAX:
+                raise ValueError(f"r_max must be positive, got {self.r_max}")
+            if code == _BAD_AMP:
+                raise ValueError(f"amplitude must be positive, got {a}")
+            exc, args = _RAISED[code]
+            raise exc(*args)
+        return code
+
+    def _check(self, code: int, partial: Trajectory | ShotEnd) -> None:
+        """Raise the IntegrationFailure of a run that failed, with its partial."""
+        if code == _BUDGET:
+            raise IntegrationFailure(f"step budget {self.tol.max_steps} exhausted", partial)
+        if code == _COLLAPSE:
+            raise IntegrationFailure(f"step size collapsed at r={self._st[0]:.6g}", partial)
+
+    def end(self, a: float) -> ShotEnd:
+        """One shot from amplitude a, read at its end: what the amplitude
+        search reads of it (the last two rows).  Its terminal radius and
+        exceptions are integrate's, and so is a failure, whose partial is
+        the ShotEnd.  A run with quadrature takes integrate."""
+        code = self._run(a)
+        n, cap, g = self._cnt[0], self._cap, self._grid
+        i = max(n - 2, 0)
+        end = ShotEnd(tuple(g[i:n]), tuple(g[cap + i:cap + n]), tuple(g[2 * cap + i:2 * cap + n]),
+                      _REFINED.get(code, TerminalEvent.REACHED_RMAX), self._cnt[1])
+        self._check(code, end)
+        return end
 
 
 def integrate(
@@ -575,55 +673,26 @@ def integrate(
     With tol.with_quadrature the grid also holds _SUB - 1 interior points of
     every step, and the norm arrays are filled.
 
-    One call of the C kernel: the series start, the step loop and the event
-    refinement, and for a run with quadrature one more call for its dense
-    pass.
+    One call of the C kernel on a fresh Shot: the series start, the step
+    loop and the event refinement, and for a run with quadrature one more
+    call for its dense pass.
     """
-    quad = tol.with_quadrature
-    ncoef = max(_SERIES_ORDER, 1) + 1   # as many as series_coefficients returns
-    prm = array("d", (*_shot_constants(params), a, r_max, tol.underflow_factor, tol.atol,
-                      tol.rtol, tol.min_step, _SETTLE_G, _SETTLE_MARGIN, _EVENT_TOL))
-    st = _ZEROS * (_S_COEFFS + ncoef)
-    budget = math.floor(max(min(tol.max_steps, 2**62), -1))   # steps > budget fails
-    cnt = array("q", (0, 0, 0, budget, quad, ncoef, 0))
-    cap = _GRID0
-    grid = _ZEROS * (3 * cap)   # rows: radii, values, slopes
-    stages = _ZEROS * (16 * cap) if quad else None   # h, u' and u'' at the stages, per step
-    while (code := _kernel.loop(_TAB, prm.buffer_info()[0], st.buffer_info()[0],
-                                cnt.buffer_info()[0], grid.buffer_info()[0], cap,
-                                stages.buffer_info()[0] if quad else None)) == _ROOM:
-        n = cnt[0]
-        grown = _ZEROS * (6 * cap)
-        for i in range(3):
-            grown[2 * i * cap:2 * i * cap + n] = grid[i * cap:i * cap + n]
-        grid, cap = grown, 2 * cap
-        if quad:
-            stages.extend(_ZEROS * (8 * cap))
-
-    if code in _RAISED:
-        exc, args = _RAISED[code]
-        raise exc(*args)
-    if code == _BAD_RMAX:
-        raise ValueError(f"r_max must be positive, got {r_max}")
-    if code == _BAD_AMP:
-        raise ValueError(f"amplitude must be positive, got {a}")
-    n, nfev = cnt[0], cnt[1]
+    shot = Shot(params, r_max, tol)
+    code = shot._run(a)
+    n, nfev, cap = shot._cnt[0], shot._cnt[1], shot._cap
     # the grid ends at the terminal radius: r_max, the settled stop's or the
     # refined event's, or where a failure stopped
-    radii, values, slopes = (np.frombuffer(grid, count=n, offset=8 * i * cap) for i in range(3))
+    radii, values, slopes = (np.frombuffer(shot._grid, count=n, offset=8 * i * cap)
+                             for i in range(3))
     t = Trajectory(radii=radii, values=values, slopes=slopes,
                    terminal_event=_REFINED.get(code, TerminalEvent.REACHED_RMAX), rhs_evals=nfev)
-    if quad:   # the dense pass as one more call, into the rows of out
+    if tol.with_quadrature:   # the dense pass as one more call, into the rows of out
         out = np.empty((7, _SUB * (n - 1) + 1))
-        _kernel.dense(_TAB, prm.buffer_info()[0], st.buffer_info()[0], cnt.buffer_info()[0],
-                      grid.buffer_info()[0], cap, stages.buffer_info()[0], code in _REFINED,
-                      out.ctypes.data)
+        _kernel.dense(*shot._args, code in _REFINED, out.ctypes.data)
         t.radii, t.values, t.slopes, t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir = out
         t.rhs_evals += 3 * (n - 1)
-        t.series = tuple(st[_S_COEFFS:])
-    if code in (_BUDGET, _COLLAPSE):
-        raise IntegrationFailure(f"step budget {tol.max_steps} exhausted" if code == _BUDGET
-                                 else f"step size collapsed at r={st[0]:.6g}", t)
+        t.series = tuple(shot._st[_S_COEFFS:])
+    shot._check(code, t)
     return t
 
 

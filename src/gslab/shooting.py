@@ -66,8 +66,8 @@ import numpy as np
 from .emden import _gauss_panels, _leggauss, _panel_sum
 from .errors import (BracketNotFound, DivergentNormError, InconsistentSolution,
                      InternalConsistencyError)
-from .ode import (IntegrationFailure, StepControls, TerminalEvent, Trajectory, _ball_nodes,
-                  _drift_coeff, _kve, integrate, series_piece)
+from .ode import (IntegrationFailure, Shot, ShotEnd, StepControls, TerminalEvent, Trajectory,
+                  _ball_nodes, _drift_coeff, _kve, integrate, series_piece)
 from .params import Family, ProblemParams
 
 __all__ = [
@@ -271,8 +271,8 @@ class RadialProfile:
     bisection_iterations: int = 0
     bracket: tuple[float, float] = (0.0, 0.0)
     r_max_used: float = 0.0
-    integrations: int = 0     # every integrate() call of the solve, final pass included
-    rhs_evals: int = 0        # RHS evaluations summed over those calls
+    integrations: int = 0     # every shot of the solve, final pass included
+    rhs_evals: int = 0        # RHS evaluations summed over those shots
     loose_integrations: int = 0   # those of them at the loose step controls
     fallbacks: int = 0        # 1 if the loose first attempt failed: the solve re-ran all tight
     # the search's own measured relative error (of a resolution stop, else 0.0);
@@ -427,7 +427,7 @@ def epsilon_star(p: float, q: float) -> float:
     return u ** (p - 2.0) - u ** (q - 2.0)
 
 
-def _far_field_B(params: ProblemParams, t: Trajectory) -> float:
+def _far_field_B(params: ProblemParams, t: Trajectory | ShotEnd) -> float:
     """The constant mode B in u ~ B + A r^(-(N-2)), read at the end R of t.
 
     u + r u'/(N-2) is B up to the drift that dB/dr = -r f(u)/(N-2) still
@@ -444,8 +444,9 @@ def _far_field_B(params: ProblemParams, t: Trajectory) -> float:
     return b
 
 
-def classify(t: Trajectory, params: ProblemParams, amplitude: float) -> str:
-    """Map a trajectory shot from u(0) = amplitude to the shooting dichotomy."""
+def classify(t: Trajectory | ShotEnd, params: ProblemParams, amplitude: float) -> str:
+    """Map a shot from u(0) = amplitude to the shooting dichotomy: its
+    trajectory, or a search shot's ShotEnd (its last two rows)."""
     ev = t.terminal_event
     if ev is TerminalEvent.ZERO_CROSSING:
         return Classification.OVERSHOOT
@@ -467,7 +468,7 @@ def classify(t: Trajectory, params: ProblemParams, amplitude: float) -> str:
     return Classification.UNDERSHOOT if slow else Classification.CONVERGED
 
 
-def _shooting_proxy(params: ProblemParams, t: Trajectory, c: str) -> float:
+def _shooting_proxy(params: ProblemParams, t: Trajectory | ShotEnd, c: str) -> float:
     """Signed stand-in for a - a*, read off one classified trajectory.
 
     Negative for an undershoot, positive for an overshoot, and close to
@@ -710,24 +711,24 @@ def _on_line(points, rtol: float = 1e-2) -> bool:
 
 
 class _Runs:
-    """The integrate() calls of one solve, counted over all its attempts."""
+    """The shots of one solve, counted over all its attempts: search shots
+    on one tight and one loose Shot, final passes through integrate()."""
 
     def __init__(self, params: ProblemParams, ctrl: ShootControls, r_max: float):
         self.params, self.r_max = params, r_max
-        self.tight = ctrl.step
         self.loose = _loose_step(ctrl.step)
+        self.shots = (Shot(params, r_max, ctrl.step), Shot(params, r_max, self.loose))   # [loose]
+        self.final = replace(ctrl.step, with_quadrature=True)
         self.integrations = self.rhs_evals = self.loose_runs = 0
         self.bracket_runs = 0   # bracket scans and hint checks
 
-    def __call__(self, a: float, quad: bool = False, loose: bool = False) -> Trajectory:
+    def __call__(self, a: float, quad: bool = False,
+                 loose: bool = False) -> Trajectory | ShotEnd:
         self.integrations += 1
-        if loose:
-            self.loose_runs += 1
-            tol = self.loose
-        else:
-            tol = replace(self.tight, with_quadrature=True) if quad else self.tight
+        self.loose_runs += loose
         try:
-            t = integrate(self.params, a, self.r_max, tol)
+            t = (integrate(self.params, a, self.r_max, self.final) if quad
+                 else self.shots[loose].end(a))
         except IntegrationFailure as exc:
             self.rhs_evals += exc.partial.rhs_evals
             raise
@@ -774,9 +775,8 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
     bracket, the solve runs again with every shot tight and ``fallbacks``
     is 1; the counters then sum over both attempts.
     ``bisection_iterations`` counts the integrations after the bracket, the
-    final pass excepted, ``integrations`` and ``rhs_evals`` every
-    integrate() call of the solve, and ``loose_integrations`` those at the
-    loose step controls.
+    final pass excepted, ``integrations`` and ``rhs_evals`` every shot of
+    the solve, and ``loose_integrations`` those at the loose step controls.
 
     Raises BracketNotFound if no (undershoot, overshoot) pair exists in the
     admissible window, which for family P_eps signals eps >= eps*.
@@ -866,7 +866,8 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
             final = a, t
         # Brent reads the proxy's magnitude under the class's sign (near p = 2
         # an undershoot can end with u(R) < 0, and a zero would stop it), as
-        # a float: numpy-scalar predictions would slow ode.integrate ~3x
+        # a float (the final pass's rows are arrays): numpy-scalar
+        # predictions would run every later shot at numpy-scalar amplitudes
         g = abs(float(_shooting_proxy(params, t, c))) or math.ulp(0.0)
         shots[a] = c, -g if c == Classification.UNDERSHOOT else g, loose
         return c
@@ -985,7 +986,7 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
     return _Search(a, t, _tight_bracket(shots, a), error)
 
 
-def _last_level(t: Trajectory) -> float:
+def _last_level(t: Trajectory | ShotEnd) -> float:
     """|u| where a shot read its class: before the crossing of a zero
     crossing, at the end of any other run."""
     return abs(t.values[-2 if t.terminal_event is TerminalEvent.ZERO_CROSSING else -1])

@@ -99,32 +99,60 @@ def tight_ctrl():
     return ShootControls(amp_tol=1e-14)
 
 
+def route_shots(monkeypatch, hook):
+    """Send every shot of find_ground_state through hook(real, params, a,
+    r_max, tol): the search shots, which run on shooting.Shot (Shot.end),
+    and the final passes, which run through shooting.integrate.
+
+    real(params, a, r_max, tol) runs the shot: a search shot on the solve's
+    own Shot (on a fresh one at another tol), a final pass in integrate.
+    """
+    from gslab import shooting
+
+    real_integrate, real_shot = shooting.integrate, shooting.Shot
+
+    class Shot(real_shot):
+        def end(self, a):
+            def real(params, a, r_max, tol):
+                if (params, r_max, tol) == (self.params, self.r_max, self.tol):
+                    return real_shot.end(self, a)
+                return real_shot(params, r_max, tol).end(a)
+
+            return hook(real, self.params, a, self.r_max, self.tol)
+
+    def integrate(params, a, r_max, tol):
+        return hook(real_integrate, params, a, r_max, tol)
+
+    monkeypatch.setattr(shooting, "Shot", Shot)
+    monkeypatch.setattr(shooting, "integrate", integrate)
+
+
 @pytest.fixture
 def misread_loose_shot(monkeypatch):
     """Make one loose shot of the solver read the wrong class.
 
-    ``arm(pick)`` wraps shooting.integrate and shooting.classify: the first
-    shot at the loose step controls whose (amplitude, class) ``pick``
+    ``arm(pick)`` wraps every shot (route_shots) and shooting.classify: the
+    first shot at the loose step controls whose (amplitude, class) ``pick``
     accepts reads Overshoot for Undershoot and the reverse.  It returns the
-    log of integrate calls, [amplitude, "loose" | "tight" | "final",
-    rhs_evals, class read] each (class None where the solver classifies
-    nothing), and the list of amplitudes misread (at most one).
+    log of shots, [amplitude, "loose" | "tight" | "final", rhs_evals, class
+    read] each (class None where the solver classifies nothing), and the
+    list of amplitudes misread (at most one).
     """
     from gslab import Classification, shooting
 
     loose_step = shooting._loose_step(ShootControls().step)
     other = {Classification.UNDERSHOOT: Classification.OVERSHOOT,
              Classification.OVERSHOOT: Classification.UNDERSHOOT}
-    real_integrate, real_classify = shooting.integrate, shooting.classify
+    real_classify = shooting.classify
 
     def arm(pick):
         calls, misread = [], []
 
-        def recorded(p, a, r_max, tol=None):
-            kind = ("loose" if tol == loose_step
-                    else "final" if tol is not None and tol.with_quadrature else "tight")
+        def recorded(real, p, a, r_max, tol):
+            kind = ("loose" if tol == loose_step else "final" if tol.with_quadrature
+                    else "tight")
             calls.append([a, kind, 0, None])
-            t = real_integrate(p, a, r_max, tol)
+            t = real(p, a, r_max, tol)
             calls[-1][2] = t.rhs_evals
             return t
 
@@ -137,7 +165,7 @@ def misread_loose_shot(monkeypatch):
             calls[-1][3] = c
             return c
 
-        monkeypatch.setattr(shooting, "integrate", recorded)
+        route_shots(monkeypatch, recorded)
         monkeypatch.setattr(shooting, "classify", classify)
         return calls, misread
 

@@ -11,7 +11,9 @@ and min branches, and every dot product of the interpolant summed left to
 right from 0.0 (``_dot``, on floats and on arrays alike); the dense pass's
 powers are ``np.float_power`` (libm's ``pow``; ``np.power`` may take a SIMD
 path that rounds differently from build to build), and no sum goes through
-BLAS.  ``tests/test_kernel.py`` compares the two bit for bit.
+BLAS.  ``tests/test_kernel.py`` compares the two bit for bit.  ``Shot``
+is ``gslab.ode.Shot`` on this ``integrate``, a search shot read at its end
+(``shot_end``).
 
 The loop is written for CPython's interpreter: the controls and tableau
 constants are locals, and the right-hand side is written out at each of
@@ -44,6 +46,7 @@ from gslab.ode import (
     _GX,
     _SUB,
     IntegrationFailure,
+    ShotEnd,
     StepControls,
     TerminalEvent,
     Trajectory,
@@ -447,3 +450,24 @@ def integrate(params: ProblemParams, a: float, r_max: float,
     t = _trajectory(rs, us, vs, nfev, quad, end)
     t.terminal_event = event
     return t
+
+
+def shot_end(t: Trajectory) -> ShotEnd:
+    """What ``gslab.ode.Shot.end`` returns of the run t: its last two rows
+    as floats, its terminal event and its RHS evaluations."""
+    return ShotEnd(*(tuple(x[-2:].tolist()) for x in (t.radii, t.values, t.slopes)),
+                   t.terminal_event, t.rhs_evals)
+
+
+class Shot:
+    """``gslab.ode.Shot`` on this module's ``integrate``: ``end`` is the
+    reference run read by shot_end, a failure's partial too."""
+
+    def __init__(self, params: ProblemParams, r_max: float, tol: StepControls = StepControls()):
+        self.params, self.r_max, self.tol = params, r_max, tol
+
+    def end(self, a: float) -> ShotEnd:
+        try:
+            return shot_end(integrate(self.params, a, self.r_max, self.tol))
+        except IntegrationFailure as exc:
+            raise IntegrationFailure(str(exc), shot_end(exc.partial)) from None

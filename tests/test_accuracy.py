@@ -77,7 +77,8 @@ def test_amplitude_within_amp_tol_of_second_order_reference(params, solutions, m
     # the series piece.  Measured: 7.2e-14, 4.0e-14, 1.5e-13, 1.0e-13 and
     # 1.1e-13; the two references are 4.2e-15 to 1.8e-13 apart.  The start
     # is patched into the Python shot's (dop853_reference._start), so every
-    # shot runs there: the C kernel computes its own series start
+    # shot runs there, the search shots on its Shot: the C kernel computes
+    # its own series start
     import dop853_reference
 
     from gslab import ode, shooting
@@ -93,6 +94,7 @@ def test_amplitude_within_amp_tol_of_second_order_reference(params, solutions, m
         return min(1e-4 * scale, 1e-3 * r_max)
 
     monkeypatch.setattr(shooting, "integrate", dop853_reference.integrate)
+    monkeypatch.setattr(shooting, "Shot", dop853_reference.Shot)
     monkeypatch.setattr(ode, "series_coefficients", lambda prm, a: series(prm, a)[:2])
     monkeypatch.setattr(ode, "default_handoff_radius", second_order_radius)
     ref = solve_ground_state(params, SECOND_ORDER_REFERENCE)

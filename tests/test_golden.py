@@ -33,8 +33,8 @@ scipy's brentq found (SCIPY_ROOTS), the solve's amplitude is pinned bit for
 bit.  Any change to the stepping, the error control, the event refinement,
 the quadrature panels or the search shows up here as an exact mismatch.
 The pins are taken on the C kernel, and ``test_kernel.py`` checks every
-integrate call of these solves and sweeps against the reference bit for
-bit.  They were taken on x86-64 Linux (CPython, glibc libm); a different libm may
+shot of these solves and sweeps against the reference bit for bit.  They
+were taken on x86-64 Linux (CPython, glibc libm); a different libm may
 move the last bits of ``**``, and the read side's ``np.power`` may round
 differently where numpy dispatches it to other SIMD code.  The RHS totals
 of a whole solve (PANELS) count work, not results: they move when the
@@ -773,7 +773,7 @@ def test_hinted_sweep_matches_golden_bitwise(ratio, amplitudes, monkeypatch):
 
 
 def _assert_accounted(prof, calls, overturned, tight_bracket):
-    """The misread tests' common checks on one solve and its integrate log.
+    """The misread tests' common checks on one solve and its log of shots.
 
     The second, all-tight attempt runs exactly when a loose end of the class
     bracket read another class tight; the counters sum over both attempts;
@@ -824,7 +824,7 @@ def test_misread_hint_check_falls_back_to_golden_bitwise(misread_loose_shot, ove
     ratio, amplitudes = HINTED_SWEEPS[0].values
     hint = [None]   # the bracket hint of the solve running
     calls, misread = misread_loose_shot(lambda a, c: hint[-1] is not None and a == hint[-1][0])
-    solves = []   # (profile, its integrate calls)
+    solves = []   # (profile, its shots)
     real = functionals.find_ground_state
 
     def recorded(params, ctrl=ShootControls()):

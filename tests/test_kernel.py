@@ -6,14 +6,19 @@ step loop and the event refinement, then, with quadrature, the dense pass.
 loop, ``_refine``, the numpy ``_dense_pass``).  On every call the two must
 agree to the bit: radii, values, slopes and the four norm arrays, terminal
 event and radius, and RHS evaluations, the partial trajectory of an
-IntegrationFailure included, and an exception the same by its repr.  The
-calls are every integrate call of the benchmark's solve_mix seeds 1-3 and
-sweep_chain seed 1 and of the solves and sweeps ``test_golden.py`` pins
-(captured at shooting.integrate), and the paths those leave out:
-underflow, step budget, step collapse, a power that overflows, a division
-by zero, the start's exceptions, the settled stop switched off, a grid
-refilled on every step, and dense passes after each refined event, on a
-one-point grid, for N = 3 to 8 and where |u|^q underflows to 0.  Where the
+IntegrationFailure included, and an exception the same by its repr.  A call
+without quadrature is also run as a search shot, ``ode.Shot.end``, on a Shot
+that the calls of its (params, r_max, tol) share: its last two rows,
+terminal event and radius and RHS evaluations must be those of both runs,
+bit for bit, a failure's partial and an exception included.  The calls are
+every shot of the benchmark's solve_mix seeds 1-3 and sweep_chain seed 1 and
+of the solves and sweeps ``test_golden.py`` pins (captured at shooting.Shot
+and shooting.integrate), and the paths those leave out: underflow, step
+budget, step collapse, a power that overflows, a division by zero, the
+start's exceptions, the settled stop switched off, a grid refilled on every
+step, and dense passes after each refined event, on a one-point grid, for
+N = 3 to 8 and where |u|^q underflows to 0.  One Shot used again gives a fresh
+run's bits after a shot that refilled its grid, raised or failed.  Where the
 kernel cannot be built or loaded, importing ``gslab`` fails.
 """
 
@@ -28,12 +33,13 @@ from pathlib import Path
 
 import pytest
 
-from gslab import _native, functionals, ode, records, shooting
+from gslab import _native, functionals, ode, records
 from gslab.asymptotics import sweep
 from gslab.ode import IntegrationFailure, StepControls, TerminalEvent
 from gslab.params import Family, ProblemParams
 
 import dop853_reference
+from conftest import route_shots
 from test_golden import CRITICAL_READ_SIDE, GOLDEN, HINTED_SWEEPS, hinted_sweep_spec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,38 +61,53 @@ def _bits(t):
             [None if x is None else x.tobytes() for x in arrays])
 
 
-def assert_same_bits(call):
+def _end_bits(e):
+    """A ShotEnd's bits; its rows and terminal radius are Python floats."""
+    assert type(e) is ode.ShotEnd
+    rows = (*e.radii, *e.values, *e.slopes, e.terminal_radius)
+    assert {type(x) for x in rows} == {float}
+    return e.terminal_event, [x.hex() for x in rows], e.rhs_evals
+
+
+def assert_same_bits(call, shot=None):
     """The kernel and the reference on one integrate call: the same outcome,
-    bit for bit."""
+    bit for bit.  Without quadrature also Shot.end on ``shot`` (a fresh Shot
+    if None): the same outcome, and the two runs' ends."""
     (c_end, c), (py_end, py) = (_outcome(ode.integrate, call),
                                 _outcome(dop853_reference.integrate, call))
     assert c_end == py_end, call
     if py is not None:
         assert type(c.terminal_radius) is float
         assert _bits(c) == _bits(py), call
+    params, a, r_max, tol = call
+    if not tol.with_quadrature:
+        end, e = _outcome((shot or ode.Shot(params, r_max, tol)).end, (a,))
+        assert end == py_end, call
+        if py is not None:
+            assert _end_bits(e) == _end_bits(dop853_reference.shot_end(py)), call
+            assert _end_bits(e) == _end_bits(dop853_reference.shot_end(c)), call
     return py_end, py
 
 
 @pytest.fixture(scope="module")
 def captured_calls():
-    """Every integrate call of solve_mix seeds 1-3 ("solve_mix"), of
-    sweep_chain seed 1 ("sweep_chain"), and of the solves and sweeps
-    test_golden pins ("golden"): (params, a, r_max, tol) each."""
+    """Every shot of solve_mix seeds 1-3 ("solve_mix"), of sweep_chain seed
+    1 ("sweep_chain"), and of the solves and sweeps test_golden pins
+    ("golden"): (params, a, r_max, tol) each."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
     calls = []
-    real = shooting.integrate
 
-    def recorded(params, a, r_max, tol=StepControls()):
+    def recorded(real, params, a, r_max, tol):
         calls.append((params, a, r_max, tol))
         return real(params, a, r_max, tol)
 
     captured = {}
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(shooting, "integrate", recorded)
+        route_shots(m, recorded)
         for seed in (1, 2, 3):
             for params in workloads.SolveMix(seed, None).inputs:
                 functionals.solve_ground_state(params)
@@ -104,13 +125,19 @@ def captured_calls():
 
 
 def _check_calls(calls):
-    """assert_same_bits on each call; the (terminal event, kind of run) seen,
-    the RHS evaluations and the dense passes (runs with quadrature)."""
+    """assert_same_bits on each call, in order, a call without quadrature on
+    the Shot of its (params, r_max, tol) that the calls before it used; the
+    (terminal event, kind of run) seen, the RHS evaluations and the dense
+    passes (runs with quadrature)."""
     seen = set()
+    shots = {}
     rhs = quad = 0
     for call in calls:
-        _, t = assert_same_bits(call)
         params, _, r_max, tol = call
+        key = params, r_max, tol
+        if key not in shots and not tol.with_quadrature:
+            shots[key] = ode.Shot(*key)
+        _, t = assert_same_bits(call, shots.get(key))
         kind = t.terminal_event
         if kind is TerminalEvent.REACHED_RMAX and t.terminal_radius < r_max:
             kind = "settled"
@@ -240,6 +267,42 @@ def test_settled_stop_off_reads_settle_g_at_call_time(monkeypatch):
     monkeypatch.setattr(ode, "_SETTLE_G", 0.0)   # no step settles
     _, t = assert_same_bits(PATHS["settled"][0])
     assert t.terminal_event is TerminalEvent.ZERO_CROSSING   # the overshoot runs on
+
+
+# One Shot per row: its amplitudes in order, each with the start of its
+# outcome.  P_zero: a run to r_max, then the shorter settled and
+# undershooting runs; P_eps: shots after each of the start's exceptions and
+# after a failure; R_zero at a step budget (None: set from a run) that the
+# shot at 3.3 spends to the last step and the one at 4.3 exceeds, so that a
+# step count left over from a shot before fails it
+REUSED = {
+    "refill-then-shorter": (P_ZERO, 1e6, TIGHT, [
+        (0.9, "done"), (0.98, "done"), (0.9704323868577163, "done"), (0.9, "done"),
+        (0.98, "done")]),
+    "after-raised": (P_EPS, 500.0, StepControls(), [
+        (1e100, "OverflowError"), (0.75, "done"), (1e31, "ZeroDivisionError"), (0.4, "done"),
+        (0.0, "ValueError"), (0.75, "done"), (math.nan, "ValueError"), (1e4, "done"),
+        (1e8, "step size collapsed"), (0.4, "done")]),
+    "after-failed": (R_ZERO, 50.0, None, [
+        (3.3, "done"), (4.3, "step budget"), (3.3, "done"), (3.3, "done")]),
+}
+
+
+@pytest.mark.parametrize("grid0", [ode._GRID0, 8], ids=["grid", "refills"])
+@pytest.mark.parametrize("name", list(REUSED))
+def test_reused_shot_matches_fresh_runs(name, grid0, monkeypatch):
+    params, r_max, tol, shots = REUSED[name]
+    monkeypatch.setattr(ode, "_GRID0", grid0)
+    if tol is None:
+        probe = ode.Shot(params, r_max)
+        probe.end(shots[0][0])
+        tol = StepControls(max_steps=probe._cnt[2])   # the steps that shot took
+    shot = ode.Shot(params, r_max, tol)
+    for a, expected in shots:
+        end, _ = assert_same_bits((params, a, r_max, tol), shot)
+        assert end.startswith(expected), a
+    if grid0 < ode._GRID0:
+        assert shot._cap > grid0   # a refilled grid
 
 
 def _import_error(tmp_path):

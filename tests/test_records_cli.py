@@ -16,6 +16,8 @@ from gslab.records import (
     sweep_csv,
 )
 
+from conftest import route_shots
+
 
 @pytest.fixture(autouse=True)
 def _isolated_cache(tmp_path, monkeypatch):
@@ -99,18 +101,15 @@ def test_cli_solve_and_cache(tmp_path, capsys):
     (["--family", "P_zero", "--N", "3", "--p", "8", "--q", "12"], 13),
 ], ids=["P_eps", "P_zero"])
 def test_cli_integrations_run_counts_every_integration(tmp_path, monkeypatch, argv, expected):
-    # independent count: wrap the integrate() that find_ground_state calls,
-    # so bracket scans, the search's probes and the final pass all count
-    from gslab import shooting
-
+    # independent count: wrap every shot find_ground_state takes, so
+    # bracket scans, the search's probes and the final pass all count
     calls = []
-    real = shooting.integrate
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def counted(real, p, a, r_max, tol):
+        calls.append(a)
+        return real(p, a, r_max, tol)
 
-    monkeypatch.setattr(shooting, "integrate", counted)
+    route_shots(monkeypatch, counted)
     out = tmp_path / "r.json"
     assert main(["solve", *argv, "--no-cache", "--out", str(out)]) == 0
     diag = parse(out.read_bytes()).diagnostics
@@ -119,19 +118,16 @@ def test_cli_integrations_run_counts_every_integration(tmp_path, monkeypatch, ar
 
 
 def test_cli_rhs_evals_sum_over_every_integration(tmp_path, monkeypatch):
-    # independent sum: wrap the integrate() that find_ground_state calls; the
-    # P_zero solve's search shots end where B settles, its final pass at r_max
-    from gslab import shooting
-
+    # independent sum: wrap every shot find_ground_state takes; the P_zero
+    # solve's search shots end where B settles, its final pass at r_max
     evals = []
-    real = shooting.integrate
 
-    def counted(*args, **kwargs):
-        t = real(*args, **kwargs)
+    def counted(real, p, a, r_max, tol):
+        t = real(p, a, r_max, tol)
         evals.append(t.rhs_evals)
         return t
 
-    monkeypatch.setattr(shooting, "integrate", counted)
+    route_shots(monkeypatch, counted)
     out = tmp_path / "r.json"
     assert main(["solve", "--family", "P_zero", "--N", "3", "--p", "8", "--q", "12",
                  "--no-cache", "--out", str(out)]) == 0
@@ -470,19 +466,18 @@ def test_cli_cache_dir_leaves_environment_unchanged(tmp_path, capsys):
 
 
 def test_cli_loose_integrations_count_the_loose_model_probes(tmp_path, monkeypatch):
-    # independent count: wrap the integrate() that find_ground_state calls
-    # and count the calls at the loose step controls
+    # independent count: wrap every shot find_ground_state takes and count
+    # the shots at the loose step controls
     from gslab import Family, ProblemParams, rescale_to_v, shooting, solve_ground_state
 
     loose_step = shooting._loose_step(shooting.ShootControls().step)
     steps = []
-    real = shooting.integrate
 
-    def counted(p, a, r_max, tol=None):
+    def counted(real, p, a, r_max, tol):
         steps.append(tol)
         return real(p, a, r_max, tol)
 
-    monkeypatch.setattr(shooting, "integrate", counted)
+    route_shots(monkeypatch, counted)
     out = tmp_path / "r.json"
     assert main(["solve", "--family", "P_zero", "--N", "3", "--p", "8", "--q", "12",
                  "--no-cache", "--out", str(out)]) == 0
@@ -502,10 +497,10 @@ def test_cli_loose_integrations_count_the_loose_model_probes(tmp_path, monkeypat
 
 
 def test_cli_fallbacks_report_the_all_tight_re_solve(tmp_path, misread_loose_shot, overturned):
-    # independent count: the fixture wraps the integrate() that
-    # find_ground_state calls; the first loose undershoot is misread, the
-    # search closes on it as an end of its bracket, its tight shot there
-    # overturns it and the solve runs again all tight
+    # independent count: the fixture wraps every shot find_ground_state
+    # takes; the first loose undershoot is misread, the search closes on it
+    # as an end of its bracket, its tight shot there overturns it and the
+    # solve runs again all tight
     from gslab import Classification, Family, ProblemParams, rescale_to_v, solve_ground_state
 
     argv = ["solve", *_SOLVE_ARGV, "--no-cache"]

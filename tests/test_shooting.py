@@ -20,6 +20,8 @@ from gslab import (
 )
 from gslab import shooting
 
+from conftest import route_shots
+
 R_ZERO_34 = ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO)
 
 # frozen from the independent DOP853 coarse-scan oracle (1e-3 spacing scan
@@ -202,7 +204,7 @@ def _plain_bisection(params, lo, hi, r_max, ctrl):
     return lo, hi, runs
 
 
-def _solve_with_plain_reference(params, monkeypatch):
+def _solve_with_plain_reference(params):
     """(profile, (lo, hi, runs) of the plain bisection from its starting
     bracket, {amplitude: class} of the solve's tight shots and final pass).
 
@@ -213,9 +215,8 @@ def _solve_with_plain_reference(params, monkeypatch):
     ctrl = ShootControls()
     loose, final = shooting._loose_step(ctrl.step), replace(ctrl.step, with_quadrature=True)
     shots, tight = [], {}
-    real = shooting.integrate
 
-    def recorded(p, a, r_max, tol=None):
+    def recorded(real, p, a, r_max, tol):
         t = real(p, a, r_max, tol)
         if tol in (ctrl.step, loose, final):
             c = classify(t, p, a)
@@ -227,9 +228,9 @@ def _solve_with_plain_reference(params, monkeypatch):
                     shots.append((a, c))
         return t
 
-    monkeypatch.setattr(shooting, "integrate", recorded)
-    prof = find_ground_state(params, ctrl)
-    monkeypatch.setattr(shooting, "integrate", real)
+    with pytest.MonkeyPatch.context() as m:
+        route_shots(m, recorded)
+        prof = find_ground_state(params, ctrl)
     classes = [c for _, c in shots]
     i = classes.index(Classification.UNDERSHOOT)
     j = classes.index(Classification.OVERSHOOT, i)
@@ -253,10 +254,10 @@ GOLDEN_CASES = pytest.mark.parametrize("params", [
 
 
 @GOLDEN_CASES
-def test_replay_matches_plain_bisection_bitwise(params, monkeypatch, tight_bracket):
+def test_replay_matches_plain_bisection_bitwise(params, tight_bracket):
     # the Brent search lands within amp_tol of the plain bisection from the
     # same bracket (measured: 5.0e-13 at most), with far fewer probes
-    prof, (lo, hi, runs), tight = _solve_with_plain_reference(params, monkeypatch)
+    prof, (lo, hi, runs), tight = _solve_with_plain_reference(params)
     _assert_within_amp_tol(prof, lo, hi, tight, tight_bracket)
     # same bracket shots and final pass: fewer integrations in between
     assert prof.bisection_iterations < runs
@@ -269,7 +270,7 @@ def test_replay_is_exact_and_bounded_under_a_misleading_proxy(monkeypatch, tight
     params = ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS)
     monkeypatch.setattr(shooting, "_shooting_proxy",
                         lambda p, t, c: -1e-300 if c == Classification.UNDERSHOOT else 1.0)
-    prof, (lo, hi, runs), tight = _solve_with_plain_reference(params, monkeypatch)
+    prof, (lo, hi, runs), tight = _solve_with_plain_reference(params)
     _assert_within_amp_tol(prof, lo, hi, tight, tight_bracket)
     assert prof.bisection_iterations <= 2 * runs
 
@@ -280,7 +281,7 @@ def test_search_converges_under_zero_and_wrong_sign_proxies(params, monkeypatch,
     # Brent reads each magnitude under its class's sign (the smallest
     # subnormal for a zero), so the search still closes within amp_tol
     monkeypatch.setattr(shooting, "_shooting_proxy", _flaky_proxy())
-    prof, (lo, hi, runs), tight = _solve_with_plain_reference(params, monkeypatch)
+    prof, (lo, hi, runs), tight = _solve_with_plain_reference(params)
     _assert_within_amp_tol(prof, lo, hi, tight, tight_bracket)
     assert prof.bisection_iterations <= 2 * runs
 
@@ -310,7 +311,7 @@ def test_adversarial_proxies_never_take_the_resolution_stop(params, proxy, monke
     # pass is the geometric mid of a tight Undershoot and a tight Overshoot
     # at most amp_tol apart, and no error is measured
     monkeypatch.setattr(shooting, "_shooting_proxy", proxy())
-    prof, (lo, hi, runs), tight = _solve_with_plain_reference(params, monkeypatch)
+    prof, (lo, hi, runs), tight = _solve_with_plain_reference(params)
     _assert_within_amp_tol(prof, lo, hi, tight, tight_bracket)
     assert prof.amp_error == 0.0   # so the fixture checked the bracket at amp_tol
     under = [a for a, c in tight.items() if c == Classification.UNDERSHOOT]
@@ -321,15 +322,15 @@ def test_adversarial_proxies_never_take_the_resolution_stop(params, proxy, monke
 
 @GOLDEN_CASES
 def test_integrator_gets_python_floats(params, monkeypatch):
-    # numpy-scalar amplitudes give the same bits but run ode.integrate ~3x
+    # numpy-scalar amplitudes give the same bits but run the shots' Python
     # slower, so every shot, the profile's amplitude and its bracket are floats
-    types, real = set(), shooting.integrate
+    types = set()
 
-    def recorded(p, a, r_max, tol=None):
+    def recorded(real, p, a, r_max, tol):
         types.add(type(a))
         return real(p, a, r_max, tol)
 
-    monkeypatch.setattr(shooting, "integrate", recorded)
+    route_shots(monkeypatch, recorded)
     prof = find_ground_state(params)
     assert types == {float}
     assert {type(x) for x in (prof.amplitude, *prof.bracket)} == {float}
@@ -410,13 +411,12 @@ def test_all_tight_attempt_integrates_each_amplitude_once(monkeypatch):
     # second-order start the lower scan shot u_F0 (1 + 1e-9) again tight
     # before the all-tight attempt shot it tight once more)
     calls = []
-    real = shooting.integrate
 
-    def counted(p, a, r_max, tol=None):
+    def counted(real, p, a, r_max, tol):
         calls.append((a, tol))
         return real(p, a, r_max, tol)
 
-    monkeypatch.setattr(shooting, "integrate", counted)
+    route_shots(monkeypatch, counted)
     prof = find_ground_state(ProblemParams(6, 3.0, 5.0, 1e-11, Family.P_EPS))
     loose = shooting._loose_step(ShootControls().step)
     assert prof.fallbacks == 1 and prof.integrations == len(calls)
@@ -458,14 +458,13 @@ CRITICAL_N5 = ProblemParams(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)
 
 
 def _failing_integrate(monkeypatch, fails):
-    """Patch shooting.integrate so that a call for which fails(a, tol) holds
-    fails in the kernel (its step budget cut to 5 steps).  Returns the calls
-    as (amplitude, tol, RHS evaluations, failed), a count kept apart from the
-    solve's own: a failed call counts its partial trajectory's evaluations."""
+    """Route every shot (route_shots) so that one for which fails(a, tol)
+    holds fails in the kernel (its step budget cut to 5 steps).  Returns the
+    shots as (amplitude, tol, RHS evaluations, failed), a count kept apart
+    from the solve's own: a failed shot counts its partial run's evaluations."""
     calls = []
-    real = shooting.integrate
 
-    def patched(p, a, r_max, tol):
+    def patched(real, p, a, r_max, tol):
         if fails(a, tol):
             with pytest.raises(IntegrationFailure) as info:
                 real(p, a, r_max, replace(tol, max_steps=5))
@@ -475,7 +474,7 @@ def _failing_integrate(monkeypatch, fails):
         calls.append((a, tol, t.rhs_evals, False))
         return t
 
-    monkeypatch.setattr(shooting, "integrate", patched)
+    route_shots(monkeypatch, patched)
     return calls
 
 
