@@ -4,10 +4,12 @@ In the critical case the minimizer w_eps concentrates: the radius
 lambda_eps at which the ball-mass of |w_eps|^p reaches Q* defines the
 rescaling v_eps(x) = lambda^((N-2)/2) w_eps(lambda x), which converges to
 the Sobolev minimizer W_1; it and the minimizer frame are both
-RadialProfile.scaled.  The ball mass reads the |w|^p mass the solve
-co-integrated on its grid, and Brent's method (shooting._bracket_root)
-finds lambda inside the grid panel that holds it, evaluating that panel's
-cubic Hermite (or the series piece) at each probe.  The W_1 distances run
+RadialProfile.scaled.  Q* is emden.q_star(N).  The ball mass of a solved
+profile reads the |w|^p mass the solve co-integrated on its grid (a
+closed-form W_lam reads its own, EmdenFowlerProfile.norm_s up to r_hi), and
+Brent's method (shooting._bracket_root) finds lambda inside the grid panel
+that holds it, evaluating that panel's cubic Hermite (or the series
+piece) at each probe.  The W_1 distances run
 on the profile's own Gauss panels (RadialProfile.quad) and past the grid on
 tan panels (emden.radial_quad), where v is TailModel.evaluate; both
 distances are the two rows of one stack there, so W_1 and the tail model
@@ -57,8 +59,9 @@ __all__ = [
 ]
 
 
-def concentration_lambda(w, Qstar: float | None = None) -> float:
-    """Unique lambda with int_{B_lambda} |w|^p dx = Q*, by Brent's method.
+def concentration_lambda(w: RadialProfile) -> float:
+    """Unique lambda with int_{B_lambda} |w|^p dx = Q* = q_star(N) of a solved
+    profile w, by Brent's method.
 
     The grid panel that holds the root, and the mass below it, come from the
     co-integrated mass omega * grid.norm_lp (the one analyze's L^p norm and
@@ -69,12 +72,9 @@ def concentration_lambda(w, Qstar: float | None = None) -> float:
     1e-13.  The tail past the grid is read only when the grid mass falls
     short of Q*, to tell which NotInAsymptoticRegime to raise.
     """
-    if isinstance(w, EmdenFowlerProfile):
-        return _emden_concentration(w, Qstar)
     N = w.params.N
     p = w.params.p
-    if Qstar is None:
-        Qstar = q_star(N)
+    Qstar = q_star(N)
     omega = sphere_area(N)
     cum = omega * w.grid.norm_lp   # cum[i]: the co-integrated mass of B_{rg[i]}
     if cum[-1] < Qstar:
@@ -115,27 +115,7 @@ def concentration_lambda(w, Qstar: float | None = None) -> float:
         f_lo = excess(lo)
     else:
         lo, f_lo = start, f_start
-    lo, hi, _ = _bracket_root(excess, lo, f_lo, float(rg[idx]), float(cum[idx]) - Qstar,
-                              1e-13, 200)
-    return 0.5 * (lo + hi)
-
-
-def _emden_concentration(w: EmdenFowlerProfile, Qstar: float | None) -> float:
-    if Qstar is None:
-        Qstar = q_star(w.N)
-    ps = w.p_star
-    total = w.norm_s(ps)
-
-    def mass_minus(lam):
-        return w.norm_s(ps, r_hi=lam) - Qstar
-
-    if total <= Qstar:
-        raise NotInAsymptoticRegime(f"total mass {total:.6g} <= Q* = {Qstar:.6g}")
-    hi = 1.0
-    while (f_hi := mass_minus(hi)) < 0.0:
-        hi *= 2.0
-    lo = 1e-8 * hi
-    lo, hi, _ = _bracket_root(mass_minus, lo, mass_minus(lo), hi, f_hi, 1e-13, 100)
+    lo, hi, _ = _bracket_root(excess, lo, f_lo, float(rg[idx]), float(cum[idx]) - Qstar, 1e-13)
     return 0.5 * (lo + hi)
 
 

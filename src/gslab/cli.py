@@ -170,8 +170,8 @@ def _resolve_params(args, parser) -> ProblemParams:
 def _shoot_controls(args, parser) -> ShootControls:
     for name in ("rtol", "atol", "amp_tol", "r_max"):
         val = getattr(args, name, None)
-        if val is not None and val <= 0.0:
-            parser.error(f"--{name.replace('_', '-')} must be positive, got {val}")
+        if val is not None and not 0.0 < val < math.inf:
+            parser.error(f"--{name.replace('_', '-')} must be positive and finite, got {val}")
     ctrl = ShootControls()
     step = ctrl.step
     if getattr(args, "rtol", None):
@@ -369,6 +369,8 @@ def _cmd_check(args, parser) -> int:
         return 0 if ok else 1
     params = _resolve_params(args, parser)
     ctrl = _shoot_controls(args, parser)
+    if not 0.0 < args.tol < math.inf:
+        parser.error(f"--tol must be positive and finite, got {args.tol}")
     try:
         sol = solve_ground_state(params, ctrl)
     except _SOLVE_FAILURES as exc:
@@ -389,7 +391,7 @@ def _cmd_check(args, parser) -> int:
     status = 0
     for name, val, tol in rows:
         mark = "ok" if val < tol else "FAIL"
-        if val >= tol:
+        if mark == "FAIL":
             status = 1
         print(f"{name:12s} residual {val:.3e}  (tol {tol:.1e})  {mark}")
     return status

@@ -91,9 +91,15 @@ def _panel_sum(terms, half) -> float:
     return total
 
 
+# radial_quad's tan panels, and the Gauss nodes on each
+_TAN_PANELS = 12
+_TAN_NODES = 48
+
+
 def radial_quad(g, N: int, r_lo: float = 0.0, r_hi: float = math.inf,
-                scale: float = 1.0, panels: int = 12, nodes: int = 48) -> float:
-    """int_{r_lo}^{r_hi} g(r) r^(N-1) dr via r = scale*tan(theta) panels.
+                scale: float = 1.0) -> float:
+    """int_{r_lo}^{r_hi} g(r) r^(N-1) dr via r = scale*tan(theta) panels:
+    _TAN_PANELS equal panels in theta, _TAN_NODES Gauss nodes each.
 
     The substitution maps [0, inf) to [0, pi/2) and turns algebraic tails
     into smooth integrands; `g` must accept numpy arrays of any shape.  It
@@ -106,8 +112,8 @@ def radial_quad(g, N: int, r_lo: float = 0.0, r_hi: float = math.inf,
     """
     th_lo = math.atan2(r_lo, scale)
     th_hi = math.pi / 2.0 if math.isinf(r_hi) else math.atan2(r_hi, scale)
-    edges = np.linspace(th_lo, th_hi, panels + 1) if th_hi > th_lo else np.array([th_lo])
-    th, half, w = _gauss_panels(edges, nodes)
+    edges = np.linspace(th_lo, th_hi, _TAN_PANELS + 1) if th_hi > th_lo else np.array([th_lo])
+    th, half, w = _gauss_panels(edges, _TAN_NODES)
     r = scale * np.tan(th)
     terms = w * g(r) * r ** (N - 1) * (scale / np.cos(th) ** 2)
     if terms.ndim == 2:

@@ -11,7 +11,9 @@ level is S = (E / (1/2 - 1/p*))^(2/N) and ||grad u||_2^2 = S^(N/2).  The
 minimizer frame w(y) = u(sqrt(S) y) then satisfies ||grad w||_2^2 = S and
 the constraint p* int F(w) = 1.  It is u.scaled(1, S), the one transform
 amp*u(lam y) of shooting.RadialProfile that asymptotics.rescale_to_v uses
-too.  Norms sum RadialProfile.quad on the grid and norm_tail past it.
+too.  Norms of a solved RadialProfile sum RadialProfile.quad on the grid
+and norm_tail past it; the closed-form profiles of emden read their own
+(EmdenFowlerProfile.norm_s and dirichlet_sq).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .emden import EmdenFowlerProfile
 from .errors import DivergentNormError, InconsistentSolution
 from .params import Family, ProblemParams, sphere_area
 from .shooting import RadialProfile, ShootControls, find_ground_state
@@ -84,22 +85,20 @@ class GroundStateSolution:
         return frame
 
 
-def radial_norm(profile, s: float) -> float:
-    """int |u|^s dx for a RadialProfile or EmdenFowlerProfile."""
+def radial_norm(profile: RadialProfile, s: float) -> float:
+    """int |u|^s dx of a solved profile: its grid panels plus its tail.
+    (An EmdenFowlerProfile reads its own, EmdenFowlerProfile.norm_s.)"""
     if s < 1.0:
         raise ValueError(f"need s >= 1, got {s}")
-    if isinstance(profile, EmdenFowlerProfile):
-        return profile.norm_s(s)
     # first: an algebraic tail raises DivergentNormError where s*(N-2) <= N
     tail = profile.norm_tail(s)
     bulk = profile.quad(lambda r, u, du: np.abs(u) ** s)
     return sphere_area(profile.params.N) * (bulk + tail)
 
 
-def dirichlet_norm(profile) -> float:
-    """||grad u||_2^2 for a RadialProfile or EmdenFowlerProfile."""
-    if isinstance(profile, EmdenFowlerProfile):
-        return profile.dirichlet_sq()
+def dirichlet_norm(profile: RadialProfile) -> float:
+    """||grad u||_2^2 of a solved profile: its grid panels plus its tail.
+    (An EmdenFowlerProfile reads its own, EmdenFowlerProfile.dirichlet_sq.)"""
     bulk = profile.quad(lambda r, u, du: du * du)
     tail = profile.dirichlet_tail()
     return sphere_area(profile.params.N) * (bulk + tail)

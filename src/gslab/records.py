@@ -49,7 +49,7 @@ class ParseError(ValueError):
 
 @dataclass
 class ResultRecord:
-    kind: str                      # "solution" | "sweep" | "emden" | "check"
+    kind: str                      # "solution" | "sweep"
     config: dict
     payload: dict
     diagnostics: dict = field(default_factory=dict)
@@ -101,9 +101,14 @@ def parse(data: bytes) -> ResultRecord:
         doc = json.loads(data.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"not a record: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("not a record: the document is not a JSON object")
     for fd in ("schema_version", "kind", "config", "payload"):
         if fd not in doc:
             raise ParseError(f"missing field {fd!r}")
+    for fd in ("config", "payload", "diagnostics"):
+        if not isinstance(doc.get(fd, {}), dict):
+            raise ParseError(f"field {fd!r} is not an object")
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ParseError(
             f"schema_version mismatch: got {doc['schema_version']!r}, "
@@ -142,8 +147,7 @@ def sweep_csv(report: ScalingReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_record(report: ScalingReport, config: dict,
-                  diagnostics: dict | None = None) -> ResultRecord:
+def report_record(report: ScalingReport, config: dict) -> ResultRecord:
     fits = {
         name: {
             "exponent": fit.exponent,
@@ -169,7 +173,7 @@ def report_record(report: ScalingReport, config: dict,
         "fit_window": report.fit_window,
         "failures": {repr(pt.x): pt.failure for pt in report.points if not pt.converged},
     }
-    return ResultRecord("sweep", config, payload, diagnostics or {})
+    return ResultRecord("sweep", config, payload)
 
 
 def refit_record(record: ResultRecord, observable: str = "amplitude",
@@ -189,8 +193,11 @@ def refit_record(record: ResultRecord, observable: str = "amplitude",
             return bool(v)
         return math.nan if v is None else float(v)
 
+    grid = record.payload["grid"]
+    if not (isinstance(grid, list) and all(isinstance(row, dict) for row in grid)):
+        raise ParseError("field 'payload.grid' is not a list of objects")
     points = [SweepPoint(**{attr: value(attr, row[col]) for col, attr in _GRID_FIELDS})
-              for row in record.payload["grid"]]
+              for row in grid]
     window = fit_points(points, record.payload.get("fit_window"))
     fit = fit_exponent(fit_data(window, attrs[observable]), with_log=with_log)
     return {

@@ -102,7 +102,7 @@ class ShootControls:
     step: StepControls = field(default_factory=lambda: StepControls(atol=1e-14, rtol=1e-12))
 
 
-_MAX_PROBES = 200             # Brent probes per attempt of the amplitude search
+_MAX_PROBES = 200             # the most evaluations of f one _bracket_root call makes
 _CONVERGENCE_FACTOR = 1e-8    # an exponential run that reaches r_max below this * a is Converged
 
 
@@ -149,17 +149,15 @@ class TailModel:
         g = np.abs(base) ** self.corr_pm2 * r * r / self._one_plus_kr2(r)
         return base * (1.0 + self.corr * g)
 
-    def evaluate(self, r):
-        """(u, u') of the model at r, floats for a float r, from one evaluation
-        of the linear mode: u' is the product rule through the correction
-        factor, with g'/g = (p-2) base'/base + 2 / (r (1 + (k r)^2))."""
-        r = np.asarray(r, dtype=float)
+    def evaluate(self, r: np.ndarray):
+        """(u, u') of the model on the radii r, from one evaluation of the
+        linear mode: u' is the product rule through the correction factor,
+        with g'/g = (p-2) base'/base + 2 / (r (1 + (k r)^2))."""
         base, dbase = self._mode(r)
         kr2 = self._one_plus_kr2(r)
         cg = self.corr * np.abs(base) ** self.corr_pm2 * r * r / kr2
         du = dbase * (1.0 + cg) + cg * (self.corr_pm2 * dbase + 2.0 * base / (r * kr2))
-        u = self._value(r, base)
-        return (float(u), float(du)) if np.ndim(r) == 0 else (u, du)
+        return self._value(r, base), du
 
     def scaled(self, amp: float, lam_sq: float) -> TailModel:
         """The model of amp * u(lam y), lam = sqrt(lam_sq) (RadialProfile.scaled).
@@ -504,16 +502,16 @@ def _f_root(fun, a: float, b: float) -> float:
     Its bisection steps are geometric, so the tens of decades a bracket can
     span with p close to 2 take about 60 of them (a hundred decades at
     p = 2.02 took 113 Brent steps).  A bracket without a sign change, or one
-    not closed in 200 steps, raises InternalConsistencyError.
+    not closed in _MAX_PROBES steps, raises InternalConsistencyError.
     """
     fa, fb = fun(a), fun(b)
     if fa != 0.0 and fb != 0.0 and (fa > 0.0) == (fb > 0.0):
         raise InternalConsistencyError(
             f"root bracket [{a!r}, {b!r}] has no sign change: f = {fa!r}, {fb!r}")
-    lo, hi, _ = _bracket_root(fun, a, fa, b, fb, 1e-15, 200)
+    lo, hi, _ = _bracket_root(fun, a, fa, b, fb, 1e-15)
     if hi / lo - 1.0 > 1e-15:
         raise InternalConsistencyError(
-            f"root of f in [{a!r}, {b!r}] not found in 200 steps: [{lo!r}, {hi!r}]")
+            f"root of f in [{a!r}, {b!r}] not found in {_MAX_PROBES} steps: [{lo!r}, {hi!r}]")
     return 0.5 * (lo + hi)
 
 
@@ -637,8 +635,8 @@ def _zeroin(a: float, fa: float, b: float, fb: float, rtol: float):
         b, fb = yield b + (d if abs(d) > tol else math.copysign(tol, xm))
 
 
-def _bracket_root(f, lo: float, f_lo: float, hi: float, f_hi: float, rtol: float,
-                  maxiter: int) -> tuple[float, float, int]:
+def _bracket_root(f, lo: float, f_lo: float, hi: float, f_hi: float,
+                  rtol: float) -> tuple[float, float, int]:
     """Close a bracket of a root of f with Brent's steps: (lo, hi, evaluations).
 
     0 < lo < hi, and f_lo = f(lo), f_hi = f(hi) have opposite signs.  A step
@@ -647,14 +645,14 @@ def _bracket_root(f, lo: float, f_lo: float, hi: float, f_hi: float, rtol: float
     at x, or the pair (y, f(y)) of a point y in (lo, hi) it took instead.
     The loop stops when hi / lo - 1 <= rtol (the steps are at least half
     that, relative), when f reads 0 (then lo = hi = the probe), or after
-    maxiter evaluations.  An end where f is 0 is returned as both ends.
+    _MAX_PROBES evaluations.  An end where f is 0 is returned as both ends.
     """
     if f_lo == 0.0 or f_hi == 0.0:
         x = lo if f_lo == 0.0 else hi
         return x, x, 0
     zeroin = _zeroin(lo, f_lo, hi, f_hi, 0.5 * rtol)
     x, n = next(zeroin), 0
-    while hi / lo - 1.0 > rtol and n < maxiter:
+    while hi / lo - 1.0 > rtol and n < _MAX_PROBES:
         if not lo < x < hi:
             x = math.sqrt(lo) * math.sqrt(hi)
         n += 1
@@ -702,12 +700,12 @@ def _loose_step(step: StepControls) -> StepControls:
     return replace(step, atol=1e5 * step.atol, rtol=1e5 * step.rtol)
 
 
-def _on_line(points, rtol: float = 1e-2) -> bool:
-    """Whether three (a, value) points lie on one increasing line to rtol:
-    both secant slopes positive and within rtol of each other."""
+def _on_line(points) -> bool:
+    """Whether three (a, value) points lie on one increasing line: both
+    secant slopes positive and within 1% of each other."""
     (a0, g0), (a1, g1), (a2, g2) = points
     s0, s1 = (g1 - g0) / (a1 - a0), (g2 - g1) / (a2 - a1)
-    return s0 > 0.0 and s1 > 0.0 and abs(s1 - s0) <= rtol * max(s0, s1)
+    return s0 > 0.0 and s1 > 0.0 and abs(s1 - s0) <= 1e-2 * max(s0, s1)
 
 
 class _Runs:
@@ -967,8 +965,7 @@ def _attempt(params: ProblemParams, ctrl: ShootControls, window, run: _Runs,
         loose = loose_first and (p is None or abs(x - p) > _LOOSE_SHIFT * x)
         return 0.0 if shoot(x, loose) == Classification.CONVERGED else shots[x][1]
 
-    lo, hi, probes = _bracket_root(probe, lo, shots[lo][1], hi, shots[hi][1],
-                                   ctrl.amp_tol, _MAX_PROBES)
+    lo, hi, probes = _bracket_root(probe, lo, shots[lo][1], hi, shots[hi][1], ctrl.amp_tol)
     if probes >= _MAX_PROBES:
         warnings.warn(
             f"amplitude search hit the {_MAX_PROBES}-probe cap at "

@@ -19,18 +19,25 @@ from gslab import (
     sphere_area,
     sweep,
 )
+from gslab import asymptotics
 from gslab.asymptotics import profile_distances
+from gslab.emden import q_star
+from gslab.params import critical_exponent
 
 
 def test_concentration_of_sobolev_minimizer():
-    # Q_0(lambda) = Q* if and only if lambda = 1
-    assert concentration_lambda(EmdenFowlerProfile(5, 1.0, "W")) == pytest.approx(1.0, abs=1e-10)
+    # Q_0(lambda) = Q* if and only if lambda = 1: W_1 holds Q* in B_1
+    ps = critical_exponent(5)
+    assert EmdenFowlerProfile(5, 1.0, "W").norm_s(ps, r_hi=1.0) == pytest.approx(
+        q_star(5), rel=1e-14, abs=0.0)
 
 
 def test_concentration_dilation_covariance():
+    # W_mu holds Q* in B_mu: its concentration radius is mu
+    ps = critical_exponent(5)
     for mu in (0.5, 2.0):
-        lam = concentration_lambda(EmdenFowlerProfile(5, mu, "W"))
-        assert lam == pytest.approx(mu, rel=1e-10)
+        assert EmdenFowlerProfile(5, mu, "W").norm_s(ps, r_hi=mu) == pytest.approx(
+            q_star(5), rel=1e-14, abs=0.0)
 
 
 def test_concentration_mass_check(identity_solutions):
@@ -43,15 +50,16 @@ def test_concentration_mass_check(identity_solutions):
     assert concentration_lambda(v) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_concentration_error_when_mass_too_small(identity_solutions):
+def test_concentration_error_when_mass_too_small(identity_solutions, monkeypatch):
     sol = identity_solutions[(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)]
     w = sol.rescaled_to_frame().profile
     total = radial_norm(w, w.params.p)
+    monkeypatch.setattr(asymptotics, "q_star", lambda N: total * 1.01)
     with pytest.raises(NotInAsymptoticRegime):
-        concentration_lambda(w, Qstar=total * 1.01)
+        concentration_lambda(w)
 
 
-def test_concentration_error_when_radius_is_past_the_grid(identity_solutions):
+def test_concentration_error_when_radius_is_past_the_grid(identity_solutions, monkeypatch):
     # Q* above the grid's co-integrated mass but below the total with the
     # tail: the radius lies past the stored grid
     sol = identity_solutions[(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)]
@@ -60,8 +68,9 @@ def test_concentration_error_when_radius_is_past_the_grid(identity_solutions):
     grid = omega * float(w.grid.norm_lp[-1])
     Qstar = grid + 0.5 * omega * w.norm_tail(w.params.p)
     assert grid < Qstar
+    monkeypatch.setattr(asymptotics, "q_star", lambda N: Qstar)
     with pytest.raises(NotInAsymptoticRegime, match="beyond the stored grid"):
-        concentration_lambda(w, Qstar=Qstar)
+        concentration_lambda(w)
 
 
 def test_rescale_identity():

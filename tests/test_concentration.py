@@ -98,11 +98,14 @@ def mass_evaluations(monkeypatch):
     return calls
 
 
-def _check(w, Qstar, calls):
-    """concentration_lambda against the bisection, and its mass evaluations."""
+def _check(w, Qstar, calls, monkeypatch):
+    """concentration_lambda against the bisection, and its mass evaluations,
+    with Q* (asymptotics.q_star) set to Qstar."""
     want = _lambda_loop(w, Qstar)
     calls.clear()
-    got = concentration_lambda(w, Qstar)
+    with monkeypatch.context() as m:
+        m.setattr(asymptotics, "q_star", lambda N: Qstar)
+        got = concentration_lambda(w)
     assert 0 < len(calls) <= 8
     # the bisection reads base + mass - Q*, which rounds to 0 on a plateau of
     # width ~ulp(Q*) / m' around the root, m' the derivative of the ball mass
@@ -113,16 +116,16 @@ def _check(w, Qstar, calls):
 
 
 @pytest.mark.parametrize("params", CRITICAL)
-def test_lambda_matches_scalar_bisection(params, frames, mass_evaluations):
+def test_lambda_matches_scalar_bisection(params, frames, mass_evaluations, monkeypatch):
     w = frames(params)
-    got = _check(w, q_star(params.N), mass_evaluations)
+    got = _check(w, q_star(params.N), mass_evaluations, monkeypatch)
     assert concentration_lambda(w) == got
 
 
 @pytest.mark.parametrize("params", CRITICAL)
 @pytest.mark.parametrize("where", ["series", "first_panel", "inner_panel", "last_panel"])
 def test_lambda_matches_scalar_bisection_in_every_piece(params, where, frames,
-                                                         mass_evaluations):
+                                                         mass_evaluations, monkeypatch):
     w = frames(params)
     cum = sphere_area(params.N) * w.grid.norm_lp
     # the last panel that adds more than rounding: further out the prefix sums
@@ -131,16 +134,17 @@ def test_lambda_matches_scalar_bisection_in_every_piece(params, where, frames,
     k = {"series": 0, "first_panel": 1, "inner_panel": last // 2, "last_panel": last}[where]
     Qstar = 0.5 * ((0.0 if k == 0 else float(cum[k - 1])) + float(cum[k]))
     assert int(np.searchsorted(cum, Qstar)) == k
-    got = _check(w, Qstar, mass_evaluations)
+    got = _check(w, Qstar, mass_evaluations, monkeypatch)
     assert (0.0 if k == 0 else w.grid.radii[k - 1]) < got <= w.grid.radii[k]
 
 
 @pytest.mark.parametrize("params", CRITICAL)
 def test_lambda_matches_scalar_bisection_with_qstar_at_each_mid(params, frames,
-                                                                mass_evaluations):
+                                                                mass_evaluations,
+                                                                monkeypatch):
     w = frames(params)
     visits = []
     _lambda_loop(w, q_star(params.N), visits)
     assert len(visits) > 30
     for Qstar in visits:
-        _check(w, Qstar, mass_evaluations)
+        _check(w, Qstar, mass_evaluations, monkeypatch)

@@ -30,12 +30,12 @@ def test_u1_norm_is_sobolev_power():
         u1 = EmdenFowlerProfile(N, 1.0, "U")
         p_star = 2.0 * N / (N - 2.0)
         s = sobolev_constant(N)
-        assert radial_norm(u1, p_star) == pytest.approx(s ** (N / 2.0), rel=1e-10)
-        assert dirichlet_norm(u1) == pytest.approx(s ** (N / 2.0), rel=1e-10)
+        assert u1.norm_s(p_star) == pytest.approx(s ** (N / 2.0), rel=1e-10)
+        assert u1.dirichlet_sq() == pytest.approx(s ** (N / 2.0), rel=1e-10)
 
 
 def test_dirichlet_w1_is_sobolev_constant():
-    assert dirichlet_norm(EmdenFowlerProfile(4, 1.0, "W")) == pytest.approx(
+    assert EmdenFowlerProfile(4, 1.0, "W").dirichlet_sq() == pytest.approx(
         sobolev_constant(4), rel=1e-10
     )
 
@@ -283,5 +283,5 @@ def test_extract_level_critical_limit_profile():
     p_star = 6.0
     u1 = EmdenFowlerProfile(N, 1.0, "U")
     prm = ProblemParams(N, p_star, p_star + 2.0, 0.0, Family.P_EPS)
-    E = energy(prm, 0.0, radial_norm(u1, p_star), 0.0, dirichlet_norm(u1))
+    E = energy(prm, 0.0, u1.norm_s(p_star), 0.0, u1.dirichlet_sq())
     assert extract_level(prm, E) == pytest.approx(sobolev_constant(N), rel=1e-9)

@@ -15,7 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from gslab import EmdenFowlerProfile, Family, ProblemParams, find_ground_state, solve_ground_state
+from gslab import (EmdenFowlerProfile, Family, ProblemParams, emden, find_ground_state,
+                   solve_ground_state)
 from gslab.emden import _leggauss, eval_U, eval_U_slope, radial_quad, sobolev_constant
 from gslab.functionals import analyze, dirichlet_norm, radial_norm
 from gslab.shooting import TailModel
@@ -154,7 +155,7 @@ def test_tail_model_is_evaluated_once_per_profile(monkeypatch):
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
-def test_radial_quad_matches_panel_loop_bitwise(N):
+def test_radial_quad_matches_panel_loop_bitwise(N, monkeypatch):
     p_star = 2.0 * N / (N - 2.0)
     c = math.sqrt(N * (N - 2.0))
     rt = math.sqrt(sobolev_constant(N))
@@ -167,10 +168,15 @@ def test_radial_quad_matches_panel_loop_bitwise(N):
           for lam in (0.4, 1.3, 3.0)],
         (lambda r: np.abs(W.value(r)) ** p_star, dict(r_lo=2.5, scale=max(c, 0.25))),
         (lambda r: W.slope(r) ** 2, dict(r_lo=0.5, r_hi=40.0, scale=c)),
-        (lambda r: W.value(r) ** 2, dict(r_lo=1.0, r_hi=3.0, panels=5, nodes=7)),
     ]
     for g, kw in cases:
         _same(radial_quad(g, N, **kw), _radial_quad_loop(g, N, **kw))
+    # another panel and node count, set on the module's constants
+    monkeypatch.setattr(emden, "_TAN_PANELS", 5)
+    monkeypatch.setattr(emden, "_TAN_NODES", 7)
+    g = lambda r: W.value(r) ** 2
+    _same(radial_quad(g, N, r_lo=1.0, r_hi=3.0),
+          _radial_quad_loop(g, N, r_lo=1.0, r_hi=3.0, panels=5, nodes=7))
 
 
 @pytest.mark.parametrize("params", [GOLDEN[0], GOLDEN[3]])

@@ -55,6 +55,44 @@ def test_parse_rejects_nonfinite_payload():
         parse(json.dumps(doc).encode())
 
 
+def _record_doc(**fields) -> bytes:
+    """A sweep record's bytes with ``fields`` set at the top level or, for
+    the key "grid", in the payload."""
+    doc = json.loads(serialize(ResultRecord("sweep", {}, {"grid": []})))
+    if "grid" in fields:
+        doc["payload"]["grid"] = fields.pop("grid")
+    doc.update(fields)
+    return json.dumps(doc).encode()
+
+
+_NOT_OBJECTS = {
+    "number": b"5",
+    "null": b"null",
+    "list": b"[]",
+    "config-number": _record_doc(config=5),
+    "payload-list": _record_doc(payload=[]),
+    "diagnostics-null": _record_doc(diagnostics=None),
+}
+
+
+@pytest.mark.parametrize("blob", _NOT_OBJECTS.values(), ids=_NOT_OBJECTS.keys())
+def test_parse_rejects_a_document_or_section_that_is_not_an_object(blob):
+    with pytest.raises(ParseError, match="not a JSON object|not an object"):
+        parse(blob)
+
+
+@pytest.mark.parametrize("blob", [b"5", _record_doc(config=5), _record_doc(grid=5),
+                                  _record_doc(grid=[5])],
+                         ids=["number", "config-number", "grid-number", "grid-of-numbers"])
+def test_cli_fit_of_a_malformed_record_exits_1(tmp_path, capsys, blob):
+    # the record is read, parsed and re-fit: each malformed shape is a
+    # ParseError, reported as a failed fit
+    path = tmp_path / "sweep.json"
+    path.write_bytes(blob)
+    assert main(["fit", "--in", str(path)]) == 1
+    assert "fit failed" in capsys.readouterr().err
+
+
 def test_sweep_csv_header_schema(sub_sweep):
     csv = sweep_csv(sub_sweep)
     header = csv.splitlines()[0]
@@ -210,8 +248,10 @@ def test_cli_sweep_fit_and_plot_data(tmp_path, capsys):
 
 
 def test_cli_plot_data_fit_column_is_the_least_squares_fit(tmp_path):
-    # the sweep of test_cli_sweep_fit_and_plot_data; at the points the fit
-    # reads, the fit column is exp(A @ coef) of that fit's own least squares
+    # the sweep of test_cli_sweep_fit_and_plot_data.  One row per converged
+    # point: x, its amplitude, and the amplitude fit's model at x,
+    # exp(intercept + exponent log x + log_power log log(1/x)); at the points
+    # the fit reads, that is exp(A @ coef) of the fit's own least squares
     import numpy as np
 
     from gslab import SweepSpec, sweep
@@ -221,10 +261,19 @@ def test_cli_plot_data_fit_column_is_the_least_squares_fit(tmp_path):
     assert main(["sweep", "--regime", "subcritical", "--N", "3", "--p", "4",
                  "--q", "6", "--eps-min", "1.4e-3", "--eps-max", "0.18",
                  "--emit-plot-data", str(plot)]) == 0
-    rows = {float(x): float(fit) for x, _, fit in
-            (line.split(",") for line in plot.read_text().splitlines()[1:])}
+    lines = plot.read_text().splitlines()
+    assert lines[0] == "x,y,fit"
+    table = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    rows = {x: fit for x, _, fit in table}
     report = sweep(SweepSpec(regime="subcritical", N=3, p=4.0, q=6.0,
                              grid_min=1.4e-3, grid_max=0.18))
+    amp = report.fits["amplitude"]
+    points = report.converged_points()
+    assert [(x, y) for x, y, _ in table] == [(pt.x, pt.amplitude) for pt in points]
+    for x, _, fit in table:
+        want = math.exp(amp.intercept + amp.exponent * math.log(x)
+                        + amp.log_power * math.log(math.log(1.0 / x)))
+        assert fit == pytest.approx(want, rel=1e-12, abs=0.0)
     data = fit_data(fit_points(report.points, report.fit_window), "amplitude")
     xs, ys = np.array(data).T
     A = np.column_stack([np.ones_like(xs), np.log(xs)])
@@ -325,13 +374,7 @@ def test_cli_delta_sweep_rejects_p(monkeypatch, capsys):
 ], ids=["subcritical-without-p", "critical-off-p-star", "ratio", "short-grid", "zero-eps-min",
         "critical-N2", "q-below-p", "critical-q-below-p-star", "delta-past-q", "solve-N2"])
 def test_cli_sweep_argument_errors_exit_2_before_any_solve(monkeypatch, capsys, argv, message):
-    from gslab import cli
-
-    def solved(*args):
-        raise AssertionError("a solve ran")
-
-    monkeypatch.setattr(cli, "sweep", solved)
-    monkeypatch.setattr(cli, "solve_ground_state", solved)
+    _no_solve(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -413,6 +456,56 @@ def test_cli_rejects_nonpositive_tolerances():
 
 
 _SOLVE_ARGV = ["--family", "P_eps", "--N", "3", "--p", "4", "--q", "6", "--eps", "1e-2"]
+
+
+def _no_solve(monkeypatch):
+    from gslab import cli
+
+    def solved(*args):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(cli, "sweep", solved)
+    monkeypatch.setattr(cli, "solve_ground_state", solved)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--rtol", "--atol", "--amp-tol", "--r-max"])
+@pytest.mark.parametrize("command", ["solve", "check", "sweep"])
+def test_cli_rejects_nonfinite_tolerances_before_any_solve(monkeypatch, capsys, command,
+                                                           flag, value):
+    _no_solve(monkeypatch)
+    args = (["--regime", "subcritical", "--N", "3", "--p", "4", "--q", "6"]
+            if command == "sweep" else _SOLVE_ARGV)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, flag, value])
+    assert exc.value.code == 2
+    assert f"{flag} must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])
+def test_cli_check_rejects_a_tol_that_is_not_positive_and_finite(monkeypatch, capsys, tol):
+    _no_solve(monkeypatch)
+    for suite in ("identities", "kappa"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--suite", suite, *_SOLVE_ARGV, f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "--tol must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("residual", [math.nan, 1.0])
+def test_cli_check_exits_1_on_every_row_it_marks_fail(monkeypatch, capsys, residual):
+    # a residual that is not below the tolerance, NaN among them, is a FAIL
+    # row, and a FAIL row sets the exit status
+    from types import SimpleNamespace
+
+    from gslab import cli
+
+    sol = SimpleNamespace(nehari_residual=residual, pokhozhaev_residual=0.0)
+    monkeypatch.setattr(cli, "solve_ground_state", lambda params, ctrl: sol)
+    assert main(["check", "--suite", "identities", *_SOLVE_ARGV]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == ["nehari", "pokhozhaev"]
+    assert rows[0].endswith("FAIL") and rows[1].endswith("ok")
 
 
 def _raising(exc):
@@ -666,3 +759,19 @@ def test_cli_truncated_cache_entry_is_a_miss(tmp_path, capsys):
     assert parse(entry.read_bytes()).payload == parse(whole).payload
     assert main(argv) == 0
     assert "cache hit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entry_bytes", [b"null", b"5", _record_doc(payload=[])],
+                         ids=["null", "number", "payload-list"])
+def test_cli_cache_entry_that_is_not_an_object_is_a_miss(tmp_path, capsys, entry_bytes):
+    # an entry that parses as JSON but is not a record object is a miss: the
+    # solve runs again and rewrites it
+    argv = ["solve", *_SOLVE_ARGV]
+    assert main(argv) == 0
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    whole = entry.read_bytes()
+    entry.write_bytes(entry_bytes)
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    assert parse(entry.read_bytes()).payload == parse(whole).payload

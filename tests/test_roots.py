@@ -108,7 +108,7 @@ def test_smooth_roots_match_scipy_brentq(rtol):
     rng = random.Random(7)
     for _ in range(1500):
         f, a, b = _smooth(rng)
-        lo, hi, n = shooting._bracket_root(f, a, f(a), b, f(b), rtol, 100)
+        lo, hi, n = shooting._bracket_root(f, a, f(a), b, f(b), rtol)
         assert hi / lo - 1.0 <= rtol and n < 100, (a, b)
         want = brentq(f, a, b, xtol=1e-300, rtol=rtol)
         assert abs(0.5 * (lo + hi) - want) <= 1.5 * rtol * want, (a, b)

@@ -148,7 +148,7 @@ def test_tail_residual_at_twice_match_radius():
     r_chk = min(2.0 * rm, r_end)
     idx = np.argmin(np.abs(prof.grid.radii - r_chk))
     u_num = prof.grid.values[idx]
-    u_tail = prof.tail.evaluate(prof.grid.radii[idx])[0]
+    u_tail = prof.tail.evaluate(prof.grid.radii[idx:idx + 1])[0][0]
     assert abs(u_tail - u_num) / u_num < 1e-3
 
 
@@ -538,9 +538,9 @@ def test_failed_hint_shot_rebuilds_the_bracket(monkeypatch):
 def test_profile_past_its_grid_is_its_tail(params):
     # the golden profiles (tests/test_golden.py), three exponential tails and
     # one algebraic.  Past the last grid radius R, value and slope are
-    # TailModel.evaluate's, bit for bit, on an array and on a float.  Just
-    # past R the value is within the tail's fit mismatch of the grid's last
-    # value; the fit matches values, not slopes, and the slope gap is bounded
+    # TailModel.evaluate's, bit for bit, on an array and on a float (its
+    # value on a one-element array).  Just past R the value is within the
+    # tail's fit mismatch of the grid's last value; the fit matches values, not slopes, and the slope gap is bounded
     # by twice the mismatch (P_eps's is 1.32 times it, the others' below 1)
     prof = find_ground_state(params)
     R = float(prof.grid.radii[-1])
@@ -549,7 +549,8 @@ def test_profile_past_its_grid_is_its_tail(params):
     assert prof.value(r).tobytes() == u.tobytes()
     assert prof.slope(r).tobytes() == du.tobytes()
     for x in r.tolist():
-        assert (prof.value(x), prof.slope(x)) == prof.tail.evaluate(x)
+        u1, du1 = prof.tail.evaluate(np.array([x]))
+        assert (prof.value(x), prof.slope(x)) == (float(u1[0]), float(du1[0]))
     past = float(np.nextafter(R, np.inf))
     mismatch = prof.tail.mismatch
     assert abs(prof.value(past) / prof.grid.values[-1] - 1.0) <= mismatch
