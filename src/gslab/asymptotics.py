@@ -140,16 +140,17 @@ def profile_distances(v: RadialProfile, ref: EmdenFowlerProfile) -> tuple[float,
 
     Both integrands are rows of one stack on each node set: v's grid panels
     and series nodes (RadialProfile.quad), then the tan panels past the
-    grid (emden.radial_quad), where v is its tail model.  ref's value and
-    slope and the tail model's value and slope are evaluated once per node
-    set.
+    grid (emden.radial_quad), where v is its tail model.  ref's (value,
+    slope) and the tail model's are each one evaluation per node set
+    (EmdenFowlerProfile.evaluate, TailModel.evaluate).
     """
     N = v.params.N
     p = v.params.p
     omega = sphere_area(N)
 
     def gaps(r, u, du):
-        return np.stack(((du - ref.slope(r)) ** 2, np.abs(u - ref.value(r)) ** p))
+        w, dw = ref.evaluate(r)
+        return np.stack(((du - dw) ** 2, np.abs(u - w) ** p))
 
     d1_sq, lp = v.quad(gaps)
     # beyond the grid: v is exponentially small, ref keeps algebraic mass

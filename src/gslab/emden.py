@@ -13,11 +13,13 @@ is evaluated in closed form, with norms computed by a tan-substitution
 Gauss quadrature that resolves the algebraic tail exactly.
 
 ``radial_quad`` evaluates every tan panel in one numpy pass and adds the
-panel totals in panel order (``_panel_sum``).  That sum, and the map from
-panel edges to Gauss nodes (``_gauss_panels``), are the package's only
-ones: ``shooting`` evaluates an exponential far field once on its own
-geometric Gauss panels (TailModel.far_field) and sums every tail norm
-with them too.
+panel totals in panel order as Python floats (``_panel_sum``).  That sum,
+and the map from panel edges to Gauss nodes (``_gauss_panels``), are the
+package's only ones: ``shooting`` evaluates an exponential far field once
+on its own geometric Gauss panels (TailModel.far_field) and sums every
+tail norm with them too.  U_lam and its slope share x = r/lam and
+1 + x^2/(N(N-2)) (_U_base), so EmdenFowlerProfile.evaluate reads both on a
+node set from one pass, with the bits of value and slope.
 """
 
 from __future__ import annotations
@@ -41,27 +43,33 @@ __all__ = [
 ]
 
 
-def eval_U(N: int, lam: float, r) -> float:
-    """U_lam(r), exact."""
+def _U_base(N: int, lam: float, r):
+    """(x, 1 + x^2/(N(N-2))) at x = r/lam: what U_lam and its slope share."""
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    c2 = N * (N - 2.0)
     x = np.asarray(r, dtype=float) / lam
-    out = lam ** (-(N - 2.0) / 2.0) * (1.0 + x * x / c2) ** (-(N - 2.0) / 2.0)
+    return x, 1.0 + x * x / (N * (N - 2.0))
+
+
+def _U_value(N: int, lam: float, b):
+    """U_lam from _U_base's b."""
+    return lam ** (-(N - 2.0) / 2.0) * b ** (-(N - 2.0) / 2.0)
+
+
+def _U_slope(N: int, lam: float, x, b):
+    """d/dr U_lam from _U_base's (x, b)."""
+    return lam ** (-N / 2.0) * (-(N - 2.0) * x / (N * (N - 2.0))) * b ** (-N / 2.0)
+
+
+def eval_U(N: int, lam: float, r) -> float:
+    """U_lam(r), exact."""
+    out = _U_value(N, lam, _U_base(N, lam, r)[1])
     return float(out) if np.isscalar(r) or np.ndim(r) == 0 else out
 
 
 def eval_U_slope(N: int, lam: float, r) -> float:
     """d/dr U_lam(r), exact."""
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    c2 = N * (N - 2.0)
-    x = np.asarray(r, dtype=float) / lam
-    out = (
-        lam ** (-N / 2.0)
-        * (-(N - 2.0) * x / c2)
-        * (1.0 + x * x / c2) ** (-N / 2.0)
-    )
+    out = _U_slope(N, lam, *_U_base(N, lam, r))
     return float(out) if np.isscalar(r) or np.ndim(r) == 0 else out
 
 
@@ -84,11 +92,14 @@ def _gauss_panels(edges: np.ndarray, nodes: int):
 
 def _panel_sum(terms, half) -> float:
     """sum_i half_i * sum_j terms_ij: each panel's (weighted) node terms
-    summed in one numpy pass, the panel totals added in panel order."""
+    summed in one numpy pass, the panel totals added in panel order, as
+    Python floats (the IEEE operations of numpy scalars, at a fraction of
+    their cost).  The total is a numpy float, the type of a per-panel Gauss
+    loop's, or 0.0 when there are no panels."""
     total = 0.0
-    for h, s in zip(half, np.sum(terms, axis=1)):
+    for h, s in zip(half.tolist(), np.sum(terms, axis=1).tolist()):
         total += h * s
-    return total
+    return np.float64(total) if len(half) else total
 
 
 # radial_quad's tan panels, and the Gauss nodes on each
@@ -196,6 +207,13 @@ class EmdenFowlerProfile:
     def slope(self, r):
         k = self._stretch()
         return k * eval_U_slope(self.N, self.lam, np.asarray(r, dtype=float) * k)
+
+    def evaluate(self, r: np.ndarray):
+        """(value, slope) on the radii r, with the bits of value(r) and
+        slope(r), from one evaluation of what the two share."""
+        k = self._stretch()
+        x, b = _U_base(self.N, self.lam, np.asarray(r, dtype=float) * k)
+        return _U_value(self.N, self.lam, b), k * _U_slope(self.N, self.lam, x, b)
 
     def amplitude(self) -> float:
         return float(self.value(0.0))

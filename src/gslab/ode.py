@@ -23,8 +23,8 @@ long, and each sub-interval is one Gauss panel; the norms over [0, r0] come
 from the series piece.  At the far end, past the core, u follows the
 decaying mode r^(-nu) K_nu(k r) (nu = N/2 - 1) of the linear equation, the
 mode of the tail models and the shooting proxy in ``shooting``: _kve gives
-K_nu(x) e^x by an upward recurrence from closed forms or two trapezoid
-sums, so gslab imports no scipy.
+K_nu(x) e^x and K_{nu+1}(x) e^x together, by one upward recurrence from
+closed forms or two trapezoid sums, so gslab imports no scipy.
 
 Each shot is one call of a C kernel, ``_dop853.c``: the series start, the
 step loop (the twelve stages, the error norm, step control, event
@@ -281,15 +281,17 @@ def default_handoff_radius(coeffs: tuple[float, ...], r_max: float) -> float:
 
 
 def _kve(nu: float, x):
-    """K_nu(x) e^x, the scaled modified Bessel function of the second kind,
-    for nu in {0, 1/2, 1, 3/2, ...} and x > 0: a float for a float x, else
-    an array of x's shape.
+    """(K_nu(x) e^x, K_{nu+1}(x) e^x), the scaled modified Bessel function of
+    the second kind at two neighbouring orders, for nu in {0, 1/2, 1, 3/2,
+    ...} and x > 0: floats for a float x, else arrays of x's shape.
 
     The upward recurrence K_{m+1} = K_{m-1} + (2m/x) K_m, stable upward and
     unchanged by the e^x scaling, runs from the two lowest orders of nu's
     family: K_{1/2} e^x = sqrt(pi/2x) and K_{3/2} e^x = sqrt(pi/2x) (1 + 1/x)
-    in closed form, K_0 e^x and K_1 e^x as trapezoid sums.  Floats stay in
-    ``math``: the shooting proxy takes one per shot.
+    in closed form, K_0 e^x and K_1 e^x as trapezoid sums.  One run gives
+    both orders of the pair, so the mode r^-nu K_nu(k r) and its derivative,
+    -k r^-nu K_{nu+1}(k r), share one quadrature.  Floats stay in ``math``:
+    the shooting proxy takes one pair per shot.
     """
     m = nu % 1.0   # the lowest order of nu's family
     if isinstance(x, float):
@@ -301,10 +303,10 @@ def _kve(nu: float, x):
         k1 = k0 * (1.0 + 1.0 / x)
     else:
         k0, k1 = kve01(x)
-    while m + 1.0 < nu:   # (k0, k1) = (K_m, K_{m+1}) e^x
+    while m < nu:   # (k0, k1) = (K_m, K_{m+1}) e^x
         m += 1.0
         k0, k1 = k1, k0 + (2.0 * m / x) * k1
-    return k0 if m == nu else k1
+    return k0, k1
 
 
 # K_0 e^x and K_1 e^x are trapezoid sums at step _KVE_H of one of two

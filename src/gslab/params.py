@@ -18,6 +18,7 @@ f(u) = u^(p-1) - qc*u^(q-1) - lin*u and potential F(u) = int_0^u f.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,7 +45,12 @@ class InvalidParams(ValueError):
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Immutable problem tuple (N, p, q, eps, family)."""
+    """Immutable problem tuple (N, p, q, eps, family).
+
+    The coefficients the solve reads on every shot and root probe
+    (linear_coeff, q_coeff, decay_rate) are computed once per instance, on
+    first read.
+    """
 
     N: int
     p: float
@@ -55,7 +61,10 @@ class ProblemParams:
     def __post_init__(self):
         # Python floats: numpy scalars give the same bits but slow ode.integrate
         for name in ("p", "q", "eps"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise InvalidParams(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.N < 3 or int(self.N) != self.N:
             raise InvalidParams(f"dimension must be an integer >= 3, got {self.N}")
         if not (self.q > self.p > 2.0):
@@ -82,14 +91,14 @@ class ProblemParams:
             return Regime.CRITICAL
         return Regime.SUBCRITICAL if self.p < self.p_star() else Regime.SUPERCRITICAL
 
-    @property
+    @functools.cached_property
     def linear_coeff(self) -> float:
         """Coefficient of the linear term in -Delta u + lin*u = ..."""
         if self.family in (Family.P_EPS, Family.P_ZERO):
             return self.eps if self.family is Family.P_EPS else 0.0
         return 1.0
 
-    @property
+    @functools.cached_property
     def q_coeff(self) -> float:
         """Coefficient of the defocusing u^(q-1) term."""
         if self.family in (Family.P_EPS, Family.P_ZERO):
@@ -98,7 +107,7 @@ class ProblemParams:
             return 0.0
         return self.eps ** ((self.q - self.p) / (self.p - 2.0))
 
-    @property
+    @functools.cached_property
     def decay_rate(self) -> float:
         """sqrt(linear_coeff): exponential tail rate, 0 for algebraic tails."""
         return math.sqrt(self.linear_coeff)

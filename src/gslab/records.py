@@ -188,15 +188,20 @@ def refit_record(record: ResultRecord, observable: str = "amplitude",
         raise ParseError(f"unknown observable {observable!r}")
     attrs = dict(_GRID_FIELDS)
 
-    def value(attr: str, v):
+    def value(col: str, attr: str, v):
         if attr == "converged":
             return bool(v)
-        return math.nan if v is None else float(v)
+        if v is None:
+            return math.nan
+        try:
+            return float(v)
+        except (TypeError, ValueError):
+            raise ParseError(f"grid column {col!r} holds {v!r}, not a number") from None
 
     grid = record.payload["grid"]
     if not (isinstance(grid, list) and all(isinstance(row, dict) for row in grid)):
         raise ParseError("field 'payload.grid' is not a list of objects")
-    points = [SweepPoint(**{attr: value(attr, row[col]) for col, attr in _GRID_FIELDS})
+    points = [SweepPoint(**{attr: value(col, attr, row[col]) for col, attr in _GRID_FIELDS})
               for row in grid]
     window = fit_points(points, record.payload.get("fit_window"))
     fit = fit_exponent(fit_data(window, attrs[observable]), with_log=with_log)

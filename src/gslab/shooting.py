@@ -44,13 +44,15 @@ it is gslab's one root loop, and finds the concentration radii of
 ``asymptotics`` too.
 
 A solved profile is a RadialProfile, which owns its read side: its
-integrals over the grid (quad), its copy amp u(lam y) (scaled), and u and
-u' anywhere (value, slope).  Beyond the grid it is its TailModel, whose
-evaluate gives (u, u') from one evaluation of the decaying mode (K_nu e^x
-from ode._kve).  An exponential tail is evaluated once on 16 Gauss panels
-of 16 nodes with geometric edges over [R, R + 30/k] (_FarField), kept on
-first read as RadialProfile.far_field; norm_tail and dirichlet_tail sum it
-through the panel sum of ``emden``, or take an algebraic tail's closed forms.
+integrals over the grid (quad, on the Gauss panels kept with their
+r^(N-1)), its copy amp u(lam y) (scaled), and u and u' anywhere (value,
+slope).  Beyond the grid it is its TailModel, whose evaluate gives (u, u')
+from one evaluation of the decaying mode (K_nu e^x and K_{nu+1} e^x from
+one ode._kve call) and of the correction's pieces.  An exponential tail is
+evaluated once on 16 Gauss panels of 16 nodes with geometric edges over
+[R, R + 30/k] (_FarField), kept on first read as RadialProfile.far_field;
+norm_tail and dirichlet_tail sum it through the panel sum of ``emden``, or
+take an algebraic tail's closed forms.
 """
 
 from __future__ import annotations
@@ -135,29 +137,31 @@ class TailModel:
         k = self.rate_or_power
         nu = 0.5 * self.N - 1.0
         cb = self.prefactor * math.sqrt(2.0 * k / math.pi)
-        kr, decay = k * r, np.exp(-k * r)
+        kr = k * r
+        decay = np.exp(-kr)
+        kv, kv1 = _kve(nu, kr)
         # d/dr [r^-nu K_nu(k r)] = -k r^-nu K_{nu+1}(k r)
-        return (cb * r ** (1.0 - 0.5 * self.N) * _kve(nu, kr) * decay,
-                -k * cb * r ** -nu * _kve(nu + 1.0, kr) * decay)
-
-    def _one_plus_kr2(self, r):
-        k = self.rate_or_power if self.kind == "Exponential" else 0.0
-        return 1.0 + (k * r) ** 2
+        return (cb * r ** (1.0 - 0.5 * self.N) * kv * decay,
+                -k * cb * r ** -nu * kv1 * decay)
 
     def _value(self, r, base):
-        """The model at r from its linear mode ``base`` there."""
-        g = np.abs(base) ** self.corr_pm2 * r * r / self._one_plus_kr2(r)
-        return base * (1.0 + self.corr * g)
+        """The model at r from its linear mode ``base`` there, with the two
+        pieces of the correction regressor g = |base|^(p-2) r^2 / (1 + (k r)^2)
+        that its derivative reuses: (u, |base|^(p-2), 1 + (k r)^2)."""
+        k = self.rate_or_power if self.kind == "Exponential" else 0.0
+        kr2 = 1.0 + (k * r) ** 2
+        pw = np.abs(base) ** self.corr_pm2
+        return base * (1.0 + self.corr * (pw * r * r / kr2)), pw, kr2
 
     def evaluate(self, r: np.ndarray):
         """(u, u') of the model on the radii r, from one evaluation of the
         linear mode: u' is the product rule through the correction factor,
         with g'/g = (p-2) base'/base + 2 / (r (1 + (k r)^2))."""
         base, dbase = self._mode(r)
-        kr2 = self._one_plus_kr2(r)
-        cg = self.corr * np.abs(base) ** self.corr_pm2 * r * r / kr2
+        u, pw, kr2 = self._value(r, base)
+        cg = self.corr * pw * r * r / kr2
         du = dbase * (1.0 + cg) + cg * (self.corr_pm2 * dbase + 2.0 * base / (r * kr2))
-        return self._value(r, base), du
+        return u, du
 
     def scaled(self, amp: float, lam_sq: float) -> TailModel:
         """The model of amp * u(lam y), lam = sqrt(lam_sq) (RadialProfile.scaled).
@@ -182,7 +186,7 @@ class TailModel:
         norm sums: _TAIL_PANELS panels with geometric edges over
         [R, R + 30/k], _TAIL_NODES nodes each."""
         k = self.rate_or_power
-        edges = R * ((R + 30.0 / k) / R) ** np.linspace(0.0, 1.0, _TAIL_PANELS + 1)
+        edges = R * ((R + 30.0 / k) / R) ** _TAIL_EDGES
         r, half, w = _gauss_panels(edges, _TAIL_NODES)
         u, du = self.evaluate(r)
         return _FarField(w * r ** (self.N - 1), half, np.abs(u), du)
@@ -227,6 +231,7 @@ class TailModel:
 # far wider than R).
 _TAIL_PANELS = 16
 _TAIL_NODES = 16
+_TAIL_EDGES = np.linspace(0.0, 1.0, _TAIL_PANELS + 1)   # the edges' exponents
 
 
 class _FarField(NamedTuple):
@@ -252,6 +257,7 @@ class _HermitePanels(NamedTuple):
     du: np.ndarray          # cubic Hermite slopes at r
     h: np.ndarray           # (panels,) widths
     w: np.ndarray           # (6,) Gauss weights on [0, 1]
+    rn: np.ndarray          # r^(N-1) at r
     r_series: np.ndarray    # the in-ball nodes on [0, r0], r0 the first grid radius
     w_series: np.ndarray    # their weights, r^(N-1) dr included (ode._ball_nodes)
     u_series: np.ndarray    # the series piece there
@@ -285,8 +291,8 @@ class RadialProfile:
     @functools.cached_property
     def panels(self) -> _HermitePanels:
         """6-point Gauss nodes on each grid panel, with the Hermite u and u'
-        there, and the in-ball nodes of the series piece [0, r0]; built once
-        (replace() does not copy it)."""
+        and r^(N-1) there, and the in-ball nodes of the series piece [0, r0];
+        built once (replace() does not copy it)."""
         rg, ug, vg = self.grid.radii, self.grid.values, self.grid.slopes
         x, w = _leggauss(6)
         x01 = 0.5 * (x + 1.0)
@@ -300,7 +306,8 @@ class RadialProfile:
         uu = _hermite(t, hh, u0, u1, v0, v1, deriv=False)
         dd = _hermite(t, hh, u0, u1, v0, v1, deriv=True)
         rr0, ww0 = _ball_nodes(self.params.N, float(rg[0]))
-        return _HermitePanels(rr, uu, dd, h, w01, rr0, ww0, *series_piece(self.grid.series, rr0))
+        return _HermitePanels(rr, uu, dd, h, w01, rr ** (self.params.N - 1), rr0, ww0,
+                              *series_piece(self.grid.series, rr0))
 
     @functools.cached_property
     def far_field(self) -> _FarField | None:
@@ -337,7 +344,7 @@ class RadialProfile:
         that integrand passed by itself.
         """
         pan = self.panels
-        vals = integrand(pan.r, pan.u, pan.du) * pan.r ** (self.params.N - 1)
+        vals = integrand(pan.r, pan.u, pan.du) * pan.rn
         bulk = vals * pan.w[None, :] * pan.h[:, None]
         series = pan.w_series * integrand(pan.r_series, pan.u_series, pan.du_series)
         if bulk.ndim == 2:
@@ -482,7 +489,7 @@ def _shooting_proxy(params: ProblemParams, t: Trajectory | ShotEnd, c: str) -> f
     delta = -u(R) R^nu x K_{nu+1}(x) at a slope flip.  So
     R(a) ~ R0 - ln|a - a*| / (2k), and the terminal value or slope keeps the
     estimate honest for shots far from a*.  K e^x is one float call of _kve
-    per shot, which stays in ``math``.
+    per shot, which stays in ``math``; the class picks the order it reads.
     """
     if params.is_algebraic():
         return -_far_field_B(params, t)
@@ -491,20 +498,21 @@ def _shooting_proxy(params: ProblemParams, t: Trajectory | ShotEnd, c: str) -> f
     x = k * R
     nu = 0.5 * params.N - 1.0
     scale = R ** nu * x * math.exp(-x)
+    kv, kv1 = _kve(nu, x)
     if c == Classification.OVERSHOOT:
-        return -t.slopes[-1] * scale * _kve(nu, x) / k
-    return -t.values[-1] * scale * _kve(nu + 1.0, x)
+        return -t.slopes[-1] * scale * kv / k
+    return -t.values[-1] * scale * kv1
 
 
-def _f_root(fun, a: float, b: float) -> float:
-    """Root of fun in [a, b], 0 < a < b, to 1e-15 relative (_bracket_root).
+def _f_root(fun, a: float, fa: float, b: float, fb: float) -> float:
+    """Root of fun in [a, b], 0 < a < b, to 1e-15 relative (_bracket_root);
+    fa and fb are fun(a) and fun(b), as the caller already has them.
 
     Its bisection steps are geometric, so the tens of decades a bracket can
     span with p close to 2 take about 60 of them (a hundred decades at
     p = 2.02 took 113 Brent steps).  A bracket without a sign change, or one
     not closed in _MAX_PROBES steps, raises InternalConsistencyError.
     """
-    fa, fb = fun(a), fun(b)
     if fa != 0.0 and fb != 0.0 and (fa > 0.0) == (fb > 0.0):
         raise InternalConsistencyError(
             f"root bracket [{a!r}, {b!r}] has no sign change: f = {fa!r}, {fb!r}")
@@ -534,25 +542,30 @@ def _f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
         return u ** (p - 2.0) - qc * u ** (q - 2.0) - lin
 
     u_peak = ((p - 2.0) / (qc * (q - 2.0))) ** (1.0 / (q - p))
-    if g(u_peak) <= 0.0:
+    g_peak = g(u_peak)
+    if g_peak <= 0.0:
         raise BracketNotFound(
             f"f has no positive roots for {params.family.value} "
             f"(N={params.N}, p={params.p}, q={params.q}, eps={params.eps}); "
             "no ground state in this regime"
         )
     u_lo = u_peak * 1e-14
-    if g(u_lo) > 0.0:
+    g_lo = g(u_lo)
+    if g_lo > 0.0:
         # p close to 2: u^(p-2) > lin still holds there, and g < 0 wherever
         # u^(p-2) < lin, so take the lower end from lin instead
         u_lo = (0.5 * lin) ** (1.0 / (p - 2.0))
-    m1 = _f_root(g, u_lo, u_peak)
-    hi = u_peak
-    while g(hi) > 0.0:
+        g_lo = g(u_lo)
+    m1 = _f_root(g, u_lo, g_lo, u_peak, g_peak)
+    hi, g_hi = u_peak, g_peak
+    while g_hi > 0.0:
         hi *= 2.0
-    m2 = _f_root(g, u_peak, hi)
-    if params.F(m2) <= 0.0:
+        g_hi = g(hi)
+    m2 = _f_root(g, u_peak, g_peak, hi, g_hi)
+    F_m2 = params.F(m2)
+    if F_m2 <= 0.0:
         raise BracketNotFound("potential F has no positive zero below the largest root of f")
-    u_f0 = _f_root(params.F, m1, m2)
+    u_f0 = _f_root(params.F, m1, params.F(m1), m2, F_m2)
     return u_f0, m2
 
 
@@ -1056,8 +1069,9 @@ def _fit_tail(params: ProblemParams, t: Trajectory, a: float, atol: float) -> Ta
         mask = (r >= r_end / 30.0) & (r <= r_end)
         if mask.sum() < 6:
             mask = (r >= r_end / 100.0) & (r <= r_end)
-        psi = r[mask] ** -(N - 2.0)
-        g = u[mask] ** (params.p - 2.0) * r[mask] ** 2
+        rm, um = r[mask], u[mask]
+        psi = rm ** -(N - 2.0)
+        g = um ** (params.p - 2.0) * rm ** 2
         kind, rate = "Algebraic", float(N - 2.0)
     else:
         frac = u / a
@@ -1068,13 +1082,13 @@ def _fit_tail(params: ProblemParams, t: Trajectory, a: float, atol: float) -> Ta
             mask = np.zeros_like(frac, dtype=bool)
             mask[-min(8, len(frac)):] = True
         k = params.decay_rate
-        nu = 0.5 * N - 1.0
-        rm = r[mask]
-        psi = rm ** (1.0 - 0.5 * N) * _kve(nu, k * rm) * np.exp(-k * rm)
-        g = u[mask] ** (params.p - 2.0) * rm**2 / (1.0 + (k * rm) ** 2)
+        rm, um = r[mask], u[mask]
+        krm = k * rm
+        psi = rm ** (1.0 - 0.5 * N) * _kve(0.5 * N - 1.0, krm)[0] * np.exp(-krm)
+        g = um ** (params.p - 2.0) * rm**2 / (1.0 + krm ** 2)
         kind, rate = "Exponential", float(k)
 
-    y = np.log(u[mask] / psi)
+    y = np.log(um / psi)
     ones = np.ones_like(y)
     coef, *_ = np.linalg.lstsq(np.column_stack([ones, g]), y, rcond=None)
     log_c, d = float(coef[0]), float(coef[1])
@@ -1092,14 +1106,11 @@ def _fit_tail(params: ProblemParams, t: Trajectory, a: float, atol: float) -> Ta
     model = TailModel(kind=kind, rate_or_power=rate, prefactor=prefactor,
                       match_radius=0.0, N=N, corr=d, corr_pm2=params.p - 2.0)
 
-    rw = r[mask]
     # the model's linear mode on the window is the fitted cb * psi
-    resid = np.abs(model._value(rw, cb * psi) - u[mask]) / u[mask]
+    resid = np.abs(model._value(rm, cb * psi)[0] - um) / um
     model.mismatch = float(resid.max())
     if kind == "Algebraic":
-        target = rw[-1] / 2.0
-    else:
-        frac_w = u[mask] / a
-        target = rw[np.argmin(np.abs(np.log(frac_w / 2e-4)))]
-    model.match_radius = float(rw[np.argmin(np.abs(rw - target))])
+        model.match_radius = float(rm[np.argmin(np.abs(rm - rm[-1] / 2.0))])
+    else:   # a window radius: where u/a is nearest 2e-4 in log
+        model.match_radius = float(rm[np.argmin(np.abs(np.log(frac[mask] / 2e-4)))])
     return model

@@ -12,7 +12,7 @@ from gslab import (
     rhs_eval,
     sobolev_constant,
 )
-from gslab.emden import eval_U, eval_U_slope, q0_of_lambda, radial_quad
+from gslab.emden import _gauss_panels, eval_U, eval_U_slope, q0_of_lambda, radial_quad
 
 
 def test_eval_U_at_origin():
@@ -98,6 +98,38 @@ def test_q0_monotone_decreasing_and_anchored():
     lams = [0.4, 0.8, 1.0, 1.7, 3.0]
     vals = [q0_of_lambda(N, lam) for lam in lams]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def _U_closed(N, lam, r):
+    """U_lam and its slope at r as eval_U and eval_U_slope wrote them before
+    they shared x and 1 + x^2/c2: each its own pass over the nodes."""
+    c2 = N * (N - 2.0)
+    x = np.asarray(r, dtype=float) / lam
+    u = lam ** (-(N - 2.0) / 2.0) * (1.0 + x * x / c2) ** (-(N - 2.0) / 2.0)
+    x = np.asarray(r, dtype=float) / lam
+    du = lam ** (-N / 2.0) * (-(N - 2.0) * x / c2) * (1.0 + x * x / c2) ** (-N / 2.0)
+    return u, du
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+@pytest.mark.parametrize("frame", ["U", "W"])
+@pytest.mark.parametrize("lam", [0.37, 1.0, 2.5])
+def test_evaluate_has_the_bits_of_value_and_slope(N, frame, lam):
+    # EmdenFowlerProfile.evaluate, the one (value, slope) pass of
+    # profile_distances, on node arrays: a (panels, 6) grid-like set and
+    # radial_quad's tan nodes; each bit for bit value(r) and slope(r), and
+    # the closed forms written out separately
+    prof = EmdenFowlerProfile(N, lam, frame)
+    grid = np.geomspace(1e-4, 50.0, 120).reshape(20, 6)
+    th, _, _ = _gauss_panels(np.linspace(0.0, 0.5 * math.pi, 13), 48)
+    for r in (grid, prof.tan_scale() * np.tan(th)):
+        w, dw = prof.evaluate(r)
+        assert np.array_equal(w, prof.value(r))
+        assert np.array_equal(dw, prof.slope(r))
+        k = math.sqrt(sobolev_constant(N)) if frame == "W" else 1.0
+        u, du = _U_closed(N, lam, r * k)
+        assert np.array_equal(w, u)
+        assert np.array_equal(dw, k * du)
 
 
 def test_U1_solves_emden_equation():

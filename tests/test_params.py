@@ -31,6 +31,17 @@ def test_invariants_rejected(bad):
         ProblemParams(**bad)
 
 
+@pytest.mark.parametrize("field, value", [("p", math.nan), ("q", math.inf), ("q", math.nan),
+                                          ("eps", math.nan), ("eps", math.inf)])
+def test_nonfinite_parameters_rejected(field, value):
+    # nan passed every ordered check (nan < 0 is false), and q = inf made
+    # eps* = 0: each is rejected by name
+    kw = dict(N=3, p=4.0, q=6.0, eps=0.1, family=Family.P_EPS)
+    kw[field] = value
+    with pytest.raises(InvalidParams, match=f"{field} must be finite"):
+        ProblemParams(**kw)
+
+
 def test_family_coefficients():
     assert ProblemParams(3, 4.0, 6.0, 0.25, Family.P_EPS).linear_coeff == 0.25
     assert ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO).q_coeff == 1.0

@@ -7,7 +7,10 @@ accumulated in panel order.  Both quadratures built on it (the far field of
 ``shooting.TailModel`` and ``emden.radial_quad``) must return the loop's
 value bit for bit, with the same type.  ``radial_quad`` and
 ``RadialProfile.quad`` also take a stack of integrands and return one
-sum per row, each with the bits of its integrand passed alone.
+sum per row, each with the bits of its integrand passed alone.  The
+evaluations the read side shares keep the bits of the routes they
+replaced: the tail model's u from the pieces of the correction its u'
+reuses, and ``quad``'s r^(N-1), kept with the panels.
 """
 
 import math
@@ -136,8 +139,8 @@ def test_exp_tail_within_1e12_of_fine_reference(params):
 def test_tail_model_is_evaluated_once_per_profile(monkeypatch):
     # analyze's four tail terms, radial_norm and dirichlet_norm all sum the
     # one far-field set of the profile: one evaluate call, one evaluation of
-    # the linear mode, so the far field evaluates ode._kve twice per node
-    # (K_nu for the mode, K_{nu+1} for its derivative)
+    # the linear mode, so the far field evaluates ode._kve once per node
+    # (the pair K_nu for the mode, K_{nu+1} for its derivative)
     prof = find_ground_state(GOLDEN[0].values[0])
     calls = {"evaluate": 0, "_mode": 0}
     for name in calls:
@@ -236,3 +239,51 @@ def test_radial_quad_empty_range_is_zero(r_lo, r_hi):
     for row in stacked:
         _same(row, got)
     assert len(stacked) == 2
+
+
+def _tail_separately(tail, r):
+    """(u, u') of a tail model as evaluate computed them before u and u'
+    shared |base|^(p-2) and 1 + (k r)^2: u through its own regressor."""
+    base, dbase = tail._mode(r)
+    k = tail.rate_or_power if tail.kind == "Exponential" else 0.0
+    g = np.abs(base) ** tail.corr_pm2 * r * r / (1.0 + (k * r) ** 2)
+    kr2 = 1.0 + (k * r) ** 2
+    cg = tail.corr * np.abs(base) ** tail.corr_pm2 * r * r / kr2
+    du = dbase * (1.0 + cg) + cg * (tail.corr_pm2 * dbase + 2.0 * base / (r * kr2))
+    return base * (1.0 + tail.corr * g), du
+
+
+@pytest.mark.parametrize("params", GOLDEN)
+def test_tail_evaluate_keeps_the_bits_of_separate_passes(params, profiles):
+    # on the far-field node set and across the grid end, for the solved tail
+    # and a rescaled copy's (the critical read side's v)
+    prof = profiles(params)
+    R = float(prof.grid.radii[-1])
+    for tail in (prof.tail, prof.tail.scaled(1.7, 0.3)):
+        for r in (np.geomspace(0.5 * R, 40.0 * R, 96).reshape(16, 6),
+                  emden._gauss_panels(R * (1.0 + np.linspace(0.0, 3.0, 17)), 16)[0]):
+            u, du = tail.evaluate(r)
+            want_u, want_du = _tail_separately(tail, r)
+            assert np.array_equal(u, want_u)
+            assert np.array_equal(du, want_du)
+            assert np.array_equal(u, tail._value(r, tail._mode(r)[0])[0])
+
+
+@pytest.mark.parametrize("params", GOLDEN)
+def test_grid_quad_kept_power_matches_recomputed(params, profiles):
+    # quad multiplies by the r^(N-1) kept with the panels where it multiplied
+    # by the power computed on each call: the same bits, with the same type
+    prof = profiles(params)
+    pan, N = prof.panels, params.N
+    assert np.array_equal(pan.rn, pan.r ** (N - 1))
+    for g in (lambda r, u, du: du * du, lambda r, u, du: np.abs(u) ** params.p,
+              lambda r, u, du: np.stack((u * u, np.abs(u) ** params.q))):
+        vals = g(pan.r, pan.u, pan.du) * pan.r ** (N - 1)
+        bulk = vals * pan.w[None, :] * pan.h[:, None]
+        series = pan.w_series * g(pan.r_series, pan.u_series, pan.du_series)
+        got = prof.quad(g)
+        if bulk.ndim == 2:
+            _same(got, float(np.sum(bulk)) + float(np.sum(series)))
+        else:
+            for row, b, s in zip(got, bulk, series):
+                _same(row, float(np.sum(b)) + float(np.sum(s)))

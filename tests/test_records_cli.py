@@ -93,6 +93,19 @@ def test_cli_fit_of_a_malformed_record_exits_1(tmp_path, capsys, blob):
     assert "fit failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", [[1], {"v": 1}, "one"], ids=["list", "object", "string"])
+def test_cli_fit_of_a_non_numeric_grid_cell_exits_1(tmp_path, capsys, cell):
+    # a grid cell that is no number is a ParseError naming its column, not a
+    # TypeError traceback out of the fit
+    row = {col: 1.0 for col in CSV_COLUMNS}
+    row["amplitude"] = cell
+    path = tmp_path / "sweep.json"
+    path.write_bytes(_record_doc(grid=[row]))
+    assert main(["fit", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "fit failed" in err and "'amplitude'" in err and "Traceback" not in err
+
+
 def test_sweep_csv_header_schema(sub_sweep):
     csv = sweep_csv(sub_sweep)
     header = csv.splitlines()[0]
@@ -480,6 +493,28 @@ def test_cli_rejects_nonfinite_tolerances_before_any_solve(monkeypatch, capsys, 
         main([command, *args, flag, value])
     assert exc.value.code == 2
     assert f"{flag} must be positive and finite" in capsys.readouterr().err
+
+
+_NONFINITE_PARAMS = {
+    # no family: R_zero, whose eps check read nan as nonzero
+    "eps-nan": (["--N", "3", "--p", "4", "--q", "6", "--eps", "nan"], "eps"),
+    # P_eps: nan reached the root bracket of f as f = nan, nan
+    "P_eps-eps-nan": (["--family", "P_eps", "--N", "3", "--p", "4", "--q", "6",
+                       "--eps", "nan"], "eps"),
+    # q = inf made eps* 0
+    "P_eps-q-inf": (["--family", "P_eps", "--N", "3", "--p", "4", "--q", "inf",
+                     "--eps", "1e-3"], "q"),
+}
+
+
+@pytest.mark.parametrize("argv, field", _NONFINITE_PARAMS.values(), ids=_NONFINITE_PARAMS.keys())
+def test_cli_solve_rejects_a_nonfinite_parameter_before_any_solve(monkeypatch, capsys, argv,
+                                                                  field):
+    _no_solve(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", *argv, "--no-cache"])
+    assert exc.value.code == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])

@@ -56,16 +56,24 @@ def _same(got, want, rel: float) -> bool:
     return isinstance(got, float) and abs(got - want) <= rel * abs(want)
 
 
+def _f_root(fun, a: float, b: float) -> float:
+    """shooting._f_root with the end values it is passed computed here."""
+    return shooting._f_root(fun, a, fun(a), b, fun(b))
+
+
 def test_f_positive_roots_match_scipy_brentq(monkeypatch):
-    # every root _f_positive_roots finds, found by scipy too
+    # every root _f_positive_roots finds, found by scipy too; the end values
+    # it passes are f's values there, bit for bit, so Brent's steps are the
+    # ones it took when _f_root evaluated them itself
     rng = random.Random(20261018)
     port = shooting._f_root
     calls = []
 
-    def both(fun, a, b):
-        calls.append((_outcome(port, fun, a, b), _outcome(_scipy_f_root, fun, a, b)))
+    def both(fun, a, fa, b, fb):
+        assert (fa, fb) == (fun(a), fun(b)), (a, b)
+        calls.append((_outcome(port, fun, a, fa, b, fb), _outcome(_scipy_f_root, fun, a, b)))
         assert _same(*calls[-1], 5e-15), (a, b, calls[-1])
-        return port(fun, a, b)
+        return port(fun, a, fa, b, fb)
 
     monkeypatch.setattr(shooting, "_f_root", both)
     for _ in range(300):
@@ -123,13 +131,13 @@ def test_brentq_edge_cases_match_scipy(monkeypatch):
 
     # a root at an end point is returned as given
     for a, b in ((2.0, 3.0), (1.0, 2.0)):
-        assert shooting._f_root(line, a, b) == brentq(line, a, b) == 2.0
+        assert _f_root(line, a, b) == brentq(line, a, b) == 2.0
     # no sign change and a NaN value: scipy raises ValueError
     for args in ((cubic, 2.0, 3.0), (lambda x: math.nan, 1.0, 2.0)):
         with pytest.raises(ValueError):
             brentq(*args)
         with pytest.raises(InternalConsistencyError, match="no sign change"):
-            shooting._f_root(*args)
+            _f_root(*args)
     # too few steps: scipy raises RuntimeError; _f_root reaches its cap of 200
     # steps when Brent's steps are replaced by ones that cut 0.1% of the bracket
     with pytest.raises(RuntimeError):
@@ -145,7 +153,7 @@ def test_brentq_edge_cases_match_scipy(monkeypatch):
 
     monkeypatch.setattr(shooting, "_zeroin", creeping)
     with pytest.raises(InternalConsistencyError, match="not found in 200 steps"):
-        shooting._f_root(cubic, 1.0, 3.0)
+        _f_root(cubic, 1.0, 3.0)
 
 
 def test_f_positive_roots_raise_only_bracket_not_found():
