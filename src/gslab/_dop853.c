@@ -21,12 +21,12 @@
  * counters, and owns every buffer: the grid (radii, values and slopes, cap
  * points each), with quadrature the stage buffer (16 doubles per accepted
  * step: h, u' at the stages 6-12, u'' at the stages 6-13), and the dense
- * pass's output.  The first call of dop853_loop (no grid point yet)
- * computes the series start; the shot returns at a terminal event (refined
- * on the dense output where it is one), a failure, an exception, or a full
- * grid (STOP_ROOM: the state is saved at the top of a step, so the caller
- * grows the grid and calls again).  dop853_dense then reads the grid, the
- * stages and the state the loop left.
+ * pass's output and node rows.  The first call of dop853_loop (no grid
+ * point yet) computes the series start; the shot returns at a terminal
+ * event (refined on the dense output where it is one), a failure, an
+ * exception, or a full grid (STOP_ROOM: the state is saved at the top of a
+ * step, so the caller grows the grid and calls again).  dop853_dense then
+ * reads the grid, the stages and the state the loop left.
  */
 #include <errno.h>
 #include <math.h>
@@ -603,26 +603,30 @@ out:
 }
 
 
-/* The reference's dense pass: the grid and the four cumulative norms of a
- * run with quadrature, from what dop853_loop left: its grid of n + 1 points
- * (cnt[C_N]), the stage buffer and the state.  Each step's interpolant
- * gives the grid SUB - 1 interior points and SUB Gauss panels of NODES
- * nodes, and the norms are summed over those panels, node by node, after
- * the series piece's on [0, r0] (_series_norms).  moved: a refined
- * event moved the end of the last step, whose (u, u') before it are
- * st[S_UEND], st[S_VEND].  out holds 7 rows of SUB n + 1 points: the
- * radii, values and slopes, then the norms l2, lp, lq and dir. */
+/* The reference's dense pass: the grid, the four cumulative norms and the
+ * quadrature nodes of a run with quadrature, from what dop853_loop left: its
+ * grid of n + 1 points (cnt[C_N]), the stage buffer and the state.  Each
+ * step's interpolant gives the grid SUB - 1 interior points and SUB Gauss
+ * panels of NODES nodes, and the norms are summed over those panels, node
+ * by node, after the series piece's on [0, r0] (_series_norms).  moved: a
+ * refined event moved the end of the last step, whose (u, u') before it are
+ * st[S_UEND], st[S_VEND].  out holds 7 rows of SUB n + 1 points: the radii,
+ * values and slopes, then the norms l2, lp, lq and dir.  nodes holds the 4
+ * rows r, u, u' and weight (r^(N-1) dr included) of the BALL + SUB NODES n
+ * nodes those sums run over, in their order: the series piece's, then each
+ * sub-interval's. */
 void dop853_dense(const double *tab, const double *prm, const double *st, const int64_t *cnt,
                   const double *grid, int64_t cap, const double *stages, int moved,
-                  double *out)
+                  double *out, double *nodes)
 {
     const double p = prm[P_P], q = prm[P_Q], *coef = st + S_COEFFS;
     const int powers = (int)prm[P_N] - 2;   /* r^(N-1): r and N - 2 more factors */
     const int ncoef = (int)cnt[C_NCOEF];
-    const int64_t n = cnt[C_N] - 1, m = SUB * n + 1;
+    const int64_t n = cnt[C_N] - 1, m = SUB * n + 1, nn = BALL + SUB * NODES * n;
     const double *rs = grid, *us = grid + cap, *vs = grid + 2 * cap, r0 = rs[0];
     double *radii = out, *values = out + m, *slopes = out + 2 * m;
     double *l2 = out + 3 * m, *lp = out + 4 * m, *lq = out + 5 * m, *dir = out + 6 * m;
+    double *nr = nodes, *nu = nodes + nn, *nv = nodes + 2 * nn, *nw = nodes + 3 * nn;
     double s2 = 0.0, sd = 0.0, sp = 0.0, sq = 0.0;
     int64_t i;
     int j, k, b;
@@ -640,6 +644,10 @@ void dop853_dense(const double *tab, const double *prm, const double *st, const 
         }
         v = du * rr;
         au = fabs(u);
+        nr[j] = rr;
+        nu[j] = u;
+        nv[j] = v;
+        nw[j] = w;
         s2 += w * u * u;
         sd += w * v * v;
         sp += w * pow(au, p);
@@ -687,10 +695,15 @@ void dop853_dense(const double *tab, const double *prm, const double *st, const 
             const int64_t c = SUB * i + b + 1;
             for (j = 0; j < NODES; j++) {
                 const int g = SUB - 1 + NODES * b + j;
+                const int64_t at = BALL + NODES * (c - 1) + j;
                 const double rg = rr[g], ug = uu[g], vg = vv[g], au = fabs(ug);
                 double w = tab[T_GW + j] * hh * rg, t2, td, tp, tq;
                 for (k = 0; k < powers; k++)
                     w *= rg;
+                nr[at] = rg;
+                nu[at] = ug;
+                nv[at] = vg;
+                nw[at] = w;
                 t2 = w * ug * ug;
                 td = w * vg * vg;
                 tp = w * pow(au, p);

@@ -10,7 +10,7 @@ closed-form W_lam reads its own, EmdenFowlerProfile.norm_s up to r_hi), and
 Brent's method (shooting._bracket_root) finds lambda inside the grid panel
 that holds it, evaluating that panel's cubic Hermite (or the series
 piece) at each probe.  The W_1 distances run
-on the profile's own Gauss panels (RadialProfile.quad) and past the grid on
+on the profile's own node rows (RadialProfile.quad) and past the grid on
 tan panels (emden.radial_quad), where v is TailModel.evaluate; both
 distances are the two rows of one stack there, so W_1 and the tail model
 are evaluated once per node set.  Sweeps solve a
@@ -136,11 +136,11 @@ def rescale_to_v(w: RadialProfile, lam: float) -> RadialProfile:
 
 
 def profile_distances(v: RadialProfile, ref: EmdenFowlerProfile) -> tuple[float, float]:
-    """(||grad(v - ref)||_2, ||v - ref||_p) on v's Gauss panels plus ref tails.
+    """(||grad(v - ref)||_2, ||v - ref||_p) on v's node rows plus ref tails.
 
-    Both integrands are rows of one stack on each node set: v's grid panels
-    and series nodes (RadialProfile.quad), then the tan panels past the
-    grid (emden.radial_quad), where v is its tail model.  ref's (value,
+    Both integrands are rows of one stack on each node set: v's node rows
+    (RadialProfile.quad), then the tan panels past the grid
+    (emden.radial_quad), where v is its tail model.  ref's (value,
     slope) and the tail model's are each one evaluation per node set
     (EmdenFowlerProfile.evaluate, TailModel.evaluate).
     """

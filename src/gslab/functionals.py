@@ -19,7 +19,7 @@ and norm_tail past it; the closed-form profiles of emden read their own
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,22 +71,14 @@ class GroundStateSolution:
         S = self.level_S if S is None else S
         w = to_minimizer_frame(self.profile, S)
         l2, lp, lq, dir_ = self.params.norm_factors(1.0, S)
-        frame = replace(
-            self,
-            profile=w,
-            norm_L2_sq=self.norm_L2_sq * l2,
-            norm_Lp_p=self.norm_Lp_p * lp,
-            norm_Lq_q=self.norm_Lq_q * lq,
-            dirichlet_sq=self.dirichlet_sq * dir_,
-            level_S=S,
-        )
-        frame.energy = energy(self.params, frame.norm_L2_sq, frame.norm_Lp_p,
-                              frame.norm_Lq_q, frame.dirichlet_sq)
-        return frame
+        norms = (self.norm_L2_sq * l2, self.norm_Lp_p * lp, self.norm_Lq_q * lq,
+                 self.dirichlet_sq * dir_)
+        return GroundStateSolution(w, *norms, energy(self.params, *norms), S,
+                                   self.nehari_residual, self.pokhozhaev_residual)
 
 
 def radial_norm(profile: RadialProfile, s: float) -> float:
-    """int |u|^s dx of a solved profile: its grid panels plus its tail.
+    """int |u|^s dx of a solved profile: its grid's node rows plus its tail.
     (An EmdenFowlerProfile reads its own, EmdenFowlerProfile.norm_s.)"""
     if s < 1.0:
         raise ValueError(f"need s >= 1, got {s}")
@@ -97,7 +89,7 @@ def radial_norm(profile: RadialProfile, s: float) -> float:
 
 
 def dirichlet_norm(profile: RadialProfile) -> float:
-    """||grad u||_2^2 of a solved profile: its grid panels plus its tail.
+    """||grad u||_2^2 of a solved profile: its grid's node rows plus its tail.
     (An EmdenFowlerProfile reads its own, EmdenFowlerProfile.dirichlet_sq.)"""
     bulk = profile.quad(lambda r, u, du: du * du)
     tail = profile.dirichlet_tail()

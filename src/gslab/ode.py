@@ -17,11 +17,12 @@ far-field constant B of u ~ B + A r^-(N-2) has settled (_SETTLE_MARGIN):
 its class and B are those of the run to r_max, at a fraction of the steps.
 Norm integrands (u^2, |u|^p, |u|^q, u'^2 against r^(N-1) dr) can be
 accumulated alongside the trajectory on the same interpolant: such a run
-(the final pass of a solve) stores every step as _SUB sub-intervals, so the
-grid that the cubic Hermite read side sees stays as dense as the steps are
-long, and each sub-interval is one Gauss panel; the norms over [0, r0] come
-from the series piece.  At the far end, past the core, u follows the
-decaying mode r^(-nu) K_nu(k r) (nu = N/2 - 1) of the linear equation, the
+(the final pass of a solve) stores every step as _SUB sub-intervals, each
+one Gauss panel, so the grid on which a profile's value and slope read a
+cubic Hermite stays as dense as the steps are long; the norms over [0, r0]
+come from the series piece, and the run keeps every node the norms summed
+(Trajectory.nodes) for the read side's own integrals.  At the far end,
+past the core, u follows the decaying mode r^(-nu) K_nu(k r) (nu = N/2 - 1) of the linear equation, the
 mode of the tail models and the shooting proxy in ``shooting``: _kve gives
 K_nu(x) e^x and K_{nu+1}(x) e^x together, by one upward recurrence from
 closed forms or two trapezoid sums, so gslab imports no scipy.
@@ -39,10 +40,10 @@ of one, the last two grid rows as Python floats (``ShotEnd``); ``integrate``
 runs a fresh Shot and returns its whole grid (a solve's final pass).  With
 quadrature on, each accepted step only appends its stages to a flat
 buffer, and the dense pass builds every step's interpolant, the interior
-grid points and the four cumulative norm arrays after the loop.  Its
-powers are libm's ``pow``, and every dot product of the interpolant and
-every sum over nodes runs left to right from 0.0, so no sum goes through
-BLAS, whose kernels add in an order that depends on the CPU.  At import
+grid points, the four cumulative norm arrays and the node rows after the
+loop.  Its powers are libm's ``pow``, and every dot product of the
+interpolant and every sum over nodes runs left to right from 0.0, so no sum
+goes through BLAS, whose kernels add in an order that depends on the CPU.  At import
 ``_native.build`` compiles the file once into the cache directory (the
 compiler CPython was built with, -O2 -ffp-contract=off) and ``ode`` loads
 it with ctypes; where it cannot be built or loaded, the import raises
@@ -122,8 +123,14 @@ class Trajectory:
     points of every step.  ``norm_*`` arrays are cumulative integrals of the
     corresponding integrand from 0 to radii[i] (without the sphere-area
     factor); they are populated only when the integration ran with
-    quadrature enabled, and so is ``series``, the coefficients c_0..c_K of
-    the series piece u = sum c_k r^(2k) on [0, radii[0]].
+    quadrature enabled, and so are ``series``, the coefficients c_0..c_K of
+    the series piece u = sum c_k r^(2k) on [0, radii[0]], and ``nodes``,
+    the rows r, u, u' and weight (r^(N-1) dr included) of the nodes the
+    norms were summed over: the series piece's _BALL_NODES nodes on
+    [0, radii[0]], then the len(_GX) Gauss nodes of each grid interval in
+    order, u and u' there from the seventh-order interpolant.
+    sum(g(r, u, u') * weight) over them is int_0^R g r^(N-1) dr, R the last
+    radius.
     """
 
     radii: np.ndarray
@@ -136,6 +143,7 @@ class Trajectory:
     norm_dir: np.ndarray | None = None
     rhs_evals: int = 0
     series: tuple[float, ...] | None = None
+    nodes: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.radii)
@@ -146,7 +154,8 @@ class Trajectory:
         return float(self.radii[-1])
 
     def truncated(self, n: int) -> "Trajectory":
-        """Keep the first n grid points (terminal event becomes ReachedRmax)."""
+        """Keep the first n grid points (terminal event becomes ReachedRmax),
+        and the node rows of the n - 1 grid intervals they span."""
         if n >= len(self.radii):
             return self
         cut = slice(0, n)
@@ -161,6 +170,8 @@ class Trajectory:
             norm_dir=None if self.norm_dir is None else self.norm_dir[cut],
             rhs_evals=self.rhs_evals,
             series=self.series,
+            nodes=(None if self.nodes is None
+                   else self.nodes[:, :_BALL_NODES + len(_GX) * (n - 1)]),
         )
 
 
@@ -503,16 +514,6 @@ _BALL_NODES = 10
 _BALL_X, _BALL_W = np.polynomial.legendre.leggauss(_BALL_NODES)
 _BALL_X, _BALL_W = 0.5 * (_BALL_X + 1.0), 0.5 * _BALL_W
 
-
-def _ball_nodes(N: int, r0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes r on [0, r0] and weights w such that sum(w * g(r)) is the
-    integral of g(r) r^(N-1) over [0, r0], on _BALL_NODES Gauss nodes: the
-    series-piece norms of the dense pass, as the kernel weights them."""
-    rr = rn = r0 * _BALL_X
-    for _ in range(N - 2):   # r^(N-1) by products, as on the panels
-        rn = rn * rr
-    return rr, _BALL_W * r0 * rn
-
 # The final pass stores each step as _SUB sub-intervals: the grid gains the
 # interpolant at the _SUB - 1 interior points, and each sub-interval is one
 # Gauss panel.  _FRACS are the fractions of the step at which the pass reads
@@ -688,9 +689,10 @@ def integrate(
                              for i in range(3))
     t = Trajectory(radii=radii, values=values, slopes=slopes,
                    terminal_event=_REFINED.get(code, TerminalEvent.REACHED_RMAX), rhs_evals=nfev)
-    if tol.with_quadrature:   # the dense pass as one more call, into the rows of out
+    if tol.with_quadrature:   # the dense pass as one more call, into the rows of out and nodes
         out = np.empty((7, _SUB * (n - 1) + 1))
-        _kernel.dense(*shot._args, code in _REFINED, out.ctypes.data)
+        t.nodes = np.empty((4, _BALL_NODES + _SUB * len(_GX) * (n - 1)))
+        _kernel.dense(*shot._args, code in _REFINED, out.ctypes.data, t.nodes.ctypes.data)
         t.radii, t.values, t.slopes, t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir = out
         t.rhs_evals += 3 * (n - 1)
         t.series = tuple(shot._st[_S_COEFFS:])
@@ -718,8 +720,8 @@ def _load_kernel() -> _Kernel:
             "a C compiler and a writable cache directory are required") from exc
     kernel.loop.restype = ctypes.c_int
     kernel.loop.argtypes = (ctypes.c_void_p,) * 5 + (ctypes.c_int64, ctypes.c_void_p)
-    kernel.dense.restype = None   # the loop's arguments, a refined event's flag, out
-    kernel.dense.argtypes = kernel.loop.argtypes + (ctypes.c_int, ctypes.c_void_p)
+    kernel.dense.restype = None   # the loop's arguments, a refined event's flag, out, nodes
+    kernel.dense.argtypes = kernel.loop.argtypes + (ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p)
     return kernel
 
 

@@ -44,9 +44,10 @@ it is gslab's one root loop, and finds the concentration radii of
 ``asymptotics`` too.
 
 A solved profile is a RadialProfile, which owns its read side: its
-integrals over the grid (quad, on the Gauss panels kept with their
-r^(N-1)), its copy amp u(lam y) (scaled), and u and u' anywhere (value,
-slope).  Beyond the grid it is its TailModel, whose evaluate gives (u, u')
+integrals over the grid (quad, on the node rows its final pass summed its
+norms on, ode.Trajectory.nodes), its copy amp u(lam y) (scaled, which
+scales those rows), and u and u' anywhere (value, slope: a cubic Hermite
+of the grid).  Beyond the grid it is its TailModel, whose evaluate gives (u, u')
 from one evaluation of the decaying mode (K_nu e^x and K_{nu+1} e^x from
 one ode._kve call) and of the correction's pieces.  An exponential tail is
 evaluated once on 16 Gauss panels of 16 nodes with geometric edges over
@@ -65,11 +66,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .emden import _gauss_panels, _leggauss, _panel_sum
+from .emden import _gauss_panels, _panel_sum
 from .errors import (BracketNotFound, DivergentNormError, InconsistentSolution,
                      InternalConsistencyError)
 from .ode import (IntegrationFailure, Shot, ShotEnd, StepControls, TerminalEvent, Trajectory,
-                  _ball_nodes, _drift_coeff, _kve, integrate, series_piece)
+                  _drift_coeff, _kve, integrate, series_piece)
 from .params import Family, ProblemParams
 
 __all__ = [
@@ -173,12 +174,15 @@ class TailModel:
         lam = math.sqrt(lam_sq)
         exponential = self.kind == "Exponential"
         power = (self.N - 1.0) / 2.0 if exponential else self.N - 2.0
-        return replace(
-            self,
+        return TailModel(
+            kind=self.kind,
             rate_or_power=self.rate_or_power * lam if exponential else self.rate_or_power,
             prefactor=self.prefactor * amp * lam ** -power,
             match_radius=self.match_radius / lam,
+            N=self.N,
             corr=self.corr * (amp ** -self.corr_pm2 * lam_sq),
+            corr_pm2=self.corr_pm2,
+            mismatch=self.mismatch,
         )
 
     def far_field(self, R: float) -> _FarField:
@@ -249,21 +253,6 @@ class _FarField(NamedTuple):
         return _panel_sum(self.wr * self.du ** 2, self.half)
 
 
-class _HermitePanels(NamedTuple):
-    """Gauss nodes of every stored grid panel and of the series piece [0, r0]."""
-
-    r: np.ndarray           # (panels, 6) nodes
-    u: np.ndarray           # cubic Hermite values at r
-    du: np.ndarray          # cubic Hermite slopes at r
-    h: np.ndarray           # (panels,) widths
-    w: np.ndarray           # (6,) Gauss weights on [0, 1]
-    rn: np.ndarray          # r^(N-1) at r
-    r_series: np.ndarray    # the in-ball nodes on [0, r0], r0 the first grid radius
-    w_series: np.ndarray    # their weights, r^(N-1) dr included (ode._ball_nodes)
-    u_series: np.ndarray    # the series piece there
-    du_series: np.ndarray   # and its slope
-
-
 @dataclass
 class RadialProfile:
     """A converged radial ground state: grid + analytic tail."""
@@ -285,35 +274,14 @@ class RadialProfile:
 
     def __post_init__(self):
         g = self.grid
-        if any(a is None for a in (g.norm_l2, g.norm_lp, g.norm_lq, g.norm_dir)):
-            raise ValueError("profile grid has no co-integrated norm arrays")
-
-    @functools.cached_property
-    def panels(self) -> _HermitePanels:
-        """6-point Gauss nodes on each grid panel, with the Hermite u and u'
-        and r^(N-1) there, and the in-ball nodes of the series piece [0, r0];
-        built once (replace() does not copy it)."""
-        rg, ug, vg = self.grid.radii, self.grid.values, self.grid.slopes
-        x, w = _leggauss(6)
-        x01 = 0.5 * (x + 1.0)
-        w01 = 0.5 * w
-        h = np.diff(rg)
-        hh = h[:, None]
-        rr = rg[:-1, None] + hh * x01[None, :]
-        t = x01[None, :]
-        u0, u1 = ug[:-1, None], ug[1:, None]
-        v0, v1 = vg[:-1, None], vg[1:, None]
-        uu = _hermite(t, hh, u0, u1, v0, v1, deriv=False)
-        dd = _hermite(t, hh, u0, u1, v0, v1, deriv=True)
-        rr0, ww0 = _ball_nodes(self.params.N, float(rg[0]))
-        return _HermitePanels(rr, uu, dd, h, w01, rr ** (self.params.N - 1), rr0, ww0,
-                              *series_piece(self.grid.series, rr0))
+        if any(a is None for a in (g.norm_l2, g.norm_lp, g.norm_lq, g.norm_dir, g.nodes)):
+            raise ValueError("profile grid has no co-integrated norm arrays and node rows")
 
     @functools.cached_property
     def far_field(self) -> _FarField | None:
         """The exponential tail model on its Gauss panels past the grid end
-        (None for an algebraic tail), made once, on first read (replace()
-        does not copy it)."""
+        (None for an algebraic tail), made once, on first read (a scaled
+        copy makes its own)."""
         if self.tail.kind != "Exponential":
             return None
         return self.tail.far_field(float(self.grid.radii[-1]))
@@ -334,28 +302,29 @@ class RadialProfile:
         return far.dirichlet()
 
     def quad(self, integrand):
-        """int integrand(r, u, u') r^(N-1) dr over [0, R], R the grid end: the
-        cubic Hermite on the Gauss nodes of every grid panel, and the series
-        piece on its in-ball nodes (panels).
+        """int integrand(r, u, u') r^(N-1) dr over [0, R], R the grid end:
+        the sum of integrand times weight over the grid's node rows
+        (Trajectory.nodes), the nodes the final pass co-integrated its norms
+        on, with u and u' from its seventh-order interpolant.
 
         ``integrand`` may return a stack of k rows (shape (k,) + r.shape),
         several integrands on one node set: the result is then a list of k
         integrals, each summed from its own row alone, so it has the bits of
         that integrand passed by itself.
         """
-        pan = self.panels
-        vals = integrand(pan.r, pan.u, pan.du) * pan.rn
-        bulk = vals * pan.w[None, :] * pan.h[:, None]
-        series = pan.w_series * integrand(pan.r_series, pan.u_series, pan.du_series)
-        if bulk.ndim == 2:
-            return float(np.sum(bulk)) + float(np.sum(series))
-        return [float(np.sum(b)) + float(np.sum(s)) for b, s in zip(bulk, series)]
+        r, u, du, w = self.grid.nodes
+        vals = integrand(r, u, du) * w
+        if vals.ndim == 1:
+            return float(np.sum(vals))
+        return [float(np.sum(v)) for v in vals]
 
     def scaled(self, amp: float, lam_sq: float) -> RadialProfile:
         """amp * u(lam y), lam = sqrt(lam_sq): grid, norm arrays
-        (ProblemParams.norm_factors), series piece and tail (TailModel.scaled)
-        reparameterized exactly, every other field (the counters) carried.
-        The copy builds its own panels and far field.
+        (ProblemParams.norm_factors), series piece, node rows and tail
+        (TailModel.scaled) reparameterized exactly, every other field (the
+        counters) carried.  The node rows take the factors (1/lam, amp,
+        amp lam, lam_sq^(-N/2)) of r, u, u' and the weight; the copy builds
+        its own far field.
 
         The scale enters squared so that both callers keep their bits: the
         minimizer frame passes S, so each factor is the power of S it always
@@ -363,14 +332,21 @@ class RadialProfile:
         """
         lam = math.sqrt(lam_sq)
         t = self.grid
-        series = tuple(amp * c * lam_sq ** k for k, c in enumerate(t.series))
-        grid = replace(t, radii=t.radii / lam, values=t.values * amp, slopes=t.slopes * (amp * lam),
-                       series=series)
-        grid.norm_l2, grid.norm_lp, grid.norm_lq, grid.norm_dir = (
-            arr * fac for arr, fac in zip((t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir),
-                                          self.params.norm_factors(amp, lam_sq)))
-        return replace(self, amplitude=self.amplitude * amp, grid=grid,
-                       tail=self.tail.scaled(amp, lam_sq), r_max_used=self.r_max_used / lam)
+        l2, lp, lq, dir_ = self.params.norm_factors(amp, lam_sq)
+        fac = np.array([[1.0 / lam], [amp], [amp * lam], [lam_sq ** (-self.params.N / 2.0)]])
+        grid = Trajectory(
+            radii=t.radii / lam, values=t.values * amp, slopes=t.slopes * (amp * lam),
+            terminal_event=t.terminal_event, norm_l2=t.norm_l2 * l2, norm_lp=t.norm_lp * lp,
+            norm_lq=t.norm_lq * lq, norm_dir=t.norm_dir * dir_, rhs_evals=t.rhs_evals,
+            series=tuple(amp * c * lam_sq ** k for k, c in enumerate(t.series)),
+            nodes=t.nodes * fac)
+        return RadialProfile(
+            params=self.params, amplitude=self.amplitude * amp, grid=grid,
+            tail=self.tail.scaled(amp, lam_sq), bisection_iterations=self.bisection_iterations,
+            bracket=self.bracket, r_max_used=self.r_max_used / lam,
+            integrations=self.integrations, rhs_evals=self.rhs_evals,
+            loose_integrations=self.loose_integrations, fallbacks=self.fallbacks,
+            amp_error=self.amp_error)
 
     def value(self, r):
         return _eval_profile(self, r, deriv=False)
@@ -1022,17 +998,22 @@ def _package_profile(params: ProblemParams, a: float, traj: Trajectory,
 
     ``width`` bounds the relative error of a: half of amp_tol, the stop width
     of the search, so the kept range does not depend on where it stopped.
-    ``atol`` is the absolute step tolerance traj was integrated at.
+    ``atol`` is the absolute step tolerance traj was integrated at.  An
+    algebraic grid ends at the last radius where u is at least
+    _ALGEBRAIC_FIT_FLOOR atol, where its tail fit window ends: past it u is
+    integrator noise (for N >= 5 the constant mode B the amplitude error
+    leaves, which doubled the L^2 norm of P_zero (5, 4, 6) when the grid ran
+    on to r_max).
     """
     u = traj.values
     if params.is_algebraic():
-        keep = len(u)
+        level = _ALGEBRAIC_FIT_FLOOR * atol
     else:
         # amplitude error delta*a grows like e^(+kr); relative contamination at
         # depth u is ~ width * (a/u)^2, so keep u/a above ~100*sqrt(width)
         level = a * min(1e-3, max(100.0 * math.sqrt(width), 1e-9))
-        above = np.nonzero(u >= level)[0]
-        keep = int(above[-1]) + 1 if len(above) else len(u)
+    above = np.nonzero(u >= level)[0]
+    keep = int(above[-1]) + 1 if len(above) else len(u)
     # enforce positivity and monotone decrease on the stored grid (exact
     # float ties are tolerated: near-flat starts move by less than an ulp)
     pos = np.nonzero(u[:keep] <= 0.0)[0]
@@ -1052,9 +1033,10 @@ def _package_profile(params: ProblemParams, a: float, traj: Trajectory,
 
 
 # An algebraic tail is fitted on [r_end/30, r_end], r_end the last radius
-# where u is at least _ALGEBRAIC_FIT_FLOOR times the step controls' atol:
-# below that u is integrator noise (~1e-18 at r_max = 1e6 for N >= 5), and
-# for N = 3 the window still ends at r_max.  Over 120 P_zero draws the
+# where u is at least _ALGEBRAIC_FIT_FLOOR times the step controls' atol (a
+# solved profile's grid ends there, _package_profile): below that u is
+# integrator noise (~1e-18 at r_max = 1e6 for N >= 5), and for N = 3 the
+# window still ends at r_max.  Over 120 P_zero draws the
 # worst mismatch is 1.4e-2 at 1e5, 0.12 at 1e4 (noise) and 3.4e-2 at 1e6
 # (nearer the core, where one correction term misses the tail near p*).
 _ALGEBRAIC_FIT_FLOOR = 1e5

@@ -40,6 +40,8 @@ from gslab.ode import (
     _D_DENSE,
     _E3,
     _E5,
+    _BALL_W,
+    _BALL_X,
     _EXTRA,
     _FRACS,
     _GW_SUB,
@@ -50,7 +52,6 @@ from gslab.ode import (
     StepControls,
     TerminalEvent,
     Trajectory,
-    _ball_nodes,
     series_piece,
 )
 from gslab.params import ProblemParams
@@ -124,15 +125,26 @@ def _bisect_event(r0: float, h: float, y0: float, f, level: float, lo: float, hi
     return hi
 
 
+def _ball_nodes(N: int, r0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes r on [0, r0] and weights w such that sum(w * g(r)) is the
+    integral of g(r) r^(N-1) over [0, r0], on ode's _BALL_NODES Gauss nodes,
+    as the kernel weights them."""
+    rr = rn = r0 * _BALL_X
+    for _ in range(N - 2):   # r^(N-1) by products, as on the panels
+        rn = rn * rr
+    return rr, _BALL_W * r0 * rn
+
+
 def _series_norms(params: ProblemParams, coeffs: tuple[float, ...], r0: float) -> tuple:
     """(l2, dir, lp, lq) over [0, r0] from the series piece, by Gauss-Legendre
-    on ode's _BALL_NODES nodes, each summed left to right (_sum)."""
+    on ode's _BALL_NODES nodes, each summed left to right (_sum), and the
+    node rows (r, u, u', weight) they are summed over."""
     rr, wt = _ball_nodes(params.N, r0)
     u, v = series_piece(coeffs, rr)
     au = np.abs(u)
     return tuple(_sum(x.tolist()) for x in (wt * u * u, wt * v * v,
                                             wt * np.float_power(au, params.p),
-                                            wt * np.float_power(au, params.q)))
+                                            wt * np.float_power(au, params.q))), (rr, u, v, wt)
 
 
 def _dense_pass(params: ProblemParams, coeffs: tuple, k1: float, stages, radii: np.ndarray,
@@ -150,14 +162,17 @@ def _dense_pass(params: ProblemParams, coeffs: tuple, k1: float, stages, radii: 
     event moved it (None if no event did).
 
     Returns the dense (radii, values, slopes), the norms (l2, lp, lq, dir)
-    on it, and the RHS evaluations made: the reference of the kernel's
-    dop853_dense.
+    on it, the node rows (r, u, u', weight) the norms are summed over (the
+    series piece's, then each sub-interval's Gauss nodes in order), and the
+    RHS evaluations made: the reference of the kernel's dop853_dense.
     """
     n = len(radii) - 1
     out = np.empty((4, _SUB * n + 1))   # rows l2, dir, lp, lq
-    out[:, 0] = _series_norms(params, coeffs, float(radii[0]))
+    out[:, 0], ball = _series_norms(params, coeffs, float(radii[0]))
+    nodes = np.empty((4, len(ball[0]) + _SUB * len(_GX) * n))
+    nodes[:, :len(ball[0])] = ball
     if not n:
-        return (radii, values, slopes), (out[0], out[2], out[3], out[1]), 0
+        return (radii, values, slopes), (out[0], out[2], out[3], out[1]), nodes, 0
     st = np.frombuffer(stages).reshape(n, 16).T
     h, r = st[0], radii[:-1]
     u0, v0, u1, v1 = values[:-1], slopes[:-1], values[1:].copy(), slopes[1:].copy()
@@ -186,6 +201,8 @@ def _dense_pass(params: ProblemParams, coeffs: tuple, k1: float, stages, radii: 
     wt = _GW_SUB * hh * rg
     for _ in range(params.N - 2):   # r^(N-1) by products: N is an integer
         wt *= rg
+    for row, x in zip(nodes, (rg, ug, vg, wt)):   # in (step, sub-interval, node) order
+        row[len(ball[0]):] = x.transpose(2, 0, 1).ravel()
     pq = np.array([params.p, params.q])[:, None, None, None]
     terms = np.empty((4,) + shape)
     np.multiply(wt * ug, ug, out=terms[0])
@@ -194,7 +211,7 @@ def _dense_pass(params: ProblemParams, coeffs: tuple, k1: float, stages, radii: 
     # summed over the nodes as ((t0 + t1) + t2) + t3, then cumulatively
     out[:, 1:] = terms.sum(axis=2).transpose(0, 2, 1).reshape(4, _SUB * n)
     out = np.add.accumulate(out, axis=1)
-    return tuple(grid), (out[0], out[2], out[3], out[1]), 3 * n
+    return tuple(grid), (out[0], out[2], out[3], out[1]), nodes, 3 * n
 
 
 def _trajectory(rs, us, vs, nfev: int, quad: tuple | None,
@@ -202,9 +219,10 @@ def _trajectory(rs, us, vs, nfev: int, quad: tuple | None,
     """The grid so far, as a ReachedRmax trajectory.  ``quad`` is None, or
     _dense_pass' (params, coeffs, k1, stages) of a run with quadrature."""
     radii, values, slopes = np.asarray(rs), np.asarray(us), np.asarray(vs)
-    norms, series = (None,) * 4, None
+    norms, series, nodes = (None,) * 4, None, None
     if quad is not None:
-        (radii, values, slopes), norms, extra = _dense_pass(*quad, radii, values, slopes, end)
+        (radii, values, slopes), norms, nodes, extra = _dense_pass(*quad, radii, values, slopes,
+                                                                   end)
         nfev += extra
         series = quad[1]
     t = Trajectory(
@@ -214,6 +232,7 @@ def _trajectory(rs, us, vs, nfev: int, quad: tuple | None,
         terminal_event=TerminalEvent.REACHED_RMAX,
         rhs_evals=nfev,
         series=series,
+        nodes=nodes,
     )
     t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir = norms
     return t

@@ -12,11 +12,11 @@ from 1e-12 / 1e-10 (which missed by up to 7.1e-12, and 1e-13 / 1e-11 by
 starts every shot from the second-order Taylor piece the solver started
 from before the series piece, so the check does not rest on the series.
 
-The read side (radial_norm, dirichlet_norm, the concentration radius, the
-profile distances) reads the stored grid by cubic Hermite; the final pass's
-grid holds interior points of every step for it.  On the same profiles the
-Hermite route must match the norms co-integrated on the seventh-order
-interpolant within 1e-8.
+The read side's integrals (radial_norm, dirichlet_norm, the profile
+distances) sum the node rows the final pass co-integrated its norms on, u
+and u' from the seventh-order interpolant.  On the same profiles that route
+must match the co-integrated norms within 1e-13: the nodes and weights are
+the same, and only the order of the sums and the powers' rounding differ.
 """
 
 import math
@@ -105,8 +105,10 @@ def test_amplitude_within_amp_tol_of_second_order_reference(params, solutions, m
 
 @pytest.mark.parametrize("params", CASES)
 def test_grid_route_norms_match_co_integrated(params, solutions):
-    # measured: 1.8e-9, 1.6e-9, 6.2e-9, 6.9e-9 and 8.6e-9 (at most 6.8e-9
-    # on the Dormand-Prince 4(5) step grid)
+    # measured: at most 6.7e-16, 1.0e-15, 2.2e-16, 6.7e-16 and 0 (1.8e-9,
+    # 1.6e-9, 6.2e-9, 6.9e-9 and 8.6e-9 while they read a cubic Hermite of
+    # the grid, held at 1e-8; at most 6.8e-9 on the Dormand-Prince 4(5)
+    # step grid)
     sol = solutions(params)
-    assert radial_norm(sol.profile, params.p) == pytest.approx(sol.norm_Lp_p, rel=1e-8, abs=0.0)
-    assert dirichlet_norm(sol.profile) == pytest.approx(sol.dirichlet_sq, rel=1e-8, abs=0.0)
+    assert radial_norm(sol.profile, params.p) == pytest.approx(sol.norm_Lp_p, rel=1e-13, abs=0.0)
+    assert dirichlet_norm(sol.profile) == pytest.approx(sol.dirichlet_sq, rel=1e-13, abs=0.0)

@@ -2,12 +2,15 @@
 
 ``asymptotics.profile_distances`` sums ||grad(v - W_1)||_2^2 and
 ||v - W_1||_p^p as the two rows of one stack: one ``RadialProfile.quad``
-on v's Gauss panels and one ``emden.radial_quad`` past the grid, with W_1's
+on v's node rows and one ``emden.radial_quad`` past the grid, with W_1's
 value and slope and the tail model's linear mode evaluated once per node
 set.  The reference below is the routine before that: one quadrature per
 distance on each node set, every integrand evaluated on its own.  The two
 must agree bit for bit on the critical read side of ``tests/test_golden.py``
-and on v at lambda in {0.5, 2, 9} for the critical N = 3, 4, 5 frames.
+and on v at lambda in {0.5, 2, 9} for the critical N = 3, 4, 5 frames.  On
+the same profiles the distances stay within the Hermite's interpolation
+error of the cubic-Hermite route ``quad`` replaced
+(``tests/hermite_reference.py``).
 """
 
 import math
@@ -20,6 +23,8 @@ from gslab import (EmdenFowlerProfile, Family, ProblemParams, concentration_lamb
 from gslab.asymptotics import profile_distances
 from gslab.emden import radial_quad
 from gslab.params import sphere_area
+
+from hermite_reference import hermite_route
 
 
 def _two_pass_distances(v, ref):
@@ -79,3 +84,19 @@ def test_distances_match_two_pass_bitwise(params, lam, frames):
     v = rescale_to_v(frames(params), lam)
     ref = EmdenFowlerProfile(params.N, 1.0, "W")
     _same(profile_distances(v, ref), _two_pass_distances(v, ref))
+
+
+# Measured against the Hermite route: 4.6e-8 (d1) and 4.1e-8 (dp) on the
+# golden read side, at most 1.8e-8 and 1.5e-8 on the lambda ladder (N = 5 at
+# lambda 2); a solve at 100x tighter step controls puts the golden d1 1.9e-8
+# from the node rows' and 6.4e-8 from the Hermite route's
+@pytest.mark.parametrize("params", CRITICAL)
+def test_distances_match_hermite_route(params, frames, monkeypatch):
+    w = frames(params)
+    ref = EmdenFowlerProfile(params.N, 1.0, "W")
+    lams = [0.5, 2.0, 9.0] + ([concentration_lambda(w)] if params.N == 5 else [])
+    vs = [rescale_to_v(w, lam) for lam in lams]
+    got = [profile_distances(v, ref) for v in vs]
+    hermite_route(monkeypatch)
+    for v, pair in zip(vs, got, strict=True):
+        assert pair == pytest.approx(profile_distances(v, ref), rel=5e-8, abs=0.0)

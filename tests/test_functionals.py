@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gslab import (
@@ -18,11 +19,13 @@ from gslab import (
     radial_norm,
     rescale_to_v,
     sobolev_constant,
+    solve_ground_state,
     to_minimizer_frame,
 )
 from gslab import shooting
 from gslab.asymptotics import profile_distances
 from gslab.functionals import GroundStateSolution, analyze, constraint_value, energy
+from gslab.params import sphere_area
 
 
 def test_u1_norm_is_sobolev_power():
@@ -47,6 +50,21 @@ def test_algebraic_profile_l2_divergence(identity_solutions):
     assert math.isinf(sol.norm_L2_sq)
 
 
+# P_eps tends to P_zero as eps -> 0, and at N >= 5 both have an L^2 norm.
+# P_zero's at eps = 1e-10 is the oracle: at N = 5 the P_eps norm approaches
+# it like sqrt(eps) (the r^-(N-2) tail cut off at the decay length
+# eps^(-1/2) carries ~sqrt(eps) of the mass), 2.6e-4, 8.3e-5 and 2.6e-5 away
+# at eps = 1e-9, 1e-10 and 1e-11; at N = 6 like eps (3.8e-7, 3.9e-8,
+# 6.4e-10).  The bound, 2e-4, is 2.4x the largest gap at 1e-10.  While the
+# P_zero grid ran on to r_max through integrator noise, (5, 4, 6) read
+# 133,436 against 67,276 (off by 0.98).
+@pytest.mark.parametrize("N, p, q", [(5, 4.0, 6.0), (6, 3.5, 5.0), (5, 3.6, 7.0)])
+def test_p_zero_l2_norm_is_the_small_eps_limit(N, p, q):
+    limit = solve_ground_state(ProblemParams(N, p, q, 0.0, Family.P_ZERO)).norm_L2_sq
+    near = solve_ground_state(ProblemParams(N, p, q, 1e-10, Family.P_EPS)).norm_L2_sq
+    assert limit == pytest.approx(near, rel=2e-4, abs=0.0)
+
+
 def test_norm_requires_s_at_least_one(identity_solutions):
     sol = identity_solutions[(3, 4.0, 6.0, 1e-2, Family.P_EPS)]
     with pytest.raises(ValueError):
@@ -54,8 +72,8 @@ def test_norm_requires_s_at_least_one(identity_solutions):
 
 
 def test_grid_norms_match_co_integrated(identity_solutions):
-    # Hermite-panel quadrature on the stored grid against the norms
-    # accumulated alongside the integration
+    # the read side's quadrature on the grid's node rows against the norms
+    # accumulated alongside the integration on the same nodes
     for key in [(3, 4.0, 6.0, 1e-2, Family.P_EPS), (5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)]:
         sol = identity_solutions[key]
         p = sol.params.p
@@ -184,26 +202,39 @@ def test_frame_energy_is_the_energy_of_its_own_norms(identity_solutions):
 
 
 def test_read_side_builds_the_panels_once(identity_solutions, monkeypatch):
-    # radial_norm, dirichlet_norm and profile_distances share one panel
-    # build per profile; the concentration radius reads the co-integrated
-    # mass and builds none
+    # the read side builds no panels of its own: radial_norm, dirichlet_norm
+    # and profile_distances sum their integrands against the node rows the
+    # final pass co-integrated its norms on, and the minimizer frame and v
+    # carry their source's rows times the transform's factors (1/lam, amp,
+    # amp lam, lam_sq^(-N/2)) on r, u, u' and the weight, bit for bit; the
+    # concentration radius reads the co-integrated mass and no node row
     sol = identity_solutions[(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)]
-    build = shooting._HermitePanels
-    builds = []
-
-    def counted(*args):
-        builds.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(shooting, "_HermitePanels", counted)
+    N, p = sol.params.N, sol.params.p
+    u = sol.profile
     w = sol.rescaled_to_frame().profile
+    quads = []
+    real = shooting.RadialProfile.quad
+
+    def counted(self, integrand):
+        quads.append(self)
+        return real(self, integrand)
+
+    monkeypatch.setattr(shooting.RadialProfile, "quad", counted)
     lam = concentration_lambda(w)
-    assert builds == []
+    assert quads == []
     v = rescale_to_v(w, lam)
-    radial_norm(v, v.params.p)
-    dirichlet_norm(v)
+    for src, copy, (amp, lam_sq) in ((u, w, (1.0, sol.level_S)),
+                                     (w, v, (lam ** ((N - 2.0) / 2.0), lam ** 2))):
+        scale = math.sqrt(lam_sq)
+        factors = (1.0 / scale, amp, amp * scale, lam_sq ** (-N / 2.0))
+        for got, row, fac in zip(copy.grid.nodes, src.grid.nodes, factors, strict=True):
+            assert got.tobytes() == (row * fac).tobytes()
+    r, x, dx, weight = v.grid.nodes
+    omega = sphere_area(N)
+    assert radial_norm(v, p) == omega * (float(np.sum(np.abs(x) ** p * weight)) + v.norm_tail(p))
+    assert dirichlet_norm(v) == omega * (float(np.sum(dx * dx * weight)) + v.dirichlet_tail())
     profile_distances(v, EmdenFowlerProfile(5, 1.0, "W"))
-    assert len(builds) == 1
+    assert quads == [v, v, v]
 
 
 def _stub_solution(params: ProblemParams) -> GroundStateSolution:

@@ -14,11 +14,16 @@ needs the last probe to close its bracket began to land past Brent's
 abscissa, on Dormand-Prince 8(5,3) at atol 1e-14 / rtol 1e-12, every shot
 started from the series piece of ``ode`` (the power series in r^2 to
 k = 8, handed off where its first omitted term falls below 1e-16 u(0)),
-with K_nu e^x from ``ode._kve``.  Older pins stay asserted at a
-tolerance: those taken while the final pass summed its interpolant through
-OpenBLAS's gemv (GEMV_PINS), those taken while K_nu e^x came from
-scipy.special.kve (SCIPY_KVE_PINS and the like), those taken with every
-P_zero shot run to the r_max of a probe shot (SERIES_PINS and the like),
+with K_nu e^x from ``ode._kve``.  The read-side norms and the W_1
+distances were re-pinned since, when ``RadialProfile.quad`` began to sum the
+final pass's own node rows.  Older pins stay asserted at a tolerance: those
+taken while the read side summed a cubic Hermite of the grid (HERMITE_PINS;
+they and every older read-side pin are also held against that route,
+``tests/hermite_reference.py``, at their own tolerances), those taken while
+the final pass summed its interpolant through OpenBLAS's gemv (GEMV_PINS),
+those taken while K_nu e^x came from scipy.special.kve (SCIPY_KVE_PINS and
+the like), those taken with every P_zero shot run to the r_max of a probe
+shot (SERIES_PINS and the like),
 those taken on the same integrator started from the second-order Taylor
 piece at r0 = 1e-4 sqrt(a/|f(a)|) (SECOND_ORDER_PINS and the like), those
 from the Dormand-Prince 4(5) integrator at atol 1e-12 / rtol 1e-10
@@ -344,25 +349,54 @@ def test_forced_loose_probes_fall_back_to_golden_bitwise(params, amplitude, leve
 # to 16 x 16 Gauss nodes on geometric panels; norm totals did not move.
 # P_eps and P_zero were re-pinned with SERIES_PINS, and the three
 # exponential tails again with SCIPY_KVE_PINS; the norms of all but R_zero
-# with GEMV_PINS (the tail pieces did not move).
+# with GEMV_PINS (the tail pieces did not move).  The norms were re-pinned
+# again when RadialProfile.quad began to sum the final pass's own node rows
+# instead of a cubic Hermite of the grid (HERMITE_PINS).
 READ_SIDE = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
-                 "0x1.69cad497c3bfep+4", "0x1.07a0f219303d9p+4",
+                 "0x1.69cad48b7d447p+4", "0x1.07a0f21290740p+4",
                  "0x1.df3f399f9ab63p-10", "0x1.4fa5830a22b81p-19",
                  id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
-                 "0x1.82fa511c6b7d3p+5", "0x1.82fa51266a3afp+4",
+                 "0x1.82fa5125a5a7bp+5", "0x1.82fa5125a3dedp+4",
                  None, "0x1.e04e1cd0fe236p-18",
                  id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "0x1.2e5b244e332a7p+6", "0x1.c588b66f87276p+5",
+                 "0x1.2e5b242e8b923p+6", "0x1.c588b645d1578p+5",
                  "0x1.6444062560801p-19", "0x1.c908723e288bap-19",
                  id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.69597fb5a859dp+6", "0x1.e1bde1ffa7304p+5",
+                 "0x1.69597f8bfebb6p+6", "0x1.e1bde1d080772p+5",
                  "0x1.590bc738dec93p-19", "0x1.b89ef560fa2b7p-19",
                  id="R_eps-N3-p4-q6-eps1e-2"),
 ]
+
+# The read-side norms (radial_norm(prof, p), dirichlet_norm(prof)) while
+# RadialProfile.quad read a cubic Hermite of the grid on 6 Gauss nodes per
+# grid interval; tests/hermite_reference.py is that route, and gives these
+# bits still.  Summed on the final pass's node rows (the interpolant the
+# norms are co-integrated on) they moved by 2.0e-9 and 1.5e-9 (P_eps),
+# 1.4e-9 and 1.2e-10 (P_zero), 6.2e-9 and 5.5e-9 (R_zero), 6.9e-9 and
+# 5.8e-9 (R_eps), so they hold at 7e-9.  Every older read-side pin below
+# was taken on the Hermite route and is held against it, at its own
+# tolerance.
+HERMITE_PINS = {
+    Family.P_EPS: ("0x1.69cad497c3bfep+4", "0x1.07a0f219303d9p+4"),
+    Family.P_ZERO: ("0x1.82fa511c6b7d3p+5", "0x1.82fa51266a3afp+4"),
+    Family.R_ZERO: ("0x1.2e5b244e332a7p+6", "0x1.c588b66f87276p+5"),
+    Family.R_EPS: ("0x1.69597fb5a859dp+6", "0x1.e1bde1ffa7304p+5"),
+}
+HERMITE_TOL = 7e-9
+
+
+def _hermite_read_side(fn):
+    """fn() with every grid integral on the cubic-Hermite route."""
+    from hermite_reference import hermite_route
+
+    with pytest.MonkeyPatch.context() as m:
+        hermite_route(m)
+        return fn()
+
 
 # The exponential tail pieces (norm_tail(2.0), dirichlet_tail()) of the
 # 16 x 32 Gauss rule on squared-linspace panels over [R, R + 60/decay]; the
@@ -417,9 +451,16 @@ def test_read_side_norms_match_golden_bitwise(params, norm_p, dirichlet, tail_l2
     else:
         assert float(prof.norm_tail(2.0)).hex() == tail_l2
     assert float(prof.dirichlet_tail()).hex() == tail_dir
+    old_norm_p, old_dirichlet = HERMITE_PINS[params.family]
+    assert _near(radial_norm(prof, params.p), old_norm_p, HERMITE_TOL)
+    assert _near(dirichlet_norm(prof), old_dirichlet, HERMITE_TOL)
+    # the older pins, on the Hermite route they were taken on
+    norm_p_h, dirichlet_h = _hermite_read_side(
+        lambda: (radial_norm(prof, params.p), dirichlet_norm(prof)))
+    assert (float(norm_p_h).hex(), float(dirichlet_h).hex()) == (old_norm_p, old_dirichlet)
     old_norm_p, old_dirichlet = GEMV_PINS[params.family][4:]
-    assert _near(radial_norm(prof, params.p), old_norm_p, GEMV_TOL)
-    assert _near(dirichlet_norm(prof), old_dirichlet, GEMV_TOL)
+    assert _near(norm_p_h, old_norm_p, GEMV_TOL)
+    assert _near(dirichlet_h, old_dirichlet, GEMV_TOL)
     if params.family in SCIPY_KVE_TAIL_PINS:
         old_l2, old_dir = SCIPY_KVE_TAIL_PINS[params.family]
         old = (_profile_at(params, SCIPY_KVE_PINS[params.family][0])
@@ -428,8 +469,8 @@ def test_read_side_norms_match_golden_bitwise(params, norm_p, dirichlet, tail_l2
         assert _near(old.dirichlet_tail(), old_dir, SCIPY_KVE_TAIL_TOL)
     if params.family in SCIPY_KVE_PINS:
         old_norm_p, old_dirichlet = SCIPY_KVE_PINS[params.family][4:]
-        assert _near(radial_norm(prof, params.p), old_norm_p, SCIPY_KVE_TOL["read_side"])
-        assert _near(dirichlet_norm(prof), old_dirichlet, SCIPY_KVE_TOL["read_side"])
+        assert _near(norm_p_h, old_norm_p, SCIPY_KVE_TOL["read_side"])
+        assert _near(dirichlet_h, old_dirichlet, SCIPY_KVE_TOL["read_side"])
     if params.family in SQUARED_LINSPACE_TAIL_PINS:
         old_l2, old_dir = SQUARED_LINSPACE_TAIL_PINS[params.family]
         pinned = {**SCIPY_KVE_PINS, **SERIES_PINS}.get(params.family)
@@ -438,15 +479,15 @@ def test_read_side_norms_match_golden_bitwise(params, norm_p, dirichlet, tail_l2
         assert _near(old.dirichlet_tail(), old_dir, SQUARED_LINSPACE_TAIL_TOL)
     if params.family in SERIES_PINS:
         old_norm_p, old_dirichlet = SERIES_PINS[params.family][4:]
-        assert _near(radial_norm(prof, params.p), old_norm_p, SERIES_TOL["read_side"])
-        assert _near(dirichlet_norm(prof), old_dirichlet, SERIES_TOL["read_side"])
+        assert _near(norm_p_h, old_norm_p, SERIES_TOL["read_side"])
+        assert _near(dirichlet_h, old_dirichlet, SERIES_TOL["read_side"])
     old_norm_p, old_dirichlet = SECOND_ORDER_PINS[params.family][4:]
-    assert _near(radial_norm(prof, params.p), old_norm_p, SECOND_ORDER_TOL["read_side"])
-    assert _near(dirichlet_norm(prof), old_dirichlet, SECOND_ORDER_TOL["read_side"])
+    assert _near(norm_p_h, old_norm_p, SECOND_ORDER_TOL["read_side"])
+    assert _near(dirichlet_h, old_dirichlet, SECOND_ORDER_TOL["read_side"])
     for pins in (BISECTION_PINS, BRENT_PINS):
         _, _, old_norm_p, old_dirichlet = pins[params.family]
-        assert _near(radial_norm(prof, params.p), old_norm_p, OLD_GRID_NORM_TOL)
-        assert _near(dirichlet_norm(prof), old_dirichlet, OLD_GRID_NORM_TOL)
+        assert _near(norm_p_h, old_norm_p, OLD_GRID_NORM_TOL)
+        assert _near(dirichlet_h, old_dirichlet, OLD_GRID_NORM_TOL)
 
 
 CRITICAL_READ_SIDE = ProblemParams(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)
@@ -463,12 +504,25 @@ def test_critical_read_side_matches_golden_bitwise(monkeypatch):
     params = CRITICAL_READ_SIDE
     w = solve_ground_state(params).rescaled_to_frame()
     lam = concentration_lambda(w.profile)
-    d1, dp = profile_distances(rescale_to_v(w.profile, lam), EmdenFowlerProfile(5, 1.0, "W"))
+    v = rescale_to_v(w.profile, lam)
+    W = EmdenFowlerProfile(5, 1.0, "W")
+    d1, dp = profile_distances(v, W)
     kappa = kappa_identities(w, params.eps).lq_residual
     assert lam.hex() == "0x1.5ffd4d6102b69p+0"
+    assert d1.hex() == "0x1.3e799f3fc2fb6p-2"
+    assert dp.hex() == "0x1.c958ebb92c6f7p-5"
+    assert kappa.hex() == "0x1.2597a30d35ebdp-23"
+    # the pins taken while RadialProfile.quad read a cubic Hermite of the
+    # grid (HERMITE_PINS): lambda and the kappa residual did not move, d1
+    # moved by 4.6e-8 and dp by 4.1e-8, so they hold at those; at a solve
+    # with 100x tighter step controls d1 is 1.9e-8 from today's and 6.4e-8
+    # from the Hermite route's.  The Hermite route still gives their bits,
+    # and every older pin of the distances is held against it
+    assert _near(d1, "0x1.3e79a032a28e3p-2", 4.6e-8)
+    assert _near(dp, "0x1.c958ecf090a7ep-5", 4.1e-8)
+    d1, dp = _hermite_read_side(lambda: profile_distances(v, W))
     assert d1.hex() == "0x1.3e79a032a28e3p-2"
     assert dp.hex() == "0x1.c958ecf090a7ep-5"
-    assert kappa.hex() == "0x1.2597a30d35ebdp-23"
     # the pins taken while the final pass summed its interpolant through
     # gemv (GEMV_PINS): lambda and the kappa residual did not move, d1 moved
     # by 1.1e-15 and dp by 1.2e-16, so they hold at 3e-15
@@ -523,8 +577,8 @@ def test_critical_read_side_matches_golden_bitwise(monkeypatch):
     # and 2.4e-12) and with DOP853 (8.0e-8 and 4.0e-8)
     old_lam = float.fromhex("0x1.5ffd4d4d0787cp+0")
     assert lam == pytest.approx(old_lam, rel=1e-8, abs=0.0)
-    d1_old, dp_old = profile_distances(rescale_to_v(w.profile, old_lam),
-                                       EmdenFowlerProfile(5, 1.0, "W"))
+    d1_old, dp_old = _hermite_read_side(
+        lambda: profile_distances(rescale_to_v(w.profile, old_lam), W))
     assert _near(d1_old, "0x1.3e79a16892f20p-2", 2e-7)
     assert _near(dp_old, "0x1.c958ee0f40d10p-5", 1e-7)
 

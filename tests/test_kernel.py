@@ -4,9 +4,10 @@
 step loop and the event refinement, then, with quadrature, the dense pass.
 ``dop853_reference.integrate`` is the same shot in Python (``_start``, the
 loop, ``_refine``, the numpy ``_dense_pass``).  On every call the two must
-agree to the bit: radii, values, slopes and the four norm arrays, terminal
-event and radius, and RHS evaluations, the partial trajectory of an
-IntegrationFailure included, and an exception the same by its repr.  A call
+agree to the bit: radii, values, slopes, the four norm arrays and the node
+rows they are summed over, terminal event and radius, and RHS evaluations,
+the partial trajectory of an IntegrationFailure included, and an exception
+the same by its repr.  A call
 without quadrature is also run as a search shot, ``ode.Shot.end``, on a Shot
 that the calls of its (params, r_max, tol) share: its last two rows,
 terminal event and radius and RHS evaluations must be those of both runs,
@@ -56,7 +57,7 @@ def _outcome(integrate, call):
 
 
 def _bits(t):
-    arrays = (t.radii, t.values, t.slopes, t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir)
+    arrays = (t.radii, t.values, t.slopes, t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir, t.nodes)
     return (t.terminal_event, t.terminal_radius.hex(), t.rhs_evals,
             [None if x is None else x.tobytes() for x in arrays])
 

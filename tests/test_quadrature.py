@@ -10,7 +10,9 @@ value bit for bit, with the same type.  ``radial_quad`` and
 sum per row, each with the bits of its integrand passed alone.  The
 evaluations the read side shares keep the bits of the routes they
 replaced: the tail model's u from the pieces of the correction its u'
-reuses, and ``quad``'s r^(N-1), kept with the panels.
+reuses, and ``quad``'s weights, r^(N-1) kept with the final pass's node
+rows.  ``quad`` is held against the cubic-Hermite route it replaced
+(``tests/hermite_reference.py``) at the Hermite's interpolation error.
 """
 
 import math
@@ -18,11 +20,14 @@ import math
 import numpy as np
 import pytest
 
-from gslab import (EmdenFowlerProfile, Family, ProblemParams, emden, find_ground_state,
+from gslab import (EmdenFowlerProfile, Family, ProblemParams, emden, find_ground_state, ode,
                    solve_ground_state)
 from gslab.emden import _leggauss, eval_U, eval_U_slope, radial_quad, sobolev_constant
 from gslab.functionals import analyze, dirichlet_norm, radial_norm
 from gslab.shooting import TailModel
+
+import dop853_reference
+import hermite_reference
 
 
 def _exp_tail_loop(g, N, R, k):
@@ -271,19 +276,52 @@ def test_tail_evaluate_keeps_the_bits_of_separate_passes(params, profiles):
 
 @pytest.mark.parametrize("params", GOLDEN)
 def test_grid_quad_kept_power_matches_recomputed(params, profiles):
-    # quad multiplies by the r^(N-1) kept with the panels where it multiplied
-    # by the power computed on each call: the same bits, with the same type
+    # quad multiplies by the weight kept with the node rows, whose r^(N-1)
+    # the kernel formed by products: recomputed from the node radii and the
+    # grid (the Gauss weight over _SUB times the step width times r, then
+    # N - 2 more factors r; the series piece's from dop853_reference), the
+    # same bits on every whole step the grid keeps; and quad is the sum of
+    # integrand times weight, with the same bits and type
     prof = profiles(params)
-    pan, N = prof.panels, params.N
-    assert np.array_equal(pan.rn, pan.r ** (N - 1))
+    N, radii = params.N, prof.grid.radii
+    r, u, du, w = prof.grid.nodes
+    ball = ode._BALL_NODES
+    rr, wt = dop853_reference._ball_nodes(N, float(radii[0]))
+    assert r[:ball].tobytes() == rr.tobytes() and w[:ball].tobytes() == wt.tobytes()
+    steps = (len(radii) - 1) // ode._SUB
+    nodes = ode._SUB * len(ode._GX)
+    assert len(r) >= ball + nodes * steps > ball
+    width = radii[ode._SUB:ode._SUB * steps + 1:ode._SUB] - radii[:ode._SUB * steps:ode._SUB]
+    rg = r[ball:ball + nodes * steps].reshape(steps, ode._SUB, len(ode._GX))
+    want = ode._GW_SUB.ravel() * width[:, None, None] * rg
+    for _ in range(N - 2):
+        want = want * rg
+    assert w[ball:ball + nodes * steps].tobytes() == want.tobytes()
     for g in (lambda r, u, du: du * du, lambda r, u, du: np.abs(u) ** params.p,
               lambda r, u, du: np.stack((u * u, np.abs(u) ** params.q))):
-        vals = g(pan.r, pan.u, pan.du) * pan.r ** (N - 1)
-        bulk = vals * pan.w[None, :] * pan.h[:, None]
-        series = pan.w_series * g(pan.r_series, pan.u_series, pan.du_series)
+        vals = g(r, u, du) * w
         got = prof.quad(g)
-        if bulk.ndim == 2:
-            _same(got, float(np.sum(bulk)) + float(np.sum(series)))
+        if vals.ndim == 1:
+            _same(got, float(np.sum(vals)))
         else:
-            for row, b, s in zip(got, bulk, series):
-                _same(row, float(np.sum(b)) + float(np.sum(s)))
+            for row, v in zip(got, vals, strict=True):
+                _same(row, float(np.sum(v)))
+
+
+@pytest.mark.parametrize("params", GOLDEN)
+def test_grid_quad_matches_hermite_reference(params, profiles):
+    # the node rows against the cubic Hermite of the grid on 6 Gauss nodes
+    # per grid interval (tests/hermite_reference.py), the route quad took
+    # before: they share no node, so they differ by the Hermite's own
+    # interpolation error.  Measured on the L^p, L^q and Dirichlet
+    # integrals: at most 8.7e-9 (R_eps's L^q), held at 1e-8; on L^2, 9.1e-9
+    # on the exponential tails, and 1.4e-7 on P_zero's, whose grid reaches
+    # r_max = 1e6 with u^2 r^2 falling only like 1/r^2 (its L^2 norm
+    # diverges in N = 3), held at 2e-7
+    prof = profiles(params)
+    p, q = params.p, params.q
+    integrands = {"L2": lambda r, u, du: u * u, "Lp": lambda r, u, du: np.abs(u) ** p,
+                  "Lq": lambda r, u, du: np.abs(u) ** q, "dirichlet": lambda r, u, du: du * du}
+    for name, g in integrands.items():
+        rel = 2e-7 if name == "L2" and params.family is Family.P_ZERO else 1e-8
+        assert prof.quad(g) == pytest.approx(hermite_reference.quad(prof, g), rel=rel, abs=0.0)

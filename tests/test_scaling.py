@@ -2,6 +2,7 @@
 the concentration rescaling: its norms move by the closed-form powers, and a
 rescaled profile stays continuous where its series piece meets the grid."""
 
+import dataclasses
 import functools
 import math
 from dataclasses import replace
@@ -85,24 +86,29 @@ def test_rescaled_profile_is_continuous_at_first_grid_radius(params, rescale):
     assert v.slope(below) == pytest.approx(v.grid.slopes[0], rel=1e-12, abs=0.0)
 
 
-# The panels are cached on the profile they were built from; a rescaled
-# profile builds its own, bit for bit the panels of a fresh profile with its
-# fields (dataclasses.replace starts without the cache).
+# A rescaled profile carries its own node rows, the ones its integrals sum
+# (RadialProfile.quad): its source's rows times the transform's factors
+# (1/lam, amp, amp lam, lam_sq^(-N/2)) on r, u, u' and the weight, bit for
+# bit, in an array of its own, the source's rows untouched.
 @pytest.mark.parametrize("params", CASES)
-@pytest.mark.parametrize("rescale", [
-    pytest.param(lambda u: to_minimizer_frame(u, 2.9), id="frame-S2.9"),
-    pytest.param(lambda u: rescale_to_v(u, 9.0), id="v-lam9"),
-    pytest.param(lambda u: u.scaled(0.3, 4.0), id="amp0.3-lamsq4"),
+@pytest.mark.parametrize("rescale, amp_lam_sq", [
+    pytest.param(lambda u: to_minimizer_frame(u, 2.9), lambda N: (1.0, 2.9), id="frame-S2.9"),
+    pytest.param(lambda u: rescale_to_v(u, 9.0), lambda N: (9.0 ** ((N - 2.0) / 2.0), 81.0),
+                 id="v-lam9"),
+    pytest.param(lambda u: u.scaled(0.3, 4.0), lambda N: (0.3, 4.0), id="amp0.3-lamsq4"),
 ])
-def test_rescaled_profile_builds_its_own_panels(params, rescale):
+def test_rescaled_profile_builds_its_own_panels(params, rescale, amp_lam_sq):
     u = _profile(params)
-    built = u.panels
+    before = u.grid.nodes.tobytes()
     v = rescale(u)
-    assert v.panels is not built
-    fresh = replace(v).panels
-    assert fresh is not v.panels
-    for got, want in zip(v.panels, fresh):
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert not np.shares_memory(v.grid.nodes, u.grid.nodes)
+    assert u.grid.nodes.tobytes() == before
+    amp, lam_sq = amp_lam_sq(params.N)
+    lam = math.sqrt(lam_sq)
+    factors = (1.0 / lam, amp, amp * lam, lam_sq ** (-params.N / 2.0))
+    assert v.grid.nodes.shape == u.grid.nodes.shape
+    for got, row, fac in zip(v.grid.nodes, u.grid.nodes, factors, strict=True):
+        assert got.tobytes() == (row * fac).tobytes()
 
 
 # The far-field Gauss set of an exponential tail is cached on its profile
@@ -162,3 +168,25 @@ def test_rescaled_chain_builds_the_far_field_once(params, monkeypatch):
     assert len(built) == 1 and built[0] is u.tail
     w.norm_tail(params.p)
     assert len(built) == 2 and built[1] is w.tail
+
+
+def test_scaled_copy_carries_every_other_field():
+    # RadialProfile.scaled, TailModel.scaled and rescaled_to_frame build
+    # their copies field by field: every field the transform does not move
+    # is the source's
+    sol = analyze(_profile(CASES[0]))
+    u = sol.profile
+    v = u.scaled(0.3, 4.0)
+    moved = [
+        (u, v, {"amplitude", "grid", "tail", "r_max_used"}),
+        (u.grid, v.grid, {"radii", "values", "slopes", "norm_l2", "norm_lp", "norm_lq",
+                          "norm_dir", "series", "nodes"}),
+        (u.tail, v.tail, {"rate_or_power", "prefactor", "match_radius", "corr"}),
+    ]
+    for src, copy, names in moved:
+        for f in dataclasses.fields(src):
+            if f.name not in names:
+                assert getattr(copy, f.name) == getattr(src, f.name), f.name
+    frame = sol.rescaled_to_frame(2.9)
+    assert (frame.nehari_residual, frame.pokhozhaev_residual) == (sol.nehari_residual,
+                                                                  sol.pokhozhaev_residual)

@@ -557,6 +557,36 @@ def test_profile_past_its_grid_is_its_tail(params):
     assert abs(prof.slope(past) / prof.grid.slopes[-1] - 1.0) <= 2.0 * mismatch
 
 
+@pytest.mark.parametrize("params", [
+    pytest.param(ProblemParams(5, 4.0, 6.0, 0.0, Family.P_ZERO), id="N5"),
+    pytest.param(ProblemParams(6, 3.5, 5.0, 0.0, Family.P_ZERO), id="N6"),
+])
+def test_p_zero_profile_past_its_grid_is_its_tail(params):
+    # an algebraic grid at N >= 5 ends at the last radius R where u is at
+    # least _ALGEBRAIC_FIT_FLOOR atol, well inside r_max: past it the final
+    # pass holds integrator noise, the constant mode B its amplitude error
+    # leaves (while the grid ran on to r_max, value jumped ~1000x just past
+    # it at N = 5).  Past R value and slope are TailModel.evaluate's, bit for
+    # bit.  The tail's fit window ends at R, so the fit's worst residual,
+    # the mismatch, is R's own, and just past R the value meets the grid's
+    # last value within it up to the rounding of a ratio near 1 (6e-12 of
+    # the gap at N = 5; the gaps are 9.4e-5 and 2.2e-5); the slope gap is
+    # below it (8.6e-6 and 1.4e-6)
+    prof = find_ground_state(params)
+    atol = ShootControls().step.atol
+    R = float(prof.grid.radii[-1])
+    assert R < 1e-2 * prof.r_max_used
+    assert prof.grid.values[-1] >= shooting._ALGEBRAIC_FIT_FLOOR * atol
+    r = R * np.array([1.5, 2.0, 4.0, 100.0])
+    u, du = prof.tail.evaluate(r)
+    assert prof.value(r).tobytes() == u.tobytes()
+    assert prof.slope(r).tobytes() == du.tobytes()
+    past = float(np.nextafter(R, np.inf))
+    mismatch = prof.tail.mismatch
+    assert abs(prof.value(past) / prof.grid.values[-1] - 1.0) <= mismatch * (1.0 + 1e-9)
+    assert abs(prof.slope(past) / prof.grid.slopes[-1] - 1.0) <= mismatch
+
+
 def test_bracket_hint_is_clipped_to_the_admissible_window(misread_loose_shot):
     # critical N=5: a hint whose upper end lies above u_hi, the largest root
     # of f (there u''(0) > 0 and every shot reads Undershoot), is clipped to
