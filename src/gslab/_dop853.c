@@ -2,7 +2,11 @@
  * loop and the refinement of its terminal event (dop853_loop), and the dense
  * pass of a run with quadrature (dop853_dense), written line by line like the
  * Python reference, tests/dop853_reference.py (its _start, integrate, _refine
- * and numpy dense pass; the names in the comments below are its own).
+ * and numpy dense pass; the names in the comments below are its own).  A
+ * third entry point, admissible_window, finds the window [u_F0, u_hi] that
+ * every amplitude search of the eps families starts from
+ * (shooting._f_positive_roots), written like its Python reference,
+ * tests/window_reference.py: three Brent loops on f and F.
  *
  * Every float operation is the one Python performs, in its order: written
  * sums run left to right, and so does every dot product of the interpolant
@@ -13,7 +17,8 @@
  * power that ** rejects stops the shot with the code of the exception
  * Python raises.  Compiled with -ffp-contract=off and without -ffast-math,
  * the two give the same bits; tests/test_kernel.py checks them on every
- * call of the benchmark's and the golden solves.
+ * call of the benchmark's and the golden solves, tests/test_roots.py the
+ * window on every window of the benchmark and on random draws.
  *
  * The caller passes the tableau (ode._C, _A, _B, _E5, _E3, the dense
  * output's _EXTRA and _D_DENSE and the quadrature's nodes and weights,
@@ -141,6 +146,19 @@ static int py_pow(double x, double y, double *out)
 static int pow_stop(int pc)
 {
     return pc == POW_OVERFLOW ? STOP_POW_RANGE : pc == POW_ZERO ? STOP_ZERO_POW : STOP_POW_VALUE;
+}
+
+/* py_pow on the RHS's powers: libm's pow straight away where the base is
+ * positive, finite and not 1 and the result is normal (pow then sets no
+ * errno, so py_pow would return the same value), else py_pow itself */
+static inline int rhs_pow(double x, double y, double *out)
+{
+    if (x > 0.0 && x < HUGE_VAL && x != 1.0) {
+        *out = pow(x, y);
+        if (isnormal(*out))
+            return POW_OK;
+    }
+    return py_pow(x, y, out);
 }
 
 /* sum(row[j] * k[j]) over j < n, left to right from 0.0 (_dot) */
@@ -344,7 +362,7 @@ static int refine(const double *tab, const double *prm, int event,
 #define RHS(k, us, vs, rr)                                                   \
     do {                                                                     \
         double au_ = (us) > 0.0 ? (us) : -(us), pp_, qq_, rr_;              \
-        if ((pc = py_pow(au_, pm2, &pp_)) || (pc = py_pow(au_, qm2, &qq_)))  \
+        if ((pc = rhs_pow(au_, pm2, &pp_)) || (pc = rhs_pow(au_, qm2, &qq_))) \
             goto bad_pow;                                                    \
         rr_ = (rr);                                                          \
         if (rr_ == 0.0)                                                      \
@@ -730,4 +748,217 @@ void dop853_dense(const double *tab, const double *prm, const double *st, const 
     radii[m - 1] = rs[n];
     values[m - 1] = us[n];
     slopes[m - 1] = vs[n];
+}
+
+
+/* The admissible window of shooting._f_positive_roots where lin > 0 and
+ * qc > 0, as the Python reference (tests/window_reference.py) computes it:
+ * g(u) = f(u)/u and F(u) (ProblemParams.F), Brent's loop of
+ * shooting._bracket_root and _zeroin to 1e-15 (f_root), and the roots taken
+ * in the reference's order.  Divisions by p, q, q - p and p - 2 are not
+ * checked: ProblemParams holds q > p > 2. */
+enum {
+    WINDOW_NO_ROOTS = 14,   /* BracketNotFound: g <= 0 at its peak */
+    WINDOW_NO_ZERO = 15,    /* BracketNotFound: F <= 0 at the largest root of f */
+    WINDOW_NO_SIGN = 16,    /* InternalConsistencyError: a bracket without a sign change */
+    WINDOW_OPEN = 17,       /* InternalConsistencyError: a root loop that did not close */
+};
+
+struct window {
+    double lin, qc, p, q;
+    int max_probes;         /* shooting._MAX_PROBES */
+};
+
+/* g(u) = u ** (p - 2.0) - qc * u ** (q - 2.0) - lin, or with F set
+ * F(u) = |u| ** p / p - qc * |u| ** q / q - 0.5 * lin * u * u, into *out.
+ * Returns 0 or the code of the exception ** raises. */
+static int window_fun(const struct window *w, int F, double u, double *out)
+{
+    double x, y;
+    int pc;
+
+    if (F) {
+        const double au = fabs(u);
+        if ((pc = py_pow(au, w->p, &x)) || (pc = py_pow(au, w->q, &y)))
+            return pow_stop(pc);
+        *out = x / w->p - w->qc * y / w->q - 0.5 * w->lin * u * u;
+    }
+    else {
+        if ((pc = py_pow(u, w->p - 2.0, &x)) || (pc = py_pow(u, w->q - 2.0, &y)))
+            return pow_stop(pc);
+        *out = x - w->qc * y - w->lin;
+    }
+    return 0;
+}
+
+/* _f_root(fun, a, fa, b, fb): the root of g (or F) in [a, b], fa and fb its
+ * values there, closed to 1e-15 relative by _bracket_root's loop on
+ * _zeroin's abscissas (the generator's body inlined, its rtol 0.5e-15), into
+ * *root.  Returns 0, the code of an exception, or WINDOW_NO_SIGN (out: a, b,
+ * fa, fb) or WINDOW_OPEN (out: a, b and the bracket's ends lo, hi). */
+static int f_root(const struct window *w, int F, double a, double fa, double b, double fb,
+                  double *root, double *out)
+{
+    const double rtol = 1e-15, ztol = 0.5 * rtol, a0 = a, b0 = b, f_lo = fa;
+    double lo = a, hi = b, c, fc, d, e, x, fx;
+    int n = 0, code;
+
+    if (fa != 0.0 && fb != 0.0 && (fa > 0.0) == (fb > 0.0)) {
+        out[0] = a;
+        out[1] = b;
+        out[2] = fa;
+        out[3] = fb;
+        return WINDOW_NO_SIGN;
+    }
+    if (fa == 0.0 || fb == 0.0) {
+        lo = hi = fa == 0.0 ? a : b;
+        goto closed;
+    }
+    c = a;
+    fc = fa;
+    d = e = b - a;
+    for (;;) {
+        /* _zeroin: the next abscissa x from (a, b, c) */
+        double tol, xm;
+        if ((fb > 0.0) == (fc > 0.0)) {
+            c = a;
+            fc = fa;
+            d = e = b - a;
+        }
+        if (fabs(fc) < fabs(fb)) {
+            a = b;
+            b = c;
+            c = a;
+            fa = fb;
+            fb = fc;
+            fc = fa;
+        }
+        tol = ztol * fabs(b);
+        xm = 0.5 * (c - b);
+        /* no division here is by zero: fa and fc are values of f at a
+         * bracket end or a probe, never 0 (a zero ends the loop), and
+         * 2 p < lim fails where q is 0 */
+        if (fabs(e) >= tol && fabs(fa) > fabs(fb)) {
+            double s, p, q, lim, y;
+            s = fb / fa;
+            if (a == c) {
+                p = 2.0 * xm * s;
+                q = 1.0 - s;
+            }
+            else {
+                double qa, r;
+                qa = fa / fc;
+                r = fb / fc;
+                p = s * (2.0 * xm * qa * (qa - r) - (b - a) * (r - 1.0));
+                q = (qa - 1.0) * (r - 1.0) * (s - 1.0);
+            }
+            if (p > 0.0)
+                q = -q;
+            p = fabs(p);
+            lim = 3.0 * xm * q - fabs(tol * q);   /* min(lim, y) as Python's min picks */
+            y = fabs(e * q);
+            if (y < lim)
+                lim = y;
+            if (2.0 * p < lim) {
+                e = d;
+                d = p / q;
+            }
+            else
+                d = e = sqrt(b) * sqrt(c) - b;
+        }
+        else
+            d = e = sqrt(b) * sqrt(c) - b;
+        a = b;
+        fa = fb;
+        x = b + (fabs(d) > tol ? d : copysign(tol, xm));
+
+        /* _bracket_root: stop, or probe x (the geometric mid where x is
+         * outside the bracket) and send it back to _zeroin as b */
+        if (lo == 0.0)
+            return STOP_ZERO_DIV;
+        if (!(hi / lo - 1.0 > rtol && n < w->max_probes))
+            break;
+        if (!(lo < x && x < hi))
+            x = sqrt(lo) * sqrt(hi);
+        n += 1;
+        if ((code = window_fun(w, F, x, &fx)))
+            return code;
+        if (fx == 0.0) {
+            lo = hi = x;
+            break;
+        }
+        if ((fx > 0.0) == (f_lo > 0.0))
+            lo = x;
+        else
+            hi = x;
+        b = x;
+        fb = fx;
+    }
+closed:
+    if (lo == 0.0)
+        return STOP_ZERO_DIV;
+    if (hi / lo - 1.0 > 1e-15) {
+        out[0] = a0;
+        out[1] = b0;
+        out[2] = lo;
+        out[3] = hi;
+        return WINDOW_OPEN;
+    }
+    *root = 0.5 * (lo + hi);
+    return 0;
+}
+
+/* (u_F0, u_hi) into out[0], out[1]: the first positive zero of F and the
+ * largest root of f, found as the reference finds them: g at its peak
+ * u_peak, the lower end u_lo (u_peak 1e-14, or (lin/2)^(1/(p-2)) where g is
+ * still positive there), the root m1 of g below the peak, the doubling scan
+ * for an upper end, the root m2 above it, and the zero of F in [m1, m2].
+ * Returns 0, the code of an exception (out as f_root leaves it), or
+ * WINDOW_NO_ROOTS or WINDOW_NO_ZERO. */
+int admissible_window(double lin, double qc, double p, double q, int max_probes, double *out)
+{
+    const struct window w = {lin, qc, p, q, max_probes};
+    double den, u_peak, g_peak, u_lo, g_lo, m1, hi, g_hi, m2, F_m2, F_m1, u_f0;
+    int code;
+
+    den = qc * (q - 2.0);
+    if (den == 0.0)
+        return STOP_ZERO_DIV;
+    if ((code = py_pow((p - 2.0) / den, 1.0 / (q - p), &u_peak)))
+        return pow_stop(code);
+    if ((code = window_fun(&w, 0, u_peak, &g_peak)))
+        return code;
+    if (g_peak <= 0.0)
+        return WINDOW_NO_ROOTS;
+    u_lo = u_peak * 1e-14;
+    if ((code = window_fun(&w, 0, u_lo, &g_lo)))
+        return code;
+    if (g_lo > 0.0) {
+        /* p close to 2: the lower end from lin */
+        if ((code = py_pow(0.5 * lin, 1.0 / (p - 2.0), &u_lo)))
+            return pow_stop(code);
+        if ((code = window_fun(&w, 0, u_lo, &g_lo)))
+            return code;
+    }
+    if ((code = f_root(&w, 0, u_lo, g_lo, u_peak, g_peak, &m1, out)))
+        return code;
+    hi = u_peak;
+    g_hi = g_peak;
+    while (g_hi > 0.0) {
+        hi *= 2.0;
+        if ((code = window_fun(&w, 0, hi, &g_hi)))
+            return code;
+    }
+    if ((code = f_root(&w, 0, u_peak, g_peak, hi, g_hi, &m2, out)))
+        return code;
+    if ((code = window_fun(&w, 1, m2, &F_m2)))
+        return code;
+    if (F_m2 <= 0.0)
+        return WINDOW_NO_ZERO;
+    if ((code = window_fun(&w, 1, m1, &F_m1)) || (code = f_root(&w, 1, m1, F_m1, m2, F_m2,
+                                                                &u_f0, out)))
+        return code;
+    out[0] = u_f0;
+    out[1] = m2;
+    return 0;
 }

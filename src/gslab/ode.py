@@ -41,7 +41,9 @@ runs a fresh Shot and returns its whole grid (a solve's final pass).  With
 quadrature on, each accepted step only appends its stages to a flat
 buffer, and the dense pass builds every step's interpolant, the interior
 grid points, the four cumulative norm arrays and the node rows after the
-loop.  Its powers are libm's ``pow``, and every dot product of the
+loop.  (The kernel's third entry point, ``admissible_window``, is not a
+shot: ``shooting._f_positive_roots`` calls it for the window of a search.)
+The dense pass's powers are libm's ``pow``, and every dot product of the
 interpolant and every sum over nodes runs left to right from 0.0, so no sum
 goes through BLAS, whose kernels add in an order that depends on the CPU.  At import
 ``_native.build`` compiles the file once into the cache directory (the
@@ -562,6 +564,7 @@ class _Kernel(NamedTuple):
 
     loop: Callable[..., int]     # dop853_loop: one shot
     dense: Callable[..., None]   # dop853_dense: its dense pass, with quadrature
+    window: Callable[..., int]   # admissible_window: shooting._f_positive_roots
 
 
 class ShotEnd(NamedTuple):
@@ -651,10 +654,14 @@ class Shot:
         exceptions are integrate's, and so is a failure, whose partial is
         the ShotEnd.  A run with quadrature takes integrate."""
         code = self._run(a)
-        n, cap, g = self._cnt[0], self._cap, self._grid
-        i = max(n - 2, 0)
-        end = ShotEnd(tuple(g[i:n]), tuple(g[cap + i:cap + n]), tuple(g[2 * cap + i:2 * cap + n]),
-                      _REFINED.get(code, TerminalEvent.REACHED_RMAX), self._cnt[1])
+        j, cap, g = self._cnt[0] - 1, self._cap, self._grid
+        event = _REFINED.get(code, TerminalEvent.REACHED_RMAX)
+        if j:
+            i = j - 1
+            end = ShotEnd((g[i], g[j]), (g[cap + i], g[cap + j]),
+                          (g[2 * cap + i], g[2 * cap + j]), event, self._cnt[1])
+        else:   # a grid of one point
+            end = ShotEnd((g[0],), (g[cap],), (g[2 * cap],), event, self._cnt[1])
         self._check(code, end)
         return end
 
@@ -710,7 +717,7 @@ def _load_kernel() -> _Kernel:
     """
     try:
         lib = ctypes.CDLL(str(_native.build(_SOURCE)))
-        kernel = _Kernel(lib.dop853_loop, lib.dop853_dense)
+        kernel = _Kernel(lib.dop853_loop, lib.dop853_dense, lib.admissible_window)
     except (OSError, AttributeError) as exc:
         path, cmd = _native.library_path(_SOURCE)
         raise ImportError(
@@ -722,6 +729,8 @@ def _load_kernel() -> _Kernel:
     kernel.loop.argtypes = (ctypes.c_void_p,) * 5 + (ctypes.c_int64, ctypes.c_void_p)
     kernel.dense.restype = None   # the loop's arguments, a refined event's flag, out, nodes
     kernel.dense.argtypes = kernel.loop.argtypes + (ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p)
+    kernel.window.restype = ctypes.c_int   # lin, qc, p, q, the probe cap, out
+    kernel.window.argtypes = (ctypes.c_double,) * 4 + (ctypes.c_int, ctypes.c_void_p)
     return kernel
 
 

@@ -38,10 +38,13 @@ positive zero of the potential F (below it the trajectory lacks the energy
 to reach zero), u_hi the largest positive root of f (at or above it the
 start is not monotone decreasing, since u''(0) = -f(a)/N).  For P_zero,
 where u_F0 = 0, the lower scan starts at u_P, below which the Pokhozhaev
-identity rules out a zero crossing (_pohozaev_root).  Both come to
-1e-15 relative from _bracket_root, the Brent loop of the amplitude search:
-it is gslab's one root loop, and finds the concentration radii of
-``asymptotics`` too.
+identity rules out a zero crossing (_pohozaev_root).  u_F0 and u_hi come
+to 1e-15 relative from three Brent loops that the C kernel runs
+(admissible_window in _dop853.c, through _f_positive_roots), step for step
+as _bracket_root takes them and bit for bit with their Python reference,
+tests/window_reference.py.  _bracket_root itself, gslab's one Python root
+loop, runs the amplitude search and finds the concentration radii of
+``asymptotics``.
 
 A solved profile is a RadialProfile, which owns its read side: its
 integrals over the grid (quad, on the node rows its final pass summed its
@@ -69,8 +72,8 @@ import numpy as np
 from .emden import _gauss_panels, _panel_sum
 from .errors import (BracketNotFound, DivergentNormError, InconsistentSolution,
                      InternalConsistencyError)
-from .ode import (IntegrationFailure, Shot, ShotEnd, StepControls, TerminalEvent, Trajectory,
-                  _drift_coeff, _kve, integrate, series_piece)
+from .ode import (_RAISED, _ZEROS, IntegrationFailure, Shot, ShotEnd, StepControls,
+                  TerminalEvent, Trajectory, _drift_coeff, _kernel, _kve, integrate, series_piece)
 from .params import Family, ProblemParams
 
 __all__ = [
@@ -105,7 +108,8 @@ class ShootControls:
     step: StepControls = field(default_factory=lambda: StepControls(atol=1e-14, rtol=1e-12))
 
 
-_MAX_PROBES = 200             # the most evaluations of f one _bracket_root call makes
+_MAX_PROBES = 200             # the most evaluations of f one _bracket_root call (or
+                              # root loop of the kernel's admissible_window) makes
 _CONVERGENCE_FACTOR = 1e-8    # an exponential run that reaches r_max below this * a is Converged
 
 
@@ -480,27 +484,23 @@ def _shooting_proxy(params: ProblemParams, t: Trajectory | ShotEnd, c: str) -> f
     return -t.values[-1] * scale * kv1
 
 
-def _f_root(fun, a: float, fa: float, b: float, fb: float) -> float:
-    """Root of fun in [a, b], 0 < a < b, to 1e-15 relative (_bracket_root);
-    fa and fb are fun(a) and fun(b), as the caller already has them.
-
-    Its bisection steps are geometric, so the tens of decades a bracket can
-    span with p close to 2 take about 60 of them (a hundred decades at
-    p = 2.02 took 113 Brent steps).  A bracket without a sign change, or one
-    not closed in _MAX_PROBES steps, raises InternalConsistencyError.
-    """
-    if fa != 0.0 and fb != 0.0 and (fa > 0.0) == (fb > 0.0):
-        raise InternalConsistencyError(
-            f"root bracket [{a!r}, {b!r}] has no sign change: f = {fa!r}, {fb!r}")
-    lo, hi, _ = _bracket_root(fun, a, fa, b, fb, 1e-15)
-    if hi / lo - 1.0 > 1e-15:
-        raise InternalConsistencyError(
-            f"root of f in [{a!r}, {b!r}] not found in {_MAX_PROBES} steps: [{lo!r}, {hi!r}]")
-    return 0.5 * (lo + hi)
+# the codes admissible_window (_dop853.c) returns past those of the exceptions
+# ** raises (ode._RAISED): no positive root of f, no zero of F below it, a
+# bracket without a sign change, a root loop not closed in _MAX_PROBES steps
+_NO_ROOTS, _NO_ZERO, _NO_SIGN, _OPEN = 14, 15, 16, 17
 
 
 def _f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
-    """(u_F0, u_hi): first positive zero of F and largest root of f (None = scan up)."""
+    """(u_F0, u_hi): first positive zero of F and largest root of f (None = scan up).
+
+    In closed form where lin = 0 (P_zero) or qc = 0 (R_zero); else the C
+    kernel's admissible_window finds them as tests/window_reference.py does,
+    bit for bit: three Brent loops to 1e-15 relative, with the steps of
+    _bracket_root.  It raises what the reference raises: BracketNotFound
+    where f has no positive root or F no zero below it, InternalConsistencyError
+    where a root bracket has no sign change or is not closed in _MAX_PROBES
+    steps, and the exceptions of **.
+    """
     lin, qc = params.linear_coeff, params.q_coeff
     p, q = params.p, params.q
 
@@ -514,35 +514,27 @@ def _f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
         u_f0 = (p * lin / 2.0) ** (1.0 / (p - 2.0))
         return u_f0, None
 
-    def g(u):
-        return u ** (p - 2.0) - qc * u ** (q - 2.0) - lin
-
-    u_peak = ((p - 2.0) / (qc * (q - 2.0))) ** (1.0 / (q - p))
-    g_peak = g(u_peak)
-    if g_peak <= 0.0:
+    out = _ZEROS * 4
+    code = _kernel.window(lin, qc, p, q, _MAX_PROBES, out.buffer_info()[0])
+    if code == 0:
+        return out[0], out[1]
+    if code == _NO_ROOTS:
         raise BracketNotFound(
             f"f has no positive roots for {params.family.value} "
             f"(N={params.N}, p={params.p}, q={params.q}, eps={params.eps}); "
             "no ground state in this regime"
         )
-    u_lo = u_peak * 1e-14
-    g_lo = g(u_lo)
-    if g_lo > 0.0:
-        # p close to 2: u^(p-2) > lin still holds there, and g < 0 wherever
-        # u^(p-2) < lin, so take the lower end from lin instead
-        u_lo = (0.5 * lin) ** (1.0 / (p - 2.0))
-        g_lo = g(u_lo)
-    m1 = _f_root(g, u_lo, g_lo, u_peak, g_peak)
-    hi, g_hi = u_peak, g_peak
-    while g_hi > 0.0:
-        hi *= 2.0
-        g_hi = g(hi)
-    m2 = _f_root(g, u_peak, g_peak, hi, g_hi)
-    F_m2 = params.F(m2)
-    if F_m2 <= 0.0:
+    if code == _NO_ZERO:
         raise BracketNotFound("potential F has no positive zero below the largest root of f")
-    u_f0 = _f_root(params.F, m1, params.F(m1), m2, F_m2)
-    return u_f0, m2
+    a, b, x, y = out
+    if code == _NO_SIGN:
+        raise InternalConsistencyError(
+            f"root bracket [{a!r}, {b!r}] has no sign change: f = {x!r}, {y!r}")
+    if code == _OPEN:
+        raise InternalConsistencyError(
+            f"root of f in [{a!r}, {b!r}] not found in {_MAX_PROBES} steps: [{x!r}, {y!r}]")
+    exc, args = _RAISED[code]
+    raise exc(*args)
 
 
 def _pohozaev_root(params: ProblemParams) -> float:

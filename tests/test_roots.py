@@ -1,12 +1,19 @@
-"""shooting._bracket_root, gslab's one root loop, against scipy.optimize.brentq.
+"""f's roots: the C kernel's admissible window against its Python reference
+bit for bit, and the root loop against scipy.optimize.brentq.
 
-gslab finds every root with Brent's steps through ``_bracket_root`` (f's
-roots by ``_f_root``, at a relative width of 1e-15), so importing it leaves
-scipy.optimize unimported (test_bessel.py checks that no scipy module is
-loaded).  scipy's brentq, which f's roots came from before
-(retried in log u where it did not converge in u), is the oracle: the roots
-must agree within 5e-15 relative, and the same inputs must raise, gslab's
-with its own InternalConsistencyError.
+gslab finds the window (u_F0, u_hi) of every eps-family search in the C
+kernel (``admissible_window``, through ``shooting._f_positive_roots``), by
+the three Brent loops of ``tests/window_reference.py`` operation for
+operation, so importing it leaves scipy.optimize unimported (test_bessel.py
+checks that no scipy module is loaded).  The oracle: on every eps-family
+input of the benchmark's solve_mix seeds 1-3 and sweep_chain seed 1 and on
+thousands of random draws, p down to 2.02 and qc down to 1e-300 among them,
+the kernel returns the reference's window to the bit, or raises the
+reference's exception with its message.  scipy's brentq, which f's roots
+came from before (retried in log u where it did not converge in u), is the
+oracle of the loop itself (``shooting._bracket_root``, the reference's and
+the amplitude search's): the roots must agree within 5e-15 relative, and
+the same inputs must raise, gslab's with its own InternalConsistencyError.
 """
 
 import math
@@ -18,6 +25,8 @@ from scipy.optimize import brentq
 from gslab import (BracketNotFound, Family, InconsistentSolution, InternalConsistencyError,
                    ProblemParams, epsilon_star)
 from gslab import shooting
+
+import window_reference
 
 
 def _draw_params(rng: random.Random) -> ProblemParams:
@@ -57,16 +66,18 @@ def _same(got, want, rel: float) -> bool:
 
 
 def _f_root(fun, a: float, b: float) -> float:
-    """shooting._f_root with the end values it is passed computed here."""
-    return shooting._f_root(fun, a, fun(a), b, fun(b))
+    """The reference's _f_root with the end values it is passed computed here."""
+    return window_reference._f_root(fun, a, fun(a), b, fun(b))
 
 
 def test_f_positive_roots_match_scipy_brentq(monkeypatch):
-    # every root _f_positive_roots finds, found by scipy too; the end values
-    # it passes are f's values there, bit for bit, so Brent's steps are the
-    # ones it took when _f_root evaluated them itself
+    # every root the reference's loops find, found by scipy too; the end
+    # values the reference passes are f's values there, bit for bit, so
+    # Brent's steps are the ones _f_root took when it evaluated them itself.
+    # The kernel's (u_F0, u_hi) is within the same bound of scipy's zero of
+    # F and largest root of f, and raises where the reference raises
     rng = random.Random(20261018)
-    port = shooting._f_root
+    port = window_reference._f_root
     calls = []
 
     def both(fun, a, fa, b, fb):
@@ -75,13 +86,21 @@ def test_f_positive_roots_match_scipy_brentq(monkeypatch):
         assert _same(*calls[-1], 5e-15), (a, b, calls[-1])
         return port(fun, a, fa, b, fb)
 
-    monkeypatch.setattr(shooting, "_f_root", both)
+    monkeypatch.setattr(window_reference, "_f_root", both)
+    windows = 0
     for _ in range(300):
+        params = _draw_params(rng)
         try:
-            shooting._f_positive_roots(_draw_params(rng))
-        except (BracketNotFound, InternalConsistencyError):
-            pass   # raised by both: no ground state, or no root found
-    assert len(calls) > 600
+            window_reference.f_positive_roots(params)
+        except (BracketNotFound, InternalConsistencyError) as exc:
+            # no ground state, or no root found
+            with pytest.raises(type(exc)):
+                shooting._f_positive_roots(params)
+            continue
+        u_f0, u_hi = shooting._f_positive_roots(params)
+        assert _same(u_hi, calls[-2][1], 5e-15) and _same(u_f0, calls[-1][1], 5e-15), params
+        windows += 1
+    assert len(calls) > 600 and windows > 250
 
 
 def _smooth(rng: random.Random):
@@ -195,3 +214,100 @@ def test_roots_below_the_square_root_of_the_smallest_float():
     assert 0.0 < u_f0 < 1e-150 and u_f0 < u_hi < 1.0
     with pytest.raises(InconsistentSolution, match=r"identity residuals"):
         solve_ground_state(params)
+
+
+def _window(find, params):
+    """A window's bits, or the exception raised: its type and message."""
+    try:
+        u_f0, u_hi = find(params)
+    except (BracketNotFound, InternalConsistencyError, OverflowError, ZeroDivisionError,
+            ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return "window", u_f0.hex(), None if u_hi is None else u_hi.hex()
+
+
+def _assert_window_bits(draws):
+    """The kernel's outcome on each draw is the reference's, bit for bit;
+    returns how many of each kind there were."""
+    kinds = {}
+    for params in draws:
+        got = _window(shooting._f_positive_roots, params)
+        assert got == _window(window_reference.f_positive_roots, params), params
+        kind = got[0] if got[0] != "BracketNotFound" else got[1].split(" ")[0]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    return kinds
+
+
+def test_window_matches_reference_on_benchmark_inputs():
+    # every eps-family problem of the benchmark's solve_mix seeds 1-3 and
+    # every point of its sweep_chain seed 1
+    import sys
+    from pathlib import Path
+
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    draws = [params for seed in (1, 2, 3) for params in workloads.SolveMix(seed, None).inputs]
+    draws += [spec.params(x) for spec, _, _ in workloads.SweepChain(1, None).sweeps
+              for x in spec.grid()]
+    eps_family = [d for d in draws if d.family in (Family.P_EPS, Family.R_EPS)]
+    assert len(eps_family) == 80   # 20 per solve_mix cycle, 10 per sweep
+    assert _assert_window_bits(eps_family) == {"window": len(eps_family)}
+
+
+def _wide_draw(rng: random.Random) -> ProblemParams:
+    """(N, p, q, eps) of an eps family over a wider range than _draw_params:
+    p from 2.02 (a fifth of the draws within 0.2 of it), P_eps with eps up
+    to 3 eps* (where F, then f, has no positive root) and R_eps with
+    qc = eps^((q-p)/(p-2)) down to 1e-300 (where the loops' powers overflow)."""
+    N = rng.choice((3, 4, 5, 6, 7, 8))
+    if rng.random() < 0.2:
+        p = 2.02 + math.exp(rng.uniform(math.log(1e-6), math.log(0.2)))
+    else:
+        p = rng.uniform(2.02, 9.0)
+    q = p + math.exp(rng.uniform(math.log(0.05), math.log(10.0)))
+    if rng.random() < 0.5:
+        eps = epsilon_star(p, q) * math.exp(rng.uniform(math.log(1e-12), math.log(3.0)))
+        return ProblemParams(N, p, q, eps, Family.P_EPS)
+    eps = math.exp(rng.uniform(math.log(1e-300), 0.0) * (p - 2.0) / (q - p))
+    return ProblemParams(N, p, q, eps, Family.R_EPS)
+
+
+def test_window_matches_reference_on_random_draws():
+    # the 300 draws of the scipy test above, then 6000 wider ones
+    rng = random.Random(20261018)
+    assert _assert_window_bits([_draw_params(rng) for _ in range(300)])["window"] > 250
+    rng = random.Random(20261020)
+    draws = [_wide_draw(rng) for _ in range(6000)]
+    assert min(d.p for d in draws) < 2.0201
+    assert min(d.q_coeff for d in draws if d.family is Family.R_EPS) <= 1e-30
+    kinds = _assert_window_bits(draws)
+    # a window, no root of f, no zero of F, an overflowing power
+    assert all(kinds.get(kind, 0) > 20 for kind in ("window", "f", "potential", "OverflowError"))
+
+
+def test_window_raises_as_the_reference(monkeypatch):
+    # one draw on each raising path, the kernel's exception the reference's
+    cases = {
+        "f": ProblemParams(3, 4.0, 6.0, 1.0, Family.P_EPS),              # g_peak <= 0
+        "potential": ProblemParams(3, 4.0, 6.0, 0.2, Family.P_EPS),      # F(m2) <= 0
+        "OverflowError": ProblemParams(3, 4.0, 6.0, 1e-250, Family.R_EPS),   # g(u_peak)
+        # qc (q - 2) underflows to 0: (p - 2) / (qc (q - 2)) divides by zero
+        "ZeroDivisionError": ProblemParams(3, 2.1, 2.3, 2e-162, Family.R_EPS),
+        # (p - 2) / (qc (q - 2)) overflows to inf: g is NaN at both ends of m1's bracket
+        "InternalConsistencyError": ProblemParams(3, 4.0, 6.0, 1e-310, Family.R_EPS),
+    }
+    for kind, params in cases.items():
+        assert _assert_window_bits([params]) == {kind: 1}, kind
+    assert "no sign change" in _window(shooting._f_positive_roots,
+                                       cases["InternalConsistencyError"])[1]
+    # a root loop that does not close: both read the cap at call time
+    monkeypatch.setattr(shooting, "_MAX_PROBES", 5)
+    rng = random.Random(20261021)
+    kinds = _assert_window_bits([_draw_params(rng) for _ in range(200)])
+    assert kinds.get("InternalConsistencyError", 0) > 100
+    got = _window(shooting._f_positive_roots, ProblemParams(3, 4.0, 6.0, 1e-3, Family.P_EPS))
+    assert got[0] == "InternalConsistencyError" and "not found in 5 steps" in got[1]
