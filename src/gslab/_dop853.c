@@ -13,12 +13,14 @@
  * (dot, _dot) and every sum over nodes, max and min pick the branches
  * Python's max and min pick, ints meet floats as Python converts them, **
  * is CPython's float_pow (py_pow below, the same libm pow with the same
- * error cases), np.float_power is libm's pow, and a division by zero or a
- * power that ** rejects stops the shot with the code of the exception
- * Python raises.  Compiled with -ffp-contract=off and without -ffast-math,
- * the two give the same bits; tests/test_kernel.py checks them on every
- * call of the benchmark's and the golden solves, tests/test_roots.py the
- * window on every window of the benchmark and on random draws.
+ * error cases), and np.float_power is libm's pow.  Compiled with
+ * -ffp-contract=off and without -ffast-math, the two give the same bits;
+ * tests/test_kernel.py checks them on every call of the benchmark's and the
+ * golden solves, tests/test_roots.py the window on every window of the
+ * benchmark and on random draws.  Where Python's ** or / raises (a power out
+ * of range, 0.0 ** negative, a division by zero), the kernel stops there
+ * with its one arithmetic stop, STOP_ARITH, whatever Python would raise;
+ * ode reports it as the solver's own error.
  *
  * The caller passes the tableau (ode._C, _A, _B, _E5, _E3, the dense
  * output's _EXTRA and _D_DENSE and the quadrature's nodes and weights,
@@ -28,10 +30,12 @@
  * step: h, u' at the stages 6-12, u'' at the stages 6-13), and the dense
  * pass's output and node rows.  The first call of dop853_loop (no grid
  * point yet) computes the series start; the shot returns at a terminal
- * event (refined on the dense output where it is one), a failure, an
- * exception, or a full grid (STOP_ROOM: the state is saved at the top of a
- * step, so the caller grows the grid and calls again).  dop853_dense then
- * reads the grid, the stages and the state the loop left.
+ * event (refined on the dense output where it is one), a failure (the
+ * budget, a collapsed step or the arithmetic stop), or a full grid
+ * (STOP_ROOM: the state is saved at the top of a step, so the caller grows
+ * the grid and calls again).  The caller checks r_max and the amplitude
+ * before the first call.  dop853_dense then reads the grid, the stages and
+ * the state the loop left.
  */
 #include <errno.h>
 #include <math.h>
@@ -46,13 +50,12 @@ enum {
     STOP_UNDERFLOW = 5,   /* u fell below the floor: refined on u at the floor */
     STOP_BUDGET = 6,      /* the step budget is spent */
     STOP_COLLAPSE = 7,    /* the step size collapsed */
-    /* where Python raises: */
-    STOP_ZERO_DIV = 8,    /* ZeroDivisionError (float division) */
-    STOP_ZERO_POW = 9,    /* ZeroDivisionError (0.0 ** negative) */
-    STOP_POW_VALUE = 10,  /* ValueError (pow set an errno not ERANGE) */
-    STOP_POW_RANGE = 11,  /* OverflowError (a power out of range) */
-    STOP_BAD_RMAX = 12,   /* ValueError: r_max is not positive */
-    STOP_BAD_AMP = 13,    /* ValueError: the amplitude is not positive and finite */
+    STOP_ARITH = 8,       /* a ** or / where Python raises */
+    /* admissible_window's own: */
+    WINDOW_NO_ROOTS = 9,  /* g <= 0 at its peak */
+    WINDOW_NO_ZERO = 10,  /* F <= 0 at the largest root of f */
+    WINDOW_NO_SIGN = 11,  /* a bracket without a sign change */
+    WINDOW_OPEN = 12,     /* a root loop that did not close */
 };
 
 /* prm: the shot's constants */
@@ -89,13 +92,13 @@ enum { C_N, C_NFEV, C_STEPS, C_MAX_STEPS, C_QUAD, C_NCOEF, C_OVERFLOWS, C_COUNT 
 #define T_BALL_W 419
 enum { SUB = 3, NODES = 4, BALL = 10 };
 
-enum { POW_OK, POW_OVERFLOW, POW_ZERO, POW_VALUE };
+enum { POW_OK, POW_OVERFLOW, POW_FAILED };
 
 /* x ** y as CPython's float_pow computes it, for x >= 0, -0.0 or NaN (every
  * base here is an absolute value or positive): its special cases, then
- * libm's pow with errno read as _Py_ADJUST_ERANGE1 reads it.  POW_OVERFLOW,
- * POW_ZERO and POW_VALUE are where ** raises OverflowError,
- * ZeroDivisionError and ValueError. */
+ * libm's pow with errno read as _Py_ADJUST_ERANGE1 reads it.  POW_OVERFLOW
+ * is where ** raises OverflowError, POW_FAILED where it raises
+ * ZeroDivisionError (0.0 ** negative) or ValueError. */
 static int py_pow(double x, double y, double *out)
 {
     if (y == 0.0) {
@@ -121,7 +124,7 @@ static int py_pow(double x, double y, double *out)
     }
     if (x == 0.0) {
         if (y < 0.0)
-            return POW_ZERO;
+            return POW_FAILED;
         *out = fmod(fabs(y), 2.0) == 1.0 ? x : 0.0;
         return POW_OK;
     }
@@ -138,14 +141,8 @@ static int py_pow(double x, double y, double *out)
     else if (errno == ERANGE && *out == 0.0)
         errno = 0;
     if (errno != 0)
-        return errno == ERANGE ? POW_OVERFLOW : POW_VALUE;
+        return errno == ERANGE ? POW_OVERFLOW : POW_FAILED;
     return POW_OK;
-}
-
-/* The STOP_ code of the exception a failed ** raises */
-static int pow_stop(int pc)
-{
-    return pc == POW_OVERFLOW ? STOP_POW_RANGE : pc == POW_ZERO ? STOP_ZERO_POW : STOP_POW_VALUE;
 }
 
 /* py_pow on the RHS's powers: libm's pow straight away where the base is
@@ -175,27 +172,22 @@ static double dot(const double *row, const double *k, int n)
 /* _start, into st: the series coefficients (ode.series_coefficients),
  * the hand-off radius r0 (ode.default_handoff_radius), (u, u', u'') there
  * (ode.series_piece), the first step, and the settled stop's constants
- * where it is on.  Returns 0 or the code of the exception _start raises. */
+ * where it is on.  Returns 0, or STOP_ARITH where _start raises. */
 static int series_start(const double *prm, int ncoef, int quad, double *st)
 {
     const double N = prm[P_N], p = prm[P_P], q = prm[P_Q], a = prm[P_A], r_max = prm[P_RMAX];
     const double lin = prm[P_LIN], qc = prm[P_QC], pm2 = prm[P_PM2], qm2 = prm[P_QM2];
     double *coef = st + S_COEFFS, wp[ncoef], wq[ncoef];
     double x, y, growth = 0.0, r0, u, v, du, h;
-    int n, j, k, pc;
-
-    if (!(r_max > 0.0))
-        return STOP_BAD_RMAX;
-    if (a <= 0.0 || !isfinite(a))
-        return STOP_BAD_AMP;
+    int n, j, k;
 
     /* c_0, c_1 = -f(a) / (2N), and the powers a^(p-1), a^(q-1) */
-    if ((pc = py_pow(a, pm2, &x)) || (pc = py_pow(a, qm2, &y)))
-        return pow_stop(pc);
+    if (py_pow(a, pm2, &x) || py_pow(a, qm2, &y))
+        return STOP_ARITH;
     coef[0] = a;
     coef[1] = -(a * x - qc * a * y - lin * a) / (2.0 * N);
-    if ((pc = py_pow(a, p - 1.0, &wp[0])) || (pc = py_pow(a, q - 1.0, &wq[0])))
-        return pow_stop(pc);
+    if (py_pow(a, p - 1.0, &wp[0]) || py_pow(a, q - 1.0, &wq[0]))
+        return STOP_ARITH;
     for (n = 1; n < ncoef - 1; n++) {
         double sp = 0.0, sq = 0.0, na = (double)n * a;
         for (j = 1; j <= n; j++) {
@@ -203,7 +195,7 @@ static int series_start(const double *prm, int ncoef, int quad, double *st)
             sq += (q * (double)j - (double)n) * coef[j] * wq[n - j];
         }
         if (na == 0.0)
-            return STOP_ZERO_DIV;
+            return STOP_ARITH;
         wp[n] = sp / na;
         wq[n] = sq / na;
         coef[n + 1] = (qc * wq[n] + lin * coef[n] - wp[n])
@@ -212,15 +204,15 @@ static int series_start(const double *prm, int ncoef, int quad, double *st)
 
     /* r0: growth = max |c_k / a|^(1/k), r0 = min(1e-3 r_max, (1e-16^(1/(K+1)) / growth)^0.5) */
     for (k = 1; k < ncoef; k++) {
-        if ((pc = py_pow(fabs(coef[k] / a), 1.0 / (double)k, &x)))
-            return pow_stop(pc);
+        if (py_pow(fabs(coef[k] / a), 1.0 / (double)k, &x))
+            return STOP_ARITH;
         if (k == 1 || x > growth)
             growth = x;
     }
     r0 = 1e-3 * r_max;
     if (growth > 0.0) {
-        if ((pc = py_pow(1e-16, 1.0 / (double)ncoef, &x)) || (pc = py_pow(x / growth, 0.5, &y)))
-            return pow_stop(pc);
+        if (py_pow(1e-16, 1.0 / (double)ncoef, &x) || py_pow(x / growth, 0.5, &y))
+            return STOP_ARITH;
         if (y < r0)
             r0 = y;
     }
@@ -237,10 +229,8 @@ static int series_start(const double *prm, int ncoef, int quad, double *st)
     st[S_R] = r0;
     st[S_U] = u;
     st[S_V] = v;
-    if ((pc = py_pow(fabs(u), pm2, &x)) || (pc = py_pow(fabs(u), qm2, &y)))
-        return pow_stop(pc);
-    if (r0 == 0.0)
-        return STOP_ZERO_DIV;
+    if (py_pow(fabs(u), pm2, &x) || py_pow(fabs(u), qm2, &y) || r0 == 0.0)
+        return STOP_ARITH;
     st[S_K1] = st[S_K10] = u * (lin - x + qc * y) - prm[P_N1] / r0 * v;
 
     /* a conservative first step; the controller grows it by up to 10x per step */
@@ -253,7 +243,7 @@ static int series_start(const double *prm, int ncoef, int quad, double *st)
     if (lin == 0.0 && !quad) {
         const double n2 = N - 2.0, den = n2 * (n2 * (p - 1.0) - 2.0);
         if (den == 0.0)
-            return STOP_ZERO_DIV;
+            return STOP_ARITH;
         st[S_HALF] = 0.5 * a;
         st[S_N2] = n2;
         st[S_DRIFT] = prm[P_SETTLE_MARGIN] * (1.0 / den);
@@ -275,7 +265,7 @@ static double dense_eval(double y0, const double *f, double x)
  * into fu and for u' into fv.  ku and kv hold u' and u'' at the 12 dense
  * stages, the step's own nine set; this sets the three extra ones.  strict:
  * the powers are ** and a division by zero raises, as on the floats of
- * _refine (returns 0 or the code of that exception); else they are
+ * _refine (returns 0, or STOP_ARITH where those raise); else they are
  * np.float_power and IEEE division, as on the arrays of the reference's
  * dense pass (returns 0). */
 static int interpolant(const double *tab, const double *prm, int strict, double r, double h,
@@ -285,7 +275,7 @@ static int interpolant(const double *tab, const double *prm, int strict, double 
     const double N1 = prm[P_N1], lin = prm[P_LIN], qc = prm[P_QC];
     const double pm2 = prm[P_PM2], qm2 = prm[P_QM2];
     const double *row = tab + T_XROWS;
-    int m, i, pc;
+    int m, i;
 
     for (m = 0; m < 3; m++) {
         const int len = 9 + m;
@@ -298,10 +288,8 @@ static int interpolant(const double *tab, const double *prm, int strict, double 
             pp = pow(au, pm2);
             qq = pow(au, qm2);
         }
-        else if ((pc = py_pow(au, pm2, &pp)) || (pc = py_pow(au, qm2, &qq)))
-            return pow_stop(pc);
-        else if (rr == 0.0)
-            return STOP_ZERO_DIV;
+        else if (py_pow(au, pm2, &pp) || py_pow(au, qm2, &qq) || rr == 0.0)
+            return STOP_ARITH;
         kv[9 + m] = us * (lin - pp + qc * qq) - N1 / rr * vs;
         row += len;
     }
@@ -321,7 +309,7 @@ static int interpolant(const double *tab, const double *prm, int strict, double 
  * refined on its seventh-order dense output (interpolant, with ku and kv as
  * it takes them): bisects the interpolant of u (or of u' for SlopeSignFlip)
  * to the event tolerance (_bisect_event) and writes the event's (r, u,
- * u') to out.  Returns 0 or the code of the exception _refine raises. */
+ * u') to out.  Returns 0, or STOP_ARITH where _refine raises. */
 static int refine(const double *tab, const double *prm, int event,
                   double floor_, double r, double h, double u, double v, double u1, double v1,
                   double r1, double *ku, double *kv, double *out)
@@ -338,7 +326,7 @@ static int refine(const double *tab, const double *prm, int event,
     y0 = event == STOP_SLOPE ? v : u;
     f = event == STOP_SLOPE ? fv : fu;
     if (h == 0.0)
-        return STOP_ZERO_DIV;
+        return STOP_ARITH;
     below = dense_eval(y0, f, (lo - r) / h) - level <= 0.0;
     for (it = 0; it < 200; it++) {
         double mid;
@@ -366,7 +354,7 @@ static int refine(const double *tab, const double *prm, int event,
             goto bad_pow;                                                    \
         rr_ = (rr);                                                          \
         if (rr_ == 0.0)                                                      \
-            goto zero_div;                                                   \
+            goto arith;                                                      \
         k = (us) * (lin - pp_ + qc * qq_) - N1 / rr_ * (vs);                 \
     } while (0)
 
@@ -512,7 +500,7 @@ int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
         an = fabs(v_new);
         scale_v = atol + rtol * (an > au ? an : au);
         if (scale_u == 0.0 || scale_v == 0.0)
-            goto zero_div;
+            goto arith;
         x = (e5_1 * v + e5_6 * v6 + e5_7 * v7 + e5_8 * v8 + e5_9 * v9 + e5_10 * v10
              + e5_11 * v11 + e5_12 * v12) / scale_u;
         y = (e5_1 * k1 + e5_6 * k6 + e5_7 * k7 + e5_8 * k8 + e5_9 * k9 + e5_10 * k10
@@ -594,16 +582,14 @@ int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
         continue;
 
     bad_pow:
-        if (pc != POW_OVERFLOW) {
-            code = pow_stop(pc);
-            goto out;
+        if (pc == POW_OVERFLOW) {
+            /* a trial step so long that a stage's power overflows: shrink it */
+            overflows += 1;
+            h *= 0.2;
+            continue;
         }
-        /* a trial step so long that a stage's power overflows: shrink it */
-        overflows += 1;
-        h *= 0.2;
-        continue;
-    zero_div:
-        code = STOP_ZERO_DIV;
+    arith:
+        code = STOP_ARITH;
         goto out;
     }
 
@@ -752,17 +738,11 @@ void dop853_dense(const double *tab, const double *prm, const double *st, const 
 
 
 /* The admissible window of shooting._f_positive_roots where lin > 0 and
- * qc > 0, as the Python reference (tests/window_reference.py) computes it:
- * g(u) = f(u)/u and F(u) (ProblemParams.F), Brent's loop of
- * shooting._bracket_root and _zeroin to 1e-15 (f_root), and the roots taken
- * in the reference's order.  Divisions by p, q, q - p and p - 2 are not
- * checked: ProblemParams holds q > p > 2. */
-enum {
-    WINDOW_NO_ROOTS = 14,   /* BracketNotFound: g <= 0 at its peak */
-    WINDOW_NO_ZERO = 15,    /* BracketNotFound: F <= 0 at the largest root of f */
-    WINDOW_NO_SIGN = 16,    /* InternalConsistencyError: a bracket without a sign change */
-    WINDOW_OPEN = 17,       /* InternalConsistencyError: a root loop that did not close */
-};
+ * qc > 0 (ode.admissible_window), as the Python reference
+ * (tests/window_reference.py) computes it: g(u) = f(u)/u and F(u)
+ * (ProblemParams.F), Brent's loop of shooting._bracket_root and _zeroin to
+ * 1e-15 (f_root), and the roots taken in the reference's order.  Divisions
+ * by p, q, q - p and p - 2 are not checked: ProblemParams holds q > p > 2. */
 
 struct window {
     double lin, qc, p, q;
@@ -771,21 +751,20 @@ struct window {
 
 /* g(u) = u ** (p - 2.0) - qc * u ** (q - 2.0) - lin, or with F set
  * F(u) = |u| ** p / p - qc * |u| ** q / q - 0.5 * lin * u * u, into *out.
- * Returns 0 or the code of the exception ** raises. */
+ * Returns 0, or STOP_ARITH where ** raises. */
 static int window_fun(const struct window *w, int F, double u, double *out)
 {
     double x, y;
-    int pc;
 
     if (F) {
         const double au = fabs(u);
-        if ((pc = py_pow(au, w->p, &x)) || (pc = py_pow(au, w->q, &y)))
-            return pow_stop(pc);
+        if (py_pow(au, w->p, &x) || py_pow(au, w->q, &y))
+            return STOP_ARITH;
         *out = x / w->p - w->qc * y / w->q - 0.5 * w->lin * u * u;
     }
     else {
-        if ((pc = py_pow(u, w->p - 2.0, &x)) || (pc = py_pow(u, w->q - 2.0, &y)))
-            return pow_stop(pc);
+        if (py_pow(u, w->p - 2.0, &x) || py_pow(u, w->q - 2.0, &y))
+            return STOP_ARITH;
         *out = x - w->qc * y - w->lin;
     }
     return 0;
@@ -794,8 +773,8 @@ static int window_fun(const struct window *w, int F, double u, double *out)
 /* _f_root(fun, a, fa, b, fb): the root of g (or F) in [a, b], fa and fb its
  * values there, closed to 1e-15 relative by _bracket_root's loop on
  * _zeroin's abscissas (the generator's body inlined, its rtol 0.5e-15), into
- * *root.  Returns 0, the code of an exception, or WINDOW_NO_SIGN (out: a, b,
- * fa, fb) or WINDOW_OPEN (out: a, b and the bracket's ends lo, hi). */
+ * *root.  Returns 0, STOP_ARITH, or WINDOW_NO_SIGN (out: a, b, fa, fb) or
+ * WINDOW_OPEN (out: a, b and the bracket's ends lo, hi). */
 static int f_root(const struct window *w, int F, double a, double fa, double b, double fb,
                   double *root, double *out)
 {
@@ -875,7 +854,7 @@ static int f_root(const struct window *w, int F, double a, double fa, double b, 
         /* _bracket_root: stop, or probe x (the geometric mid where x is
          * outside the bracket) and send it back to _zeroin as b */
         if (lo == 0.0)
-            return STOP_ZERO_DIV;
+            return STOP_ARITH;
         if (!(hi / lo - 1.0 > rtol && n < w->max_probes))
             break;
         if (!(lo < x && x < hi))
@@ -896,7 +875,7 @@ static int f_root(const struct window *w, int F, double a, double fa, double b, 
     }
 closed:
     if (lo == 0.0)
-        return STOP_ZERO_DIV;
+        return STOP_ARITH;
     if (hi / lo - 1.0 > 1e-15) {
         out[0] = a0;
         out[1] = b0;
@@ -913,7 +892,7 @@ closed:
  * u_peak, the lower end u_lo (u_peak 1e-14, or (lin/2)^(1/(p-2)) where g is
  * still positive there), the root m1 of g below the peak, the doubling scan
  * for an upper end, the root m2 above it, and the zero of F in [m1, m2].
- * Returns 0, the code of an exception (out as f_root leaves it), or
+ * Returns 0, STOP_ARITH, an f_root code (out as f_root leaves it), or
  * WINDOW_NO_ROOTS or WINDOW_NO_ZERO. */
 int admissible_window(double lin, double qc, double p, double q, int max_probes, double *out)
 {
@@ -922,10 +901,8 @@ int admissible_window(double lin, double qc, double p, double q, int max_probes,
     int code;
 
     den = qc * (q - 2.0);
-    if (den == 0.0)
-        return STOP_ZERO_DIV;
-    if ((code = py_pow((p - 2.0) / den, 1.0 / (q - p), &u_peak)))
-        return pow_stop(code);
+    if (den == 0.0 || py_pow((p - 2.0) / den, 1.0 / (q - p), &u_peak))
+        return STOP_ARITH;
     if ((code = window_fun(&w, 0, u_peak, &g_peak)))
         return code;
     if (g_peak <= 0.0)
@@ -935,8 +912,8 @@ int admissible_window(double lin, double qc, double p, double q, int max_probes,
         return code;
     if (g_lo > 0.0) {
         /* p close to 2: the lower end from lin */
-        if ((code = py_pow(0.5 * lin, 1.0 / (p - 2.0), &u_lo)))
-            return pow_stop(code);
+        if (py_pow(0.5 * lin, 1.0 / (p - 2.0), &u_lo))
+            return STOP_ARITH;
         if ((code = window_fun(&w, 0, u_lo, &g_lo)))
             return code;
     }

@@ -65,10 +65,11 @@ class GroundStateSolution:
     def amplitude(self) -> float:
         return self.profile.amplitude
 
-    def rescaled_to_frame(self, S: float | None = None) -> "GroundStateSolution":
-        """Exact minimizer-frame copy; the norms take ProblemParams.norm_factors,
-        and the energy is E of the frame's own norms (S/2 - 1/p* at the level)."""
-        S = self.level_S if S is None else S
+    def rescaled_to_frame(self) -> "GroundStateSolution":
+        """Exact minimizer-frame copy at S = level_S; the norms take
+        ProblemParams.norm_factors, and the energy is E of the frame's own
+        norms (S/2 - 1/p* at the level)."""
+        S = self.level_S
         w = to_minimizer_frame(self.profile, S)
         l2, lp, lq, dir_ = self.params.norm_factors(1.0, S)
         norms = (self.norm_L2_sq * l2, self.norm_Lp_p * lp, self.norm_Lq_q * lq,

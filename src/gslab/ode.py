@@ -41,19 +41,23 @@ runs a fresh Shot and returns its whole grid (a solve's final pass).  With
 quadrature on, each accepted step only appends its stages to a flat
 buffer, and the dense pass builds every step's interpolant, the interior
 grid points, the four cumulative norm arrays and the node rows after the
-loop.  (The kernel's third entry point, ``admissible_window``, is not a
-shot: ``shooting._f_positive_roots`` calls it for the window of a search.)
-The dense pass's powers are libm's ``pow``, and every dot product of the
-interpolant and every sum over nodes runs left to right from 0.0, so no sum
-goes through BLAS, whose kernels add in an order that depends on the CPU.  At import
+loop.  (The kernel's third entry point is not a shot: ``admissible_window``
+finds the window of an amplitude search for ``shooting._f_positive_roots``.)
+Only this module reads the kernel's return codes, and it reports each
+failure as the solver's own error: a shot's step budget, collapsed step or
+failed power or division as an IntegrationFailure with the partial run,
+the window's as BracketNotFound or InternalConsistencyError.  The dense
+pass's powers are libm's ``pow``, and every dot product of the interpolant
+and every sum over nodes runs left to right from 0.0, so no sum goes
+through BLAS, whose kernels add in an order that depends on the CPU.  At import
 ``_native.build`` compiles the file once into the cache directory (the
 compiler CPython was built with, -O2 -ffp-contract=off) and ``ode`` loads
 it with ctypes; where it cannot be built or loaded, the import raises
 ImportError.  ``tests/dop853_reference.py`` is the same shot in Python,
 with the same float operations in the same order (``**`` as CPython's
 float_pow, so an overflowing power shrinks a trial step as Python's
-OverflowError does, and the start and the refinement raise what Python
-raises): ``tests/test_kernel.py`` checks the kernel against it bit for
+OverflowError does, and the shot fails wherever else Python's ``**`` or
+``/`` raises): ``tests/test_kernel.py`` checks the kernel against it bit for
 bit, ``tests/test_golden.py`` pins the results, and ``tests/test_ode.py``
 checks the stepper against the Dormand-Prince 4(5) loop it replaced and the
 tables against scipy's.
@@ -63,10 +67,8 @@ from __future__ import annotations
 
 import ctypes
 import enum
-import errno
 import functools
 import math
-import os
 import shlex
 from array import array
 from collections.abc import Callable
@@ -77,6 +79,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _native
+from .errors import BracketNotFound, InternalConsistencyError
 from .params import ProblemParams
 
 __all__ = [
@@ -92,6 +95,7 @@ __all__ = [
     "integrate",
     "Shot",
     "ShotEnd",
+    "admissible_window",
 ]
 
 
@@ -108,13 +112,13 @@ class StepControls:
 
     atol: float = 1e-10
     rtol: float = 1e-8
-    min_step: float = 1e-13       # failure threshold, relative to max(1, r)
     max_steps: int = 5_000_000
-    underflow_factor: float = 1e-14   # floor = underflow_factor * amplitude
     with_quadrature: bool = False
 
 
 _EVENT_TOL = 1e-10   # an event radius is refined to this, relative to max(1, r)
+_MIN_STEP = 1e-13    # a step below this, relative to max(1, r), collapses the run
+_UNDERFLOW_FACTOR = 1e-14   # the Underflow floor, relative to the amplitude
 
 
 @dataclass
@@ -178,8 +182,10 @@ class Trajectory:
 
 
 class IntegrationFailure(RuntimeError):
-    """Step size collapsed (or step budget exhausted); carries the partial
-    run: its Trajectory, or a search shot's ShotEnd (Shot.end)."""
+    """Step size collapsed, step budget exhausted, or a power overflowed or
+    a division was by zero; carries the partial run: its Trajectory, or a
+    search shot's ShotEnd (Shot.end), without rows where the series start
+    failed."""
 
     def __init__(self, message: str, partial: Trajectory | ShotEnd):
         super().__init__(message)
@@ -543,12 +549,25 @@ _TAB = ctypes.addressof(_TABLEAU)
 _ROOM = 0   # 1 and 2 are ReachedRmax: at r_max, and where B has settled
 _REFINED = {3: TerminalEvent.ZERO_CROSSING, 4: TerminalEvent.SLOPE_SIGN_FLIP,
             5: TerminalEvent.UNDERFLOW}
-_BUDGET, _COLLAPSE = 6, 7
-_RAISED = {8: (ZeroDivisionError, ("float division by zero",)),   # where Python's ** and / raise
-           9: (ZeroDivisionError, ("0.0 cannot be raised to a negative power",)),
-           10: (ValueError, ("libm pow failed in **",)),
-           11: (OverflowError, (errno.ERANGE, os.strerror(errno.ERANGE)))}   # as ** raises it
-_BAD_RMAX, _BAD_AMP = 12, 13
+# the failures as the solver's own errors: a shot's step budget, collapsed
+# step and arithmetic stop (a ** or / where Python raises; one in the series
+# start is at r = 0), each an IntegrationFailure, and admissible_window's
+# arithmetic stop, no positive root of f, no zero of F below it, a bracket
+# without a sign change and a root loop not closed in max_probes steps
+_ARITH = 8
+_SHOT_FAILED = {
+    6: "step budget {max_steps} exhausted", 7: "step size collapsed at r={r:.6g}",
+    _ARITH: "arithmetic failed at r={r:.6g}: a power overflowed or a division was by zero"}
+_WINDOW_FAILED = {
+    _ARITH: (BracketNotFound, "arithmetic failed in the admissible window of {family}: "
+             "a power overflowed or a division was by zero"),
+    9: (BracketNotFound, "f has no positive roots for {family}; no ground state in this regime"),
+    10: (BracketNotFound, "potential F has no positive zero below the largest root of f"),
+    11: (InternalConsistencyError,
+         "root bracket [{0!r}, {1!r}] has no sign change: f = {2!r}, {3!r}"),
+    12: (InternalConsistencyError,
+         "root of f in [{0!r}, {1!r}] not found in {max_probes} steps: [{2!r}, {3!r}]"),
+}
 # the state (the S_ slots of _dop853.c): r, u, u', u'', h; (u, u') at the end
 # of the step a refined event moved (5, 6); u'' at r0 (7); the settled
 # stop's constants (8-10); then the series coefficients
@@ -564,7 +583,7 @@ class _Kernel(NamedTuple):
 
     loop: Callable[..., int]     # dop853_loop: one shot
     dense: Callable[..., None]   # dop853_dense: its dense pass, with quadrature
-    window: Callable[..., int]   # admissible_window: shooting._f_positive_roots
+    window: Callable[..., int]   # admissible_window: a search's window
 
 
 class ShotEnd(NamedTuple):
@@ -590,9 +609,10 @@ class Shot:
     The parameter block, of which a shot writes only the amplitude slot,
     the state, the counters, and a grid (with quadrature also a stage
     buffer) that a refill doubles and that the next shot reuses.  The module
-    constants the kernel reads (_SETTLE_G, _GRID0, ...) are read here, when
-    the Shot is made.  ``end`` runs a search shot; ``integrate`` runs a
-    fresh Shot, as its trajectory's arrays are views of the grid.
+    constants the kernel reads (_MIN_STEP, _UNDERFLOW_FACTOR, _SETTLE_G,
+    _GRID0, ...) are read here, when the Shot is made.  ``end`` runs a
+    search shot; ``integrate`` runs a fresh Shot, as its trajectory's arrays
+    are views of the grid.
     """
 
     def __init__(self, params: ProblemParams, r_max: float, tol: StepControls = StepControls()):
@@ -600,8 +620,8 @@ class Shot:
         ncoef = max(_SERIES_ORDER, 1) + 1   # as many as series_coefficients returns
         self._prm = array("d", (params.N - 1.0, params.linear_coeff, params.q_coeff,
                                 params.p - 2.0, params.q - 2.0, params.p, params.q,
-                                float(params.N), 0.0, r_max, tol.underflow_factor, tol.atol,
-                                tol.rtol, tol.min_step, _SETTLE_G, _SETTLE_MARGIN, _EVENT_TOL))
+                                float(params.N), 0.0, r_max, _UNDERFLOW_FACTOR, tol.atol,
+                                tol.rtol, _MIN_STEP, _SETTLE_G, _SETTLE_MARGIN, _EVENT_TOL))
         self._st = _ZEROS * (_S_COEFFS + ncoef)
         budget = math.floor(max(min(tol.max_steps, 2**62), -1))   # steps > budget fails
         self._cnt = array("q", (0, 0, 0, budget, tol.with_quadrature, ncoef, 0))
@@ -619,7 +639,12 @@ class Shot:
 
     def _run(self, a: float) -> int:
         """Shoot from amplitude a into the blocks, the grid refilled as it
-        fills: the kernel's stop code, or the exception Python raises."""
+        fills: the kernel's stop code.  ValueError where r_max or a is not
+        positive and finite."""
+        if not self.r_max > 0.0:
+            raise ValueError(f"r_max must be positive, got {self.r_max}")
+        if a <= 0.0 or not math.isfinite(a):
+            raise ValueError(f"amplitude must be positive, got {a}")
         self._prm[_P_A] = a
         cnt = self._cnt
         cnt[0] = cnt[1] = cnt[2] = cnt[6] = 0   # grid points, RHS evaluations, steps, overflows
@@ -632,21 +657,14 @@ class Shot:
             if self._stages is not None:
                 self._stages.extend(_ZEROS * (16 * cap))
             self._bind()
-        if code > _COLLAPSE:   # the start or a power raised
-            if code == _BAD_RMAX:
-                raise ValueError(f"r_max must be positive, got {self.r_max}")
-            if code == _BAD_AMP:
-                raise ValueError(f"amplitude must be positive, got {a}")
-            exc, args = _RAISED[code]
-            raise exc(*args)
         return code
 
     def _check(self, code: int, partial: Trajectory | ShotEnd) -> None:
         """Raise the IntegrationFailure of a run that failed, with its partial."""
-        if code == _BUDGET:
-            raise IntegrationFailure(f"step budget {self.tol.max_steps} exhausted", partial)
-        if code == _COLLAPSE:
-            raise IntegrationFailure(f"step size collapsed at r={self._st[0]:.6g}", partial)
+        if code in _SHOT_FAILED:
+            r = self._st[0] if self._cnt[0] else 0.0   # the start failed at r = 0
+            raise IntegrationFailure(
+                _SHOT_FAILED[code].format(max_steps=self.tol.max_steps, r=r), partial)
 
     def end(self, a: float) -> ShotEnd:
         """One shot from amplitude a, read at its end: what the amplitude
@@ -656,12 +674,14 @@ class Shot:
         code = self._run(a)
         j, cap, g = self._cnt[0] - 1, self._cap, self._grid
         event = _REFINED.get(code, TerminalEvent.REACHED_RMAX)
-        if j:
+        if j > 0:
             i = j - 1
             end = ShotEnd((g[i], g[j]), (g[cap + i], g[cap + j]),
                           (g[2 * cap + i], g[2 * cap + j]), event, self._cnt[1])
-        else:   # a grid of one point
+        elif j == 0:   # a grid of one point
             end = ShotEnd((g[0],), (g[cap],), (g[2 * cap],), event, self._cnt[1])
+        else:   # the start failed
+            end = ShotEnd((), (), (), event, self._cnt[1])
         self._check(code, end)
         return end
 
@@ -696,7 +716,9 @@ def integrate(
                              for i in range(3))
     t = Trajectory(radii=radii, values=values, slopes=slopes,
                    terminal_event=_REFINED.get(code, TerminalEvent.REACHED_RMAX), rhs_evals=nfev)
-    if tol.with_quadrature:   # the dense pass as one more call, into the rows of out and nodes
+    # the dense pass as one more call, into the rows of out and nodes (a
+    # start that failed has no rows to pass over)
+    if tol.with_quadrature and n:
         out = np.empty((7, _SUB * (n - 1) + 1))
         t.nodes = np.empty((4, _BALL_NODES + _SUB * len(_GX) * (n - 1)))
         _kernel.dense(*shot._args, code in _REFINED, out.ctypes.data, t.nodes.ctypes.data)
@@ -705,6 +727,26 @@ def integrate(
         t.series = tuple(shot._st[_S_COEFFS:])
     shot._check(code, t)
     return t
+
+
+def admissible_window(params: ProblemParams, max_probes: int) -> tuple[float, float]:
+    """(u_F0, u_hi) where lin > 0 and qc > 0: the first positive zero of F
+    and the largest root of f, from the kernel's three Brent loops to 1e-15
+    relative of at most max_probes evaluations each.
+
+    BracketNotFound where f has no positive root, F no zero below it, or a
+    power overflowed or a division was by zero; InternalConsistencyError
+    where a root bracket has no sign change or a loop did not close.
+    """
+    out = _ZEROS * 4
+    code = _kernel.window(params.linear_coeff, params.q_coeff, params.p, params.q, max_probes,
+                          out.buffer_info()[0])
+    if code:
+        exc, message = _WINDOW_FAILED[code]
+        family = (f"{params.family.value} (N={params.N}, p={params.p}, q={params.q}, "
+                  f"eps={params.eps})")
+        raise exc(message.format(*out, family=family, max_probes=max_probes))
+    return out[0], out[1]
 
 
 def _load_kernel() -> _Kernel:

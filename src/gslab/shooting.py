@@ -40,11 +40,14 @@ start is not monotone decreasing, since u''(0) = -f(a)/N).  For P_zero,
 where u_F0 = 0, the lower scan starts at u_P, below which the Pokhozhaev
 identity rules out a zero crossing (_pohozaev_root).  u_F0 and u_hi come
 to 1e-15 relative from three Brent loops that the C kernel runs
-(admissible_window in _dop853.c, through _f_positive_roots), step for step
-as _bracket_root takes them and bit for bit with their Python reference,
+(ode.admissible_window, through _f_positive_roots), step for step as
+_bracket_root takes them and bit for bit with their Python reference,
 tests/window_reference.py.  _bracket_root itself, gslab's one Python root
 loop, runs the amplitude search and finds the concentration radii of
-``asymptotics``.
+``asymptotics``.  A shot that fails (ode.IntegrationFailure: its step
+budget, a collapsed step, or a power or division that failed) runs again
+tight if it was loose, drops a bracket hint if it checked one, and
+otherwise ends the solve with that error.
 
 A solved profile is a RadialProfile, which owns its read side: its
 integrals over the grid (quad, on the node rows its final pass summed its
@@ -72,8 +75,8 @@ import numpy as np
 from .emden import _gauss_panels, _panel_sum
 from .errors import (BracketNotFound, DivergentNormError, InconsistentSolution,
                      InternalConsistencyError)
-from .ode import (_RAISED, _ZEROS, IntegrationFailure, Shot, ShotEnd, StepControls,
-                  TerminalEvent, Trajectory, _drift_coeff, _kernel, _kve, integrate, series_piece)
+from .ode import (IntegrationFailure, Shot, ShotEnd, StepControls, TerminalEvent, Trajectory,
+                  _drift_coeff, _kve, admissible_window, integrate, series_piece)
 from .params import Family, ProblemParams
 
 __all__ = [
@@ -109,7 +112,7 @@ class ShootControls:
 
 
 _MAX_PROBES = 200             # the most evaluations of f one _bracket_root call (or
-                              # root loop of the kernel's admissible_window) makes
+                              # root loop of ode.admissible_window) makes
 _CONVERGENCE_FACTOR = 1e-8    # an exponential run that reaches r_max below this * a is Converged
 
 
@@ -484,22 +487,16 @@ def _shooting_proxy(params: ProblemParams, t: Trajectory | ShotEnd, c: str) -> f
     return -t.values[-1] * scale * kv1
 
 
-# the codes admissible_window (_dop853.c) returns past those of the exceptions
-# ** raises (ode._RAISED): no positive root of f, no zero of F below it, a
-# bracket without a sign change, a root loop not closed in _MAX_PROBES steps
-_NO_ROOTS, _NO_ZERO, _NO_SIGN, _OPEN = 14, 15, 16, 17
-
-
 def _f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
     """(u_F0, u_hi): first positive zero of F and largest root of f (None = scan up).
 
-    In closed form where lin = 0 (P_zero) or qc = 0 (R_zero); else the C
-    kernel's admissible_window finds them as tests/window_reference.py does,
-    bit for bit: three Brent loops to 1e-15 relative, with the steps of
+    In closed form where lin = 0 (P_zero) or qc = 0 (R_zero); else
+    ode.admissible_window finds them as tests/window_reference.py does, bit
+    for bit: three Brent loops to 1e-15 relative, with the steps of
     _bracket_root.  It raises what the reference raises: BracketNotFound
-    where f has no positive root or F no zero below it, InternalConsistencyError
-    where a root bracket has no sign change or is not closed in _MAX_PROBES
-    steps, and the exceptions of **.
+    where f has no positive root, F no zero below it, or a power overflowed
+    or a division was by zero, and InternalConsistencyError where a root
+    bracket has no sign change or is not closed in _MAX_PROBES steps.
     """
     lin, qc = params.linear_coeff, params.q_coeff
     p, q = params.p, params.q
@@ -514,27 +511,7 @@ def _f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
         u_f0 = (p * lin / 2.0) ** (1.0 / (p - 2.0))
         return u_f0, None
 
-    out = _ZEROS * 4
-    code = _kernel.window(lin, qc, p, q, _MAX_PROBES, out.buffer_info()[0])
-    if code == 0:
-        return out[0], out[1]
-    if code == _NO_ROOTS:
-        raise BracketNotFound(
-            f"f has no positive roots for {params.family.value} "
-            f"(N={params.N}, p={params.p}, q={params.q}, eps={params.eps}); "
-            "no ground state in this regime"
-        )
-    if code == _NO_ZERO:
-        raise BracketNotFound("potential F has no positive zero below the largest root of f")
-    a, b, x, y = out
-    if code == _NO_SIGN:
-        raise InternalConsistencyError(
-            f"root bracket [{a!r}, {b!r}] has no sign change: f = {x!r}, {y!r}")
-    if code == _OPEN:
-        raise InternalConsistencyError(
-            f"root of f in [{a!r}, {b!r}] not found in {_MAX_PROBES} steps: [{x!r}, {y!r}]")
-    exc, args = _RAISED[code]
-    raise exc(*args)
+    return admissible_window(params, _MAX_PROBES)
 
 
 def _pohozaev_root(params: ProblemParams) -> float:

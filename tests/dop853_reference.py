@@ -13,14 +13,17 @@ powers are ``np.float_power`` (libm's ``pow``; ``np.power`` may take a SIMD
 path that rounds differently from build to build), and no sum goes through
 BLAS.  ``tests/test_kernel.py`` compares the two bit for bit.  ``Shot``
 is ``gslab.ode.Shot`` on this ``integrate``, a search shot read at its end
-(``shot_end``).
+(``shot_end``).  Where Python's ``**`` or ``/`` raises, other than on a
+trial step whose stage power overflows (the step shrinks), the shot fails
+with an IntegrationFailure, as the kernel's arithmetic stop does; one in
+the series start has no rows.
 
 The loop is written for CPython's interpreter: the controls and tableau
 constants are locals, and the right-hand side is written out at each of
 the twelve stage evaluations.  The module-level constants it reads from
 ``gslab.ode`` (the series, the hand-off radius, the settled stop, the event
-tolerance) are looked up at call time, so a test that patches them there
-patches both shots.
+tolerance, the collapsed step and the underflow floor) are looked up at
+call time, so a test that patches them there patches both shots.
 """
 
 from __future__ import annotations
@@ -173,7 +176,8 @@ def _dense_pass(params: ProblemParams, coeffs: tuple, k1: float, stages, radii: 
     nodes[:, :len(ball[0])] = ball
     if not n:
         return (radii, values, slopes), (out[0], out[2], out[3], out[1]), nodes, 0
-    st = np.frombuffer(stages).reshape(n, 16).T
+    # (a refinement that failed left one step more in stages than on the grid)
+    st = np.frombuffer(stages, count=16 * n).reshape(n, 16).T
     h, r = st[0], radii[:-1]
     u0, v0, u1, v1 = values[:-1], slopes[:-1], values[1:].copy(), slopes[1:].copy()
     if end is not None:
@@ -238,6 +242,12 @@ def _trajectory(rs, us, vs, nfev: int, quad: tuple | None,
     return t
 
 
+def _arithmetic_failure(r: float, partial: Trajectory) -> IntegrationFailure:
+    """The failure of a shot whose ** or / raised at r (0 in the series start)."""
+    return IntegrationFailure(
+        f"arithmetic failed at r={r:.6g}: a power overflowed or a division was by zero", partial)
+
+
 def _start(params: ProblemParams, a: float, r_max: float, tol: StepControls):
     """What the step loop starts from: the series coefficients, the hand-off
     radius r0, (u, u', u'') there, the first step, and the settled stop's
@@ -279,7 +289,10 @@ def integrate(params: ProblemParams, a: float, r_max: float,
               tol: StepControls = StepControls()) -> Trajectory:
     """``gslab.ode.integrate`` with the step loop in Python: the reference
     the C kernel matches bit for bit."""
-    coeffs, r, u, v, k1, h, settle = _start(params, a, r_max, tol)
+    try:
+        coeffs, r, u, v, k1, h, settle = _start(params, a, r_max, tol)
+    except ArithmeticError:
+        raise _arithmetic_failure(0.0, _trajectory([], [], [], 0, None)) from None
 
     # Everything the step loop reads is a local.  The RHS
     #   u'' = u (lin - |u|^(p-2) + qc |u|^(q-2)) - N1 / r * u'
@@ -290,8 +303,8 @@ def integrate(params: ProblemParams, a: float, r_max: float,
     lin = params.linear_coeff
     qc = params.q_coeff
     pm2, qm2 = params.p - 2.0, params.q - 2.0
-    floor = tol.underflow_factor * a
-    atol, rtol, min_step, max_steps = tol.atol, tol.rtol, tol.min_step, tol.max_steps
+    floor = ode._UNDERFLOW_FACTOR * a
+    atol, rtol, min_step, max_steps = tol.atol, tol.rtol, ode._MIN_STEP, tol.max_steps
     _, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _, _, _, _, _ = _C
     _, (a2_1,), (a3_1, a3_2), (a4_1, _, a4_3), (a5_1, _, a5_3, a5_4), \
         (a6_1, _, _, a6_4, a6_5), (a7_1, _, _, a7_4, a7_5, a7_6), \
@@ -321,150 +334,153 @@ def integrate(params: ProblemParams, a: float, r_max: float,
     end = None   # (u, u') at the end of the last step before an event moved it
     steps = 0
 
-    while event is None:
-        steps += 1
-        if steps > max_steps:
-            raise IntegrationFailure(f"step budget {max_steps} exhausted",
-                                     _trajectory(rs, us, vs, nfev, quad))
-        if h < min_step * (r if r > 1.0 else 1.0):
-            raise IntegrationFailure(f"step size collapsed at r={r:.6g}",
-                                     _trajectory(rs, us, vs, nfev, quad))
-        clipped = r + h >= r_max
-        if clipped:
-            h = r_max - r
+    try:
+        while event is None:
+            steps += 1
+            if steps > max_steps:
+                raise IntegrationFailure(f"step budget {max_steps} exhausted",
+                                         _trajectory(rs, us, vs, nfev, quad))
+            if h < min_step * (r if r > 1.0 else 1.0):
+                raise IntegrationFailure(f"step size collapsed at r={r:.6g}",
+                                         _trajectory(rs, us, vs, nfev, quad))
+            clipped = r + h >= r_max
+            if clipped:
+                h = r_max - r
 
-        # eleven fresh stages and the FSAL one (k1 is the last step's k13)
-        nfev += 12
-        try:
-            hA = h * a2_1
-            u2, v2 = u + hA * v, v + hA * k1
-            au = u2 if u2 > 0.0 else -u2
-            k2 = u2 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c2 * h) * v2
-            u3 = u + h * (a3_1 * v + a3_2 * v2)
-            v3 = v + h * (a3_1 * k1 + a3_2 * k2)
-            au = u3 if u3 > 0.0 else -u3
-            k3 = u3 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c3 * h) * v3
-            u4 = u + h * (a4_1 * v + a4_3 * v3)
-            v4 = v + h * (a4_1 * k1 + a4_3 * k3)
-            au = u4 if u4 > 0.0 else -u4
-            k4 = u4 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c4 * h) * v4
-            u5 = u + h * (a5_1 * v + a5_3 * v3 + a5_4 * v4)
-            v5 = v + h * (a5_1 * k1 + a5_3 * k3 + a5_4 * k4)
-            au = u5 if u5 > 0.0 else -u5
-            k5 = u5 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c5 * h) * v5
-            u6 = u + h * (a6_1 * v + a6_4 * v4 + a6_5 * v5)
-            v6 = v + h * (a6_1 * k1 + a6_4 * k4 + a6_5 * k5)
-            au = u6 if u6 > 0.0 else -u6
-            k6 = u6 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c6 * h) * v6
-            u7 = u + h * (a7_1 * v + a7_4 * v4 + a7_5 * v5 + a7_6 * v6)
-            v7 = v + h * (a7_1 * k1 + a7_4 * k4 + a7_5 * k5 + a7_6 * k6)
-            au = u7 if u7 > 0.0 else -u7
-            k7 = u7 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c7 * h) * v7
-            u8 = u + h * (a8_1 * v + a8_4 * v4 + a8_5 * v5 + a8_6 * v6 + a8_7 * v7)
-            v8 = v + h * (a8_1 * k1 + a8_4 * k4 + a8_5 * k5 + a8_6 * k6 + a8_7 * k7)
-            au = u8 if u8 > 0.0 else -u8
-            k8 = u8 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c8 * h) * v8
-            u9 = u + h * (a9_1 * v + a9_4 * v4 + a9_5 * v5 + a9_6 * v6 + a9_7 * v7 + a9_8 * v8)
-            v9 = v + h * (a9_1 * k1 + a9_4 * k4 + a9_5 * k5 + a9_6 * k6 + a9_7 * k7 + a9_8 * k8)
-            au = u9 if u9 > 0.0 else -u9
-            k9 = u9 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c9 * h) * v9
-            u10 = u + h * (a10_1 * v + a10_4 * v4 + a10_5 * v5 + a10_6 * v6 + a10_7 * v7
-                           + a10_8 * v8 + a10_9 * v9)
-            v10 = v + h * (a10_1 * k1 + a10_4 * k4 + a10_5 * k5 + a10_6 * k6 + a10_7 * k7
-                           + a10_8 * k8 + a10_9 * k9)
-            au = u10 if u10 > 0.0 else -u10
-            k10 = u10 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c10 * h) * v10
-            u11 = u + h * (a11_1 * v + a11_4 * v4 + a11_5 * v5 + a11_6 * v6 + a11_7 * v7
-                           + a11_8 * v8 + a11_9 * v9 + a11_10 * v10)
-            v11 = v + h * (a11_1 * k1 + a11_4 * k4 + a11_5 * k5 + a11_6 * k6 + a11_7 * k7
-                           + a11_8 * k8 + a11_9 * k9 + a11_10 * k10)
-            au = u11 if u11 > 0.0 else -u11
-            k11 = u11 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c11 * h) * v11
-            u12 = u + h * (a12_1 * v + a12_4 * v4 + a12_5 * v5 + a12_6 * v6 + a12_7 * v7
-                           + a12_8 * v8 + a12_9 * v9 + a12_10 * v10 + a12_11 * v11)
-            v12 = v + h * (a12_1 * k1 + a12_4 * k4 + a12_5 * k5 + a12_6 * k6 + a12_7 * k7
-                           + a12_8 * k8 + a12_9 * k9 + a12_10 * k10 + a12_11 * k11)
-            au = u12 if u12 > 0.0 else -u12
-            k12 = u12 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + h) * v12
-            su = (b1 * v + b6 * v6 + b7 * v7 + b8 * v8 + b9 * v9 + b10 * v10 + b11 * v11
-                  + b12 * v12)
-            sv = (b1 * k1 + b6 * k6 + b7 * k7 + b8 * k8 + b9 * k9 + b10 * k10 + b11 * k11
-                  + b12 * k12)
-            u_new = u + h * su
-            v_new = v + h * sv
-            r_new = r_max if clipped else r + h
-            au = u_new if u_new > 0.0 else -u_new
-            k13 = u_new * (lin - au**pm2 + qc * au**qm2) - N1 / r_new * v_new
-        except OverflowError:
-            # a trial step so long that a stage's power overflows; shrink it
-            # hard, as for a non-finite error below
-            h *= 0.2
-            continue
+            # eleven fresh stages and the FSAL one (k1 is the last step's k13)
+            nfev += 12
+            try:
+                hA = h * a2_1
+                u2, v2 = u + hA * v, v + hA * k1
+                au = u2 if u2 > 0.0 else -u2
+                k2 = u2 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c2 * h) * v2
+                u3 = u + h * (a3_1 * v + a3_2 * v2)
+                v3 = v + h * (a3_1 * k1 + a3_2 * k2)
+                au = u3 if u3 > 0.0 else -u3
+                k3 = u3 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c3 * h) * v3
+                u4 = u + h * (a4_1 * v + a4_3 * v3)
+                v4 = v + h * (a4_1 * k1 + a4_3 * k3)
+                au = u4 if u4 > 0.0 else -u4
+                k4 = u4 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c4 * h) * v4
+                u5 = u + h * (a5_1 * v + a5_3 * v3 + a5_4 * v4)
+                v5 = v + h * (a5_1 * k1 + a5_3 * k3 + a5_4 * k4)
+                au = u5 if u5 > 0.0 else -u5
+                k5 = u5 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c5 * h) * v5
+                u6 = u + h * (a6_1 * v + a6_4 * v4 + a6_5 * v5)
+                v6 = v + h * (a6_1 * k1 + a6_4 * k4 + a6_5 * k5)
+                au = u6 if u6 > 0.0 else -u6
+                k6 = u6 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c6 * h) * v6
+                u7 = u + h * (a7_1 * v + a7_4 * v4 + a7_5 * v5 + a7_6 * v6)
+                v7 = v + h * (a7_1 * k1 + a7_4 * k4 + a7_5 * k5 + a7_6 * k6)
+                au = u7 if u7 > 0.0 else -u7
+                k7 = u7 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c7 * h) * v7
+                u8 = u + h * (a8_1 * v + a8_4 * v4 + a8_5 * v5 + a8_6 * v6 + a8_7 * v7)
+                v8 = v + h * (a8_1 * k1 + a8_4 * k4 + a8_5 * k5 + a8_6 * k6 + a8_7 * k7)
+                au = u8 if u8 > 0.0 else -u8
+                k8 = u8 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c8 * h) * v8
+                u9 = u + h * (a9_1 * v + a9_4 * v4 + a9_5 * v5 + a9_6 * v6 + a9_7 * v7 + a9_8 * v8)
+                v9 = v + h * (a9_1 * k1 + a9_4 * k4 + a9_5 * k5 + a9_6 * k6 + a9_7 * k7 + a9_8 * k8)
+                au = u9 if u9 > 0.0 else -u9
+                k9 = u9 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c9 * h) * v9
+                u10 = u + h * (a10_1 * v + a10_4 * v4 + a10_5 * v5 + a10_6 * v6 + a10_7 * v7
+                               + a10_8 * v8 + a10_9 * v9)
+                v10 = v + h * (a10_1 * k1 + a10_4 * k4 + a10_5 * k5 + a10_6 * k6 + a10_7 * k7
+                               + a10_8 * k8 + a10_9 * k9)
+                au = u10 if u10 > 0.0 else -u10
+                k10 = u10 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c10 * h) * v10
+                u11 = u + h * (a11_1 * v + a11_4 * v4 + a11_5 * v5 + a11_6 * v6 + a11_7 * v7
+                               + a11_8 * v8 + a11_9 * v9 + a11_10 * v10)
+                v11 = v + h * (a11_1 * k1 + a11_4 * k4 + a11_5 * k5 + a11_6 * k6 + a11_7 * k7
+                               + a11_8 * k8 + a11_9 * k9 + a11_10 * k10)
+                au = u11 if u11 > 0.0 else -u11
+                k11 = u11 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + c11 * h) * v11
+                u12 = u + h * (a12_1 * v + a12_4 * v4 + a12_5 * v5 + a12_6 * v6 + a12_7 * v7
+                               + a12_8 * v8 + a12_9 * v9 + a12_10 * v10 + a12_11 * v11)
+                v12 = v + h * (a12_1 * k1 + a12_4 * k4 + a12_5 * k5 + a12_6 * k6 + a12_7 * k7
+                               + a12_8 * k8 + a12_9 * k9 + a12_10 * k10 + a12_11 * k11)
+                au = u12 if u12 > 0.0 else -u12
+                k12 = u12 * (lin - au**pm2 + qc * au**qm2) - N1 / (r + h) * v12
+                su = (b1 * v + b6 * v6 + b7 * v7 + b8 * v8 + b9 * v9 + b10 * v10 + b11 * v11
+                      + b12 * v12)
+                sv = (b1 * k1 + b6 * k6 + b7 * k7 + b8 * k8 + b9 * k9 + b10 * k10 + b11 * k11
+                      + b12 * k12)
+                u_new = u + h * su
+                v_new = v + h * sv
+                r_new = r_max if clipped else r + h
+                au = u_new if u_new > 0.0 else -u_new
+                k13 = u_new * (lin - au**pm2 + qc * au**qm2) - N1 / r_new * v_new
+            except OverflowError:
+                # a trial step so long that a stage's power overflows; shrink it
+                # hard, as for a non-finite error below
+                h *= 0.2
+                continue
 
-        # the error norm of DOP853: the 5th-order estimate, damped where the
-        # 3rd-order one is much smaller; the step exponent is 1/8.  E3 is B
-        # but at stages 1, 9 and 12, so its sums reuse those of B
-        au, an = abs(u), abs(u_new)
-        scale_u = atol + rtol * (an if an > au else au)
-        au, an = abs(v), abs(v_new)
-        scale_v = atol + rtol * (an if an > au else au)
-        x = (e5_1 * v + e5_6 * v6 + e5_7 * v7 + e5_8 * v8 + e5_9 * v9 + e5_10 * v10
-             + e5_11 * v11 + e5_12 * v12) / scale_u
-        y = (e5_1 * k1 + e5_6 * k6 + e5_7 * k7 + e5_8 * k8 + e5_9 * k9 + e5_10 * k10
-             + e5_11 * k11 + e5_12 * k12) / scale_v
-        err5 = x * x + y * y
-        x = (su - (d1 * v + d9 * v9 + d12 * v12)) / scale_u
-        y = (sv - (d1 * k1 + d9 * k9 + d12 * k12)) / scale_v
-        den = err5 + 0.01 * (x * x + y * y)
-        err = h * err5 / sqrt(2.0 * den) if den != 0.0 else 0.0
+            # the error norm of DOP853: the 5th-order estimate, damped where the
+            # 3rd-order one is much smaller; the step exponent is 1/8.  E3 is B
+            # but at stages 1, 9 and 12, so its sums reuse those of B
+            au, an = abs(u), abs(u_new)
+            scale_u = atol + rtol * (an if an > au else au)
+            au, an = abs(v), abs(v_new)
+            scale_v = atol + rtol * (an if an > au else au)
+            x = (e5_1 * v + e5_6 * v6 + e5_7 * v7 + e5_8 * v8 + e5_9 * v9 + e5_10 * v10
+                 + e5_11 * v11 + e5_12 * v12) / scale_u
+            y = (e5_1 * k1 + e5_6 * k6 + e5_7 * k7 + e5_8 * k8 + e5_9 * k9 + e5_10 * k10
+                 + e5_11 * k11 + e5_12 * k12) / scale_v
+            err5 = x * x + y * y
+            x = (su - (d1 * v + d9 * v9 + d12 * v12)) / scale_u
+            y = (sv - (d1 * k1 + d9 * k9 + d12 * k12)) / scale_v
+            den = err5 + 0.01 * (x * x + y * y)
+            err = h * err5 / sqrt(2.0 * den) if den != 0.0 else 0.0
 
-        if not isfinite(err):
-            # overflowing state (e.g. runaway amplitude); shrink hard so the
-            # min_step failure path reports cleanly
-            h *= 0.2
-            continue
-        if err > 1.0:
-            h *= max(0.2, 0.9 * err**-0.125)
-            continue
+            if not isfinite(err):
+                # overflowing state (e.g. runaway amplitude); shrink hard so the
+                # min_step failure path reports cleanly
+                h *= 0.2
+                continue
+            if err > 1.0:
+                h *= max(0.2, 0.9 * err**-0.125)
+                continue
 
-        # terminal event checks, in priority order within the step; all but
-        # ReachedRmax are refined on the dense output
-        if u_new <= 0.0:
-            event = TerminalEvent.ZERO_CROSSING
-        elif v_new >= 0.0 and u_new > 0.0:
-            event = TerminalEvent.SLOPE_SIGN_FLIP
-        elif u_new < floor and v_new < 0.0:
-            event = TerminalEvent.UNDERFLOW
-        elif clipped:
-            event = TerminalEvent.REACHED_RMAX
-
-        r_stop = r_new
-        if quad:
-            stages_extend((h, v6, v7, v8, v9, v10, v11, v12,
-                           k6, k7, k8, k9, k10, k11, k12, k13))
-        if event is not None and event is not TerminalEvent.REACHED_RMAX:
-            # the interpolant, built only for the step that refines an event
-            end = u_new, v_new
-            r_stop, u_new, v_new = _refine(
-                params, event, floor, r, h, u, v, u_new, v_new, r_new,
-                [v, v6, v7, v8, v9, v10, v11, v12, v_new, 0.0, 0.0, 0.0],
-                [k1, k6, k7, k8, k9, k10, k11, k12, k13, 0.0, 0.0, 0.0])
-            nfev += 3
-
-        r, u, v = r_stop, u_new, v_new
-        k1 = k13
-        rs_append(r)
-        us_append(u)
-        vs_append(v)
-
-        if settle and event is None and 0.0 < u < half and v < 0.0:
-            g = u**pm2 * r * r
-            if g < ode._SETTLE_G and abs(u + r * v / n2) > drift * u * g:
+            # terminal event checks, in priority order within the step; all but
+            # ReachedRmax are refined on the dense output
+            if u_new <= 0.0:
+                event = TerminalEvent.ZERO_CROSSING
+            elif v_new >= 0.0 and u_new > 0.0:
+                event = TerminalEvent.SLOPE_SIGN_FLIP
+            elif u_new < floor and v_new < 0.0:
+                event = TerminalEvent.UNDERFLOW
+            elif clipped:
                 event = TerminalEvent.REACHED_RMAX
 
-        if event is None:
-            fac = 0.9 * (err + 1e-300) ** -0.125
-            h *= 10.0 if fac > 10.0 else (fac if fac > 0.2 else 0.2)
+            r_stop = r_new
+            if quad:
+                stages_extend((h, v6, v7, v8, v9, v10, v11, v12,
+                               k6, k7, k8, k9, k10, k11, k12, k13))
+            if event is not None and event is not TerminalEvent.REACHED_RMAX:
+                # the interpolant, built only for the step that refines an event
+                end = u_new, v_new
+                r_stop, u_new, v_new = _refine(
+                    params, event, floor, r, h, u, v, u_new, v_new, r_new,
+                    [v, v6, v7, v8, v9, v10, v11, v12, v_new, 0.0, 0.0, 0.0],
+                    [k1, k6, k7, k8, k9, k10, k11, k12, k13, 0.0, 0.0, 0.0])
+                nfev += 3
+
+            r, u, v = r_stop, u_new, v_new
+            k1 = k13
+            rs_append(r)
+            us_append(u)
+            vs_append(v)
+
+            if settle and event is None and 0.0 < u < half and v < 0.0:
+                g = u**pm2 * r * r
+                if g < ode._SETTLE_G and abs(u + r * v / n2) > drift * u * g:
+                    event = TerminalEvent.REACHED_RMAX
+
+            if event is None:
+                fac = 0.9 * (err + 1e-300) ** -0.125
+                h *= 10.0 if fac > 10.0 else (fac if fac > 0.2 else 0.2)
+    except ArithmeticError:   # a ** or / raised where no trial step shrinks
+        raise _arithmetic_failure(r, _trajectory(rs, us, vs, nfev, quad)) from None
 
     t = _trajectory(rs, us, vs, nfev, quad, end)
     t.terminal_event = event

@@ -9,7 +9,7 @@ radius, RHS evaluations); norms are not co-integrated.
 
 import math
 
-from gslab import TerminalEvent
+from gslab import TerminalEvent, ode
 from gslab.ode import _EVENT_TOL, default_handoff_radius, series_coefficients, series_piece
 
 C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
@@ -60,11 +60,11 @@ def integrate(params, a, r_max, tol):
     rs, us, vs = [r], [u], [v]
     k1, nfev = rhs(r, u, v), 1
     h = min(max(1e-6, 0.05 * r0), 0.5 * (r_max - r0))
-    floor = tol.underflow_factor * a
+    floor = ode._UNDERFLOW_FACTOR * a
     event, r_event, steps = None, r_max, 0
     while event is None:
         steps += 1
-        if steps > tol.max_steps or h < tol.min_step * max(1.0, r):
+        if steps > tol.max_steps or h < ode._MIN_STEP * max(1.0, r):
             raise RuntimeError(f"the oracle failed at r={r:.6g}")
         clipped = r + h >= r_max
         if clipped:

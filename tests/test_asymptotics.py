@@ -177,6 +177,15 @@ def test_sweep_tolerates_per_point_failures():
     assert len(report.converged_points()) >= 6
 
 
+def test_sweep_point_records_a_window_arithmetic_stop():
+    # an admissible P_eps point whose admissible window divides by zero (p
+    # close to 2) is a recorded failure, the solver's own BracketNotFound
+    spec = SweepSpec(regime="subcritical", N=6, q=2.7591, p=2.020001478)
+    pt = asymptotics._solve_point(spec, asymptotics.regime_row("subcritical"), 1.88e-7, None, {})
+    assert not pt.converged
+    assert pt.failure.startswith("BracketNotFound: arithmetic failed in the admissible window")
+
+
 def test_sweep_propagates_programming_errors(monkeypatch):
     # only the solver's own failure types are recorded per point; a
     # TypeError is a bug and must not turn into a silent "failed" point,

@@ -282,7 +282,8 @@ def test_limit_identities_frame_roundtrip(identity_solutions):
     # residuals are invariant under rescaling to another frame and back
     sol = identity_solutions[(3, 8.0, 12.0, 0.0, Family.P_ZERO)]
     w = sol.rescaled_to_frame()
-    roundtripped = w.rescaled_to_frame(2.7).rescaled_to_frame(1.0 / 2.7)
+    roundtripped = replace(replace(w, level_S=2.7).rescaled_to_frame(),
+                           level_S=1.0 / 2.7).rescaled_to_frame()
     r1 = limit_identities(w).residuals
     r2 = limit_identities(roundtripped).residuals
     assert max(abs(a - b) for a, b in zip(r1, r2)) < 1e-9

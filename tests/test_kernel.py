@@ -6,8 +6,8 @@ step loop and the event refinement, then, with quadrature, the dense pass.
 loop, ``_refine``, the numpy ``_dense_pass``).  On every call the two must
 agree to the bit: radii, values, slopes, the four norm arrays and the node
 rows they are summed over, terminal event and radius, and RHS evaluations,
-the partial trajectory of an IntegrationFailure included, and an exception
-the same by its repr.  A call
+the message and partial trajectory of an IntegrationFailure included, and
+an argument's ValueError the same by its repr.  A call
 without quadrature is also run as a search shot, ``ode.Shot.end``, on a Shot
 that the calls of its (params, r_max, tol) share: its last two rows,
 terminal event and radius and RHS evaluations must be those of both runs,
@@ -15,12 +15,14 @@ bit for bit, a failure's partial and an exception included.  The calls are
 every shot of the benchmark's solve_mix seeds 1-3 and sweep_chain seed 1 and
 of the solves and sweeps ``test_golden.py`` pins (captured at shooting.Shot
 and shooting.integrate), and the paths those leave out: underflow, step
-budget, step collapse, a power that overflows, a division by zero, the
-start's exceptions, the settled stop switched off, a grid refilled on every
-step, and dense passes after each refined event, on a one-point grid, for
-N = 3 to 8 and where |u|^q underflows to 0.  One Shot used again gives a fresh
-run's bits after a shot that refilled its grid, raised or failed.  Where the
-kernel cannot be built or loaded, importing ``gslab`` fails.
+budget, step collapse, a power that overflows, the arithmetic stop of a
+division by zero in the loop or of a series start that raises (a failure
+without rows), the start's argument errors, the settled stop switched off,
+a grid refilled on every step, and dense passes after each refined event,
+on a one-point grid, for N = 3 to 8 and where |u|^q underflows to 0.  One
+Shot used again gives a fresh run's bits after a shot that refilled its
+grid, raised or failed.  Where the kernel cannot be built or loaded,
+importing ``gslab`` fails.
 """
 
 import ctypes
@@ -47,26 +49,30 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _outcome(integrate, call):
-    """("done", trajectory), (failure message, partial) or (raised, None)."""
+    """("done", trajectory), (failure message, partial) or (an argument's
+    ValueError, None)."""
     try:
         return "done", integrate(*call)
     except IntegrationFailure as exc:
         return str(exc), exc.partial
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         return repr(exc), None
 
 
 def _bits(t):
+    """A trajectory's bits; a start that failed has no rows, so no radius."""
     arrays = (t.radii, t.values, t.slopes, t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir, t.nodes)
-    return (t.terminal_event, t.terminal_radius.hex(), t.rhs_evals,
+    return (t.terminal_event, len(t.radii) and t.terminal_radius.hex(), t.rhs_evals,
             [None if x is None else x.tobytes() for x in arrays])
 
 
 def _end_bits(e):
     """A ShotEnd's bits; its rows and terminal radius are Python floats."""
     assert type(e) is ode.ShotEnd
-    rows = (*e.radii, *e.values, *e.slopes, e.terminal_radius)
-    assert {type(x) for x in rows} == {float}
+    rows = (*e.radii, *e.values, *e.slopes, *e.radii[-1:])   # radii[-1:]: the terminal radius
+    if e.radii:
+        assert e.terminal_radius is e.radii[-1]
+    assert {type(x) for x in rows} <= {float}
     return e.terminal_event, [x.hex() for x in rows], e.rhs_evals
 
 
@@ -78,7 +84,7 @@ def assert_same_bits(call, shot=None):
                                 _outcome(dop853_reference.integrate, call))
     assert c_end == py_end, call
     if py is not None:
-        assert type(c.terminal_radius) is float
+        assert len(c.radii) == 0 or type(c.terminal_radius) is float
         assert _bits(c) == _bits(py), call
     params, a, r_max, tol = call
     if not tol.with_quadrature:
@@ -179,35 +185,33 @@ QUAD = replace(TIGHT, with_quadrature=True)
 # (call, outcome): the paths the benchmark's calls leave out.  The R_zero
 # amplitude is its a*, the P_zero ones are a* and 1 +- 1% of it; P_eps
 # shots from 1e4 and 1e8 take trial steps whose stage powers overflow.  The
-# start raises where the reference's _start does: on a = 0, a NaN a or
-# r_max = 0; where the series' powers overflow (a = 1e100); and where the
-# series coefficients overflow to inf, so that the hand-off radius is 0 and
-# (N-1)/r0 divides by zero (a = 1e31).
+# start raises ValueError on a = 0, a NaN a or r_max = 0, and fails without
+# rows where the reference's _start raises: where the series' powers
+# overflow (a = 1e100), and where the series coefficients overflow to inf,
+# so that the hand-off radius is 0 and (N-1)/r0 divides by zero (a = 1e31).
+ARITH = "arithmetic failed at r="
 PATHS = {
-    "underflow": ((R_ZERO, 4.337387679977127, 50.0, replace(TIGHT, underflow_factor=1e-8)),
-                  "done"),
-    "underflow-quad": ((R_ZERO, 4.337387679977127, 50.0, replace(
-        TIGHT, underflow_factor=1e-8, with_quadrature=True)), "done"),
+    "underflow": ((R_ZERO, 4.337387679977127, 50.0, TIGHT), "done"),
+    "underflow-quad": ((R_ZERO, 4.337387679977127, 50.0, QUAD), "done"),
     "budget": ((R_ZERO, 3.3, 50.0, StepControls(max_steps=12)), "step budget 12 exhausted"),
     "budget-quad": ((R_ZERO, 3.3, 50.0, StepControls(max_steps=12, with_quadrature=True)),
                     "step budget 12 exhausted"),
-    "collapse-first": ((R_ZERO, 3.3, 50.0, StepControls(min_step=1.0)), "step size collapsed"),
-    "collapse-quad": ((R_ZERO, 3.3, 50.0, StepControls(min_step=1.0, with_quadrature=True)),
+    "collapse-first": ((R_ZERO, 3.3, 50.0, StepControls()), "step size collapsed"),
+    "collapse-quad": ((R_ZERO, 3.3, 50.0, StepControls(with_quadrature=True)),
                       "step size collapsed"),
     "pow-overflow": ((P_EPS, 1e4, 500.0, StepControls()), "done"),
     "pow-overflow-collapse": ((P_EPS, 1e8, 500.0, StepControls()), "step size collapsed"),
-    "zero-division": ((P_EPS, 0.5, 500.0, StepControls(atol=0.0, rtol=0.0)),
-                      "ZeroDivisionError('float division by zero')"),
+    "zero-division": ((P_EPS, 0.5, 500.0, StepControls(atol=0.0, rtol=0.0)), ARITH),
+    "zero-division-quad": ((P_EPS, 0.5, 500.0, StepControls(atol=0.0, rtol=0.0,
+                                                            with_quadrature=True)), ARITH),
     "amplitude-zero": ((P_EPS, 0.0, 500.0, StepControls()),
                        "ValueError('amplitude must be positive, got 0.0')"),
     "amplitude-nan": ((P_EPS, math.nan, 500.0, StepControls()),
                       "ValueError('amplitude must be positive, got nan')"),
     "r_max-zero": ((P_EPS, 0.75, 0.0, StepControls()),
                    "ValueError('r_max must be positive, got 0.0')"),
-    "series-overflow": ((P_EPS, 1e100, 500.0, StepControls()),
-                        "OverflowError(34, 'Numerical result out of range')"),
-    "handoff-zero-division": ((P_EPS, 1e31, 500.0, StepControls()),
-                              "ZeroDivisionError('float division by zero')"),
+    "series-overflow": ((P_EPS, 1e100, 500.0, StepControls()), ARITH + "0: "),
+    "handoff-zero-division": ((P_EPS, 1e31, 500.0, StepControls()), ARITH + "0: "),
     "r_max": ((P_ZERO, 0.9, 1e6, TIGHT), "done"),
     "settled": ((P_ZERO, 0.98, 1e6, TIGHT), "done"),
     "quad-to-r_max": ((P_ZERO, 0.9704323868577163, 1e6, QUAD), "done"),
@@ -221,6 +225,10 @@ PATHS = {
     # |u|^12 underflows to 0 at every node, |u|^8 does not
     "power-underflow-quad": ((P_ZERO, 1e-30, 1e6, QUAD), "done"),
 }
+# the module constants a path sets on ode, where both shots read them
+CONSTANTS = {"underflow": {"_UNDERFLOW_FACTOR": 1e-8},
+             "underflow-quad": {"_UNDERFLOW_FACTOR": 1e-8},
+             "collapse-first": {"_MIN_STEP": 1.0}, "collapse-quad": {"_MIN_STEP": 1.0}}
 EVENTS = {"underflow": TerminalEvent.UNDERFLOW, "underflow-quad": TerminalEvent.UNDERFLOW,
           "zero-crossing-quad": TerminalEvent.ZERO_CROSSING,
           "slope-flip-quad": TerminalEvent.SLOPE_SIGN_FLIP,
@@ -233,6 +241,8 @@ EVENTS = {"underflow": TerminalEvent.UNDERFLOW, "underflow-quad": TerminalEvent.
 def test_paths_match_bit_for_bit(name, grid0, monkeypatch):
     call, expected = PATHS[name]
     monkeypatch.setattr(ode, "_GRID0", grid0)
+    for constant, value in CONSTANTS.get(name, {}).items():
+        monkeypatch.setattr(ode, constant, value)
     overflows = []
     kernel = ode._kernel
 
@@ -244,13 +254,16 @@ def test_paths_match_bit_for_bit(name, grid0, monkeypatch):
     monkeypatch.setattr(ode, "_kernel", kernel._replace(loop=counted))
     end, t = assert_same_bits(call)
     assert end.startswith(expected)
-    assert (overflows[-1] > 0) == name.startswith("pow-overflow")
+    # (no kernel call where an argument is rejected)
+    assert (max(overflows, default=0) > 0) == name.startswith("pow-overflow")
     if name in EVENTS:
         assert t.terminal_event is EVENTS[name]
     if name == "settled":
         assert t.terminal_radius < call[2]
     if name.endswith("quad"):
         assert t.norm_l2 is not None
+    if name.startswith("zero-division"):   # the first step's error norm divides by zero
+        assert len(t.radii) == 1 and t.rhs_evals == 13
     if name == "collapse-quad":   # the dense pass of a grid of one point
         assert len(t.radii) == 1
     if name == "one-step-quad":
@@ -260,6 +273,7 @@ def test_paths_match_bit_for_bit(name, grid0, monkeypatch):
     if name in ("series-overflow", "handoff-zero-division"):   # the start raises
         with pytest.raises((OverflowError, ZeroDivisionError)):
             dop853_reference._start(*call)
+        assert len(t.radii) == t.rhs_evals == 0 and t.norm_l2 is None
     if name == "handoff-zero-division":
         assert ode.default_handoff_radius(ode.series_coefficients(*call[:2]), call[2]) == 0.0
 
@@ -272,16 +286,16 @@ def test_settled_stop_off_reads_settle_g_at_call_time(monkeypatch):
 
 # One Shot per row: its amplitudes in order, each with the start of its
 # outcome.  P_zero: a run to r_max, then the shorter settled and
-# undershooting runs; P_eps: shots after each of the start's exceptions and
-# after a failure; R_zero at a step budget (None: set from a run) that the
-# shot at 3.3 spends to the last step and the one at 4.3 exceeds, so that a
-# step count left over from a shot before fails it
+# undershooting runs; P_eps: shots after each of the start's failures and
+# argument errors and after a collapse; R_zero at a step budget (None: set
+# from a run) that the shot at 3.3 spends to the last step and the one at
+# 4.3 exceeds, so that a step count left over from a shot before fails it
 REUSED = {
     "refill-then-shorter": (P_ZERO, 1e6, TIGHT, [
         (0.9, "done"), (0.98, "done"), (0.9704323868577163, "done"), (0.9, "done"),
         (0.98, "done")]),
     "after-raised": (P_EPS, 500.0, StepControls(), [
-        (1e100, "OverflowError"), (0.75, "done"), (1e31, "ZeroDivisionError"), (0.4, "done"),
+        (1e100, ARITH), (0.75, "done"), (1e31, ARITH), (0.4, "done"),
         (0.0, "ValueError"), (0.75, "done"), (math.nan, "ValueError"), (1e4, "done"),
         (1e8, "step size collapsed"), (0.4, "done")]),
     "after-failed": (R_ZERO, 50.0, None, [

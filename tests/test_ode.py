@@ -15,6 +15,7 @@ from gslab import (
     rhs_eval,
     series_start,
 )
+from gslab import ode
 from gslab.ode import series_coefficients, series_piece
 
 R_ZERO_34 = ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO)
@@ -189,9 +190,10 @@ def test_tolerance_halving_convergence():
         assert abs(u1 - u2) < 10.0 * (base.atol + base.rtol * abs(u1))
 
 
-def test_min_step_collapse_carries_partial_trajectory():
+def test_min_step_collapse_carries_partial_trajectory(monkeypatch):
+    monkeypatch.setattr(ode, "_MIN_STEP", 1.0)
     with pytest.raises(IntegrationFailure) as exc:
-        integrate(R_ZERO_34, 3.3, 50.0, StepControls(min_step=1.0))
+        integrate(R_ZERO_34, 3.3, 50.0)
     partial = exc.value.partial
     assert len(partial.radii) >= 1
     assert partial.radii[0] > 0.0
@@ -218,20 +220,28 @@ def test_quadrature_accumulators_monotone():
 EVENT_CASES = {
     TerminalEvent.ZERO_CROSSING: (6.0, 50.0, StepControls()),
     TerminalEvent.SLOPE_SIGN_FLIP: (4.0, 30.0, StepControls()),
-    TerminalEvent.UNDERFLOW: (4.337387679977, 60.0, StepControls(underflow_factor=1e-4)),
+    TerminalEvent.UNDERFLOW: (4.337387679977, 60.0, StepControls()),
     TerminalEvent.REACHED_RMAX: (4.0, 1.9, StepControls()),
 }
 
 
+def _event_case(event, monkeypatch):
+    """EVENT_CASES[event]; the Underflow case also raises ode's underflow
+    floor to 1e-4 of the amplitude."""
+    if event is TerminalEvent.UNDERFLOW:
+        monkeypatch.setattr(ode, "_UNDERFLOW_FACTOR", 1e-4)
+    return EVENT_CASES[event]
+
+
 @pytest.mark.parametrize("event", list(EVENT_CASES), ids=lambda e: e.value)
-def test_quadrature_mode_does_not_change_trajectory(event):
+def test_quadrature_mode_does_not_change_trajectory(event, monkeypatch):
     # the stepping sequence is identical with and without norm accumulation:
     # the quadrature run's grid is the lean run's steps, each followed by the
     # interpolant at _SUB - 1 interior points, and its extra RHS evaluations
     # are the three extra stages of every step's interpolant
     from gslab.ode import _SUB
 
-    a, r_max, tol = EVENT_CASES[event]
+    a, r_max, tol = _event_case(event, monkeypatch)
     lean = integrate(R_ZERO_34, a, r_max, tol)
     quad = integrate(R_ZERO_34, a, r_max, replace(tol, with_quadrature=True))
     assert lean.terminal_event is quad.terminal_event is event
@@ -282,11 +292,11 @@ def _tighter(tol, factor=100.0):
 
 
 @pytest.mark.parametrize("event", list(EVENT_CASES), ids=lambda e: e.value)
-def test_panel_norms_match_tighter_run(event):
+def test_panel_norms_match_tighter_run(event, monkeypatch):
     # the co-integrated norms of a run against those of a run at 100x
     # tighter step controls: within 2e-9 relative at the default controls
     # (1.0e-9 measured), whichever event ends the run
-    a, r_max, tol = EVENT_CASES[event]
+    a, r_max, tol = _event_case(event, monkeypatch)
     t = integrate(R_ZERO_34, a, r_max, replace(tol, with_quadrature=True))
     ref = integrate(R_ZERO_34, a, r_max, _tighter(tol))
     assert t.terminal_event is ref.terminal_event is event
@@ -319,14 +329,16 @@ def test_golden_final_pass_norms_match_tighter_run(params):
     np.testing.assert_allclose(got[1:], want[1:], rtol=1e-11, atol=0.0)
 
 
-@pytest.mark.parametrize("tol", [
-    StepControls(with_quadrature=True, max_steps=12),    # step budget, mid-run (17 steps)
-    StepControls(with_quadrature=True, min_step=1.0),    # collapse before any step
+@pytest.mark.parametrize("tol, min_step", [
+    # step budget, mid-run (17 steps)
+    (StepControls(with_quadrature=True, max_steps=12), ode._MIN_STEP),
+    (StepControls(with_quadrature=True), 1.0),    # collapse before any step
 ], ids=["budget", "collapse"])
-def test_failure_partial_norms_match_tighter_run(tol):
+def test_failure_partial_norms_match_tighter_run(tol, min_step, monkeypatch):
     # a failed run's partial grid carries the norms up to its last radius:
     # those of a run at 100x tighter step controls to that radius (the
     # in-ball series piece alone, if the run failed before its first step)
+    monkeypatch.setattr(ode, "_MIN_STEP", min_step)
     with pytest.raises(IntegrationFailure) as exc:
         integrate(R_ZERO_34, 3.3, 50.0, tol)
     partial = exc.value.partial
@@ -384,7 +396,7 @@ ORACLE_TOL = StepControls(atol=1e-13, rtol=1e-11)
 
 
 @pytest.mark.parametrize("event", list(EVENT_CASES), ids=lambda e: e.value)
-def test_dp45_oracle_event_radii_agree(event):
+def test_dp45_oracle_event_radii_agree(event, monkeypatch):
     # the Dormand-Prince 4(5) integrator gslab shot with before DOP853 stays
     # here as a tolerance oracle: at tight step controls both end on the same
     # event, at the same radius (within 1e-7 relative: 2.4e-8 measured at
@@ -397,7 +409,7 @@ def test_dp45_oracle_event_radii_agree(event):
     # first-order step before the states are compared
     from dp45_oracle import integrate as dp45
 
-    a, r_max, tol = EVENT_CASES[event]
+    a, r_max, tol = _event_case(event, monkeypatch)
     tol = replace(tol, atol=ORACLE_TOL.atol, rtol=ORACLE_TOL.rtol)
     t = integrate(R_ZERO_34, a, r_max, tol)
     _, us, vs, ev, radius, nfev = dp45(R_ZERO_34, a, r_max, tol)

@@ -703,6 +703,15 @@ def test_cli_solve_with_p_close_to_2_exits_cleanly(capsys):
         assert "solve failed: " in capsys.readouterr().err
 
 
+def test_cli_solve_reports_a_window_arithmetic_stop(capsys):
+    # an admissible P_eps input whose admissible window divides by zero (its
+    # lower end underflows to 0 with p this close to 2): "solve failed" and
+    # exit 1, not a ZeroDivisionError traceback
+    assert main(["solve", "--family", "P_eps", "--N", "6", "--p", "2.020001478",
+                 "--q", "2.7591", "--eps", "1.88e-7", "--no-cache"]) == 1
+    assert "solve failed: arithmetic failed in the admissible window" in capsys.readouterr().err
+
+
 def test_cli_reused_parser_carries_no_state(tmp_path, monkeypatch, capsys):
     # main builds its parser once per process; every call must behave as with
     # a fresh parser, whatever ran before it

@@ -2,18 +2,22 @@
 bit for bit, and the root loop against scipy.optimize.brentq.
 
 gslab finds the window (u_F0, u_hi) of every eps-family search in the C
-kernel (``admissible_window``, through ``shooting._f_positive_roots``), by
-the three Brent loops of ``tests/window_reference.py`` operation for
+kernel (``ode.admissible_window``, through ``shooting._f_positive_roots``),
+by the three Brent loops of ``tests/window_reference.py`` operation for
 operation, so importing it leaves scipy.optimize unimported (test_bessel.py
 checks that no scipy module is loaded).  The oracle: on every eps-family
 input of the benchmark's solve_mix seeds 1-3 and sweep_chain seed 1 and on
 thousands of random draws, p down to 2.02 and qc down to 1e-300 among them,
 the kernel returns the reference's window to the bit, or raises the
-reference's exception with its message.  scipy's brentq, which f's roots
-came from before (retried in log u where it did not converge in u), is the
-oracle of the loop itself (``shooting._bracket_root``, the reference's and
-the amplitude search's): the roots must agree within 5e-15 relative, and
-the same inputs must raise, gslab's with its own InternalConsistencyError.
+reference's exception with its message: BracketNotFound or
+InternalConsistencyError, the BracketNotFound of the kernel's arithmetic
+stop included where a power overflows or a division is by zero, so no
+builtin arithmetic error escapes the window.  scipy's brentq, which f's
+roots came from before (retried in log u where it did not converge in u),
+is the oracle of the loop itself (``shooting._bracket_root``, the
+reference's and the amplitude search's): the roots must agree within 5e-15
+relative, and the same inputs must raise, gslab's with its own
+InternalConsistencyError.
 """
 
 import math
@@ -220,20 +224,29 @@ def _window(find, params):
     """A window's bits, or the exception raised: its type and message."""
     try:
         u_f0, u_hi = find(params)
-    except (BracketNotFound, InternalConsistencyError, OverflowError, ZeroDivisionError,
-            ValueError) as exc:
+    except (BracketNotFound, InternalConsistencyError) as exc:
         return type(exc).__name__, str(exc)
     return "window", u_f0.hex(), None if u_hi is None else u_hi.hex()
 
 
+def _arithmetic_cause(params) -> str:
+    """What the reference's ** or / raised under its arithmetic BracketNotFound."""
+    with pytest.raises(BracketNotFound, match="^arithmetic failed") as exc:
+        window_reference.f_positive_roots(params)
+    return type(exc.value.__cause__).__name__
+
+
 def _assert_window_bits(draws):
     """The kernel's outcome on each draw is the reference's, bit for bit;
-    returns how many of each kind there were."""
+    returns how many of each kind there were (an arithmetic stop counted
+    by what Python raised)."""
     kinds = {}
     for params in draws:
         got = _window(shooting._f_positive_roots, params)
         assert got == _window(window_reference.f_positive_roots, params), params
         kind = got[0] if got[0] != "BracketNotFound" else got[1].split(" ")[0]
+        if kind == "arithmetic":
+            kind = _arithmetic_cause(params)
         kinds[kind] = kinds.get(kind, 0) + 1
     return kinds
 
@@ -285,8 +298,26 @@ def test_window_matches_reference_on_random_draws():
     assert min(d.p for d in draws) < 2.0201
     assert min(d.q_coeff for d in draws if d.family is Family.R_EPS) <= 1e-30
     kinds = _assert_window_bits(draws)
-    # a window, no root of f, no zero of F, an overflowing power
-    assert all(kinds.get(kind, 0) > 20 for kind in ("window", "f", "potential", "OverflowError"))
+    # a window, no root of f, no zero of F, the arithmetic stop of an
+    # overflowing power or a division by zero, a bracket without a sign change
+    assert kinds == {"window": 4704, "f": 85, "potential": 40, "OverflowError": 965,
+                     "ZeroDivisionError": 205, "InternalConsistencyError": 1}
+
+
+@pytest.mark.parametrize("params", [
+    # the lower end (0.5 eps)^(1/(p-2)) underflows to 0, and a bracket
+    # divides by it; qc = 5.8e-257, and F overflows at the largest root of f
+    ProblemParams(6, 2.020001478, 2.7591, 1.88e-7, Family.P_EPS),
+    ProblemParams(7, 2.0268, 3.5115, 2.37e-5, Family.R_EPS),
+], ids=["P_eps-zero-division", "R_eps-overflow"])
+def test_window_arithmetic_stop_fails_the_solve_as_bracket_not_found(params):
+    # admissible inputs whose window leaves the float range: the solve
+    # raises the solver's own BracketNotFound, naming the input
+    from gslab import solve_ground_state
+
+    with pytest.raises(BracketNotFound, match=r"^arithmetic failed in the admissible window "
+                       rf"of {params.family.value} \(N={params.N}, p={params.p}"):
+        solve_ground_state(params)
 
 
 def test_window_raises_as_the_reference(monkeypatch):

@@ -118,8 +118,7 @@ def test_rescaled_profile_builds_its_own_panels(params, rescale, amp_lam_sq):
 # do).
 @pytest.mark.parametrize("params", CASES)
 @pytest.mark.parametrize("rescale, amp_lam_sq", [
-    pytest.param(lambda u: analyze(u).rescaled_to_frame(2.9).profile, lambda N: (1.0, 2.9),
-                 id="frame-S2.9"),
+    pytest.param(lambda u: to_minimizer_frame(u, 2.9), lambda N: (1.0, 2.9), id="frame-S2.9"),
     pytest.param(lambda u: rescale_to_v(u, 9.0), lambda N: (9.0 ** ((N - 2.0) / 2.0), 81.0),
                  id="v-lam9"),
 ])
@@ -187,6 +186,6 @@ def test_scaled_copy_carries_every_other_field():
         for f in dataclasses.fields(src):
             if f.name not in names:
                 assert getattr(copy, f.name) == getattr(src, f.name), f.name
-    frame = sol.rescaled_to_frame(2.9)
+    frame = replace(sol, level_S=2.9).rescaled_to_frame()
     assert (frame.nehari_residual, frame.pokhozhaev_residual) == (sol.nehari_residual,
                                                                   sol.pokhozhaev_residual)

@@ -5,8 +5,10 @@ C kernel's ``admissible_window`` (src/gslab/_dop853.c) is written after.
 the closed forms where lin = 0 or qc = 0, else three Brent loops to 1e-15
 relative (``_f_root``, through ``shooting._bracket_root`` and its
 ``_zeroin``, read at call time, as is ``shooting._MAX_PROBES``).
-``tests/test_roots.py`` checks the kernel against it bit for bit, the
-exceptions included.
+Where a ``**`` or ``/`` of those loops raises, the window raises
+BracketNotFound instead, as the kernel's arithmetic stop does, with what
+Python raised as its cause.  ``tests/test_roots.py`` checks the kernel
+against it bit for bit, the exceptions included.
 """
 
 from gslab import shooting
@@ -48,6 +50,20 @@ def f_positive_roots(params: ProblemParams) -> tuple[float, float | None]:
         # R_zero-like: single root of f at lin^(1/(p-2)); F-zero in closed form
         u_f0 = (p * lin / 2.0) ** (1.0 / (p - 2.0))
         return u_f0, None
+
+    try:
+        return _brent_window(params)
+    except ArithmeticError as exc:
+        raise BracketNotFound(
+            f"arithmetic failed in the admissible window of {params.family.value} "
+            f"(N={params.N}, p={params.p}, q={params.q}, eps={params.eps}): "
+            "a power overflowed or a division was by zero") from exc
+
+
+def _brent_window(params: ProblemParams) -> tuple[float, float]:
+    """(u_F0, u_hi) where lin > 0 and qc > 0: three Brent loops on f and F."""
+    lin, qc = params.linear_coeff, params.q_coeff
+    p, q = params.p, params.q
 
     def g(u):
         return u ** (p - 2.0) - qc * u ** (q - 2.0) - lin
