@@ -607,18 +607,35 @@ out:
 }
 
 
-/* The reference's dense pass: the grid, the four cumulative norms and the
- * quadrature nodes of a run with quadrature, from what dop853_loop left: its
- * grid of n + 1 points (cnt[C_N]), the stage buffer and the state.  Each
- * step's interpolant gives the grid SUB - 1 interior points and SUB Gauss
- * panels of NODES nodes, and the norms are summed over those panels, node
- * by node, after the series piece's on [0, r0] (_series_norms).  moved: a
- * refined event moved the end of the last step, whose (u, u') before it are
- * st[S_UEND], st[S_VEND].  out holds 7 rows of SUB n + 1 points: the radii,
- * values and slopes, then the norms l2, lp, lq and dir.  nodes holds the 4
- * rows r, u, u' and weight (r^(N-1) dr included) of the BALL + SUB NODES n
- * nodes those sums run over, in their order: the series piece's, then each
- * sub-interval's. */
+/* Node `at` of the dense pass's 8 node rows of nn nodes (dop853_dense): r,
+ * u, u', the weight w, then w u^2, w |u|^p, w |u|^q and w u'^2. */
+static void node_rows(double *nodes, int64_t nn, int64_t at, double p, double q, double r,
+                      double u, double v, double w)
+{
+    const double au = fabs(u);
+
+    nodes += at;
+    nodes[0] = r;
+    nodes[nn] = u;
+    nodes[2 * nn] = v;
+    nodes[3 * nn] = w;
+    nodes[4 * nn] = w * u * u;
+    nodes[5 * nn] = w * pow(au, p);
+    nodes[6 * nn] = w * pow(au, q);
+    nodes[7 * nn] = w * v * v;
+}
+
+
+/* The reference's dense pass: the grid and the quadrature nodes of a run
+ * with quadrature, from what dop853_loop left: its grid of n + 1 points
+ * (cnt[C_N]), the stage buffer and the state.  Each step's interpolant gives
+ * the grid SUB - 1 interior points and SUB Gauss panels of NODES nodes.  moved:
+ * a refined event moved the end of the last step, whose (u, u') before it are
+ * st[S_UEND], st[S_VEND].  out holds 3 rows of SUB n + 1 points: the radii,
+ * values and slopes.  nodes holds 8 rows of the BALL + SUB NODES n nodes, in
+ * order the series piece's on [0, r0] (_ball_nodes), then each
+ * sub-interval's: r, u, u' and the weight w (r^(N-1) dr included), then the
+ * norm terms w u^2, w |u|^p, w |u|^q and w u'^2. */
 void dop853_dense(const double *tab, const double *prm, const double *st, const int64_t *cnt,
                   const double *grid, int64_t cap, const double *stages, int moved,
                   double *out, double *nodes)
@@ -629,38 +646,21 @@ void dop853_dense(const double *tab, const double *prm, const double *st, const 
     const int64_t n = cnt[C_N] - 1, m = SUB * n + 1, nn = BALL + SUB * NODES * n;
     const double *rs = grid, *us = grid + cap, *vs = grid + 2 * cap, r0 = rs[0];
     double *radii = out, *values = out + m, *slopes = out + 2 * m;
-    double *l2 = out + 3 * m, *lp = out + 4 * m, *lq = out + 5 * m, *dir = out + 6 * m;
-    double *nr = nodes, *nu = nodes + nn, *nv = nodes + 2 * nn, *nw = nodes + 3 * nn;
-    double s2 = 0.0, sd = 0.0, sp = 0.0, sq = 0.0;
     int64_t i;
-    int j, k, b;
+    int j, k;
 
     /* the series piece on [0, r0]: BALL Gauss nodes, weights r^(N-1) dr */
     for (j = 0; j < BALL; j++) {
         const double rr = r0 * tab[T_BALL_X + j], x = rr * rr;
-        double rn = rr, w, u = coef[ncoef - 1], du = 0.0, v, au;
+        double rn = rr, u = coef[ncoef - 1], du = 0.0;
         for (k = 0; k < powers; k++)
             rn = rn * rr;
-        w = tab[T_BALL_W + j] * r0 * rn;
         for (k = ncoef - 1; k > 0; k--) {
             du = du * x + 2.0 * (double)k * coef[k];
             u = u * x + coef[k - 1];
         }
-        v = du * rr;
-        au = fabs(u);
-        nr[j] = rr;
-        nu[j] = u;
-        nv[j] = v;
-        nw[j] = w;
-        s2 += w * u * u;
-        sd += w * v * v;
-        sp += w * pow(au, p);
-        sq += w * pow(au, q);
+        node_rows(nodes, nn, j, p, q, rr, u, du * rr, tab[T_BALL_W + j] * r0 * rn);
     }
-    l2[0] = s2;
-    dir[0] = sd;
-    lp[0] = sp;
-    lq[0] = sq;
 
     for (i = 0; i < n; i++) {
         const double *s = stages + 16 * i, h = s[0], r = rs[i], hh = rs[i + 1] - r;
@@ -694,41 +694,13 @@ void dop853_dense(const double *tab, const double *prm, const double *st, const 
             slopes[SUB * i + j] = vv[j - 1];
         }
 
-        /* each sub-interval's panel: the terms at its nodes, summed in order */
-        for (b = 0; b < SUB; b++) {
-            const int64_t c = SUB * i + b + 1;
-            for (j = 0; j < NODES; j++) {
-                const int g = SUB - 1 + NODES * b + j;
-                const int64_t at = BALL + NODES * (c - 1) + j;
-                const double rg = rr[g], ug = uu[g], vg = vv[g], au = fabs(ug);
-                double w = tab[T_GW + j] * hh * rg, t2, td, tp, tq;
-                for (k = 0; k < powers; k++)
-                    w *= rg;
-                nr[at] = rg;
-                nu[at] = ug;
-                nv[at] = vg;
-                nw[at] = w;
-                t2 = w * ug * ug;
-                td = w * vg * vg;
-                tp = w * pow(au, p);
-                tq = w * pow(au, q);
-                if (j) {
-                    s2 += t2;
-                    sd += td;
-                    sp += tp;
-                    sq += tq;
-                }
-                else {
-                    s2 = t2;
-                    sd = td;
-                    sp = tp;
-                    sq = tq;
-                }
-            }
-            l2[c] = l2[c - 1] + s2;
-            dir[c] = dir[c - 1] + sd;
-            lp[c] = lp[c - 1] + sp;
-            lq[c] = lq[c - 1] + sq;
+        /* each sub-interval's panel, node by node */
+        for (j = 0; j < SUB * NODES; j++) {
+            const int g = SUB - 1 + j;
+            double w = tab[T_GW + j % NODES] * hh * rr[g];
+            for (k = 0; k < powers; k++)
+                w *= rr[g];
+            node_rows(nodes, nn, BALL + SUB * NODES * i + j, p, q, rr[g], uu[g], vv[g], w);
         }
     }
     radii[m - 1] = rs[n];

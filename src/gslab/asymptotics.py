@@ -5,7 +5,7 @@ lambda_eps at which the ball-mass of |w_eps|^p reaches Q* defines the
 rescaling v_eps(x) = lambda^((N-2)/2) w_eps(lambda x), which converges to
 the Sobolev minimizer W_1; it and the minimizer frame are both
 RadialProfile.scaled.  Q* is emden.q_star(N).  The ball mass of a solved
-profile reads the |w|^p mass the solve co-integrated on its grid (a
+profile at its grid points sums the w |u|^p row of its node rows (a
 closed-form W_lam reads its own, EmdenFowlerProfile.norm_s up to r_hi), and
 Brent's method (shooting._bracket_root) finds lambda inside the grid panel
 that holds it, evaluating that panel's cubic Hermite (or the series
@@ -64,8 +64,9 @@ def concentration_lambda(w: RadialProfile) -> float:
     profile w, by Brent's method.
 
     The grid panel that holds the root, and the mass below it, come from the
-    co-integrated mass omega * grid.norm_lp (the one analyze's L^p norm and
-    the identities read, scaled exactly by RadialProfile.scaled); inside that panel
+    mass at the grid radii (Trajectory.cumulative of the w |u|^p row that
+    analyze's L^p norm and the identities sum, scaled exactly by
+    RadialProfile.scaled); inside that panel
     the mass is a 24-point Gauss sum of that panel's cubic Hermite
     (shooting._hermite on its end points; the series piece below the first
     grid radius), and _bracket_root closes the panel to a relative width of
@@ -76,7 +77,7 @@ def concentration_lambda(w: RadialProfile) -> float:
     p = w.params.p
     Qstar = q_star(N)
     omega = sphere_area(N)
-    cum = omega * w.grid.norm_lp   # cum[i]: the co-integrated mass of B_{rg[i]}
+    cum = omega * w.grid.cumulative(5)   # cum[i]: the mass of B_{rg[i]} (row 5: w |u|^p)
     if cum[-1] < Qstar:
         total = float(cum[-1]) + omega * w.norm_tail(p)
         if total <= Qstar:
@@ -125,8 +126,9 @@ def rescale_to_v(w: RadialProfile, lam: float) -> RadialProfile:
     lam ** 2 is the square the tail correction always took, and its square
     root is lam exactly (pow is within 0.52 ulp, and sqrt maps anything
     within 0.7 ulp of lam^2 back to lam), so every field keeps the bits of
-    the transform written in lam except the norm arrays: their factor
-    (lam ** 2) ** (-N/2) replaces lam ** -N, an ulp or two apart.
+    the transform written in lam except the node rows' weights and norm
+    terms: their factor (lam ** 2) ** (-N/2) replaces lam ** -N, an ulp or
+    two apart.
     """
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")

@@ -11,9 +11,11 @@ level is S = (E / (1/2 - 1/p*))^(2/N) and ||grad u||_2^2 = S^(N/2).  The
 minimizer frame w(y) = u(sqrt(S) y) then satisfies ||grad w||_2^2 = S and
 the constraint p* int F(w) = 1.  It is u.scaled(1, S), the one transform
 amp*u(lam y) of shooting.RadialProfile that asymptotics.rescale_to_v uses
-too.  Norms of a solved RadialProfile sum RadialProfile.quad on the grid
-and norm_tail past it; the closed-form profiles of emden read their own
-(EmdenFowlerProfile.norm_s and dirichlet_sq).
+too.  Norms of a solved RadialProfile are sums over the node rows of its
+grid (Trajectory.nodes) plus norm_tail past it: analyze sums the four
+norm-term rows the final pass wrote, radial_norm and dirichlet_norm take
+RadialProfile.quad of their integrand; the closed-form profiles of emden
+read their own (EmdenFowlerProfile.norm_s and dirichlet_sq).
 """
 
 from __future__ import annotations
@@ -98,17 +100,16 @@ def dirichlet_norm(profile: RadialProfile) -> float:
 
 
 def _norms_from_trajectory(prof: RadialProfile) -> tuple[float, float, float, float]:
-    """(L2^2, Lp^p, Lq^q, dirichlet^2) from co-integrated panels plus tail."""
-    t = prof.grid
-    omega = sphere_area(prof.params.N)
+    """(L2^2, Lp^p, Lq^q, dirichlet^2): the sums of the grid's four norm-term
+    rows (Trajectory.nodes) plus the tails."""
+    l2, lp, lq, dir_ = prof.grid.nodes[4:].sum(axis=1).tolist()
     try:
-        l2 = omega * (float(t.norm_l2[-1]) + prof.norm_tail(2.0))
+        l2 += prof.norm_tail(2.0)
     except DivergentNormError:   # an algebraic tail r^-(N-2) with N <= 4
         l2 = math.inf
-    lp = omega * (float(t.norm_lp[-1]) + prof.norm_tail(prof.params.p))
-    lq = omega * (float(t.norm_lq[-1]) + prof.norm_tail(prof.params.q))
-    dir_sq = omega * (float(t.norm_dir[-1]) + prof.dirichlet_tail())
-    return l2, lp, lq, dir_sq
+    omega = sphere_area(prof.params.N)
+    return (omega * l2, omega * (lp + prof.norm_tail(prof.params.p)),
+            omega * (lq + prof.norm_tail(prof.params.q)), omega * (dir_ + prof.dirichlet_tail()))
 
 
 def energy(params: ProblemParams, l2_sq: float, lp_p: float, lq_q: float,

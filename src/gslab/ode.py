@@ -15,52 +15,52 @@ step that refines one.  A run of an algebraic family without quadrature (a
 P_zero search shot) also ends, as ReachedRmax at its own radius, once the
 far-field constant B of u ~ B + A r^-(N-2) has settled (_SETTLE_MARGIN):
 its class and B are those of the run to r_max, at a fraction of the steps.
-Norm integrands (u^2, |u|^p, |u|^q, u'^2 against r^(N-1) dr) can be
-accumulated alongside the trajectory on the same interpolant: such a run
-(the final pass of a solve) stores every step as _SUB sub-intervals, each
-one Gauss panel, so the grid on which a profile's value and slope read a
-cubic Hermite stays as dense as the steps are long; the norms over [0, r0]
-come from the series piece, and the run keeps every node the norms summed
-(Trajectory.nodes) for the read side's own integrals.  At the far end,
-past the core, u follows the decaying mode r^(-nu) K_nu(k r) (nu = N/2 - 1) of the linear equation, the
-mode of the tail models and the shooting proxy in ``shooting``: _kve gives
-K_nu(x) e^x and K_{nu+1}(x) e^x together, by one upward recurrence from
-closed forms or two trapezoid sums, so gslab imports no scipy.
+A run with quadrature (the final pass of a solve) stores every step as _SUB
+sub-intervals, each one Gauss panel, so the grid on which a profile's value
+and slope read a cubic Hermite stays as dense as the steps are long, and
+keeps the quadrature nodes of its grid as rows (Trajectory.nodes): the
+series piece's on [0, r0], then each panel's on the same interpolant, with
+r, u, u', the weight r^(N-1) dr and the four norm terms (u^2, |u|^p, |u|^q
+and u'^2 times the weight), which every grid integral of the read side sums.
+At the far end, past the core, u follows the decaying mode r^(-nu) K_nu(k r)
+(nu = N/2 - 1) of the linear equation, the mode of the tail models and the
+shooting proxy in ``shooting``: _kve gives K_nu(x) e^x and K_{nu+1}(x) e^x
+together, by one upward recurrence from closed forms or two trapezoid sums,
+so gslab imports no scipy.
 
 Each shot is one call of a C kernel, ``_dop853.c``: the series start, the
-step loop (the twelve stages, the error norm, step control, event
-detection, the stage buffer of a run with quadrature and the settled stop)
-and the refinement of the terminal event; a run with quadrature makes one
-more call, for its dense pass.  The kernel writes into blocks its caller
-owns, and a ``Shot`` holds them for one (params, r_max, StepControls): a
-parameter block of which a shot writes only the amplitude, the state, the
-counters and a grid that only ever grows.  The amplitude search reuses one
-Shot per fidelity for all its shots, and ``Shot.end`` returns what it reads
-of one, the last two grid rows as Python floats (``ShotEnd``); ``integrate``
-runs a fresh Shot and returns its whole grid (a solve's final pass).  With
-quadrature on, each accepted step only appends its stages to a flat
-buffer, and the dense pass builds every step's interpolant, the interior
-grid points, the four cumulative norm arrays and the node rows after the
-loop.  (The kernel's third entry point is not a shot: ``admissible_window``
-finds the window of an amplitude search for ``shooting._f_positive_roots``.)
-Only this module reads the kernel's return codes, and it reports each
-failure as the solver's own error: a shot's step budget, collapsed step or
-failed power or division as an IntegrationFailure with the partial run,
-the window's as BracketNotFound or InternalConsistencyError.  The dense
-pass's powers are libm's ``pow``, and every dot product of the interpolant
-and every sum over nodes runs left to right from 0.0, so no sum goes
-through BLAS, whose kernels add in an order that depends on the CPU.  At import
-``_native.build`` compiles the file once into the cache directory (the
-compiler CPython was built with, -O2 -ffp-contract=off) and ``ode`` loads
-it with ctypes; where it cannot be built or loaded, the import raises
-ImportError.  ``tests/dop853_reference.py`` is the same shot in Python,
-with the same float operations in the same order (``**`` as CPython's
-float_pow, so an overflowing power shrinks a trial step as Python's
-OverflowError does, and the shot fails wherever else Python's ``**`` or
-``/`` raises): ``tests/test_kernel.py`` checks the kernel against it bit for
-bit, ``tests/test_golden.py`` pins the results, and ``tests/test_ode.py``
-checks the stepper against the Dormand-Prince 4(5) loop it replaced and the
-tables against scipy's.
+step loop (the twelve stages, the error norm, step control, event detection,
+the stage buffer of a run with quadrature and the settled stop) and the
+refinement of the terminal event; a run with quadrature makes one more call,
+for its dense pass.  The kernel writes into blocks its caller owns, and a
+``Shot`` holds them for one (params, r_max, StepControls): a parameter block
+of which a shot writes only the amplitude, the state, the counters and a
+grid that only ever grows.  The amplitude search reuses one Shot per
+fidelity for all its shots, and ``Shot.end`` returns what it reads of one,
+the last two grid rows as Python floats (``ShotEnd``); ``integrate`` runs a
+fresh Shot and returns its whole grid (a solve's final pass).  With
+quadrature on, each accepted step only appends its stages to a flat buffer,
+and the dense pass builds every step's interpolant, the interior grid points
+and the node rows after the loop.  (The kernel's third entry point is not a
+shot: ``admissible_window`` finds the window of an amplitude search for
+``shooting._f_positive_roots``.)  Only this module reads the kernel's return
+codes, and it reports each failure as the solver's own error: a shot's step
+budget, collapsed step or failed power or division as an IntegrationFailure
+with the partial run, the window's as BracketNotFound or
+InternalConsistencyError.  The dense pass's powers are libm's ``pow``, and
+every dot product of the interpolant runs left to right from 0.0, so no sum
+goes through BLAS, whose kernels add in an order that depends on the CPU.  At
+import ``_native.build`` compiles the file once into the cache directory
+(the compiler CPython was built with, -O2 -ffp-contract=off) and ``ode``
+loads it with ctypes; where it cannot be built or loaded, the import raises
+ImportError.  ``tests/dop853_reference.py`` is the same shot in Python, with
+the same float operations in the same order (``**`` as CPython's float_pow,
+so an overflowing power shrinks a trial step as Python's OverflowError does,
+and the shot fails wherever else Python's ``**`` or ``/`` raises):
+``tests/test_kernel.py`` checks the kernel against it bit for bit,
+``tests/test_golden.py`` pins the results, and ``tests/test_ode.py`` checks
+the stepper against the Dormand-Prince 4(5) loop it replaced and the tables
+against scipy's.
 """
 
 from __future__ import annotations
@@ -126,27 +126,23 @@ class Trajectory:
     """Accepted-step grid of one outward integration.
 
     A run with quadrature also holds the dense output at _SUB - 1 interior
-    points of every step.  ``norm_*`` arrays are cumulative integrals of the
-    corresponding integrand from 0 to radii[i] (without the sphere-area
-    factor); they are populated only when the integration ran with
-    quadrature enabled, and so are ``series``, the coefficients c_0..c_K of
-    the series piece u = sum c_k r^(2k) on [0, radii[0]], and ``nodes``,
-    the rows r, u, u' and weight (r^(N-1) dr included) of the nodes the
-    norms were summed over: the series piece's _BALL_NODES nodes on
-    [0, radii[0]], then the len(_GX) Gauss nodes of each grid interval in
-    order, u and u' there from the seventh-order interpolant.
-    sum(g(r, u, u') * weight) over them is int_0^R g r^(N-1) dr, R the last
-    radius.
+    points of every step, ``series``, the coefficients c_0..c_K of the
+    series piece u = sum c_k r^(2k) on [0, radii[0]], and ``nodes``, 8 rows
+    over the quadrature nodes of the grid: the series piece's _BALL_NODES
+    nodes on [0, radii[0]], then the len(_GX) Gauss nodes of each grid
+    interval in order, u and u' there from the seventh-order interpolant.
+    The rows are r, u, u', the weight w (r^(N-1) dr included), then the norm
+    terms w u^2, w |u|^p, w |u|^q and w u'^2.
+    sum(g(r, u, u') * w) over the nodes is int_0^R g r^(N-1) dr, R the last
+    radius, and the terms' sums over the first _BALL_NODES + len(_GX) i
+    nodes are the norms' integrals from 0 to radii[i] (without the
+    sphere-area factor).
     """
 
     radii: np.ndarray
     values: np.ndarray
     slopes: np.ndarray
     terminal_event: TerminalEvent
-    norm_l2: np.ndarray | None = None
-    norm_lp: np.ndarray | None = None
-    norm_lq: np.ndarray | None = None
-    norm_dir: np.ndarray | None = None
     rhs_evals: int = 0
     series: tuple[float, ...] | None = None
     nodes: np.ndarray | None = None
@@ -164,21 +160,22 @@ class Trajectory:
         and the node rows of the n - 1 grid intervals they span."""
         if n >= len(self.radii):
             return self
-        cut = slice(0, n)
         return Trajectory(
-            radii=self.radii[cut],
-            values=self.values[cut],
-            slopes=self.slopes[cut],
+            radii=self.radii[:n],
+            values=self.values[:n],
+            slopes=self.slopes[:n],
             terminal_event=TerminalEvent.REACHED_RMAX,
-            norm_l2=None if self.norm_l2 is None else self.norm_l2[cut],
-            norm_lp=None if self.norm_lp is None else self.norm_lp[cut],
-            norm_lq=None if self.norm_lq is None else self.norm_lq[cut],
-            norm_dir=None if self.norm_dir is None else self.norm_dir[cut],
             rhs_evals=self.rhs_evals,
             series=self.series,
             nodes=(None if self.nodes is None
                    else self.nodes[:, :_BALL_NODES + len(_GX) * (n - 1)]),
         )
+
+    def cumulative(self, row: int) -> np.ndarray:
+        """Node row ``row`` summed from 0 to each grid radius: over the series
+        piece's nodes, then over each grid interval's, added up in order."""
+        starts = np.r_[0, _BALL_NODES + len(_GX) * np.arange(len(self.radii) - 1)]
+        return np.cumsum(np.add.reduceat(self.nodes[row], starts))
 
 
 class IntegrationFailure(RuntimeError):
@@ -701,7 +698,7 @@ def integrate(
     output to _EVENT_TOL relative accuracy.  An algebraic run without
     quadrature also ends as ReachedRmax where B has settled (_SETTLE_G).
     With tol.with_quadrature the grid also holds _SUB - 1 interior points of
-    every step, and the norm arrays are filled.
+    every step, and the series and node rows are filled.
 
     One call of the C kernel on a fresh Shot: the series start, the step
     loop and the event refinement, and for a run with quadrature one more
@@ -719,10 +716,10 @@ def integrate(
     # the dense pass as one more call, into the rows of out and nodes (a
     # start that failed has no rows to pass over)
     if tol.with_quadrature and n:
-        out = np.empty((7, _SUB * (n - 1) + 1))
-        t.nodes = np.empty((4, _BALL_NODES + _SUB * len(_GX) * (n - 1)))
+        out = np.empty((3, _SUB * (n - 1) + 1))
+        t.nodes = np.empty((8, _BALL_NODES + _SUB * len(_GX) * (n - 1)))
         _kernel.dense(*shot._args, code in _REFINED, out.ctypes.data, t.nodes.ctypes.data)
-        t.radii, t.values, t.slopes, t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir = out
+        t.radii, t.values, t.slopes = out
         t.rhs_evals += 3 * (n - 1)
         t.series = tuple(shot._st[_S_COEFFS:])
     shot._check(code, t)

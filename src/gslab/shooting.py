@@ -50,10 +50,10 @@ tight if it was loose, drops a bracket hint if it checked one, and
 otherwise ends the solve with that error.
 
 A solved profile is a RadialProfile, which owns its read side: its
-integrals over the grid (quad, on the node rows its final pass summed its
-norms on, ode.Trajectory.nodes), its copy amp u(lam y) (scaled, which
-scales those rows), and u and u' anywhere (value, slope: a cubic Hermite
-of the grid).  Beyond the grid it is its TailModel, whose evaluate gives (u, u')
+integrals over the grid (quad, on the node rows of its final pass,
+ode.Trajectory.nodes, whose four norm-term rows analyze sums), its copy
+amp u(lam y) (scaled, which scales those rows), and u and u' anywhere
+(value, slope: a cubic Hermite of the grid).  Beyond the grid it is its TailModel, whose evaluate gives (u, u')
 from one evaluation of the decaying mode (K_nu e^x and K_{nu+1} e^x from
 one ode._kve call) and of the correction's pieces.  An exponential tail is
 evaluated once on 16 Gauss panels of 16 nodes with geometric edges over
@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -114,6 +115,9 @@ class ShootControls:
 _MAX_PROBES = 200             # the most evaluations of f one _bracket_root call (or
                               # root loop of ode.admissible_window) makes
 _CONVERGENCE_FACTOR = 1e-8    # an exponential run that reaches r_max below this * a is Converged
+# the least u_F0 a solve takes: lo u_F0 in the lower scan's sqrt and the
+# norms, of order u_F0^2, stay above the smallest normal float
+_MIN_WINDOW = math.sqrt(sys.float_info.min)
 
 
 @dataclass
@@ -280,9 +284,8 @@ class RadialProfile:
     amp_error: float = 0.0
 
     def __post_init__(self):
-        g = self.grid
-        if any(a is None for a in (g.norm_l2, g.norm_lp, g.norm_lq, g.norm_dir, g.nodes)):
-            raise ValueError("profile grid has no co-integrated norm arrays and node rows")
+        if self.grid.nodes is None:
+            raise ValueError("profile grid has no node rows: its run had no quadrature")
 
     @functools.cached_property
     def far_field(self) -> _FarField | None:
@@ -311,27 +314,27 @@ class RadialProfile:
     def quad(self, integrand):
         """int integrand(r, u, u') r^(N-1) dr over [0, R], R the grid end:
         the sum of integrand times weight over the grid's node rows
-        (Trajectory.nodes), the nodes the final pass co-integrated its norms
-        on, with u and u' from its seventh-order interpolant.
+        (Trajectory.nodes, rows 0-3: r, u, u' and the weight), with u and u'
+        from the final pass's seventh-order interpolant.
 
         ``integrand`` may return a stack of k rows (shape (k,) + r.shape),
         several integrands on one node set: the result is then a list of k
         integrals, each summed from its own row alone, so it has the bits of
         that integrand passed by itself.
         """
-        r, u, du, w = self.grid.nodes
+        r, u, du, w = self.grid.nodes[:4]
         vals = integrand(r, u, du) * w
         if vals.ndim == 1:
             return float(np.sum(vals))
         return [float(np.sum(v)) for v in vals]
 
     def scaled(self, amp: float, lam_sq: float) -> RadialProfile:
-        """amp * u(lam y), lam = sqrt(lam_sq): grid, norm arrays
-        (ProblemParams.norm_factors), series piece, node rows and tail
-        (TailModel.scaled) reparameterized exactly, every other field (the
-        counters) carried.  The node rows take the factors (1/lam, amp,
-        amp lam, lam_sq^(-N/2)) of r, u, u' and the weight; the copy builds
-        its own far field.
+        """amp * u(lam y), lam = sqrt(lam_sq): grid, series piece, node
+        rows and tail (TailModel.scaled) reparameterized exactly, every other
+        field (the counters) carried.  The node rows take the factors (1/lam,
+        amp, amp lam, lam_sq^(-N/2)) of r, u, u' and the weight, and the
+        norm terms ProblemParams.norm_factors; the copy builds its own far
+        field.
 
         The scale enters squared so that both callers keep their bits: the
         minimizer frame passes S, so each factor is the power of S it always
@@ -339,14 +342,13 @@ class RadialProfile:
         """
         lam = math.sqrt(lam_sq)
         t = self.grid
-        l2, lp, lq, dir_ = self.params.norm_factors(amp, lam_sq)
-        fac = np.array([[1.0 / lam], [amp], [amp * lam], [lam_sq ** (-self.params.N / 2.0)]])
+        fac = np.array([1.0 / lam, amp, amp * lam, lam_sq ** (-self.params.N / 2.0),
+                        *self.params.norm_factors(amp, lam_sq)])
         grid = Trajectory(
             radii=t.radii / lam, values=t.values * amp, slopes=t.slopes * (amp * lam),
-            terminal_event=t.terminal_event, norm_l2=t.norm_l2 * l2, norm_lp=t.norm_lp * lp,
-            norm_lq=t.norm_lq * lq, norm_dir=t.norm_dir * dir_, rhs_evals=t.rhs_evals,
+            terminal_event=t.terminal_event, rhs_evals=t.rhs_evals,
             series=tuple(amp * c * lam_sq ** k for k, c in enumerate(t.series)),
-            nodes=t.nodes * fac)
+            nodes=t.nodes * fac[:, None])
         return RadialProfile(
             params=self.params, amplitude=self.amplitude * amp, grid=grid,
             tail=self.tail.scaled(amp, lam_sq), bisection_iterations=self.bisection_iterations,
@@ -735,7 +737,8 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
     the solve, and ``loose_integrations`` those at the loose step controls.
 
     Raises BracketNotFound if no (undershoot, overshoot) pair exists in the
-    admissible window, which for family P_eps signals eps >= eps*.
+    admissible window, which for family P_eps signals eps >= eps*, or if the
+    window starts below _MIN_WINDOW (0 < u_F0 < 1.49e-154).
     """
     if params.family is Family.P_EPS:
         if params.eps <= 0.0:
@@ -747,6 +750,11 @@ def find_ground_state(params: ProblemParams, ctrl: ShootControls = ShootControls
             )
 
     u_f0, u_hi = _f_positive_roots(params)
+    if 0.0 < u_f0 < _MIN_WINDOW:
+        raise BracketNotFound(
+            f"the admissible window of {params.family.value} (N={params.N}, p={params.p}, "
+            f"q={params.q}, eps={params.eps}) starts at u_F0 = {u_f0:.6g}, below the float "
+            "range of the search and the norms; R_eps, the rescaled family, solves it")
     lo_seed = (u_f0 if u_f0 > 0.0 else _pohozaev_root(params)) * (1.0 + 1e-9)
     hi_seed = u_hi * (1.0 - 1e-9) if u_hi is not None else None
 

@@ -138,25 +138,22 @@ def _ball_nodes(N: int, r0: float) -> tuple[np.ndarray, np.ndarray]:
     return rr, _BALL_W * r0 * rn
 
 
-def _series_norms(params: ProblemParams, coeffs: tuple[float, ...], r0: float) -> tuple:
-    """(l2, dir, lp, lq) over [0, r0] from the series piece, by Gauss-Legendre
-    on ode's _BALL_NODES nodes, each summed left to right (_sum), and the
-    node rows (r, u, u', weight) they are summed over."""
-    rr, wt = _ball_nodes(params.N, r0)
-    u, v = series_piece(coeffs, rr)
+def _node_rows(params: ProblemParams, r, u, v, wt) -> np.ndarray:
+    """The 8 node rows of the kernel's dense pass at nodes r with (u, u') and
+    weights wt (any shape, flattened in order): r, u, u', wt, then the norm
+    terms wt u^2, wt |u|^p, wt |u|^q and wt u'^2."""
     au = np.abs(u)
-    return tuple(_sum(x.tolist()) for x in (wt * u * u, wt * v * v,
-                                            wt * np.float_power(au, params.p),
-                                            wt * np.float_power(au, params.q))), (rr, u, v, wt)
+    rows = (r, u, v, wt, wt * u * u, wt * np.float_power(au, params.p),
+            wt * np.float_power(au, params.q), wt * v * v)
+    return np.array([np.ravel(x) for x in rows])
 
 
 def _dense_pass(params: ProblemParams, coeffs: tuple, k1: float, stages, radii: np.ndarray,
                 values: np.ndarray, slopes: np.ndarray, end: tuple | None):
-    """The final pass's grid and norms, one numpy pass over its steps.
+    """The final pass's grid and node rows, one numpy pass over its steps.
 
     Each step's interpolant (its three extra stages included) gives the
-    grid _SUB - 1 interior points and _SUB Gauss panels, and the four
-    cumulative norm arrays are summed over those panels after the in-ball
+    grid _SUB - 1 interior points and _SUB Gauss panels, after the in-ball
     piece [0, r0] from the series polynomial.  ``stages`` holds (h, u' at
     the stages 6-12, u'' at the stages 6-13) of every accepted step, as
     ``integrate`` numbers them (stage 13 is the FSAL one); ``k1`` is the
@@ -164,18 +161,16 @@ def _dense_pass(params: ProblemParams, coeffs: tuple, k1: float, stages, radii: 
     stage 13), and ``end`` is (u, u') at the end of the last step before an
     event moved it (None if no event did).
 
-    Returns the dense (radii, values, slopes), the norms (l2, lp, lq, dir)
-    on it, the node rows (r, u, u', weight) the norms are summed over (the
-    series piece's, then each sub-interval's Gauss nodes in order), and the
-    RHS evaluations made: the reference of the kernel's dop853_dense.
+    Returns the dense (radii, values, slopes), the 8 node rows (_node_rows)
+    of the series piece's nodes, then each sub-interval's Gauss nodes in
+    order, and the RHS evaluations made: the reference of the kernel's
+    dop853_dense.
     """
     n = len(radii) - 1
-    out = np.empty((4, _SUB * n + 1))   # rows l2, dir, lp, lq
-    out[:, 0], ball = _series_norms(params, coeffs, float(radii[0]))
-    nodes = np.empty((4, len(ball[0]) + _SUB * len(_GX) * n))
-    nodes[:, :len(ball[0])] = ball
+    rr, wt = _ball_nodes(params.N, float(radii[0]))
+    ball = _node_rows(params, rr, *series_piece(coeffs, rr), wt)
     if not n:
-        return (radii, values, slopes), (out[0], out[2], out[3], out[1]), nodes, 0
+        return (radii, values, slopes), ball, 0
     # (a refinement that failed left one step more in stages than on the grid)
     st = np.frombuffer(stages, count=16 * n).reshape(n, 16).T
     h, r = st[0], radii[:-1]
@@ -205,17 +200,9 @@ def _dense_pass(params: ProblemParams, coeffs: tuple, k1: float, stages, radii: 
     wt = _GW_SUB * hh * rg
     for _ in range(params.N - 2):   # r^(N-1) by products: N is an integer
         wt *= rg
-    for row, x in zip(nodes, (rg, ug, vg, wt)):   # in (step, sub-interval, node) order
-        row[len(ball[0]):] = x.transpose(2, 0, 1).ravel()
-    pq = np.array([params.p, params.q])[:, None, None, None]
-    terms = np.empty((4,) + shape)
-    np.multiply(wt * ug, ug, out=terms[0])
-    np.multiply(wt * vg, vg, out=terms[1])
-    np.multiply(wt, np.float_power(np.abs(ug), pq), out=terms[2:])
-    # summed over the nodes as ((t0 + t1) + t2) + t3, then cumulatively
-    out[:, 1:] = terms.sum(axis=2).transpose(0, 2, 1).reshape(4, _SUB * n)
-    out = np.add.accumulate(out, axis=1)
-    return tuple(grid), (out[0], out[2], out[3], out[1]), nodes, 3 * n
+    # in (step, sub-interval, node) order
+    panels = _node_rows(params, *(x.transpose(2, 0, 1) for x in (rg, ug, vg, wt)))
+    return tuple(grid), np.concatenate((ball, panels), axis=1), 3 * n
 
 
 def _trajectory(rs, us, vs, nfev: int, quad: tuple | None,
@@ -223,13 +210,12 @@ def _trajectory(rs, us, vs, nfev: int, quad: tuple | None,
     """The grid so far, as a ReachedRmax trajectory.  ``quad`` is None, or
     _dense_pass' (params, coeffs, k1, stages) of a run with quadrature."""
     radii, values, slopes = np.asarray(rs), np.asarray(us), np.asarray(vs)
-    norms, series, nodes = (None,) * 4, None, None
+    series, nodes = None, None
     if quad is not None:
-        (radii, values, slopes), norms, nodes, extra = _dense_pass(*quad, radii, values, slopes,
-                                                                   end)
+        (radii, values, slopes), nodes, extra = _dense_pass(*quad, radii, values, slopes, end)
         nfev += extra
         series = quad[1]
-    t = Trajectory(
+    return Trajectory(
         radii=radii,
         values=values,
         slopes=slopes,
@@ -238,8 +224,6 @@ def _trajectory(rs, us, vs, nfev: int, quad: tuple | None,
         series=series,
         nodes=nodes,
     )
-    t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir = norms
-    return t
 
 
 def _arithmetic_failure(r: float, partial: Trajectory) -> IntegrationFailure:

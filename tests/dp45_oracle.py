@@ -4,7 +4,7 @@ A tolerance oracle for ``gslab.ode.integrate``: the same hand-off, first
 step, step controller (exponent 1/5), events and event refinement (bisection
 on Shampine's quartic dense output), with the tableau of Dormand & Prince
 (1980).  It returns (radii, values, slopes, terminal event, terminal
-radius, RHS evaluations); norms are not co-integrated.
+radius, RHS evaluations); it forms no norms.
 """
 
 import math

@@ -1,5 +1,5 @@
-"""How close the default solve is to the truth, and how close the read side is
-to the co-integrated norms.
+"""How close the default solve is to the truth, and how close the read side's
+integrals are to analyze's norms.
 
 The amplitude search stops within amp_tol/2 of the root of the shooting
 proxy, but the proxy is read off trajectories the integrator resolves only
@@ -13,10 +13,11 @@ starts every shot from the second-order Taylor piece the solver started
 from before the series piece, so the check does not rest on the series.
 
 The read side's integrals (radial_norm, dirichlet_norm, the profile
-distances) sum the node rows the final pass co-integrated its norms on, u
-and u' from the seventh-order interpolant.  On the same profiles that route
-must match the co-integrated norms within 1e-13: the nodes and weights are
-the same, and only the order of the sums and the powers' rounding differ.
+distances) sum their integrands against the weight row of the final pass's
+node rows, u and u' from the seventh-order interpolant; analyze sums the
+norm-term rows the final pass wrote on the same nodes.  On the same profiles
+the two must match within 1e-13: the nodes and weights are the same, and
+only the order of the products and the powers' rounding differ.
 """
 
 import math

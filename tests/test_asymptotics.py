@@ -60,12 +60,12 @@ def test_concentration_error_when_mass_too_small(identity_solutions, monkeypatch
 
 
 def test_concentration_error_when_radius_is_past_the_grid(identity_solutions, monkeypatch):
-    # Q* above the grid's co-integrated mass but below the total with the
-    # tail: the radius lies past the stored grid
+    # Q* above the grid's mass but below the total with the tail: the radius
+    # lies past the stored grid
     sol = identity_solutions[(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)]
     w = sol.rescaled_to_frame().profile
     omega = sphere_area(5)
-    grid = omega * float(w.grid.norm_lp[-1])
+    grid = omega * float(w.grid.cumulative(5)[-1])
     Qstar = grid + 0.5 * omega * w.norm_tail(w.params.p)
     assert grid < Qstar
     monkeypatch.setattr(asymptotics, "q_star", lambda N: Qstar)
@@ -184,6 +184,17 @@ def test_sweep_point_records_a_window_arithmetic_stop():
     pt = asymptotics._solve_point(spec, asymptotics.regime_row("subcritical"), 1.88e-7, None, {})
     assert not pt.converged
     assert pt.failure.startswith("BracketNotFound: arithmetic failed in the admissible window")
+
+
+def test_sweep_point_records_a_window_below_the_float_range():
+    # a subcritical P_eps point whose window starts below sqrt(float min)
+    # (u_F0 = 1.9e-207) is a recorded failure, the solver's own
+    # BracketNotFound, where the solve raised a bare ValueError
+    spec = SweepSpec(regime="subcritical", N=5, q=2.4277106147499805, p=2.0409218385713364)
+    pt = asymptotics._solve_point(spec, asymptotics.regime_row("subcritical"),
+                                  3.4748803381085748e-09, None, {})
+    assert not pt.converged
+    assert pt.failure.startswith("BracketNotFound: the admissible window of P_eps")
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):

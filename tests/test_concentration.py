@@ -3,8 +3,11 @@
 ``asymptotics.concentration_lambda`` closes the grid panel that holds the
 root with Brent's method (``shooting._bracket_root``) at a relative width of
 1e-13.  The loop below is the reference: a bisection of the same panel with
-one 24-point Gauss sum of the ball mass per mid, bracketed by the
-co-integrated mass of the grid (``grid.norm_lp``), down to the width
+one 24-point Gauss sum of the ball mass per mid, bracketed by the mass
+at the grid radii (``Trajectory.cumulative`` of the final pass's w |u|^p
+node row: summed over the series piece and each grid panel, then added up
+in order; held against that row's sum over each truncated grid), down to
+the width
 1e-13 * max(1, b).  The two radii must agree within that stop width plus
 2e-13 relative, wherever the root lies: in the series piece below the first
 grid radius, in the first grid panel, inside the grid and in the last
@@ -19,7 +22,8 @@ import math
 import numpy as np
 import pytest
 
-from gslab import Family, ProblemParams, asymptotics, concentration_lambda, solve_ground_state
+from gslab import (Family, ProblemParams, asymptotics, concentration_lambda, ode,
+                   solve_ground_state)
 from gslab.emden import _leggauss, q_star
 from gslab.params import sphere_area
 from gslab.shooting import _hermite_eval
@@ -28,7 +32,7 @@ from gslab.shooting import _hermite_eval
 def _lambda_loop(w, Qstar, visits=None):
     N, p = w.params.N, w.params.p
     omega = sphere_area(N)
-    cum = omega * w.grid.norm_lp
+    cum = omega * w.grid.cumulative(5)
     idx = int(np.searchsorted(cum, Qstar))
     rg = w.grid.radii
     lo = 0.0 if idx == 0 else float(rg[idx - 1])
@@ -127,7 +131,7 @@ def test_lambda_matches_scalar_bisection(params, frames, mass_evaluations, monke
 def test_lambda_matches_scalar_bisection_in_every_piece(params, where, frames,
                                                          mass_evaluations, monkeypatch):
     w = frames(params)
-    cum = sphere_area(params.N) * w.grid.norm_lp
+    cum = sphere_area(params.N) * w.grid.cumulative(5)
     # the last panel that adds more than rounding: further out the prefix sums
     # are flat, and a Q* there would not lie below the total mass
     last = int(np.nonzero(np.diff(cum) > 1e-12 * cum[-1])[0][-1]) + 1
@@ -148,3 +152,19 @@ def test_lambda_matches_scalar_bisection_with_qstar_at_each_mid(params, frames,
     assert len(visits) > 30
     for Qstar in visits:
         _check(w, Qstar, mass_evaluations, monkeypatch)
+
+
+@pytest.mark.parametrize("params", CRITICAL)
+def test_grid_mass_is_the_term_row_summed_to_each_radius(params, frames):
+    # concentration_lambda's mass at grid radius k, over omega, is the
+    # w |u|^p row (node row 5) summed over the nodes of the grid truncated
+    # there: the series piece alone at k = 0, then ball and panels up to k (reduceat's offsets shifted by one node
+    # move the first two by 2.5e-4 relative or more; the last sums every
+    # node either way)
+    w = frames(params)
+    cum = w.grid.cumulative(5)
+    assert len(cum) == len(w.grid.radii)
+    for k in (0, len(cum) // 3, len(cum) - 1):
+        row = w.grid.truncated(k + 1).nodes[5]
+        assert len(row) == ode._BALL_NODES + len(ode._GX) * k
+        assert cum[k] == pytest.approx(float(np.sum(row)), rel=1e-14, abs=0.0)

@@ -73,7 +73,8 @@ def test_norm_requires_s_at_least_one(identity_solutions):
 
 def test_grid_norms_match_co_integrated(identity_solutions):
     # the read side's quadrature on the grid's node rows against the norms
-    # accumulated alongside the integration on the same nodes
+    # analyze sums from the norm-term rows the final pass wrote on the same
+    # nodes
     for key in [(3, 4.0, 6.0, 1e-2, Family.P_EPS), (5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)]:
         sol = identity_solutions[key]
         p = sol.params.p
@@ -203,11 +204,12 @@ def test_frame_energy_is_the_energy_of_its_own_norms(identity_solutions):
 
 def test_read_side_builds_the_panels_once(identity_solutions, monkeypatch):
     # the read side builds no panels of its own: radial_norm, dirichlet_norm
-    # and profile_distances sum their integrands against the node rows the
-    # final pass co-integrated its norms on, and the minimizer frame and v
-    # carry their source's rows times the transform's factors (1/lam, amp,
-    # amp lam, lam_sq^(-N/2)) on r, u, u' and the weight, bit for bit; the
-    # concentration radius reads the co-integrated mass and no node row
+    # and profile_distances sum their integrands against the final pass's
+    # node rows, and the minimizer frame and v carry their source's rows times
+    # the transform's factors (1/lam, amp, amp lam, lam_sq^(-N/2)) on r, u,
+    # u' and the weight and ProblemParams.norm_factors on the four norm
+    # terms, bit for bit; the concentration radius reads the w |u|^p term
+    # row and takes no quad
     sol = identity_solutions[(5, 10.0 / 3.0, 6.0, 1e-3, Family.P_EPS)]
     N, p = sol.params.N, sol.params.p
     u = sol.profile
@@ -226,10 +228,11 @@ def test_read_side_builds_the_panels_once(identity_solutions, monkeypatch):
     for src, copy, (amp, lam_sq) in ((u, w, (1.0, sol.level_S)),
                                      (w, v, (lam ** ((N - 2.0) / 2.0), lam ** 2))):
         scale = math.sqrt(lam_sq)
-        factors = (1.0 / scale, amp, amp * scale, lam_sq ** (-N / 2.0))
+        factors = (1.0 / scale, amp, amp * scale, lam_sq ** (-N / 2.0),
+                   *sol.params.norm_factors(amp, lam_sq))
         for got, row, fac in zip(copy.grid.nodes, src.grid.nodes, factors, strict=True):
             assert got.tobytes() == (row * fac).tobytes()
-    r, x, dx, weight = v.grid.nodes
+    r, x, dx, weight = v.grid.nodes[:4]
     omega = sphere_area(N)
     assert radial_norm(v, p) == omega * (float(np.sum(np.abs(x) ** p * weight)) + v.norm_tail(p))
     assert dirichlet_norm(v) == omega * (float(np.sum(dx * dx * weight)) + v.dirichlet_tail())

@@ -3,7 +3,14 @@
 A speed-up of the solver counts only if its results match the old code
 bitwise, or if a stated tolerance covers the difference.  The values below
 are ``float.hex`` of the solution and SHA-256 digests of its grid and norm
-arrays, last taken when the final pass's dense output began to sum every
+arrays.  The kernel's dense pass no longer keeps running norm sums: it
+writes each node's norm terms as node rows, and ``analyze`` sums those rows.
+The grid-end norms and the digests of the running sums are rebuilt from the
+rows in the kernel's old order (``_cumulative``) and keep their bits; the
+level and Nehari pins that ``analyze`` reads were re-pinned then
+(CUMULATIVE_PINS), and every older pin of them is held against the old
+route (``_cumulative_route``), which still gives their bits.  The pins
+were taken before that when the final pass's dense output began to sum every
 dot product of its interpolant and every series-piece norm left to right
 (in the C kernel, as ``_dot`` and ``_series_norms`` of its Python
 reference, ``tests/dop853_reference.py``, do), so that no pin goes through
@@ -58,18 +65,33 @@ from gslab import Family, ProblemParams, ShootControls, SweepSpec, solve_ground_
 # start
 GOLDEN = [
     pytest.param(ProblemParams(3, 6.0, 10.0, 1e-3, Family.P_EPS),
-                 "0x1.bb150da6eea8fp-1", "0x1.9e6885dd5e48bp+2", "0x1.b3093e27c7ca6p-45",
+                 "0x1.bb150da6eea8fp-1", "0x1.9e6885dd5e48ep+2", "0x1.bacdfab1a2371p-45",
                  1795, id="P_eps-N3-p6-q10-eps1e-3"),
     pytest.param(ProblemParams(3, 8.0, 12.0, 0.0, Family.P_ZERO),
-                 "0x1.f0dc838910f40p-1", "0x1.0ba01b5dca20ep+3", "0x1.efa805d663a19p-42",
+                 "0x1.f0dc838910f40p-1", "0x1.0ba01b5dca211p+3", "0x1.f24d6fb3d425ap-42",
                  3277, id="P_zero-N3-p8-q12"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 0.0, Family.R_ZERO),
-                 "0x1.1597c27ee4ce0p+2", "0x1.d83d9226e4130p+3", "0x1.7d927eddbf380p-45",
+                 "0x1.1597c27ee4ce0p+2", "0x1.d83d9226e4134p+3", "0x1.7a2f7dbd7ba0fp-45",
                  1639, id="R_zero-N3-p4-q6"),
     pytest.param(ProblemParams(3, 4.0, 6.0, 1e-2, Family.R_EPS),
-                 "0x1.0b612fe40a280p+2", "0x1.eb9fac3de8d89p+3", "0x1.e5b449297bd1cp-45",
+                 "0x1.0b612fe40a280p+2", "0x1.eb9fac3de8d8dp+3", "0x1.e4a434d5ed434p-45",
                  1648, id="R_eps-N3-p4-q6-eps1e-2"),
 ]
+
+# The pins taken while analyze read its four norms off the kernel's running
+# sums (the route _cumulative_route restores, which still gives their bits):
+# (level_S, nehari_residual).  As sums of the norm-term rows the levels moved
+# by at most 6.7e-16 relative (held at 1e-14) and the Nehari residuals by at
+# most 2.4e-15 absolute (held at 1e-14 absolute); amplitudes and RHS counts
+# did not move.
+CUMULATIVE_PINS = {
+    Family.P_EPS: ("0x1.9e6885dd5e48bp+2", "0x1.b3093e27c7ca6p-45"),
+    Family.P_ZERO: ("0x1.0ba01b5dca20ep+3", "0x1.efa805d663a19p-42"),
+    Family.R_ZERO: ("0x1.d83d9226e4130p+3", "0x1.7d927eddbf380p-45"),
+    Family.R_EPS: ("0x1.eb9fac3de8d89p+3", "0x1.e5b449297bd1cp-45"),
+}
+CUMULATIVE_TOL = 1e-14   # relative: the level
+CUMULATIVE_NEHARI_ABS = 1e-14
 
 # The pins taken while the final pass's dense output summed the dot
 # products of its interpolant through OpenBLAS's gemv (its SkylakeX kernel;
@@ -165,7 +187,8 @@ DP45_PINS = {
 }
 
 # (params, grid.norm_lp[-1], grid.norm_dir[-1], profile.rhs_evals): the
-# co-integrated Gauss panels of the final pass, and the RHS work of the
+# Gauss panels of the final pass (the running sums, rebuilt from its
+# norm-term rows by _cumulative), and the RHS work of the
 # solve (8154, 25488, 9191 and 7540 from the second-order start, P_zero's
 # lower scan from 1e-3 u_hi; 8212 and 15527 for P_eps and P_zero while it
 # took a closing shot and P_zero's shots ran to r_max)
@@ -238,6 +261,62 @@ def _near(value, pin, rel):
     return value == pytest.approx(float.fromhex(pin), rel=rel, abs=0.0)
 
 
+def _cumulative(grid) -> np.ndarray:
+    """The kernel's old running sums (norm_l2, norm_lp, norm_lq, norm_dir) at
+    every grid point, rebuilt from the grid's norm-term rows in its order:
+    the series piece's terms added left to right from 0.0, then each grid
+    panel's as ((t0 + t1) + t2) + t3, added up in order."""
+    from dop853_reference import _sum
+    from gslab import ode
+
+    rows, ball = grid.nodes[4:], ode._BALL_NODES
+    panels = rows[:, ball:].reshape(4, len(grid.radii) - 1, len(ode._GX))
+    sums = np.empty((4, len(grid.radii)))
+    sums[:, 0] = [_sum(row[:ball].tolist()) for row in rows]
+    sums[:, 1:] = ((panels[..., 0] + panels[..., 1]) + panels[..., 2]) + panels[..., 3]
+    return np.add.accumulate(sums, axis=1)
+
+
+def _cumulative_route(fn):
+    """fn() with analyze's norms and concentration_lambda's grid mass
+    (Trajectory.cumulative) read off the running sums (_cumulative), as
+    before they summed the rows: a scaled copy's grid carries its source's
+    sums times ProblemParams.norm_factors."""
+    import math
+
+    from gslab import DivergentNormError, functionals, ode, shooting
+    from gslab.params import sphere_area
+
+    def sums(grid):
+        kept = grid.__dict__.get("running_sums")
+        return _cumulative(grid) if kept is None else kept
+
+    real = shooting.RadialProfile.scaled
+
+    def scaled(self, amp, lam_sq):
+        copy = real(self, amp, lam_sq)
+        factors = np.array(self.params.norm_factors(amp, lam_sq))[:, None]
+        copy.grid.running_sums = sums(self.grid) * factors
+        return copy
+
+    def norms(prof):
+        l2, lp, lq, dir_ = sums(prof.grid)[:, -1].tolist()
+        omega = sphere_area(prof.params.N)
+        try:
+            l2 = omega * (l2 + prof.norm_tail(2.0))
+        except DivergentNormError:
+            l2 = math.inf
+        return (l2, omega * (lp + prof.norm_tail(prof.params.p)),
+                omega * (lq + prof.norm_tail(prof.params.q)),
+                omega * (dir_ + prof.dirichlet_tail()))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(shooting.RadialProfile, "scaled", scaled)
+        m.setattr(functionals, "_norms_from_trajectory", norms)
+        m.setattr(ode.Trajectory, "cumulative", lambda grid, row: sums(grid)[row - 4])
+        return fn()
+
+
 @pytest.mark.parametrize("params, amplitude, level_S, nehari, rhs_evals", GOLDEN)
 def test_solve_matches_golden_bitwise(params, amplitude, level_S, nehari, rhs_evals):
     sol = solve_ground_state(params)
@@ -245,6 +324,13 @@ def test_solve_matches_golden_bitwise(params, amplitude, level_S, nehari, rhs_ev
     assert sol.level_S.hex() == level_S
     assert sol.nehari_residual.hex() == nehari
     assert sol.profile.grid.rhs_evals == rhs_evals
+    old_level_S, old_nehari = CUMULATIVE_PINS[params.family]
+    assert _near(sol.level_S, old_level_S, CUMULATIVE_TOL)
+    assert sol.nehari_residual == pytest.approx(float.fromhex(old_nehari), rel=0.0,
+                                                abs=CUMULATIVE_NEHARI_ABS)
+    # the older pins, on the running sums' route they were taken on
+    sol = _cumulative_route(lambda: solve_ground_state(params))
+    assert (sol.level_S.hex(), sol.nehari_residual.hex()) == (old_level_S, old_nehari)
     old_level_S, old_nehari = GEMV_PINS[params.family][:2]
     assert _near(sol.level_S, old_level_S, GEMV_TOL)
     assert sol.nehari_residual == pytest.approx(float.fromhex(old_nehari), rel=0.0,
@@ -270,28 +356,29 @@ def test_solve_matches_golden_bitwise(params, amplitude, level_S, nehari, rhs_ev
 @pytest.mark.parametrize("params, norm_lp, norm_dir, rhs_evals", PANELS)
 def test_panels_match_golden_bitwise(params, norm_lp, norm_dir, rhs_evals):
     prof = solve_ground_state(params).profile
-    assert float(prof.grid.norm_lp[-1]).hex() == norm_lp
-    assert float(prof.grid.norm_dir[-1]).hex() == norm_dir
+    lp, dir_ = _cumulative(prof.grid)[[1, 3], -1].tolist()
+    assert (lp.hex(), dir_.hex()) == (norm_lp, norm_dir)
     assert prof.rhs_evals == rhs_evals
     old_lp, old_dir = GEMV_PINS[params.family][2:4]
-    assert _near(float(prof.grid.norm_lp[-1]), old_lp, GEMV_TOL)
-    assert _near(float(prof.grid.norm_dir[-1]), old_dir, GEMV_TOL)
+    assert _near(lp, old_lp, GEMV_TOL)
+    assert _near(dir_, old_dir, GEMV_TOL)
     if params.family in SCIPY_KVE_PINS:
         old_lp, old_dir = SCIPY_KVE_PINS[params.family][2:4]
-        assert _near(float(prof.grid.norm_lp[-1]), old_lp, SCIPY_KVE_TOL["norm_lp"])
-        assert _near(float(prof.grid.norm_dir[-1]), old_dir, SCIPY_KVE_TOL["norm_dir"])
+        assert _near(lp, old_lp, SCIPY_KVE_TOL["norm_lp"])
+        assert _near(dir_, old_dir, SCIPY_KVE_TOL["norm_dir"])
     if params.family in SERIES_PINS:
         old_lp, old_dir = SERIES_PINS[params.family][2:4]
-        assert _near(float(prof.grid.norm_lp[-1]), old_lp, SERIES_TOL["norm_lp"])
-        assert _near(float(prof.grid.norm_dir[-1]), old_dir, SERIES_TOL["norm_dir"])
+        assert _near(lp, old_lp, SERIES_TOL["norm_lp"])
+        assert _near(dir_, old_dir, SERIES_TOL["norm_dir"])
     old_lp, old_dir = SECOND_ORDER_PINS[params.family][2:4]
-    assert _near(float(prof.grid.norm_lp[-1]), old_lp, SECOND_ORDER_TOL["norm_lp"])
-    assert _near(float(prof.grid.norm_dir[-1]), old_dir, SECOND_ORDER_TOL["norm_dir"])
+    assert _near(lp, old_lp, SECOND_ORDER_TOL["norm_lp"])
+    assert _near(dir_, old_dir, SECOND_ORDER_TOL["norm_dir"])
 
 
 # (params, SHA-256 of the final grid's radii, values, slopes, norm_l2,
-# norm_lp, norm_lq and norm_dir as little-endian float64, in that order):
-# every interior entry, not just the end values above.  Re-pinned with the
+# norm_lp, norm_lq and norm_dir as little-endian float64, in that order; the
+# four running sums rebuilt by _cumulative): every interior entry, not just
+# the end values above.  Re-pinned with the
 # values above when the final pass began to sum left to right (GEMV_PINS);
 # a digest has no tolerance
 ARRAYS = [
@@ -314,8 +401,8 @@ ARRAYS = [
 def test_grid_arrays_match_golden_digest(params, digest):
     grid = solve_ground_state(params).profile.grid
     h = hashlib.sha256()
-    for name in ("radii", "values", "slopes", "norm_l2", "norm_lp", "norm_lq", "norm_dir"):
-        h.update(np.ascontiguousarray(getattr(grid, name), dtype="<f8").tobytes())
+    for array in (grid.radii, grid.values, grid.slopes, *_cumulative(grid)):
+        h.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
     assert h.hexdigest() == digest
 
 
@@ -502,12 +589,30 @@ def test_critical_read_side_matches_golden_bitwise(monkeypatch):
     from gslab.asymptotics import profile_distances
 
     params = CRITICAL_READ_SIDE
-    w = solve_ground_state(params).rescaled_to_frame()
-    lam = concentration_lambda(w.profile)
-    v = rescale_to_v(w.profile, lam)
     W = EmdenFowlerProfile(5, 1.0, "W")
-    d1, dp = profile_distances(v, W)
-    kappa = kappa_identities(w, params.eps).lq_residual
+
+    def read_side():
+        w = solve_ground_state(params).rescaled_to_frame()
+        lam = concentration_lambda(w.profile)
+        v = rescale_to_v(w.profile, lam)
+        return (w, lam, v, *profile_distances(v, W), kappa_identities(w, params.eps).lq_residual)
+
+    w, lam, v, d1, dp, kappa = read_side()
+    assert lam.hex() == "0x1.5ffd4d6102b63p+0"
+    assert d1.hex() == "0x1.3e799f3fc2fdbp-2"
+    assert dp.hex() == "0x1.c958ebb92c6fap-5"
+    assert kappa.hex() == "0x1.2597a30d35eb4p-23"
+    # the pins taken while analyze and the grid mass read the kernel's
+    # running sums (CUMULATIVE_PINS): as sums of the norm-term rows lambda
+    # moved by 1.0e-15, d1 by 6.7e-15 and dp by 4.4e-16 relative, so they
+    # hold at 1e-13, and the kappa residual by 2.4e-22 absolute (1e-14).  The
+    # running sums' route still gives their bits, and every older pin below
+    # is held against it
+    assert _near(lam, "0x1.5ffd4d6102b69p+0", 1e-13)
+    assert _near(d1, "0x1.3e799f3fc2fb6p-2", 1e-13)
+    assert _near(dp, "0x1.c958ebb92c6f7p-5", 1e-13)
+    assert kappa == pytest.approx(float.fromhex("0x1.2597a30d35ebdp-23"), rel=0.0, abs=1e-14)
+    w, lam, v, d1, dp, kappa = _cumulative_route(read_side)
     assert lam.hex() == "0x1.5ffd4d6102b69p+0"
     assert d1.hex() == "0x1.3e799f3fc2fb6p-2"
     assert dp.hex() == "0x1.c958ebb92c6f7p-5"

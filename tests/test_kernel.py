@@ -4,8 +4,8 @@
 step loop and the event refinement, then, with quadrature, the dense pass.
 ``dop853_reference.integrate`` is the same shot in Python (``_start``, the
 loop, ``_refine``, the numpy ``_dense_pass``).  On every call the two must
-agree to the bit: radii, values, slopes, the four norm arrays and the node
-rows they are summed over, terminal event and radius, and RHS evaluations,
+agree to the bit: radii, values, slopes, the 8 node rows (r, u, u', the
+weight and the four norm terms), terminal event and radius, and RHS evaluations,
 the message and partial trajectory of an IntegrationFailure included, and
 an argument's ValueError the same by its repr.  A call
 without quadrature is also run as a search shot, ``ode.Shot.end``, on a Shot
@@ -61,7 +61,7 @@ def _outcome(integrate, call):
 
 def _bits(t):
     """A trajectory's bits; a start that failed has no rows, so no radius."""
-    arrays = (t.radii, t.values, t.slopes, t.norm_l2, t.norm_lp, t.norm_lq, t.norm_dir, t.nodes)
+    arrays = (t.radii, t.values, t.slopes, t.nodes)
     return (t.terminal_event, len(t.radii) and t.terminal_radius.hex(), t.rhs_evals,
             [None if x is None else x.tobytes() for x in arrays])
 
@@ -261,7 +261,7 @@ def test_paths_match_bit_for_bit(name, grid0, monkeypatch):
     if name == "settled":
         assert t.terminal_radius < call[2]
     if name.endswith("quad"):
-        assert t.norm_l2 is not None
+        assert t.nodes.shape[0] == 8
     if name.startswith("zero-division"):   # the first step's error norm divides by zero
         assert len(t.radii) == 1 and t.rhs_evals == 13
     if name == "collapse-quad":   # the dense pass of a grid of one point
@@ -269,11 +269,11 @@ def test_paths_match_bit_for_bit(name, grid0, monkeypatch):
     if name == "one-step-quad":
         assert len(t.radii) == ode._SUB + 1
     if name == "power-underflow-quad":
-        assert t.norm_lq[-1] == 0.0 < t.norm_lp[-1]
+        assert t.nodes[6].sum() == 0.0 < t.nodes[5].sum()   # the w |u|^q and w |u|^p rows
     if name in ("series-overflow", "handoff-zero-division"):   # the start raises
         with pytest.raises((OverflowError, ZeroDivisionError)):
             dop853_reference._start(*call)
-        assert len(t.radii) == t.rhs_evals == 0 and t.norm_l2 is None
+        assert len(t.radii) == t.rhs_evals == 0 and t.nodes is None
     if name == "handoff-zero-division":
         assert ode.default_handoff_radius(ode.series_coefficients(*call[:2]), call[2]) == 0.0
 

@@ -228,6 +228,17 @@ def test_cli_untrusted_solution_exits_1(capsys):
     assert "identity residuals" in out.out + out.err
 
 
+def test_cli_window_below_the_float_range_exits_1(capsys):
+    # u_F0 = 1.9e-207, below sqrt(float min): the solve is refused as
+    # BracketNotFound, where it ended in a ValueError traceback
+    assert main(["solve", "--family", "P_eps", "--N", "5", "--p", "2.0409218385713364",
+                 "--q", "2.4277106147499805", "--eps", "3.4748803381085748e-09",
+                 "--no-cache"]) == 1
+    err = capsys.readouterr().err
+    assert "solve failed: the admissible window of P_eps" in err
+    assert "Traceback" not in err
+
+
 def test_cli_check_suite(capsys):
     rc = main(["check", "--suite", "pokhozhaev", "--N", "3", "--p", "8",
                "--q", "12", "--eps", "1e-3"])

@@ -26,8 +26,8 @@ import random
 import pytest
 from scipy.optimize import brentq
 
-from gslab import (BracketNotFound, Family, InconsistentSolution, InternalConsistencyError,
-                   ProblemParams, epsilon_star)
+from gslab import (BracketNotFound, Family, InternalConsistencyError, ProblemParams,
+                   epsilon_star)
 from gslab import shooting
 
 import window_reference
@@ -208,16 +208,34 @@ def test_f_positive_roots_with_p_close_to_2():
 def test_roots_below_the_square_root_of_the_smallest_float():
     # p = 2.05 and eps = 1e-8 eps*: f's roots lie near 1e-161, where the
     # geometric mid sqrt(lo * hi) underflowed to 0 (then hi / lo raised a bare
-    # ZeroDivisionError); as sqrt(lo) * sqrt(hi) it does not, the roots are
-    # found, and the solve fails with the solver's own error type: the
-    # profile's identity residuals are of order 1 (its grid kept 7 steps)
+    # ZeroDivisionError); as sqrt(lo) * sqrt(hi) it does not, and the roots
+    # are found.  The solve refuses the window, below sqrt(float min), with
+    # the solver's own error type (it used to run and fail its identities,
+    # residuals of order 1 on a grid of 7 steps)
     from gslab import solve_ground_state
 
     params = ProblemParams(3, 2.05, 6.0, 1e-8 * epsilon_star(2.05, 6.0), Family.P_EPS)
     u_f0, u_hi = shooting._f_positive_roots(params)
     assert 0.0 < u_f0 < 1e-150 and u_f0 < u_hi < 1.0
-    with pytest.raises(InconsistentSolution, match=r"identity residuals"):
+    with pytest.raises(BracketNotFound, match=rf"starts at u_F0 = {u_f0:.6g}, below"):
         solve_ground_state(params)
+
+
+# P_eps at p near 2 and eps ~ 1e-7 eps*: u_F0 = 1.9e-207, below sqrt(float min),
+# where the lower scan's geometric step sqrt(lo u_F0) underflowed to 0 and the
+# solve raised a bare ValueError for its shot at amplitude 0.0
+TINY_WINDOW = ProblemParams(5, 2.0409218385713364, 2.4277106147499805, 3.4748803381085748e-09,
+                            Family.P_EPS)
+
+
+def test_window_below_the_float_range_is_refused_as_bracket_not_found():
+    from gslab import solve_ground_state
+
+    u_f0 = shooting._f_positive_roots(TINY_WINDOW)[0]
+    assert 0.0 < u_f0 < 1e-200
+    with pytest.raises(BracketNotFound, match=r"^the admissible window of P_eps \(N=5, "
+                       rf"p=2.0409218385713364, .*u_F0 = {u_f0:.6g}.*R_eps"):
+        solve_ground_state(TINY_WINDOW)
 
 
 def _window(find, params):

@@ -88,8 +88,9 @@ def test_rescaled_profile_is_continuous_at_first_grid_radius(params, rescale):
 
 # A rescaled profile carries its own node rows, the ones its integrals sum
 # (RadialProfile.quad): its source's rows times the transform's factors
-# (1/lam, amp, amp lam, lam_sq^(-N/2)) on r, u, u' and the weight, bit for
-# bit, in an array of its own, the source's rows untouched.
+# (1/lam, amp, amp lam, lam_sq^(-N/2)) on r, u, u' and the weight and
+# ProblemParams.norm_factors on the four norm terms, bit for bit, in an array
+# of its own, the source's rows untouched.
 @pytest.mark.parametrize("params", CASES)
 @pytest.mark.parametrize("rescale, amp_lam_sq", [
     pytest.param(lambda u: to_minimizer_frame(u, 2.9), lambda N: (1.0, 2.9), id="frame-S2.9"),
@@ -105,7 +106,8 @@ def test_rescaled_profile_builds_its_own_panels(params, rescale, amp_lam_sq):
     assert u.grid.nodes.tobytes() == before
     amp, lam_sq = amp_lam_sq(params.N)
     lam = math.sqrt(lam_sq)
-    factors = (1.0 / lam, amp, amp * lam, lam_sq ** (-params.N / 2.0))
+    factors = (1.0 / lam, amp, amp * lam, lam_sq ** (-params.N / 2.0),
+               *params.norm_factors(amp, lam_sq))
     assert v.grid.nodes.shape == u.grid.nodes.shape
     for got, row, fac in zip(v.grid.nodes, u.grid.nodes, factors, strict=True):
         assert got.tobytes() == (row * fac).tobytes()
@@ -178,8 +180,7 @@ def test_scaled_copy_carries_every_other_field():
     v = u.scaled(0.3, 4.0)
     moved = [
         (u, v, {"amplitude", "grid", "tail", "r_max_used"}),
-        (u.grid, v.grid, {"radii", "values", "slopes", "norm_l2", "norm_lp", "norm_lq",
-                          "norm_dir", "series", "nodes"}),
+        (u.grid, v.grid, {"radii", "values", "slopes", "series", "nodes"}),
         (u.tail, v.tail, {"rate_or_power", "prefactor", "match_radius", "corr"}),
     ]
     for src, copy, names in moved:

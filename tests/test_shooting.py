@@ -47,12 +47,12 @@ def test_classify_event_mapping():
 
 
 def test_profile_without_norm_arrays_is_refused():
-    # every profile the library builds carries the co-integrated norm arrays
-    # (the final pass integrates with quadrature); a hand-built grid without
-    # them is rejected rather than read through a second norm route
+    # every profile the library builds carries the node rows with their norm
+    # terms (the final pass integrates with quadrature); a hand-built grid
+    # without them is rejected rather than read through a second norm route
     params = ProblemParams(3, 4.0, 6.0, 1e-2, Family.P_EPS)
     tail = shooting.TailModel("Exponential", 0.1, 1.0, 2.0, 3)
-    with pytest.raises(ValueError, match="norm arrays"):
+    with pytest.raises(ValueError, match="no node rows"):
         shooting.RadialProfile(params, 1.0, _mk_traj(TerminalEvent.REACHED_RMAX), tail)
 
 
@@ -602,7 +602,7 @@ def test_bracket_hint_is_clipped_to_the_admissible_window(misread_loose_shot):
     prof = find_ground_state(params, ShootControls(bracket_hint=(0.75 * a, 5.0)))
     assert [call[0] for call in calls[:2]] == [0.75 * a, clip]   # the hint checks
     assert max(call[0] for call in calls) <= clip
-    for name in ("radii", "values", "slopes", "norm_l2", "norm_lp", "norm_lq", "norm_dir"):
+    for name in ("radii", "values", "slopes", "nodes"):
         assert getattr(prof.grid, name).tobytes() == getattr(want.grid, name).tobytes()
     assert prof.tail == want.tail
     assert prof.grid.series == want.grid.series
