@@ -174,7 +174,8 @@ class Trajectory:
     def cumulative(self, row: int) -> np.ndarray:
         """Node row ``row`` summed from 0 to each grid radius: over the series
         piece's nodes, then over each grid interval's, added up in order."""
-        starts = np.r_[0, _BALL_NODES + len(_GX) * np.arange(len(self.radii) - 1)]
+        starts = np.arange(_BALL_NODES - len(_GX), self.nodes.shape[1], len(_GX))
+        starts[0] = 0
         return np.cumsum(np.add.reduceat(self.nodes[row], starts))
 
 
