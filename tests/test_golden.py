@@ -3,17 +3,17 @@
 A speed-up of the solver counts only if its results match the old code
 bitwise, or if a stated tolerance covers the difference.  The values below
 are ``float.hex`` of the solution and SHA-256 digests of its grid and norm
-arrays.  The kernel's dense pass no longer keeps running norm sums: it
-writes each node's norm terms as node rows, and ``analyze`` sums those rows.
-The grid-end norms and the digests of the running sums are rebuilt from the
-rows in the kernel's old order (``_cumulative``) and keep their bits; the
-level and Nehari pins that ``analyze`` reads were re-pinned then
-(CUMULATIVE_PINS), and every older pin of them is held against the old
-route (``_cumulative_route``), which still gives their bits.  The pins
-were taken before that when the final pass's dense output began to sum every
-dot product of its interpolant and every series-piece norm left to right
-(in the C kernel, as ``_dot`` and ``_series_norms`` of its Python
-reference, ``tests/dop853_reference.py``, do), so that no pin goes through
+arrays.  The level and Nehari pins were last taken when the kernel's dense
+pass stopped keeping running norm sums: it writes each node's norm terms as
+node rows, and ``analyze`` sums those rows.  Their old pins
+(CUMULATIVE_PINS) and every older one are held against the old route
+(``_cumulative_route``), which still gives their bits; the grid-end norms
+and the digests of the running sums are rebuilt from the rows in the
+kernel's old order (``_cumulative``) and keep theirs.  The other pins were
+last taken when the final pass's dense output began to sum every dot
+product of its interpolant and every series-piece norm left to right (in
+the C kernel, as ``_dot`` and the series-piece sums of its Python
+reference, ``tests/dop853_reference.py``, did), so that no pin goes through
 BLAS and the pins hold whichever kernel OpenBLAS picks for the CPU; before that, when the P_zero search shots began to end where the
 far-field constant B has settled (``ode``'s settled stop, B read less its
 drift still to come, r_max 1e6 without a probe shot) and a final pass that
