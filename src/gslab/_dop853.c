@@ -1,26 +1,32 @@
 /* One outward DOP853 shot of gslab.ode.integrate: the series start, the step
  * loop and the refinement of its terminal event (dop853_loop), and the dense
- * pass of a run with quadrature (dop853_dense), written line by line like the
- * Python reference, tests/dop853_reference.py (its _start, integrate, _refine
- * and numpy dense pass; the names in the comments below are its own).  A
- * third entry point, admissible_window, finds the window [u_F0, u_hi] that
- * every amplitude search of the eps families starts from
- * (shooting._f_positive_roots), written like its Python reference,
- * tests/window_reference.py: three Brent loops on f and F.
+ * pass of a run with quadrature (dop853_dense), after the Python reference,
+ * tests/dop853_reference.py (its _start, integrate, _refine and numpy dense
+ * pass; the names in the comments below are its own).  The reference writes
+ * each stage out by hand; here stage s adds row s of the tableau's A, over
+ * its nonzero entries in column order, to the stored u' and u'' of the
+ * stages before it (row_sums), and the B, E5 and B - E3 sums go the same
+ * way, so each sum adds the reference's terms in its order.  One rhs
+ * serves the loop, the start, the refinement and the dense pass, and one
+ * series_piece the start and the dense pass.  A third entry point,
+ * admissible_window, finds the window [u_F0, u_hi] that every amplitude
+ * search of the eps families starts from (shooting._f_positive_roots),
+ * written like its Python reference, tests/window_reference.py: three Brent
+ * loops on f and F.
  *
- * Every float operation is the one Python performs, in its order: written
- * sums run left to right, and so does every dot product of the interpolant
- * (dot, _dot) and every sum over nodes, max and min pick the branches
- * Python's max and min pick, ints meet floats as Python converts them, **
- * is CPython's float_pow (py_pow below, the same libm pow with the same
- * error cases), and np.float_power is libm's pow.  Compiled with
- * -ffp-contract=off and without -ffast-math, the two give the same bits;
- * tests/test_kernel.py checks them on every call of the benchmark's and the
- * golden solves, tests/test_roots.py the window on every window of the
- * benchmark and on random draws.  Where Python's ** or / raises (a power out
- * of range, 0.0 ** negative, a division by zero), the kernel stops there
- * with its one arithmetic stop, STOP_ARITH, whatever Python would raise;
- * ode reports it as the solver's own error.
+ * Every float operation is the one Python performs, in its order: sums run
+ * left to right, and so does every dot product of the interpolant (dot,
+ * _dot) and every sum over nodes, max and min pick the branches Python's
+ * max and min pick, ints meet floats as Python converts them, ** is
+ * CPython's float_pow (py_pow below, the same libm pow with the same error
+ * cases), and np.float_power is libm's pow.  Compiled with -ffp-contract=off
+ * and without -ffast-math, the two give the same bits; tests/test_kernel.py
+ * checks them on every call of the benchmark's and the golden solves,
+ * tests/test_roots.py the window on every window of the benchmark and on
+ * random draws.  Where Python's ** or / raises (a power out of range,
+ * 0.0 ** negative, a division by zero), the kernel stops there with its one
+ * arithmetic stop, STOP_ARITH, whatever Python would raise; ode reports it
+ * as the solver's own error.
  *
  * The caller passes the tableau (ode._C, _A, _B, _E5, _E3, the dense
  * output's _EXTRA and _D_DENSE and the quadrature's nodes and weights,
@@ -169,6 +175,46 @@ static double dot(const double *row, const double *k, int n)
     return s;
 }
 
+/* u'' = u (lin - |u|^(p-2) + qc |u|^(q-2)) - N1 / r u' at (u, u') = (u, v)
+ * and radius r, into *k.  strict: the powers are ** and a division by zero
+ * raises, as on the floats of a shot (returns POW_OK, or POW_OVERFLOW or
+ * POW_FAILED where ** raises, POW_FAILED where r is 0); else they are
+ * np.float_power and IEEE division, as on the arrays of the reference's
+ * dense pass (returns POW_OK). */
+static inline int rhs(const double *prm, int strict, double u, double v, double r, double *k)
+{
+    const double au = fabs(u);
+    double pp, qq;
+    int code;
+
+    if (!strict) {
+        pp = pow(au, prm[P_PM2]);
+        qq = pow(au, prm[P_QM2]);
+    }
+    else if ((code = rhs_pow(au, prm[P_PM2], &pp)) || (code = rhs_pow(au, prm[P_QM2], &qq)))
+        return code;
+    else if (r == 0.0)
+        return POW_FAILED;
+    *k = u * (prm[P_LIN] - pp + prm[P_QC] * qq) - prm[P_N1] / r * v;
+    return POW_OK;
+}
+
+/* (u, u') at r of the series piece u = sum_k coef[k] r^(2k), k < ncoef
+ * (ode.series_piece) */
+static void series_piece(const double *coef, int ncoef, double r, double *u, double *v)
+{
+    const double x = r * r;
+    double su = coef[ncoef - 1], du = 0.0;
+    int k;
+
+    for (k = ncoef - 1; k > 0; k--) {
+        du = du * x + 2.0 * (double)k * coef[k];
+        su = su * x + coef[k - 1];
+    }
+    *u = su;
+    *v = du * r;
+}
+
 /* _start, into st: the series coefficients (ode.series_coefficients),
  * the hand-off radius r0 (ode.default_handoff_radius), (u, u', u'') there
  * (ode.series_piece), the first step, and the settled stop's constants
@@ -178,7 +224,7 @@ static int series_start(const double *prm, int ncoef, int quad, double *st)
     const double N = prm[P_N], p = prm[P_P], q = prm[P_Q], a = prm[P_A], r_max = prm[P_RMAX];
     const double lin = prm[P_LIN], qc = prm[P_QC], pm2 = prm[P_PM2], qm2 = prm[P_QM2];
     double *coef = st + S_COEFFS, wp[ncoef], wq[ncoef];
-    double x, y, growth = 0.0, r0, u, v, du, h;
+    double x, y, growth = 0.0, r0, h;
     int n, j, k;
 
     /* c_0, c_1 = -f(a) / (2N), and the powers a^(p-1), a^(q-1) */
@@ -217,21 +263,12 @@ static int series_start(const double *prm, int ncoef, int quad, double *st)
             r0 = y;
     }
 
-    /* the series piece at r0 */
-    x = r0 * r0;
-    u = coef[ncoef - 1];
-    du = 0.0;
-    for (k = ncoef - 1; k > 0; k--) {
-        du = du * x + 2.0 * (double)k * coef[k];
-        u = u * x + coef[k - 1];
-    }
-    v = du * r0;
+    /* the series piece at r0, and u'' there */
     st[S_R] = r0;
-    st[S_U] = u;
-    st[S_V] = v;
-    if (py_pow(fabs(u), pm2, &x) || py_pow(fabs(u), qm2, &y) || r0 == 0.0)
+    series_piece(coef, ncoef, r0, &st[S_U], &st[S_V]);
+    if (rhs(prm, 1, st[S_U], st[S_V], r0, &st[S_K1]))
         return STOP_ARITH;
-    st[S_K1] = st[S_K10] = u * (lin - x + qc * y) - prm[P_N1] / r0 * v;
+    st[S_K10] = st[S_K1];
 
     /* a conservative first step; the controller grows it by up to 10x per step */
     h = 0.05 * r0 > 1e-6 ? 0.05 * r0 : 1e-6;
@@ -262,35 +299,35 @@ static double dense_eval(double y0, const double *f, double x)
 
 /* _dense_coefficients: the seventh-order interpolant of the step [r,
  * r + h] from (u, u') = (u, v) to (u1, v1), its coefficients F0-F6 for u
- * into fu and for u' into fv.  ku and kv hold u' and u'' at the 12 dense
- * stages, the step's own nine set; this sets the three extra ones.  strict:
- * the powers are ** and a division by zero raises, as on the floats of
- * _refine (returns 0, or STOP_ARITH where those raise); else they are
+ * into fu and for u' into fv.  rec is the step's record as the stage buffer
+ * holds it (h, u' at the stages 6-12, u'' at the stages 6-13) and k1 is u''
+ * at the step's start: with v and v1, u' and u'' at its nine dense stages
+ * (1 and 6-13), to which this adds the three extra ones.  strict: the
+ * powers are ** and a division by zero raises, as on the floats of _refine
+ * (returns 0, or STOP_ARITH where those raise); else they are
  * np.float_power and IEEE division, as on the arrays of the reference's
  * dense pass (returns 0). */
-static int interpolant(const double *tab, const double *prm, int strict, double r, double h,
-                       double u, double v, double u1, double v1, double *ku, double *kv,
+static int interpolant(const double *tab, const double *prm, int strict, double r,
+                       const double *rec, double k1, double u, double v, double u1, double v1,
                        double *fu, double *fv)
 {
-    const double N1 = prm[P_N1], lin = prm[P_LIN], qc = prm[P_QC];
-    const double pm2 = prm[P_PM2], qm2 = prm[P_QM2];
-    const double *row = tab + T_XROWS;
+    const double h = rec[0], *row = tab + T_XROWS;
+    double ku[12], kv[12];
     int m, i;
 
+    ku[0] = v;
+    kv[0] = k1;
+    for (i = 1; i < 8; i++)
+        ku[i] = rec[i];
+    ku[8] = v1;
+    for (i = 1; i < 9; i++)
+        kv[i] = rec[7 + i];
     for (m = 0; m < 3; m++) {
         const int len = 9 + m;
         const double us = u + h * dot(row, ku, len);
-        const double vs = v + h * dot(row, kv, len);
-        const double au = fabs(us), rr = r + tab[T_XC + m] * h;
-        double pp, qq;
-        ku[9 + m] = vs;
-        if (!strict) {
-            pp = pow(au, pm2);
-            qq = pow(au, qm2);
-        }
-        else if (py_pow(au, pm2, &pp) || py_pow(au, qm2, &qq) || rr == 0.0)
+        ku[9 + m] = v + h * dot(row, kv, len);
+        if (rhs(prm, strict, us, ku[9 + m], r + tab[T_XC + m] * h, &kv[9 + m]))
             return STOP_ARITH;
-        kv[9 + m] = us * (lin - pp + qc * qq) - N1 / rr * vs;
         row += len;
     }
     for (m = 0; m < 2; m++) {
@@ -306,22 +343,24 @@ static int interpolant(const double *tab, const double *prm, int strict, double 
 }
 
 /* _refine: the event of the step [r, r1] from (u, v) to (u1, v1),
- * refined on its seventh-order dense output (interpolant, with ku and kv as
- * it takes them): bisects the interpolant of u (or of u' for SlopeSignFlip)
- * to the event tolerance (_bisect_event) and writes the event's (r, u,
- * u') to out.  Returns 0, or STOP_ARITH where _refine raises. */
-static int refine(const double *tab, const double *prm, int event,
-                  double floor_, double r, double h, double u, double v, double u1, double v1,
-                  double r1, double *ku, double *kv, double *out)
+ * refined on its seventh-order dense output (interpolant, with rec and k1
+ * as it takes them): bisects the interpolant of u (or of u' for
+ * SlopeSignFlip) to the event tolerance (_bisect_event) and writes the
+ * event's (r, u, u') to out.  Returns 0, or STOP_ARITH where _refine
+ * raises. */
+static int refine(const double *tab, const double *prm, int event, double r,
+                  const double *rec, double k1, double u, double v, double u1, double v1,
+                  double r1, double *out)
 {
+    const double h = rec[0];
     double fu[7], fv[7], lo = r, hi = r1, level, etol, y0, x;
     const double *f;
     int it, below, code;
 
-    if ((code = interpolant(tab, prm, 1, r, h, u, v, u1, v1, ku, kv, fu, fv)))
+    if ((code = interpolant(tab, prm, 1, r, rec, k1, u, v, u1, v1, fu, fv)))
         return code;
 
-    level = event == STOP_UNDERFLOW ? floor_ : 0.0;
+    level = event == STOP_UNDERFLOW ? prm[P_UNDERFLOW] * prm[P_A] : 0.0;
     etol = prm[P_EVENT_TOL] * (r1 > 1.0 ? r1 : 1.0);
     y0 = event == STOP_SLOPE ? v : u;
     f = event == STOP_SLOPE ? fv : fu;
@@ -345,60 +384,71 @@ static int refine(const double *tab, const double *prm, int event,
     return 0;
 }
 
-/* k = u'' at the stage state (us, vs) and radius rr:
- * us (lin - |us|^(p-2) + qc |us|^(q-2)) - N1 / rr * vs */
-#define RHS(k, us, vs, rr)                                                   \
-    do {                                                                     \
-        double au_ = (us) > 0.0 ? (us) : -(us), pp_, qq_, rr_;              \
-        if ((pc = rhs_pow(au_, pm2, &pp_)) || (pc = rhs_pow(au_, qm2, &qq_))) \
-            goto bad_pow;                                                    \
-        rr_ = (rr);                                                          \
-        if (rr_ == 0.0)                                                      \
-            goto arith;                                                      \
-        k = (us) * (lin - pp_ + qc * qq_) - N1 / rr_ * (vs);                 \
-    } while (0)
+/* A row of the tableau over its nonzero entries, in column order: their
+ * weights and the stages they weigh (0: stage 1).  dop853_loop's rows are
+ * A's rows 3-12, then B, E5 and B - E3 (ROW_B, ROW_E5, ROW_D). */
+struct row {
+    int n, col[12];
+    double w[12];
+};
+enum { ROW_B = 10, ROW_E5, ROW_D, ROWS };
+
+/* the nonzero entries of w[0..n-1] into *row */
+static void pack(struct row *row, const double *w, int n)
+{
+    int j;
+
+    row->n = 0;
+    for (j = 0; j < n; j++)
+        if (w[j] != 0.0) {
+            row->w[row->n] = w[j];
+            row->col[row->n++] = j;
+        }
+}
+
+/* sum(w * V[col]) into *sv and sum(w * K[col]) into *sk over the row, left
+ * to right from -0.0: since -0.0 + x is x, the written sum from its first
+ * term, to the bit */
+static inline void row_sums(const struct row *row, const double *V, const double *K,
+                            double *sv, double *sk)
+{
+    double a = -0.0, b = -0.0;
+    int i;
+
+    for (i = 0; i < row->n; i++) {
+        a += row->w[i] * V[row->col[i]];
+        b += row->w[i] * K[row->col[i]];
+    }
+    *sv = a;
+    *sk = b;
+}
 
 int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
                 double *grid, int64_t cap, double *stages)
 {
-    const double N1 = prm[P_N1], lin = prm[P_LIN], qc = prm[P_QC];
-    const double pm2 = prm[P_PM2], qm2 = prm[P_QM2];
-    const double floor_ = prm[P_UNDERFLOW] * prm[P_A];
+    const double floor_ = prm[P_UNDERFLOW] * prm[P_A], pm2 = prm[P_PM2];
     const double atol = prm[P_ATOL], rtol = prm[P_RTOL], min_step = prm[P_MIN_STEP];
     const double r_max = prm[P_RMAX], settle_g = prm[P_SETTLE_G];
     const int64_t max_steps = cnt[C_MAX_STEPS];
     const int quad = cnt[C_QUAD] != 0;
     double *rs = grid, *us = grid + cap, *vs = grid + 2 * cap;
-    double half, n2, drift;
-
-    const double c2 = TC(2), c3 = TC(3), c4 = TC(4), c5 = TC(5), c6 = TC(6),
-        c7 = TC(7), c8 = TC(8), c9 = TC(9), c10 = TC(10), c11 = TC(11);
-    const double a2_1 = TA(2, 1), a3_1 = TA(3, 1), a3_2 = TA(3, 2),
-        a4_1 = TA(4, 1), a4_3 = TA(4, 3),
-        a5_1 = TA(5, 1), a5_3 = TA(5, 3), a5_4 = TA(5, 4),
-        a6_1 = TA(6, 1), a6_4 = TA(6, 4), a6_5 = TA(6, 5),
-        a7_1 = TA(7, 1), a7_4 = TA(7, 4), a7_5 = TA(7, 5), a7_6 = TA(7, 6),
-        a8_1 = TA(8, 1), a8_4 = TA(8, 4), a8_5 = TA(8, 5), a8_6 = TA(8, 6),
-        a8_7 = TA(8, 7),
-        a9_1 = TA(9, 1), a9_4 = TA(9, 4), a9_5 = TA(9, 5), a9_6 = TA(9, 6),
-        a9_7 = TA(9, 7), a9_8 = TA(9, 8),
-        a10_1 = TA(10, 1), a10_4 = TA(10, 4), a10_5 = TA(10, 5), a10_6 = TA(10, 6),
-        a10_7 = TA(10, 7), a10_8 = TA(10, 8), a10_9 = TA(10, 9),
-        a11_1 = TA(11, 1), a11_4 = TA(11, 4), a11_5 = TA(11, 5), a11_6 = TA(11, 6),
-        a11_7 = TA(11, 7), a11_8 = TA(11, 8), a11_9 = TA(11, 9), a11_10 = TA(11, 10),
-        a12_1 = TA(12, 1), a12_4 = TA(12, 4), a12_5 = TA(12, 5), a12_6 = TA(12, 6),
-        a12_7 = TA(12, 7), a12_8 = TA(12, 8), a12_9 = TA(12, 9), a12_10 = TA(12, 10),
-        a12_11 = TA(12, 11);
-    const double b1 = TB(1), b6 = TB(6), b7 = TB(7), b8 = TB(8), b9 = TB(9),
-        b10 = TB(10), b11 = TB(11), b12 = TB(12);
-    const double e5_1 = TE5(1), e5_6 = TE5(6), e5_7 = TE5(7), e5_8 = TE5(8),
-        e5_9 = TE5(9), e5_10 = TE5(10), e5_11 = TE5(11), e5_12 = TE5(12);
-    const double d1 = b1 - TE3(1), d9 = b9 - TE3(9), d12 = b12 - TE3(12);   /* B - E3 */
-
-    double r, u, v, k1, h;
+    double half, n2, drift, d[12];
+    struct row rows[ROWS];
+    double r, u, v, h;
+    /* u' (V) and u'' (K) at the stages 1-13 of a step; K[0] is the last
+     * step's FSAL stage K[12] */
+    double V[13], K[13];
     int64_t n = cnt[C_N], nfev = cnt[C_NFEV], steps = cnt[C_STEPS];
     int64_t overflows = cnt[C_OVERFLOWS];
-    int code, pc;
+    int code, s, j;
+
+    for (s = 3; s <= 12; s++)
+        pack(&rows[s - 3], &TA(s, 1), s - 1);
+    pack(&rows[ROW_B], &TB(1), 12);
+    pack(&rows[ROW_E5], &TE5(1), 12);
+    for (j = 1; j <= 12; j++)
+        d[j - 1] = TB(j) - TE3(j);
+    pack(&rows[ROW_D], d, 12);
 
     if (n == 0) {   /* the first call: the start is the grid's first point */
         if ((code = series_start(prm, (int)cnt[C_NCOEF], quad, st)))
@@ -411,16 +461,14 @@ int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
     r = st[S_R];
     u = st[S_U];
     v = st[S_V];
-    k1 = st[S_K1];
+    K[0] = st[S_K1];
     h = st[S_H];
     half = st[S_HALF];
     n2 = st[S_N2];
     drift = st[S_DRIFT];
 
     for (;;) {
-        double hA, u2, v2, k2, u3, v3, k3, u4, v4, k4, u5, v5, k5, u6, v6, k6,
-            u7, v7, k7, u8, v8, k8, u9, v9, k9, u10, v10, k10, u11, v11, k11,
-            u12, v12, k12, su, sv, u_new, v_new, r_new, k13;
+        double hA, su, sv, u_new, v_new, r_new, own[16], *rec, ev[3];
         double au, an, scale_u, scale_v, x, y, err5, den, err, fac;
         int clipped, event;
 
@@ -441,56 +489,33 @@ int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
         if (clipped)
             h = r_max - r;
 
-        /* eleven fresh stages and the FSAL one (k1 is the last step's k13) */
+        /* eleven fresh stages and the FSAL one: stage 2 from h a21 as the
+         * reference rounds it, stages 3-12 from their rows of A */
         nfev += 12;
-        hA = h * a2_1;
-        u2 = u + hA * v;
-        v2 = v + hA * k1;
-        RHS(k2, u2, v2, r + c2 * h);
-        u3 = u + h * (a3_1 * v + a3_2 * v2);
-        v3 = v + h * (a3_1 * k1 + a3_2 * k2);
-        RHS(k3, u3, v3, r + c3 * h);
-        u4 = u + h * (a4_1 * v + a4_3 * v3);
-        v4 = v + h * (a4_1 * k1 + a4_3 * k3);
-        RHS(k4, u4, v4, r + c4 * h);
-        u5 = u + h * (a5_1 * v + a5_3 * v3 + a5_4 * v4);
-        v5 = v + h * (a5_1 * k1 + a5_3 * k3 + a5_4 * k4);
-        RHS(k5, u5, v5, r + c5 * h);
-        u6 = u + h * (a6_1 * v + a6_4 * v4 + a6_5 * v5);
-        v6 = v + h * (a6_1 * k1 + a6_4 * k4 + a6_5 * k5);
-        RHS(k6, u6, v6, r + c6 * h);
-        u7 = u + h * (a7_1 * v + a7_4 * v4 + a7_5 * v5 + a7_6 * v6);
-        v7 = v + h * (a7_1 * k1 + a7_4 * k4 + a7_5 * k5 + a7_6 * k6);
-        RHS(k7, u7, v7, r + c7 * h);
-        u8 = u + h * (a8_1 * v + a8_4 * v4 + a8_5 * v5 + a8_6 * v6 + a8_7 * v7);
-        v8 = v + h * (a8_1 * k1 + a8_4 * k4 + a8_5 * k5 + a8_6 * k6 + a8_7 * k7);
-        RHS(k8, u8, v8, r + c8 * h);
-        u9 = u + h * (a9_1 * v + a9_4 * v4 + a9_5 * v5 + a9_6 * v6 + a9_7 * v7 + a9_8 * v8);
-        v9 = v + h * (a9_1 * k1 + a9_4 * k4 + a9_5 * k5 + a9_6 * k6 + a9_7 * k7 + a9_8 * k8);
-        RHS(k9, u9, v9, r + c9 * h);
-        u10 = u + h * (a10_1 * v + a10_4 * v4 + a10_5 * v5 + a10_6 * v6 + a10_7 * v7
-                       + a10_8 * v8 + a10_9 * v9);
-        v10 = v + h * (a10_1 * k1 + a10_4 * k4 + a10_5 * k5 + a10_6 * k6 + a10_7 * k7
-                       + a10_8 * k8 + a10_9 * k9);
-        RHS(k10, u10, v10, r + c10 * h);
-        u11 = u + h * (a11_1 * v + a11_4 * v4 + a11_5 * v5 + a11_6 * v6 + a11_7 * v7
-                       + a11_8 * v8 + a11_9 * v9 + a11_10 * v10);
-        v11 = v + h * (a11_1 * k1 + a11_4 * k4 + a11_5 * k5 + a11_6 * k6 + a11_7 * k7
-                       + a11_8 * k8 + a11_9 * k9 + a11_10 * k10);
-        RHS(k11, u11, v11, r + c11 * h);
-        u12 = u + h * (a12_1 * v + a12_4 * v4 + a12_5 * v5 + a12_6 * v6 + a12_7 * v7
-                       + a12_8 * v8 + a12_9 * v9 + a12_10 * v10 + a12_11 * v11);
-        v12 = v + h * (a12_1 * k1 + a12_4 * k4 + a12_5 * k5 + a12_6 * k6 + a12_7 * k7
-                       + a12_8 * k8 + a12_9 * k9 + a12_10 * k10 + a12_11 * k11);
-        RHS(k12, u12, v12, r + h);
-        su = (b1 * v + b6 * v6 + b7 * v7 + b8 * v8 + b9 * v9 + b10 * v10 + b11 * v11
-              + b12 * v12);
-        sv = (b1 * k1 + b6 * k6 + b7 * k7 + b8 * k8 + b9 * k9 + b10 * k10 + b11 * k11
-              + b12 * k12);
-        u_new = u + h * su;
-        v_new = v + h * sv;
-        r_new = clipped ? r_max : r + h;
-        RHS(k13, u_new, v_new, r_new);
+        V[0] = v;
+        hA = h * TA(2, 1);
+        V[1] = v + hA * K[0];
+        code = rhs(prm, 1, u + hA * v, V[1], r + TC(2) * h, &K[1]);
+        for (s = 2; !code && s < 12; s++) {
+            row_sums(&rows[s - 2], V, K, &su, &sv);
+            V[s] = v + h * sv;
+            code = rhs(prm, 1, u + h * su, V[s], r + TC(s + 1) * h, &K[s]);
+        }
+        if (!code) {
+            row_sums(&rows[ROW_B], V, K, &su, &sv);
+            u_new = u + h * su;
+            V[12] = v_new = v + h * sv;
+            r_new = clipped ? r_max : r + h;
+            code = rhs(prm, 1, u_new, v_new, r_new, &K[12]);
+        }
+        if (code == POW_OVERFLOW) {
+            /* a trial step so long that a stage's power overflows: shrink it */
+            overflows += 1;
+            h *= 0.2;
+            continue;
+        }
+        if (code)
+            goto arith;
 
         /* the error norm of DOP853 (see the Python loop) */
         au = fabs(u);
@@ -501,13 +526,13 @@ int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
         scale_v = atol + rtol * (an > au ? an : au);
         if (scale_u == 0.0 || scale_v == 0.0)
             goto arith;
-        x = (e5_1 * v + e5_6 * v6 + e5_7 * v7 + e5_8 * v8 + e5_9 * v9 + e5_10 * v10
-             + e5_11 * v11 + e5_12 * v12) / scale_u;
-        y = (e5_1 * k1 + e5_6 * k6 + e5_7 * k7 + e5_8 * k8 + e5_9 * k9 + e5_10 * k10
-             + e5_11 * k11 + e5_12 * k12) / scale_v;
+        row_sums(&rows[ROW_E5], V, K, &x, &y);
+        x /= scale_u;
+        y /= scale_v;
         err5 = x * x + y * y;
-        x = (su - (d1 * v + d9 * v9 + d12 * v12)) / scale_u;
-        y = (sv - (d1 * k1 + d9 * k9 + d12 * k12)) / scale_v;
+        row_sums(&rows[ROW_D], V, K, &x, &y);
+        x = (su - x) / scale_u;
+        y = (sv - y) / scale_v;
         den = err5 + 0.01 * (x * x + y * y);
         err = den != 0.0 ? h * err5 / sqrt(2.0 * den) : 0.0;
 
@@ -532,22 +557,20 @@ int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
         else if (clipped)
             event = STOP_RMAX;
 
-        if (quad) {
-            double *s = stages + 16 * (n - 1);
-            s[0] = h;
-            s[1] = v6; s[2] = v7; s[3] = v8; s[4] = v9; s[5] = v10; s[6] = v11; s[7] = v12;
-            s[8] = k6; s[9] = k7; s[10] = k8; s[11] = k9; s[12] = k10; s[13] = k11;
-            s[14] = k12; s[15] = k13;
+        /* the step's record: h, u' at the stages 6-12, u'' at the stages 6-13 */
+        rec = quad ? stages + 16 * (n - 1) : own;
+        if (quad || event >= STOP_ZERO) {
+            rec[0] = h;
+            for (j = 1; j < 8; j++)
+                rec[j] = V[4 + j];
+            for (j = 8; j < 16; j++)
+                rec[j] = K[j - 3];
         }
         if (event >= STOP_ZERO) {
             /* refined on the step's dense output, built only here */
-            double ku[12] = {v, v6, v7, v8, v9, v10, v11, v12, v_new, 0.0, 0.0, 0.0};
-            double kv[12] = {k1, k6, k7, k8, k9, k10, k11, k12, k13, 0.0, 0.0, 0.0};
-            double ev[3];
             st[S_UEND] = u_new;
             st[S_VEND] = v_new;
-            if ((code = refine(tab, prm, event, floor_, r, h, u, v, u_new, v_new,
-                               r_new, ku, kv, ev)))
+            if ((code = refine(tab, prm, event, r, rec, K[0], u, v, u_new, v_new, r_new, ev)))
                 goto out;
             nfev += 3;
             r_new = ev[0];
@@ -558,7 +581,7 @@ int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
         r = r_new;
         u = u_new;
         v = v_new;
-        k1 = k13;
+        K[0] = K[12];
         rs[n] = r;
         us[n] = u;
         vs[n] = v;
@@ -579,25 +602,15 @@ int dop853_loop(const double *tab, const double *prm, double *st, int64_t *cnt,
 
         fac = 0.9 * pow(err + 1e-300, -0.125);
         h *= fac > 10.0 ? 10.0 : (fac > 0.2 ? fac : 0.2);
-        continue;
-
-    bad_pow:
-        if (pc == POW_OVERFLOW) {
-            /* a trial step so long that a stage's power overflows: shrink it */
-            overflows += 1;
-            h *= 0.2;
-            continue;
-        }
-    arith:
-        code = STOP_ARITH;
-        goto out;
     }
 
+arith:
+    code = STOP_ARITH;
 out:
     st[S_R] = r;
     st[S_U] = u;
     st[S_V] = v;
-    st[S_K1] = k1;
+    st[S_K1] = K[0];
     st[S_H] = h;
     cnt[C_N] = n;
     cnt[C_NFEV] = nfev;
@@ -605,7 +618,6 @@ out:
     cnt[C_OVERFLOWS] = overflows;
     return code;
 }
-
 
 /* Node `at` of the dense pass's 8 node rows of nn nodes (dop853_dense): r,
  * u, u', the weight w, then w u^2, w |u|^p, w |u|^q and w u'^2. */
@@ -651,33 +663,24 @@ void dop853_dense(const double *tab, const double *prm, const double *st, const 
 
     /* the series piece on [0, r0]: BALL Gauss nodes, weights r^(N-1) dr */
     for (j = 0; j < BALL; j++) {
-        const double rr = r0 * tab[T_BALL_X + j], x = rr * rr;
-        double rn = rr, u = coef[ncoef - 1], du = 0.0;
+        const double rr = r0 * tab[T_BALL_X + j];
+        double rn = rr, u, v;
         for (k = 0; k < powers; k++)
             rn = rn * rr;
-        for (k = ncoef - 1; k > 0; k--) {
-            du = du * x + 2.0 * (double)k * coef[k];
-            u = u * x + coef[k - 1];
-        }
-        node_rows(nodes, nn, j, p, q, rr, u, du * rr, tab[T_BALL_W + j] * r0 * rn);
+        series_piece(coef, ncoef, rr, &u, &v);
+        node_rows(nodes, nn, j, p, q, rr, u, v, tab[T_BALL_W + j] * r0 * rn);
     }
 
     for (i = 0; i < n; i++) {
         const double *s = stages + 16 * i, h = s[0], r = rs[i], hh = rs[i + 1] - r;
         const double u0 = us[i], v0 = vs[i];
         const int last = moved && i == n - 1;
-        double ku[12], kv[12], fu[7], fv[7];
+        double fu[7], fv[7];
         double rr[SUB - 1 + SUB * NODES], uu[SUB - 1 + SUB * NODES], vv[SUB - 1 + SUB * NODES];
 
-        ku[0] = v0;
-        kv[0] = i ? s[-1] : st[S_K10];   /* the step before's FSAL stage */
-        for (k = 1; k < 8; k++)
-            ku[k] = s[k];
-        ku[8] = last ? st[S_VEND] : vs[i + 1];
-        for (k = 1; k < 9; k++)
-            kv[k] = s[7 + k];
-        interpolant(tab, prm, 0, r, h, u0, v0, last ? st[S_UEND] : us[i + 1], ku[8], ku, kv,
-                    fu, fv);
+        /* u'' at the step's start is the step before's FSAL stage */
+        interpolant(tab, prm, 0, r, s, i ? s[-1] : st[S_K10], u0, v0,
+                    last ? st[S_UEND] : us[i + 1], last ? st[S_VEND] : vs[i + 1], fu, fv);
 
         /* the interior grid points, then the Gauss nodes */
         for (j = 0; j < SUB - 1 + SUB * NODES; j++) {

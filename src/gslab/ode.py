@@ -29,9 +29,10 @@ together, by one upward recurrence from closed forms or two trapezoid sums,
 so gslab imports no scipy.
 
 Each shot is one call of a C kernel, ``_dop853.c``: the series start, the
-step loop (the twelve stages, the error norm, step control, event detection,
-the stage buffer of a run with quadrature and the settled stop) and the
-refinement of the terminal event; a run with quadrature makes one more call,
+step loop (the twelve stages, each from its row of the tableau's A over the
+nonzero entries, the error norm, step control, event detection, the stage
+buffer of a run with quadrature and the settled stop) and the refinement of
+the terminal event, with one right-hand side and one series piece; a run with quadrature makes one more call,
 for its dense pass.  The kernel writes into blocks its caller owns, and a
 ``Shot`` holds them for one (params, r_max, StepControls): a parameter block
 of which a shot writes only the amplitude, the state, the counters and a
@@ -53,10 +54,11 @@ goes through BLAS, whose kernels add in an order that depends on the CPU.  At
 import ``_native.build`` compiles the file once into the cache directory
 (the compiler CPython was built with, -O2 -ffp-contract=off) and ``ode``
 loads it with ctypes; where it cannot be built or loaded, the import raises
-ImportError.  ``tests/dop853_reference.py`` is the same shot in Python, with
-the same float operations in the same order (``**`` as CPython's float_pow,
-so an overflowing power shrinks a trial step as Python's OverflowError does,
-and the shot fails wherever else Python's ``**`` or ``/`` raises):
+ImportError.  ``tests/dop853_reference.py`` is the same shot in Python, its
+stages written out by hand, with the same float operations in the same order
+(``**`` as CPython's float_pow, so an overflowing power shrinks a trial step
+as Python's OverflowError does, and the shot fails wherever else Python's
+``**`` or ``/`` raises):
 ``tests/test_kernel.py`` checks the kernel against it bit for bit,
 ``tests/test_golden.py`` pins the results, and ``tests/test_ode.py`` checks
 the stepper against the Dormand-Prince 4(5) loop it replaced and the tables

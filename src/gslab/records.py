@@ -114,7 +114,8 @@ def parse(data: bytes) -> ResultRecord:
             f"schema_version mismatch: got {doc['schema_version']!r}, "
             f"expected {SCHEMA_VERSION!r}"
         )
-    _check_finite(doc["payload"], "payload")
+    for fd in ("config", "payload", "diagnostics"):
+        _check_finite(doc.get(fd, {}), fd)
     return ResultRecord(
         kind=doc["kind"],
         config=doc["config"],

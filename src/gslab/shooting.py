@@ -291,10 +291,18 @@ class RadialProfile:
     def far_field(self) -> _FarField | None:
         """The exponential tail model on its Gauss panels past the grid end
         (None for an algebraic tail), made once, on first read (a scaled
-        copy makes its own)."""
+        copy makes its own).  A ground state decreases, so a model that
+        rises above u(0) there is no ground-state tail: InconsistentSolution."""
         if self.tail.kind != "Exponential":
             return None
-        return self.tail.far_field(float(self.grid.radii[-1]))
+        R = float(self.grid.radii[-1])
+        far = self.tail.far_field(R)
+        top = far.u.max()
+        if top > self.amplitude:
+            raise InconsistentSolution(
+                f"the exponential tail model past R = {R:.6g} reaches |u| = {top:.3g}, "
+                f"above u(0) = {self.amplitude:.6g}: the fit is not a ground-state tail")
+        return far
 
     def norm_tail(self, s: float) -> float:
         """int |u|^s r^(N-1) dr past the grid end: the far field's sum, or an

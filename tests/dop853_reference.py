@@ -1,11 +1,10 @@
 """One DOP853 shot of ``gslab.ode.integrate`` in Python: the bitwise oracle
 of the C kernel, ``src/gslab/_dop853.c``.
 
-``integrate`` here is the shot the kernel is written after line by line:
-the series start (``_start``), the step loop, the refinement of the
-terminal event on the dense output (``_refine``, ``_bisect_event``) and,
-with quadrature, the numpy dense pass over every accepted step
-(``_dense_pass``).  The same float operations in the same order: Python's
+``integrate`` here is the shot the kernel is written after: the series
+start (``_start``), the step loop, the refinement of the terminal event on
+the dense output (``_refine``, ``_bisect_event``) and, with quadrature, the
+numpy dense pass over every accepted step (``_dense_pass``).  The same float operations in the same order: Python's
 ``**`` where the kernel calls its copy of CPython's float_pow, Python's max
 and min branches, and every dot product of the interpolant summed left to
 right from 0.0 (``_dot``, on floats and on arrays alike); the dense pass's
@@ -19,8 +18,10 @@ with an IntegrationFailure, as the kernel's arithmetic stop does; one in
 the series start has no rows.
 
 The loop is written for CPython's interpreter: the controls and tableau
-constants are locals, and the right-hand side is written out at each of
-the twelve stage evaluations.  The module-level constants it reads from
+constants are locals, and each stage's sums and the right-hand side are
+written out at each of the twelve stage evaluations.  The kernel forms a
+stage from its row of the tableau instead, over the row's nonzero entries
+in column order, so the two formulations of the step check each other.  The module-level constants it reads from
 ``gslab.ode`` (the series, the hand-off radius, the settled stop, the event
 tolerance, the collapsed step and the underflow floor) are looked up at
 call time, so a test that patches them there patches both shots.

@@ -15,7 +15,8 @@ bit for bit, a failure's partial and an exception included.  The calls are
 every shot of the benchmark's solve_mix seeds 1-3 and sweep_chain seed 1 and
 of the solves and sweeps ``test_golden.py`` pins (captured at shooting.Shot
 and shooting.integrate), and the paths those leave out: underflow, step
-budget, step collapse, a power that overflows, the arithmetic stop of a
+budget, step collapse, a power that overflows, a constant solution (a
+root of f, where the stage sums add signed zeros), the arithmetic stop of a
 division by zero in the loop or of a series start that raises (a failure
 without rows), the start's argument errors, the settled stop switched off,
 a grid refilled on every step, and dense passes after each refined event,
@@ -189,6 +190,9 @@ QUAD = replace(TIGHT, with_quadrature=True)
 # rows where the reference's _start raises: where the series' powers
 # overflow (a = 1e100), and where the series coefficients overflow to inf,
 # so that the hand-off radius is 0 and (N-1)/r0 divides by zero (a = 1e31).
+# From a = 1, a root of R_zero's f, u is constant: the series' c_k are
+# signed zeros, the hand-off radius is the cap 1e-3 r_max, and every stage
+# sum adds signed zeros, until the slope reads 0 after one step.
 ARITH = "arithmetic failed at r="
 PATHS = {
     "underflow": ((R_ZERO, 4.337387679977127, 50.0, TIGHT), "done"),
@@ -212,6 +216,8 @@ PATHS = {
                    "ValueError('r_max must be positive, got 0.0')"),
     "series-overflow": ((P_EPS, 1e100, 500.0, StepControls()), ARITH + "0: "),
     "handoff-zero-division": ((P_EPS, 1e31, 500.0, StepControls()), ARITH + "0: "),
+    "constant": ((R_ZERO, 1.0, 50.0, TIGHT), "done"),
+    "constant-quad": ((R_ZERO, 1.0, 50.0, QUAD), "done"),
     "r_max": ((P_ZERO, 0.9, 1e6, TIGHT), "done"),
     "settled": ((P_ZERO, 0.98, 1e6, TIGHT), "done"),
     "quad-to-r_max": ((P_ZERO, 0.9704323868577163, 1e6, QUAD), "done"),
@@ -230,6 +236,8 @@ CONSTANTS = {"underflow": {"_UNDERFLOW_FACTOR": 1e-8},
              "underflow-quad": {"_UNDERFLOW_FACTOR": 1e-8},
              "collapse-first": {"_MIN_STEP": 1.0}, "collapse-quad": {"_MIN_STEP": 1.0}}
 EVENTS = {"underflow": TerminalEvent.UNDERFLOW, "underflow-quad": TerminalEvent.UNDERFLOW,
+          "constant": TerminalEvent.SLOPE_SIGN_FLIP,
+          "constant-quad": TerminalEvent.SLOPE_SIGN_FLIP,
           "zero-crossing-quad": TerminalEvent.ZERO_CROSSING,
           "slope-flip-quad": TerminalEvent.SLOPE_SIGN_FLIP,
           "one-step-quad": TerminalEvent.SLOPE_SIGN_FLIP,
@@ -268,6 +276,10 @@ def test_paths_match_bit_for_bit(name, grid0, monkeypatch):
         assert len(t.radii) == 1
     if name == "one-step-quad":
         assert len(t.radii) == ode._SUB + 1
+    if name.startswith("constant"):   # the start, one step, the refinement (the dense pass)
+        assert t.radii[0] == 1e-3 * call[2]
+        expected = (ode._SUB + 1, 19) if call[3].with_quadrature else (2, 16)
+        assert (len(t.radii), t.rhs_evals) == expected
     if name == "power-underflow-quad":
         assert t.nodes[6].sum() == 0.0 < t.nodes[5].sum()   # the w |u|^q and w |u|^p rows
     if name in ("series-overflow", "handoff-zero-division"):   # the start raises

@@ -49,6 +49,12 @@ def test_parse_rejects_nonfinite_payload():
     doc["payload"]["x"] = float("nan")
     with pytest.raises(ParseError, match="payload.x"):
         parse(json.dumps(doc).encode())
+    # as in config and diagnostics, which serialize would write back as null
+    for fd, value in (("config", float("nan")), ("diagnostics", math.inf)):
+        bad = json.loads(serialize(rec))
+        bad[fd]["y"] = value
+        with pytest.raises(ParseError, match=rf"'{fd}\.y'"):
+            parse(json.dumps(bad).encode())
     # missing top-level fields are named too
     del doc["payload"]
     with pytest.raises(ParseError, match="payload"):
@@ -816,11 +822,12 @@ def test_cli_truncated_cache_entry_is_a_miss(tmp_path, capsys):
     assert "cache hit" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("entry_bytes", [b"null", b"5", _record_doc(payload=[])],
-                         ids=["null", "number", "payload-list"])
+@pytest.mark.parametrize("entry_bytes", [b"null", b"5", _record_doc(payload=[]),
+                                         _record_doc(diagnostics={"y": math.inf})],
+                         ids=["null", "number", "payload-list", "diagnostics-inf"])
 def test_cli_cache_entry_that_is_not_an_object_is_a_miss(tmp_path, capsys, entry_bytes):
-    # an entry that parses as JSON but is not a record object is a miss: the
-    # solve runs again and rewrites it
+    # an entry that parses as JSON but is not a record object, or holds a
+    # non-finite number, is a miss: the solve runs again and rewrites it
     argv = ["solve", *_SOLVE_ARGV]
     assert main(argv) == 0
     (entry,) = (tmp_path / "cache").glob("*.json")

@@ -710,6 +710,24 @@ def test_absurd_algebraic_tail_fit_raises_inconsistent_solution(p, q, drift):
             2.0, float(r[-1]))
 
 
+def test_exponential_tail_above_the_amplitude_raises_inconsistent_solution():
+    # An R_eps draw whose tail fit has a mismatch of 2.5e40: past R = 43.1
+    # the model reaches |u| = 6.9e35 against u(0) = 33.7, and its tail norms
+    # would overflow (numpy RuntimeWarnings in _FarField.norm and the
+    # identity residuals) into NaN residuals.  The far field refuses such a
+    # model before any tail norm is summed, so no warning is raised
+    import warnings
+
+    from gslab import InconsistentSolution, solve_ground_state
+
+    params = ProblemParams(7, 2.020217528174962, 9.910510892351246, 0.5329814462891562,
+                           Family.R_EPS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InconsistentSolution, match="tail model past R = 43.1.* above u"):
+            solve_ground_state(params)
+
+
 @pytest.mark.parametrize("N, p, q", [(5, 3.422389270243452, 6.840237355186352),
                                      (6, 3.0611494714759697, 5.671791238016732)])
 def test_p_zero_draws_that_read_converged_on_both_sides_solve(N, p, q):
